@@ -2,10 +2,11 @@
 
 The lower stack is the classic pushdown stack; the upper stack is the
 still-readable region above the stack top left behind by pops. The
-package offers exact forward reachability through a grammar encoding,
-a phase-bounded regular under-approximation of backward reachability,
-a regular over-approximation of forward reachability, and checkers for
-two safety patterns built on those, plus a small CLI.
+package offers exact forward reachability by a size-capped search
+(with the paper's grammar encoding kept for export), a phase-bounded
+regular under-approximation of backward reachability, a regular
+over-approximation of forward reachability, and checkers for two
+safety patterns built on those, plus a small CLI.
 """
 
 from .checkers import (

@@ -4,6 +4,7 @@ checkers, DOT export, and the bounded oracle, over model files."""
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .checkers import (
@@ -15,7 +16,12 @@ from .checkers import (
 from .configsets import ConfigAutomaton
 from .dot import export_dot
 from .errors import UpstackError
-from .grammar import build_post_grammar, is_reachable, single_origin
+from .grammar import (
+    DEFAULT_CONFIG_BUDGET,
+    build_post_grammar,
+    is_reachable,
+    single_origin,
+)
 from .kphase import DEFAULT_NODE_BUDGET, bounded_phase_pre_star
 from .model import parse_config_literal, parse_model, print_config_literal
 from .oracle import oracle_post
@@ -54,7 +60,10 @@ def _build_parser() -> _Parser:
         "--config", required=True, help="probe, e.g. \"p2: a ^ bot\""
     )
     member.add_argument(
-        "--budget", type=int, default=10_000_000, help="derivation search budget"
+        "--budget",
+        type=int,
+        default=DEFAULT_CONFIG_BUDGET,
+        help="how many configurations the search may store",
     )
 
     pre = sub.add_parser(
@@ -142,7 +151,16 @@ def _probe_or_summary(result: ConfigAutomaton, model, config: str | None) -> int
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader left early (`| head`). Point stdout at devnull so the
+        # interpreter's final flush stays quiet, and exit as SIGPIPE would.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except UpstackError as err:
         print(f"upstack: error: {err}", file=sys.stderr)
         return 3

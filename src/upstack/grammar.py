@@ -1,29 +1,34 @@
-"""Exact forward reachability for single configurations.
+"""Exact forward reachability for single configurations, and the
+paper's grammar construction behind it.
 
-The decision runs in three stages. First the query's regular start set is
-folded into the system itself: an extended system with one origin
-configuration <origin, eps, $> whose rules first spell a chosen start
-configuration onto the lower stack (reading an automaton for the
-reversed flattened word), then convert the barred prefix into upper
-content, then hand control to the original rules. Second, the extended
-system is compiled into a context-sensitive grammar whose terminal words
-are exactly the flattened reachable configurations, fenced by endpoint
-markers. Third, membership of one word is decided by exhaustive
-breadth-first derivation search; every production is noncontracting, so
-forms never shrink and the search below the target length terminates.
+is_reachable decides whether a configuration is reachable from a regular
+start set. No step shrinks the total stack size (a pop moves a symbol
+from one zone to the other; a push adds a lower cell and overwrites at
+most one upper cell), so a breadth-first search from the start-set
+members no larger than the target, never storing a larger
+configuration, explores a finite region and decides membership exactly.
+
+The same fact is why the paper's grammar for post* is noncontracting.
+The module keeps that construction for DOT export and as a cross-check
+in the tests. First the query's regular start set is folded into the
+system itself: an extended system with one origin configuration
+<origin, eps, $> whose rules first spell a chosen start configuration
+onto the lower stack (reading an automaton for the reversed flattened
+word), then convert the barred prefix into upper content, then hand
+control to the original rules. Second, the extended system is compiled
+into a noncontracting grammar whose terminal words are exactly the
+flattened reachable configurations, fenced by endpoint markers.
 
 Start-set members with an empty lower stack cannot be spelled by the
-extended system (handing control back reads a plain lower top), but such
-configurations also have no successors at all, so is_reachable answers
-for them by direct membership in the start set.
+extended system (handing control back reads a plain lower top), so the
+grammar omits them; such configurations have no successors at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from ._kernel import FOUND, OVER_BUDGET, search_derivation
 from .configsets import ConfigAutomaton, is_barred, unbar
 from .core import (
     Configuration,
@@ -33,10 +38,11 @@ from .core import (
     check_configuration,
     fresh_name,
 )
-from .errors import MalformedInputError, ResourceLimitError
+from .errors import ResourceLimitError
 from .nfa import Nfa
+from .oracle import search_trace
 
-DEFAULT_FORM_BUDGET = 10_000_000
+DEFAULT_CONFIG_BUDGET = 2_000_000
 
 TOP = ("top",)
 BOTTOM = ("bottom",)
@@ -247,43 +253,6 @@ def build_post_grammar(so: SingleOriginUpds) -> CsGrammar:
     )
 
 
-def _intern(grammar: CsGrammar):
-    ids: dict[tuple, int] = {}
-
-    def sid(symbol: tuple) -> int:
-        if symbol not in ids:
-            if len(ids) >= 0xFFFF:
-                raise MalformedInputError("grammar alphabet exceeds 65535 symbols")
-            ids[symbol] = len(ids)
-        return ids[symbol]
-
-    def pack(word: Iterable[tuple]) -> bytes:
-        out = bytearray()
-        for symbol in word:
-            out += sid(symbol).to_bytes(2, "little")
-        return bytes(out)
-
-    packed = [(pack(lhs), pack(rhs)) for lhs, rhs in grammar.productions]
-    return packed, pack, ids
-
-
-def grammar_membership(
-    grammar: CsGrammar, word: Iterable[tuple], budget: int = DEFAULT_FORM_BUDGET
-) -> bool:
-    """Decide start =>* word by breadth-first derivation search."""
-    word = tuple(word)
-    unknown = [s for s in word if s not in grammar.terminals]
-    if unknown:
-        raise MalformedInputError(f"not a terminal: {unknown[0]!r}")
-    packed, pack, _ = _intern(grammar)
-    status, explored = search_derivation(
-        packed, pack((grammar.start,)), pack(word), budget
-    )
-    if status == OVER_BUDGET:
-        raise ResourceLimitError(explored, "derivation search budget")
-    return status == FOUND
-
-
 def derivable_forms(
     grammar: CsGrammar, max_len: int, form_budget: int = 500_000
 ) -> set[tuple]:
@@ -325,12 +294,14 @@ def is_reachable(
     spec: UpdsSpec,
     start_set: ConfigAutomaton,
     config: Configuration,
-    budget: int = DEFAULT_FORM_BUDGET,
+    budget: int = DEFAULT_CONFIG_BUDGET,
 ) -> bool:
-    """Whether some member of start_set reaches config."""
+    """Whether some member of start_set reaches config. budget counts the
+    configurations the search stores (see the module docstring)."""
     check_configuration(spec, config)
-    if start_set.accepts(config):
-        return True
-    so = single_origin(spec, start_set)
-    grammar = build_post_grammar(so)
-    return grammar_membership(grammar, encode_config(config), budget)
+    start_set.validate()
+    starts = start_set.enumerate_configs(config.total_size)
+    trace = search_trace(
+        spec, starts, config.__eq__, config.total_size, node_budget=budget
+    )
+    return trace is not None

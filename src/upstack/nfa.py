@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Hashable, Iterable, Iterator
 
-from .errors import MalformedInputError
+from .errors import MalformedInputError, ResourceLimitError
 
 
 class _Epsilon:
@@ -268,7 +268,7 @@ class Nfa:
 
     def determinize(self, node_budget: int = 50_000) -> "Nfa":
         """Subset construction (partial: no dead sink). Nodes of the result
-        are ints in discovery order. Raises MalformedInputError past the
+        are ints in discovery order. Raises ResourceLimitError past the
         node budget."""
         labels = sorted(self.labels(), key=label_key)
         first = self.eps_closure(self.initial)
@@ -286,8 +286,8 @@ class Nfa:
                     continue
                 if stepped not in numbering:
                     if len(numbering) >= node_budget:
-                        raise MalformedInputError(
-                            f"determinization exceeded {node_budget} states"
+                        raise ResourceLimitError(
+                            len(numbering), "determinization state budget"
                         )
                     numbering[stepped] = len(numbering)
                     if any(n in self.finals for n in stepped):
@@ -348,7 +348,7 @@ class Nfa:
             return Nfa()
         try:
             dfa = trimmed.eps_eliminate().trim().determinize(node_budget)
-        except MalformedInputError:
+        except ResourceLimitError:
             return trimmed
         return dfa.minimize().relabel()
 

@@ -1,8 +1,9 @@
 """Explicit-state bounded explorers.
 
 These are the ground truth the rest of the package is tested against: a
-forward breadth-first closure over configurations, and a backward closure
-for phase-bounded reachability. Both are exhaustive within their bounds,
+forward breadth-first closure over configurations, a forward trace search
+(which also decides exact membership), and a backward closure for
+phase-bounded reachability. All are exhaustive within their bounds,
 deterministic (successors in rule declaration order), and refuse to run
 past an explicit node budget rather than silently truncating.
 """
@@ -58,6 +59,61 @@ def oracle_post(
     return frozenset(seen)
 
 
+def search_trace(
+    spec: UpdsSpec,
+    starts: Iterable[Configuration],
+    accepts: Callable[[Configuration], bool],
+    size_cap: int,
+    depth: int | None = None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+) -> tuple[Rule, ...] | None:
+    """A shortest rule sequence driving some start configuration to one
+    satisfying `accepts`, or None if none exists within the bounds.
+
+    Breadth-first from the starts in the order given, successors in rule
+    declaration order, so among shortest traces the first found wins.
+    Successors whose total stack size passes size_cap are dropped (the
+    starts are kept whatever their size); depth=None searches the capped
+    region to exhaustion, which is finite. node_budget counts stored
+    configurations, starts included."""
+    parent: dict[Configuration, tuple[Configuration, Rule] | None] = {}
+
+    def store(c: Configuration, link: tuple[Configuration, Rule] | None) -> bool:
+        if len(parent) >= node_budget:
+            raise ResourceLimitError(len(parent), "configuration search budget")
+        parent[c] = link
+        return accepts(c)
+
+    def trace_to(c: Configuration) -> tuple[Rule, ...]:
+        rules: list[Rule] = []
+        while (link := parent[c]) is not None:
+            c, rule = link
+            rules.append(rule)
+        return tuple(reversed(rules))
+
+    frontier: list[Configuration] = []
+    for c in starts:
+        check_configuration(spec, c)
+        if c in parent:
+            continue
+        if store(c, None):
+            return ()
+        frontier.append(c)
+    layer = 0
+    while frontier and (depth is None or layer < depth):
+        layer += 1
+        next_frontier: list[Configuration] = []
+        for c in frontier:
+            for rule, succ in step(spec, c):
+                if succ.total_size > size_cap or succ in parent:
+                    continue
+                if store(succ, (c, rule)):
+                    return trace_to(succ)
+                next_frontier.append(succ)
+        frontier = next_frontier
+    return None
+
+
 def oracle_trace(
     spec: UpdsSpec,
     start: Configuration,
@@ -69,27 +125,7 @@ def oracle_trace(
     """A shortest rule sequence of length <= depth driving `start` to a
     configuration satisfying `accepts`, never letting the total stack
     size pass size_cap; None if none exists within those bounds."""
-    check_configuration(spec, start)
-    if accepts(start):
-        return ()
-    seen = {start}
-    frontier: list[tuple[Configuration, tuple[Rule, ...]]] = [(start, ())]
-    for _ in range(depth):
-        if not frontier:
-            break
-        next_frontier: list[tuple[Configuration, tuple[Rule, ...]]] = []
-        for c, trace in frontier:
-            for rule, succ in step(spec, c):
-                if succ.total_size > size_cap or succ in seen:
-                    continue
-                if len(seen) >= node_budget:
-                    raise ResourceLimitError(len(seen), "trace search budget")
-                seen.add(succ)
-                if accepts(succ):
-                    return trace + (rule,)
-                next_frontier.append((succ, trace + (rule,)))
-        frontier = next_frontier
-    return None
+    return search_trace(spec, [start], accepts, size_cap, depth, node_budget)
 
 
 def _predecessors(

@@ -1,13 +1,15 @@
 """End-to-end command-line behavior over the shipped fixtures.
 
 Exit-code contract: 0 a true probe or a Safe verdict, 1 a false probe
-or an Unsafe verdict, 2 Unknown, 3 any usage, parse, or analysis error.
+or an Unsafe verdict, 2 Unknown, 3 any usage, parse, or analysis error,
+141 (as for SIGPIPE) when the reader of stdout has gone away.
 All expectations here were adjudicated against the bounded oracle or
 hand-replayed before being pinned.
 """
 
 import contextlib
 import io
+import os
 import subprocess
 import sys
 
@@ -137,6 +139,10 @@ def test_analysis_errors_exit_3_with_message():
     assert code == 3 and "no configuration set named 'NoSuch'" in err
     code, _, err = run_cli(["member", E1, "--init", "C1", "--config", "p: ^ zz"])
     assert code == 3 and "undeclared symbol 'zz'" in err
+    code, _, err = run_cli(
+        ["member", E1, "--init", "C1", "--config", "p2: a a b ^ bot", "--budget", "10"]
+    )
+    assert code == 3 and "configuration search budget" in err
 
 
 def test_module_entry_point_round_trips():
@@ -148,3 +154,20 @@ def test_module_entry_point_round_trips():
     )
     assert proc.returncode == 0
     assert proc.stdout == "true\n"
+
+
+def test_closed_stdout_is_not_an_analysis_error():
+    # The reader is gone before the first write, as with `| head -0`.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "upstack", "oracle", E2, "--init", "C2",
+             "--depth", "0", "--cap", "5"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")

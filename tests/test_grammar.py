@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from upstack.configsets import from_config_set
+from upstack.configsets import ConfigAutomaton, from_config_set
 from upstack.core import Configuration, UpdsSpec
 from upstack.errors import MalformedInputError, ResourceLimitError
 from upstack.grammar import (
@@ -13,13 +14,13 @@ from upstack.grammar import (
     derivable_forms,
     derivable_words,
     encode_config,
-    grammar_membership,
     is_reachable,
     single_origin,
     state_terminal,
     symbol_terminal,
 )
 from upstack.oracle import oracle_post
+from upstack.regex import compile_config_regex
 
 from conftest import (
     c1_automaton,
@@ -44,6 +45,12 @@ def e1_so():
 def e1_grammar(e1_so):
     _, so = e1_so
     return build_post_grammar(so)
+
+
+@pytest.fixture(scope="module")
+def e1_words(e1_grammar):
+    """Every terminal word of length <= 7: configurations of size <= 4."""
+    return derivable_words(e1_grammar, 7)
 
 
 def test_extension_reaches_the_seed_members(e1_so):
@@ -113,29 +120,31 @@ def test_grammar_is_noncontracting(e1_grammar):
     assert e1_grammar.noncontracting_violations() == []
 
 
-def test_grammar_derives_the_origin(e1_so, e1_grammar):
+def test_grammar_derives_the_origin(e1_so, e1_words):
     _, so = e1_so
-    assert grammar_membership(e1_grammar, encode_config(so.origin))
+    assert encode_config(so.origin) in e1_words
 
 
-def test_grammar_derives_pumped_family(e1_grammar):
-    assert grammar_membership(e1_grammar, encode_config(e1_pumped(0)))
-    assert grammar_membership(e1_grammar, encode_config(e1_pumped(1)))
+def test_grammar_derives_pumped_family(e1_words):
+    assert encode_config(e1_pumped(0)) in e1_words
+    assert encode_config(e1_pumped(1)) in e1_words
 
 
-def test_grammar_rejects_unbalanced_configs(e1_grammar):
-    assert not grammar_membership(e1_grammar, encode_config(cfg("p2", "a a", "bot")))
-    assert not grammar_membership(e1_grammar, encode_config(cfg("p2", "", "bot")))
+def test_grammar_rejects_unbalanced_configs(e1_words):
+    assert encode_config(cfg("p2", "a a", "bot")) not in e1_words
+    assert encode_config(cfg("p2", "", "bot")) not in e1_words
 
 
-def test_grammar_rejects_nonterminal_input(e1_grammar):
-    with pytest.raises(MalformedInputError):
-        grammar_membership(e1_grammar, (TOP, ("B.st", "p"), BOTTOM))
+def test_grammar_rejects_nonterminal_input(e1_grammar, e1_words):
+    forms = derivable_forms(e1_grammar, 6)
+    assert any(s in e1_grammar.nonterminals for form in forms for s in form)
+    assert all(s in e1_grammar.terminals for word in e1_words for s in word)
+    assert (TOP, ("B.st", "p"), BOTTOM) not in e1_words
 
 
 def test_budget_error_is_honest(e1_grammar):
     with pytest.raises(ResourceLimitError) as err:
-        grammar_membership(e1_grammar, encode_config(e1_pumped(1)), budget=50)
+        derivable_forms(e1_grammar, 6, form_budget=50)
     assert err.value.explored <= 51
 
 
@@ -214,6 +223,46 @@ def test_is_reachable_uses_membership_and_start_set(e1, c1):
     assert not is_reachable(e1, c1, cfg("p2", "a a", "bot"))
     with pytest.raises(MalformedInputError):
         is_reachable(e1, c1, cfg("nope", "", "bot"))
+
+
+def test_is_reachable_budget_error_is_honest(e1, c1):
+    with pytest.raises(ResourceLimitError) as err:
+        is_reachable(e1, c1, e1_pumped(1), budget=10)
+    assert err.value.explored <= 11
+
+
+def _random_start_set(rng, spec):
+    """One or two configurations, or a small infinite automaton; no member
+    has an empty lower stack (the grammar cannot spell those)."""
+    if rng.random() < 0.5:
+        members = {
+            random_configuration(rng, spec, max_side=1, allow_empty_lower=False)
+            for _ in range(rng.randint(1, 2))
+        }
+        return from_config_set(spec, members)
+    up, low, tail = (rng.choice(spec.alphabet) for _ in range(3))
+    component = compile_config_regex(f"{up}* ^ {low} {tail}*", alphabet=spec.alphabet)
+    return ConfigAutomaton(spec.alphabet, {rng.choice(spec.states): component})
+
+
+def _configurations_up_to(spec, size):
+    for state in spec.states:
+        for n in range(size + 1):
+            for word in itertools.product(spec.alphabet, repeat=n):
+                for cut in range(n + 1):
+                    yield Configuration(state, word[:cut], word[cut:])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000))
+def test_is_reachable_agrees_with_the_grammar(seed):
+    rng = random.Random(seed)
+    spec = random_spec(rng, max_states=2, max_symbols=2, max_rules=4)
+    start = _random_start_set(rng, spec)
+    cap = 3
+    words = derivable_words(build_post_grammar(single_origin(spec, start)), cap + 3)
+    for c in _configurations_up_to(spec, cap):
+        assert is_reachable(spec, start, c) == (encode_config(c) in words), c
 
 
 def test_is_reachable_handles_empty_lower_members():

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from upstack.errors import MalformedInputError
+from upstack.errors import MalformedInputError, ResourceLimitError
 from upstack.nfa import (
     EPSILON,
     Nfa,
@@ -93,6 +93,13 @@ def test_determinize_minimize_roundtrip():
     m = d.minimize()
     assert m.words_up_to(4) == n.words_up_to(4)
     assert len(m.nodes()) <= len(d.nodes())
+
+
+def test_determinize_budget_is_a_resource_limit():
+    with pytest.raises(ResourceLimitError):
+        _sample().determinize(node_budget=1)
+    # compact falls back to the trimmed automaton instead of failing.
+    assert equivalent(_sample().compact(node_budget=1), _sample())
 
 
 def test_minimize_rejects_nondeterministic_input():
