@@ -38,7 +38,7 @@ from .errors import (
 )
 from .fixtures import fixture_names, fixture_path, fixture_text
 from .grammar import build_post_grammar, is_reachable, single_origin
-from .kphase import PhaseKind, bounded_phase_pre_star, phase_pre, upds_to_mpds
+from .kphase import PhaseKind, bounded_phase_pre_star, phase_pre
 from .model import (
     ModelFile,
     parse_config_literal,
@@ -105,7 +105,6 @@ __all__ = [
     "step",
     "trace_overapprox",
     "trace_upper_word",
-    "upds_to_mpds",
     "upper_config_set",
 ]
 

@@ -11,10 +11,8 @@ so a verdict other than Unknown is trusted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .configsets import ConfigAutomaton, bar, intersect_sets
-from .core import Configuration, Rule, UpdsSpec, make_spec
+from .core import Configuration, Frozen, Rule, UpdsSpec, make_spec
 from .errors import MalformedInputError
 from .kphase import DEFAULT_NODE_BUDGET, bounded_phase_pre_star
 from .model import ModelFile, print_config_literal
@@ -34,24 +32,34 @@ DEFAULT_PHASES = 3
 DEFAULT_REPLAY_DEPTH = 64
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Frozen):
     """Outcome plus the analysis parameters it was reached under. An
     Unsafe verdict carries an initial configuration from which a
     forbidden one is reachable, and a replayed trace proving it."""
 
-    outcome: str
-    k: int
-    node_budget: int
-    witness: Configuration | None = None
-    trace: tuple[Rule, ...] | None = None
-    note: str = ""
-
-    def __post_init__(self):
-        if self.outcome not in (SAFE, UNSAFE, UNKNOWN):
-            raise MalformedInputError(f"unknown outcome {self.outcome!r}")
-        if self.outcome == UNSAFE and (self.witness is None or self.trace is None):
+    def __init__(
+        self,
+        outcome: str,
+        k: int,
+        node_budget: int,
+        witness: Configuration | None = None,
+        trace: tuple[Rule, ...] | None = None,
+        note: str = "",
+    ) -> None:
+        if outcome not in (SAFE, UNSAFE, UNKNOWN):
+            raise MalformedInputError(f"unknown outcome {outcome!r}")
+        if outcome == UNSAFE and (witness is None or trace is None):
             raise MalformedInputError("an Unsafe verdict needs witness and trace")
+        _set = object.__setattr__
+        _set(self, "outcome", outcome)
+        _set(self, "k", k)
+        _set(self, "node_budget", node_budget)
+        _set(self, "witness", witness)
+        _set(self, "trace", trace)
+        _set(self, "note", note)
+
+    def _fields(self) -> tuple:
+        return (self.outcome, self.k, self.node_budget, self.witness, self.trace, self.note)
 
     @property
     def exit_code(self) -> int:

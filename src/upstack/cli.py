@@ -35,6 +35,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
+_DFA_BUDGET = (
+    "state budget for determinizing each automaton; past it the automaton "
+    "stays nondeterministic (default %(default)s)"
+)
+_REPLAY_DEPTH = "step bound of the search that replays a witness (default %(default)s)"
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="upstack",
@@ -74,7 +81,9 @@ def _build_parser() -> _Parser:
     pre.add_argument("--target", required=True, help="name of the target set")
     pre.add_argument("-k", type=int, default=DEFAULT_PHASES, help="phase bound")
     pre.add_argument("--config", help="probe; without it, print a summary")
-    pre.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    pre.add_argument(
+        "--budget", type=int, default=DEFAULT_NODE_BUDGET, help=_DFA_BUDGET
+    )
 
     post = sub.add_parser(
         "post-over", help="regular over-approximation of an initial set's successors"
@@ -92,8 +101,12 @@ def _build_parser() -> _Parser:
         "--lower", required=True, help="starting lower words ('_' for empty)"
     )
     overflow.add_argument("-k", type=int, default=DEFAULT_PHASES, help="phase bound")
-    overflow.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
-    overflow.add_argument("--replay-depth", type=int, default=DEFAULT_REPLAY_DEPTH)
+    overflow.add_argument(
+        "--budget", type=int, default=DEFAULT_NODE_BUDGET, help=_DFA_BUDGET
+    )
+    overflow.add_argument(
+        "--replay-depth", type=int, default=DEFAULT_REPLAY_DEPTH, help=_REPLAY_DEPTH
+    )
 
     read = sub.add_parser(
         "check-read",
@@ -103,8 +116,12 @@ def _build_parser() -> _Parser:
     read.add_argument("--init", required=True, help="name of the initial set")
     read.add_argument("--symbol", required=True, help="symbol to look for")
     read.add_argument("-k", type=int, default=DEFAULT_PHASES, help="phase bound")
-    read.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
-    read.add_argument("--replay-depth", type=int, default=DEFAULT_REPLAY_DEPTH)
+    read.add_argument(
+        "--budget", type=int, default=DEFAULT_NODE_BUDGET, help=_DFA_BUDGET
+    )
+    read.add_argument(
+        "--replay-depth", type=int, default=DEFAULT_REPLAY_DEPTH, help=_REPLAY_DEPTH
+    )
 
     dot = sub.add_parser("export-dot", help="render an artifact as Graphviz DOT")
     model_arg(dot)

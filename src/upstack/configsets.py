@@ -196,10 +196,14 @@ def project_upper(a: ConfigAutomaton) -> dict[str, Nfa]:
     }
 
 
-def equivalent_sets(a: ConfigAutomaton, b: ConfigAutomaton) -> bool:
+def equivalent_sets(
+    a: ConfigAutomaton, b: ConfigAutomaton, node_budget: int = 50_000
+) -> bool:
+    """Whether both sets hold the same configurations. node_budget bounds
+    each determinization; past it, ResourceLimitError."""
     _check_alphabets(a, b)
     for state in set(a.components) | set(b.components):
-        if not equivalent(a.component(state), b.component(state)):
+        if not equivalent(a.component(state), b.component(state), node_budget):
             return False
     return True
 

@@ -22,7 +22,6 @@ No rule fires on an empty lower stack.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import MalformedInputError, RuleNotEnabledError
@@ -36,20 +35,81 @@ class RuleKind(enum.Enum):
     PUSH = "push"
 
 
-@dataclass(frozen=True, slots=True)
-class Rule:
+# The records below are plain classes rather than dataclasses: importing
+# dataclasses and generating their methods costs every CLI call at start-up.
+class Frozen:
+    """Base of the package's immutable records: any assignment or
+    deletion of an attribute raises AttributeError. Each record lists its
+    constructor arguments in `_fields`, which equality, hashing, copying
+    and pickling go through."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        raise NotImplementedError
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        # Rebuild through __init__: restoring slots by setattr would hit
+        # the frozen __setattr__.
+        return (self.__class__, self._fields())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Rule(Frozen):
     """A rewrite rule (from_state, read_symbol) -> (to_state, written)."""
 
-    from_state: str
-    read_symbol: str
-    to_state: str
-    written: Word = ()
+    __slots__ = ("from_state", "read_symbol", "to_state", "written")
 
-    def __post_init__(self) -> None:
-        if len(self.written) > 2:
+    def __init__(
+        self, from_state: str, read_symbol: str, to_state: str, written: Word = ()
+    ) -> None:
+        if len(written) > 2:
             raise MalformedInputError(
-                f"rule may write at most two symbols, got {self.written!r}"
+                f"rule may write at most two symbols, got {written!r}"
             )
+        _set = object.__setattr__
+        _set(self, "from_state", from_state)
+        _set(self, "read_symbol", read_symbol)
+        _set(self, "to_state", to_state)
+        _set(self, "written", written)
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(from_state={self.from_state!r}, "
+            f"read_symbol={self.read_symbol!r}, to_state={self.to_state!r}, "
+            f"written={self.written!r})"
+        )
+
+    def _fields(self) -> tuple:
+        return (self.from_state, self.read_symbol, self.to_state, self.written)
+
+    # Rule and Configuration are hashed and compared on every search
+    # step, so their __eq__ and __hash__ skip the _fields call.
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.from_state, self.read_symbol, self.to_state, self.written) == (
+            other.from_state,
+            other.read_symbol,
+            other.to_state,
+            other.written,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.from_state, self.read_symbol, self.to_state, self.written))
 
     @property
     def kind(self) -> RuleKind:
@@ -60,18 +120,14 @@ class Rule:
         return f"{self.from_state} {self.read_symbol} -> {rhs}"
 
 
-@dataclass(frozen=True)
-class UpdsSpec:
+class UpdsSpec(Frozen):
     """A system: control states, stack alphabet, rules (in declaration
     order, which tie-breaks every deterministic enumeration downstream)."""
 
-    states: tuple[str, ...]
-    alphabet: tuple[str, ...]
-    rules: tuple[Rule, ...]
-    _by_read: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for name, ids in (("state", self.states), ("symbol", self.alphabet)):
+    def __init__(
+        self, states: tuple[str, ...], alphabet: tuple[str, ...], rules: tuple[Rule, ...]
+    ) -> None:
+        for name, ids in (("state", states), ("symbol", alphabet)):
             seen = set()
             for ident in ids:
                 if not ident:
@@ -79,12 +135,12 @@ class UpdsSpec:
                 if ident in seen:
                     raise MalformedInputError(f"duplicate {name} {ident!r}")
                 seen.add(ident)
-        states = set(self.states)
-        symbols = set(self.alphabet)
+        state_set = set(states)
+        symbols = set(alphabet)
         seen_rules = set()
-        for rule in self.rules:
+        for rule in rules:
             for st in (rule.from_state, rule.to_state):
-                if st not in states:
+                if st not in state_set:
                     raise MalformedInputError(f"undeclared state {st!r} in rule {rule}")
             for sym in (rule.read_symbol,) + rule.written:
                 if sym not in symbols:
@@ -94,12 +150,19 @@ class UpdsSpec:
                 raise MalformedInputError(f"duplicate rule {rule}")
             seen_rules.add(key)
         by_read: dict[tuple[str, str], list[Rule]] = {}
-        for rule in self.rules:
+        for rule in rules:
             by_read.setdefault((rule.from_state, rule.read_symbol), []).append(rule)
-        self._by_read.update(by_read)
+        _set = object.__setattr__
+        _set(self, "states", states)
+        _set(self, "alphabet", alphabet)
+        _set(self, "rules", rules)
+        _set(self, "_by_read", {key: tuple(group) for key, group in by_read.items()})
+
+    def _fields(self) -> tuple:
+        return (self.states, self.alphabet, self.rules)
 
     def rules_reading(self, state: str, symbol: str) -> tuple[Rule, ...]:
-        return tuple(self._by_read.get((state, symbol), ()))
+        return self._by_read.get((state, symbol), ())
 
     def rules_of_kind(self, *kinds: RuleKind) -> tuple[Rule, ...]:
         wanted = set(kinds)
@@ -117,13 +180,38 @@ class UpdsSpec:
         return tuple(word)
 
 
-@dataclass(frozen=True, slots=True)
-class Configuration:
+class Configuration(Frozen):
     """A control state plus the two stack words."""
 
-    state: str
-    upper: Word
-    lower: Word
+    __slots__ = ("state", "upper", "lower")
+
+    def __init__(self, state: str, upper: Word, lower: Word) -> None:
+        # Every search step builds one: the slot setters are the fastest
+        # way past the frozen __setattr__.
+        _set_state(self, state)
+        _set_upper(self, upper)
+        _set_lower(self, lower)
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(state={self.state!r}, "
+            f"upper={self.upper!r}, lower={self.lower!r})"
+        )
+
+    def _fields(self) -> tuple:
+        return (self.state, self.upper, self.lower)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.state, self.upper, self.lower) == (
+            other.state,
+            other.upper,
+            other.lower,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.state, self.upper, self.lower))
 
     @property
     def total_size(self) -> int:
@@ -134,6 +222,10 @@ class Configuration:
         low = " ".join(self.lower) if self.lower else "_"
         return f"<{self.state}: {up} ^ {low}>"
 
+
+_set_state = Configuration.state.__set__
+_set_upper = Configuration.upper.__set__
+_set_lower = Configuration.lower.__set__
 
 Trace = tuple[Rule, ...]
 

@@ -26,12 +26,12 @@ grammar omits them; such configurations have no successors at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .configsets import ConfigAutomaton, is_barred, unbar
 from .core import (
     Configuration,
+    Frozen,
     Rule,
     RuleKind,
     UpdsSpec,
@@ -64,17 +64,36 @@ def symbol_marker(symbol: str) -> tuple:
     return ("B.sym", symbol)
 
 
-@dataclass(frozen=True)
-class SingleOriginUpds:
+class SingleOriginUpds(Frozen):
     """Extension of a system whose entire start set collapses to one
     configuration <origin_state, eps, dollar>."""
 
-    spec: UpdsSpec
-    origin: Configuration
-    original_states: tuple[str, ...]
-    original_alphabet: tuple[str, ...]
-    bar_names: Mapping[str, str]
-    dollar: str
+    def __init__(
+        self,
+        spec: UpdsSpec,
+        origin: Configuration,
+        original_states: tuple[str, ...],
+        original_alphabet: tuple[str, ...],
+        bar_names: Mapping[str, str],
+        dollar: str,
+    ) -> None:
+        _set = object.__setattr__
+        _set(self, "spec", spec)
+        _set(self, "origin", origin)
+        _set(self, "original_states", original_states)
+        _set(self, "original_alphabet", original_alphabet)
+        _set(self, "bar_names", bar_names)
+        _set(self, "dollar", dollar)
+
+    def _fields(self) -> tuple:
+        return (
+            self.spec,
+            self.origin,
+            self.original_states,
+            self.original_alphabet,
+            self.bar_names,
+            self.dollar,
+        )
 
 
 def _spelling_automaton(component: Nfa) -> Nfa:
@@ -155,14 +174,24 @@ def single_origin(spec: UpdsSpec, start_set: ConfigAutomaton) -> SingleOriginUpd
     )
 
 
-@dataclass(frozen=True)
-class CsGrammar:
+class CsGrammar(Frozen):
     """Context-sensitive grammar over tagged tuple symbols."""
 
-    terminals: frozenset
-    nonterminals: frozenset
-    productions: tuple[tuple[tuple, tuple], ...]
-    start: tuple
+    def __init__(
+        self,
+        terminals: frozenset,
+        nonterminals: frozenset,
+        productions: tuple[tuple[tuple, tuple], ...],
+        start: tuple,
+    ) -> None:
+        _set = object.__setattr__
+        _set(self, "terminals", terminals)
+        _set(self, "nonterminals", nonterminals)
+        _set(self, "productions", productions)
+        _set(self, "start", start)
+
+    def _fields(self) -> tuple:
+        return (self.terminals, self.nonterminals, self.productions, self.start)
 
     def noncontracting_violations(self) -> list[tuple[tuple, tuple]]:
         return [(lhs, rhs) for lhs, rhs in self.productions if len(lhs) > len(rhs)]

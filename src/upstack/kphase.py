@@ -16,24 +16,17 @@ target automaton and a forward closure of the push/switch fragment, so
 that the number of symbols dropped from the upper word equals the
 number of pushes; a separate entry mode absorbs the case where the
 upper word is exhausted entirely.
-
-The module also ships the translation of a system into an equivalent
-two-stack pushdown system whose second stack is the lower word and whose
-first stack is the reversed upper word above a bottom marker. The phase
-computations do not go through it; it exists as an executable statement
-of the correspondence, with a stepper so the equivalence is testable.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .configsets import ConfigAutomaton, bar, is_barred, union_sets, equivalent_sets
-from .core import Configuration, RuleKind, UpdsSpec, Word, fresh_name
+from .core import RuleKind, UpdsSpec
 from .errors import MalformedInputError, ResourceLimitError
 from .nfa import EPSILON, Nfa
-from .pds import pds_post_star, singleton_lower
+from .pds import LowerAutomaton, pds_post_star, singleton_lower
 
 DEFAULT_NODE_BUDGET = 50_000
 
@@ -41,113 +34,6 @@ DEFAULT_NODE_BUDGET = 50_000
 class PhaseKind(enum.Enum):
     POP = "pop"
     PUSH = "push"
-
-
-# -- two-stack encoding ---------------------------------------------------
-
-DEFAULT_BOTTOM = "@bot"
-
-
-@dataclass(frozen=True, slots=True)
-class MpdsRule:
-    """(from_state, read_symbol, stack) -> (to_state, written): enabled
-    when read_symbol tops the designated stack (1 or 2), which is the only
-    stack rewritten."""
-
-    from_state: str
-    read_symbol: str
-    stack: int
-    to_state: str
-    written: Word = ()
-
-    def __str__(self) -> str:
-        rhs = " ".join((self.to_state,) + self.written) if self.written else self.to_state
-        return f"{self.from_state} {self.read_symbol} [{self.stack}] -> {rhs}"
-
-
-@dataclass(frozen=True)
-class Mpds:
-    """A two-stack pushdown system. The bottom marker seals stack 1: no
-    rule pops it."""
-
-    states: tuple[str, ...]
-    alphabet: tuple[str, ...]
-    bottom: str
-    rules: tuple[MpdsRule, ...]
-
-
-MpdsConfig = tuple[str, Word, Word]
-
-
-def upds_to_mpds(spec: UpdsSpec, bottom: str = DEFAULT_BOTTOM) -> Mpds:
-    """Encode the system over two stacks: stack 2 is the lower word and
-    stack 1 the reversed upper word above `bottom`, so both tops sit at
-    the boundary. A switch stays one rule on stack 2. A pop first removes
-    its symbol from stack 2, then prepends it to stack 1 from a fresh
-    intermediate state. A push first rewrites stack 2, then drops the
-    stack-1 top unless only the bottom marker is left. One step of the
-    source system is one step here for switches and two otherwise.
-    """
-    if bottom in spec.alphabet:
-        raise MalformedInputError(
-            f"bottom marker {bottom!r} collides with a stack symbol"
-        )
-    used = set(spec.states)
-    states = list(spec.states)
-    rules: list[MpdsRule] = []
-    for index, rule in enumerate(spec.rules):
-        p, a, q = rule.from_state, rule.read_symbol, rule.to_state
-        kind = rule.kind
-        if kind is RuleKind.SWITCH:
-            rules.append(MpdsRule(p, a, 2, q, rule.written))
-            continue
-        mid = fresh_name(used, f"{p}@r{index}")
-        states.append(mid)
-        if kind is RuleKind.POP:
-            rules.append(MpdsRule(p, a, 2, mid, ()))
-            for x in spec.alphabet + (bottom,):
-                rules.append(MpdsRule(mid, x, 1, q, (a, x)))
-        else:
-            rules.append(MpdsRule(p, a, 2, mid, rule.written))
-            rules.append(MpdsRule(mid, bottom, 1, q, (bottom,)))
-            for x in spec.alphabet:
-                rules.append(MpdsRule(mid, x, 1, q, ()))
-    return Mpds(tuple(states), spec.alphabet + (bottom,), bottom, tuple(rules))
-
-
-def mpds_step(m: Mpds, config: MpdsConfig) -> list[tuple[MpdsRule, MpdsConfig]]:
-    """All one-step successors, in rule declaration order."""
-    state, stack1, stack2 = config
-    out: list[tuple[MpdsRule, MpdsConfig]] = []
-    for rule in m.rules:
-        if rule.from_state != state:
-            continue
-        stack = stack1 if rule.stack == 1 else stack2
-        if not stack or stack[0] != rule.read_symbol:
-            continue
-        rewritten = rule.written + stack[1:]
-        if rule.stack == 1:
-            out.append((rule, (rule.to_state, rewritten, stack2)))
-        else:
-            out.append((rule, (rule.to_state, stack1, rewritten)))
-    return out
-
-
-def config_to_mpds(m: Mpds, c: Configuration) -> MpdsConfig:
-    """<p, w_u, w_l> becomes (p, reverse(w_u) + bottom, w_l)."""
-    return (c.state, tuple(reversed(c.upper)) + (m.bottom,), c.lower)
-
-
-def mpds_to_config(m: Mpds, config: MpdsConfig) -> Configuration:
-    """Inverse of config_to_mpds; rejects stacks that are not in the image
-    (bottom marker missing, duplicated, or misplaced)."""
-    state, stack1, stack2 = config
-    if not stack1 or stack1[-1] != m.bottom:
-        raise MalformedInputError(f"stack 1 does not end with {m.bottom!r}")
-    body = stack1[:-1]
-    if m.bottom in body or m.bottom in stack2:
-        raise MalformedInputError(f"stray bottom marker {m.bottom!r}")
-    return Configuration(state, tuple(reversed(body)), tuple(stack2))
 
 
 # -- one-phase backward closures ------------------------------------------
@@ -240,7 +126,24 @@ def _pop_phase_pre(spec: UpdsSpec, components: dict[str, Nfa]) -> dict[str, Nfa]
     return out
 
 
-def _push_phase_pre(spec: UpdsSpec, components: dict[str, Nfa]) -> dict[str, Nfa]:
+def push_closures(spec: UpdsSpec) -> dict[tuple[str, str], LowerAutomaton]:
+    """For each control state q and symbol top, the forward closure of the
+    push/switch fragment from <q, top>: the words a push phase can turn
+    the lower top into. They depend on the system alone, so one set
+    serves every push phase over it."""
+    push_switch = spec.restricted(RuleKind.SWITCH, RuleKind.PUSH)
+    return {
+        (q, top): pds_post_star(push_switch, singleton_lower(spec, q, (top,)))
+        for q in spec.states
+        for top in spec.alphabet
+    }
+
+
+def _push_phase_pre(
+    spec: UpdsSpec,
+    components: dict[str, Nfa],
+    closures: dict[tuple[str, str], LowerAutomaton],
+) -> dict[str, Nfa]:
     """One push phase, backwards. A trace of switches and pushes from
     <q, g v, w_u> rewrites the lower top g into some word z (one symbol
     per push plus the survivor, so z has one more symbol than there are
@@ -255,8 +158,19 @@ def _push_phase_pre(spec: UpdsSpec, components: dict[str, Nfa]) -> dict[str, Nfa
     second entry mode starts the lockstep at the component's initial
     nodes for traces that exhaust the upper word, where extra pushes
     advance for free. A verbatim copy of the target component keeps
-    empty traces."""
-    push_switch = spec.restricted(RuleKind.SWITCH, RuleKind.PUSH)
+    empty traces. The closures come from push_closures(spec)."""
+    barred = [bar(x) for x in spec.alphabet]
+    # Per target component: its nodes and its epsilon-closed initial
+    # nodes in key order, and its one-symbol steps, memoized in sorted
+    # order as the walk consumes them.
+    ordered = {
+        p2: (
+            sorted(t.nodes(), key=_node_key),
+            sorted(t.eps_closure(t.initial), key=_node_key),
+        )
+        for p2, t in components.items()
+    }
+    landings_of: dict[tuple, list] = {}
     out: dict[str, Nfa] = {}
     for q in spec.states:
         comp = Nfa()
@@ -284,22 +198,24 @@ def _push_phase_pre(spec: UpdsSpec, components: dict[str, Nfa]) -> dict[str, Nfa
             for r in t.finals:
                 comp.add_final(("e", p2, r))
         for top in spec.alphabet:
-            rewrites = pds_post_star(push_switch, singleton_lower(spec, q, (top,)))
+            rewrites = closures[(q, top)]
             znfa = rewrites.nfa
+            advances_of: dict[tuple, list] = {}
             for p2, t in components.items():
                 starts = sorted(
                     znfa.eps_closure([rewrites.entries[p2]]), key=_node_key
                 )
                 if not starts:
                     continue
+                nodes, initial = ordered[p2]
                 pending: list[tuple[object, object, int]] = []
-                for r in sorted(t.nodes(), key=_node_key):
+                for r in nodes:
                     for z0 in starts:
                         comp.add_edge(
                             ("u", p2, r), EPSILON, ("k", top, p2, r, z0, 0)
                         )
                         pending.append((r, z0, 0))
-                for r in sorted(t.eps_closure(t.initial), key=_node_key):
+                for r in initial:
                     for z0 in starts:
                         comp.add_initial(("k", top, p2, r, z0, 1))
                         pending.append((r, z0, 1))
@@ -308,13 +224,19 @@ def _push_phase_pre(spec: UpdsSpec, components: dict[str, Nfa]) -> dict[str, Nfa
                     r, z, free = pending.pop()
                     src = ("k", top, p2, r, z, free)
                     for a in spec.alphabet:
-                        landings = sorted(t.step([r], a), key=_node_key)
-                        advances = sorted(znfa.step([z], a), key=_node_key)
+                        landings = landings_of.get((p2, r, a))
+                        if landings is None:
+                            landings = sorted(t.step([r], a), key=_node_key)
+                            landings_of[(p2, r, a)] = landings
+                        advances = advances_of.get((z, a))
+                        if advances is None:
+                            advances = sorted(znfa.step([z], a), key=_node_key)
+                            advances_of[(z, a)] = advances
                         for r2 in landings:
                             for z2 in advances:
                                 dst = ("k", top, p2, r2, z2, free)
-                                for x in spec.alphabet:
-                                    comp.add_edge(src, bar(x), dst)
+                                for label in barred:
+                                    comp.add_edge(src, label, dst)
                                 if free:
                                     comp.add_edge(src, EPSILON, dst)
                                 if z2 in znfa.finals:
@@ -332,22 +254,28 @@ def _push_phase_pre(spec: UpdsSpec, components: dict[str, Nfa]) -> dict[str, Nfa
 
 
 def phase_pre(
-    spec: UpdsSpec, targets: ConfigAutomaton, kind: PhaseKind
+    spec: UpdsSpec,
+    targets: ConfigAutomaton,
+    kind: PhaseKind,
+    closures: dict[tuple[str, str], LowerAutomaton] | None = None,
 ) -> ConfigAutomaton:
     """All configurations from which some target configuration is reached
     by a trace, possibly empty, whose non-switch rules are all pops
-    (PhaseKind.POP) or all pushes (PhaseKind.PUSH). Exact."""
+    (PhaseKind.POP) or all pushes (PhaseKind.PUSH). Exact. A push phase
+    uses push_closures(spec), computed here unless the caller passes it."""
     components = _checked_components(spec, targets)
     if kind is PhaseKind.POP:
         built = _pop_phase_pre(spec, components)
     else:
-        built = _push_phase_pre(spec, components)
+        if closures is None:
+            closures = push_closures(spec)
+        built = _push_phase_pre(spec, components, closures)
     return ConfigAutomaton(spec.alphabet, built)
 
 
-def _stationary(a: ConfigAutomaton, b: ConfigAutomaton) -> bool:
+def _stationary(a: ConfigAutomaton, b: ConfigAutomaton, node_budget: int) -> bool:
     try:
-        return equivalent_sets(a, b)
+        return equivalent_sets(a, b, node_budget)
     except ResourceLimitError:
         return False
 
@@ -363,11 +291,12 @@ def bounded_phase_pre_star(
     phase and uniting. Monotone in k; k <= 0 returns the targets. Stops
     early once a round adds nothing."""
     current = targets.compact(node_budget)
+    closures = push_closures(spec) if k > 0 else None
     for _ in range(max(k, 0)):
         popped = phase_pre(spec, current, PhaseKind.POP)
-        pushed = phase_pre(spec, current, PhaseKind.PUSH)
+        pushed = phase_pre(spec, current, PhaseKind.PUSH, closures)
         grown = union_sets(popped, pushed).compact(node_budget)
-        if _stationary(grown, current):
+        if _stationary(grown, current, node_budget):
             return grown
         current = grown
     return current

@@ -20,11 +20,10 @@ the identity on the abstract syntax.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping
 
 from .configsets import ConfigAutomaton
-from .core import Configuration, UpdsSpec, make_spec
+from .core import Configuration, Frozen, UpdsSpec, make_spec
 from .errors import MalformedInputError, ParseError
 from .regex import compile_config_regex, parse_config_regex, print_config_regex
 
@@ -32,13 +31,19 @@ RESERVED = ("^", "_", "|", "(", ")", "*", "->")
 _PUNCT = set("^|()*#")
 
 
-@dataclass(frozen=True)
-class ModelFile:
+class ModelFile(Frozen):
     """A parsed model: the system and its named configuration sets, each
     a mapping from control state to a boundary-expression syntax tree."""
 
-    spec: UpdsSpec
-    sets: Mapping[str, Mapping[str, tuple]] = field(default_factory=dict)
+    def __init__(
+        self, spec: UpdsSpec, sets: Mapping[str, Mapping[str, tuple]] | None = None
+    ) -> None:
+        _set = object.__setattr__
+        _set(self, "spec", spec)
+        _set(self, "sets", {} if sets is None else sets)
+
+    def _fields(self) -> tuple:
+        return (self.spec, self.sets)
 
     def set_names(self) -> list[str]:
         return list(self.sets)

@@ -67,9 +67,17 @@ class Nfa:
         return node
 
     def add_edge(self, src: Node, label: Label, dst: Node) -> None:
-        self.add_node(src)
-        self.add_node(dst)
-        self._edges[src].setdefault(label, {})[dst] = None
+        edges = self._edges
+        row = edges.get(src)
+        if row is None:
+            row = edges[src] = {}
+        if dst not in edges:
+            edges[dst] = {}
+        targets = row.get(label)
+        if targets is None:
+            row[label] = {dst: None}
+        else:
+            targets[dst] = None
 
     def has_edge(self, src: Node, label: Label, dst: Node) -> bool:
         return dst in self._edges.get(src, {}).get(label, ())
@@ -106,21 +114,26 @@ class Nfa:
     # -- runs ------------------------------------------------------------
 
     def eps_closure(self, nodes: Iterable[Node]) -> frozenset[Node]:
+        edges = self._edges
         seen = set(nodes)
         stack = list(seen)
         while stack:
-            n = stack.pop()
-            for m in self._edges.get(n, {}).get(EPSILON, ()):
-                if m not in seen:
-                    seen.add(m)
-                    stack.append(m)
+            row = edges.get(stack.pop())
+            if row and EPSILON in row:
+                for m in row[EPSILON]:
+                    if m not in seen:
+                        seen.add(m)
+                        stack.append(m)
         return frozenset(seen)
 
     def step(self, nodes: Iterable[Node], label: Label) -> frozenset[Node]:
         """One closed step: epsilon-close, follow label edges, close again."""
+        edges = self._edges
         out: set[Node] = set()
         for n in self.eps_closure(nodes):
-            out.update(self._edges.get(n, {}).get(label, ()))
+            row = edges.get(n)
+            if row and label in row:
+                out.update(row[label])
         return self.eps_closure(out)
 
     def run(self, word: Iterable[Label], start: Iterable[Node] | None = None) -> frozenset[Node]:
@@ -137,14 +150,15 @@ class Nfa:
     # -- analysis --------------------------------------------------------
 
     def reachable(self, start: Iterable[Node]) -> set[Node]:
+        edges = self._edges
         seen = set(start)
         stack = list(seen)
         while stack:
-            n = stack.pop()
-            for _, m in self.out_edges(n):
-                if m not in seen:
-                    seen.add(m)
-                    stack.append(m)
+            for targets in edges.get(stack.pop(), {}).values():
+                for m in targets:
+                    if m not in seen:
+                        seen.add(m)
+                        stack.append(m)
         return seen
 
     def shortest_word(self, start: Iterable[Node] | None = None) -> tuple[Label, ...] | None:
@@ -241,29 +255,58 @@ class Nfa:
 
     def trim(self) -> "Nfa":
         """Keep only nodes on some path from an initial to a final node."""
+        edges = self._edges
         forward = self.reachable(self.initial)
-        backward = self.reverse().reachable(self.finals)
-        keep = forward & backward
+        # Backward search over the forward-reachable part only: every node
+        # on a path from an initial node is forward-reachable itself.
+        preds: dict[Node, list[Node]] = {}
+        for src in forward:
+            for targets in edges[src].values():
+                for dst in targets:
+                    preds.setdefault(dst, []).append(src)
+        keep = {n for n in self.finals if n in forward}
+        stack = list(keep)
+        while stack:
+            for m in preds.get(stack.pop(), ()):
+                if m not in keep:
+                    keep.add(m)
+                    stack.append(m)
         out = Nfa(
             (n for n in self.initial if n in keep),
             (n for n in self.finals if n in keep),
         )
-        for src, label, dst in self.edges():
-            if src in keep and dst in keep:
-                out.add_edge(src, label, dst)
+        # Copy the kept edges in order; nodes enter as add_edge would add them.
+        out_edges = out._edges
+        for src, by_label in edges.items():
+            if src not in keep:
+                continue
+            for label, targets in by_label.items():
+                kept = [dst for dst in targets if dst in keep]
+                if not kept:
+                    continue
+                row = out_edges.get(src)
+                if row is None:
+                    row = out_edges[src] = {}
+                for dst in kept:
+                    if dst not in out_edges:
+                        out_edges[dst] = {}
+                row[label] = dict.fromkeys(kept)
         return out
 
     def eps_eliminate(self) -> "Nfa":
+        edges = self._edges
         out = Nfa(self.initial)
+        add_edge = out.add_edge
         for n in self.nodes():
             out.add_node(n)
             closure = self.eps_closure((n,))
             if any(m in self.finals for m in closure):
                 out.add_final(n)
             for m in closure:
-                for label, dst in self.out_edges(m):
+                for label, targets in edges[m].items():
                     if label is not EPSILON:
-                        out.add_edge(n, label, dst)
+                        for dst in targets:
+                            add_edge(n, label, dst)
         return out
 
     def determinize(self, node_budget: int = 50_000) -> "Nfa":
@@ -271,6 +314,7 @@ class Nfa:
         are ints in discovery order. Raises ResourceLimitError past the
         node budget."""
         labels = sorted(self.labels(), key=label_key)
+        edges = self._edges
         first = self.eps_closure(self.initial)
         numbering: dict[frozenset[Node], int] = {first: 0}
         dfa = Nfa((0,))
@@ -280,10 +324,17 @@ class Nfa:
         while queue:
             subset = queue.popleft()
             src = numbering[subset]
+            # Subsets are epsilon-closed already, so one pass over their
+            # edges gives every label's step before its closure.
+            successors: dict[Label, set[Node]] = {}
+            for n in subset:
+                for label, targets in edges[n].items():
+                    if label is not EPSILON:
+                        successors.setdefault(label, set()).update(targets)
             for label in labels:
-                stepped = self.step(subset, label)
-                if not stepped:
+                if label not in successors:
                     continue
+                stepped = self.eps_closure(successors[label])
                 if stepped not in numbering:
                     if len(numbering) >= node_budget:
                         raise ResourceLimitError(
@@ -455,6 +506,59 @@ def canonical_form(nfa: Nfa, node_budget: int = 50_000):
     )
 
 
+def _deterministic(nfa: Nfa) -> bool:
+    """At most one initial node, no epsilon edge, at most one target per
+    node and label."""
+    if len(nfa.initial) > 1:
+        return False
+    for row in nfa._edges.values():
+        if EPSILON in row:
+            return False
+        for targets in row.values():
+            if len(targets) > 1:
+                return False
+    return True
+
+
+def _same_trimmed_dfa_language(a: Nfa, b: Nfa) -> bool:
+    """Language equality of two trimmed partial DFAs by one walk of their
+    product. Every node of a trimmed automaton reaches a final node, so a
+    label one side can read and the other cannot already tells the
+    languages apart."""
+    if not a.initial or not b.initial:
+        return not a.initial and not b.initial
+    start = (next(iter(a.initial)), next(iter(b.initial)))
+    seen = {start}
+    stack = [start]
+    while stack:
+        x, y = stack.pop()
+        if (x in a.finals) != (y in b.finals):
+            return False
+        row_a, row_b = a._edges[x], b._edges[y]
+        if row_a.keys() != row_b.keys():
+            return False
+        for label, targets in row_a.items():
+            pair = (next(iter(targets)), next(iter(row_b[label])))
+            if pair not in seen:
+                seen.add(pair)
+                stack.append(pair)
+    return True
+
+
+def _trimmed_dfa(nfa: Nfa, node_budget: int) -> Nfa:
+    """A trimmed partial DFA for the language. Removing epsilons keeps
+    every node of a trimmed automaton able to reach a final one, so every
+    subset the construction reaches can too: the result is trimmed."""
+    trimmed = nfa.trim()
+    if not trimmed.initial or _deterministic(trimmed):
+        return trimmed
+    return trimmed.eps_eliminate().determinize(node_budget)
+
+
 def equivalent(a: Nfa, b: Nfa, node_budget: int = 50_000) -> bool:
-    """Language equality through canonical minimal DFAs."""
-    return canonical_form(a, node_budget) == canonical_form(b, node_budget)
+    """Language equality by one walk of the product of the two trimmed
+    DFAs; a side that is not a DFA (compact returns DFAs) is determinized
+    first, within the node budget."""
+    return _same_trimmed_dfa_language(
+        _trimmed_dfa(a, node_budget), _trimmed_dfa(b, node_budget)
+    )

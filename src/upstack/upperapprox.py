@@ -15,7 +15,6 @@ soundness never depends on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping
 
 from .configsets import (
@@ -26,23 +25,27 @@ from .configsets import (
     union_sets,
     upper_lower_product,
 )
-from .core import Configuration, Rule, RuleKind, UpdsSpec
+from .core import Configuration, Frozen, Rule, RuleKind, UpdsSpec
 from .errors import MalformedInputError
 from .grammar import single_origin
 from .nfa import EPSILON, Nfa
 from .pds import pds_post_star, singleton_lower
 
 
-@dataclass(frozen=True)
-class TraceAutomaton:
+class TraceAutomaton(Frozen):
     """An NFA over rule labels whose language contains every real rule
     sequence. Each node is owned by one control state: an edge labeled
     (p, a) -> (p', w) must leave a node owned by p and enter a node owned
     by p', so runs chain control states the way real traces do. Every
     node is final, making the language prefix-closed."""
 
-    nfa: Nfa
-    owner: Mapping[object, str] = field(default_factory=dict)
+    def __init__(self, nfa: Nfa, owner: Mapping[object, str] | None = None) -> None:
+        _set = object.__setattr__
+        _set(self, "nfa", nfa)
+        _set(self, "owner", {} if owner is None else owner)
+
+    def _fields(self) -> tuple:
+        return (self.nfa, self.owner)
 
     def validate(self) -> None:
         for node in self.nfa.nodes():
@@ -67,17 +70,26 @@ class TraceAutomaton:
         return self.nfa.accepts(tuple(trace))
 
 
-@dataclass(frozen=True)
-class UpperAutomaton:
+class UpperAutomaton(Frozen):
     """Shares the trace automaton's nodes plus one fresh entry mirror per
     trace-initial node; its edges spell the upper words the rule
     sequences can leave behind. The words reaching a node owned by p,
     from the entry mirrors, form the slice for p. `entries` maps each
     mirror to the trace node it stands for."""
 
-    nfa: Nfa
-    owner: Mapping[object, str] = field(default_factory=dict)
-    entries: Mapping[object, object] = field(default_factory=dict)
+    def __init__(
+        self,
+        nfa: Nfa,
+        owner: Mapping[object, str] | None = None,
+        entries: Mapping[object, object] | None = None,
+    ) -> None:
+        _set = object.__setattr__
+        _set(self, "nfa", nfa)
+        _set(self, "owner", {} if owner is None else owner)
+        _set(self, "entries", {} if entries is None else entries)
+
+    def _fields(self) -> tuple:
+        return (self.nfa, self.owner, self.entries)
 
     def slice(self, state: str) -> Nfa:
         out = self.nfa.copy()

@@ -17,7 +17,7 @@ from upstack.configsets import (
     upper_lower_product,
 )
 from upstack.core import Configuration
-from upstack.errors import MalformedInputError
+from upstack.errors import MalformedInputError, ResourceLimitError
 from upstack.nfa import EPSILON, Nfa, from_words
 from upstack.oracle import oracle_post
 
@@ -112,6 +112,17 @@ def test_alphabet_mismatch_rejected(e1, e2):
         union_sets(a, b)
     with pytest.raises(MalformedInputError):
         intersect_sets(a, b)
+
+
+def test_equivalent_sets_honours_the_node_budget(e1):
+    # Words sharing a first symbol give nondeterministic components, whose
+    # comparison needs a determinization.
+    words = [cfg("p", "", "x y bot"), cfg("p", "", "x x bot")]
+    a = from_config_set(e1, words)
+    b = from_config_set(e1, list(reversed(words)))
+    assert equivalent_sets(a, b)
+    with pytest.raises(ResourceLimitError):
+        equivalent_sets(a, b, node_budget=1)
 
 
 def test_projections(e1):

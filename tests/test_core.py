@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,7 +26,9 @@ from upstack.core import (
     step,
     trace_upper_word,
 )
+from upstack.checkers import UNSAFE, Verdict
 from upstack.errors import MalformedInputError, RuleNotEnabledError
+from upstack.model import ModelFile
 
 
 def test_rule_kinds(e1):
@@ -199,3 +207,84 @@ def test_apply_rule_matches_step(e1):
     c = cfg("p", "x y", "a bot")
     for rule, succ in step(e1, c):
         assert apply_rule(rule, c) == succ
+
+
+# -- the record classes ------------------------------------------------------
+
+def test_records_compare_and_hash_by_fields(e1):
+    assert cfg("p", "a", "b") == Configuration("p", ("a",), ("b",))
+    assert cfg("p", "a", "b") != cfg("p", "", "a b")
+    assert len({cfg("p", "a", "b"), Configuration("p", ("a",), ("b",))}) == 1
+    assert cfg("p", "a", "b") != ("p", ("a",), ("b",))
+    rule = Rule("p", "x", "p", ("a",))
+    by_keywords = Rule(from_state="p", read_symbol="x", to_state="p", written=("a",))
+    assert {rule: 1}[by_keywords] == 1
+    assert Rule("p", "a", "p") == Rule("p", "a", "p", ())
+    assert rule != Rule("p", "x", "p", ("b",))
+    assert e1 == make_spec(e1.states, e1.alphabet, [
+        (r.from_state, r.read_symbol, r.to_state, r.written) for r in e1.rules
+    ])
+    assert hash(e1) == hash(UpdsSpec(e1.states, e1.alphabet, e1.rules))
+
+
+def test_record_reprs_are_pinned():
+    # The oracle command sorts its output by these texts.
+    assert repr(cfg("p2", "a b", "bot")) == (
+        "Configuration(state='p2', upper=('a', 'b'), lower=('bot',))"
+    )
+    assert repr(Rule("p", "a", "p", ("a", "b"))) == (
+        "Rule(from_state='p', read_symbol='a', to_state='p', written=('a', 'b'))"
+    )
+
+
+def test_records_are_frozen(e1):
+    c = cfg("p", "a", "b")
+    for record, name in ((c, "state"), (e1.rules[0], "written"), (e1, "rules")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, ())
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        c.extra = 1
+
+
+def test_model_file_sets_default_to_fresh_dicts(e1):
+    first, second = ModelFile(e1), ModelFile(e1)
+    assert first.sets == {} and first.sets is not second.sets
+    assert first == second
+
+
+def test_records_survive_copy_and_pickle(e1):
+    c = cfg("p", "a", "b")
+    verdict = Verdict(UNSAFE, 2, 100, c, e1.rules[:1], "note")
+    for record in (c, e1.rules[2], e1, ModelFile(e1, {"S": {}}), verdict):
+        for clone in (
+            copy.copy(record),
+            copy.deepcopy(record),
+            pickle.loads(pickle.dumps(record)),
+        ):
+            assert type(clone) is type(record) and clone == record
+            if not isinstance(record, ModelFile):
+                assert hash(clone) == hash(record)
+    clone = pickle.loads(pickle.dumps(e1))
+    assert clone.rules_reading("p", "a") == e1.rules_reading("p", "a")
+    with pytest.raises(AttributeError):
+        copy.deepcopy(c).state = "q"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # Both cost every CLI call start-up time.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = (
+        "import sys, upstack.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout == "[]\n"

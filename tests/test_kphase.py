@@ -7,20 +7,11 @@ import pytest
 from upstack.configsets import ConfigAutomaton, equivalent_sets, from_config_set
 from upstack.core import Configuration, count_phases, step
 from upstack.errors import MalformedInputError
-from upstack.kphase import (
-    Mpds,
-    MpdsRule,
-    PhaseKind,
-    bounded_phase_pre_star,
-    config_to_mpds,
-    mpds_step,
-    mpds_to_config,
-    phase_pre,
-    upds_to_mpds,
-)
+from upstack.kphase import PhaseKind, bounded_phase_pre_star, phase_pre
 from upstack.oracle import oracle_pre_kphase
 
 from conftest import cfg, random_configuration, random_spec
+from mpds import MpdsRule, config_to_mpds, mpds_step, mpds_to_config, upds_to_mpds
 
 
 def configs_up_to(spec, max_total):
@@ -115,6 +106,20 @@ def test_phase_pre_idempotent_random():
 def test_bounded_zero_phases_is_target_set(e2, c2):
     assert equivalent_sets(bounded_phase_pre_star(e2, c2, 0), c2)
     assert bounded_phase_pre_star(e2, c2, -1).accepts(cfg("p", "", "c"))
+
+
+def test_bounded_fixpoint_test_gets_the_node_budget(e2, c2, monkeypatch):
+    import upstack.kphase as kphase
+
+    budgets = []
+
+    def recording(a, b, node_budget=None):
+        budgets.append(node_budget)
+        return equivalent_sets(a, b, node_budget)
+
+    monkeypatch.setattr(kphase, "equivalent_sets", recording)
+    bounded_phase_pre_star(e2, c2, 3, node_budget=1234)
+    assert budgets and set(budgets) == {1234}
 
 
 def test_bounded_two_phase_example(e2, c2):

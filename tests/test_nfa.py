@@ -137,6 +137,20 @@ def test_equivalence_and_canonical_form():
     assert not equivalent(a, from_words([("a",)]))
 
 
+def test_equivalence_of_dfas_looks_at_finals_and_edges():
+    star = Nfa(initial=(0,), finals=(0,))
+    star.add_edge(0, "a", 0)
+    plus = Nfa(initial=(0,), finals=(1,))
+    plus.add_edge(0, "a", 1)
+    plus.add_edge(1, "a", 1)
+    # Same edge shapes in the product; only the finals tell them apart.
+    assert not equivalent(star, plus)
+    assert equivalent(plus, plus.compact())
+    assert not equivalent(star.compact(), from_words([(), ("a",), ("a", "b")]).compact())
+    assert not equivalent(star, Nfa())
+    assert equivalent(Nfa(), from_words([]))
+
+
 @st.composite
 def _random_nfa(draw):
     seed = draw(st.integers(0, 2**32 - 1))
@@ -171,6 +185,34 @@ def test_equivalence_agrees_with_bounded_enumeration(a, b):
     elif same_words:
         # Languages may still differ beyond the bound; check a longer one.
         assert sorted(a.words_up_to(7)) != sorted(b.words_up_to(7))
+    # Compacted inputs are DFAs, which equivalent compares by a product
+    # walk; it must agree with the canonical forms.
+    same_form = canonical_form(a) == canonical_form(b)
+    assert equivalent(a.compact(), b.compact()) == same_form
+    assert equivalent(a.compact(), b) == same_form
+    assert equivalent(a.compact(), a) and equivalent(b, b.compact())
+
+
+def _trim_by_reversal(n: Nfa) -> Nfa:
+    """The definition of trim: keep nodes reachable from an initial node
+    and, in the reversed automaton, from a final one."""
+    keep = n.reachable(n.initial) & n.reverse().reachable(n.finals)
+    out = Nfa((m for m in n.initial if m in keep), (m for m in n.finals if m in keep))
+    for src, label, dst in n.edges():
+        if src in keep and dst in keep:
+            out.add_edge(src, label, dst)
+    return out
+
+
+@settings(deadline=None)
+@given(_random_nfa())
+def test_trim_matches_the_reversal_definition(n):
+    expected = _trim_by_reversal(n)
+    got = n.trim()
+    assert list(got.initial) == list(expected.initial)
+    assert list(got.finals) == list(expected.finals)
+    assert got.nodes() == expected.nodes()
+    assert list(got.edges()) == list(expected.edges())
 
 
 def test_relabel_is_stable_under_rebuild():
