@@ -96,21 +96,6 @@ class Rule(Frozen):
     def _fields(self) -> tuple:
         return (self.from_state, self.read_symbol, self.to_state, self.written)
 
-    # Rule and Configuration are hashed and compared on every search
-    # step, so their __eq__ and __hash__ skip the _fields call.
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.from_state, self.read_symbol, self.to_state, self.written) == (
-            other.from_state,
-            other.read_symbol,
-            other.to_state,
-            other.written,
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.from_state, self.read_symbol, self.to_state, self.written))
-
     @property
     def kind(self) -> RuleKind:
         return (RuleKind.POP, RuleKind.SWITCH, RuleKind.PUSH)[len(self.written)]
@@ -135,9 +120,10 @@ class UpdsSpec(Frozen):
                 if ident in seen:
                     raise MalformedInputError(f"duplicate {name} {ident!r}")
                 seen.add(ident)
-        state_set = set(states)
-        symbols = set(alphabet)
+        state_set = frozenset(states)
+        symbols = frozenset(alphabet)
         seen_rules = set()
+        moves: dict[tuple[str, str], list[Move]] = {}
         for rule in rules:
             for st in (rule.from_state, rule.to_state):
                 if st not in state_set:
@@ -149,20 +135,22 @@ class UpdsSpec(Frozen):
             if key in seen_rules:
                 raise MalformedInputError(f"duplicate rule {rule}")
             seen_rules.add(key)
-        by_read: dict[tuple[str, str], list[Rule]] = {}
-        for rule in rules:
-            by_read.setdefault((rule.from_state, rule.read_symbol), []).append(rule)
+            moves.setdefault(key[:2], []).append((rule, rule.to_state, len(rule.written), rule.written))
         _set = object.__setattr__
         _set(self, "states", states)
         _set(self, "alphabet", alphabet)
         _set(self, "rules", rules)
-        _set(self, "_by_read", {key: tuple(group) for key, group in by_read.items()})
+        _set(self, "_state_set", state_set)
+        _set(self, "_symbols", symbols)
+        # (state, lower top) -> move entries of the rules reading it, in
+        # declaration order: the table `successors` applies.
+        _set(self, "moves", {key: tuple(group) for key, group in moves.items()})
 
     def _fields(self) -> tuple:
         return (self.states, self.alphabet, self.rules)
 
     def rules_reading(self, state: str, symbol: str) -> tuple[Rule, ...]:
-        return self._by_read.get((state, symbol), ())
+        return tuple(move[0] for move in self.moves.get((state, symbol), ()))
 
     def rules_of_kind(self, *kinds: RuleKind) -> tuple[Rule, ...]:
         wanted = set(kinds)
@@ -173,9 +161,8 @@ class UpdsSpec(Frozen):
         return UpdsSpec(self.states, self.alphabet, self.rules_of_kind(*kinds))
 
     def check_word(self, word: Sequence[str], what: str = "word") -> Word:
-        symbols = set(self.alphabet)
         for sym in word:
-            if sym not in symbols:
+            if sym not in self._symbols:
                 raise MalformedInputError(f"undeclared symbol {sym!r} in {what}")
         return tuple(word)
 
@@ -186,11 +173,10 @@ class Configuration(Frozen):
     __slots__ = ("state", "upper", "lower")
 
     def __init__(self, state: str, upper: Word, lower: Word) -> None:
-        # Every search step builds one: the slot setters are the fastest
-        # way past the frozen __setattr__.
-        _set_state(self, state)
-        _set_upper(self, upper)
-        _set_lower(self, lower)
+        _set = object.__setattr__
+        _set(self, "state", state)
+        _set(self, "upper", upper)
+        _set(self, "lower", lower)
 
     def __repr__(self) -> str:
         return (
@@ -200,18 +186,6 @@ class Configuration(Frozen):
 
     def _fields(self) -> tuple:
         return (self.state, self.upper, self.lower)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.state, self.upper, self.lower) == (
-            other.state,
-            other.upper,
-            other.lower,
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.state, self.upper, self.lower))
 
     @property
     def total_size(self) -> int:
@@ -223,42 +197,58 @@ class Configuration(Frozen):
         return f"<{self.state}: {up} ^ {low}>"
 
 
-_set_state = Configuration.state.__set__
-_set_upper = Configuration.upper.__set__
-_set_lower = Configuration.lower.__set__
+# A move entry of UpdsSpec.moves: (rule, to_state, arity, written), and
+# a configuration as the search stores it: (state, upper, lower).
+Move = tuple[Rule, str, int, Word]
+ConfigTuple = tuple[str, Word, Word]
 
 Trace = tuple[Rule, ...]
 
 
 def check_configuration(spec: UpdsSpec, c: Configuration) -> Configuration:
-    if c.state not in spec.states:
+    if c.state not in spec._state_set:
         raise MalformedInputError(f"undeclared state {c.state!r} in configuration")
     spec.check_word(c.upper, "upper word")
     spec.check_word(c.lower, "lower word")
     return c
 
 
+def successors(
+    moves: Iterable[Move], upper: Word, lower: Word, grow: bool = True
+) -> list[tuple[Rule, ConfigTuple]]:
+    """Apply move entries (rule, to_state, arity, written) whose rules read
+    the top of a nonempty lower word, in the order given; successors are
+    plain (state, upper, lower) tuples. With grow=False a push onto an
+    empty upper word, the only step that grows the total stack size, is
+    left out. This is the one definition of a step."""
+    top, rest = lower[:1], lower[1:]
+    out = []
+    for rule, to_state, arity, written in moves:
+        if arity == 0:
+            out.append((rule, (to_state, upper + top, rest)))
+        elif arity == 1:
+            out.append((rule, (to_state, upper, written + rest)))
+        elif upper or grow:
+            # upper[:-1] is () on an empty upper word: nothing is overwritten.
+            out.append((rule, (to_state, upper[:-1], written + rest)))
+    return out
+
+
 def apply_rule(rule: Rule, c: Configuration) -> Configuration:
     """Apply an enabled rule; the caller guarantees enabledness."""
-    kind = rule.kind
-    if kind is RuleKind.POP:
-        return Configuration(
-            rule.to_state, c.upper + (rule.read_symbol,), c.lower[1:]
-        )
-    if kind is RuleKind.SWITCH:
-        return Configuration(rule.to_state, c.upper, rule.written + c.lower[1:])
-    # Push: the slice is () on an empty upper word, which is exactly the
-    # empty-upper semantics.
-    return Configuration(rule.to_state, c.upper[:-1], rule.written + c.lower[1:])
+    move = (rule, rule.to_state, len(rule.written), rule.written)
+    ((_, succ),) = successors((move,), c.upper, c.lower)
+    return Configuration(*succ)
 
 
 def step(spec: UpdsSpec, c: Configuration) -> list[tuple[Rule, Configuration]]:
     """All one-step successors of c, in rule declaration order."""
     if not c.lower:
         return []
+    moves = spec.moves.get((c.state, c.lower[0]), ())
     return [
-        (rule, apply_rule(rule, c))
-        for rule in spec.rules_reading(c.state, c.lower[0])
+        (rule, Configuration(*succ))
+        for rule, succ in successors(moves, c.upper, c.lower)
     ]
 
 

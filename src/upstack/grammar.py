@@ -330,7 +330,6 @@ def is_reachable(
     check_configuration(spec, config)
     start_set.validate()
     starts = start_set.enumerate_configs(config.total_size)
-    trace = search_trace(
-        spec, starts, config.__eq__, config.total_size, node_budget=budget
-    )
+    goal = (config.state, config.upper, config.lower)
+    trace = search_trace(spec, starts, goal.__eq__, config.total_size, node_budget=budget)
     return trace is not None

@@ -94,11 +94,8 @@ class Nfa:
                     yield src, label, dst
 
     def labels(self) -> list[Label]:
-        seen: dict[Label, None] = {}
-        for _, label, _ in self.edges():
-            if label is not EPSILON:
-                seen[label] = None
-        return list(seen)
+        rows = self._edges.values()
+        return list(dict.fromkeys(label for row in rows for label in row if label is not EPSILON))
 
     def out_edges(self, src: Node) -> Iterator[tuple[Label, Node]]:
         for label, targets in self._edges.get(src, {}).items():
@@ -128,20 +125,35 @@ class Nfa:
 
     def step(self, nodes: Iterable[Node], label: Label) -> frozenset[Node]:
         """One closed step: epsilon-close, follow label edges, close again."""
+        return self._advance(self.eps_closure(nodes), label)
+
+    def _advance(self, closed: Iterable[Node], label: Label) -> frozenset[Node]:
+        """Follow label edges from an epsilon-closed set; close the result."""
         edges = self._edges
         out: set[Node] = set()
-        for n in self.eps_closure(nodes):
+        for n in closed:
             row = edges.get(n)
             if row and label in row:
                 out.update(row[label])
         return self.eps_closure(out)
+
+    def _label_steps(self, closed: Iterable[Node]) -> dict[Label, set[Node]]:
+        """Label -> targets of the non-epsilon edges leaving an epsilon-closed
+        set, in one pass over its edges (the targets are not closed yet)."""
+        edges = self._edges
+        out: dict[Label, set[Node]] = {}
+        for n in closed:
+            for label, targets in edges.get(n, {}).items():
+                if label is not EPSILON:
+                    out.setdefault(label, set()).update(targets)
+        return out
 
     def run(self, word: Iterable[Label], start: Iterable[Node] | None = None) -> frozenset[Node]:
         current = self.eps_closure(self.initial if start is None else start)
         for sym in word:
             if not current:
                 break
-            current = self.step(current, sym)
+            current = self._advance(current, sym)
         return current
 
     def accepts(self, word: Iterable[Label], start: Iterable[Node] | None = None) -> bool:
@@ -199,7 +211,6 @@ class Nfa:
         labels = sorted(self.labels(), key=label_key)
         first = self.eps_closure(self.initial if start is None else start)
         found: dict[tuple[Label, ...], None] = {}
-        layer: dict[frozenset[Node], None] = {first: None}
         words: dict[frozenset[Node], list[tuple[Label, ...]]] = {first: [()]}
         for length in range(max_len + 1):
             for nodes, ws in words.items():
@@ -210,13 +221,11 @@ class Nfa:
                 break
             nxt_words: dict[frozenset[Node], list[tuple[Label, ...]]] = {}
             for nodes, ws in words.items():
+                by_label = self._label_steps(nodes)
                 for label in labels:
-                    stepped = self.step(nodes, label)
-                    if not stepped:
-                        continue
-                    bucket = nxt_words.setdefault(stepped, [])
-                    for w in ws:
-                        bucket.append(w + (label,))
+                    if label in by_label:
+                        stepped = self.eps_closure(by_label[label])
+                        nxt_words.setdefault(stepped, []).extend(w + (label,) for w in ws)
             words = nxt_words
         return sorted(found, key=lambda w: (len(w), tuple(label_key(s) for s in w)))
 
@@ -314,7 +323,6 @@ class Nfa:
         are ints in discovery order. Raises ResourceLimitError past the
         node budget."""
         labels = sorted(self.labels(), key=label_key)
-        edges = self._edges
         first = self.eps_closure(self.initial)
         numbering: dict[frozenset[Node], int] = {first: 0}
         dfa = Nfa((0,))
@@ -324,13 +332,7 @@ class Nfa:
         while queue:
             subset = queue.popleft()
             src = numbering[subset]
-            # Subsets are epsilon-closed already, so one pass over their
-            # edges gives every label's step before its closure.
-            successors: dict[Label, set[Node]] = {}
-            for n in subset:
-                for label, targets in edges[n].items():
-                    if label is not EPSILON:
-                        successors.setdefault(label, set()).update(targets)
+            successors = self._label_steps(subset)
             for label in labels:
                 if label not in successors:
                     continue

@@ -1,11 +1,14 @@
 """Explicit-state bounded explorers.
 
-These are the ground truth the rest of the package is tested against: a
-forward breadth-first closure over configurations, a forward trace search
-(which also decides exact membership), and a backward closure for
-phase-bounded reachability. All are exhaustive within their bounds,
-deterministic (successors in rule declaration order), and refuse to run
-past an explicit node budget rather than silently truncating.
+These are the ground truth the rest of the package is tested against.
+One size-capped forward breadth-first search over configurations
+(`explore`) lists the bounded forward closure (`oracle_post`) and finds
+shortest traces (`search_trace`), which decide exact membership and
+replay checker witnesses (`oracle_trace`). A backward closure decides
+phase-bounded reachability, and `pds_closure` runs the lower-stack-only
+semantics. All are exhaustive within their bounds, deterministic
+(successors in rule declaration order), and refuse to run past an
+explicit node budget rather than silently truncating.
 """
 
 from __future__ import annotations
@@ -14,16 +17,73 @@ from collections import deque
 from typing import Callable, Iterable
 
 from .core import (
+    ConfigTuple,
     Configuration,
     Rule,
     RuleKind,
     UpdsSpec,
     check_configuration,
-    step,
+    step,  # noqa: F401 (kept importable from here)
+    successors,
 )
 from .errors import ResourceLimitError
 
 DEFAULT_NODE_BUDGET = 1_000_000
+SEARCH_BUDGET = "configuration search budget"
+
+
+def explore(
+    spec: UpdsSpec,
+    starts: Iterable[Configuration],
+    accepts: Callable[[ConfigTuple], bool],
+    size_cap: int,
+    depth: int | None = None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+) -> tuple[ConfigTuple | None, dict[ConfigTuple, tuple[ConfigTuple, Rule] | None]]:
+    """Breadth-first search over (state, upper, lower) tuples: starts in
+    the order given, successors in rule declaration order. Successors whose
+    total stack size passes size_cap are dropped (the starts are kept
+    whatever their size); depth=None searches the capped region to
+    exhaustion, which is finite. node_budget counts stored configurations,
+    starts included. Returns the first stored configuration that `accepts`
+    (or None) and everything stored, each mapped to the (predecessor, rule)
+    that first reached it, or to None for a start."""
+    moves = spec.moves
+    stored: dict[ConfigTuple, tuple[ConfigTuple, Rule] | None] = {}
+    frontier: list[ConfigTuple] = []
+    for c in starts:
+        check_configuration(spec, c)
+        start = (c.state, c.upper, c.lower)
+        if start in stored:
+            continue
+        if len(stored) >= node_budget:
+            raise ResourceLimitError(len(stored), SEARCH_BUDGET)
+        stored[start] = None
+        if accepts(start):
+            return start, stored
+        frontier.append(start)
+    layer = 0
+    while frontier and (depth is None or layer < depth):
+        layer += 1
+        next_frontier: list[ConfigTuple] = []
+        for c in frontier:
+            state, upper, lower = c
+            size = len(upper) + len(lower)
+            # No step shrinks the size: nothing above the cap leads back.
+            if not lower or size > size_cap:
+                continue
+            entries = moves.get((state, lower[0]), ())
+            for rule, succ in successors(entries, upper, lower, size < size_cap):
+                if succ in stored:
+                    continue
+                if len(stored) >= node_budget:
+                    raise ResourceLimitError(len(stored), SEARCH_BUDGET)
+                stored[succ] = (c, rule)
+                if accepts(succ):
+                    return succ, stored
+                next_frontier.append(succ)
+        frontier = next_frontier
+    return None, stored
 
 
 def oracle_post(
@@ -35,83 +95,34 @@ def oracle_post(
 ) -> frozenset[Configuration]:
     """Configurations reachable from `initial` by traces of length <= depth,
     never passing through a configuration whose total stack size exceeds
-    size_cap (initial configurations above the cap are discarded too)."""
-    seen: set[Configuration] = set()
-    frontier: list[Configuration] = []
-    for c in initial:
-        check_configuration(spec, c)
-        if c.total_size <= size_cap and c not in seen:
-            seen.add(c)
-            frontier.append(c)
-    for _ in range(depth):
-        if not frontier:
-            break
-        next_frontier: list[Configuration] = []
-        for c in frontier:
-            for _, succ in step(spec, c):
-                if succ.total_size > size_cap or succ in seen:
-                    continue
-                if len(seen) >= node_budget:
-                    raise ResourceLimitError(len(seen), "forward closure budget")
-                seen.add(succ)
-                next_frontier.append(succ)
-        frontier = next_frontier
-    return frozenset(seen)
+    size_cap (initial configurations above the cap are discarded too).
+    node_budget caps the stored configurations, the initial ones included,
+    but those are always kept."""
+    capped = [c for c in initial if check_configuration(spec, c).total_size <= size_cap]
+    budget = max(node_budget, len(set(capped)))
+    _, stored = explore(spec, capped, lambda c: False, size_cap, depth, budget)
+    return frozenset(Configuration(*c) for c in stored)
 
 
 def search_trace(
     spec: UpdsSpec,
     starts: Iterable[Configuration],
-    accepts: Callable[[Configuration], bool],
+    accepts: Callable[[ConfigTuple], bool],
     size_cap: int,
     depth: int | None = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> tuple[Rule, ...] | None:
-    """A shortest rule sequence driving some start configuration to one
-    satisfying `accepts`, or None if none exists within the bounds.
-
-    Breadth-first from the starts in the order given, successors in rule
-    declaration order, so among shortest traces the first found wins.
-    Successors whose total stack size passes size_cap are dropped (the
-    starts are kept whatever their size); depth=None searches the capped
-    region to exhaustion, which is finite. node_budget counts stored
-    configurations, starts included."""
-    parent: dict[Configuration, tuple[Configuration, Rule] | None] = {}
-
-    def store(c: Configuration, link: tuple[Configuration, Rule] | None) -> bool:
-        if len(parent) >= node_budget:
-            raise ResourceLimitError(len(parent), "configuration search budget")
-        parent[c] = link
-        return accepts(c)
-
-    def trace_to(c: Configuration) -> tuple[Rule, ...]:
-        rules: list[Rule] = []
-        while (link := parent[c]) is not None:
-            c, rule = link
-            rules.append(rule)
-        return tuple(reversed(rules))
-
-    frontier: list[Configuration] = []
-    for c in starts:
-        check_configuration(spec, c)
-        if c in parent:
-            continue
-        if store(c, None):
-            return ()
-        frontier.append(c)
-    layer = 0
-    while frontier and (depth is None or layer < depth):
-        layer += 1
-        next_frontier: list[Configuration] = []
-        for c in frontier:
-            for rule, succ in step(spec, c):
-                if succ.total_size > size_cap or succ in parent:
-                    continue
-                if store(succ, (c, rule)):
-                    return trace_to(succ)
-                next_frontier.append(succ)
-        frontier = next_frontier
-    return None
+    """A shortest rule sequence driving some start to a configuration
+    whose tuple `accepts`, or None if `explore` finds none; among shortest
+    traces the first found wins."""
+    hit, stored = explore(spec, starts, accepts, size_cap, depth, node_budget)
+    if hit is None:
+        return None
+    rules: list[Rule] = []
+    while (link := stored[hit]) is not None:
+        hit, rule = link
+        rules.append(rule)
+    return tuple(reversed(rules))
 
 
 def oracle_trace(
@@ -125,7 +136,9 @@ def oracle_trace(
     """A shortest rule sequence of length <= depth driving `start` to a
     configuration satisfying `accepts`, never letting the total stack
     size pass size_cap; None if none exists within those bounds."""
-    return search_trace(spec, [start], accepts, size_cap, depth, node_budget)
+    return search_trace(
+        spec, [start], lambda c: accepts(Configuration(*c)), size_cap, depth, node_budget
+    )
 
 
 def _predecessors(

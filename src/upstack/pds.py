@@ -120,9 +120,7 @@ def pds_pre_star(spec: UpdsSpec, targets: LowerAutomaton) -> LowerAutomaton:
         changed = False
         for rule in spec.rules:
             src = out.entries[rule.from_state]
-            reached = nfa.eps_closure((out.entries[rule.to_state],))
-            for symbol in rule.written:
-                reached = nfa.step(reached, symbol)
+            reached = nfa.run(rule.written, start=(out.entries[rule.to_state],))
             for node in sorted(reached, key=_node_key):
                 if not nfa.has_edge(src, rule.read_symbol, node):
                     nfa.add_edge(src, rule.read_symbol, node)
@@ -147,9 +145,7 @@ def pds_post_star(spec: UpdsSpec, init: LowerAutomaton) -> LowerAutomaton:
         changed = False
         for index, rule in enumerate(spec.rules):
             src = out.entries[rule.to_state]
-            reached = nfa.step(
-                nfa.eps_closure((out.entries[rule.from_state],)), rule.read_symbol
-            )
+            reached = nfa.step((out.entries[rule.from_state],), rule.read_symbol)
             for node in sorted(reached, key=_node_key):
                 if len(rule.written) == 0:
                     additions = ((src, EPSILON, node),)

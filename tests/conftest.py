@@ -8,7 +8,9 @@ phase-bounded backward analysis (single control state).
 
 from __future__ import annotations
 
+import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +31,16 @@ E2_RULES = (
     ("p", "a", "p", ()),              # r_a
     ("p", "b", "p", ()),              # r_b
 )
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def subprocess_env() -> dict[str, str]:
+    """The environment with this checkout's src/ first on PYTHONPATH, so a
+    child `python -m upstack` runs the code under test."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def e1_spec() -> UpdsSpec:

@@ -1,0 +1,118 @@
+"""The configuration searches as first written, kept as a test reference.
+
+The package's forward search (`upstack.oracle.explore`) stores plain
+(state, upper, lower) tuples and steps through a per-system move table.
+These are the loops it replaced: they store `Configuration` objects and
+apply each rule as written in the semantics, so the differential tests
+compare the engine with an independent stepper as well as with the old
+search order, dedup and budget rules.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Iterable
+
+from upstack.core import Configuration, Rule, UpdsSpec, check_configuration
+from upstack.errors import ResourceLimitError
+
+
+def reference_step(spec: UpdsSpec, c: Configuration) -> list[tuple[Rule, Configuration]]:
+    """All one-step successors of c in rule declaration order: a pop moves
+    the lower top to the right end of the upper word, a switch rewrites
+    the lower top, a push writes two symbols and drops the rightmost upper
+    symbol, if any."""
+    out = []
+    for rule in spec.rules:
+        if not c.lower or (rule.from_state, rule.read_symbol) != (c.state, c.lower[0]):
+            continue
+        rest = c.lower[1:]
+        if not rule.written:
+            succ = Configuration(rule.to_state, c.upper + (rule.read_symbol,), rest)
+        elif len(rule.written) == 1:
+            succ = Configuration(rule.to_state, c.upper, rule.written + rest)
+        else:
+            succ = Configuration(rule.to_state, c.upper[:-1], rule.written + rest)
+        out.append((rule, succ))
+    return out
+
+
+def reference_post(
+    spec: UpdsSpec,
+    initial: Iterable[Configuration],
+    depth: int,
+    size_cap: int,
+    node_budget: int,
+) -> frozenset[Configuration]:
+    """Configurations reachable from `initial` by traces of length <= depth
+    within size_cap; initial configurations above the cap are discarded,
+    and the budget is checked before each successor is stored."""
+    seen: set[Configuration] = set()
+    frontier: list[Configuration] = []
+    for c in initial:
+        check_configuration(spec, c)
+        if c.total_size <= size_cap and c not in seen:
+            seen.add(c)
+            frontier.append(c)
+    for _ in range(depth):
+        if not frontier:
+            break
+        next_frontier: list[Configuration] = []
+        for c in frontier:
+            for _, succ in reference_step(spec, c):
+                if succ.total_size > size_cap or succ in seen:
+                    continue
+                if len(seen) >= node_budget:
+                    raise ResourceLimitError(len(seen), "forward closure budget")
+                seen.add(succ)
+                next_frontier.append(succ)
+        frontier = next_frontier
+    return frozenset(seen)
+
+
+def reference_trace(
+    spec: UpdsSpec,
+    starts: Iterable[Configuration],
+    accepts: Callable[[Configuration], bool],
+    size_cap: int,
+    depth: int | None,
+    node_budget: int,
+) -> tuple[Rule, ...] | None:
+    """A shortest trace from some start to an accepted configuration,
+    breadth-first from the starts in the order given; starts are kept
+    whatever their size, and the budget counts every stored one."""
+    parent: dict[Configuration, tuple[Configuration, Rule] | None] = {}
+
+    def store(c: Configuration, link: tuple[Configuration, Rule] | None) -> bool:
+        if len(parent) >= node_budget:
+            raise ResourceLimitError(len(parent), "configuration search budget")
+        parent[c] = link
+        return accepts(c)
+
+    def trace_to(c: Configuration) -> tuple[Rule, ...]:
+        rules: list[Rule] = []
+        while (link := parent[c]) is not None:
+            c, rule = link
+            rules.append(rule)
+        return tuple(reversed(rules))
+
+    frontier: list[Configuration] = []
+    for c in starts:
+        check_configuration(spec, c)
+        if c in parent:
+            continue
+        if store(c, None):
+            return ()
+        frontier.append(c)
+    layer = 0
+    while frontier and (depth is None or layer < depth):
+        layer += 1
+        next_frontier: list[Configuration] = []
+        for c in frontier:
+            for rule, succ in reference_step(spec, c):
+                if succ.total_size > size_cap or succ in parent:
+                    continue
+                if store(succ, (c, rule)):
+                    return trace_to(succ)
+                next_frontier.append(succ)
+        frontier = next_frontier
+    return None

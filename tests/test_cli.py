@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 
+from conftest import subprocess_env
 from upstack.cli import main
 from upstack.fixtures import fixture_path
 
@@ -149,6 +150,7 @@ def test_module_entry_point_round_trips():
     proc = subprocess.run(
         [sys.executable, "-m", "upstack", "member", E1, "--init", "C1",
          "--config", "p2: a ^ bot"],
+        env=subprocess_env(),
         capture_output=True,
         text=True,
     )
@@ -164,6 +166,7 @@ def test_closed_stdout_is_not_an_analysis_error():
         proc = subprocess.run(
             [sys.executable, "-m", "upstack", "oracle", E2, "--init", "C2",
              "--depth", "0", "--cap", "5"],
+            env=subprocess_env(),
             stdout=write_end,
             stderr=subprocess.PIPE,
             text=True,

@@ -3,27 +3,27 @@
 from __future__ import annotations
 
 import copy
-import os
 import pickle
 import random
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import cfg, e1_seed, random_configuration, random_spec
+from conftest import cfg, e1_seed, random_configuration, random_spec, subprocess_env
 from upstack.core import (
     Configuration,
     Rule,
     RuleKind,
     UpdsSpec,
     apply_rule,
+    check_configuration,
     count_phases,
     make_spec,
     run_trace,
     step,
+    successors,
     trace_upper_word,
 )
 from upstack.checkers import UNSAFE, Verdict
@@ -209,6 +209,45 @@ def test_apply_rule_matches_step(e1):
         assert apply_rule(rule, c) == succ
 
 
+def test_move_table_lists_rules_by_state_and_top_in_declaration_order(e1):
+    s_x, s_y, c, r_a, r_b, e = e1.rules
+    assert e1.moves[("p", "a")] == ((c, "p", 2, ("a", "b")), (r_a, "p", 0, ()))
+    assert e1.moves[("p", "bot")] == ((e, "p2", 1, ("bot",)),)
+    assert set(e1.moves) == {("p", "x"), ("p", "y"), ("p", "a"), ("p", "b"), ("p", "bot")}
+    assert e1.rules_reading("p", "a") == (c, r_a)
+    assert e1.rules_reading("p2", "a") == ()
+
+
+def test_successors_are_tuples_and_grow_false_drops_only_the_growing_push(e1):
+    moves = e1.moves[("p", "a")]
+    c, r_a = e1.rules[2], e1.rules[3]
+    assert successors(moves, (), ("a", "bot")) == [
+        (c, ("p", (), ("a", "b", "bot"))),
+        (r_a, ("p", ("a",), ("bot",))),
+    ]
+    assert successors(moves, (), ("a", "bot"), grow=False) == [
+        (r_a, ("p", ("a",), ("bot",))),
+    ]
+    # Onto a nonempty upper word a push keeps the size, so it stays.
+    assert successors(moves, ("x",), ("a",), grow=False) == [
+        (c, ("p", (), ("a", "b"))),
+        (r_a, ("p", ("x", "a"), ())),
+    ]
+
+
+def test_check_configuration_rejections_keep_their_messages(e1):
+    assert check_configuration(e1, cfg("p", "a", "bot")) == cfg("p", "a", "bot")
+    cases = (
+        (cfg("q", "", "bot"), "undeclared state 'q' in configuration"),
+        (cfg("p", "z", "bot"), "undeclared symbol 'z' in upper word"),
+        (cfg("p", "", "a z"), "undeclared symbol 'z' in lower word"),
+    )
+    for c, message in cases:
+        with pytest.raises(MalformedInputError) as info:
+            check_configuration(e1, c)
+        assert str(info.value) == message
+
+
 # -- the record classes ------------------------------------------------------
 
 def test_records_compare_and_hash_by_fields(e1):
@@ -274,15 +313,13 @@ def test_records_survive_copy_and_pickle(e1):
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # Both cost every CLI call start-up time.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     code = (
         "import sys, upstack.cli; "
         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=subprocess_env(),
         capture_output=True,
         text=True,
         check=True,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -213,6 +214,33 @@ def test_trim_matches_the_reversal_definition(n):
     assert list(got.finals) == list(expected.finals)
     assert got.nodes() == expected.nodes()
     assert list(got.edges()) == list(expected.edges())
+
+
+def _run_by_definition(n: Nfa, word, start) -> frozenset:
+    """Close the start set, then follow each label and close again."""
+    current = n.eps_closure(start)
+    for sym in word:
+        current = n.eps_closure(
+            {dst for src in current for label, dst in n.out_edges(src) if label == sym}
+        )
+    return current
+
+
+@settings(deadline=None)
+@given(_random_nfa(), st.lists(st.sampled_from("ab"), max_size=4), st.booleans())
+def test_runs_labels_and_enumeration_match_their_definitions(n, word, from_last):
+    start = [n.nodes()[-1]] if from_last else None
+    begin = n.initial if start is None else start
+    assert n.run(word, start) == _run_by_definition(n, word, begin)
+    labels = [label for _, label, _ in n.edges() if label is not EPSILON]
+    assert n.labels() == list(dict.fromkeys(labels))
+    expected = [
+        w
+        for length in range(4)
+        for w in itertools.product(sorted(set(labels)), repeat=length)
+        if _run_by_definition(n, w, begin) & n.finals.keys()
+    ]
+    assert n.words_up_to(3, start) == expected
 
 
 def test_relabel_is_stable_under_rebuild():

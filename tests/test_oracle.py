@@ -8,9 +8,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import cfg, e1_pumped, e1_seed, random_configuration, random_spec
-from upstack.core import count_phases, run_trace, step
+from search_reference import reference_post, reference_trace
+from upstack.configsets import from_config_set
+from upstack.core import Configuration, count_phases, make_spec, run_trace, step
 from upstack.errors import ResourceLimitError
-from upstack.oracle import _predecessors, oracle_post, oracle_pre_kphase
+from upstack.oracle import (
+    _predecessors,
+    explore,
+    oracle_post,
+    oracle_pre_kphase,
+    oracle_trace,
+    search_trace,
+)
 
 
 def test_forward_closure_contains_pumped_family(e1):
@@ -39,6 +48,113 @@ def test_forward_closure_budget_is_honest(e2):
     with pytest.raises(ResourceLimitError) as info:
         oracle_post(e2, [cfg("p", "", "c")], 50, 40, node_budget=100)
     assert info.value.explored >= 100
+
+
+def test_forward_closure_budget_error_names_the_search_budget(e2):
+    # One engine, one message: the closure is the configuration search.
+    with pytest.raises(ResourceLimitError, match="configuration search budget"):
+        oracle_post(e2, [cfg("p", "", "c")], 50, 40, node_budget=10)
+
+
+# -- the configuration search against the reference loops ---------------------
+
+def _as_tuple(c):
+    return (c.state, c.upper, c.lower)
+
+
+def _outcome(search):
+    try:
+        return search()
+    except ResourceLimitError as err:
+        return ("budget", err.explored)
+
+
+def test_search_and_closure_match_the_reference_loops():
+    """On 200 random systems the tuple engine and the reference loops give
+    the same traces (or None), the same closures, and raise
+    ResourceLimitError at the same budgets, found at each search's exact
+    threshold."""
+    rng = random.Random(20260418)
+    hits = 0
+    for _ in range(200):
+        spec = random_spec(rng, max_rules=7)
+        cap = rng.randint(1, 5)
+        # Duplicates and starts above the cap included.
+        starts = [random_configuration(rng, spec, max_side=3) for _ in range(rng.randint(1, 4))]
+        starts += rng.sample(starts, rng.randint(0, len(starts)))
+        depth = rng.choice((None, rng.randint(0, 6)))
+        _, stored = explore(spec, starts, lambda c: False, cap, depth)
+        # Half the goals are reachable, so most runs compare real traces.
+        if rng.random() < 0.5:
+            goal = Configuration(*rng.choice(sorted(stored)))
+        else:
+            goal = random_configuration(rng, spec, max_side=3)
+        forbidden = from_config_set(spec, [goal, random_configuration(rng, spec)])
+
+        for budget in sorted({0, 1, len(stored) - 1, len(stored), 10**6}):
+            got = _outcome(lambda: search_trace(
+                spec, starts, _as_tuple(goal).__eq__, cap, depth, budget))
+            want = _outcome(lambda: reference_trace(
+                spec, starts, goal.__eq__, cap, depth, budget))
+            assert got == want, (spec.rules, starts, goal, cap, depth, budget)
+            hits += got not in (None, ("budget", budget))
+
+        post_depth = 6 if depth is None else depth
+        full = reference_post(spec, starts, post_depth, cap, 10**6)
+        for budget in sorted({0, 1, len(full) - 1, len(full), 10**6}):
+            got = _outcome(lambda: oracle_post(spec, starts, post_depth, cap, budget))
+            want = _outcome(lambda: reference_post(spec, starts, post_depth, cap, budget))
+            assert got == want, (spec.rules, starts, cap, post_depth, budget)
+
+        start = starts[0]
+        got = oracle_trace(spec, start, forbidden.accepts, post_depth, cap + 1)
+        want = reference_trace(spec, [start], forbidden.accepts, cap + 1, post_depth, 10**6)
+        assert got == want
+    assert hits > 200
+
+
+def test_push_onto_an_empty_upper_word_at_the_cap_is_dropped():
+    spec = make_spec(("p",), ("a", "b"), [("p", "a", "p", ("a", "b"))])
+    (push,) = spec.rules
+    start, grown = cfg("p", "", "a"), cfg("p", "", "a b")
+    assert oracle_post(spec, [start], 3, 1) == {start}
+    assert search_trace(spec, [start], _as_tuple(grown).__eq__, 1) is None
+    assert oracle_post(spec, [start], 1, 2) == {start, grown}
+    assert search_trace(spec, [start], _as_tuple(grown).__eq__, 2) == (push,)
+    # Onto a nonempty upper word the push keeps the size, so the cap keeps it.
+    full = cfg("p", "b", "a")
+    assert oracle_post(spec, [full], 1, 2) == {full, grown}
+
+
+def test_a_start_above_the_cap_is_kept_by_the_search_but_not_by_the_closure(e1):
+    big = e1_seed(1)
+    cap = big.total_size - 1
+    assert search_trace(e1, [big], _as_tuple(big).__eq__, cap) == ()
+    hit, stored = explore(e1, [big], lambda c: False, cap)
+    assert hit is None and stored == {_as_tuple(big): None}
+    assert oracle_post(e1, [big], 5, cap) == frozenset()
+    assert oracle_post(e1, [big, e1_seed(0)], 5, cap) == oracle_post(e1, [e1_seed(0)], 5, cap)
+
+
+def test_budgets_reached_exactly(e1):
+    seed = e1_seed(1)
+    _, stored = explore(e1, [seed], lambda c: False, seed.total_size)
+    explore(e1, [seed], lambda c: False, seed.total_size, node_budget=len(stored))
+    with pytest.raises(ResourceLimitError) as info:
+        explore(e1, [seed], lambda c: False, seed.total_size, node_budget=len(stored) - 1)
+    assert info.value.explored == len(stored) - 1
+
+    reached = oracle_post(e1, [seed], 9, 4)
+    assert oracle_post(e1, [seed], 9, 4, node_budget=len(reached)) == reached
+    with pytest.raises(ResourceLimitError) as info:
+        oracle_post(e1, [seed], 9, 4, node_budget=len(reached) - 1)
+    assert info.value.explored == len(reached) - 1
+    # The closure never refuses its starts: the budget bounds what it adds.
+    starts = [e1_seed(0), cfg("p", "", "y x bot"), cfg("p2", "", "bot")]
+    assert oracle_post(e1, starts, 0, 4, node_budget=1) == frozenset(starts)
+    with pytest.raises(ResourceLimitError) as info:
+        oracle_post(e1, starts, 1, 4, node_budget=1)
+    assert info.value.explored == 3
 
 
 def test_backward_closure_two_phase_example(e2):
