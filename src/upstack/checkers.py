@@ -14,9 +14,9 @@ from __future__ import annotations
 from .configsets import ConfigAutomaton, bar, intersect_sets
 from .core import Configuration, Frozen, Rule, UpdsSpec, make_spec
 from .errors import MalformedInputError
-from .kphase import DEFAULT_NODE_BUDGET, bounded_phase_pre_star
+from .kphase import bounded_phase_pre_star
 from .model import ModelFile, print_config_literal
-from .nfa import EPSILON, Nfa
+from .nfa import DFA_STATE_BUDGET, EPSILON, Nfa
 from .oracle import oracle_trace
 from .regex import compile_config_regex
 from .upperapprox import overapprox_post
@@ -81,7 +81,7 @@ def decide_safety(
     initial: ConfigAutomaton,
     forbidden: ConfigAutomaton,
     k: int = DEFAULT_PHASES,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    node_budget: int = DFA_STATE_BUDGET,
     replay_depth: int = DEFAULT_REPLAY_DEPTH,
 ) -> Verdict:
     """The shared decision procedure over an initial/forbidden pair."""
@@ -137,7 +137,7 @@ def check_stack_overflow(
     m: int,
     lower: str,
     k: int = DEFAULT_PHASES,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    node_budget: int = DFA_STATE_BUDGET,
     replay_depth: int = DEFAULT_REPLAY_DEPTH,
 ) -> Verdict:
     """Can the stack grow past its bound? The system is run with a
@@ -200,7 +200,7 @@ def check_upper_read(
     configs: str | ConfigAutomaton,
     symbol: str,
     k: int = DEFAULT_PHASES,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    node_budget: int = DFA_STATE_BUDGET,
     replay_depth: int = DEFAULT_REPLAY_DEPTH,
 ) -> Verdict:
     """Can `symbol` sit in the cell just above the boundary — where a

@@ -22,8 +22,9 @@ from .grammar import (
     is_reachable,
     single_origin,
 )
-from .kphase import DEFAULT_NODE_BUDGET, bounded_phase_pre_star
+from .kphase import bounded_phase_pre_star
 from .model import parse_config_literal, parse_model, print_config_literal
+from .nfa import DFA_STATE_BUDGET
 from .oracle import oracle_post
 from .upperapprox import overapprox_post, trace_overapprox
 
@@ -82,7 +83,7 @@ def _build_parser() -> _Parser:
     pre.add_argument("-k", type=int, default=DEFAULT_PHASES, help="phase bound")
     pre.add_argument("--config", help="probe; without it, print a summary")
     pre.add_argument(
-        "--budget", type=int, default=DEFAULT_NODE_BUDGET, help=_DFA_BUDGET
+        "--budget", type=int, default=DFA_STATE_BUDGET, help=_DFA_BUDGET
     )
 
     post = sub.add_parser(
@@ -102,7 +103,7 @@ def _build_parser() -> _Parser:
     )
     overflow.add_argument("-k", type=int, default=DEFAULT_PHASES, help="phase bound")
     overflow.add_argument(
-        "--budget", type=int, default=DEFAULT_NODE_BUDGET, help=_DFA_BUDGET
+        "--budget", type=int, default=DFA_STATE_BUDGET, help=_DFA_BUDGET
     )
     overflow.add_argument(
         "--replay-depth", type=int, default=DEFAULT_REPLAY_DEPTH, help=_REPLAY_DEPTH
@@ -117,7 +118,7 @@ def _build_parser() -> _Parser:
     read.add_argument("--symbol", required=True, help="symbol to look for")
     read.add_argument("-k", type=int, default=DEFAULT_PHASES, help="phase bound")
     read.add_argument(
-        "--budget", type=int, default=DEFAULT_NODE_BUDGET, help=_DFA_BUDGET
+        "--budget", type=int, default=DFA_STATE_BUDGET, help=_DFA_BUDGET
     )
     read.add_argument(
         "--replay-depth", type=int, default=DEFAULT_REPLAY_DEPTH, help=_REPLAY_DEPTH

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 
 from .core import Configuration, UpdsSpec, Word
 from .errors import MalformedInputError
-from .nfa import EPSILON, Nfa, equivalent, from_words, intersection, union
+from .nfa import DFA_STATE_BUDGET, EPSILON, Nfa, equivalent, from_words, intersection, union
 
 _BAR = "bar"
 
@@ -107,7 +107,7 @@ class ConfigAutomaton:
                         seen.add((dst, nxt))
                         stack.append((dst, nxt))
 
-    def compact(self, node_budget: int = 50_000) -> "ConfigAutomaton":
+    def compact(self, node_budget: int = DFA_STATE_BUDGET) -> "ConfigAutomaton":
         out: dict[str, Nfa] = {}
         for state, nfa in self.components.items():
             compacted = nfa.compact(node_budget)
@@ -197,7 +197,7 @@ def project_upper(a: ConfigAutomaton) -> dict[str, Nfa]:
 
 
 def equivalent_sets(
-    a: ConfigAutomaton, b: ConfigAutomaton, node_budget: int = 50_000
+    a: ConfigAutomaton, b: ConfigAutomaton, node_budget: int = DFA_STATE_BUDGET
 ) -> bool:
     """Whether both sets hold the same configurations. node_budget bounds
     each determinization; past it, ResourceLimitError."""

@@ -25,10 +25,8 @@ import enum
 from .configsets import ConfigAutomaton, bar, is_barred, union_sets, equivalent_sets
 from .core import RuleKind, UpdsSpec
 from .errors import MalformedInputError, ResourceLimitError
-from .nfa import EPSILON, Nfa
+from .nfa import DFA_STATE_BUDGET, EPSILON, Nfa
 from .pds import LowerAutomaton, pds_post_star, singleton_lower
-
-DEFAULT_NODE_BUDGET = 50_000
 
 
 class PhaseKind(enum.Enum):
@@ -51,10 +49,6 @@ def _checked_components(spec: UpdsSpec, targets: ConfigAutomaton) -> dict[str, N
         if not nfa.is_empty():
             out[state] = nfa
     return out
-
-
-def _node_key(node) -> str:
-    return repr(node)
 
 
 def _pop_phase_pre(spec: UpdsSpec, components: dict[str, Nfa]) -> dict[str, Nfa]:
@@ -103,7 +97,7 @@ def _pop_phase_pre(spec: UpdsSpec, components: dict[str, Nfa]) -> dict[str, Nfa]
                             ("i", rule.to_state, p2, r2)
                             for r2 in t.step([r], bar(rule.read_symbol))
                         ]
-                    for node in sorted(reached, key=_node_key):
+                    for node in reached:
                         if not core.has_edge(src, rule.read_symbol, node):
                             core.add_edge(src, rule.read_symbol, node)
                             changed = True
@@ -160,17 +154,9 @@ def _push_phase_pre(
     advance for free. A verbatim copy of the target component keeps
     empty traces. The closures come from push_closures(spec)."""
     barred = [bar(x) for x in spec.alphabet]
-    # Per target component: its nodes and its epsilon-closed initial
-    # nodes in key order, and its one-symbol steps, memoized in sorted
-    # order as the walk consumes them.
-    ordered = {
-        p2: (
-            sorted(t.nodes(), key=_node_key),
-            sorted(t.eps_closure(t.initial), key=_node_key),
-        )
-        for p2, t in components.items()
-    }
-    landings_of: dict[tuple, list] = {}
+    # One-symbol steps of the target components, memoized as the walk
+    # consumes them.
+    landings_of: dict[tuple, frozenset] = {}
     out: dict[str, Nfa] = {}
     for q in spec.states:
         comp = Nfa()
@@ -200,22 +186,17 @@ def _push_phase_pre(
         for top in spec.alphabet:
             rewrites = closures[(q, top)]
             znfa = rewrites.nfa
-            advances_of: dict[tuple, list] = {}
+            advances_of: dict[tuple, frozenset] = {}
             for p2, t in components.items():
-                starts = sorted(
-                    znfa.eps_closure([rewrites.entries[p2]]), key=_node_key
-                )
-                if not starts:
-                    continue
-                nodes, initial = ordered[p2]
+                starts = znfa.eps_closure([rewrites.entries[p2]])
                 pending: list[tuple[object, object, int]] = []
-                for r in nodes:
+                for r in t.nodes():
                     for z0 in starts:
                         comp.add_edge(
                             ("u", p2, r), EPSILON, ("k", top, p2, r, z0, 0)
                         )
                         pending.append((r, z0, 0))
-                for r in initial:
+                for r in t.eps_closure(t.initial):
                     for z0 in starts:
                         comp.add_initial(("k", top, p2, r, z0, 1))
                         pending.append((r, z0, 1))
@@ -226,11 +207,11 @@ def _push_phase_pre(
                     for a in spec.alphabet:
                         landings = landings_of.get((p2, r, a))
                         if landings is None:
-                            landings = sorted(t.step([r], a), key=_node_key)
+                            landings = t.step([r], a)
                             landings_of[(p2, r, a)] = landings
                         advances = advances_of.get((z, a))
                         if advances is None:
-                            advances = sorted(znfa.step([z], a), key=_node_key)
+                            advances = znfa.step([z], a)
                             advances_of[(z, a)] = advances
                         for r2 in landings:
                             for z2 in advances:
@@ -284,7 +265,7 @@ def bounded_phase_pre_star(
     spec: UpdsSpec,
     targets: ConfigAutomaton,
     k: int,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    node_budget: int = DFA_STATE_BUDGET,
 ) -> ConfigAutomaton:
     """Configurations reaching the target set by traces splitting into at
     most k phases: k rounds of closing under one pop phase and one push

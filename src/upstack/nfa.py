@@ -1,9 +1,12 @@
 """A small nondeterministic finite automaton toolkit.
 
 Nodes and edge labels are arbitrary hashables; the distinguished EPSILON
-label marks silent edges. Insertion order is preserved everywhere and
-all worklists iterate in deterministic order, so identical construction
-sequences yield identical automata (DOT exports rely on this).
+label marks silent edges. Insertion order is preserved everywhere, but
+what the package prints does not depend on it: `minimal_dfa` numbers its
+subsets and classes breadth-first over label-sorted edges, so automata
+with the same language compact to the `same` nodes, edges, initial and
+final nodes whatever their node names or edge order, and `equivalent` is
+that comparison. DOT exports sort what they print.
 """
 
 from __future__ import annotations
@@ -12,6 +15,10 @@ from collections import deque
 from typing import Callable, Hashable, Iterable, Iterator
 
 from .errors import MalformedInputError, ResourceLimitError
+
+# The default budget on subset-construction states, in every compaction
+# and language comparison of the package.
+DFA_STATE_BUDGET = 50_000
 
 
 class _Epsilon:
@@ -318,7 +325,7 @@ class Nfa:
                             add_edge(n, label, dst)
         return out
 
-    def determinize(self, node_budget: int = 50_000) -> "Nfa":
+    def determinize(self, node_budget: int = DFA_STATE_BUDGET) -> "Nfa":
         """Subset construction (partial: no dead sink). Nodes of the result
         are ints in discovery order. Raises ResourceLimitError past the
         node budget."""
@@ -392,23 +399,35 @@ class Nfa:
                 out.add_edge(cls[n], label, cls[dst])
         return out.trim()
 
-    def compact(self, node_budget: int = 50_000) -> "Nfa":
-        """Language-preserving compression: trim, drop epsilons, determinize
-        and minimize; falls back to the trimmed automaton if determinization
-        blows the budget."""
+    def minimal_dfa(self, node_budget: int = DFA_STATE_BUDGET) -> "Nfa":
+        """The minimal partial DFA of the language, numbered in breadth-first
+        order over label-sorted edges: equal languages give automata that
+        are `same`. Raises ResourceLimitError past the node budget."""
         trimmed = self.trim()
         if not trimmed.initial:
             return Nfa()
-        try:
-            dfa = trimmed.eps_eliminate().trim().determinize(node_budget)
-        except ResourceLimitError:
-            return trimmed
+        dfa = trimmed.eps_eliminate().trim().determinize(node_budget)
         return dfa.minimize().relabel()
 
-    def relabel(self, by_label: bool = False) -> "Nfa":
-        """Rename nodes to consecutive ints in breadth-first discovery order.
-        With by_label, successors are explored in label-key order, which
-        numbers isomorphic deterministic automata identically."""
+    def compact(self, node_budget: int = DFA_STATE_BUDGET) -> "Nfa":
+        """Language-preserving compression: the minimal DFA, or the trimmed
+        automaton if determinization blows the budget."""
+        try:
+            return self.minimal_dfa(node_budget)
+        except ResourceLimitError:
+            return self.trim()
+
+    def same(self, other: "Nfa") -> bool:
+        """Structural equality: the same nodes, edges, initial and final
+        nodes, in whatever order they were added."""
+        return (
+            self._edges == other._edges
+            and self.initial.keys() == other.initial.keys()
+            and self.finals.keys() == other.finals.keys()
+        )
+
+    def relabel(self) -> "Nfa":
+        """Rename nodes to consecutive ints in breadth-first discovery order."""
         order: dict[Node, int] = {}
         queue: deque[Node] = deque()
         for n in self.initial:
@@ -416,11 +435,7 @@ class Nfa:
                 order[n] = len(order)
                 queue.append(n)
         while queue:
-            n = queue.popleft()
-            out = list(self.out_edges(n))
-            if by_label:
-                out.sort(key=lambda e: label_key(e[0]))
-            for _, dst in out:
+            for _, dst in self.out_edges(queue.popleft()):
                 if dst not in order:
                     order[dst] = len(order)
                     queue.append(dst)
@@ -493,74 +508,7 @@ def from_words(words: Iterable[tuple[Label, ...]]) -> Nfa:
     return out
 
 
-def canonical_form(nfa: Nfa, node_budget: int = 50_000):
-    """A hashable normal form unique to the language: the minimal partial
-    DFA with nodes numbered in label-ordered discovery order."""
-    trimmed = nfa.trim()
-    if not trimmed.initial:
-        return ((), (), ())
-    d = trimmed.eps_eliminate().trim().determinize(node_budget).minimize()
-    d = d.relabel(by_label=True)
-    return (
-        tuple(sorted(d.initial)),
-        tuple(sorted(d.finals)),
-        tuple(sorted(((s, label_key(l), t) for s, l, t in d.edges()))),
-    )
-
-
-def _deterministic(nfa: Nfa) -> bool:
-    """At most one initial node, no epsilon edge, at most one target per
-    node and label."""
-    if len(nfa.initial) > 1:
-        return False
-    for row in nfa._edges.values():
-        if EPSILON in row:
-            return False
-        for targets in row.values():
-            if len(targets) > 1:
-                return False
-    return True
-
-
-def _same_trimmed_dfa_language(a: Nfa, b: Nfa) -> bool:
-    """Language equality of two trimmed partial DFAs by one walk of their
-    product. Every node of a trimmed automaton reaches a final node, so a
-    label one side can read and the other cannot already tells the
-    languages apart."""
-    if not a.initial or not b.initial:
-        return not a.initial and not b.initial
-    start = (next(iter(a.initial)), next(iter(b.initial)))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x, y = stack.pop()
-        if (x in a.finals) != (y in b.finals):
-            return False
-        row_a, row_b = a._edges[x], b._edges[y]
-        if row_a.keys() != row_b.keys():
-            return False
-        for label, targets in row_a.items():
-            pair = (next(iter(targets)), next(iter(row_b[label])))
-            if pair not in seen:
-                seen.add(pair)
-                stack.append(pair)
-    return True
-
-
-def _trimmed_dfa(nfa: Nfa, node_budget: int) -> Nfa:
-    """A trimmed partial DFA for the language. Removing epsilons keeps
-    every node of a trimmed automaton able to reach a final one, so every
-    subset the construction reaches can too: the result is trimmed."""
-    trimmed = nfa.trim()
-    if not trimmed.initial or _deterministic(trimmed):
-        return trimmed
-    return trimmed.eps_eliminate().determinize(node_budget)
-
-
-def equivalent(a: Nfa, b: Nfa, node_budget: int = 50_000) -> bool:
-    """Language equality by one walk of the product of the two trimmed
-    DFAs; a side that is not a DFA (compact returns DFAs) is determinized
-    first, within the node budget."""
-    return _same_trimmed_dfa_language(
-        _trimmed_dfa(a, node_budget), _trimmed_dfa(b, node_budget)
-    )
+def equivalent(a: Nfa, b: Nfa, node_budget: int = DFA_STATE_BUDGET) -> bool:
+    """Language equality: the two automata are the same, or their minimal
+    DFAs are. Past the node budget, ResourceLimitError."""
+    return a.same(b) or a.minimal_dfa(node_budget).same(b.minimal_dfa(node_budget))

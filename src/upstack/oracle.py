@@ -23,7 +23,7 @@ from .core import (
     RuleKind,
     UpdsSpec,
     check_configuration,
-    step,  # noqa: F401 (kept importable from here)
+    step,  # noqa: F401 (tests/test_acceptance.py imports it from here)
     successors,
 )
 from .errors import ResourceLimitError
@@ -300,4 +300,4 @@ def pds_reaches(
     """Whether the lower-stack-only semantics can drive `source` into one
     of `targets` without the stack ever growing past size_cap."""
     goal = set(targets)
-    return bool(goal & pds_closure(spec, [source], size_cap, node_budget))
+    return bool(goal & pds_closure(spec, [source], size_cap, node_budget=node_budget))

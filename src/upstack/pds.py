@@ -105,10 +105,6 @@ class LowerAutomaton:
         return self.nfa.words_up_to(max_len, start=(entry,))
 
 
-def _node_key(node) -> str:
-    return repr(node)
-
-
 def pds_pre_star(spec: UpdsSpec, targets: LowerAutomaton) -> LowerAutomaton:
     """Backward closure: accepts <p, w> iff some accepted <p', w'> is
     reachable from it. Saturation: for a rule (p, a) -> (p', w) and any
@@ -121,7 +117,7 @@ def pds_pre_star(spec: UpdsSpec, targets: LowerAutomaton) -> LowerAutomaton:
         for rule in spec.rules:
             src = out.entries[rule.from_state]
             reached = nfa.run(rule.written, start=(out.entries[rule.to_state],))
-            for node in sorted(reached, key=_node_key):
+            for node in reached:
                 if not nfa.has_edge(src, rule.read_symbol, node):
                     nfa.add_edge(src, rule.read_symbol, node)
                     changed = True
@@ -146,7 +142,7 @@ def pds_post_star(spec: UpdsSpec, init: LowerAutomaton) -> LowerAutomaton:
         for index, rule in enumerate(spec.rules):
             src = out.entries[rule.to_state]
             reached = nfa.step((out.entries[rule.from_state],), rule.read_symbol)
-            for node in sorted(reached, key=_node_key):
+            for node in reached:
                 if len(rule.written) == 0:
                     additions = ((src, EPSILON, node),)
                 elif len(rule.written) == 1:

@@ -158,6 +158,45 @@ def test_module_entry_point_round_trips():
     assert proc.stdout == "true\n"
 
 
+# Prints the compacted pre* and post* automata of the fixtures edge by
+# edge, in insertion order, so any order the compaction leaks shows.
+_COMPACTED_EDGES = """
+from upstack import bounded_phase_pre_star, overapprox_post, parse_model
+from upstack.fixtures import fixture_path
+for name, target in (("e1.upds", "C1"), ("e2.upds", "C2"), ("relocate.upds", "Boot")):
+    model = parse_model(fixture_path(name).read_text())
+    configs = model.config_set(target)
+    for aut in (bounded_phase_pre_star(model.spec, configs, 3), overapprox_post(model.spec, configs)):
+        for state, nfa in aut.components.items():
+            print(state, list(nfa.initial), list(nfa.finals), list(nfa.edges()))
+"""
+
+
+def test_output_does_not_depend_on_the_hash_seed():
+    # String hashing differs between these seeds, so the saturations add
+    # their edges in different orders; canonical compaction and sorted
+    # DOT must still print the same bytes.
+    commands = [
+        ["-m", "upstack", "check-read", RELOCATE, "--init", "Boot", "--symbol", "secret"],
+        ["-m", "upstack", "check-overflow", E1, "-m", "1", "--lower", "x (y x)* bot"],
+        ["-m", "upstack", "pre-under", E2, "--target", "C2", "-k", "2"],
+        ["-m", "upstack", "post-over", E1, "--init", "C1"],
+        ["-c", _COMPACTED_EDGES],
+    ]
+    for argv in commands:
+        outputs = set()
+        for seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, *argv],
+                env=dict(subprocess_env(), PYTHONHASHSEED=seed),
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode in (0, 1), proc.stderr
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1, argv
+
+
 def test_closed_stdout_is_not_an_analysis_error():
     # The reader is gone before the first write, as with `| head -0`.
     read_end, write_end = os.pipe()

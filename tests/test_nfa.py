@@ -8,11 +8,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from equivalence_reference import product_equivalent
 from upstack.errors import MalformedInputError, ResourceLimitError
 from upstack.nfa import (
     EPSILON,
     Nfa,
-    canonical_form,
     equivalent,
     from_words,
     intersection,
@@ -134,8 +134,10 @@ def test_equivalence_and_canonical_form():
     a = from_words([("a",), ("a", "b")])
     also_a = from_words([("a", "b"), ("a",)])
     assert equivalent(a, also_a)
-    assert canonical_form(a) == canonical_form(also_a)
+    assert not a.same(also_a)
+    assert a.compact().same(also_a.compact())
     assert not equivalent(a, from_words([("a",)]))
+    assert not a.compact().same(from_words([("a",)]).compact())
 
 
 def test_equivalence_of_dfas_looks_at_finals_and_edges():
@@ -144,7 +146,7 @@ def test_equivalence_of_dfas_looks_at_finals_and_edges():
     plus = Nfa(initial=(0,), finals=(1,))
     plus.add_edge(0, "a", 1)
     plus.add_edge(1, "a", 1)
-    # Same edge shapes in the product; only the finals tell them apart.
+    # The languages differ only in the empty word.
     assert not equivalent(star, plus)
     assert equivalent(plus, plus.compact())
     assert not equivalent(star.compact(), from_words([(), ("a",), ("a", "b")]).compact())
@@ -186,12 +188,76 @@ def test_equivalence_agrees_with_bounded_enumeration(a, b):
     elif same_words:
         # Languages may still differ beyond the bound; check a longer one.
         assert sorted(a.words_up_to(7)) != sorted(b.words_up_to(7))
-    # Compacted inputs are DFAs, which equivalent compares by a product
-    # walk; it must agree with the canonical forms.
-    same_form = canonical_form(a) == canonical_form(b)
-    assert equivalent(a.compact(), b.compact()) == same_form
-    assert equivalent(a.compact(), b) == same_form
+    # Compaction is canonical: equal languages compact to the same
+    # automaton, and the product walk of the reference agrees on raw,
+    # compacted and mixed pairs.
+    same_language = product_equivalent(a, b)
+    assert a.compact().same(b.compact()) == same_language
+    for x, y in ((a, b), (a.compact(), b.compact()), (a.compact(), b), (a, b.compact())):
+        assert equivalent(x, y) == product_equivalent(x, y) == same_language
     assert equivalent(a.compact(), a) and equivalent(b, b.compact())
+
+
+def _renamed_and_shuffled(n: Nfa, seed: int) -> Nfa:
+    """A copy with fresh node names, built in a shuffled order."""
+    rng = random.Random(seed)
+    names = {m: ("renamed", rng.random()) for m in n.nodes()}
+    nodes = n.nodes()
+    edges = list(n.edges())
+    rng.shuffle(nodes)
+    rng.shuffle(edges)
+    out = Nfa()
+    for m in nodes:
+        out.add_node(names[m])
+    for src, label, dst in edges:
+        out.add_edge(names[src], label, names[dst])
+    for m in rng.sample(list(n.initial), len(n.initial)):
+        out.add_initial(names[m])
+    for m in rng.sample(list(n.finals), len(n.finals)):
+        out.add_final(names[m])
+    return out
+
+
+@settings(deadline=None)
+@given(_random_nfa(), st.integers(0, 2**32 - 1))
+def test_compaction_is_canonical_and_idempotent(n, seed):
+    copy = _renamed_and_shuffled(n, seed)
+    assert n.compact().same(copy.compact())
+    assert list(n.compact().edges()) == list(copy.compact().edges())
+    assert n.compact().same(n.compact().compact())
+    assert n.compact().same(n.minimal_dfa())
+    assert equivalent(n, copy)
+
+
+def test_same_compares_structure_not_insertion_order():
+    a = Nfa(initial=(0,), finals=(1, 2))
+    a.add_edge(0, "a", 1)
+    a.add_edge(0, "b", 2)
+    b = Nfa(initial=(0,), finals=(2, 1))
+    b.add_edge(0, "b", 2)
+    b.add_edge(0, "a", 1)
+    assert a.same(b) and b.same(a)
+    b.add_edge(2, "a", 2)
+    assert not a.same(b)
+    assert not a.same(Nfa(initial=(0,), finals=(1,)))
+    assert Nfa().same(from_words([]).minimal_dfa())
+    # Minimal DFAs with the same edges, told apart by their finals alone.
+    one = from_words([("a",)]).minimal_dfa()
+    up_to_one = from_words([(), ("a",)]).minimal_dfa()
+    assert list(one.edges()) == list(up_to_one.edges())
+    assert not one.same(up_to_one)
+    assert not equivalent(one, up_to_one)
+
+
+def test_equivalent_honours_the_node_budget():
+    a = _sample()
+    b = _sample()
+    b.add_edge(0, "b", 1)
+    # Structurally the same automata need no determinization.
+    assert equivalent(a, _sample(), node_budget=1)
+    with pytest.raises(ResourceLimitError):
+        equivalent(a, b, node_budget=1)
+    assert equivalent(a, b)
 
 
 def _trim_by_reversal(n: Nfa) -> Nfa:

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from upstack.configsets import from_config_set, project_lower
-from upstack.core import UpdsSpec, step
-from upstack.errors import MalformedInputError
+from upstack.core import UpdsSpec, make_spec, step
+from upstack.errors import MalformedInputError, ResourceLimitError
 from upstack.nfa import Nfa, equivalent, from_words
 from upstack.oracle import oracle_post, pds_closure, pds_reaches, pds_step
 from upstack.pds import LowerAutomaton, pds_post_star, pds_pre_star, singleton_lower
@@ -74,6 +74,16 @@ def test_pre_star_examples(e1, e2):
     out1 = pds_pre_star(e1, singleton_lower(e1, "p2", ("bot",)))
     assert out1.accepts("p", ("x", "bot"))
     assert pds_reaches(e1, ("p", ("x", "bot")), [("p2", ("bot",))], size_cap=6)
+
+
+def test_pds_reaches_passes_its_node_budget_as_the_budget():
+    # Reaching a^6 from a needs six stored configurations; a budget of
+    # two must stop the closure, not bound its depth.
+    spec = make_spec(("p",), ("a",), [("p", "a", "p", ("a", "a"))])
+    source, goal = ("p", ("a",)), [("p", ("a",) * 6)]
+    assert pds_reaches(spec, source, goal, 6)
+    with pytest.raises(ResourceLimitError):
+        pds_reaches(spec, source, goal, 6, node_budget=2)
 
 
 def test_saturation_is_a_fixpoint(e1, e2):
