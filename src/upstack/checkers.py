@@ -69,8 +69,10 @@ class Verdict(Frozen):
         lines = [f"verdict: {self.outcome} (k={self.k})"]
         if self.witness is not None:
             lines.append(f"witness: {print_config_literal(self.witness)}")
-        if self.trace is not None:
+        if self.trace:
             lines.append("trace: " + "; ".join(str(rule) for rule in self.trace))
+        elif self.trace is not None:
+            lines.append("trace: (none: the witness is already forbidden)")
         if self.note:
             lines.append(f"note: {self.note}")
         return "\n".join(lines)

@@ -54,7 +54,16 @@ def config_from_word(state: str, word: Iterable) -> Configuration:
 
 
 class ConfigAutomaton:
-    """One NFA per control state; missing states denote empty slices."""
+    """One NFA per control state; missing states denote empty slices.
+
+    Like an `Nfa`, a set is treated as immutable once it is handed out, so
+    facts established about it stay true. It records two: that it passed
+    `validate` (which then returns at once; `ModelFile.config_set` hands
+    out sets that hold by construction), and that `compact` made it
+    canonical, which lets `equivalent_sets` compare structure."""
+
+    _validated = False
+    _canonical = False
 
     def __init__(self, alphabet: Iterable[str], components: Mapping[str, Nfa] | None = None):
         self.alphabet: tuple[str, ...] = tuple(alphabet)
@@ -74,7 +83,13 @@ class ConfigAutomaton:
         return all(nfa.is_empty() for nfa in self.components.values())
 
     def validate(self) -> None:
-        """Check labels against the alphabet and the zone discipline."""
+        """Check labels against the alphabet and the zone discipline, once
+        per set: a set that passed returns at once."""
+        if not self._validated:
+            self._scan()
+            self._validated = True
+
+    def _scan(self) -> None:
         symbols = set(self.alphabet)
         for state, nfa in self.components.items():
             for _, label, _ in nfa.edges():
@@ -108,12 +123,19 @@ class ConfigAutomaton:
                         stack.append((dst, nxt))
 
     def compact(self, node_budget: int = DFA_STATE_BUDGET) -> "ConfigAutomaton":
+        """Compact every component and drop the empty ones. The result is
+        canonical when no component fell back on the budget: equal sets
+        then have the same states and `same` components."""
         out: dict[str, Nfa] = {}
+        canonical = True
         for state, nfa in self.components.items():
             compacted = nfa.compact(node_budget)
+            canonical = canonical and compacted._minimal
             if not compacted.is_empty():
                 out[state] = compacted
-        return ConfigAutomaton(self.alphabet, out)
+        result = ConfigAutomaton(self.alphabet, out)
+        result._canonical = canonical
+        return result
 
     def shortest_config(self) -> Configuration | None:
         best: tuple[int, str, tuple] | None = None
@@ -199,9 +221,15 @@ def project_upper(a: ConfigAutomaton) -> dict[str, Nfa]:
 def equivalent_sets(
     a: ConfigAutomaton, b: ConfigAutomaton, node_budget: int = DFA_STATE_BUDGET
 ) -> bool:
-    """Whether both sets hold the same configurations. node_budget bounds
-    each determinization; past it, ResourceLimitError."""
+    """Whether both sets hold the same configurations. Two canonical sets
+    (see `ConfigAutomaton.compact`) are compared by structure; otherwise
+    node_budget bounds each determinization, and past it,
+    ResourceLimitError."""
     _check_alphabets(a, b)
+    if a._canonical and b._canonical:
+        return a.components.keys() == b.components.keys() and all(
+            nfa.same(b.components[state]) for state, nfa in a.components.items()
+        )
     for state in set(a.components) | set(b.components):
         if not equivalent(a.component(state), b.component(state), node_budget):
             return False

@@ -326,7 +326,9 @@ def is_reachable(
     budget: int = DEFAULT_CONFIG_BUDGET,
 ) -> bool:
     """Whether some member of start_set reaches config. budget counts the
-    configurations the search stores (see the module docstring)."""
+    configurations the search stores (see the module docstring). The start
+    set is validated once per set, and a set from `ModelFile.config_set`
+    never: it is valid by construction."""
     check_configuration(spec, config)
     start_set.validate()
     starts = start_set.enumerate_configs(config.total_size)

@@ -49,7 +49,11 @@ class ModelFile(Frozen):
         return list(self.sets)
 
     def config_set(self, name: str) -> ConfigAutomaton:
-        """Compile the named set's per-state expressions."""
+        """Compile the named set's per-state expressions. The set comes out
+        validated: `compile_config_regex` rejects symbols outside the
+        model's alphabet, and its construction joins the barred (upper)
+        part to the plain (lower) part by one epsilon edge with no edge
+        back, so no plain edge precedes a barred one."""
         if name not in self.sets:
             raise MalformedInputError(
                 f"no configuration set named {name!r}; have {self.set_names()}"
@@ -58,7 +62,9 @@ class ModelFile(Frozen):
             state: compile_config_regex(ast, alphabet=self.spec.alphabet)
             for state, ast in self.sets[name].items()
         }
-        return ConfigAutomaton(self.spec.alphabet, components)
+        compiled = ConfigAutomaton(self.spec.alphabet, components)
+        compiled._validated = True
+        return compiled
 
 
 def _words(line: str) -> list[tuple[str, int]]:

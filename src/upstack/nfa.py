@@ -47,6 +47,9 @@ def label_key(label: Label) -> str:
 class Nfa:
     """Mutable while being built; treat as immutable once handed out."""
 
+    # Set on what `minimal_dfa` returns: the automaton is its own minimal DFA.
+    _minimal = False
+
     def __init__(self, initial: Iterable[Node] = (), finals: Iterable[Node] = ()):
         # node -> label -> dict used as an ordered set of targets
         self._edges: dict[Node, dict[Label, dict[Node, None]]] = {}
@@ -214,7 +217,10 @@ class Nfa:
 
     def words_up_to(self, max_len: int, start: Iterable[Node] | None = None) -> list[tuple[Label, ...]]:
         """All accepted words of length <= max_len (deduplicated, sorted by
-        length then label keys). Exponential; test-sized automata only."""
+        length then label keys). The number of words can grow exponentially
+        with max_len; `member` and the `oracle` command enumerate their
+        start configurations with it, up to the query's size and the
+        `--cap` respectively."""
         labels = sorted(self.labels(), key=label_key)
         first = self.eps_closure(self.initial if start is None else start)
         found: dict[tuple[Label, ...], None] = {}
@@ -405,9 +411,12 @@ class Nfa:
         are `same`. Raises ResourceLimitError past the node budget."""
         trimmed = self.trim()
         if not trimmed.initial:
-            return Nfa()
-        dfa = trimmed.eps_eliminate().trim().determinize(node_budget)
-        return dfa.minimize().relabel()
+            out = Nfa()
+        else:
+            dfa = trimmed.eps_eliminate().trim().determinize(node_budget)
+            out = dfa.minimize().relabel()
+        out._minimal = True
+        return out
 
     def compact(self, node_budget: int = DFA_STATE_BUDGET) -> "Nfa":
         """Language-preserving compression: the minimal DFA, or the trimmed

@@ -190,9 +190,10 @@ def print_config_regex(ast: tuple) -> str:
 
 
 class _Builder:
-    def __init__(self):
+    def __init__(self, symbols: set[str] | None):
         self.nfa = Nfa()
         self.count = 0
+        self.symbols = symbols
 
     def fresh(self) -> int:
         self.count += 1
@@ -203,6 +204,8 @@ class _Builder:
         kind = ast[0]
         start, end = self.fresh(), self.fresh()
         if kind == "sym":
+            if self.symbols is not None and ast[1] not in self.symbols:
+                raise MalformedInputError(f"undeclared symbol {ast[1]!r}")
             label = bar(ast[1]) if barred else ast[1]
             self.nfa.add_edge(start, label, end)
         elif kind == "empty":
@@ -236,12 +239,14 @@ def compile_config_regex(
     line: int = 1,
     col: int = 1,
 ) -> Nfa:
-    """Compile a boundary-marker regex (text or AST) to a zone-valid Nfa."""
+    """Compile a boundary-marker regex (text or AST) to a zone-valid Nfa.
+    Given an alphabet, a symbol outside it is an error in either form."""
+    symbols = None if alphabet is None else set(alphabet)
     if isinstance(source, str):
-        ast = parse_config_regex(source, line, col, alphabet)
+        ast = parse_config_regex(source, line, col, symbols)
     else:
         ast = source
-    builder = _Builder()
+    builder = _Builder(symbols)
     start = builder.fresh()
     builder.nfa.add_initial(start)
     accept = builder.fresh()

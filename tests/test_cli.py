@@ -51,6 +51,18 @@ def test_read_checker_reports_unsafe_with_replay():
     assert "trace: p x -> p a; p a -> p" in lines
 
 
+def test_zero_step_unsafe_trace_is_spelled_out():
+    # At k=0 the under-approximation is the forbidden set itself, so the
+    # witness needs no step at all.
+    code, out, _ = run_cli(["check-read", E2, "--init", "C2", "--symbol", "b", "-k", "0"])
+    assert (code, out) == (
+        1,
+        "verdict: Unsafe (k=0)\n"
+        "witness: p: a b ^ c\n"
+        "trace: (none: the witness is already forbidden)\n",
+    )
+
+
 def test_relocation_secret_leaks_but_return_slot_is_safe():
     code, out, _ = run_cli(["check-read", RELOCATE, "--init", "Boot", "--symbol", "secret"])
     assert code == 1

@@ -18,10 +18,16 @@ from upstack.configsets import (
 )
 from upstack.core import Configuration
 from upstack.errors import MalformedInputError, ResourceLimitError
+from upstack.fixtures import fixture_names, fixture_text
+from upstack.grammar import is_reachable, single_origin
+from upstack.kphase import PhaseKind, phase_pre
+from upstack.model import ModelFile, parse_model, print_model
 from upstack.nfa import EPSILON, Nfa, from_words
 from upstack.oracle import oracle_post
+from upstack.upperapprox import overapprox_post
 
 from conftest import cfg, random_configuration, random_spec
+from equivalence_reference import product_equivalent
 
 import random
 
@@ -62,24 +68,32 @@ def test_from_config_set_checks_declarations(e1):
         from_config_set(e1, [cfg("p", "z", "bot")])
 
 
-def test_validate_rejects_zone_violation():
+def _zone_violation(alphabet) -> ConfigAutomaton:
     nfa = Nfa()
     nfa.add_initial(0)
     nfa.add_edge(0, "x", 1)
     nfa.add_edge(1, bar("a"), 2)
     nfa.add_final(2)
-    aut = ConfigAutomaton(("a", "x"), {"p": nfa})
-    with pytest.raises(MalformedInputError):
-        aut.validate()
+    return ConfigAutomaton(alphabet, {"p": nfa})
 
 
-def test_validate_rejects_undeclared_symbol():
+def _undeclared_symbol(alphabet) -> ConfigAutomaton:
     nfa = Nfa()
     nfa.add_initial(0)
     nfa.add_edge(0, "z", 1)
-    nfa.add_final(1)
+    nfa.add_edge(1, "bot", 2)
+    nfa.add_final(2)
+    return ConfigAutomaton(alphabet, {"p": nfa})
+
+
+def test_validate_rejects_zone_violation():
     with pytest.raises(MalformedInputError):
-        ConfigAutomaton(("a",), {"p": nfa}).validate()
+        _zone_violation(("a", "x")).validate()
+
+
+def test_validate_rejects_undeclared_symbol():
+    with pytest.raises(MalformedInputError):
+        _undeclared_symbol(("a", "bot")).validate()
 
 
 def test_validate_allows_eps_and_mixed_paths():
@@ -186,3 +200,162 @@ def test_random_sets_roundtrip(seed, count):
     assert set(aut.enumerate_configs(longest)) == configs
     for c in configs:
         assert aut.accepts(c)
+
+
+# -- validity is established once per set ---------------------------------
+
+def _random_zone(rng: random.Random, symbols, depth: int = 2) -> tuple:
+    roll = rng.random()
+    if depth == 0 or roll < 0.35:
+        return ("sym", rng.choice(symbols)) if rng.random() < 0.8 else ("empty",)
+    if roll < 0.55:
+        return ("star", _random_zone(rng, symbols, depth - 1))
+    kind = "concat" if roll < 0.8 else "alt"
+    parts = tuple(_random_zone(rng, symbols, depth - 1) for _ in range(rng.randint(2, 3)))
+    return (kind, parts)
+
+
+def _random_model(rng: random.Random):
+    """A random system with one set S, written out and parsed back."""
+    spec = random_spec(rng)
+    slices = {
+        state: (
+            "config",
+            tuple(
+                (_random_zone(rng, spec.alphabet), _random_zone(rng, spec.alphabet))
+                for _ in range(rng.randint(1, 3))
+            ),
+        )
+        for state in rng.sample(spec.states, rng.randint(1, len(spec.states)))
+    }
+    return parse_model(print_model(ModelFile(spec, {"S": slices})))
+
+
+def _full_scan(compiled: ConfigAutomaton) -> None:
+    """validate() on a fresh, unmarked set with the same components."""
+    ConfigAutomaton(compiled.alphabet, compiled.components).validate()
+
+
+def test_fixture_sets_pass_a_full_scan():
+    for name in fixture_names():
+        model = parse_model(fixture_text(name))
+        for set_name in model.set_names():
+            _full_scan(model.config_set(set_name))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_random_compiled_sets_pass_a_full_scan(seed):
+    _full_scan(_random_model(random.Random(seed)).config_set("S"))
+
+
+@pytest.mark.parametrize("build", [_zone_violation, _undeclared_symbol])
+def test_every_entry_point_rejects_an_invalid_hand_built_set(e1, build):
+    bad = build(e1.alphabet)
+    entry_points = [
+        lambda: is_reachable(e1, bad, cfg("p2", "a", "bot")),
+        lambda: single_origin(e1, bad),
+        lambda: phase_pre(e1, bad, PhaseKind.POP),
+        lambda: phase_pre(e1, bad, PhaseKind.PUSH),
+        lambda: overapprox_post(e1, bad),
+    ]
+    # Twice over: a failed scan must not mark the set as valid.
+    for call in entry_points * 2:
+        with pytest.raises(MalformedInputError):
+            call()
+
+
+def _count_scans(monkeypatch) -> list:
+    scanned = []
+    full_scan = ConfigAutomaton._scan
+
+    def counting(self):
+        scanned.append(self)
+        full_scan(self)
+
+    monkeypatch.setattr(ConfigAutomaton, "_scan", counting)
+    return scanned
+
+
+def test_a_compiled_set_is_never_scanned(monkeypatch):
+    model = parse_model(fixture_text("e1.upds"))
+    scanned = _count_scans(monkeypatch)
+    c1 = model.config_set("C1")
+    assert is_reachable(model.spec, c1, cfg("p2", "a", "bot"))
+    assert not is_reachable(model.spec, c1, cfg("p2", "a a", "bot"))
+    single_origin(model.spec, c1)
+    phase_pre(model.spec, c1, PhaseKind.POP)
+    phase_pre(model.spec, c1, PhaseKind.PUSH)
+    assert scanned == []
+
+
+def test_a_hand_built_set_is_scanned_once(e1, monkeypatch):
+    start = from_config_set(e1, [cfg("p", "", "x bot")])
+    scanned = _count_scans(monkeypatch)
+    for probe in (cfg("p2", "a", "bot"), cfg("p2", "a a", "bot"), cfg("p", "", "x bot")):
+        is_reachable(e1, start, probe)
+    single_origin(e1, start)
+    phase_pre(e1, start, PhaseKind.POP)
+    phase_pre(e1, start, PhaseKind.PUSH)
+    overapprox_post(e1, start)
+    assert sum(s is start for s in scanned) == 1
+
+
+# -- canonical sets compare by structure -----------------------------------
+
+def _rebuilt(rng: random.Random, spec, configs) -> ConfigAutomaton:
+    """The same configurations as from_config_set(spec, configs), built as a
+    union of two shuffled halves, with an empty component added."""
+    shuffled = list(configs) + rng.sample(list(configs), len(configs) // 2)
+    rng.shuffle(shuffled)
+    cut = rng.randint(0, len(shuffled))
+    rebuilt = union_sets(
+        from_config_set(spec, shuffled[:cut]), from_config_set(spec, shuffled[cut:])
+    )
+    spare = [q for q in spec.states if q not in rebuilt.components]
+    if not spare:
+        return rebuilt
+    empty = {rng.choice(spare): Nfa(initial=(0,))}
+    return ConfigAutomaton(spec.alphabet, {**rebuilt.components, **empty})
+
+
+def _refuse_to_determinize(*args, **kwargs):
+    raise AssertionError("determinized two canonical sets")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(["equal", "drop", "fresh"]))
+def test_canonical_equivalence_agrees_with_the_product_walk(seed, variant):
+    rng = random.Random(seed)
+    spec = random_spec(rng)
+    configs = [random_configuration(rng, spec) for _ in range(rng.randint(0, 4))]
+    if variant == "equal":
+        others = configs
+    elif variant == "drop":
+        others = configs[1:]
+    else:
+        others = [random_configuration(rng, spec) for _ in range(rng.randint(0, 4))]
+    a = from_config_set(spec, configs)
+    b = _rebuilt(rng, spec, others)
+    expected = all(
+        product_equivalent(a.component(q), b.component(q))
+        for q in set(a.components) | set(b.components)
+    )
+    ca, cb = a.compact(), b.compact()
+    assert ca._canonical and cb._canonical
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Nfa, "determinize", _refuse_to_determinize)
+        assert equivalent_sets(ca, cb) == expected
+        assert equivalent_sets(cb, ca) == expected
+    if variant == "equal":
+        assert expected
+
+
+def test_a_set_that_fell_back_on_the_budget_takes_the_determinizing_path(e1):
+    words = [cfg("p", "", "x y bot"), cfg("p", "", "x x bot")]
+    fell_back = from_config_set(e1, words).compact(node_budget=1)
+    canonical = from_config_set(e1, list(reversed(words))).compact()
+    assert not fell_back._canonical and canonical._canonical
+    assert equivalent_sets(fell_back, canonical)
+    with pytest.raises(ResourceLimitError):
+        equivalent_sets(fell_back, canonical, node_budget=1)

@@ -8,6 +8,7 @@ from upstack.configsets import ConfigAutomaton, equivalent_sets, from_config_set
 from upstack.core import Configuration, count_phases, step
 from upstack.errors import MalformedInputError
 from upstack.kphase import PhaseKind, bounded_phase_pre_star, phase_pre
+from upstack.nfa import Nfa
 from upstack.oracle import oracle_pre_kphase
 
 from conftest import cfg, random_configuration, random_spec
@@ -120,6 +121,25 @@ def test_bounded_fixpoint_test_gets_the_node_budget(e2, c2, monkeypatch):
     monkeypatch.setattr(kphase, "equivalent_sets", recording)
     bounded_phase_pre_star(e2, c2, 3, node_budget=1234)
     assert budgets and set(budgets) == {1234}
+
+
+def test_fixpoint_test_of_canonical_rounds_does_not_determinize(e2, c2, monkeypatch):
+    import upstack.kphase as kphase
+
+    rounds = []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fixpoint test determinized")
+
+    def structural_only(a, b, node_budget):
+        rounds.append((a._canonical, b._canonical))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Nfa, "determinize", refuse)
+            return equivalent_sets(a, b, node_budget)
+
+    monkeypatch.setattr(kphase, "equivalent_sets", structural_only)
+    bounded_phase_pre_star(e2, c2, 4)
+    assert rounds and all(a and b for a, b in rounds)
 
 
 def test_bounded_two_phase_example(e2, c2):

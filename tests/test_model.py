@@ -49,6 +49,15 @@ def test_config_set_compiles():
         model.config_set("C9")
 
 
+def test_config_set_rejects_a_hand_built_syntax_tree_outside_the_alphabet():
+    # config_set hands out sets as valid without a scan, so compilation
+    # itself must refuse symbols the parser never saw.
+    model = parse_model(E1_TEXT)
+    bad = ModelFile(model.spec, {"S": {"p": ("config", ((("sym", "z"), ("sym", "bot")),))}})
+    with pytest.raises(MalformedInputError, match="undeclared symbol 'z'"):
+        bad.config_set("S")
+
+
 def test_empty_rule_section_is_valid():
     model = parse_model("states q\nalphabet g\n")
     assert model.spec.rules == ()
