@@ -7,105 +7,80 @@ package offers exact forward reachability by a size-capped search
 regular under-approximation of backward reachability, a regular
 over-approximation of forward reachability, and checkers for two
 safety patterns built on those, plus a small CLI.
+
+The public names load on first use (PEP 562): `import upstack` loads no
+analysis module, and `upstack.X` or `from upstack import X` imports only
+the submodule that defines X.
 """
 
-from .checkers import (
-    Verdict,
-    check_stack_overflow,
-    check_upper_read,
-    decide_safety,
-)
-from .configsets import ConfigAutomaton, from_config_set
-from .core import (
-    Configuration,
-    Rule,
-    RuleKind,
-    Trace,
-    UpdsSpec,
-    count_phases,
-    make_spec,
-    run_trace,
-    step,
-    trace_upper_word,
-)
-from .dot import export_dot
-from .errors import (
-    MalformedInputError,
-    ParseError,
-    ResourceLimitError,
-    RuleNotEnabledError,
-    UpstackError,
-)
-from .fixtures import fixture_names, fixture_path, fixture_text
-from .grammar import build_post_grammar, is_reachable, single_origin
-from .kphase import PhaseKind, bounded_phase_pre_star, phase_pre
-from .model import (
-    ModelFile,
-    parse_config_literal,
-    parse_model,
-    print_config_literal,
-    print_model,
-)
-from .oracle import oracle_post, oracle_pre_kphase, oracle_trace
-from .regex import compile_config_regex, parse_config_regex, print_config_regex
-from .upperapprox import (
-    TraceAutomaton,
-    UpperAutomaton,
-    overapprox_post,
-    saturate_upper,
-    trace_overapprox,
-    upper_config_set,
-)
+from importlib import import_module
 
-__all__ = [
-    "ConfigAutomaton",
-    "Configuration",
-    "MalformedInputError",
-    "ModelFile",
-    "ParseError",
-    "PhaseKind",
-    "ResourceLimitError",
-    "Rule",
-    "RuleKind",
-    "RuleNotEnabledError",
-    "Trace",
-    "TraceAutomaton",
-    "UpdsSpec",
-    "UpperAutomaton",
-    "UpstackError",
-    "Verdict",
-    "bounded_phase_pre_star",
-    "build_post_grammar",
-    "check_stack_overflow",
-    "check_upper_read",
-    "compile_config_regex",
-    "count_phases",
-    "decide_safety",
-    "export_dot",
-    "fixture_names",
-    "fixture_path",
-    "fixture_text",
-    "from_config_set",
-    "is_reachable",
-    "make_spec",
-    "oracle_post",
-    "oracle_pre_kphase",
-    "oracle_trace",
-    "overapprox_post",
-    "parse_config_literal",
-    "parse_config_regex",
-    "parse_model",
-    "phase_pre",
-    "print_config_literal",
-    "print_config_regex",
-    "print_model",
-    "run_trace",
-    "saturate_upper",
-    "single_origin",
-    "step",
-    "trace_overapprox",
-    "trace_upper_word",
-    "upper_config_set",
-]
+# Each public name and the submodule that defines it.
+_HOMES = {
+    "Verdict": "checkers",
+    "check_stack_overflow": "checkers",
+    "check_upper_read": "checkers",
+    "decide_safety": "checkers",
+    "ConfigAutomaton": "configsets",
+    "from_config_set": "configsets",
+    "Configuration": "core",
+    "Rule": "core",
+    "RuleKind": "core",
+    "Trace": "core",
+    "UpdsSpec": "core",
+    "count_phases": "core",
+    "make_spec": "core",
+    "run_trace": "core",
+    "step": "core",
+    "trace_upper_word": "core",
+    "export_dot": "dot",
+    "MalformedInputError": "errors",
+    "ParseError": "errors",
+    "ResourceLimitError": "errors",
+    "RuleNotEnabledError": "errors",
+    "UpstackError": "errors",
+    "fixture_names": "fixtures",
+    "fixture_path": "fixtures",
+    "fixture_text": "fixtures",
+    "build_post_grammar": "grammar",
+    "PhaseKind": "kphase",
+    "bounded_phase_pre_star": "kphase",
+    "phase_pre": "kphase",
+    "ModelFile": "model",
+    "parse_config_literal": "model",
+    "parse_model": "model",
+    "print_config_literal": "model",
+    "print_model": "model",
+    "is_reachable": "oracle",
+    "oracle_post": "oracle",
+    "oracle_pre_kphase": "oracle",
+    "oracle_trace": "oracle",
+    "compile_config_regex": "regex",
+    "parse_config_regex": "regex",
+    "print_config_regex": "regex",
+    "TraceAutomaton": "upperapprox",
+    "UpperAutomaton": "upperapprox",
+    "overapprox_post": "upperapprox",
+    "saturate_upper": "upperapprox",
+    "single_origin": "upperapprox",
+    "trace_overapprox": "upperapprox",
+    "upper_config_set": "upperapprox",
+}
+
+__all__ = sorted(_HOMES)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    try:
+        home = _HOMES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{home}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -15,8 +15,9 @@ from .configsets import ConfigAutomaton, bar, intersect_sets
 from .core import Configuration, Frozen, Rule, UpdsSpec, make_spec
 from .errors import MalformedInputError
 from .kphase import bounded_phase_pre_star
+from .limits import DEFAULT_PHASES, DEFAULT_REPLAY_DEPTH, DFA_STATE_BUDGET
 from .model import ModelFile, print_config_literal
-from .nfa import DFA_STATE_BUDGET, EPSILON, Nfa
+from .nfa import EPSILON, Nfa
 from .oracle import oracle_trace
 from .regex import compile_config_regex
 from .upperapprox import overapprox_post
@@ -27,9 +28,6 @@ UNKNOWN = "Unknown"
 
 TOP_SENTINEL = "@top"
 FILLER = "@fill"
-
-DEFAULT_PHASES = 3
-DEFAULT_REPLAY_DEPTH = 64
 
 
 class Verdict(Frozen):

@@ -1,5 +1,8 @@
 """Command-line surface: membership, the two approximations, the safety
-checkers, DOT export, and the bounded oracle, over model files."""
+checkers, DOT export, and the bounded oracle, over model files.
+
+Each command imports the analysis it runs, so a call compiles and loads
+only the modules its command needs."""
 
 from __future__ import annotations
 
@@ -7,27 +10,14 @@ import argparse
 import os
 import sys
 
-from .checkers import (
+from .errors import UpstackError
+from .limits import (
+    DEFAULT_CONFIG_BUDGET,
     DEFAULT_PHASES,
     DEFAULT_REPLAY_DEPTH,
-    check_stack_overflow,
-    check_upper_read,
+    DFA_STATE_BUDGET,
 )
-from .configsets import ConfigAutomaton
-from .dot import export_dot
-from .errors import UpstackError
-from .grammar import (
-    DEFAULT_CONFIG_BUDGET,
-    build_post_grammar,
-    is_reachable,
-    single_origin,
-)
-from .kphase import bounded_phase_pre_star
 from .model import parse_config_literal, parse_model, print_config_literal
-from .nfa import DFA_STATE_BUDGET
-from .oracle import oracle_post
-from .upperapprox import overapprox_post, trace_overapprox
-
 
 class _Parser(argparse.ArgumentParser):
     """Usage problems exit with 3: codes 0-2 are analysis outcomes."""
@@ -159,7 +149,7 @@ def _bool_exit(value: bool) -> int:
     return 0 if value else 1
 
 
-def _probe_or_summary(result: ConfigAutomaton, model, config: str | None) -> int:
+def _probe_or_summary(result, model, config: str | None) -> int:
     if config is None:
         print(result.summary())
         return 0
@@ -191,18 +181,26 @@ def _dispatch(args) -> int:
     model = _load(args.model)
     spec = model.spec
     if args.command == "member":
+        from .oracle import is_reachable
+
         target = parse_config_literal(spec, args.config)
         initial = model.config_set(args.init)
         return _bool_exit(is_reachable(spec, initial, target, budget=args.budget))
     if args.command == "pre-under":
+        from .kphase import bounded_phase_pre_star
+
         result = bounded_phase_pre_star(
             spec, model.config_set(args.target), args.k, node_budget=args.budget
         )
         return _probe_or_summary(result, model, args.config)
     if args.command == "post-over":
+        from .upperapprox import overapprox_post
+
         result = overapprox_post(spec, model.config_set(args.init))
         return _probe_or_summary(result, model, args.config)
     if args.command == "check-overflow":
+        from .checkers import check_stack_overflow
+
         verdict = check_stack_overflow(
             model,
             args.m,
@@ -214,6 +212,8 @@ def _dispatch(args) -> int:
         print(verdict.describe())
         return verdict.exit_code
     if args.command == "check-read":
+        from .checkers import check_upper_read
+
         verdict = check_upper_read(
             model,
             args.init,
@@ -232,6 +232,11 @@ def _dispatch(args) -> int:
 
 
 def _export(args, model) -> int:
+    from .configsets import ConfigAutomaton
+    from .dot import export_dot
+    from .grammar import build_post_grammar
+    from .upperapprox import single_origin, trace_overapprox
+
     if args.set_name:
         compiled = model.config_set(args.set_name)
         shown = ConfigAutomaton(
@@ -261,6 +266,8 @@ def _export(args, model) -> int:
 
 
 def _explore(args, model) -> int:
+    from .oracle import oracle_post
+
     found = oracle_post(
         model.spec,
         model.config_set(args.init).enumerate_configs(args.cap),

@@ -15,7 +15,8 @@ from typing import Iterable, Mapping
 
 from .core import Configuration, UpdsSpec, Word
 from .errors import MalformedInputError
-from .nfa import DFA_STATE_BUDGET, EPSILON, Nfa, equivalent, from_words, intersection, union
+from .limits import DFA_STATE_BUDGET
+from .nfa import EPSILON, Nfa, equivalent, from_words, intersection, union
 
 _BAR = "bar"
 

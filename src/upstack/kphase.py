@@ -25,7 +25,8 @@ import enum
 from .configsets import ConfigAutomaton, bar, is_barred, union_sets, equivalent_sets
 from .core import RuleKind, UpdsSpec
 from .errors import MalformedInputError, ResourceLimitError
-from .nfa import DFA_STATE_BUDGET, EPSILON, Nfa
+from .limits import DFA_STATE_BUDGET
+from .nfa import EPSILON, Nfa
 from .pds import LowerAutomaton, pds_post_star, singleton_lower
 
 

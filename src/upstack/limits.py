@@ -1,0 +1,19 @@
+"""Default budgets and bounds of the analyses, in one place.
+
+The CLI parser shows these as option defaults, so this module imports
+nothing: building the parser loads no analysis. The modules that use a
+default import it from here and keep it under its old name too.
+"""
+
+# Subset-construction states of one determinization, in every compaction
+# and language comparison (`--budget` of the pre* and checker commands).
+DFA_STATE_BUDGET = 50_000
+
+# Configurations one exact membership search may store (`member --budget`).
+DEFAULT_CONFIG_BUDGET = 2_000_000
+
+# Phases of the bounded pre* under-approximation (`-k`).
+DEFAULT_PHASES = 3
+
+# Steps of the search that replays a checker's witness (`--replay-depth`).
+DEFAULT_REPLAY_DEPTH = 64

@@ -15,10 +15,7 @@ from collections import deque
 from typing import Callable, Hashable, Iterable, Iterator
 
 from .errors import MalformedInputError, ResourceLimitError
-
-# The default budget on subset-construction states, in every compaction
-# and language comparison of the package.
-DFA_STATE_BUDGET = 50_000
+from .limits import DFA_STATE_BUDGET
 
 
 class _Epsilon:

@@ -3,12 +3,19 @@
 These are the ground truth the rest of the package is tested against.
 One size-capped forward breadth-first search over configurations
 (`explore`) lists the bounded forward closure (`oracle_post`) and finds
-shortest traces (`search_trace`), which decide exact membership and
-replay checker witnesses (`oracle_trace`). A backward closure decides
-phase-bounded reachability, and `pds_closure` runs the lower-stack-only
-semantics. All are exhaustive within their bounds, deterministic
-(successors in rule declaration order), and refuse to run past an
-explicit node budget rather than silently truncating.
+shortest traces (`search_trace`), which decide exact membership
+(`is_reachable`) and replay checker witnesses (`oracle_trace`). A
+backward closure decides phase-bounded reachability, and `pds_closure`
+runs the lower-stack-only semantics. All are exhaustive within their
+bounds, deterministic (successors in rule declaration order), and refuse
+to run past an explicit node budget rather than silently truncating.
+
+is_reachable decides whether a configuration is reachable from a regular
+start set. No step shrinks the total stack size (a pop moves a symbol
+from one zone to the other; a push adds a lower cell and overwrites at
+most one upper cell), so a breadth-first search from the start-set
+members no larger than the target, never storing a larger
+configuration, explores a finite region and decides membership exactly.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Iterable
 
+from .configsets import ConfigAutomaton
 from .core import (
     ConfigTuple,
     Configuration,
@@ -27,6 +35,7 @@ from .core import (
     successors,
 )
 from .errors import ResourceLimitError
+from .limits import DEFAULT_CONFIG_BUDGET
 
 DEFAULT_NODE_BUDGET = 1_000_000
 SEARCH_BUDGET = "configuration search budget"
@@ -123,6 +132,24 @@ def search_trace(
         hit, rule = link
         rules.append(rule)
     return tuple(reversed(rules))
+
+
+def is_reachable(
+    spec: UpdsSpec,
+    start_set: ConfigAutomaton,
+    config: Configuration,
+    budget: int = DEFAULT_CONFIG_BUDGET,
+) -> bool:
+    """Whether some member of start_set reaches config. budget counts the
+    configurations the search stores (see the module docstring). The start
+    set is validated once per set, and a set from `ModelFile.config_set`
+    never: it is valid by construction."""
+    check_configuration(spec, config)
+    start_set.validate()
+    starts = start_set.enumerate_configs(config.total_size)
+    goal = (config.state, config.upper, config.lower)
+    trace = search_trace(spec, starts, goal.__eq__, config.total_size, node_budget=budget)
+    return trace is not None
 
 
 def oracle_trace(

@@ -11,6 +11,16 @@ and pairing those per-state with the classic regular forward closure of
 the lower stack yields a regular superset of the reachable
 configurations. Precision is whatever the trace abstraction buys;
 soundness never depends on it.
+
+Before the saturation, the query's regular start set is folded into the
+system itself (`single_origin`): an extended system with one origin
+configuration <origin, eps, $> whose rules first spell a chosen start
+configuration onto the lower stack (reading an automaton for the
+reversed flattened word), then convert the barred prefix into upper
+content, then hand control to the original rules. Start-set members
+with an empty lower stack cannot be spelled that way (handing control
+back reads a plain lower top), so the extension omits them; such
+configurations have no successors at all.
 """
 
 from __future__ import annotations
@@ -22,12 +32,12 @@ from .configsets import (
     is_barred,
     project_lower,
     project_upper,
+    unbar,
     union_sets,
     upper_lower_product,
 )
-from .core import Configuration, Frozen, Rule, RuleKind, UpdsSpec
+from .core import Configuration, Frozen, Rule, RuleKind, UpdsSpec, fresh_name
 from .errors import MalformedInputError
-from .grammar import single_origin
 from .nfa import EPSILON, Nfa
 from .pds import pds_post_star, singleton_lower
 
@@ -259,6 +269,116 @@ def upper_config_set(au: UpperAutomaton) -> dict[str, Nfa]:
         if not part.is_empty():
             out[state] = part
     return out
+
+
+class SingleOriginUpds(Frozen):
+    """Extension of a system whose entire start set collapses to one
+    configuration <origin_state, eps, dollar>."""
+
+    def __init__(
+        self,
+        spec: UpdsSpec,
+        origin: Configuration,
+        original_states: tuple[str, ...],
+        original_alphabet: tuple[str, ...],
+        bar_names: Mapping[str, str],
+        dollar: str,
+    ) -> None:
+        _set = object.__setattr__
+        _set(self, "spec", spec)
+        _set(self, "origin", origin)
+        _set(self, "original_states", original_states)
+        _set(self, "original_alphabet", original_alphabet)
+        _set(self, "bar_names", bar_names)
+        _set(self, "dollar", dollar)
+
+    def _fields(self) -> tuple:
+        return (
+            self.spec,
+            self.origin,
+            self.original_states,
+            self.original_alphabet,
+            self.bar_names,
+            self.dollar,
+        )
+
+
+def _spelling_automaton(component: Nfa) -> Nfa:
+    """Reverse the flattened-word automaton and normalize it to a single
+    initial node 'i' without in-edges and a single final node 'f' without
+    out-edges, epsilon-free. The empty word is dropped: spelling it would
+    mean an empty-lower start configuration, which the caller excludes."""
+    base = component.reverse().eps_eliminate().trim().relabel()
+    out = Nfa()
+    out.add_initial("i")
+    out.add_final("f")
+    for node in base.nodes():
+        out.add_node(("n", node))
+    for src, label, dst in base.edges():
+        out.add_edge(("n", src), label, ("n", dst))
+        if dst in base.finals:
+            out.add_edge(("n", src), label, "f")
+        if src in base.initial:
+            out.add_edge("i", label, ("n", dst))
+            if dst in base.finals:
+                out.add_edge("i", label, "f")
+    return out.trim()
+
+
+def single_origin(spec: UpdsSpec, start_set: ConfigAutomaton) -> SingleOriginUpds:
+    """Extended system reaching exactly the original post-image of
+    start_set on the original control states (empty-lower members of the
+    start set excepted; see the module docstring)."""
+    start_set.validate()
+    used_states = set(spec.states)
+    used_symbols = set(spec.alphabet)
+    bar_names = {s: fresh_name(used_symbols, s + "~") for s in spec.alphabet}
+    dollar = fresh_name(used_symbols, "$")
+    origin_state = fresh_name(used_states, "$origin")
+
+    def ext_label(label) -> str:
+        return bar_names[unbar(label)] if is_barred(label) else label
+
+    states = list(spec.states) + [origin_state]
+    alphabet = list(spec.alphabet) + [bar_names[s] for s in spec.alphabet] + [dollar]
+    rules: list[Rule] = list(spec.rules)
+    push_targets = list(spec.alphabet) + [bar_names[s] for s in spec.alphabet]
+
+    for state in start_set.states():
+        component = start_set.component(state)
+        walk = _spelling_automaton(component)
+        if walk.is_empty():
+            continue
+        names = {
+            node: fresh_name(used_states, f"{state}@w{i}")
+            for i, node in enumerate(walk.nodes())
+        }
+        final = names["f"]
+        halfway = fresh_name(used_states, f"{state}@setting")
+        states.extend(names[n] for n in walk.nodes() if n != "i")
+        states.append(halfway)
+        for src, label, dst in walk.edges():
+            symbol = ext_label(label)
+            if src == "i":
+                rules.append(Rule(origin_state, dollar, names[dst], (symbol,)))
+            else:
+                for below in push_targets:
+                    rules.append(Rule(names[src], below, names[dst], (symbol, below)))
+        for s in spec.alphabet:
+            rules.append(Rule(final, bar_names[s], halfway, (s,)))
+            rules.append(Rule(halfway, s, final, ()))
+        for s in spec.alphabet:
+            rules.append(Rule(final, s, state, (s,)))
+
+    ext = UpdsSpec(states=tuple(states), alphabet=tuple(alphabet), rules=tuple(rules))
+    return SingleOriginUpds(
+        spec=ext,
+        origin=Configuration(origin_state, (), (dollar,)),
+        original_states=spec.states,
+        original_alphabet=spec.alphabet,
+        bar_names=dict(bar_names),
+        dollar=dollar,
+    )
 
 
 def overapprox_post(

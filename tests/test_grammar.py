@@ -11,8 +11,6 @@ from upstack.grammar import (
     BOTTOM,
     TOP,
     build_post_grammar,
-    derivable_forms,
-    derivable_words,
     encode_config,
     is_reachable,
     single_origin,
@@ -31,6 +29,7 @@ from conftest import (
     random_configuration,
     random_spec,
 )
+from derivations import derivable_forms, derivable_words
 
 SATURATE = 10**6
 

@@ -1,0 +1,91 @@
+"""The package namespace and what each import loads.
+
+`import upstack` resolves its public names lazily, and each CLI command
+imports only the analysis it runs, so a call compiles no module it does
+not use.
+"""
+
+import json
+import subprocess
+import sys
+from importlib import import_module
+
+import pytest
+
+import upstack
+from conftest import subprocess_env
+
+# The public API as the package has always exported it.
+PUBLIC_NAMES = {
+    "ConfigAutomaton", "Configuration", "MalformedInputError", "ModelFile",
+    "ParseError", "PhaseKind", "ResourceLimitError", "Rule", "RuleKind",
+    "RuleNotEnabledError", "Trace", "TraceAutomaton", "UpdsSpec",
+    "UpperAutomaton", "UpstackError", "Verdict", "bounded_phase_pre_star",
+    "build_post_grammar", "check_stack_overflow", "check_upper_read",
+    "compile_config_regex", "count_phases", "decide_safety", "export_dot",
+    "fixture_names", "fixture_path", "fixture_text", "from_config_set",
+    "is_reachable", "make_spec", "oracle_post", "oracle_pre_kphase",
+    "oracle_trace", "overapprox_post", "parse_config_literal",
+    "parse_config_regex", "parse_model", "phase_pre", "print_config_literal",
+    "print_config_regex", "print_model", "run_trace", "saturate_upper",
+    "single_origin", "step", "trace_overapprox", "trace_upper_word",
+    "upper_config_set",
+}
+
+
+def test_namespace_exports_each_name_from_its_home():
+    assert set(upstack.__all__) == set(upstack._HOMES) == PUBLIC_NAMES
+    for name, home in upstack._HOMES.items():
+        assert getattr(upstack, name) is getattr(import_module(f"upstack.{home}"), name)
+        assert name in vars(upstack), name
+    star: dict = {}
+    exec("from upstack import *", star)
+    for name in PUBLIC_NAMES:
+        assert star[name] is getattr(upstack, name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        upstack.no_such_name
+    assert set(upstack.__all__) <= set(dir(upstack))
+    assert upstack.__version__ == "0.1.0"
+
+
+# Runs in a fresh interpreter: prints, as JSON, the upstack submodules
+# loaded after a bare import and after each command, run in this order.
+_LOADED_PER_STEP = """
+import contextlib, io, json, sys
+
+def loaded():
+    return sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("upstack."))
+
+import upstack
+steps = {"import": loaded()}
+from upstack.cli import main
+from upstack.fixtures import fixture_path
+e1, relocate = str(fixture_path("e1.upds")), str(fixture_path("relocate.upds"))
+for argv in (
+    ["member", e1, "--init", "C1", "--config", "p2: a ^ bot"],
+    ["check-read", relocate, "--init", "Boot", "--symbol", "secret"],
+    ["check-overflow", e1, "-m", "1", "--lower", "x (y x)* bot"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(argv)
+    steps[argv[0]] = loaded()
+print(json.dumps(steps))
+"""
+
+
+def test_each_command_loads_only_what_it_runs():
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_PER_STEP],
+        env=subprocess_env(),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = {step: set(modules) for step, modules in json.loads(proc.stdout).items()}
+    assert loaded["import"] == set()
+    assert "oracle" in loaded["member"]
+    assert not loaded["member"] & {"checkers", "kphase", "upperapprox", "pds", "dot", "grammar"}
+    # The checkers ran (so the sets below are not trivially small), yet
+    # neither the grammar nor the DOT renderer was loaded.
+    assert {"checkers", "kphase", "upperapprox"} <= loaded["check-read"]
+    assert not loaded["check-overflow"] & {"grammar", "dot"}
