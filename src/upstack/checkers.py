@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .configsets import ConfigAutomaton, bar, intersect_sets
 from .core import Configuration, Frozen, Rule, UpdsSpec, make_spec
-from .errors import MalformedInputError
+from .errors import MalformedInputError, ResourceLimitError
 from .kphase import bounded_phase_pre_star
 from .limits import DEFAULT_PHASES, DEFAULT_REPLAY_DEPTH, DFA_STATE_BUDGET
 from .model import ModelFile, print_config_literal
@@ -89,13 +89,23 @@ def decide_safety(
     hit = intersect_sets(under, initial)
     if not hit.is_empty():
         witness = hit.shortest_config()
-        trace = oracle_trace(
-            spec,
-            witness,
-            forbidden.accepts,
-            replay_depth,
-            witness.total_size + replay_depth,
-        )
+        reached = f"under-approximation reached {print_config_literal(witness)}"
+        try:
+            trace = oracle_trace(
+                spec,
+                witness,
+                forbidden.accepts,
+                replay_depth,
+                witness.total_size + replay_depth,
+            )
+        except ResourceLimitError as exhausted:
+            return Verdict(
+                UNKNOWN,
+                k,
+                node_budget,
+                witness=witness,
+                note=f"{reached} but the replay ran out of its {exhausted}",
+            )
         if trace is not None:
             return Verdict(UNSAFE, k, node_budget, witness=witness, trace=trace)
         return Verdict(
@@ -103,10 +113,7 @@ def decide_safety(
             k,
             node_budget,
             witness=witness,
-            note=(
-                f"under-approximation reached {print_config_literal(witness)} "
-                f"but no replay was found within {replay_depth} steps"
-            ),
+            note=f"{reached} but no replay was found within {replay_depth} steps",
         )
     over = overapprox_post(spec, initial)
     if intersect_sets(over, forbidden).is_empty():

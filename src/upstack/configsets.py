@@ -177,15 +177,14 @@ def from_config_set(spec: UpdsSpec, configs: Iterable[Configuration]) -> ConfigA
     )
 
 
-def _check_alphabets(a: ConfigAutomaton, b: ConfigAutomaton) -> None:
-    if set(a.alphabet) != set(b.alphabet):
-        raise MalformedInputError(
-            f"alphabet mismatch: {sorted(a.alphabet)} vs {sorted(b.alphabet)}"
-        )
+def check_alphabets(a: tuple[str, ...], b: tuple[str, ...]) -> None:
+    """Raise MalformedInputError unless both alphabets hold the same symbols."""
+    if set(a) != set(b):
+        raise MalformedInputError(f"alphabet mismatch: {sorted(a)} vs {sorted(b)}")
 
 
 def union_sets(a: ConfigAutomaton, b: ConfigAutomaton) -> ConfigAutomaton:
-    _check_alphabets(a, b)
+    check_alphabets(a.alphabet, b.alphabet)
     out: dict[str, Nfa] = {}
     for state in list(a.components) + [s for s in b.components if s not in a.components]:
         parts = [x.components[state] for x in (a, b) if state in x.components]
@@ -194,7 +193,7 @@ def union_sets(a: ConfigAutomaton, b: ConfigAutomaton) -> ConfigAutomaton:
 
 
 def intersect_sets(a: ConfigAutomaton, b: ConfigAutomaton) -> ConfigAutomaton:
-    _check_alphabets(a, b)
+    check_alphabets(a.alphabet, b.alphabet)
     out: dict[str, Nfa] = {}
     for state, nfa in a.components.items():
         other = b.components.get(state)
@@ -226,7 +225,7 @@ def equivalent_sets(
     (see `ConfigAutomaton.compact`) are compared by structure; otherwise
     node_budget bounds each determinization, and past it,
     ResourceLimitError."""
-    _check_alphabets(a, b)
+    check_alphabets(a.alphabet, b.alphabet)
     if a._canonical and b._canonical:
         return a.components.keys() == b.components.keys() and all(
             nfa.same(b.components[state]) for state, nfa in a.components.items()
@@ -249,19 +248,9 @@ def upper_lower_product(
         low = lower.get(state)
         if low is None:
             continue
-        component = Nfa()
-        barred = up.map_labels(bar).map_nodes(lambda n: ("u", n))
-        for n in barred.nodes():
-            component.add_node(n)
-        for src, label, dst in barred.edges():
-            component.add_edge(src, label, dst)
-        for n in up.initial:
-            component.add_initial(("u", n))
-        plain = low.map_nodes(lambda n: ("l", n))
-        for n in plain.nodes():
-            component.add_node(n)
-        for src, label, dst in plain.edges():
-            component.add_edge(src, label, dst)
+        component = Nfa(("u", n) for n in up.initial)
+        component.embed(up, lambda n: ("u", n), bar)
+        component.embed(low, lambda n: ("l", n))
         for n in up.finals:
             for m in low.initial:
                 component.add_edge(("u", n), EPSILON, ("l", m))

@@ -22,7 +22,14 @@ from __future__ import annotations
 
 import enum
 
-from .configsets import ConfigAutomaton, bar, is_barred, union_sets, equivalent_sets
+from .configsets import (
+    ConfigAutomaton,
+    bar,
+    check_alphabets,
+    equivalent_sets,
+    is_barred,
+    union_sets,
+)
 from .core import RuleKind, UpdsSpec
 from .errors import MalformedInputError, ResourceLimitError
 from .limits import DFA_STATE_BUDGET
@@ -38,10 +45,7 @@ class PhaseKind(enum.Enum):
 # -- one-phase backward closures ------------------------------------------
 
 def _checked_components(spec: UpdsSpec, targets: ConfigAutomaton) -> dict[str, Nfa]:
-    if set(targets.alphabet) != set(spec.alphabet):
-        raise MalformedInputError(
-            f"alphabet mismatch: {sorted(targets.alphabet)} vs {sorted(spec.alphabet)}"
-        )
+    check_alphabets(targets.alphabet, spec.alphabet)
     targets.validate()
     out: dict[str, Nfa] = {}
     for state, nfa in targets.components.items():
@@ -50,6 +54,24 @@ def _checked_components(spec: UpdsSpec, targets: ConfigAutomaton) -> dict[str, N
         if not nfa.is_empty():
             out[state] = nfa
     return out
+
+
+def _upper_zone(comp: Nfa, p2: str, t: Nfa) -> None:
+    """Embed the barred zone of target component t (its barred and epsilon
+    edges) under the tag ("u", p2), initial where t is: it reads the part
+    of the input upper word that a phase leaves in place."""
+    comp.embed(t, lambda r: ("u", p2, r), lambda label: label if is_barred(label) else None)
+    for r in t.initial:
+        comp.add_initial(("u", p2, r))
+
+
+def _lower_zone(comp: Nfa, p2: str, t: Nfa) -> None:
+    """Embed the plain zone of target component t (its plain and epsilon
+    edges) under the tag ("e", p2), final where t is: it reads the lower
+    word once a phase's trace is exhausted."""
+    comp.embed(t, lambda r: ("e", p2, r), lambda label: None if is_barred(label) else label)
+    for r in t.finals:
+        comp.add_final(("e", p2, r))
 
 
 def _pop_phase_pre(spec: UpdsSpec, components: dict[str, Nfa]) -> dict[str, Nfa]:
@@ -67,13 +89,7 @@ def _pop_phase_pre(spec: UpdsSpec, components: dict[str, Nfa]) -> dict[str, Nfa]
     trace is exhausted."""
     core = Nfa()
     for p2, t in components.items():
-        for r in t.nodes():
-            core.add_node(("e", p2, r))
-        for src, label, dst in t.edges():
-            if label is EPSILON or not is_barred(label):
-                core.add_edge(("e", p2, src), label, ("e", p2, dst))
-        for r in t.finals:
-            core.add_final(("e", p2, r))
+        _lower_zone(core, p2, t)
     for q in spec.states:
         for p2, t in components.items():
             for r in t.nodes():
@@ -82,9 +98,8 @@ def _pop_phase_pre(spec: UpdsSpec, components: dict[str, Nfa]) -> dict[str, Nfa]
         for r in t.nodes():
             core.add_edge(("i", p2, p2, r), EPSILON, ("e", p2, r))
     rules = spec.rules_of_kind(RuleKind.SWITCH, RuleKind.POP)
-    changed = True
-    while changed:
-        changed = False
+
+    def additions():
         for rule in rules:
             for p2, t in components.items():
                 for r in t.nodes():
@@ -99,20 +114,14 @@ def _pop_phase_pre(spec: UpdsSpec, components: dict[str, Nfa]) -> dict[str, Nfa]
                             for r2 in t.step([r], bar(rule.read_symbol))
                         ]
                     for node in reached:
-                        if not core.has_edge(src, rule.read_symbol, node):
-                            core.add_edge(src, rule.read_symbol, node)
-                            changed = True
+                        yield src, rule.read_symbol, node
+
+    core.saturate(additions)
     out: dict[str, Nfa] = {}
     for q in spec.states:
         comp = core.copy()
         for p2, t in components.items():
-            for r in t.nodes():
-                comp.add_node(("u", p2, r))
-            for src, label, dst in t.edges():
-                if label is EPSILON or is_barred(label):
-                    comp.add_edge(("u", p2, src), label, ("u", p2, dst))
-            for r in t.initial:
-                comp.add_initial(("u", p2, r))
+            _upper_zone(comp, p2, t)
             for r in t.nodes():
                 comp.add_edge(("u", p2, r), EPSILON, ("i", q, p2, r))
         comp = comp.trim()
@@ -160,30 +169,11 @@ def _push_phase_pre(
     landings_of: dict[tuple, frozenset] = {}
     out: dict[str, Nfa] = {}
     for q in spec.states:
-        comp = Nfa()
         own = components.get(q)
-        if own is not None:
-            for n in own.nodes():
-                comp.add_node(("v", n))
-            for src, label, dst in own.edges():
-                comp.add_edge(("v", src), label, ("v", dst))
-            for n in own.initial:
-                comp.add_initial(("v", n))
-            for n in own.finals:
-                comp.add_final(("v", n))
+        comp = Nfa() if own is None else own.map_nodes(lambda n: ("v", n))
         for p2, t in components.items():
-            for r in t.nodes():
-                comp.add_node(("u", p2, r))
-                comp.add_node(("e", p2, r))
-            for src, label, dst in t.edges():
-                if label is EPSILON or is_barred(label):
-                    comp.add_edge(("u", p2, src), label, ("u", p2, dst))
-                if label is EPSILON or not is_barred(label):
-                    comp.add_edge(("e", p2, src), label, ("e", p2, dst))
-            for r in t.initial:
-                comp.add_initial(("u", p2, r))
-            for r in t.finals:
-                comp.add_final(("e", p2, r))
+            _upper_zone(comp, p2, t)
+            _lower_zone(comp, p2, t)
         for top in spec.alphabet:
             rewrites = closures[(q, top)]
             znfa = rewrites.nfa

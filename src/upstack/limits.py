@@ -12,6 +12,10 @@ DFA_STATE_BUDGET = 50_000
 # Configurations one exact membership search may store (`member --budget`).
 DEFAULT_CONFIG_BUDGET = 2_000_000
 
+# Configurations a bounded explicit-state search stores by default: the
+# replay of a checker's witness and the `oracle` command's closure.
+DEFAULT_NODE_BUDGET = 1_000_000
+
 # Phases of the bounded pre* under-approximation (`-k`).
 DEFAULT_PHASES = 3
 

@@ -1,12 +1,16 @@
 """A small nondeterministic finite automaton toolkit.
 
 Nodes and edge labels are arbitrary hashables; the distinguished EPSILON
-label marks silent edges. Insertion order is preserved everywhere, but
-what the package prints does not depend on it: `minimal_dfa` numbers its
-subsets and classes breadth-first over label-sorted edges, so automata
-with the same language compact to the `same` nodes, edges, initial and
-final nodes whatever their node names or edge order, and `equivalent` is
-that comparison. DOT exports sort what they print.
+label marks silent edges. The analyses build their automata from two
+steps: `embed` copies one automaton into another under a node renaming
+and a label map, and `saturate` adds the edges a rule generator yields
+until a whole pass adds nothing (P-automaton saturation). Insertion
+order is preserved everywhere, but what the package prints does not
+depend on it: `minimal_dfa` numbers its subsets and classes
+breadth-first over label-sorted edges, so automata with the same
+language compact to the `same` nodes, edges, initial and final nodes
+whatever their node names or edge order, and `equivalent` is that
+comparison. DOT exports sort what they print.
 """
 
 from __future__ import annotations
@@ -34,6 +38,10 @@ EPSILON = _Epsilon()
 
 Node = Hashable
 Label = Hashable
+
+
+def _identity(x):
+    return x
 
 
 def label_key(label: Label) -> str:
@@ -88,6 +96,41 @@ class Nfa:
 
     def has_edge(self, src: Node, label: Label, dst: Node) -> bool:
         return dst in self._edges.get(src, {}).get(label, ())
+
+    def embed(
+        self,
+        other: "Nfa",
+        node: Callable[[Node], Node] = _identity,
+        label: Callable[[Label], Label | None] = _identity,
+    ) -> "Nfa":
+        """Copy other's nodes, renamed by `node`, and its edges, relabelled
+        by `label`, into this automaton, and return it. `label` never sees
+        EPSILON; an edge whose label maps to None is dropped. Initial and
+        final marks are not copied."""
+        names = {n: self.add_node(node(n)) for n in other._edges}
+        add_edge = self.add_edge
+        for src, by_label in other._edges.items():
+            src = names[src]
+            for old, targets in by_label.items():
+                new = old if old is EPSILON else label(old)
+                if new is not None:
+                    for dst in targets:
+                        add_edge(src, new, names[dst])
+        return self
+
+    def saturate(self, additions: Callable[[], Iterable[tuple[Node, Label, Node]]]) -> None:
+        """Close the automaton under the rules `additions` encodes: each
+        edge the generator yields is added as it is yielded, so the rest of
+        the pass sees it, and the generator runs again until a whole pass
+        adds nothing. It must not be walking a row that an added edge
+        changes."""
+        changed = True
+        while changed:
+            changed = False
+            for src, label, dst in additions():
+                if not self.has_edge(src, label, dst):
+                    self.add_edge(src, label, dst)
+                    changed = True
 
     # -- inspection ------------------------------------------------------
 
@@ -242,27 +285,14 @@ class Nfa:
     # -- transformations (all build fresh automata) ----------------------
 
     def copy(self) -> "Nfa":
-        out = Nfa(self.initial, self.finals)
-        for src, label, dst in self.edges():
-            out.add_edge(src, label, dst)
-        return out
+        return Nfa(self.initial, self.finals).embed(self)
 
     def map_labels(self, fn: Callable[[Label], Label]) -> "Nfa":
         """Relabel edges; fn may return EPSILON to erase a label."""
-        out = Nfa(self.initial, self.finals)
-        for n in self.nodes():
-            out.add_node(n)
-        for src, label, dst in self.edges():
-            out.add_edge(src, fn(label) if label is not EPSILON else EPSILON, dst)
-        return out
+        return Nfa(self.initial, self.finals).embed(self, label=fn)
 
     def map_nodes(self, fn: Callable[[Node], Node]) -> "Nfa":
-        out = Nfa((fn(n) for n in self.initial), (fn(n) for n in self.finals))
-        for n in self.nodes():
-            out.add_node(fn(n))
-        for src, label, dst in self.edges():
-            out.add_edge(fn(src), label, fn(dst))
-        return out
+        return Nfa(map(fn, self.initial), map(fn, self.finals)).embed(self, node=fn)
 
     def reverse(self) -> "Nfa":
         out = Nfa(self.finals, self.initial)
@@ -459,10 +489,7 @@ def union(automata: Iterable[Nfa]) -> Nfa:
             out.add_initial((i, n))
         for n in nfa.finals:
             out.add_final((i, n))
-        for n in nfa.nodes():
-            out.add_node((i, n))
-        for src, label, dst in nfa.edges():
-            out.add_edge((i, src), label, (i, dst))
+        out.embed(nfa, lambda n, i=i: (i, n))
     return out
 
 

@@ -35,9 +35,8 @@ from .core import (
     successors,
 )
 from .errors import ResourceLimitError
-from .limits import DEFAULT_CONFIG_BUDGET
+from .limits import DEFAULT_CONFIG_BUDGET, DEFAULT_NODE_BUDGET
 
-DEFAULT_NODE_BUDGET = 1_000_000
 SEARCH_BUDGET = "configuration search budget"
 
 

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 
 from .core import UpdsSpec, Word
 from .errors import MalformedInputError
-from .nfa import EPSILON, Nfa
+from .nfa import EPSILON, Nfa, from_words
 
 _ENTRY = "entry"
 _SLICE = "slice"
@@ -57,14 +57,12 @@ class LowerAutomaton:
         for state, part in slices.items():
             if state not in entries:
                 raise MalformedInputError(f"slice for undeclared state {state!r}")
-            for node in part.nodes():
-                nfa.add_node((_SLICE, state, node))
-            for src, label, dst in part.edges():
-                if label is not EPSILON and label not in symbols:
+            for label in part.labels():
+                if label not in symbols:
                     raise MalformedInputError(
                         f"slice {state!r}: undeclared symbol in label {label!r}"
                     )
-                nfa.add_edge((_SLICE, state, src), label, (_SLICE, state, dst))
+            nfa.embed(part, lambda node: (_SLICE, state, node))
             for node in part.initial:
                 nfa.add_edge(entries[state], EPSILON, (_SLICE, state, node))
             for node in part.finals:
@@ -83,20 +81,9 @@ class LowerAutomaton:
     def slice(self, state: str) -> Nfa:
         """Standalone NFA for one control state's words."""
         entry = self.entries.get(state)
-        out = Nfa()
         if entry is None:
-            return out
-        for node in self.nfa.nodes():
-            out.add_node(node)
-        for src, label, dst in self.nfa.edges():
-            out.add_edge(src, label, dst)
-        out.add_initial(entry)
-        for node in self.nfa.finals:
-            out.add_final(node)
-        return out.trim()
-
-    def slices(self) -> dict[str, Nfa]:
-        return {state: self.slice(state) for state in self.entries}
+            return Nfa()
+        return Nfa((entry,), self.nfa.finals).embed(self.nfa).trim()
 
     def words_up_to(self, state: str, max_len: int) -> list[Word]:
         entry = self.entries.get(state)
@@ -110,17 +97,15 @@ def pds_pre_star(spec: UpdsSpec, targets: LowerAutomaton) -> LowerAutomaton:
     reachable from it. Saturation: for a rule (p, a) -> (p', w) and any
     node n readable as w from entry(p'), add entry(p) --a--> n."""
     out = targets.copy()
-    nfa = out.nfa
-    changed = True
-    while changed:
-        changed = False
+    nfa, entries = out.nfa, out.entries
+
+    def additions():
         for rule in spec.rules:
-            src = out.entries[rule.from_state]
-            reached = nfa.run(rule.written, start=(out.entries[rule.to_state],))
-            for node in reached:
-                if not nfa.has_edge(src, rule.read_symbol, node):
-                    nfa.add_edge(src, rule.read_symbol, node)
-                    changed = True
+            src = entries[rule.from_state]
+            for node in nfa.run(rule.written, start=(entries[rule.to_state],)):
+                yield src, rule.read_symbol, node
+
+    nfa.saturate(additions)
     return out
 
 
@@ -131,42 +116,32 @@ def pds_post_star(spec: UpdsSpec, init: LowerAutomaton) -> LowerAutomaton:
     pop rule adds entry(p') --eps--> n, and a push rule (p, a) -> (p', bc)
     routes entry(p') --b--> aux(rule) --c--> n."""
     out = init.copy()
-    nfa = out.nfa
+    nfa, entries = out.nfa, out.entries
     aux: dict[int, object] = {}
     for index, rule in enumerate(spec.rules):
         if len(rule.written) == 2:
             aux[index] = nfa.add_node((_AUX, index))
-    changed = True
-    while changed:
-        changed = False
+
+    def additions():
         for index, rule in enumerate(spec.rules):
-            src = out.entries[rule.to_state]
-            reached = nfa.step((out.entries[rule.from_state],), rule.read_symbol)
-            for node in reached:
-                if len(rule.written) == 0:
-                    additions = ((src, EPSILON, node),)
-                elif len(rule.written) == 1:
-                    additions = ((src, rule.written[0], node),)
+            src = entries[rule.to_state]
+            written = rule.written
+            for node in nfa.step((entries[rule.from_state],), rule.read_symbol):
+                if len(written) == 0:
+                    yield src, EPSILON, node
+                elif len(written) == 1:
+                    yield src, written[0], node
                 else:
-                    additions = (
-                        (src, rule.written[0], aux[index]),
-                        (aux[index], rule.written[1], node),
-                    )
-                for a, label, b in additions:
-                    if not nfa.has_edge(a, label, b):
-                        nfa.add_edge(a, label, b)
-                        changed = True
+                    yield src, written[0], aux[index]
+                    yield aux[index], written[1], node
+
+    nfa.saturate(additions)
     return out
 
 
 def singleton_lower(spec: UpdsSpec, state: str, word: Word) -> LowerAutomaton:
     """The one-element set {<state, word>}."""
     spec.check_word(word, "lower word")
-    part = Nfa()
-    part.add_initial(0)
-    for i, symbol in enumerate(word):
-        part.add_edge(i, symbol, i + 1)
-    part.add_final(len(word))
     if state not in spec.states:
         raise MalformedInputError(f"undeclared state {state!r}")
-    return LowerAutomaton.from_slices(spec.states, spec.alphabet, {state: part})
+    return LowerAutomaton.from_slices(spec.states, spec.alphabet, {state: from_words([word])})

@@ -29,6 +29,7 @@ from typing import Mapping
 
 from .configsets import (
     ConfigAutomaton,
+    check_alphabets,
     is_barred,
     project_lower,
     project_upper,
@@ -38,7 +39,7 @@ from .configsets import (
 )
 from .core import Configuration, Frozen, Rule, RuleKind, UpdsSpec, fresh_name
 from .errors import MalformedInputError
-from .nfa import EPSILON, Nfa
+from .nfa import EPSILON, Nfa, from_words
 from .pds import pds_post_star, singleton_lower
 
 
@@ -102,12 +103,8 @@ class UpperAutomaton(Frozen):
         return (self.nfa, self.owner, self.entries)
 
     def slice(self, state: str) -> Nfa:
-        out = self.nfa.copy()
-        out.finals.clear()
-        for node, owning in self.owner.items():
-            if owning == state:
-                out.add_final(node)
-        return out.trim()
+        finals = [node for node, owning in self.owner.items() if owning == state]
+        return Nfa(self.nfa.initial, finals).embed(self.nfa).trim()
 
 
 def _first_lower_tops(component: Nfa) -> tuple[list[str], bool]:
@@ -212,13 +209,10 @@ def saturate_upper(at: TraceAutomaton, origin: Configuration) -> UpperAutomaton:
     at.validate()
     if origin.upper:
         raise MalformedInputError("origin configuration must have an empty upper word")
-    up = Nfa()
+    up = Nfa(finals=at.nfa.nodes())
     owner = dict(at.owner)
     entries: dict[object, object] = {}
     targeted = {dst for _, _, dst in at.nfa.edges()}
-    for node in at.nfa.nodes():
-        up.add_node(node)
-        up.add_final(node)
     for node in at.nfa.initial:
         if node not in targeted:
             up.add_initial(node)
@@ -230,30 +224,29 @@ def saturate_upper(at: TraceAutomaton, origin: Configuration) -> UpperAutomaton:
         up.add_final(mirror)
         up.add_edge(mirror, EPSILON, node)
     trace_edges = list(at.nfa.edges())
-    changed = True
-    while changed:
-        changed = False
+
+    def additions():
         for q0, rule, q1 in trace_edges:
-            if rule is EPSILON:
-                additions = [(q0, EPSILON, q1)]
+            if rule is EPSILON or rule.kind is RuleKind.SWITCH:
+                yield q0, EPSILON, q1
             elif rule.kind is RuleKind.POP:
-                additions = [(q0, rule.read_symbol, q1)]
-            elif rule.kind is RuleKind.SWITCH:
-                additions = [(q0, EPSILON, q1)]
+                yield q0, rule.read_symbol, q1
             else:
-                additions = []
-                for q in up.nodes():
-                    for label, mid in up.out_edges(q):
-                        if label is not EPSILON and q0 in up.eps_closure([mid]):
-                            additions.append((q, EPSILON, q1))
-                            break
-                for q in up.initial:
-                    if q0 in up.eps_closure([q]):
-                        additions.append((q, EPSILON, q1))
-            for src, label, dst in additions:
-                if not up.has_edge(src, label, dst):
-                    up.add_edge(src, label, dst)
-                    changed = True
+                # Collect the sources before yielding: an added edge would
+                # change the rows being walked.
+                sources = [
+                    q
+                    for q in up.nodes()
+                    if any(
+                        label is not EPSILON and q0 in up.eps_closure([mid])
+                        for label, mid in up.out_edges(q)
+                    )
+                ]
+                sources += [q for q in up.initial if q0 in up.eps_closure([q])]
+                for q in sources:
+                    yield q, EPSILON, q1
+
+    up.saturate(additions)
     return UpperAutomaton(up, owner, entries)
 
 
@@ -397,10 +390,7 @@ def overapprox_post(
     stack, so the state-graph abstraction would let their pops run
     unchecked and flood every upper zone; tracking the abstract top keeps
     the funnel honest. Pass refine_top=False to see the coarse result."""
-    if set(configs.alphabet) != set(spec.alphabet):
-        raise MalformedInputError(
-            f"alphabet mismatch: {sorted(configs.alphabet)} vs {sorted(spec.alphabet)}"
-        )
+    check_alphabets(configs.alphabet, spec.alphabet)
     configs.validate()
     own = upper_lower_product(
         spec.alphabet, project_upper(configs), project_lower(configs)
@@ -411,7 +401,7 @@ def overapprox_post(
     origin = extension.origin
     seeded = ConfigAutomaton(
         extension.spec.alphabet,
-        {origin.state: _singleton_component(origin)},
+        {origin.state: from_words([origin.lower])},
     )
     traces = trace_overapprox(extension.spec, seeded, refine_top=refine_top)
     uppers = upper_config_set(saturate_upper(traces, origin))
@@ -430,12 +420,3 @@ def overapprox_post(
         lower_slices[state] = low
     product = upper_lower_product(spec.alphabet, upper_slices, lower_slices)
     return union_sets(product, own).compact()
-
-
-def _singleton_component(origin: Configuration) -> Nfa:
-    nfa = Nfa()
-    nfa.add_initial(0)
-    for i, symbol in enumerate(origin.lower):
-        nfa.add_edge(i, symbol, i + 1)
-    nfa.add_final(len(origin.lower))
-    return nfa

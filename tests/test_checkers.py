@@ -1,5 +1,6 @@
 """The two safety checkers and their shared decision procedure."""
 
+import functools
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from conftest import (
     random_configuration,
     random_spec,
 )
+from upstack import checkers, oracle
 from upstack.checkers import (
     FILLER,
     SAFE,
@@ -200,6 +202,22 @@ def test_decide_replay_budget_downgrades(e2, c2):
     assert verdict.outcome == UNKNOWN
     assert "no replay" in verdict.note
     assert verdict.witness == cfg("p", "b b", "c c c")
+
+
+def test_replay_out_of_budget_is_unknown(monkeypatch, e1, c1):
+    # Unsafe at the default budget (the README's check-read golden); with
+    # room for two configurations the replay runs out before the hit.
+    assert check_upper_read(e1, c1, "a").outcome == UNSAFE
+    monkeypatch.setattr(
+        checkers, "oracle_trace", functools.partial(oracle.oracle_trace, node_budget=2)
+    )
+    verdict = check_upper_read(e1, c1, "a")
+    assert (verdict.outcome, verdict.exit_code) == (UNKNOWN, 2)
+    assert verdict.witness == cfg("p", "", "x bot")
+    assert verdict.note == (
+        "under-approximation reached p: ^ x bot but the replay ran out of its "
+        "configuration search budget (explored 2 nodes)"
+    )
 
 
 def test_decide_random_sweep_verdicts_are_sound():

@@ -314,3 +314,85 @@ def test_relabel_is_stable_under_rebuild():
     second = _sample().compact()
     assert list(first.edges()) == list(second.edges())
     assert list(first.initial) == list(second.initial)
+
+
+def test_copy_keeps_isolated_nodes():
+    n = _sample()
+    n.add_node("lone")
+    assert n.copy().same(n)
+
+
+def test_embed_renames_relabels_and_keeps_epsilon():
+    n = _sample()
+    n.add_node("lone")
+    seen = []
+
+    def relabel(label):
+        seen.append(label)
+        return None if label == "b" else label.upper()
+
+    out = Nfa(initial=("kept",))
+    assert out.embed(n, lambda x: ("t", x), relabel) is out
+    assert out.nodes() == ["kept", ("t", 0), ("t", 2), ("t", 1), ("t", "lone")]
+    # The None label dropped both b edges; epsilon bypassed `relabel`.
+    assert list(out.edges()) == [
+        (("t", 0), "A", ("t", 0)),
+        (("t", 0), "A", ("t", 2)),
+        (("t", 0), EPSILON, ("t", 1)),
+    ]
+    assert EPSILON not in seen and set(seen) == {"a", "b"}
+    # Marks are the caller's: only the one set before the embed is there.
+    assert list(out.initial) == ["kept"] and not out.finals
+    plain = Nfa().embed(n)
+    assert plain.nodes() == n.nodes() and list(plain.edges()) == list(n.edges())
+
+
+def _chain(length: int) -> Nfa:
+    n = Nfa()
+    for i in range(length):
+        n.add_edge(i, "a", i + 1)
+    return n
+
+
+def test_saturate_reaches_the_least_fixpoint():
+    n = _chain(4)
+
+    def transitive():
+        for src, _, mid in list(n.edges()):
+            for dst in n.targets(mid, "a"):
+                yield src, "a", dst
+
+    n.saturate(transitive)
+    assert set(n.edges()) == {(i, "a", j) for i in range(5) for j in range(i + 1, 5)}
+
+
+def test_saturate_shows_each_edge_to_the_rest_of_its_pass():
+    n = Nfa()
+    n.add_node(0)
+    passes = []
+
+    def rules():
+        passes.append(len(list(n.edges())))
+        # The second rule fires on what the first added in the same pass.
+        yield 0, "a", 1
+        if n.has_edge(0, "a", 1):
+            yield 1, "b", 2
+        if n.has_edge(1, "b", 2):
+            yield 2, "c", 3
+
+    n.saturate(rules)
+    assert list(n.edges()) == [(0, "a", 1), (1, "b", 2), (2, "c", 3)]
+    # One pass adds all three; the second adds nothing and ends the loop.
+    assert passes == [0, 3]
+
+
+def test_saturate_stops_after_a_pass_that_adds_nothing():
+    n = _chain(2)
+    passes = []
+
+    def existing():
+        passes.append(None)
+        yield from list(n.edges())
+
+    n.saturate(existing)
+    assert len(passes) == 1 and list(n.edges()) == list(_chain(2).edges())

@@ -30,6 +30,14 @@ def test_singleton_and_slices(e1):
         singleton_lower(e1, "nope", ("bot",))
 
 
+def test_copy_keeps_the_entry_node_of_every_state(e1):
+    aut = singleton_lower(e1, "p", ("a",))
+    copied = aut.copy()
+    assert copied.nfa.same(aut.nfa)
+    # p2 has an empty slice: its entry node has no edges, yet it stays.
+    assert all(entry in copied.nfa.nodes() for entry in copied.entries.values())
+
+
 def test_from_slices_rejects_bad_input(e1):
     with pytest.raises(MalformedInputError):
         LowerAutomaton.from_slices(e1.states, e1.alphabet, {"nope": Nfa()})
