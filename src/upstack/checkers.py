@@ -7,6 +7,12 @@ initial set AND the hit replays as a concrete trace; Safe only when the
 regular over-approximation of the initial set's successors misses the
 forbidden set; anything else is Unknown. Both sides are conservative,
 so a verdict other than Unknown is trusted.
+
+The replay is a breadth-first search restricted to the
+under-approximation, with no depth or size bound of its own: every
+configuration on a trace of at most k phases to the forbidden set lies
+in the phase-bounded pre* itself, so the restricted search always finds
+one, and only its configuration budget can stop it.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from .configsets import ConfigAutomaton, bar, intersect_sets
 from .core import Configuration, Frozen, Rule, UpdsSpec, make_spec
 from .errors import MalformedInputError, ResourceLimitError
 from .kphase import bounded_phase_pre_star
-from .limits import DEFAULT_PHASES, DEFAULT_REPLAY_DEPTH, DFA_STATE_BUDGET
+from .limits import DEFAULT_PHASES, DFA_STATE_BUDGET
 from .model import ModelFile, print_config_literal
 from .nfa import EPSILON, Nfa
 from .oracle import oracle_trace
@@ -82,7 +88,6 @@ def decide_safety(
     forbidden: ConfigAutomaton,
     k: int = DEFAULT_PHASES,
     node_budget: int = DFA_STATE_BUDGET,
-    replay_depth: int = DEFAULT_REPLAY_DEPTH,
 ) -> Verdict:
     """The shared decision procedure over an initial/forbidden pair."""
     under = bounded_phase_pre_star(spec, forbidden, k, node_budget=node_budget)
@@ -92,11 +97,7 @@ def decide_safety(
         reached = f"under-approximation reached {print_config_literal(witness)}"
         try:
             trace = oracle_trace(
-                spec,
-                witness,
-                forbidden.accepts,
-                replay_depth,
-                witness.total_size + replay_depth,
+                spec, witness, forbidden.accepts, None, None, within=under.accepts
             )
         except ResourceLimitError as exhausted:
             return Verdict(
@@ -108,12 +109,15 @@ def decide_safety(
             )
         if trace is not None:
             return Verdict(UNSAFE, k, node_budget, witness=witness, trace=trace)
+        # Unreachable unless pre* accepted a configuration with no trace
+        # inside it: a defect, kept as Unknown so that Unsafe never comes
+        # without a replayed trace.
         return Verdict(
             UNKNOWN,
             k,
             node_budget,
             witness=witness,
-            note=f"{reached} but no replay was found within {replay_depth} steps",
+            note=f"{reached} but no trace to the forbidden set stays inside it",
         )
     over = overapprox_post(spec, initial)
     if intersect_sets(over, forbidden).is_empty():
@@ -145,7 +149,6 @@ def check_stack_overflow(
     lower: str,
     k: int = DEFAULT_PHASES,
     node_budget: int = DFA_STATE_BUDGET,
-    replay_depth: int = DEFAULT_REPLAY_DEPTH,
 ) -> Verdict:
     """Can the stack grow past its bound? The system is run with a
     sentinel on top of the upper zone and m filler cells of headroom
@@ -171,7 +174,7 @@ def check_stack_overflow(
     component = compile_config_regex(source, alphabet=extended.alphabet)
     initial = _all_states_set(extended, component)
     forbidden = _all_states_set(extended, _upper_without(extended, TOP_SENTINEL))
-    return decide_safety(extended, initial, forbidden, k, node_budget, replay_depth)
+    return decide_safety(extended, initial, forbidden, k, node_budget)
 
 
 def _upper_without(spec: UpdsSpec, banned: str) -> Nfa:
@@ -208,7 +211,6 @@ def check_upper_read(
     symbol: str,
     k: int = DEFAULT_PHASES,
     node_budget: int = DFA_STATE_BUDGET,
-    replay_depth: int = DEFAULT_REPLAY_DEPTH,
 ) -> Verdict:
     """Can `symbol` sit in the cell just above the boundary — where a
     read past the end of the stack would pick it up — in some reachable
@@ -224,4 +226,4 @@ def check_upper_read(
             )
         configs = model.config_set(configs)
     forbidden = _all_states_set(spec, _upper_ending_with(spec, symbol))
-    return decide_safety(spec, configs, forbidden, k, node_budget, replay_depth)
+    return decide_safety(spec, configs, forbidden, k, node_budget)

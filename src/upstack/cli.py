@@ -11,12 +11,7 @@ import os
 import sys
 
 from .errors import UpstackError
-from .limits import (
-    DEFAULT_CONFIG_BUDGET,
-    DEFAULT_PHASES,
-    DEFAULT_REPLAY_DEPTH,
-    DFA_STATE_BUDGET,
-)
+from .limits import DEFAULT_CONFIG_BUDGET, DEFAULT_PHASES, DFA_STATE_BUDGET
 from .model import parse_config_literal, parse_model, print_config_literal
 
 class _Parser(argparse.ArgumentParser):
@@ -30,7 +25,6 @@ _DFA_BUDGET = (
     "state budget for determinizing each automaton; past it the automaton "
     "stays nondeterministic (default %(default)s)"
 )
-_REPLAY_DEPTH = "step bound of the search that replays a witness (default %(default)s)"
 
 
 def _build_parser() -> _Parser:
@@ -95,9 +89,6 @@ def _build_parser() -> _Parser:
     overflow.add_argument(
         "--budget", type=int, default=DFA_STATE_BUDGET, help=_DFA_BUDGET
     )
-    overflow.add_argument(
-        "--replay-depth", type=int, default=DEFAULT_REPLAY_DEPTH, help=_REPLAY_DEPTH
-    )
 
     read = sub.add_parser(
         "check-read",
@@ -109,9 +100,6 @@ def _build_parser() -> _Parser:
     read.add_argument("-k", type=int, default=DEFAULT_PHASES, help="phase bound")
     read.add_argument(
         "--budget", type=int, default=DFA_STATE_BUDGET, help=_DFA_BUDGET
-    )
-    read.add_argument(
-        "--replay-depth", type=int, default=DEFAULT_REPLAY_DEPTH, help=_REPLAY_DEPTH
     )
 
     dot = sub.add_parser("export-dot", help="render an artifact as Graphviz DOT")
@@ -202,12 +190,7 @@ def _dispatch(args) -> int:
         from .checkers import check_stack_overflow
 
         verdict = check_stack_overflow(
-            model,
-            args.m,
-            args.lower,
-            k=args.k,
-            node_budget=args.budget,
-            replay_depth=args.replay_depth,
+            model, args.m, args.lower, k=args.k, node_budget=args.budget
         )
         print(verdict.describe())
         return verdict.exit_code
@@ -215,12 +198,7 @@ def _dispatch(args) -> int:
         from .checkers import check_upper_read
 
         verdict = check_upper_read(
-            model,
-            args.init,
-            args.symbol,
-            k=args.k,
-            node_budget=args.budget,
-            replay_depth=args.replay_depth,
+            model, args.init, args.symbol, k=args.k, node_budget=args.budget
         )
         print(verdict.describe())
         return verdict.exit_code

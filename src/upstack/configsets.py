@@ -158,7 +158,7 @@ class ConfigAutomaton:
 
     def summary(self) -> str:
         parts = []
-        for state, nfa in self.components.items():
+        for state, nfa in sorted(self.components.items()):
             parts.append(f"{state}: {len(nfa.nodes())} nodes, {nfa.edge_count()} edges")
         return "; ".join(parts) if parts else "empty"
 

@@ -18,6 +18,3 @@ DEFAULT_NODE_BUDGET = 1_000_000
 
 # Phases of the bounded pre* under-approximation (`-k`).
 DEFAULT_PHASES = 3
-
-# Steps of the search that replays a checker's witness (`--replay-depth`).
-DEFAULT_REPLAY_DEPTH = 64

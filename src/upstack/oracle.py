@@ -1,10 +1,11 @@
 """Explicit-state bounded explorers.
 
 These are the ground truth the rest of the package is tested against.
-One size-capped forward breadth-first search over configurations
-(`explore`) lists the bounded forward closure (`oracle_post`) and finds
-shortest traces (`search_trace`), which decide exact membership
-(`is_reachable`) and replay checker witnesses (`oracle_trace`). A
+One forward breadth-first search over configurations (`explore`),
+size-capped or kept inside a region, lists the bounded forward closure
+(`oracle_post`) and finds shortest traces (`search_trace`), which decide
+exact membership (`is_reachable`) and replay checker witnesses inside
+the under-approximation that found them (`oracle_trace`). A
 backward closure decides phase-bounded reachability, and `pds_closure`
 runs the lower-stack-only semantics. All are exhaustive within their
 bounds, deterministic (successors in rule declaration order), and refuse
@@ -20,6 +21,7 @@ configuration, explores a finite region and decides membership exactly.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Callable, Iterable
 
@@ -44,19 +46,23 @@ def explore(
     spec: UpdsSpec,
     starts: Iterable[Configuration],
     accepts: Callable[[ConfigTuple], bool],
-    size_cap: int,
+    size_cap: int | None,
     depth: int | None = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
+    within: Callable[[ConfigTuple], bool] | None = None,
 ) -> tuple[ConfigTuple | None, dict[ConfigTuple, tuple[ConfigTuple, Rule] | None]]:
     """Breadth-first search over (state, upper, lower) tuples: starts in
     the order given, successors in rule declaration order. Successors whose
-    total stack size passes size_cap are dropped (the starts are kept
-    whatever their size); depth=None searches the capped region to
-    exhaustion, which is finite. node_budget counts stored configurations,
-    starts included. Returns the first stored configuration that `accepts`
-    (or None) and everything stored, each mapped to the (predecessor, rule)
-    that first reached it, or to None for a start."""
+    total stack size passes size_cap, or that `within` rejects, are dropped
+    before they are stored (the starts are kept whatever they are);
+    size_cap=None leaves the size free. depth=None searches the region to
+    exhaustion, which is finite under a size cap. node_budget counts stored
+    configurations, starts included. Returns the first stored configuration
+    that `accepts` (or None) and everything stored, each mapped to the
+    (predecessor, rule) that first reached it, or to None for a start."""
     moves = spec.moves
+    if size_cap is None:
+        size_cap = math.inf
     stored: dict[ConfigTuple, tuple[ConfigTuple, Rule] | None] = {}
     frontier: list[ConfigTuple] = []
     for c in starts:
@@ -82,7 +88,7 @@ def explore(
                 continue
             entries = moves.get((state, lower[0]), ())
             for rule, succ in successors(entries, upper, lower, size < size_cap):
-                if succ in stored:
+                if succ in stored or (within is not None and not within(succ)):
                     continue
                 if len(stored) >= node_budget:
                     raise ResourceLimitError(len(stored), SEARCH_BUDGET)
@@ -116,14 +122,15 @@ def search_trace(
     spec: UpdsSpec,
     starts: Iterable[Configuration],
     accepts: Callable[[ConfigTuple], bool],
-    size_cap: int,
+    size_cap: int | None,
     depth: int | None = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
+    within: Callable[[ConfigTuple], bool] | None = None,
 ) -> tuple[Rule, ...] | None:
     """A shortest rule sequence driving some start to a configuration
     whose tuple `accepts`, or None if `explore` finds none; among shortest
     traces the first found wins."""
-    hit, stored = explore(spec, starts, accepts, size_cap, depth, node_budget)
+    hit, stored = explore(spec, starts, accepts, size_cap, depth, node_budget, within)
     if hit is None:
         return None
     rules: list[Rule] = []
@@ -155,15 +162,25 @@ def oracle_trace(
     spec: UpdsSpec,
     start: Configuration,
     accepts: Callable[[Configuration], bool],
-    depth: int,
-    size_cap: int,
+    depth: int | None,
+    size_cap: int | None,
     node_budget: int = DEFAULT_NODE_BUDGET,
+    within: Callable[[Configuration], bool] | None = None,
 ) -> tuple[Rule, ...] | None:
     """A shortest rule sequence of length <= depth driving `start` to a
     configuration satisfying `accepts`, never letting the total stack
-    size pass size_cap; None if none exists within those bounds."""
+    size pass size_cap and never leaving the configurations `within`
+    holds for; None if none exists within those bounds. None leaves the
+    depth, the size or the region free."""
+    inside = None if within is None else (lambda c: within(Configuration(*c)))
     return search_trace(
-        spec, [start], lambda c: accepts(Configuration(*c)), size_cap, depth, node_budget
+        spec,
+        [start],
+        lambda c: accepts(Configuration(*c)),
+        size_cap,
+        depth,
+        node_budget,
+        inside,
     )
 
 

@@ -273,27 +273,14 @@ class SingleOriginUpds(Frozen):
         spec: UpdsSpec,
         origin: Configuration,
         original_states: tuple[str, ...],
-        original_alphabet: tuple[str, ...],
-        bar_names: Mapping[str, str],
-        dollar: str,
     ) -> None:
         _set = object.__setattr__
         _set(self, "spec", spec)
         _set(self, "origin", origin)
         _set(self, "original_states", original_states)
-        _set(self, "original_alphabet", original_alphabet)
-        _set(self, "bar_names", bar_names)
-        _set(self, "dollar", dollar)
 
     def _fields(self) -> tuple:
-        return (
-            self.spec,
-            self.origin,
-            self.original_states,
-            self.original_alphabet,
-            self.bar_names,
-            self.dollar,
-        )
+        return (self.spec, self.origin, self.original_states)
 
 
 def _spelling_automaton(component: Nfa) -> Nfa:
@@ -368,9 +355,6 @@ def single_origin(spec: UpdsSpec, start_set: ConfigAutomaton) -> SingleOriginUpd
         spec=ext,
         origin=Configuration(origin_state, (), (dollar,)),
         original_states=spec.states,
-        original_alphabet=spec.alphabet,
-        bar_names=dict(bar_names),
-        dollar=dollar,
     )
 
 

@@ -25,7 +25,7 @@ from upstack.checkers import (
     decide_safety,
 )
 from upstack.configsets import ConfigAutomaton, from_config_set
-from upstack.core import make_spec, run_trace
+from upstack.core import RuleKind, make_spec, run_trace
 from upstack.errors import MalformedInputError
 from upstack.model import parse_model
 from upstack.oracle import oracle_post
@@ -196,14 +196,6 @@ def test_decide_unknown_when_approximations_bracket(e2, c2):
     assert decide_safety(e2, initial, c2, k=4).outcome == UNSAFE
 
 
-def test_decide_replay_budget_downgrades(e2, c2):
-    initial = singleton(e2, cfg("p", "b b", "c c c"))
-    verdict = decide_safety(e2, initial, c2, k=4, replay_depth=1)
-    assert verdict.outcome == UNKNOWN
-    assert "no replay" in verdict.note
-    assert verdict.witness == cfg("p", "b b", "c c c")
-
-
 def test_replay_out_of_budget_is_unknown(monkeypatch, e1, c1):
     # Unsafe at the default budget (the README's check-read golden); with
     # room for two configurations the replay runs out before the hit.
@@ -220,6 +212,37 @@ def test_replay_out_of_budget_is_unknown(monkeypatch, e1, c1):
     )
 
 
+def _switch_chain(n):
+    """States s0..s{n-1}: a switch chain on x, both pushes on both tops in
+    every state, and one pop at the end. The only way to put x above the
+    boundary is the whole chain and then the pop; the pushes make the
+    region around the chain grow without end."""
+    lines = [f"states {' '.join(f's{i}' for i in range(n))}", "alphabet x y"]
+    for i in range(n):
+        if i + 1 < n:
+            lines.append(f"rule s{i} x -> s{i + 1} x")
+        for top in ("x", "y"):
+            for pushed in ("x", "y"):
+                lines.append(f"rule s{i} {top} -> s{i} {pushed} {top}")
+    lines += [f"rule s{n - 1} x -> s{n - 1}", "set I s0 ^ x"]
+    return parse_model("\n".join(lines) + "\n")
+
+
+def test_replay_stays_inside_the_under_approximation(monkeypatch):
+    # A search over every successor runs through its budget on the pushes
+    # long before it walks the chain; restricted to the one-phase pre*,
+    # the replay finds the chain at once.
+    monkeypatch.setattr(
+        checkers, "oracle_trace", functools.partial(oracle.oracle_trace, node_budget=1000)
+    )
+    verdict = check_upper_read(_switch_chain(10), "I", "x", k=1)
+    assert verdict.outcome == UNSAFE
+    assert verdict.witness == cfg("s0", "", "x")
+    assert len(verdict.trace) == 10
+    assert [rule.kind for rule in verdict.trace[:9]] == [RuleKind.SWITCH] * 9
+    assert verdict.trace[-1].kind is RuleKind.POP
+
+
 def test_decide_random_sweep_verdicts_are_sound():
     rng = random.Random(2026)
     outcomes = {SAFE: 0, UNSAFE: 0, UNKNOWN: 0}
@@ -231,6 +254,8 @@ def test_decide_random_sweep_verdicts_are_sound():
         forbidden = singleton(spec, random_configuration(rng, spec))
         verdict = decide_safety(spec, initial, forbidden, k=2)
         outcomes[verdict.outcome] += 1
+        # A hit always replays: a witness never comes without its trace.
+        assert verdict.witness is None or verdict.trace is not None
         if verdict.outcome == UNSAFE:
             assert initial.accepts(verdict.witness)
             landed = run_trace(spec, verdict.witness, verdict.trace)

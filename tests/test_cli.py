@@ -139,6 +139,8 @@ def test_usage_errors_exit_3():
     assert run_cli([])[0] == 3
     assert run_cli(["frobnicate"])[0] == 3
     assert run_cli(["member", E1, "--init", "C1"])[0] == 3
+    read = ["check-read", E1, "--init", "C1", "--symbol", "a"]
+    assert run_cli(read + ["--replay-depth", "5"])[0] == 3
     code, _, err = run_cli(["export-dot", E1, "--set", "C1", "--trace", "C1"])
     assert code == 3 and "not allowed with" in err
 

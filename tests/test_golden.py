@@ -51,7 +51,7 @@ GOLDEN = {
     ("NewStack", 0): ("pivot: 4 nodes, 4 edges", "790bd7dc3937f649"),
     ("NewStack", 1): ("fill: 4 nodes, 6 edges; pivot: 4 nodes, 4 edges", "864b6d3c13115389"),
     ("NewStack", 2): (
-        "fill: 4 nodes, 9 edges; pivot: 4 nodes, 4 edges; boot: 4 nodes, 7 edges",
+        "boot: 4 nodes, 7 edges; fill: 4 nodes, 9 edges; pivot: 4 nodes, 4 edges",
         "6bb1162c56a728eb",
     ),
     ("NewStack", 3): (

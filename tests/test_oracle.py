@@ -157,6 +157,36 @@ def test_budgets_reached_exactly(e1):
     assert info.value.explored == 3
 
 
+def test_within_drops_successors_before_they_are_stored_or_counted():
+    # The push comes first in declaration order and grows the lower word
+    # without end; `within` rejects it, so an uncapped search with room
+    # for two configurations still reaches q.
+    spec = make_spec(
+        ("p", "q"), ("a",), [("p", "a", "p", ("a", "a")), ("p", "a", "q", ("a",))]
+    )
+    _, switch = spec.rules
+    start = cfg("p", "", "a")
+
+    def short(c):
+        return len(c[2]) <= 1
+
+    def in_q(c):
+        return c[0] == "q"
+
+    hit, stored = explore(spec, [start], in_q, None, node_budget=2, within=short)
+    assert hit == ("q", (), ("a",))
+    assert stored == {_as_tuple(start): None, hit: (_as_tuple(start), switch)}
+    with pytest.raises(ResourceLimitError):
+        explore(spec, [start], in_q, None, node_budget=2)
+    trace = oracle_trace(
+        spec, start, lambda c: c.state == "q", None, None, 2, within=lambda c: len(c.lower) <= 1
+    )
+    assert trace == (switch,)
+    # Uncapped and unrestricted, the depth alone bounds the growth.
+    _, stored = explore(spec, [start], lambda c: False, None, depth=3)
+    assert max(len(lower) for _, _, lower in stored) == 4
+
+
 def test_backward_closure_two_phase_example(e2):
     pre = oracle_pre_kphase(e2, [cfg("p", "a b", "c")], 4, 2, 8)
     assert cfg("p", "b", "c c") in pre
