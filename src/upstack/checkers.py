@@ -17,15 +17,14 @@ one, and only its configuration budget can stop it.
 
 from __future__ import annotations
 
-from .configsets import ConfigAutomaton, bar, intersect_sets
+from .configsets import ConfigAutomaton, intersect_sets
 from .core import Configuration, Frozen, Rule, UpdsSpec, make_spec
 from .errors import MalformedInputError, ResourceLimitError
 from .kphase import bounded_phase_pre_star
 from .limits import DEFAULT_PHASES, DFA_STATE_BUDGET
 from .model import ModelFile, print_config_literal
-from .nfa import EPSILON, Nfa
 from .oracle import oracle_trace
-from .regex import compile_config_regex
+from .regex import compile_config_regex, parse_zone_regex
 from .upperapprox import overapprox_post
 
 SAFE = "Safe"
@@ -137,10 +136,19 @@ def _spec_of(model: ModelFile | UpdsSpec) -> UpdsSpec:
     return model.spec if isinstance(model, ModelFile) else model
 
 
-def _all_states_set(spec: UpdsSpec, component: Nfa) -> ConfigAutomaton:
+def _all_states_set(spec: UpdsSpec, upper: tuple, lower: tuple) -> ConfigAutomaton:
+    """Every control state with an upper word from `upper` and a lower
+    word from `lower`, both zone ASTs (see `regex`)."""
+    component = compile_config_regex(("config", ((upper, lower),)), spec.alphabet)
     return ConfigAutomaton(
         spec.alphabet, {state: component.copy() for state in spec.states}
     )
+
+
+def _any_word(symbols) -> tuple:
+    """The zone AST of (s1 | s2 | ...)*, for at least one symbol."""
+    parts = tuple(("sym", s) for s in symbols)
+    return ("star", parts[0] if len(parts) == 1 else ("alt", parts))
 
 
 def check_stack_overflow(
@@ -152,7 +160,7 @@ def check_stack_overflow(
 ) -> Verdict:
     """Can the stack grow past its bound? The system is run with a
     sentinel on top of the upper zone and m filler cells of headroom
-    below it; every starting lower word matches `lower` (a plain
+    below it; every starting lower word matches `lower` (one zone
     expression over the declared alphabet, '_' for the empty word).
     Pushes consume the headroom first; a configuration whose upper zone
     lost the sentinel has overwritten memory past the bound."""
@@ -165,44 +173,18 @@ def check_stack_overflow(
                 f"{name!r} is reserved for the overflow checker; "
                 "it may not be declared, let alone appear in a rule"
             )
+    starts = parse_zone_regex(lower, spec.alphabet)
     extended = make_spec(
         spec.states,
         spec.alphabet + (TOP_SENTINEL, FILLER),
         [(r.from_state, r.read_symbol, r.to_state, r.written) for r in spec.rules],
     )
-    source = " ".join((TOP_SENTINEL, *([FILLER] * m), "^", "(", lower, ")"))
-    component = compile_config_regex(source, alphabet=extended.alphabet)
-    initial = _all_states_set(extended, component)
-    forbidden = _all_states_set(extended, _upper_without(extended, TOP_SENTINEL))
+    cells = (("sym", TOP_SENTINEL),) + (("sym", FILLER),) * m
+    headroom = cells[0] if m == 0 else ("concat", cells)
+    initial = _all_states_set(extended, headroom, starts)
+    unguarded = _any_word(s for s in extended.alphabet if s != TOP_SENTINEL)
+    forbidden = _all_states_set(extended, unguarded, _any_word(extended.alphabet))
     return decide_safety(extended, initial, forbidden, k, node_budget)
-
-
-def _upper_without(spec: UpdsSpec, banned: str) -> Nfa:
-    """Upper zone: any word avoiding `banned`; lower zone: any word."""
-    out = Nfa()
-    out.add_initial("u")
-    for symbol in spec.alphabet:
-        if symbol != banned:
-            out.add_edge("u", bar(symbol), "u")
-    out.add_edge("u", EPSILON, "l")
-    for symbol in spec.alphabet:
-        out.add_edge("l", symbol, "l")
-    out.add_final("l")
-    return out
-
-
-def _upper_ending_with(spec: UpdsSpec, symbol: str) -> Nfa:
-    """Upper zone: any word whose last cell (the one touching the
-    boundary) holds `symbol`; lower zone: any word."""
-    out = Nfa()
-    out.add_initial("u")
-    for other in spec.alphabet:
-        out.add_edge("u", bar(other), "u")
-    out.add_edge("u", bar(symbol), "l")
-    for other in spec.alphabet:
-        out.add_edge("l", other, "l")
-    out.add_final("l")
-    return out
 
 
 def check_upper_read(
@@ -225,5 +207,7 @@ def check_upper_read(
                 "a set name needs a ModelFile; pass a ConfigAutomaton instead"
             )
         configs = model.config_set(configs)
-    forbidden = _all_states_set(spec, _upper_ending_with(spec, symbol))
+    anything = _any_word(spec.alphabet)
+    ending_with = ("concat", (anything, ("sym", symbol)))
+    forbidden = _all_states_set(spec, ending_with, anything)
     return decide_safety(spec, configs, forbidden, k, node_budget)

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 from .core import Configuration, UpdsSpec, Word
 from .errors import MalformedInputError
 from .limits import DFA_STATE_BUDGET
-from .nfa import EPSILON, Nfa, equivalent, from_words, intersection, union
+from .nfa import EPSILON, Nfa, from_words, intersection, union
 
 _BAR = "bar"
 
@@ -58,13 +58,11 @@ class ConfigAutomaton:
     """One NFA per control state; missing states denote empty slices.
 
     Like an `Nfa`, a set is treated as immutable once it is handed out, so
-    facts established about it stay true. It records two: that it passed
-    `validate` (which then returns at once; `ModelFile.config_set` hands
-    out sets that hold by construction), and that `compact` made it
-    canonical, which lets `equivalent_sets` compare structure."""
+    a fact established about it stays true. It records one: that it passed
+    `validate`, which then returns at once (`ModelFile.config_set` hands
+    out sets that hold by construction)."""
 
     _validated = False
-    _canonical = False
 
     def __init__(self, alphabet: Iterable[str], components: Mapping[str, Nfa] | None = None):
         self.alphabet: tuple[str, ...] = tuple(alphabet)
@@ -124,19 +122,21 @@ class ConfigAutomaton:
                         stack.append((dst, nxt))
 
     def compact(self, node_budget: int = DFA_STATE_BUDGET) -> "ConfigAutomaton":
-        """Compact every component and drop the empty ones. The result is
-        canonical when no component fell back on the budget: equal sets
-        then have the same states and `same` components."""
+        """Compact every component and drop the empty ones. Unless a
+        component fell back on the budget, equal sets compact to sets that
+        are `same`."""
         out: dict[str, Nfa] = {}
-        canonical = True
         for state, nfa in self.components.items():
             compacted = nfa.compact(node_budget)
-            canonical = canonical and compacted._minimal
             if not compacted.is_empty():
                 out[state] = compacted
-        result = ConfigAutomaton(self.alphabet, out)
-        result._canonical = canonical
-        return result
+        return ConfigAutomaton(self.alphabet, out)
+
+    def same(self, other: "ConfigAutomaton") -> bool:
+        """Structural equality: the same states, and `same` components."""
+        return self.components.keys() == other.components.keys() and all(
+            nfa.same(other.components[state]) for state, nfa in self.components.items()
+        )
 
     def shortest_config(self) -> Configuration | None:
         best: tuple[int, str, tuple] | None = None
@@ -216,24 +216,6 @@ def project_upper(a: ConfigAutomaton) -> dict[str, Nfa]:
         state: nfa.map_labels(lambda l: unbar(l) if is_barred(l) else EPSILON)
         for state, nfa in a.components.items()
     }
-
-
-def equivalent_sets(
-    a: ConfigAutomaton, b: ConfigAutomaton, node_budget: int = DFA_STATE_BUDGET
-) -> bool:
-    """Whether both sets hold the same configurations. Two canonical sets
-    (see `ConfigAutomaton.compact`) are compared by structure; otherwise
-    node_budget bounds each determinization, and past it,
-    ResourceLimitError."""
-    check_alphabets(a.alphabet, b.alphabet)
-    if a._canonical and b._canonical:
-        return a.components.keys() == b.components.keys() and all(
-            nfa.same(b.components[state]) for state, nfa in a.components.items()
-        )
-    for state in set(a.components) | set(b.components):
-        if not equivalent(a.component(state), b.component(state), node_budget):
-            return False
-    return True
 
 
 def upper_lower_product(

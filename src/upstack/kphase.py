@@ -22,16 +22,9 @@ from __future__ import annotations
 
 import enum
 
-from .configsets import (
-    ConfigAutomaton,
-    bar,
-    check_alphabets,
-    equivalent_sets,
-    is_barred,
-    union_sets,
-)
+from .configsets import ConfigAutomaton, bar, check_alphabets, is_barred, union_sets
 from .core import RuleKind, UpdsSpec
-from .errors import MalformedInputError, ResourceLimitError
+from .errors import MalformedInputError
 from .limits import DFA_STATE_BUDGET
 from .nfa import EPSILON, Nfa
 from .pds import LowerAutomaton, pds_post_star, singleton_lower
@@ -245,13 +238,6 @@ def phase_pre(
     return ConfigAutomaton(spec.alphabet, built)
 
 
-def _stationary(a: ConfigAutomaton, b: ConfigAutomaton, node_budget: int) -> bool:
-    try:
-        return equivalent_sets(a, b, node_budget)
-    except ResourceLimitError:
-        return False
-
-
 def bounded_phase_pre_star(
     spec: UpdsSpec,
     targets: ConfigAutomaton,
@@ -261,14 +247,16 @@ def bounded_phase_pre_star(
     """Configurations reaching the target set by traces splitting into at
     most k phases: k rounds of closing under one pop phase and one push
     phase and uniting. Monotone in k; k <= 0 returns the targets. Stops
-    early once a round adds nothing."""
+    early once a round is `same` as the one before. Rounds are compacted,
+    so that happens as soon as a round adds nothing, unless a compaction
+    fell back on the node budget."""
     current = targets.compact(node_budget)
     closures = push_closures(spec) if k > 0 else None
     for _ in range(max(k, 0)):
         popped = phase_pre(spec, current, PhaseKind.POP)
         pushed = phase_pre(spec, current, PhaseKind.PUSH, closures)
         grown = union_sets(popped, pushed).compact(node_budget)
-        if _stationary(grown, current, node_budget):
+        if grown.same(current):
             return grown
         current = grown
     return current

@@ -9,8 +9,9 @@ order is preserved everywhere, but what the package prints does not
 depend on it: `minimal_dfa` numbers its subsets and classes
 breadth-first over label-sorted edges, so automata with the same
 language compact to the `same` nodes, edges, initial and final nodes
-whatever their node names or edge order, and `equivalent` is that
-comparison. DOT exports sort what they print.
+whatever their node names or edge order. Language equality of two
+compacted automata is therefore `same`, unless one of them fell back on
+the determinization budget. DOT exports sort what they print.
 """
 
 from __future__ import annotations
@@ -51,9 +52,6 @@ def label_key(label: Label) -> str:
 
 class Nfa:
     """Mutable while being built; treat as immutable once handed out."""
-
-    # Set on what `minimal_dfa` returns: the automaton is its own minimal DFA.
-    _minimal = False
 
     def __init__(self, initial: Iterable[Node] = (), finals: Iterable[Node] = ()):
         # node -> label -> dict used as an ordered set of targets
@@ -438,12 +436,8 @@ class Nfa:
         are `same`. Raises ResourceLimitError past the node budget."""
         trimmed = self.trim()
         if not trimmed.initial:
-            out = Nfa()
-        else:
-            dfa = trimmed.eps_eliminate().trim().determinize(node_budget)
-            out = dfa.minimize().relabel()
-        out._minimal = True
-        return out
+            return Nfa()
+        return trimmed.determinize(node_budget).minimize().relabel()
 
     def compact(self, node_budget: int = DFA_STATE_BUDGET) -> "Nfa":
         """Language-preserving compression: the minimal DFA, or the trimmed
@@ -539,9 +533,3 @@ def from_words(words: Iterable[tuple[Label, ...]]) -> Nfa:
             prev = node
         out.add_final(prev)
     return out
-
-
-def equivalent(a: Nfa, b: Nfa, node_budget: int = DFA_STATE_BUDGET) -> bool:
-    """Language equality: the two automata are the same, or their minimal
-    DFAs are. Past the node budget, ResourceLimitError."""
-    return a.same(b) or a.minimal_dfa(node_budget).same(b.minimal_dfa(node_budget))

@@ -5,7 +5,8 @@ are whitespace-separated symbol identifiers plus the operators `|`
 (alternation), postfix `*`, `(` `)`, `_` (empty word), and `^` (the
 upper/lower boundary). Every top-level alternative contains `^` exactly
 once; what is left of it is the upper word, what is right of it the
-lower word. Alternation inside a single zone needs parentheses.
+lower word. Alternation inside a single zone needs parentheses, except
+in a zone parsed on its own (`parse_zone_regex`), which has no `^`.
 
 ASTs are plain tuples:
     ("config", ((upper, lower), ...))   top level, one pair per alternative
@@ -93,6 +94,15 @@ class _Parser:
             self.fail(tok, f"unexpected {tok.value!r}")
         return ("config", tuple(branches))
 
+    def parse_zone(self) -> tuple:
+        node = self.parse_alt()
+        tok = self.peek()
+        if tok.kind == "caret":
+            self.fail(tok, "boundary marker '^' not allowed in a zone expression")
+        if tok.kind != "end":
+            self.fail(tok, f"unexpected {tok.value!r}")
+        return node
+
     def parse_branch(self) -> tuple:
         upper = self.parse_seq()
         tok = self.peek()
@@ -155,6 +165,13 @@ def parse_config_regex(
 ) -> tuple:
     tokens = tokenize(text, line, col)
     return _Parser(tokens, set(alphabet) if alphabet is not None else None).parse_config()
+
+
+def parse_zone_regex(text: str, alphabet: Iterable[str]) -> tuple:
+    """Parse one zone over `alphabet` on its own: what may stand on one
+    side of `^`, with alternation allowed at the top. Columns count from
+    the text's start."""
+    return _Parser(tokenize(text), set(alphabet)).parse_zone()
 
 
 def _print_part(ast: tuple, parent: str) -> str:

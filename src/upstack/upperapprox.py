@@ -358,9 +358,7 @@ def single_origin(spec: UpdsSpec, start_set: ConfigAutomaton) -> SingleOriginUpd
     )
 
 
-def overapprox_post(
-    spec: UpdsSpec, configs: ConfigAutomaton, refine_top: bool = True
-) -> ConfigAutomaton:
+def overapprox_post(spec: UpdsSpec, configs: ConfigAutomaton) -> ConfigAutomaton:
     """A regular superset of everything reachable from the given set.
     The set is first funneled through the single-origin extension; the
     upper zone comes from saturating a trace over-approximation of the
@@ -369,11 +367,11 @@ def overapprox_post(
     per-state projection product joins the union so members that no rule
     can leave (empty lower word) are kept.
 
-    The trace abstraction defaults to the top-refined one here: the
-    funnel's spelling rules are enabled purely by what tops the lower
-    stack, so the state-graph abstraction would let their pops run
-    unchecked and flood every upper zone; tracking the abstract top keeps
-    the funnel honest. Pass refine_top=False to see the coarse result."""
+    The trace abstraction is the top-refined one here: the funnel's
+    spelling rules are enabled purely by what tops the lower stack, so
+    the state-graph abstraction would let their pops run unchecked and
+    flood every upper zone; tracking the abstract top keeps the funnel
+    honest."""
     check_alphabets(configs.alphabet, spec.alphabet)
     configs.validate()
     own = upper_lower_product(
@@ -387,7 +385,7 @@ def overapprox_post(
         extension.spec.alphabet,
         {origin.state: from_words([origin.lower])},
     )
-    traces = trace_overapprox(extension.spec, seeded, refine_top=refine_top)
+    traces = trace_overapprox(extension.spec, seeded, refine_top=True)
     uppers = upper_config_set(saturate_upper(traces, origin))
     lower = pds_post_star(
         extension.spec, singleton_lower(extension.spec, origin.state, origin.lower)

@@ -36,6 +36,19 @@ E2_RULES = (
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
+# `--lower` texts for e1 that are not one lower zone over the declared
+# alphabet, with the column and message of their parse error. Pasted
+# into a whole set expression, they would add an alternative without the
+# sentinel, put the checker's reserved symbols in the lower zone, or
+# move the boundary.
+BAD_LOWER_ZONES = (
+    ("x ) | @fill ^ ( x", 3, "unexpected ')'"),
+    ("@top x", 1, "undeclared symbol '@top'"),
+    ("@fill bot", 1, "undeclared symbol '@fill'"),
+    ("x ^ bot", 3, "boundary marker '^' not allowed in a zone expression"),
+)
+
+
 def subprocess_env() -> dict[str, str]:
     """The environment with this checkout's src/ first on PYTHONPATH, so a
     child `python -m upstack` runs the code under test."""

@@ -1,6 +1,7 @@
-"""A second language-equality algorithm, kept as a reference.
+"""Language equality for tests, two ways.
 
-`upstack.nfa.equivalent` compares canonical minimal DFAs. This module
+`equivalent` and `equivalent_sets` compare canonical minimal DFAs, which
+`Nfa.minimal_dfa` makes `same` for equal languages. `product_equivalent`
 decides the same question another way: determinize each side unless it
 is already a trimmed DFA, then walk the product of the two trimmed DFAs
 and look for a node pair on which they disagree. Tests compare the two.
@@ -8,7 +9,22 @@ and look for a node pair on which they disagree. Tests compare the two.
 
 from __future__ import annotations
 
+from upstack.configsets import ConfigAutomaton
 from upstack.nfa import DFA_STATE_BUDGET, EPSILON, Nfa
+
+
+def equivalent(a: Nfa, b: Nfa, node_budget: int = DFA_STATE_BUDGET) -> bool:
+    """Language equality: the two automata are the same, or their minimal
+    DFAs are. Past the node budget, ResourceLimitError."""
+    return a.same(b) or a.minimal_dfa(node_budget).same(b.minimal_dfa(node_budget))
+
+
+def equivalent_sets(a: ConfigAutomaton, b: ConfigAutomaton) -> bool:
+    """Whether both sets hold the same configurations, state by state."""
+    return set(a.alphabet) == set(b.alphabet) and all(
+        equivalent(a.component(state), b.component(state))
+        for state in set(a.components) | set(b.components)
+    )
 
 
 def _deterministic(nfa: Nfa) -> bool:

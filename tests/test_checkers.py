@@ -6,6 +6,7 @@ import random
 import pytest
 
 from conftest import (
+    BAD_LOWER_ZONES,
     c1_automaton,
     cfg,
     e1_spec,
@@ -26,7 +27,7 @@ from upstack.checkers import (
 )
 from upstack.configsets import ConfigAutomaton, from_config_set
 from upstack.core import RuleKind, make_spec, run_trace
-from upstack.errors import MalformedInputError
+from upstack.errors import MalformedInputError, ParseError
 from upstack.model import parse_model
 from upstack.oracle import oracle_post
 from upstack.regex import compile_config_regex
@@ -180,6 +181,23 @@ def test_overflow_rejects_sentinel_in_rules():
 def test_overflow_empty_lower_start():
     spec = make_spec(("q",), ("g",), [("q", "g", "q", ("g", "g"))])
     assert check_stack_overflow(spec, 0, "_").outcome == SAFE
+
+
+@pytest.mark.parametrize("lower, column, message", BAD_LOWER_ZONES)
+def test_overflow_lower_is_one_zone_over_the_declared_alphabet(e1, lower, column, message):
+    with pytest.raises(ParseError) as raised:
+        check_stack_overflow(e1, 1, lower, k=1)
+    assert (raised.value.line, raised.value.column) == (1, column)
+    assert message in str(raised.value)
+
+
+def test_overflow_lower_zones_keep_their_verdicts(e1):
+    assert check_stack_overflow(e1, 1, "_", k=1).describe() == "verdict: Safe (k=1)"
+    assert check_stack_overflow(e1, 1, "x (y x)* bot", k=1).describe() == (
+        "verdict: Unsafe (k=1)\n"
+        "witness: p: @top @fill ^ x bot\n"
+        "trace: p x -> p a; p a -> p a b; p a -> p a b"
+    )
 
 
 # -- the shared decision procedure --------------------------------------------

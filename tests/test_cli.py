@@ -13,7 +13,7 @@ import os
 import subprocess
 import sys
 
-from conftest import subprocess_env
+from conftest import BAD_LOWER_ZONES, subprocess_env
 from upstack.cli import main
 from upstack.fixtures import fixture_path
 
@@ -143,6 +143,15 @@ def test_usage_errors_exit_3():
     assert run_cli(read + ["--replay-depth", "5"])[0] == 3
     code, _, err = run_cli(["export-dot", E1, "--set", "C1", "--trace", "C1"])
     assert code == 3 and "not allowed with" in err
+
+
+def test_overflow_lower_errors_exit_3_with_columns_in_the_given_text():
+    for lower, column, message in BAD_LOWER_ZONES:
+        code, out, err = run_cli(
+            ["check-overflow", E1, "-m", "1", "--lower", lower, "-k", "1"]
+        )
+        assert (code, out) == (3, "")
+        assert err == f"upstack: error: line 1, column {column}: {message}\n"
 
 
 def test_analysis_errors_exit_3_with_message():

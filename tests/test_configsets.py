@@ -6,7 +6,6 @@ from upstack.configsets import (
     bar,
     config_from_word,
     config_word,
-    equivalent_sets,
     from_config_set,
     intersect_sets,
     is_barred,
@@ -17,7 +16,7 @@ from upstack.configsets import (
     upper_lower_product,
 )
 from upstack.core import Configuration
-from upstack.errors import MalformedInputError, ResourceLimitError
+from upstack.errors import MalformedInputError
 from upstack.fixtures import fixture_names, fixture_text
 from upstack.grammar import is_reachable, single_origin
 from upstack.kphase import PhaseKind, phase_pre
@@ -27,7 +26,7 @@ from upstack.oracle import oracle_post
 from upstack.upperapprox import overapprox_post
 
 from conftest import cfg, random_configuration, random_spec
-from equivalence_reference import product_equivalent
+from equivalence_reference import equivalent_sets, product_equivalent
 
 import random
 
@@ -126,17 +125,6 @@ def test_alphabet_mismatch_rejected(e1, e2):
         union_sets(a, b)
     with pytest.raises(MalformedInputError):
         intersect_sets(a, b)
-
-
-def test_equivalent_sets_honours_the_node_budget(e1):
-    # Words sharing a first symbol give nondeterministic components, whose
-    # comparison needs a determinization.
-    words = [cfg("p", "", "x y bot"), cfg("p", "", "x x bot")]
-    a = from_config_set(e1, words)
-    b = from_config_set(e1, list(reversed(words)))
-    assert equivalent_sets(a, b)
-    with pytest.raises(ResourceLimitError):
-        equivalent_sets(a, b, node_budget=1)
 
 
 def test_projections(e1):
@@ -342,20 +330,20 @@ def test_canonical_equivalence_agrees_with_the_product_walk(seed, variant):
         for q in set(a.components) | set(b.components)
     )
     ca, cb = a.compact(), b.compact()
-    assert ca._canonical and cb._canonical
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Nfa, "determinize", _refuse_to_determinize)
-        assert equivalent_sets(ca, cb) == expected
-        assert equivalent_sets(cb, ca) == expected
+        assert ca.same(cb) == expected
+        assert cb.same(ca) == expected
     if variant == "equal":
         assert expected
 
 
-def test_a_set_that_fell_back_on_the_budget_takes_the_determinizing_path(e1):
+def test_a_set_that_fell_back_on_the_budget_is_not_same_as_its_canonical_form(e1):
+    # Words sharing a first symbol give a nondeterministic component, which
+    # a one-state budget cannot determinize.
     words = [cfg("p", "", "x y bot"), cfg("p", "", "x x bot")]
     fell_back = from_config_set(e1, words).compact(node_budget=1)
     canonical = from_config_set(e1, list(reversed(words))).compact()
-    assert not fell_back._canonical and canonical._canonical
     assert equivalent_sets(fell_back, canonical)
-    with pytest.raises(ResourceLimitError):
-        equivalent_sets(fell_back, canonical, node_budget=1)
+    assert not fell_back.same(canonical) and not canonical.same(fell_back)
+    assert fell_back.compact().same(canonical)

@@ -4,7 +4,7 @@ from collections import deque
 
 import pytest
 
-from upstack.configsets import ConfigAutomaton, equivalent_sets, from_config_set
+from upstack.configsets import ConfigAutomaton, from_config_set
 from upstack.core import Configuration, count_phases, step
 from upstack.errors import MalformedInputError
 from upstack.kphase import PhaseKind, bounded_phase_pre_star, phase_pre
@@ -12,6 +12,7 @@ from upstack.nfa import Nfa
 from upstack.oracle import oracle_pre_kphase
 
 from conftest import cfg, random_configuration, random_spec
+from equivalence_reference import equivalent_sets
 from mpds import MpdsRule, config_to_mpds, mpds_step, mpds_to_config, upds_to_mpds
 
 
@@ -110,36 +111,49 @@ def test_bounded_zero_phases_is_target_set(e2, c2):
 
 
 def test_bounded_fixpoint_test_gets_the_node_budget(e2, c2, monkeypatch):
-    import upstack.kphase as kphase
-
+    # The fixpoint test compares compacted rounds, so the budget reaches
+    # it through every compaction.
     budgets = []
+    compact = ConfigAutomaton.compact
 
-    def recording(a, b, node_budget=None):
+    def recording(self, node_budget):
         budgets.append(node_budget)
-        return equivalent_sets(a, b, node_budget)
+        return compact(self, node_budget)
 
-    monkeypatch.setattr(kphase, "equivalent_sets", recording)
+    monkeypatch.setattr(ConfigAutomaton, "compact", recording)
     bounded_phase_pre_star(e2, c2, 3, node_budget=1234)
     assert budgets and set(budgets) == {1234}
 
 
 def test_fixpoint_test_of_canonical_rounds_does_not_determinize(e2, c2, monkeypatch):
-    import upstack.kphase as kphase
-
     rounds = []
+    same = ConfigAutomaton.same
 
     def refuse(*args, **kwargs):
         raise AssertionError("the fixpoint test determinized")
 
-    def structural_only(a, b, node_budget):
-        rounds.append((a._canonical, b._canonical))
+    def structural_only(a, b):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(Nfa, "determinize", refuse)
-            return equivalent_sets(a, b, node_budget)
+            rounds.append(same(a, b))
+        return rounds[-1]
 
-    monkeypatch.setattr(kphase, "equivalent_sets", structural_only)
+    monkeypatch.setattr(ConfigAutomaton, "same", structural_only)
     bounded_phase_pre_star(e2, c2, 4)
-    assert rounds and all(a and b for a, b in rounds)
+    assert len(rounds) == 4
+
+
+def test_rounds_that_fell_back_on_the_budget_accept_the_same_configurations(e2, c2):
+    # At budget 1 every compaction falls back on the trimmed automaton, so
+    # no two rounds are `same` and all k rounds run; the sets still hold
+    # the configurations they hold at the default budget. Probing the
+    # k = 4 automaton (about 50k nodes) would take minutes, so its
+    # language is compared through its canonical compaction.
+    for k in range(5):
+        fell_back = bounded_phase_pre_star(e2, c2, k, node_budget=1)
+        canonical = bounded_phase_pre_star(e2, c2, k)
+        assert not fell_back.same(canonical)
+        assert fell_back.compact().same(canonical), k
 
 
 def test_bounded_two_phase_example(e2, c2):

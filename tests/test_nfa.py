@@ -8,16 +8,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equivalence_reference import product_equivalent
+from equivalence_reference import equivalent, product_equivalent
 from upstack.errors import MalformedInputError, ResourceLimitError
-from upstack.nfa import (
-    EPSILON,
-    Nfa,
-    equivalent,
-    from_words,
-    intersection,
-    union,
-)
+from upstack.nfa import EPSILON, Nfa, from_words, intersection, union
 
 
 def _sample() -> Nfa:
@@ -249,15 +242,26 @@ def test_same_compares_structure_not_insertion_order():
     assert not equivalent(one, up_to_one)
 
 
-def test_equivalent_honours_the_node_budget():
-    a = _sample()
-    b = _sample()
-    b.add_edge(0, "b", 1)
-    # Structurally the same automata need no determinization.
-    assert equivalent(a, _sample(), node_budget=1)
+def test_minimal_dfa_determinizes_epsilon_closed_subsets():
+    # After `b`, the targets {1} and {1, 2} close to the same subset, so
+    # three subsets suffice; removing epsilons first keeps them apart.
+    n = Nfa(initial=(0,), finals=(3,))
+    n.add_edge(0, "a", 1)
+    n.add_edge(0, "b", 1)
+    n.add_edge(0, "b", 2)
+    n.add_edge(1, EPSILON, 2)
+    n.add_edge(2, "c", 3)
+    assert len(n.determinize().nodes()) == 3
+    assert len(n.eps_eliminate().trim().determinize().nodes()) == 4
+    assert n.compact(node_budget=3).same(n.minimal_dfa())
     with pytest.raises(ResourceLimitError):
-        equivalent(a, b, node_budget=1)
-    assert equivalent(a, b)
+        n.minimal_dfa(node_budget=2)
+
+
+@settings(deadline=None)
+@given(_random_nfa(), _random_nfa())
+def test_minimal_dfas_are_same_exactly_when_the_languages_are_equal(a, b):
+    assert a.minimal_dfa().same(b.minimal_dfa()) == product_equivalent(a, b)
 
 
 def _trim_by_reversal(n: Nfa) -> Nfa:

@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 from upstack.configsets import from_config_set, project_lower
 from upstack.core import UpdsSpec, make_spec, step
 from upstack.errors import MalformedInputError, ResourceLimitError
-from upstack.nfa import Nfa, equivalent, from_words
+from upstack.nfa import Nfa, from_words
 from upstack.oracle import oracle_post, pds_closure, pds_reaches, pds_step
 from upstack.pds import LowerAutomaton, pds_post_star, pds_pre_star, singleton_lower
 
 from conftest import cfg, e1_spec, random_configuration, random_spec
+from equivalence_reference import equivalent
 
 
 def words(aut, state, max_len):

@@ -3,15 +3,17 @@ from hypothesis import given, settings, strategies as st
 
 from upstack.configsets import ConfigAutomaton, bar, config_word
 from upstack.errors import ParseError
-from upstack.nfa import Nfa, equivalent, from_words
+from upstack.nfa import Nfa, from_words
 from upstack.regex import (
     compile_config_regex,
     parse_config_regex,
+    parse_zone_regex,
     print_config_regex,
     tokenize,
 )
 
 from conftest import cfg
+from equivalence_reference import equivalent
 
 
 def test_tokenizer_positions():
@@ -79,6 +81,12 @@ def test_parse_errors_carry_positions():
     assert err.value.column == 5
     with pytest.raises(ParseError, match="undeclared symbol 'z'"):
         parse_config_regex("z ^", alphabet=("a", "b"))
+
+
+def test_a_zone_parses_on_its_own_as_it_does_in_a_group():
+    for text in ("a | b a*", "_", "a (b a)* b", "(a | b)*"):
+        zone = parse_zone_regex(text, ("a", "b"))
+        assert parse_config_regex(f"^ ( {text} )") == ("config", ((("empty",), zone),))
 
 
 def test_empty_regex_accepts_empty_config():
