@@ -11,9 +11,9 @@ words always split as barred-prefix then plain-suffix.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
-from .core import Configuration, UpdsSpec, Word
+from .core import ConfigTuple, Configuration, UpdsSpec, Word
 from .errors import MalformedInputError
 from .limits import DFA_STATE_BUDGET
 from .nfa import EPSILON, Nfa, from_words, intersection, union
@@ -52,6 +52,13 @@ def config_from_word(state: str, word: Iterable) -> Configuration:
         else:
             lower.append(label)
     return Configuration(state, tuple(upper), tuple(lower))
+
+
+def _extend_zones(c: ConfigTuple, label) -> ConfigTuple | None:
+    state, upper, lower = c
+    if not is_barred(label):
+        return state, upper, lower + (label,)
+    return None if lower else (state, upper + (label[1],), lower)
 
 
 class ConfigAutomaton:
@@ -148,13 +155,19 @@ class ConfigAutomaton:
             return None
         return config_from_word(best[1], best[2])
 
-    def enumerate_configs(self, max_len: int) -> list[Configuration]:
-        """All accepted configurations of total stack size <= max_len."""
-        out = []
+    def members(self, max_len: int) -> Iterator[ConfigTuple]:
+        """The accepted configurations of total stack size <= max_len as
+        (state, upper, lower) tuples: state by state in component order,
+        each state's in `Nfa.walk` order of their flattened words. Each word
+        is split into its zones as it is extended, and a barred label is
+        never added after a plain one."""
         for state, nfa in self.components.items():
-            for word in nfa.words_up_to(max_len):
-                out.append(config_from_word(state, word))
-        return out
+            yield from nfa.walk(max_len, _extend_zones, (state, (), ()))
+
+    def enumerate_configs(self, max_len: int) -> list[Configuration]:
+        """All accepted configurations of total stack size <= max_len, in
+        `members` order."""
+        return [Configuration(*c) for c in self.members(max_len)]
 
     def summary(self) -> str:
         parts = []

@@ -11,7 +11,10 @@ breadth-first over label-sorted edges, so automata with the same
 language compact to the `same` nodes, edges, initial and final nodes
 whatever their node names or edge order. Language equality of two
 compacted automata is therefore `same`, unless one of them fell back on
-the determinization budget. DOT exports sort what they print.
+the determinization budget; such a compaction is the bisimulation
+quotient, which needs no subsets. `walk` lists accepted words in
+(length, label-key) order without sorting them. DOT exports sort what
+they print.
 """
 
 from __future__ import annotations
@@ -43,6 +46,28 @@ Label = Hashable
 
 def _identity(x):
     return x
+
+
+def _append(word: tuple[Label, ...], label: Label) -> tuple[Label, ...]:
+    return word + (label,)
+
+
+def _refine(
+    nodes: list[Node],
+    cls: dict[Node, int],
+    moves: Callable[[Node, dict[Node, int]], Hashable],
+) -> dict[Node, int]:
+    """Moore-style partition refinement: split the classes `cls` gives
+    by what `moves(node, classes)` says of each node, until no class
+    splits. Classes are numbered in `nodes` order of their first node."""
+    count = len(set(cls.values()))
+    while True:
+        signatures: dict[tuple, int] = {}
+        cls = {n: signatures.setdefault((cls[n], moves(n, cls)), len(signatures)) for n in nodes}
+        # Each round refines the last, so an equal count means stable.
+        if len(signatures) == count:
+            return cls
+        count = len(signatures)
 
 
 def label_key(label: Label) -> str:
@@ -185,16 +210,22 @@ class Nfa:
                 out.update(row[label])
         return self.eps_closure(out)
 
-    def _label_steps(self, closed: Iterable[Node]) -> dict[Label, set[Node]]:
-        """Label -> targets of the non-epsilon edges leaving an epsilon-closed
-        set, in one pass over its edges (the targets are not closed yet)."""
+    def _closed_steps(
+        self, closed: Iterable[Node], labels: list[Label] | None = None
+    ) -> list[tuple[Label, frozenset[Node]]]:
+        """(label, epsilon-closed targets) for each label that an edge
+        leaving the epsilon-closed set carries, in the order of `labels`
+        (by default, in label-key order): one subset construction step, in
+        one pass over the set's edges."""
         edges = self._edges
         out: dict[Label, set[Node]] = {}
         for n in closed:
             for label, targets in edges.get(n, {}).items():
                 if label is not EPSILON:
                     out.setdefault(label, set()).update(targets)
-        return out
+        if labels is None:
+            labels = sorted(out, key=label_key)
+        return [(label, self.eps_closure(out[label])) for label in labels if label in out]
 
     def run(self, word: Iterable[Label], start: Iterable[Node] | None = None) -> frozenset[Node]:
         current = self.eps_closure(self.initial if start is None else start)
@@ -253,32 +284,56 @@ class Nfa:
     def is_empty(self) -> bool:
         return self.shortest_word() is None
 
-    def words_up_to(self, max_len: int, start: Iterable[Node] | None = None) -> list[tuple[Label, ...]]:
-        """All accepted words of length <= max_len (deduplicated, sorted by
-        length then label keys). The number of words can grow exponentially
-        with max_len; `member` and the `oracle` command enumerate their
-        start configurations with it, up to the query's size and the
-        `--cap` respectively."""
-        labels = sorted(self.labels(), key=label_key)
+    def walk(
+        self,
+        max_len: int,
+        extend: Callable[[object, Label], object | None],
+        seed: object,
+        start: Iterable[Node] | None = None,
+    ) -> Iterator[object]:
+        """The accepted words of length <= max_len, in (length, label-key)
+        order, each built from `seed` by `extend(built, label)` one label at
+        a time; `extend` may return None to drop a word and every word it
+        prefixes. A layer holds (word, epsilon-closed subset, accepting) for
+        the words of one length. The subset walk reaches each word once, so
+        extending a layer in order by labels in key order gives the next
+        layer in order: nothing is sorted or deduplicated. Each subset's
+        label steps are computed once. The number of words can grow
+        exponentially with max_len."""
+        finals = self.finals.keys()
         first = self.eps_closure(self.initial if start is None else start)
-        found: dict[tuple[Label, ...], None] = {}
-        words: dict[frozenset[Node], list[tuple[Label, ...]]] = {first: [()]}
+        layer = [(seed, first, not finals.isdisjoint(first))]
+        steps: dict[frozenset[Node], list[tuple[Label, frozenset[Node], bool]]] = {}
         for length in range(max_len + 1):
-            for nodes, ws in words.items():
-                if any(n in self.finals for n in nodes):
-                    for w in ws:
-                        found[w] = None
+            for built, _, accepting in layer:
+                if accepting:
+                    yield built
             if length == max_len:
-                break
-            nxt_words: dict[frozenset[Node], list[tuple[Label, ...]]] = {}
-            for nodes, ws in words.items():
-                by_label = self._label_steps(nodes)
-                for label in labels:
-                    if label in by_label:
-                        stepped = self.eps_closure(by_label[label])
-                        nxt_words.setdefault(stepped, []).extend(w + (label,) for w in ws)
-            words = nxt_words
-        return sorted(found, key=lambda w: (len(w), tuple(label_key(s) for s in w)))
+                return
+            # The last layer keeps only accepted words: nothing extends them.
+            last = length + 1 == max_len
+            next_layer = []
+            for built, subset, _ in layer:
+                row = steps.get(subset)
+                if row is None:
+                    row = steps[subset] = [
+                        (label, stepped, not finals.isdisjoint(stepped))
+                        for label, stepped in self._closed_steps(subset)
+                    ]
+                for label, stepped, accepting in row:
+                    if accepting or not last:
+                        grown = extend(built, label)
+                        if grown is not None:
+                            next_layer.append((grown, stepped, accepting))
+            layer = next_layer
+
+    def words_up_to(self, max_len: int, start: Iterable[Node] | None = None) -> list[tuple[Label, ...]]:
+        """All accepted words of length <= max_len, in `walk` order: by
+        length, then by label keys. Their number can grow exponentially
+        with max_len. Start configurations are not listed with this:
+        `ConfigAutomaton.members` runs the same walk and cuts each word into
+        its zones as it grows."""
+        return list(self.walk(max_len, _append, (), start))
 
     # -- transformations (all build fresh automata) ----------------------
 
@@ -370,11 +425,7 @@ class Nfa:
         while queue:
             subset = queue.popleft()
             src = numbering[subset]
-            successors = self._label_steps(subset)
-            for label in labels:
-                if label not in successors:
-                    continue
-                stepped = self.eps_closure(successors[label])
+            for label, stepped in self._closed_steps(subset, labels):
                 if stepped not in numbering:
                     if len(numbering) >= node_budget:
                         raise ResourceLimitError(
@@ -404,22 +455,11 @@ class Nfa:
             delta[n] = row
         SINK = object()
         delta[SINK] = {}
-        cls: dict[Node, int] = {n: (1 if n in self.finals else 0) for n in nodes}
-        cls[SINK] = 0
-        all_nodes = [*nodes, SINK]
-        while True:
-            signatures: dict[tuple, int] = {}
-            new_cls: dict[Node, int] = {}
-            for n in all_nodes:
-                row = delta[n]
-                sig = (cls[n], tuple(cls[row.get(label, SINK)] for label in labels))
-                if sig not in signatures:
-                    signatures[sig] = len(signatures)
-                new_cls[n] = signatures[sig]
-            stable = len(set(new_cls.values())) == len(set(cls.values()))
-            cls = new_cls
-            if stable:
-                break
+        cls = _refine(
+            [*nodes, SINK],
+            {**{n: int(n in self.finals) for n in nodes}, SINK: 0},
+            lambda n, cls: tuple(cls[delta[n].get(label, SINK)] for label in labels),
+        )
         out = Nfa()
         for n in self.initial:
             out.add_initial(cls[n])
@@ -439,13 +479,44 @@ class Nfa:
             return Nfa()
         return trimmed.determinize(node_budget).minimize().relabel()
 
+    def bisimulation_quotient(self) -> "Nfa":
+        """The epsilon-free trimmed automaton with each class of its
+        coarsest bisimulation merged into one node: partition refinement
+        from finality until nodes of a class have the same (label, class)
+        successors. A quotient by a bisimulation keeps the language and
+        needs no subset construction. Each class is named by its first node
+        in this automaton's insertion order, never by a fresh int, so a
+        quotient is `same` as a minimal DFA only by coincidence; its nodes
+        and edges are added in an order fixed by that insertion order and
+        the label keys."""
+        free = self.eps_eliminate().trim()
+        rows = free._edges
+        order = [n for n in self._edges if n in rows]
+
+        def moves(n: Node, cls: dict[Node, int]) -> frozenset[tuple[Label, int]]:
+            return frozenset(
+                (label, cls[dst]) for label, targets in rows[n].items() for dst in targets
+            )
+
+        cls = _refine(order, {n: int(n in free.finals) for n in order}, moves)
+        # Classes are numbered in `order`, so each is named by its first node.
+        names: dict[int, Node] = {}
+        for n in order:
+            names.setdefault(cls[n], n)
+        out = Nfa((names[cls[n]] for n in free.initial), (names[cls[n]] for n in free.finals))
+        for name in names.values():
+            out.add_node(name)
+            for label, dst in sorted(moves(name, cls), key=lambda m: (label_key(m[0]), m[1])):
+                out.add_edge(name, label, names[dst])
+        return out
+
     def compact(self, node_budget: int = DFA_STATE_BUDGET) -> "Nfa":
-        """Language-preserving compression: the minimal DFA, or the trimmed
-        automaton if determinization blows the budget."""
+        """Language-preserving compression: the minimal DFA, or the
+        bisimulation quotient if determinization blows the budget."""
         try:
             return self.minimal_dfa(node_budget)
         except ResourceLimitError:
-            return self.trim()
+            return self.bisimulation_quotient()
 
     def same(self, other: "Nfa") -> bool:
         """Structural equality: the same nodes, edges, initial and final

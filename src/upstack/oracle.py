@@ -11,6 +11,13 @@ runs the lower-stack-only semantics. All are exhaustive within their
 bounds, deterministic (successors in rule declaration order), and refuse
 to run past an explicit node budget rather than silently truncating.
 
+`explore` stores plain (state, upper, lower) tuples and trusts its
+starts. The entry points that take `Configuration` starts check and
+convert each of them once; `is_reachable` validates its start set once
+and feeds the search the set's `members`, walked in (length, label)
+order straight from its automaton, so no start is built as an object,
+sorted or checked again.
+
 is_reachable decides whether a configuration is reachable from a regular
 start set. No step shrinks the total stack size (a pop moves a symbol
 from one zone to the other; a push adds a lower cell and overwrites at
@@ -36,15 +43,24 @@ from .core import (
     step,  # noqa: F401 (tests/test_acceptance.py imports it from here)
     successors,
 )
-from .errors import ResourceLimitError
+from .errors import MalformedInputError, ResourceLimitError
 from .limits import DEFAULT_CONFIG_BUDGET, DEFAULT_NODE_BUDGET
 
 SEARCH_BUDGET = "configuration search budget"
 
 
+def _checked(spec: UpdsSpec, configs: Iterable[Configuration]) -> list[ConfigTuple]:
+    """The configurations as search tuples, each checked against spec."""
+    out = []
+    for c in configs:
+        check_configuration(spec, c)
+        out.append((c.state, c.upper, c.lower))
+    return out
+
+
 def explore(
     spec: UpdsSpec,
-    starts: Iterable[Configuration],
+    starts: Iterable[ConfigTuple],
     accepts: Callable[[ConfigTuple], bool],
     size_cap: int | None,
     depth: int | None = None,
@@ -52,9 +68,10 @@ def explore(
     within: Callable[[ConfigTuple], bool] | None = None,
 ) -> tuple[ConfigTuple | None, dict[ConfigTuple, tuple[ConfigTuple, Rule] | None]]:
     """Breadth-first search over (state, upper, lower) tuples: starts in
-    the order given, successors in rule declaration order. Successors whose
-    total stack size passes size_cap, or that `within` rejects, are dropped
-    before they are stored (the starts are kept whatever they are);
+    the order given, successors in rule declaration order. The starts are
+    trusted to be configurations of spec: the callers check them. Successors
+    whose total stack size passes size_cap, or that `within` rejects, are
+    dropped before they are stored (the starts are kept whatever they are);
     size_cap=None leaves the size free. depth=None searches the region to
     exhaustion, which is finite under a size cap. node_budget counts stored
     configurations, starts included. Returns the first stored configuration
@@ -65,9 +82,7 @@ def explore(
         size_cap = math.inf
     stored: dict[ConfigTuple, tuple[ConfigTuple, Rule] | None] = {}
     frontier: list[ConfigTuple] = []
-    for c in starts:
-        check_configuration(spec, c)
-        start = (c.state, c.upper, c.lower)
+    for start in starts:
         if start in stored:
             continue
         if len(stored) >= node_budget:
@@ -112,7 +127,7 @@ def oracle_post(
     size_cap (initial configurations above the cap are discarded too).
     node_budget caps the stored configurations, the initial ones included,
     but those are always kept."""
-    capped = [c for c in initial if check_configuration(spec, c).total_size <= size_cap]
+    capped = [c for c in _checked(spec, initial) if len(c[1]) + len(c[2]) <= size_cap]
     budget = max(node_budget, len(set(capped)))
     _, stored = explore(spec, capped, lambda c: False, size_cap, depth, budget)
     return frozenset(Configuration(*c) for c in stored)
@@ -130,6 +145,7 @@ def search_trace(
     """A shortest rule sequence driving some start to a configuration
     whose tuple `accepts`, or None if `explore` finds none; among shortest
     traces the first found wins."""
+    starts = _checked(spec, starts)
     hit, stored = explore(spec, starts, accepts, size_cap, depth, node_budget, within)
     if hit is None:
         return None
@@ -149,13 +165,19 @@ def is_reachable(
     """Whether some member of start_set reaches config. budget counts the
     configurations the search stores (see the module docstring). The start
     set is validated once per set, and a set from `ModelFile.config_set`
-    never: it is valid by construction."""
+    never: it is valid by construction. Its members go into the search as
+    they are walked, unchecked: a valid set over the system's states and
+    alphabet holds only configurations of the system."""
     check_configuration(spec, config)
     start_set.validate()
-    starts = start_set.enumerate_configs(config.total_size)
+    spec.check_word(start_set.alphabet, "start set alphabet")
+    for state in start_set.components:
+        if state not in spec.states:
+            raise MalformedInputError(f"undeclared state {state!r} in start set")
+    size = config.total_size
     goal = (config.state, config.upper, config.lower)
-    trace = search_trace(spec, starts, goal.__eq__, config.total_size, node_budget=budget)
-    return trace is not None
+    hit, _ = explore(spec, start_set.members(size), goal.__eq__, size, node_budget=budget)
+    return hit is not None
 
 
 def oracle_trace(

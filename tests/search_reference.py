@@ -6,14 +6,55 @@ These are the loops it replaced: they store `Configuration` objects and
 apply each rule as written in the semantics, so the differential tests
 compare the engine with an independent stepper as well as with the old
 search order, dedup and budget rules.
+
+The search takes its starts from `ConfigAutomaton.members`, which walks
+each component's words in order and cuts them into zones as it goes.
+`reference_members` is the enumeration it replaced: every accepted word
+collected by subset construction, deduplicated, sorted by length and
+label keys, and only then cut into a `Configuration`.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable
 
+from upstack.configsets import ConfigAutomaton, config_from_word
 from upstack.core import Configuration, Rule, UpdsSpec, check_configuration
 from upstack.errors import ResourceLimitError
+from upstack.nfa import Nfa, label_key
+
+
+def reference_words(nfa: Nfa, max_len: int) -> list[tuple]:
+    """The accepted words of length <= max_len: the words of each length
+    grouped by the subset they reach, the accepted ones collected, then
+    deduplicated and sorted by length and label keys."""
+    labels = sorted(nfa.labels(), key=label_key)
+    found: dict[tuple, None] = {}
+    words: dict[frozenset, list[tuple]] = {nfa.eps_closure(nfa.initial): [()]}
+    for length in range(max_len + 1):
+        for nodes, ws in words.items():
+            if nodes & nfa.finals.keys():
+                found.update(dict.fromkeys(ws))
+        if length == max_len:
+            break
+        grown: dict[frozenset, list[tuple]] = {}
+        for nodes, ws in words.items():
+            for label in labels:
+                stepped = nfa.step(nodes, label)
+                if stepped:
+                    grown.setdefault(stepped, []).extend(w + (label,) for w in ws)
+        words = grown
+    return sorted(found, key=lambda w: (len(w), tuple(label_key(s) for s in w)))
+
+
+def reference_members(start_set: ConfigAutomaton, max_len: int) -> list[Configuration]:
+    """The configurations of total stack size <= max_len, state by state
+    in component order, each word cut into its zones by `config_from_word`."""
+    return [
+        config_from_word(state, word)
+        for state, nfa in start_set.components.items()
+        for word in reference_words(nfa, max_len)
+    ]
 
 
 def reference_step(spec: UpdsSpec, c: Configuration) -> list[tuple[Rule, Configuration]]:

@@ -27,6 +27,7 @@ from upstack.upperapprox import overapprox_post
 
 from conftest import cfg, random_configuration, random_spec
 from equivalence_reference import equivalent_sets, product_equivalent
+from search_reference import reference_members
 
 import random
 
@@ -287,6 +288,44 @@ def test_a_hand_built_set_is_scanned_once(e1, monkeypatch):
     phase_pre(e1, start, PhaseKind.PUSH)
     overapprox_post(e1, start)
     assert sum(s is start for s in scanned) == 1
+
+
+# -- the member walk ---------------------------------------------------------
+
+def test_the_member_walk_lists_the_reference_enumeration_in_order():
+    """On random compiled sets (epsilon edges, barred upper zones, empty
+    lower words), listed sets and their unions, `members` and
+    `enumerate_configs` give the reference's list at every cap 0..6."""
+    rng = random.Random(20261018)
+    covered = {"epsilon": 0, "upper": 0, "empty lower": 0}
+    for _ in range(40):
+        model = _random_model(rng)
+        spec = model.spec
+        compiled = model.config_set("S")
+        listed = from_config_set(
+            spec, [random_configuration(rng, spec, max_side=3) for _ in range(rng.randint(1, 4))]
+        )
+        covered["epsilon"] += any(
+            label is EPSILON for nfa in compiled.components.values() for _, label, _ in nfa.edges()
+        )
+        for start_set in (compiled, listed, union_sets(compiled, listed)):
+            for cap in range(7):
+                want = reference_members(start_set, cap)
+                assert list(start_set.members(cap)) == [(c.state, c.upper, c.lower) for c in want]
+                assert start_set.enumerate_configs(cap) == want
+                covered["upper"] += any(c.upper for c in want)
+                covered["empty lower"] += any(not c.lower for c in want)
+    assert min(covered.values()) >= 10, covered
+
+
+def test_the_member_walk_never_puts_a_barred_label_after_a_plain_one(e1):
+    # An unvalidated set whose only word has a barred label after a plain
+    # one: the walk drops it, and with it every word it prefixes.
+    nfa = Nfa(initial=(0,), finals=(2, 3))
+    nfa.add_edge(0, "x", 1)
+    nfa.add_edge(1, bar("a"), 2)
+    nfa.add_edge(2, "bot", 3)
+    assert list(ConfigAutomaton(e1.alphabet, {"p": nfa}).members(3)) == []
 
 
 # -- canonical sets compare by structure -----------------------------------

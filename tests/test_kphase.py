@@ -156,6 +156,14 @@ def test_rounds_that_fell_back_on_the_budget_accept_the_same_configurations(e2, 
         assert fell_back.compact().same(canonical), k
 
 
+def test_rounds_that_fell_back_on_the_budget_stay_small(e2, c2):
+    # A starved compaction still merges bisimilar nodes, so the rounds do
+    # not grow by the whole union of the last one.
+    for k in range(5):
+        fell_back = bounded_phase_pre_star(e2, c2, k, node_budget=1)
+        assert sum(len(nfa.nodes()) for nfa in fell_back.components.values()) < 40, k
+
+
 def test_bounded_two_phase_example(e2, c2):
     # <p, b, cc> needs a push phase (cc -> abc, shedding the b) followed
     # by a pop phase (abc -> bc -> c, rebuilding ab above the boundary).

@@ -191,6 +191,32 @@ def test_equivalence_agrees_with_bounded_enumeration(a, b):
     assert equivalent(a.compact(), a) and equivalent(b, b.compact())
 
 
+@settings(deadline=None)
+@given(_random_nfa())
+def test_bisimulation_quotient_keeps_the_language_in_fewer_nodes(n):
+    quotient = n.bisimulation_quotient()
+    assert product_equivalent(quotient, n)
+    assert len(quotient.nodes()) <= len(n.eps_eliminate().trim().nodes())
+    assert all(label is not EPSILON for _, label, _ in quotient.edges())
+    # Classes keep the name of a node of their own.
+    assert set(quotient.nodes()) <= set(n.nodes())
+
+
+def test_bisimulation_quotient_merges_equivalent_branches():
+    # Two a-branches into two copies of b*: the copies merge into one
+    # class, and the dead epsilon branch is trimmed away.
+    n = Nfa(initial=(0,), finals=(1, 2))
+    n.add_edge(0, "a", 1)
+    n.add_edge(0, "a", 2)
+    n.add_edge(1, "b", 1)
+    n.add_edge(2, "b", 2)
+    n.add_edge(0, EPSILON, 3)
+    quotient = n.bisimulation_quotient()
+    assert quotient.nodes() == [0, 1]
+    assert list(quotient.edges()) == [(0, "a", 1), (1, "b", 1)]
+    assert list(quotient.initial) == [0] and list(quotient.finals) == [1]
+
+
 def _renamed_and_shuffled(n: Nfa, seed: int) -> Nfa:
     """A copy with fresh node names, built in a shuffled order."""
     rng = random.Random(seed)

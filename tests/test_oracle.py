@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import cfg, e1_pumped, e1_seed, random_configuration, random_spec
-from search_reference import reference_post, reference_trace
-from upstack.configsets import from_config_set
+from search_reference import reference_members, reference_post, reference_trace
+from upstack.configsets import ConfigAutomaton, from_config_set
 from upstack.core import Configuration, count_phases, make_spec, run_trace, step
-from upstack.errors import ResourceLimitError
+from upstack.errors import MalformedInputError, ResourceLimitError
+from upstack.nfa import from_words
 from upstack.oracle import (
     _predecessors,
     explore,
+    is_reachable,
     oracle_post,
     oracle_pre_kphase,
     oracle_trace,
@@ -71,11 +73,11 @@ def _outcome(search):
 
 def test_search_and_closure_match_the_reference_loops():
     """On 200 random systems the tuple engine and the reference loops give
-    the same traces (or None), the same closures, and raise
-    ResourceLimitError at the same budgets, found at each search's exact
-    threshold."""
+    the same traces (or None), the same closures and the same membership
+    answers from a start automaton, and raise ResourceLimitError at the
+    same budgets, found at each search's exact threshold."""
     rng = random.Random(20260418)
-    hits = 0
+    hits = reachable = 0
     for _ in range(200):
         spec = random_spec(rng, max_rules=7)
         cap = rng.randint(1, 5)
@@ -83,7 +85,7 @@ def test_search_and_closure_match_the_reference_loops():
         starts = [random_configuration(rng, spec, max_side=3) for _ in range(rng.randint(1, 4))]
         starts += rng.sample(starts, rng.randint(0, len(starts)))
         depth = rng.choice((None, rng.randint(0, 6)))
-        _, stored = explore(spec, starts, lambda c: False, cap, depth)
+        _, stored = explore(spec, list(map(_as_tuple, starts)), lambda c: False, cap, depth)
         # Half the goals are reachable, so most runs compare real traces.
         if rng.random() < 0.5:
             goal = Configuration(*rng.choice(sorted(stored)))
@@ -110,7 +112,31 @@ def test_search_and_closure_match_the_reference_loops():
         got = oracle_trace(spec, start, forbidden.accepts, post_depth, cap + 1)
         want = reference_trace(spec, [start], forbidden.accepts, cap + 1, post_depth, 10**6)
         assert got == want
+
+        # Membership walks the start automaton's members into the search.
+        start_set = from_config_set(spec, starts)
+        size = goal.total_size
+        _, stored = explore(spec, start_set.members(size), _as_tuple(goal).__eq__, size)
+        for budget in sorted({0, 1, len(stored) - 1, len(stored)}):
+            got = _outcome(lambda: is_reachable(spec, start_set, goal, budget))
+            want = _outcome(lambda: reference_trace(
+                spec, reference_members(start_set, size), goal.__eq__, size, None, budget
+            ) is not None)
+            assert got == want, (spec.rules, starts, goal, budget)
+            reachable += got is True
     assert hits > 200
+    assert reachable > 50
+
+
+def test_membership_refuses_a_start_set_outside_the_system(e1):
+    # The members go into the search unchecked, so the set's states and
+    # alphabet are checked against the system once, up front.
+    probe = cfg("p2", "a", "bot")
+    words = from_words([("bot",)])
+    with pytest.raises(MalformedInputError, match="undeclared state"):
+        is_reachable(e1, ConfigAutomaton(e1.alphabet, {"nowhere": words}), probe)
+    with pytest.raises(MalformedInputError, match="undeclared symbol"):
+        is_reachable(e1, ConfigAutomaton(e1.alphabet + ("zz",), {"p": words}), probe)
 
 
 def test_push_onto_an_empty_upper_word_at_the_cap_is_dropped():
@@ -130,7 +156,7 @@ def test_a_start_above_the_cap_is_kept_by_the_search_but_not_by_the_closure(e1):
     big = e1_seed(1)
     cap = big.total_size - 1
     assert search_trace(e1, [big], _as_tuple(big).__eq__, cap) == ()
-    hit, stored = explore(e1, [big], lambda c: False, cap)
+    hit, stored = explore(e1, [_as_tuple(big)], lambda c: False, cap)
     assert hit is None and stored == {_as_tuple(big): None}
     assert oracle_post(e1, [big], 5, cap) == frozenset()
     assert oracle_post(e1, [big, e1_seed(0)], 5, cap) == oracle_post(e1, [e1_seed(0)], 5, cap)
@@ -138,10 +164,11 @@ def test_a_start_above_the_cap_is_kept_by_the_search_but_not_by_the_closure(e1):
 
 def test_budgets_reached_exactly(e1):
     seed = e1_seed(1)
-    _, stored = explore(e1, [seed], lambda c: False, seed.total_size)
-    explore(e1, [seed], lambda c: False, seed.total_size, node_budget=len(stored))
+    start = [_as_tuple(seed)]
+    _, stored = explore(e1, start, lambda c: False, seed.total_size)
+    explore(e1, start, lambda c: False, seed.total_size, node_budget=len(stored))
     with pytest.raises(ResourceLimitError) as info:
-        explore(e1, [seed], lambda c: False, seed.total_size, node_budget=len(stored) - 1)
+        explore(e1, start, lambda c: False, seed.total_size, node_budget=len(stored) - 1)
     assert info.value.explored == len(stored) - 1
 
     reached = oracle_post(e1, [seed], 9, 4)
@@ -173,17 +200,17 @@ def test_within_drops_successors_before_they_are_stored_or_counted():
     def in_q(c):
         return c[0] == "q"
 
-    hit, stored = explore(spec, [start], in_q, None, node_budget=2, within=short)
+    hit, stored = explore(spec, [_as_tuple(start)], in_q, None, node_budget=2, within=short)
     assert hit == ("q", (), ("a",))
     assert stored == {_as_tuple(start): None, hit: (_as_tuple(start), switch)}
     with pytest.raises(ResourceLimitError):
-        explore(spec, [start], in_q, None, node_budget=2)
+        explore(spec, [_as_tuple(start)], in_q, None, node_budget=2)
     trace = oracle_trace(
         spec, start, lambda c: c.state == "q", None, None, 2, within=lambda c: len(c.lower) <= 1
     )
     assert trace == (switch,)
     # Uncapped and unrestricted, the depth alone bounds the growth.
-    _, stored = explore(spec, [start], lambda c: False, None, depth=3)
+    _, stored = explore(spec, [_as_tuple(start)], lambda c: False, None, depth=3)
     assert max(len(lower) for _, _, lower in stored) == 4
 
 
