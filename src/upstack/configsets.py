@@ -95,6 +95,17 @@ class ConfigAutomaton:
             self._scan()
             self._validated = True
 
+    def check_against(self, spec: UpdsSpec, what: str) -> None:
+        """Check a caller-built set against the system it is used with:
+        its states are declared there, its alphabet holds only declared
+        symbols, and it passes `validate`. `what` names the set in the
+        error."""
+        for state in self.components:
+            if state not in spec.states:
+                raise MalformedInputError(f"undeclared state {state!r} in {what}")
+        spec.check_word(self.alphabet, f"{what} alphabet")
+        self.validate()
+
     def _scan(self) -> None:
         symbols = set(self.alphabet)
         for state, nfa in self.components.items():

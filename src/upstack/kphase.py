@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import enum
 
-from .configsets import ConfigAutomaton, bar, check_alphabets, is_barred, union_sets
+from .configsets import ConfigAutomaton, bar, is_barred, union_sets
 from .core import RuleKind, UpdsSpec
-from .errors import MalformedInputError
 from .limits import DFA_STATE_BUDGET
 from .nfa import EPSILON, Nfa
 from .pds import LowerAutomaton, pds_post_star, singleton_lower
@@ -36,18 +35,6 @@ class PhaseKind(enum.Enum):
 
 
 # -- one-phase backward closures ------------------------------------------
-
-def _checked_components(spec: UpdsSpec, targets: ConfigAutomaton) -> dict[str, Nfa]:
-    check_alphabets(targets.alphabet, spec.alphabet)
-    targets.validate()
-    out: dict[str, Nfa] = {}
-    for state, nfa in targets.components.items():
-        if state not in spec.states:
-            raise MalformedInputError(f"undeclared state {state!r} in target set")
-        if not nfa.is_empty():
-            out[state] = nfa
-    return out
-
 
 def _upper_zone(comp: Nfa, p2: str, t: Nfa) -> None:
     """Embed the barred zone of target component t (its barred and epsilon
@@ -228,7 +215,8 @@ def phase_pre(
     by a trace, possibly empty, whose non-switch rules are all pops
     (PhaseKind.POP) or all pushes (PhaseKind.PUSH). Exact. A push phase
     uses push_closures(spec), computed here unless the caller passes it."""
-    components = _checked_components(spec, targets)
+    targets.check_against(spec, "target set")
+    components = {state: nfa for state, nfa in targets.components.items() if not nfa.is_empty()}
     if kind is PhaseKind.POP:
         built = _pop_phase_pre(spec, components)
     else:

@@ -6,7 +6,8 @@ default import it from here and keep it under its old name too.
 """
 
 # Subset-construction states of one determinization, in every compaction
-# and language comparison (`--budget` of the pre* and checker commands).
+# (`--budget` of the pre* and checker commands). Past it a compaction
+# keeps its language in a non-canonical form.
 DFA_STATE_BUDGET = 50_000
 
 # Configurations one exact membership search may store (`member --budget`).

@@ -6,15 +6,18 @@ steps: `embed` copies one automaton into another under a node renaming
 and a label map, and `saturate` adds the edges a rule generator yields
 until a whole pass adds nothing (P-automaton saturation). Insertion
 order is preserved everywhere, but what the package prints does not
-depend on it: `minimal_dfa` numbers its subsets and classes
+depend on it. Reduction is one pipeline with one partition refinement:
+`compact` merges bisimilar nodes of the epsilon-free trimmed automaton
+(`bisimulation_quotient`), determinizes that quotient, and quotients
+the DFA, which gives the minimal DFA; `minimal_dfa` numbers its nodes
 breadth-first over label-sorted edges, so automata with the same
 language compact to the `same` nodes, edges, initial and final nodes
 whatever their node names or edge order. Language equality of two
 compacted automata is therefore `same`, unless one of them fell back on
-the determinization budget; such a compaction is the bisimulation
-quotient, which needs no subsets. `walk` lists accepted words in
-(length, label-key) order without sorting them. DOT exports sort what
-they print.
+the determinization budget; such a compaction is the first quotient,
+which needs no subsets. `walk` lists accepted words in (length,
+label-key) order without sorting them. DOT exports sort what they
+print.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Hashable, Iterable, Iterator
 
-from .errors import MalformedInputError, ResourceLimitError
+from .errors import ResourceLimitError
 from .limits import DFA_STATE_BUDGET
 
 
@@ -50,24 +53,6 @@ def _identity(x):
 
 def _append(word: tuple[Label, ...], label: Label) -> tuple[Label, ...]:
     return word + (label,)
-
-
-def _refine(
-    nodes: list[Node],
-    cls: dict[Node, int],
-    moves: Callable[[Node, dict[Node, int]], Hashable],
-) -> dict[Node, int]:
-    """Moore-style partition refinement: split the classes `cls` gives
-    by what `moves(node, classes)` says of each node, until no class
-    splits. Classes are numbered in `nodes` order of their first node."""
-    count = len(set(cls.values()))
-    while True:
-        signatures: dict[tuple, int] = {}
-        cls = {n: signatures.setdefault((cls[n], moves(n, cls)), len(signatures)) for n in nodes}
-        # Each round refines the last, so an equal count means stable.
-        if len(signatures) == count:
-            return cls
-        count = len(signatures)
 
 
 def label_key(label: Label) -> str:
@@ -438,46 +423,21 @@ class Nfa:
                 dfa.add_edge(src, label, numbering[stepped])
         return dfa
 
-    def minimize(self) -> "Nfa":
-        """Partition refinement on a partial DFA (missing edges behave as a
-        rejecting sink). The input must be deterministic and epsilon-free."""
-        nodes = self.nodes()
-        labels = sorted(self.labels(), key=label_key)
-        delta: dict[Node, dict[Label, Node]] = {}
-        for n in nodes:
-            row: dict[Label, Node] = {}
-            for label, dst in self.out_edges(n):
-                if label is EPSILON:
-                    raise MalformedInputError("minimize requires an epsilon-free DFA")
-                if label in row and row[label] != dst:
-                    raise MalformedInputError("minimize requires a deterministic automaton")
-                row[label] = dst
-            delta[n] = row
-        SINK = object()
-        delta[SINK] = {}
-        cls = _refine(
-            [*nodes, SINK],
-            {**{n: int(n in self.finals) for n in nodes}, SINK: 0},
-            lambda n, cls: tuple(cls[delta[n].get(label, SINK)] for label in labels),
-        )
-        out = Nfa()
-        for n in self.initial:
-            out.add_initial(cls[n])
-        for n in nodes:
-            if n in self.finals:
-                out.add_final(cls[n])
-            for label, dst in delta[n].items():
-                out.add_edge(cls[n], label, cls[dst])
-        return out.trim()
-
     def minimal_dfa(self, node_budget: int = DFA_STATE_BUDGET) -> "Nfa":
         """The minimal partial DFA of the language, numbered in breadth-first
         order over label-sorted edges: equal languages give automata that
         are `same`. Raises ResourceLimitError past the node budget."""
-        trimmed = self.trim()
-        if not trimmed.initial:
-            return Nfa()
-        return trimmed.determinize(node_budget).minimize().relabel()
+        return self.bisimulation_quotient()._quotient_dfa(node_budget)
+
+    def _quotient_dfa(self, node_budget: int) -> "Nfa":
+        """`minimal_dfa` of an automaton that is its own bisimulation
+        quotient: its subsets, quotiented and numbered. Every subset holds
+        a node that reaches a final one, so the DFA is trimmed, and in a
+        trimmed DFA two nodes are bisimilar exactly when they accept the
+        same words: the quotient of the DFA is the minimal one."""
+        if not self.initial:
+            return self
+        return self.determinize(node_budget).bisimulation_quotient().relabel()
 
     def bisimulation_quotient(self) -> "Nfa":
         """The epsilon-free trimmed automaton with each class of its
@@ -485,38 +445,48 @@ class Nfa:
         from finality until nodes of a class have the same (label, class)
         successors. A quotient by a bisimulation keeps the language and
         needs no subset construction. Each class is named by its first node
-        in this automaton's insertion order, never by a fresh int, so a
-        quotient is `same` as a minimal DFA only by coincidence; its nodes
-        and edges are added in an order fixed by that insertion order and
-        the label keys."""
+        in this automaton's insertion order, never by a fresh int; its
+        nodes and edges are added in an order fixed by that insertion order
+        and the label keys."""
         free = self.eps_eliminate().trim()
         rows = free._edges
         order = [n for n in self._edges if n in rows]
 
-        def moves(n: Node, cls: dict[Node, int]) -> frozenset[tuple[Label, int]]:
+        def moves(n: Node) -> frozenset[tuple[Label, int]]:
             return frozenset(
                 (label, cls[dst]) for label, targets in rows[n].items() for dst in targets
             )
 
-        cls = _refine(order, {n: int(n in free.finals) for n in order}, moves)
-        # Classes are numbered in `order`, so each is named by its first node.
+        # Moore-style refinement, classes numbered in `order` of their
+        # first node. Each round refines the last, so an equal count of
+        # classes means stable.
+        cls = {n: int(n in free.finals) for n in order}
+        count = len(set(cls.values()))
+        while True:
+            signatures: dict[tuple, int] = {}
+            cls = {n: signatures.setdefault((cls[n], moves(n)), len(signatures)) for n in order}
+            if len(signatures) == count:
+                break
+            count = len(signatures)
         names: dict[int, Node] = {}
         for n in order:
             names.setdefault(cls[n], n)
         out = Nfa((names[cls[n]] for n in free.initial), (names[cls[n]] for n in free.finals))
         for name in names.values():
             out.add_node(name)
-            for label, dst in sorted(moves(name, cls), key=lambda m: (label_key(m[0]), m[1])):
+            for label, dst in sorted(moves(name), key=lambda m: (label_key(m[0]), m[1])):
                 out.add_edge(name, label, names[dst])
         return out
 
     def compact(self, node_budget: int = DFA_STATE_BUDGET) -> "Nfa":
-        """Language-preserving compression: the minimal DFA, or the
-        bisimulation quotient if determinization blows the budget."""
+        """Language-preserving compression: the bisimulation quotient,
+        determinized and quotiented again into the minimal DFA, or the
+        quotient itself if its determinization blows the budget."""
+        quotient = self.bisimulation_quotient()
         try:
-            return self.minimal_dfa(node_budget)
+            return quotient._quotient_dfa(node_budget)
         except ResourceLimitError:
-            return self.bisimulation_quotient()
+            return quotient
 
     def same(self, other: "Nfa") -> bool:
         """Structural equality: the same nodes, edges, initial and final

@@ -43,7 +43,7 @@ from .core import (
     step,  # noqa: F401 (tests/test_acceptance.py imports it from here)
     successors,
 )
-from .errors import MalformedInputError, ResourceLimitError
+from .errors import ResourceLimitError
 from .limits import DEFAULT_CONFIG_BUDGET, DEFAULT_NODE_BUDGET
 
 SEARCH_BUDGET = "configuration search budget"
@@ -169,11 +169,7 @@ def is_reachable(
     they are walked, unchecked: a valid set over the system's states and
     alphabet holds only configurations of the system."""
     check_configuration(spec, config)
-    start_set.validate()
-    spec.check_word(start_set.alphabet, "start set alphabet")
-    for state in start_set.components:
-        if state not in spec.states:
-            raise MalformedInputError(f"undeclared state {state!r} in start set")
+    start_set.check_against(spec, "start set")
     size = config.total_size
     goal = (config.state, config.upper, config.lower)
     hit, _ = explore(spec, start_set.members(size), goal.__eq__, size, node_budget=budget)

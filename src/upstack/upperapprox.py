@@ -29,7 +29,6 @@ from typing import Mapping
 
 from .configsets import (
     ConfigAutomaton,
-    check_alphabets,
     is_barred,
     project_lower,
     project_upper,
@@ -309,7 +308,7 @@ def single_origin(spec: UpdsSpec, start_set: ConfigAutomaton) -> SingleOriginUpd
     """Extended system reaching exactly the original post-image of
     start_set on the original control states (empty-lower members of the
     start set excepted; see the module docstring)."""
-    start_set.validate()
+    start_set.check_against(spec, "start set")
     used_states = set(spec.states)
     used_symbols = set(spec.alphabet)
     bar_names = {s: fresh_name(used_symbols, s + "~") for s in spec.alphabet}
@@ -372,8 +371,7 @@ def overapprox_post(spec: UpdsSpec, configs: ConfigAutomaton) -> ConfigAutomaton
     the state-graph abstraction would let their pops run unchecked and
     flood every upper zone; tracking the abstract top keeps the funnel
     honest."""
-    check_alphabets(configs.alphabet, spec.alphabet)
-    configs.validate()
+    configs.check_against(spec, "start set")
     own = upper_lower_product(
         spec.alphabet, project_upper(configs), project_lower(configs)
     )

@@ -81,6 +81,27 @@ def test_overflow_golden_on_pumping_fixture():
     assert trace.count(";") == 2
 
 
+def test_a_starved_budget_leaves_every_fixture_verdict_as_it_is():
+    # Past the budget a compaction keeps its language, so pre*_k, its hit
+    # with the initial set and the verdict do not depend on the budget.
+    checks = (
+        ["check-read", E1, "--init", "C1", "--symbol", "a"],
+        ["check-read", E2, "--init", "C2", "--symbol", "a"],
+        ["check-read", E2, "--init", "C2", "--symbol", "c"],
+        ["check-read", RELOCATE, "--init", "Boot", "--symbol", "secret"],
+        ["check-read", RELOCATE, "--init", "Boot", "--symbol", "ret"],
+        ["check-read", RELOCATE, "--init", "Boot", "--symbol", "canary"],
+        ["check-overflow", E1, "-m", "1", "--lower", "x (y x)* bot"],
+        ["check-overflow", RELOCATE, "-m", "1", "--lower", "ret bot"],
+    )
+    for argv in checks:
+        code, out, _ = run_cli(argv)
+        starved_code, starved, _ = run_cli([*argv, "--budget", "1"])
+        verdict = out.splitlines()[0]
+        assert verdict.startswith("verdict: ")
+        assert (starved_code, starved.splitlines()[0]) == (code, verdict), argv
+
+
 def test_pre_under_probe_respects_phase_bound():
     probe = ["--config", "p: b ^ c c"]
     assert run_cli(["pre-under", E2, "--target", "C2", "-k", "2", *probe])[0] == 0

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from upstack.checkers import check_upper_read
 from upstack.configsets import (
     ConfigAutomaton,
     bar,
@@ -251,6 +252,21 @@ def test_every_entry_point_rejects_an_invalid_hand_built_set(e1, build):
     # Twice over: a failed scan must not mark the set as valid.
     for call in entry_points * 2:
         with pytest.raises(MalformedInputError):
+            call()
+
+
+def test_every_entry_point_names_an_undeclared_state_of_a_hand_built_set(e1):
+    stray = ConfigAutomaton(e1.alphabet, {"zz": from_words([("a",)])})
+    entry_points = [
+        ("target set", lambda: phase_pre(e1, stray, PhaseKind.POP)),
+        ("target set", lambda: phase_pre(e1, stray, PhaseKind.PUSH)),
+        ("start set", lambda: single_origin(e1, stray)),
+        ("start set", lambda: overapprox_post(e1, stray)),
+        ("start set", lambda: check_upper_read(e1, stray, "a")),
+        ("start set", lambda: is_reachable(e1, stray, cfg("p2", "a", "bot"))),
+    ]
+    for what, call in entry_points:
+        with pytest.raises(MalformedInputError, match=f"^undeclared state 'zz' in {what}$"):
             call()
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equivalence_reference import equivalent, product_equivalent
-from upstack.errors import MalformedInputError, ResourceLimitError
+from upstack.errors import ResourceLimitError
 from upstack.nfa import EPSILON, Nfa, from_words, intersection, union
 
 
@@ -80,11 +80,12 @@ def test_eps_eliminate_preserves_language():
 def test_determinize_minimize_roundtrip():
     n = _sample()
     d = n.eps_eliminate().determinize()
+    m = d.minimal_dfa()
     # deterministic: one target per (node, label)
-    for src in d.nodes():
-        for label in ("a", "b"):
-            assert len(d.targets(src, label)) <= 1
-    m = d.minimize()
+    for dfa in (d, m):
+        for src in dfa.nodes():
+            for label in ("a", "b"):
+                assert len(dfa.targets(src, label)) <= 1
     assert m.words_up_to(4) == n.words_up_to(4)
     assert len(m.nodes()) <= len(d.nodes())
 
@@ -92,16 +93,8 @@ def test_determinize_minimize_roundtrip():
 def test_determinize_budget_is_a_resource_limit():
     with pytest.raises(ResourceLimitError):
         _sample().determinize(node_budget=1)
-    # compact falls back to the trimmed automaton instead of failing.
+    # compact falls back to the bisimulation quotient instead of failing.
     assert equivalent(_sample().compact(node_budget=1), _sample())
-
-
-def test_minimize_rejects_nondeterministic_input():
-    n = Nfa(initial=(0,), finals=(1,))
-    n.add_edge(0, "a", 1)
-    n.add_edge(0, "a", 2)
-    with pytest.raises(MalformedInputError):
-        n.minimize()
 
 
 def test_union_and_intersection_semantics():
@@ -288,6 +281,14 @@ def test_minimal_dfa_determinizes_epsilon_closed_subsets():
 @given(_random_nfa(), _random_nfa())
 def test_minimal_dfas_are_same_exactly_when_the_languages_are_equal(a, b):
     assert a.minimal_dfa().same(b.minimal_dfa()) == product_equivalent(a, b)
+    # The minimal DFA comes out of an NFA quotient: check that it is one.
+    for n in (a, b):
+        dfa = n.minimal_dfa()
+        for src in dfa.nodes():
+            labels = [label for label, _ in dfa.out_edges(src)]
+            assert EPSILON not in labels
+            assert len(labels) == len(set(labels))
+        assert len(dfa.nodes()) <= len(n.trim().determinize().nodes())
 
 
 def _trim_by_reversal(n: Nfa) -> Nfa:
