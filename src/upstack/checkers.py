@@ -88,7 +88,12 @@ def decide_safety(
     k: int = DEFAULT_PHASES,
     node_budget: int = DFA_STATE_BUDGET,
 ) -> Verdict:
-    """The shared decision procedure over an initial/forbidden pair."""
+    """The shared decision procedure over an initial/forbidden pair. The
+    initial set may be over a part of the system's alphabet: once checked,
+    it is taken over the whole alphabet, where it is just as valid."""
+    initial.check_against(spec, "start set")
+    if initial.alphabet != spec.alphabet:
+        initial = ConfigAutomaton(spec.alphabet, initial.components)
     under = bounded_phase_pre_star(spec, forbidden, k, node_budget=node_budget)
     hit = intersect_sets(under, initial)
     if not hit.is_empty():

@@ -220,7 +220,9 @@ def successors(
     the top of a nonempty lower word, in the order given; successors are
     plain (state, upper, lower) tuples. With grow=False a push onto an
     empty upper word, the only step that grows the total stack size, is
-    left out. This is the one definition of a step."""
+    left out. This is the definition of a step that `step` and
+    `apply_rule` use; `oracle.explore` inlines it and is checked against
+    it."""
     top, rest = lower[:1], lower[1:]
     out = []
     for rule, to_state, arity, written in moves:

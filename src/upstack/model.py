@@ -51,9 +51,10 @@ class ModelFile(Frozen):
     def config_set(self, name: str) -> ConfigAutomaton:
         """Compile the named set's per-state expressions. The set comes out
         validated: `compile_config_regex` rejects symbols outside the
-        model's alphabet, and its construction joins the barred (upper)
-        part to the plain (lower) part by one epsilon edge with no edge
-        back, so no plain edge precedes a barred one."""
+        model's alphabet, and in its position automaton an upper (barred)
+        position is followed only by upper positions or by the first lower
+        (plain) positions of its own branch, and a lower position only by
+        lower ones, so no plain edge precedes a barred one."""
         if name not in self.sets:
             raise MalformedInputError(
                 f"no configuration set named {name!r}; have {self.set_names()}"

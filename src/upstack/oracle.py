@@ -12,7 +12,9 @@ bounds, deterministic (successors in rule declaration order), and refuse
 to run past an explicit node budget rather than silently truncating.
 
 `explore` stores plain (state, upper, lower) tuples and trusts its
-starts. The entry points that take `Configuration` starts check and
+starts. It applies the system's move table in its own loop: the step is
+`core.successors` inlined, and the tests check it against that function.
+The entry points that take `Configuration` starts check and
 convert each of them once; `is_reachable` validates its start set once
 and feeds the search the set's `members`, walked in (length, label)
 order straight from its automaton, so no start is built as an object,
@@ -41,7 +43,6 @@ from .core import (
     UpdsSpec,
     check_configuration,
     step,  # noqa: F401 (tests/test_acceptance.py imports it from here)
-    successors,
 )
 from .errors import ResourceLimitError
 from .limits import DEFAULT_CONFIG_BUDGET, DEFAULT_NODE_BUDGET
@@ -101,8 +102,21 @@ def explore(
             # No step shrinks the size: nothing above the cap leads back.
             if not lower or size > size_cap:
                 continue
-            entries = moves.get((state, lower[0]), ())
-            for rule, succ in successors(entries, upper, lower, size < size_cap):
+            entries = moves.get((state, lower[0]))
+            if entries is None:
+                continue
+            # `core.successors`, inlined: pop, switch, push by arity.
+            top, rest = lower[:1], lower[1:]
+            grow = size < size_cap
+            for rule, to_state, arity, written in entries:
+                if arity == 0:
+                    succ = (to_state, upper + top, rest)
+                elif arity == 1:
+                    succ = (to_state, upper, written + rest)
+                elif upper or grow:
+                    succ = (to_state, upper[:-1], written + rest)
+                else:
+                    continue
                 if succ in stored or (within is not None and not within(succ)):
                     continue
                 if len(stored) >= node_budget:

@@ -13,6 +13,11 @@ ASTs are plain tuples:
     ("sym", name) | ("empty",) | ("star", x)
     ("concat", (x, y, ...)) | ("alt", (x, y, ...))    both n-ary, n >= 2
 The printer emits a canonical form that parses back to the same AST.
+
+`compile_config_regex` builds an epsilon-free automaton: Glushkov's
+position automaton, with at most one node per symbol occurrence plus a
+start. Symbols alternated side by side share one node, so
+`(s1 | ... | sn)*` takes n edges into its loop and n round it, not n * n.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Iterable
 
 from .configsets import bar
 from .errors import MalformedInputError, ParseError
-from .nfa import EPSILON, Nfa
+from .nfa import Nfa
 
 _PUNCT = {"(": "lparen", ")": "rparen", "|": "pipe", "*": "star", "^": "caret"}
 
@@ -206,48 +211,86 @@ def print_config_regex(ast: tuple) -> str:
     return " | ".join(branches)
 
 
-class _Builder:
+class _Positions:
+    """Glushkov's position construction: one position per symbol
+    occurrence, each with its labels and the positions that may follow it.
+    Symbols alternated side by side in one group, as in `(a | b | c)`,
+    share one position with one label each: they would have the same
+    predecessors and followers anyway. Position 0 stands before the first
+    symbol; its followers are the first positions of the whole
+    expression."""
+
     def __init__(self, symbols: set[str] | None):
-        self.nfa = Nfa()
-        self.count = 0
         self.symbols = symbols
+        self.labels: list[list[object]] = [[]]
+        # A follower may be listed twice (`(a*)*`); add_edge keeps one edge.
+        self.follow: list[list[int]] = [[]]
 
-    def fresh(self) -> int:
-        self.count += 1
-        self.nfa.add_node(self.count - 1)
-        return self.count - 1
+    def label(self, ast: tuple, barred: bool) -> object:
+        if self.symbols is not None and ast[1] not in self.symbols:
+            raise MalformedInputError(f"undeclared symbol {ast[1]!r}")
+        return bar(ast[1]) if barred else ast[1]
 
-    def build(self, ast: tuple, barred: bool) -> tuple[int, int]:
+    def scan(self, ast: tuple, barred: bool) -> tuple[bool, list[int], list[int]]:
+        """(nullable, first positions, last positions) of ast, recording
+        the follow pairs inside it. Symbols are checked and numbered left
+        to right."""
         kind = ast[0]
-        start, end = self.fresh(), self.fresh()
         if kind == "sym":
-            if self.symbols is not None and ast[1] not in self.symbols:
-                raise MalformedInputError(f"undeclared symbol {ast[1]!r}")
-            label = bar(ast[1]) if barred else ast[1]
-            self.nfa.add_edge(start, label, end)
-        elif kind == "empty":
-            self.nfa.add_edge(start, EPSILON, end)
-        elif kind == "star":
-            s, e = self.build(ast[1], barred)
-            self.nfa.add_edge(start, EPSILON, s)
-            self.nfa.add_edge(e, EPSILON, end)
-            self.nfa.add_edge(start, EPSILON, end)
-            self.nfa.add_edge(e, EPSILON, s)
-        elif kind == "concat":
-            prev = start
+            pos = len(self.labels)
+            self.labels.append([self.label(ast, barred)])
+            self.follow.append([])
+            return False, [pos], [pos]
+        if kind == "empty":
+            return True, [], []
+        if kind == "star":
+            _, first, last = self.scan(ast[1], barred)
+            self.link(last, first)
+            return True, first, last
+        if kind == "concat":
+            return self.sequence([self.scan(part, barred) for part in ast[1]])
+        if kind == "alt":
+            parts = []
+            shared = None  # the position of the group's first symbol
             for part in ast[1]:
-                s, e = self.build(part, barred)
-                self.nfa.add_edge(prev, EPSILON, s)
-                prev = e
-            self.nfa.add_edge(prev, EPSILON, end)
-        elif kind == "alt":
-            for part in ast[1]:
-                s, e = self.build(part, barred)
-                self.nfa.add_edge(start, EPSILON, s)
-                self.nfa.add_edge(e, EPSILON, end)
-        else:
-            raise MalformedInputError(f"not a regex node: {ast!r}")
-        return start, end
+                if part[0] == "sym" and shared is not None:
+                    self.labels[shared].append(self.label(part, barred))
+                    continue
+                parts.append(self.scan(part, barred))
+                if part[0] == "sym":
+                    shared = parts[-1][1][0]
+            return self.choice(parts)
+        raise MalformedInputError(f"not a regex node: {ast!r}")
+
+    def sequence(
+        self, parts: list[tuple[bool, list[int], list[int]]]
+    ) -> tuple[bool, list[int], list[int]]:
+        """Concatenate scanned parts: each part's first positions follow
+        the last positions of everything before it that can end there."""
+        nullable, first, last = True, [], []
+        for part_nullable, part_first, part_last in parts:
+            self.link(last, part_first)
+            if nullable:
+                first = first + part_first
+            last = last + part_last if part_nullable else part_last
+            nullable = nullable and part_nullable
+        return nullable, first, last
+
+    @staticmethod
+    def choice(
+        parts: list[tuple[bool, list[int], list[int]]]
+    ) -> tuple[bool, list[int], list[int]]:
+        """Alternate scanned parts: no follow pair joins two of them."""
+        return (
+            any(nullable for nullable, _, _ in parts),
+            [p for _, first, _ in parts for p in first],
+            [p for _, _, last in parts for p in last],
+        )
+
+    def link(self, sources: list[int], targets: list[int]) -> None:
+        follow = self.follow
+        for p in sources:
+            follow[p] += targets
 
 
 def compile_config_regex(
@@ -256,22 +299,37 @@ def compile_config_regex(
     line: int = 1,
     col: int = 1,
 ) -> Nfa:
-    """Compile a boundary-marker regex (text or AST) to a zone-valid Nfa.
-    Given an alphabet, a symbol outside it is an error in either form."""
+    """Compile a boundary-marker regex (text or AST) to a zone-valid,
+    epsilon-free Nfa. Given an alphabet, a symbol outside it is an error in
+    either form.
+
+    The automaton is the position automaton: its nodes are the positions
+    (ints, the start 0), and an edge from p to each follower q carries
+    each of q's labels. Upper-zone labels are barred, and each branch's
+    upper last positions are followed by its lower first positions, never
+    the other way, so no plain edge precedes a barred one. A regex has no
+    empty language, so every position lies on an accepted word and the
+    result is trimmed."""
     symbols = None if alphabet is None else set(alphabet)
     if isinstance(source, str):
         ast = parse_config_regex(source, line, col, symbols)
     else:
         ast = source
-    builder = _Builder(symbols)
-    start = builder.fresh()
-    builder.nfa.add_initial(start)
-    accept = builder.fresh()
-    builder.nfa.add_final(accept)
-    for upper, lower in ast[1]:
-        us, ue = builder.build(upper, barred=True)
-        ls, le = builder.build(lower, barred=False)
-        builder.nfa.add_edge(start, EPSILON, us)
-        builder.nfa.add_edge(ue, EPSILON, ls)
-        builder.nfa.add_edge(le, EPSILON, accept)
-    return builder.nfa
+    positions = _Positions(symbols)
+    nullable, first, last = positions.choice([
+        positions.sequence([positions.scan(upper, True), positions.scan(lower, False)])
+        for upper, lower in ast[1]
+    ])
+    positions.link([0], first)
+    follow, labels = positions.follow, positions.labels
+    nfa = Nfa()
+    for p in range(len(follow)):
+        nfa.add_node(p)
+    nfa.add_initial(0)
+    for p in [0] + last if nullable else last:
+        nfa.add_final(p)
+    for p, after in enumerate(follow):
+        for q in after:
+            for label in labels[q]:
+                nfa.add_edge(p, label, q)
+    return nfa

@@ -65,6 +65,18 @@ def test_read_checker_on_pumping_fixture(e1, c1):
     assert landed.upper and landed.upper[-1] == "a"
 
 
+def test_read_checker_takes_an_initial_set_over_part_of_the_alphabet(e1, c1):
+    # C1 only spells x, y and bot; taken over those alone it is the same set.
+    narrow = ConfigAutomaton(("x", "y", "bot"), c1.components)
+    for symbol in ("a", "bot"):
+        verdict = check_upper_read(e1, narrow, symbol)
+        assert verdict == check_upper_read(e1, c1, symbol)
+    verdict = check_upper_read(e1, narrow, "a")
+    assert verdict.describe().splitlines() == [
+        "verdict: Unsafe (k=3)", "witness: p: ^ x bot", "trace: p x -> p a; p a -> p",
+    ]
+
+
 def test_read_checker_trivial_safe():
     spec = make_spec(("q",), ("g",), [])
     configs = ConfigAutomaton(

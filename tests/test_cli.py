@@ -225,6 +225,8 @@ def test_output_does_not_depend_on_the_hash_seed():
         ["-m", "upstack", "check-overflow", E1, "-m", "1", "--lower", "x (y x)* bot"],
         ["-m", "upstack", "pre-under", E2, "--target", "C2", "-k", "2"],
         ["-m", "upstack", "post-over", E1, "--init", "C1"],
+        ["-m", "upstack", "export-dot", E1, "--set", "C1"],
+        ["-m", "upstack", "export-dot", E2, "--grammar", "C2"],
         ["-c", _COMPACTED_EDGES],
     ]
     for argv in commands:

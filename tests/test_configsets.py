@@ -29,6 +29,7 @@ from upstack.upperapprox import overapprox_post
 from conftest import cfg, random_configuration, random_spec
 from equivalence_reference import equivalent_sets, product_equivalent
 from search_reference import reference_members
+from thompson_reference import thompson_config_regex
 
 import random
 
@@ -309,22 +310,30 @@ def test_a_hand_built_set_is_scanned_once(e1, monkeypatch):
 # -- the member walk ---------------------------------------------------------
 
 def test_the_member_walk_lists_the_reference_enumeration_in_order():
-    """On random compiled sets (epsilon edges, barred upper zones, empty
-    lower words), listed sets and their unions, `members` and
-    `enumerate_configs` give the reference's list at every cap 0..6."""
+    """On random compiled sets (barred upper zones, empty lower words),
+    the same sets built by Thompson's construction (epsilon edges), listed
+    sets and their unions, `members` and `enumerate_configs` give the
+    reference's list at every cap 0..6."""
     rng = random.Random(20261018)
     covered = {"epsilon": 0, "upper": 0, "empty lower": 0}
     for _ in range(40):
         model = _random_model(rng)
         spec = model.spec
         compiled = model.config_set("S")
+        thompson = ConfigAutomaton(
+            spec.alphabet,
+            {
+                state: thompson_config_regex(ast, spec.alphabet)
+                for state, ast in model.sets["S"].items()
+            },
+        )
         listed = from_config_set(
             spec, [random_configuration(rng, spec, max_side=3) for _ in range(rng.randint(1, 4))]
         )
         covered["epsilon"] += any(
-            label is EPSILON for nfa in compiled.components.values() for _, label, _ in nfa.edges()
+            label is EPSILON for nfa in thompson.components.values() for _, label, _ in nfa.edges()
         )
-        for start_set in (compiled, listed, union_sets(compiled, listed)):
+        for start_set in (compiled, thompson, listed, union_sets(compiled, listed)):
             for cap in range(7):
                 want = reference_members(start_set, cap)
                 assert list(start_set.members(cap)) == [(c.state, c.upper, c.lower) for c in want]

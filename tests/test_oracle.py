@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import cfg, e1_pumped, e1_seed, random_configuration, random_spec
 from search_reference import reference_members, reference_post, reference_trace
 from upstack.configsets import ConfigAutomaton, from_config_set
-from upstack.core import Configuration, count_phases, make_spec, run_trace, step
+from upstack.core import Configuration, count_phases, make_spec, run_trace, step, successors
 from upstack.errors import MalformedInputError, ResourceLimitError
 from upstack.nfa import from_words
 from upstack.oracle import (
@@ -22,6 +22,27 @@ from upstack.oracle import (
     oracle_trace,
     search_trace,
 )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_a_depth_one_search_stores_the_successors_in_step_order(seed):
+    # `explore` inlines `core.successors`: one layer from a configuration
+    # stores its successors in that function's order, each with the rule
+    # that first gives it, uncapped and capped at the start's own size.
+    rng = random.Random(seed)
+    spec = random_spec(rng, max_rules=12)
+    for _ in range(8):
+        c = random_configuration(rng, spec, max_side=3, allow_empty_lower=False)
+        start = (c.state, c.upper, c.lower)
+        moves = spec.moves.get((c.state, c.lower[0]), ())
+        for cap, grow in ((None, True), (c.total_size, False)):
+            expected = {}
+            for rule, succ in successors(moves, c.upper, c.lower, grow):
+                if succ != start:
+                    expected.setdefault(succ, (start, rule))
+            _, stored = explore(spec, [start], lambda t: False, cap, depth=1)
+            assert list(stored.items()) == [(start, None), *expected.items()]
 
 
 def test_forward_closure_contains_pumped_family(e1):

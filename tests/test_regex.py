@@ -1,9 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from upstack.configsets import ConfigAutomaton, bar, config_word
+from upstack.configsets import ConfigAutomaton, bar, config_word, is_barred
 from upstack.errors import ParseError
-from upstack.nfa import Nfa, from_words
+from upstack.nfa import EPSILON, Nfa, from_words
 from upstack.regex import (
     compile_config_regex,
     parse_config_regex,
@@ -13,7 +15,8 @@ from upstack.regex import (
 )
 
 from conftest import cfg
-from equivalence_reference import equivalent
+from equivalence_reference import equivalent, product_equivalent
+from thompson_reference import thompson_config_regex
 
 
 def test_tokenizer_positions():
@@ -171,3 +174,74 @@ def test_compiled_language_survives_roundtrip(ast):
     direct = compile_config_regex(ast)
     reparsed = compile_config_regex(print_config_regex(ast))
     assert equivalent(direct, reparsed)
+
+
+# -- the position automaton against Thompson's construction -----------------
+
+_ABC = ("a", "b", "c")
+
+
+def _occurrences(ast: tuple) -> int:
+    kind = ast[0]
+    if kind == "sym":
+        return 1
+    if kind == "empty":
+        return 0
+    if kind == "star":
+        return _occurrences(ast[1])
+    return sum(_occurrences(part) for part in ast[1])
+
+
+def _assert_pinned_to_thompson(ast: tuple) -> None:
+    compiled = compile_config_regex(ast, _ABC)
+    assert product_equivalent(compiled, thompson_config_regex(ast, _ABC))
+    assert all(label is not EPSILON for _, label, _ in compiled.edges())
+    symbols = sum(_occurrences(upper) + _occurrences(lower) for upper, lower in ast[1])
+    assert len(compiled.nodes()) <= symbols + 1
+    assert compiled.trim().same(compiled)
+    # Sets from a model are marked valid without a scan: scan this one.
+    ConfigAutomaton(_ABC, {"p": compiled})._scan()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_config)
+def test_the_position_automaton_keeps_thompsons_language(ast):
+    _assert_pinned_to_thompson(ast)
+
+
+def _random_part(rng: random.Random, depth: int) -> tuple:
+    kind = rng.choice(("empty", "sym", "sym") + (("star", "concat", "alt") if depth else ()))
+    if kind == "empty":
+        return ("empty",)
+    if kind == "sym":
+        return ("sym", rng.choice(_ABC))
+    if kind == "star":
+        return ("star", _random_part(rng, depth - 1))
+    return (kind, tuple(_random_part(rng, depth - 1) for _ in range(rng.randint(2, 3))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_the_position_automaton_keeps_the_language_of_many_branches(seed):
+    rng = random.Random(seed)
+    branches = tuple(
+        (_random_part(rng, 3), _random_part(rng, 3)) for _ in range(rng.randint(4, 8))
+    )
+    _assert_pinned_to_thompson(("config", branches))
+
+
+def test_a_starred_alternation_takes_one_edge_per_symbol_round_its_loop():
+    symbols = [f"s{i}" for i in range(1, 9)]
+    any_word = f"({' | '.join(symbols)})*"
+    for text in (f"{any_word} ^ _", f"_ ^ {any_word}"):
+        # The eight symbols share one node: eight edges round it, eight
+        # from the start into it.
+        nfa = compile_config_regex(text, symbols)
+        assert len(nfa.nodes()) == 2
+        assert sum(src == dst for src, _, dst in nfa.edges()) == 8
+        assert nfa.edge_count() == 2 * 8
+    # Per zone: eight edges into its loop from each node before it (the
+    # start, and for the lower zone the upper loop too) and eight round it.
+    both = compile_config_regex(f"{any_word} ^ {any_word}", symbols)
+    barred = [label for _, label, _ in both.edges() if is_barred(label)]
+    assert len(barred) == 2 * 8 and both.edge_count() - len(barred) == 3 * 8
