@@ -55,7 +55,8 @@ def _build_parser() -> _Parser:
         "--budget",
         type=int,
         default=DEFAULT_CONFIG_BUDGET,
-        help="how many configurations the search may store",
+        help="how many configurations the search may store, each stored only "
+        "up to the probe's upper stack",
     )
 
     pre = sub.add_parser(

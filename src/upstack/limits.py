@@ -10,7 +10,10 @@ default import it from here and keep it under its old name too.
 # keeps its language in a non-canonical form.
 DFA_STATE_BUDGET = 50_000
 
-# Configurations one exact membership search may store (`member --budget`).
+# Configurations one exact membership search may store (`member --budget`),
+# each stored only up to the goal's upper stack: configurations that differ
+# only above the prefix they share with it count once, so fewer searches
+# run out of it.
 DEFAULT_CONFIG_BUDGET = 2_000_000
 
 # Configurations a bounded explicit-state search stores by default: the

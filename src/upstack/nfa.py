@@ -47,6 +47,10 @@ Node = Hashable
 Label = Hashable
 
 
+# The row of a node without edges; never written to.
+_NO_ROW: dict = {}
+
+
 def _identity(x):
     return x
 
@@ -195,22 +199,45 @@ class Nfa:
                 out.update(row[label])
         return self.eps_closure(out)
 
+    def _eps_free(self) -> bool:
+        """Whether no edge carries EPSILON, so every set is its own closure."""
+        return not any(EPSILON in row for row in self._edges.values())
+
     def _closed_steps(
-        self, closed: Iterable[Node], labels: list[Label] | None = None
-    ) -> list[tuple[Label, frozenset[Node]]]:
-        """(label, epsilon-closed targets) for each label that an edge
-        leaving the epsilon-closed set carries, in the order of `labels`
-        (by default, in label-key order): one subset construction step, in
-        one pass over the set's edges."""
+        self,
+        closed: frozenset[Node],
+        labels: Iterable[Label] | None = None,
+        eps_free: bool = False,
+    ) -> list[tuple[Label, frozenset[Node], bool]]:
+        """(label, epsilon-closed targets, whether they hold a final node)
+        for each label that an edge leaving the epsilon-closed set carries,
+        in the order of `labels` (by default, in label-key order): one
+        subset construction step, in one pass over the set's rows (a single
+        node's row is read as it is). eps_free says the automaton has no
+        epsilon edge (see `_eps_free`), so no closure is computed."""
         edges = self._edges
-        out: dict[Label, set[Node]] = {}
-        for n in closed:
-            for label, targets in edges.get(n, {}).items():
-                if label is not EPSILON:
-                    out.setdefault(label, set()).update(targets)
+        if len(closed) == 1:
+            (node,) = closed
+            out = edges.get(node, _NO_ROW)
+        else:
+            out = {}
+            for n in closed:
+                for label, targets in edges.get(n, _NO_ROW).items():
+                    got = out.get(label)
+                    if got is None:
+                        out[label] = set(targets)
+                    else:
+                        got.update(targets)
         if labels is None:
-            labels = sorted(out, key=label_key)
-        return [(label, self.eps_closure(out[label])) for label in labels if label in out]
+            labels = sorted(out, key=label_key) if len(out) > 1 else out
+        close = frozenset if eps_free else self.eps_closure
+        finals = self.finals.keys()
+        steps = []
+        for label in labels:
+            if label in out and label is not EPSILON:
+                stepped = close(out[label])
+                steps.append((label, stepped, not finals.isdisjoint(stepped)))
+        return steps
 
     def run(self, word: Iterable[Label], start: Iterable[Node] | None = None) -> frozenset[Node]:
         current = self.eps_closure(self.initial if start is None else start)
@@ -283,10 +310,13 @@ class Nfa:
         the words of one length. The subset walk reaches each word once, so
         extending a layer in order by labels in key order gives the next
         layer in order: nothing is sorted or deduplicated. Each subset's
-        label steps are computed once. The number of words can grow
-        exponentially with max_len."""
+        label steps are computed once, with no closures when no edge is an
+        epsilon edge. The number of words can grow exponentially with
+        max_len."""
         finals = self.finals.keys()
-        first = self.eps_closure(self.initial if start is None else start)
+        eps_free = self._eps_free()
+        first = self.initial if start is None else start
+        first = frozenset(first) if eps_free else self.eps_closure(first)
         layer = [(seed, first, not finals.isdisjoint(first))]
         steps: dict[frozenset[Node], list[tuple[Label, frozenset[Node], bool]]] = {}
         for length in range(max_len + 1):
@@ -301,10 +331,7 @@ class Nfa:
             for built, subset, _ in layer:
                 row = steps.get(subset)
                 if row is None:
-                    row = steps[subset] = [
-                        (label, stepped, not finals.isdisjoint(stepped))
-                        for label, stepped in self._closed_steps(subset)
-                    ]
+                    row = steps[subset] = self._closed_steps(subset, eps_free=eps_free)
                 for label, stepped, accepting in row:
                     if accepting or not last:
                         grown = extend(built, label)
@@ -410,14 +437,14 @@ class Nfa:
         while queue:
             subset = queue.popleft()
             src = numbering[subset]
-            for label, stepped in self._closed_steps(subset, labels):
+            for label, stepped, accepting in self._closed_steps(subset, labels):
                 if stepped not in numbering:
                     if len(numbering) >= node_budget:
                         raise ResourceLimitError(
                             len(numbering), "determinization state budget"
                         )
                     numbering[stepped] = len(numbering)
-                    if any(n in self.finals for n in stepped):
+                    if accepting:
                         dfa.add_final(numbering[stepped])
                     queue.append(stepped)
                 dfa.add_edge(src, label, numbering[stepped])

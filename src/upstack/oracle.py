@@ -26,6 +26,18 @@ from one zone to the other; a push adds a lower cell and overwrites at
 most one upper cell), so a breadth-first search from the start-set
 members no larger than the target, never storing a larger
 configuration, explores a finite region and decides membership exactly.
+
+It stores each configuration only up to the goal's upper word U. No
+rule reads the upper word: a pop appends the lower top to it, a push
+drops its last cell, and which rules apply depends only on the state,
+the lower word and the upper word's length. So configurations with the
+same state, lower word, upper length and longest prefix shared with U
+have the same runs, step for step, and one of them is U's configuration
+exactly when all are. `explore(goal_upper=U)` stores one per class: the
+shared prefix, then one placeholder cell per symbol above it. This is
+exact, the budget counts these classes, and the parent links are still
+rule sequences that apply to the concrete starts. `search_trace`,
+`oracle_trace` and `oracle_post` store configurations as they are.
 """
 
 from __future__ import annotations
@@ -49,6 +61,10 @@ from .limits import DEFAULT_CONFIG_BUDGET, DEFAULT_NODE_BUDGET
 
 SEARCH_BUDGET = "configuration search budget"
 
+# The placeholder cell of a search stored up to a goal's upper word: it
+# stands for any symbol above the prefix shared with that word.
+_ABOVE = (None,)
+
 
 def _checked(spec: UpdsSpec, configs: Iterable[Configuration]) -> list[ConfigTuple]:
     """The configurations as search tuples, each checked against spec."""
@@ -67,6 +83,7 @@ def explore(
     depth: int | None = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
     within: Callable[[ConfigTuple], bool] | None = None,
+    goal_upper: tuple[str, ...] | None = None,
 ) -> tuple[ConfigTuple | None, dict[ConfigTuple, tuple[ConfigTuple, Rule] | None]]:
     """Breadth-first search over (state, upper, lower) tuples: starts in
     the order given, successors in rule declaration order. The starts are
@@ -77,13 +94,29 @@ def explore(
     exhaustion, which is finite under a size cap. node_budget counts stored
     configurations, starts included. Returns the first stored configuration
     that `accepts` (or None) and everything stored, each mapped to the
-    (predecessor, rule) that first reached it, or to None for a start."""
+    (predecessor, rule) that first reached it, or to None for a start.
+
+    With goal_upper, every upper word is stored up to that word (see the
+    module docstring): its longest prefix shared with goal_upper, then one
+    placeholder cell, `None`, per symbol above that prefix. Starts are
+    reduced as they enter and deduplicated after reduction, and the budget
+    counts reduced configurations. `accepts` and `within` see reduced
+    tuples; a configuration whose upper word is goal_upper has no
+    placeholder, so it is stored as itself."""
     moves = spec.moves
     if size_cap is None:
         size_cap = math.inf
     stored: dict[ConfigTuple, tuple[ConfigTuple, Rule] | None] = {}
     frontier: list[ConfigTuple] = []
     for start in starts:
+        if goal_upper is not None and start[1]:
+            state, upper, lower = start
+            shared = 0
+            for mine, theirs in zip(upper, goal_upper):
+                if mine != theirs:
+                    break
+                shared += 1
+            start = (state, goal_upper[:shared] + _ABOVE * (len(upper) - shared), lower)
         if start in stored:
             continue
         if len(stored) >= node_budget:
@@ -110,7 +143,16 @@ def explore(
             grow = size < size_cap
             for rule, to_state, arity, written in entries:
                 if arity == 0:
-                    succ = (to_state, upper + top, rest)
+                    # Stored up to goal_upper: the popped symbol extends the
+                    # shared prefix only if it is goal_upper's next symbol.
+                    if goal_upper is None or (
+                        len(upper) < len(goal_upper)
+                        and goal_upper[len(upper)] == top[0]
+                        and upper[-1:] != _ABOVE
+                    ):
+                        succ = (to_state, upper + top, rest)
+                    else:
+                        succ = (to_state, upper + _ABOVE, rest)
                 elif arity == 1:
                     succ = (to_state, upper, written + rest)
                 elif upper or grow:
@@ -186,7 +228,10 @@ def is_reachable(
     start_set.check_against(spec, "start set")
     size = config.total_size
     goal = (config.state, config.upper, config.lower)
-    hit, _ = explore(spec, start_set.members(size), goal.__eq__, size, node_budget=budget)
+    hit, _ = explore(
+        spec, start_set.members(size), goal.__eq__, size, node_budget=budget,
+        goal_upper=config.upper,
+    )
     return hit is not None
 
 

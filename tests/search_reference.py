@@ -12,6 +12,12 @@ each component's words in order and cuts them into zones as it goes.
 `reference_members` is the enumeration it replaced: every accepted word
 collected by subset construction, deduplicated, sorted by length and
 label keys, and only then cut into a `Configuration`.
+
+Exact membership stores each configuration only up to the goal's upper
+word. `reference_membership` searches concrete configurations and
+counts one per class (state, upper length, prefix shared with the
+goal's upper word, lower word), so it pins what that search stores
+without its placeholder cells.
 """
 
 from __future__ import annotations
@@ -157,3 +163,53 @@ def reference_trace(
                 next_frontier.append(succ)
         frontier = next_frontier
     return None
+
+
+def reference_membership(
+    spec: UpdsSpec,
+    starts: Iterable[Configuration],
+    goal: Configuration,
+    node_budget: int,
+) -> tuple[bool, int]:
+    """Whether some start reaches goal without passing its total size, and
+    how many classes the search stored: breadth-first over concrete
+    configurations, a successor dropped when a configuration of its class
+    was stored before. No rule reads the upper word, so the members of one
+    class have the same runs, and goal is the only member of its class.
+    The budget counts classes, starts included."""
+    keys: set[tuple] = set()
+
+    def key(c: Configuration) -> tuple:
+        shared = 0
+        for mine, theirs in zip(c.upper, goal.upper):
+            if mine != theirs:
+                break
+            shared += 1
+        return (c.state, len(c.upper), c.upper[:shared], c.lower)
+
+    def store(c: Configuration) -> bool:
+        """Whether c is new to the search; if so, it is stored."""
+        k = key(c)
+        if k in keys:
+            return False
+        if len(keys) >= node_budget:
+            raise ResourceLimitError(len(keys), "configuration search budget")
+        keys.add(k)
+        return True
+
+    frontier: list[Configuration] = []
+    for c in starts:
+        if store(c):
+            if c == goal:
+                return True, len(keys)
+            frontier.append(c)
+    while frontier:
+        next_frontier: list[Configuration] = []
+        for c in frontier:
+            for _, succ in reference_step(spec, c):
+                if succ.total_size <= goal.total_size and store(succ):
+                    if succ == goal:
+                        return True, len(keys)
+                    next_frontier.append(succ)
+        frontier = next_frontier
+    return False, len(keys)

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import cfg, e1_pumped, e1_seed, random_configuration, random_spec
-from search_reference import reference_members, reference_post, reference_trace
+from search_reference import (
+    reference_members,
+    reference_membership,
+    reference_post,
+    reference_trace,
+)
 from upstack.configsets import ConfigAutomaton, from_config_set
 from upstack.core import Configuration, count_phases, make_spec, run_trace, step, successors
 from upstack.errors import MalformedInputError, ResourceLimitError
@@ -22,6 +27,7 @@ from upstack.oracle import (
     oracle_trace,
     search_trace,
 )
+from upstack.regex import compile_config_regex
 
 
 @settings(max_examples=60, deadline=None)
@@ -134,19 +140,86 @@ def test_search_and_closure_match_the_reference_loops():
         want = reference_trace(spec, [start], forbidden.accepts, cap + 1, post_depth, 10**6)
         assert got == want
 
-        # Membership walks the start automaton's members into the search.
+        # Membership walks the start automaton's members into the search,
+        # which stores each configuration up to the goal's upper word.
         start_set = from_config_set(spec, starts)
-        size = goal.total_size
-        _, stored = explore(spec, start_set.members(size), _as_tuple(goal).__eq__, size)
-        for budget in sorted({0, 1, len(stored) - 1, len(stored)}):
+        members = reference_members(start_set, goal.total_size)
+        answer, stored = reference_membership(spec, members, goal, 10**6)
+        assert answer == (reference_trace(
+            spec, members, goal.__eq__, goal.total_size, None, 10**6) is not None)
+        for budget in sorted({0, 1, stored - 1, stored}):
             got = _outcome(lambda: is_reachable(spec, start_set, goal, budget))
-            want = _outcome(lambda: reference_trace(
-                spec, reference_members(start_set, size), goal.__eq__, size, None, budget
-            ) is not None)
+            want = _outcome(lambda: reference_membership(spec, members, goal, budget)[0])
             assert got == want, (spec.rules, starts, goal, budget)
             reachable += got is True
     assert hits > 200
     assert reachable > 50
+
+
+def _upper_start_set(rng, spec):
+    """One to three configurations with nonempty upper words, or an
+    infinite set whose members all have one."""
+    if rng.random() < 0.5:
+        starts, count = [], rng.randint(1, 3)
+        while len(starts) < count:
+            c = random_configuration(rng, spec, max_side=3)
+            if c.upper:
+                starts.append(c)
+        return from_config_set(spec, starts)
+    a, b, c, d, e = (rng.choice(spec.alphabet) for _ in range(5))
+    nfa = compile_config_regex(f"{a} ({b} | {c})* ^ {d} {e}*", alphabet=spec.alphabet)
+    return ConfigAutomaton(spec.alphabet, {rng.choice(spec.states): nfa})
+
+
+def test_membership_up_to_the_goal_upper_word_agrees_with_the_concrete_search():
+    """On 2000 random systems, with starts and goals whose upper words are
+    nonempty, `is_reachable` answers as the search that stores every upper
+    word as it is, and the reduced search never stores more."""
+    rng = random.Random(20261018)
+    reachable = fewer = 0
+    for _ in range(2000):
+        spec = random_spec(rng, max_rules=7)
+        start_set = _upper_start_set(rng, spec)
+        # Half the goals come from the concrete closure, so many are hits.
+        _, region = explore(spec, start_set.members(4), lambda c: False, 4)
+        uppers = sorted(c for c in region if c[1])
+        if uppers and rng.random() < 0.5:
+            goal = Configuration(*rng.choice(uppers))
+        else:
+            goal = random_configuration(rng, spec, max_side=3)
+            goal = Configuration(goal.state, goal.upper or spec.alphabet[:1], goal.lower)
+        size, target = goal.total_size, _as_tuple(goal)
+        hit, concrete = explore(spec, start_set.members(size), target.__eq__, size)
+        answer = is_reachable(spec, start_set, goal)
+        assert answer == (hit is not None), (spec.rules, goal)
+        _, reduced = explore(
+            spec, start_set.members(size), target.__eq__, size, goal_upper=goal.upper
+        )
+        assert len(reduced) <= len(concrete)
+        reachable += answer
+        fewer += len(reduced) < len(concrete)
+    assert reachable > 800
+    assert fewer > 200
+
+
+def test_membership_stores_each_configuration_up_to_the_goal_upper_word(e1, c1):
+    # Work counts on e1 from C1, pinned: the pumped p2: a a a b b ^ bot
+    # (reachable) and p2: x a a b b ^ bot (not).
+    unreachable = cfg("p2", "x a a b b", "bot")
+    for goal, concrete, reduced in ((e1_pumped(2), 112, 81), (unreachable, 112, 58)):
+        size, target = goal.total_size, _as_tuple(goal)
+        _, stored = explore(e1, c1.members(size), target.__eq__, size)
+        assert len(stored) == concrete
+        _, stored = explore(
+            e1, c1.members(size), target.__eq__, size, goal_upper=goal.upper
+        )
+        assert len(stored) == reduced
+        # The membership budget counts what the reduced search stores.
+        answer = goal == e1_pumped(2)
+        assert is_reachable(e1, c1, goal, budget=reduced) is answer
+        with pytest.raises(ResourceLimitError) as info:
+            is_reachable(e1, c1, goal, budget=reduced - 1)
+        assert info.value.explored == reduced - 1
 
 
 def test_membership_refuses_a_start_set_outside_the_system(e1):
