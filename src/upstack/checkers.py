@@ -23,9 +23,7 @@ from .errors import MalformedInputError, ResourceLimitError
 from .kphase import bounded_phase_pre_star
 from .limits import DEFAULT_PHASES, DFA_STATE_BUDGET
 from .model import ModelFile, print_config_literal
-from .oracle import oracle_trace
 from .regex import compile_config_regex, parse_zone_regex
-from .upperapprox import overapprox_post
 
 SAFE = "Safe"
 UNSAFE = "Unsafe"
@@ -90,7 +88,9 @@ def decide_safety(
 ) -> Verdict:
     """The shared decision procedure over an initial/forbidden pair. The
     initial set may be over a part of the system's alphabet: once checked,
-    it is taken over the whole alphabet, where it is just as valid."""
+    it is taken over the whole alphabet, where it is just as valid. The
+    replay is loaded only for a hit, and the over-approximation only when
+    there is none, so a call compiles just the side that decides it."""
     initial.check_against(spec, "start set")
     if initial.alphabet != spec.alphabet:
         initial = ConfigAutomaton(spec.alphabet, initial.components)
@@ -99,6 +99,8 @@ def decide_safety(
     if not hit.is_empty():
         witness = hit.shortest_config()
         reached = f"under-approximation reached {print_config_literal(witness)}"
+        from .oracle import oracle_trace
+
         try:
             trace = oracle_trace(
                 spec, witness, forbidden.accepts, None, None, within=under.accepts
@@ -123,6 +125,8 @@ def decide_safety(
             witness=witness,
             note=f"{reached} but no trace to the forbidden set stays inside it",
         )
+    from .upperapprox import overapprox_post
+
     over = overapprox_post(spec, initial)
     if intersect_sets(over, forbidden).is_empty():
         return Verdict(SAFE, k, node_budget)

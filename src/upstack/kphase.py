@@ -16,17 +16,24 @@ target automaton and a forward closure of the push/switch fragment, so
 that the number of symbols dropped from the upper word equals the
 number of pushes; a separate entry mode absorbs the case where the
 upper word is exhausted entirely.
+
+Both phases build on demand: each state's automaton grows forward from
+its initial nodes, and a node is made only when a final node can still
+be reached from it (lockstep pairs are explored and cut before any edge
+is added), so what they return is already trimmed. A round of
+`bounded_phase_pre_star` builds both phases into one automaton per
+state, sharing the copies of the targets' zones, and compacts that.
 """
 
 from __future__ import annotations
 
 import enum
 
-from .configsets import ConfigAutomaton, bar, is_barred, union_sets
+from .configsets import ConfigAutomaton, bar, is_barred
 from .core import RuleKind, UpdsSpec
 from .limits import DFA_STATE_BUDGET
 from .nfa import EPSILON, Nfa
-from .pds import LowerAutomaton, pds_post_star, singleton_lower
+from .pds import pds_post_star, singleton_lower
 
 
 class PhaseKind(enum.Enum):
@@ -36,52 +43,82 @@ class PhaseKind(enum.Enum):
 
 # -- one-phase backward closures ------------------------------------------
 
-def _upper_zone(comp: Nfa, p2: str, t: Nfa) -> None:
-    """Embed the barred zone of target component t (its barred and epsilon
-    edges) under the tag ("u", p2), initial where t is: it reads the part
-    of the input upper word that a phase leaves in place."""
-    comp.embed(t, lambda r: ("u", p2, r), lambda label: label if is_barred(label) else None)
-    for r in t.initial:
-        comp.add_initial(("u", p2, r))
+class _Target:
+    """What the phases read of one trimmed, nonempty target component t:
+    its barred zone (its barred and epsilon edges, initial where t is),
+    which reads the part of the input upper word that a phase leaves in
+    place; its plain zone (its plain and epsilon edges, final where t is),
+    which reads the lower word once a phase's trace is exhausted; both
+    reversed; and the lockstep tables of the push phase: the nodes that
+    reach a final node over plain edges (`_plain_steps`), which of them
+    the barred zone reaches, and which lie in the closure of the initial
+    nodes. Since t is trimmed, a verbatim copy of it is too."""
+
+    def __init__(self, t: Nfa) -> None:
+        self.nfa = t
+        upper = Nfa(t.initial).embed(t, label=lambda a: a if is_barred(a) else None)
+        lower = Nfa(finals=t.finals).embed(t, label=lambda a: None if is_barred(a) else a)
+        self.upper, self.lower = (upper, upper.reverse()), (lower, lower.reverse())
+        self.names, self.steps = _plain_steps(t)
+        number = {r: i for i, r in enumerate(self.names)}
+        self.entered = [number[r] for r in upper.reachable(t.initial) if r in number]
+        self.first = [number[r] for r in t.eps_closure(t.initial) if r in number]
 
 
-def _lower_zone(comp: Nfa, p2: str, t: Nfa) -> None:
-    """Embed the plain zone of target component t (its plain and epsilon
-    edges) under the tag ("e", p2), final where t is: it reads the lower
-    word once a phase's trace is exhausted."""
-    comp.embed(t, lambda r: ("e", p2, r), lambda label: None if is_barred(label) else label)
-    for r in t.finals:
-        comp.add_final(("e", p2, r))
+def _zone_part(comp: Nfa, zone: tuple[Nfa, Nfa], starts, ends, tag: tuple) -> set:
+    """Copy into comp the nodes of a zone (the zone and its reverse) on a
+    path from `starts` to `ends`, in the zone's order, each node r as
+    (*tag, r), initial and final where the zone is; return the nodes
+    copied."""
+    zone, back = zone
+    keep = zone.reachable(starts) & back.reachable(ends)
+    for r in zone.nodes():
+        if r not in keep:
+            continue
+        for label, m in zone.out_edges(r):
+            if m in keep:
+                comp.add_edge((*tag, r), label, (*tag, m))
+        if r in zone.initial:
+            comp.add_initial((*tag, r))
+        if r in zone.finals:
+            comp.add_final((*tag, r))
+    return keep
 
 
-def _pop_phase_pre(spec: UpdsSpec, components: dict[str, Nfa]) -> dict[str, Nfa]:
-    """One pop phase, backwards. A trace of switches and pops from
-    <q, w_u, w_l> never shrinks the upper word: it appends the popped
-    symbols z and leaves some final lower word, so the target automaton
-    must read bar(w_u) bar(z) w_l'. The core automaton has one walker
-    node per (predecessor state q, target state, target node): its
-    language is the set of current lower words from which some trace
-    lands in the target with the target automaton finishing from that
-    node. Saturation mirrors the rules: a switch defers to the successor
-    state's walker after reading the rewritten symbol; a pop consumes its
-    symbol from the input and advances the target automaton over the
-    barred copy. Embedded plain-zone copies terminate the walk once the
-    trace is exhausted."""
+def _pop_phase_pre(spec: UpdsSpec, targets: dict[str, _Target], out: dict[str, Nfa]) -> None:
+    """One pop phase, backwards, added to each state's automaton in `out`.
+    A trace of switches and pops from <q, w_u, w_l> never shrinks the
+    upper word: it appends the popped symbols z and leaves some final
+    lower word, so the target automaton must read bar(w_u) bar(z) w_l'.
+    The core automaton has one walker node per (predecessor state q,
+    target state, target node): its language is the set of current lower
+    words from which some trace lands in the target with the target
+    automaton finishing from that node. Saturation mirrors the rules: a
+    switch defers to the successor state's walker after reading the
+    rewritten symbol; a pop consumes its symbol from the input and
+    advances the target automaton over the barred copy. Plain-zone copies
+    terminate the walk once the trace is exhausted. Each state's part is
+    then grown from its barred zones into its own walkers, through core
+    nodes that can still reach a final node only."""
     core = Nfa()
-    for p2, t in components.items():
-        _lower_zone(core, p2, t)
+    for p2, target in targets.items():
+        plain_zone, _ = target.lower
+        core.embed(plain_zone, lambda r: ("e", p2, r))
+        for r in target.nfa.finals:
+            core.add_final(("e", p2, r))
     for q in spec.states:
-        for p2, t in components.items():
-            for r in t.nodes():
+        for p2, target in targets.items():
+            for r in target.nfa.nodes():
                 core.add_node(("i", q, p2, r))
-    for p2, t in components.items():
-        for r in t.nodes():
+    for p2, target in targets.items():
+        for r in target.nfa.nodes():
             core.add_edge(("i", p2, p2, r), EPSILON, ("e", p2, r))
     rules = spec.rules_of_kind(RuleKind.SWITCH, RuleKind.POP)
 
     def additions():
         for rule in rules:
-            for p2, t in components.items():
+            for p2, target in targets.items():
+                t = target.nfa
                 for r in t.nodes():
                     src = ("i", rule.from_state, p2, r)
                     if rule.kind is RuleKind.SWITCH:
@@ -97,133 +134,239 @@ def _pop_phase_pre(spec: UpdsSpec, components: dict[str, Nfa]) -> dict[str, Nfa]
                         yield src, rule.read_symbol, node
 
     core.saturate(additions)
-    out: dict[str, Nfa] = {}
+    live = core.reverse().reachable(core.finals)
     for q in spec.states:
-        comp = core.copy()
-        for p2, t in components.items():
-            _upper_zone(comp, p2, t)
-            for r in t.nodes():
-                comp.add_edge(("u", p2, r), EPSILON, ("i", q, p2, r))
-        comp = comp.trim()
-        if not comp.is_empty():
+        comp = out.get(q) or Nfa()
+        stack = []
+        for p2, target in targets.items():
+            entries = [r for r in target.nfa.nodes() if ("i", q, p2, r) in live]
+            if entries:
+                part = _zone_part(comp, target.upper, target.nfa.initial, entries, ("u", p2))
+                for r in entries:
+                    if r in part:
+                        comp.add_edge(("u", p2, r), EPSILON, ("i", q, p2, r))
+                        stack.append(("i", q, p2, r))
+        seen = set(stack)
+        while stack:
+            n = stack.pop()
+            if n in core.finals:
+                comp.add_final(n)
+            for label, m in core.out_edges(n):
+                if m in live:
+                    comp.add_edge(n, label, m)
+                    if m not in seen:
+                        seen.add(m)
+                        stack.append(m)
+        if comp.initial:
             out[q] = comp
-    return out
 
 
-def push_closures(spec: UpdsSpec) -> dict[tuple[str, str], LowerAutomaton]:
+def _plain_steps(nfa: Nfa) -> tuple[list, list[dict[str, tuple[int, ...]]]]:
+    """The nodes of nfa from which a final node is reachable over plain and
+    epsilon edges, listed with the final nodes first, and for each its
+    closed steps over the plain symbols: symbol -> the list positions of
+    the listed nodes reached. A symbol that reaches none is left out."""
+    preds: dict = {}
+    for r in nfa.nodes():
+        for label, m in nfa.out_edges(r):
+            if not is_barred(label):
+                preds.setdefault(m, []).append(r)
+    live = list(nfa.finals)
+    number = {r: i for i, r in enumerate(live)}
+    for r in live:
+        for m in preds.get(r, ()):
+            if m not in number:
+                number[m] = len(live)
+                live.append(m)
+    closures = [nfa.eps_closure((r,)) for r in live]
+    closed = [[number[m] for m in closure if m in number] for closure in closures]
+    steps = []
+    for closure in closures:
+        row: dict[str, set[int]] = {}
+        for n in closure:
+            for label, m in nfa.out_edges(n):
+                if label is not EPSILON and not is_barred(label) and m in number:
+                    row.setdefault(label, set()).update(closed[number[m]])
+        steps.append({a: tuple(ms) for a, ms in row.items()})
+    return live, steps
+
+
+def push_closures(spec: UpdsSpec) -> dict[tuple[str, str], tuple]:
     """For each control state q and symbol top, the forward closure of the
     push/switch fragment from <q, top>: the words a push phase can turn
-    the lower top into. They depend on the system alone, so one set
-    serves every push phase over it."""
+    the lower top into. Each is kept as tables over the numbered nodes
+    that can still reach a final node (`_plain_steps`): their steps, the
+    start nodes of each state (the closure of its entry node) and the
+    final nodes, which come first. They depend on the system alone, so
+    one set serves every push phase over it."""
     push_switch = spec.restricted(RuleKind.SWITCH, RuleKind.PUSH)
-    return {
-        (q, top): pds_post_star(push_switch, singleton_lower(spec, q, (top,)))
-        for q in spec.states
-        for top in spec.alphabet
-    }
+    closures = {}
+    for q in spec.states:
+        for top in spec.alphabet:
+            lower = pds_post_star(push_switch, singleton_lower(spec, q, (top,)))
+            names, steps = _plain_steps(lower.nfa)
+            number = {z: i for i, z in enumerate(names)}
+            starts = {
+                p2: [number[z] for z in lower.nfa.eps_closure((entry,)) if z in number]
+                for p2, entry in lower.entries.items()
+            }
+            closures[(q, top)] = (steps, starts, range(len(lower.nfa.finals)))
+    return closures
 
 
 def _push_phase_pre(
     spec: UpdsSpec,
-    components: dict[str, Nfa],
-    closures: dict[tuple[str, str], LowerAutomaton],
-) -> dict[str, Nfa]:
-    """One push phase, backwards. A trace of switches and pushes from
-    <q, g v, w_u> rewrites the lower top g into some word z (one symbol
-    per push plus the survivor, so z has one more symbol than there are
-    pushes) and drops that many symbols from the right of the upper word,
-    bottoming out at empty. The component guesses the split of the input
-    upper word into the surviving prefix, read against the target's
-    barred zone, and the dropped suffix, consumed during a lockstep walk
-    that advances the target automaton and a forward closure of the
-    push/switch fragment over the same z, one dropped symbol per step
-    except the last. The exit step instead consumes g and hands the
-    remaining input to an embedded plain-zone copy of the target. A
-    second entry mode starts the lockstep at the component's initial
-    nodes for traces that exhaust the upper word, where extra pushes
-    advance for free. A verbatim copy of the target component keeps
-    empty traces. The closures come from push_closures(spec)."""
+    targets: dict[str, _Target],
+    closures: dict[tuple[str, str], tuple],
+    out: dict[str, Nfa],
+) -> None:
+    """One push phase, backwards, added to each state's automaton in `out`.
+    A trace of switches and pushes from <q, g v, w_u> rewrites the lower
+    top g into some word z (one symbol per push plus the survivor, so z
+    has one more symbol than there are pushes) and drops that many
+    symbols from the right of the upper word, bottoming out at empty. The
+    component guesses the split of the input upper word into the
+    surviving prefix, read against the target's barred zone, and the
+    dropped suffix, consumed during a lockstep walk that advances the
+    target automaton and a forward closure of the push/switch fragment
+    over the same z, one dropped symbol per step except the last. The exit
+    step instead consumes g and hands the remaining input to the target's
+    plain zone. A second entry mode starts the lockstep at the target's
+    initial nodes for traces that exhaust the upper word, where extra
+    pushes advance for free. A verbatim copy of the target component
+    keeps empty traces. The closures come from push_closures(spec).
+
+    Only what an accepted word uses is built. The lockstep pairs are
+    explored first and kept only if an exit can follow (`_lockstep`); a
+    barred zone is copied only up to the nodes that enter a kept pair, and
+    a plain zone only from the exits."""
     barred = [bar(x) for x in spec.alphabet]
-    # One-symbol steps of the target components, memoized as the walk
-    # consumes them.
-    landings_of: dict[tuple, frozenset] = {}
-    out: dict[str, Nfa] = {}
     for q in spec.states:
-        own = components.get(q)
-        comp = Nfa() if own is None else own.map_nodes(lambda n: ("v", n))
-        for p2, t in components.items():
-            _upper_zone(comp, p2, t)
-            _lower_zone(comp, p2, t)
-        for top in spec.alphabet:
-            rewrites = closures[(q, top)]
-            znfa = rewrites.nfa
-            advances_of: dict[tuple, frozenset] = {}
-            for p2, t in components.items():
-                starts = znfa.eps_closure([rewrites.entries[p2]])
-                pending: list[tuple[object, object, int]] = []
-                for r in t.nodes():
-                    for z0 in starts:
-                        comp.add_edge(
-                            ("u", p2, r), EPSILON, ("k", top, p2, r, z0, 0)
-                        )
-                        pending.append((r, z0, 0))
-                for r in t.eps_closure(t.initial):
-                    for z0 in starts:
-                        comp.add_initial(("k", top, p2, r, z0, 1))
-                        pending.append((r, z0, 1))
-                seen = set(pending)
-                while pending:
-                    r, z, free = pending.pop()
-                    src = ("k", top, p2, r, z, free)
-                    for a in spec.alphabet:
-                        landings = landings_of.get((p2, r, a))
-                        if landings is None:
-                            landings = t.step([r], a)
-                            landings_of[(p2, r, a)] = landings
-                        advances = advances_of.get((z, a))
-                        if advances is None:
-                            advances = znfa.step([z], a)
-                            advances_of[(z, a)] = advances
+        comp = out.get(q) or Nfa()
+        own = targets.get(q)
+        if own is not None:
+            comp.embed(own.nfa, lambda n: ("v", n))
+            for n in own.nfa.initial:
+                comp.add_initial(("v", n))
+            for n in own.nfa.finals:
+                comp.add_final(("v", n))
+        for p2, target in targets.items():
+            names = target.names
+            entries: set = set()
+            exits: set = set()
+            for top in spec.alphabet:
+                zsteps, starts, zfinals = closures[(q, top)]
+                zs = starts[p2]
+                entering = [(r, z) for r in target.entered + target.first for z in zs]
+                walk = _lockstep(target.steps, zsteps, zfinals, entering)
+                for free, rs in ((0, target.entered), (1, target.first)):
+                    reached = [(r, z) for r in rs for z in zs if (r, z) in walk]
+                    for r, z in reached:
+                        if free:
+                            comp.add_initial(("k", top, p2, r, z, 1))
+                        else:
+                            comp.add_edge(("u", p2, names[r]), EPSILON, ("k", top, p2, r, z, 0))
+                            entries.add(names[r])
+                    seen = set(reached)
+                    while reached:
+                        r, z = pair = reached.pop()
+                        src = ("k", top, p2, r, z, free)
+                        moves, landings = walk[pair]
+                        for nxt in moves:
+                            dst = ("k", top, p2, *nxt, free)
+                            for label in barred:
+                                comp.add_edge(src, label, dst)
+                            if free:
+                                comp.add_edge(src, EPSILON, dst)
+                            if nxt not in seen:
+                                seen.add(nxt)
+                                reached.append(nxt)
                         for r2 in landings:
-                            for z2 in advances:
-                                dst = ("k", top, p2, r2, z2, free)
-                                for label in barred:
-                                    comp.add_edge(src, label, dst)
-                                if free:
-                                    comp.add_edge(src, EPSILON, dst)
-                                if z2 in znfa.finals:
-                                    comp.add_edge(src, EPSILON, ("x", top, p2, r2))
-                                    comp.add_edge(
-                                        ("x", top, p2, r2), top, ("e", p2, r2)
-                                    )
-                                if (r2, z2, free) not in seen:
-                                    seen.add((r2, z2, free))
-                                    pending.append((r2, z2, free))
-        comp = comp.trim()
-        if not comp.is_empty():
+                            comp.add_edge(src, top, ("e", p2, names[r2]))
+                            exits.add(names[r2])
+            if entries:
+                _zone_part(comp, target.upper, target.nfa.initial, entries, ("u", p2))
+            if exits:
+                _zone_part(comp, target.lower, exits, target.nfa.finals, ("e", p2))
+        if comp.initial:
             out[q] = comp
-    return out
+
+
+def _lockstep(steps: list, zsteps: list, zfinals, starts: list) -> dict:
+    """The pairs (r, z) of a target node and a closure node that joint
+    steps over one plain symbol reach from `starts`, kept to those from
+    which a step lands the closure on a final node: for each, its
+    successor pairs so kept, and the target nodes of its steps that land
+    the closure on a final node (the exits)."""
+    graph: dict = dict.fromkeys(starts)
+    stack = list(graph)
+    while stack:
+        r, z = pair = stack.pop()
+        moves, landings = [], []
+        zrow = zsteps[z]
+        for a, landed in steps[r].items():
+            for z2 in zrow.get(a, ()):
+                for r2 in landed:
+                    nxt = (r2, z2)
+                    moves.append(nxt)
+                    if nxt not in graph:
+                        graph[nxt] = None
+                        stack.append(nxt)
+                if z2 in zfinals:
+                    landings.extend(landed)
+        graph[pair] = (moves, landings)
+    preds: dict = {}
+    for pair, (moves, _) in graph.items():
+        for nxt in moves:
+            preds.setdefault(nxt, []).append(pair)
+    live = {pair for pair, (_, landings) in graph.items() if landings}
+    stack = list(live)
+    while stack:
+        for pair in preds.get(stack.pop(), ()):
+            if pair not in live:
+                live.add(pair)
+                stack.append(pair)
+    return {
+        pair: ([nxt for nxt in moves if nxt in live], landings)
+        for pair, (moves, landings) in graph.items()
+        if pair in live
+    }
+
+
+def _phases(
+    spec: UpdsSpec,
+    targets: ConfigAutomaton,
+    kinds: tuple[PhaseKind, ...],
+    closures: dict[tuple[str, str], tuple] | None,
+) -> ConfigAutomaton:
+    """The configurations that reach the targets by one phase of any of
+    the given kinds. Both phases write into one automaton per state: they
+    share the copies of the target's zones, and a path through either
+    phase's nodes is one of its own, so each state's automaton accepts the
+    union of what the phases accept."""
+    trimmed = {state: nfa.trim() for state, nfa in targets.components.items()}
+    components = {state: _Target(nfa) for state, nfa in trimmed.items() if nfa.initial}
+    out: dict[str, Nfa] = {}
+    if PhaseKind.POP in kinds:
+        _pop_phase_pre(spec, components, out)
+    if PhaseKind.PUSH in kinds:
+        _push_phase_pre(spec, components, closures or push_closures(spec), out)
+    return ConfigAutomaton(spec.alphabet, out)
 
 
 def phase_pre(
     spec: UpdsSpec,
     targets: ConfigAutomaton,
     kind: PhaseKind,
-    closures: dict[tuple[str, str], LowerAutomaton] | None = None,
+    closures: dict[tuple[str, str], tuple] | None = None,
 ) -> ConfigAutomaton:
     """All configurations from which some target configuration is reached
     by a trace, possibly empty, whose non-switch rules are all pops
-    (PhaseKind.POP) or all pushes (PhaseKind.PUSH). Exact. A push phase
-    uses push_closures(spec), computed here unless the caller passes it."""
+    (PhaseKind.POP) or all pushes (PhaseKind.PUSH). Exact, and trimmed. A
+    push phase uses push_closures(spec), computed here unless the caller
+    passes it."""
     targets.check_against(spec, "target set")
-    components = {state: nfa for state, nfa in targets.components.items() if not nfa.is_empty()}
-    if kind is PhaseKind.POP:
-        built = _pop_phase_pre(spec, components)
-    else:
-        if closures is None:
-            closures = push_closures(spec)
-        built = _push_phase_pre(spec, components, closures)
-    return ConfigAutomaton(spec.alphabet, built)
+    return _phases(spec, targets, (kind,), closures)
 
 
 def bounded_phase_pre_star(
@@ -234,16 +377,17 @@ def bounded_phase_pre_star(
 ) -> ConfigAutomaton:
     """Configurations reaching the target set by traces splitting into at
     most k phases: k rounds of closing under one pop phase and one push
-    phase and uniting. Monotone in k; k <= 0 returns the targets. Stops
-    early once a round is `same` as the one before. Rounds are compacted,
-    so that happens as soon as a round adds nothing, unless a compaction
-    fell back on the node budget."""
+    phase at once. Monotone in k; k <= 0 returns the targets. Stops early
+    once a round is `same` as the one before. Rounds are compacted, so
+    that happens as soon as a round adds nothing, unless a compaction fell
+    back on the node budget."""
     current = targets.compact(node_budget)
-    closures = push_closures(spec) if k > 0 else None
-    for _ in range(max(k, 0)):
-        popped = phase_pre(spec, current, PhaseKind.POP)
-        pushed = phase_pre(spec, current, PhaseKind.PUSH, closures)
-        grown = union_sets(popped, pushed).compact(node_budget)
+    if k <= 0:
+        return current
+    current.check_against(spec, "target set")
+    closures = push_closures(spec)
+    for _ in range(k):
+        grown = _phases(spec, current, tuple(PhaseKind), closures).compact(node_budget)
         if grown.same(current):
             return grown
         current = grown

@@ -6,18 +6,20 @@ steps: `embed` copies one automaton into another under a node renaming
 and a label map, and `saturate` adds the edges a rule generator yields
 until a whole pass adds nothing (P-automaton saturation). Insertion
 order is preserved everywhere, but what the package prints does not
-depend on it. Reduction is one pipeline with one partition refinement:
-`compact` merges bisimilar nodes of the epsilon-free trimmed automaton
-(`bisimulation_quotient`), determinizes that quotient, and quotients
-the DFA, which gives the minimal DFA; `minimal_dfa` numbers its nodes
-breadth-first over label-sorted edges, so automata with the same
-language compact to the `same` nodes, edges, initial and final nodes
-whatever their node names or edge order. Language equality of two
-compacted automata is therefore `same`, unless one of them fell back on
-the determinization budget; such a compaction is the first quotient,
-which needs no subsets. `walk` lists accepted words in (length,
-label-key) order without sorting them. DOT exports sort what they
-print.
+depend on it.
+
+Reduction is `compact`, one pass over integer-numbered nodes that the
+`compaction` module holds and that is loaded on the first call. It
+gives the minimal DFA, numbered breadth-first over label-sorted edges,
+so automata with the same language compact to the `same` nodes, edges,
+initial and final nodes whatever their node names or edge order.
+Language equality of two compacted automata is therefore `same`, unless
+one of them fell back on the determinization budget; such a compaction
+is the bisimulation quotient, which needs no subsets. `trim` and the
+compaction share one backward search (`_coreachable`), and
+`eps_eliminate` and the compaction one epsilon-free row (`_free_row`).
+`walk` lists accepted words in (length, label-key) order without
+sorting them. DOT exports sort what they print.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Hashable, Iterable, Iterator
 
-from .errors import ResourceLimitError
 from .limits import DFA_STATE_BUDGET
 
 
@@ -204,17 +205,14 @@ class Nfa:
         return not any(EPSILON in row for row in self._edges.values())
 
     def _closed_steps(
-        self,
-        closed: frozenset[Node],
-        labels: Iterable[Label] | None = None,
-        eps_free: bool = False,
+        self, closed: frozenset[Node], eps_free: bool
     ) -> list[tuple[Label, frozenset[Node], bool]]:
         """(label, epsilon-closed targets, whether they hold a final node)
         for each label that an edge leaving the epsilon-closed set carries,
-        in the order of `labels` (by default, in label-key order): one
-        subset construction step, in one pass over the set's rows (a single
-        node's row is read as it is). eps_free says the automaton has no
-        epsilon edge (see `_eps_free`), so no closure is computed."""
+        in label-key order: one subset construction step, in one pass over
+        the set's rows (a single node's row is read as it is). eps_free says
+        the automaton has no epsilon edge (see `_eps_free`), so no closure
+        is computed."""
         edges = self._edges
         if len(closed) == 1:
             (node,) = closed
@@ -228,13 +226,11 @@ class Nfa:
                         out[label] = set(targets)
                     else:
                         got.update(targets)
-        if labels is None:
-            labels = sorted(out, key=label_key) if len(out) > 1 else out
         close = frozenset if eps_free else self.eps_closure
         finals = self.finals.keys()
         steps = []
-        for label in labels:
-            if label in out and label is not EPSILON:
+        for label in sorted(out, key=label_key) if len(out) > 1 else out:
+            if label is not EPSILON:
                 stepped = close(out[label])
                 steps.append((label, stepped, not finals.isdisjoint(stepped)))
         return steps
@@ -331,7 +327,7 @@ class Nfa:
             for built, subset, _ in layer:
                 row = steps.get(subset)
                 if row is None:
-                    row = steps[subset] = self._closed_steps(subset, eps_free=eps_free)
+                    row = steps[subset] = self._closed_steps(subset, eps_free)
                 for label, stepped, accepting in row:
                     if accepting or not last:
                         grown = extend(built, label)
@@ -373,18 +369,8 @@ class Nfa:
         forward = self.reachable(self.initial)
         # Backward search over the forward-reachable part only: every node
         # on a path from an initial node is forward-reachable itself.
-        preds: dict[Node, list[Node]] = {}
-        for src in forward:
-            for targets in edges[src].values():
-                for dst in targets:
-                    preds.setdefault(dst, []).append(src)
-        keep = {n for n in self.finals if n in forward}
-        stack = list(keep)
-        while stack:
-            for m in preds.get(stack.pop(), ()):
-                if m not in keep:
-                    keep.add(m)
-                    stack.append(m)
+        ends = (n for n in self.finals if n in forward)
+        keep = _coreachable({n: edges[n] for n in forward}, ends)
         out = Nfa(
             (n for n in self.initial if n in keep),
             (n for n in self.finals if n in keep),
@@ -407,113 +393,44 @@ class Nfa:
                 row[label] = dict.fromkeys(kept)
         return out
 
-    def eps_eliminate(self) -> "Nfa":
+    def _free_row(self, node: Node) -> tuple[dict[Label, dict[Node, None]], bool]:
+        """The node's row and finality once epsilon edges are removed: the
+        labelled edges and finality of its epsilon closure, in the closure's
+        order. A row without epsilon edges is returned as it is."""
         edges = self._edges
+        row = edges[node]
+        if EPSILON not in row:
+            return row, node in self.finals
+        closure = self.eps_closure((node,))
+        out: dict[Label, dict[Node, None]] = {}
+        for m in closure:
+            for label, targets in edges[m].items():
+                if label is not EPSILON:
+                    out.setdefault(label, {}).update(targets)
+        return out, not self.finals.keys().isdisjoint(closure)
+
+    def eps_eliminate(self) -> "Nfa":
         out = Nfa(self.initial)
-        add_edge = out.add_edge
         for n in self.nodes():
+            row, final = self._free_row(n)
             out.add_node(n)
-            closure = self.eps_closure((n,))
-            if any(m in self.finals for m in closure):
+            if final:
                 out.add_final(n)
-            for m in closure:
-                for label, targets in edges[m].items():
-                    if label is not EPSILON:
-                        for dst in targets:
-                            add_edge(n, label, dst)
-        return out
-
-    def determinize(self, node_budget: int = DFA_STATE_BUDGET) -> "Nfa":
-        """Subset construction (partial: no dead sink). Nodes of the result
-        are ints in discovery order. Raises ResourceLimitError past the
-        node budget."""
-        labels = sorted(self.labels(), key=label_key)
-        first = self.eps_closure(self.initial)
-        numbering: dict[frozenset[Node], int] = {first: 0}
-        dfa = Nfa((0,))
-        if any(n in self.finals for n in first):
-            dfa.add_final(0)
-        queue: deque[frozenset[Node]] = deque((first,))
-        while queue:
-            subset = queue.popleft()
-            src = numbering[subset]
-            for label, stepped, accepting in self._closed_steps(subset, labels):
-                if stepped not in numbering:
-                    if len(numbering) >= node_budget:
-                        raise ResourceLimitError(
-                            len(numbering), "determinization state budget"
-                        )
-                    numbering[stepped] = len(numbering)
-                    if accepting:
-                        dfa.add_final(numbering[stepped])
-                    queue.append(stepped)
-                dfa.add_edge(src, label, numbering[stepped])
-        return dfa
-
-    def minimal_dfa(self, node_budget: int = DFA_STATE_BUDGET) -> "Nfa":
-        """The minimal partial DFA of the language, numbered in breadth-first
-        order over label-sorted edges: equal languages give automata that
-        are `same`. Raises ResourceLimitError past the node budget."""
-        return self.bisimulation_quotient()._quotient_dfa(node_budget)
-
-    def _quotient_dfa(self, node_budget: int) -> "Nfa":
-        """`minimal_dfa` of an automaton that is its own bisimulation
-        quotient: its subsets, quotiented and numbered. Every subset holds
-        a node that reaches a final one, so the DFA is trimmed, and in a
-        trimmed DFA two nodes are bisimilar exactly when they accept the
-        same words: the quotient of the DFA is the minimal one."""
-        if not self.initial:
-            return self
-        return self.determinize(node_budget).bisimulation_quotient().relabel()
-
-    def bisimulation_quotient(self) -> "Nfa":
-        """The epsilon-free trimmed automaton with each class of its
-        coarsest bisimulation merged into one node: partition refinement
-        from finality until nodes of a class have the same (label, class)
-        successors. A quotient by a bisimulation keeps the language and
-        needs no subset construction. Each class is named by its first node
-        in this automaton's insertion order, never by a fresh int; its
-        nodes and edges are added in an order fixed by that insertion order
-        and the label keys."""
-        free = self.eps_eliminate().trim()
-        rows = free._edges
-        order = [n for n in self._edges if n in rows]
-
-        def moves(n: Node) -> frozenset[tuple[Label, int]]:
-            return frozenset(
-                (label, cls[dst]) for label, targets in rows[n].items() for dst in targets
-            )
-
-        # Moore-style refinement, classes numbered in `order` of their
-        # first node. Each round refines the last, so an equal count of
-        # classes means stable.
-        cls = {n: int(n in free.finals) for n in order}
-        count = len(set(cls.values()))
-        while True:
-            signatures: dict[tuple, int] = {}
-            cls = {n: signatures.setdefault((cls[n], moves(n)), len(signatures)) for n in order}
-            if len(signatures) == count:
-                break
-            count = len(signatures)
-        names: dict[int, Node] = {}
-        for n in order:
-            names.setdefault(cls[n], n)
-        out = Nfa((names[cls[n]] for n in free.initial), (names[cls[n]] for n in free.finals))
-        for name in names.values():
-            out.add_node(name)
-            for label, dst in sorted(moves(name), key=lambda m: (label_key(m[0]), m[1])):
-                out.add_edge(name, label, names[dst])
+            for label, targets in row.items():
+                for dst in targets:
+                    out.add_edge(n, label, dst)
         return out
 
     def compact(self, node_budget: int = DFA_STATE_BUDGET) -> "Nfa":
-        """Language-preserving compression: the bisimulation quotient,
-        determinized and quotiented again into the minimal DFA, or the
-        quotient itself if its determinization blows the budget."""
-        quotient = self.bisimulation_quotient()
-        try:
-            return quotient._quotient_dfa(node_budget)
-        except ResourceLimitError:
-            return quotient
+        """Language-preserving compression to the minimal partial DFA,
+        numbered breadth-first over label-sorted edges, so automata with
+        the same language compact to `same` ones; or, if the subset
+        construction passes the node budget, to the bisimulation quotient
+        of the epsilon-free trimmed automaton. See `compaction`, which is
+        loaded on the first call."""
+        from .compaction import compact
+
+        return compact(self, node_budget)
 
     def same(self, other: "Nfa") -> bool:
         """Structural equality: the same nodes, edges, initial and final
@@ -541,6 +458,24 @@ class Nfa:
             if n not in order:
                 order[n] = len(order)
         return self.map_nodes(lambda n: order[n])
+
+
+def _coreachable(rows: dict[Node, dict], ends: Iterable[Node]) -> set[Node]:
+    """The nodes of `rows` (node -> label -> targets) with a path to one of
+    `ends`, by one backward search."""
+    preds: dict[Node, list[Node]] = {}
+    for n, row in rows.items():
+        for targets in row.values():
+            for m in targets:
+                preds.setdefault(m, []).append(n)
+    keep = set(ends)
+    stack = list(keep)
+    while stack:
+        for m in preds.get(stack.pop(), ()):
+            if m not in keep:
+                keep.add(m)
+                stack.append(m)
+    return keep
 
 
 def union(automata: Iterable[Nfa]) -> Nfa:

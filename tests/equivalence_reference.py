@@ -1,14 +1,16 @@
 """Language equality for tests, two ways.
 
 `equivalent` and `equivalent_sets` compare canonical minimal DFAs, which
-`Nfa.minimal_dfa` makes `same` for equal languages. `product_equivalent`
-decides the same question another way: determinize each side unless it
-is already a trimmed DFA, then walk the product of the two trimmed DFAs
-and look for a node pair on which they disagree. Tests compare the two.
+`compaction_reference.minimal_dfa` makes `same` for equal languages.
+`product_equivalent` decides the same question another way: determinize
+each side unless it is already a trimmed DFA, then walk the product of
+the two trimmed DFAs and look for a node pair on which they disagree.
+Tests compare the two.
 """
 
 from __future__ import annotations
 
+from compaction_reference import determinize, minimal_dfa
 from upstack.configsets import ConfigAutomaton
 from upstack.nfa import DFA_STATE_BUDGET, EPSILON, Nfa
 
@@ -16,7 +18,7 @@ from upstack.nfa import DFA_STATE_BUDGET, EPSILON, Nfa
 def equivalent(a: Nfa, b: Nfa, node_budget: int = DFA_STATE_BUDGET) -> bool:
     """Language equality: the two automata are the same, or their minimal
     DFAs are. Past the node budget, ResourceLimitError."""
-    return a.same(b) or a.minimal_dfa(node_budget).same(b.minimal_dfa(node_budget))
+    return a.same(b) or minimal_dfa(a, node_budget).same(minimal_dfa(b, node_budget))
 
 
 def equivalent_sets(a: ConfigAutomaton, b: ConfigAutomaton) -> bool:
@@ -46,7 +48,7 @@ def _trimmed_dfa(nfa: Nfa, node_budget: int) -> Nfa:
     trimmed = nfa.trim()
     if not trimmed.initial or _deterministic(trimmed):
         return trimmed
-    return trimmed.eps_eliminate().determinize(node_budget)
+    return determinize(trimmed.eps_eliminate(), node_budget)
 
 
 def _same_trimmed_dfa_language(a: Nfa, b: Nfa) -> bool:

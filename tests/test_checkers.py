@@ -13,7 +13,7 @@ from conftest import (
     random_configuration,
     random_spec,
 )
-from upstack import checkers, oracle
+from upstack import oracle
 from upstack.checkers import (
     FILLER,
     SAFE,
@@ -231,7 +231,7 @@ def test_replay_out_of_budget_is_unknown(monkeypatch, e1, c1):
     # room for two configurations the replay runs out before the hit.
     assert check_upper_read(e1, c1, "a").outcome == UNSAFE
     monkeypatch.setattr(
-        checkers, "oracle_trace", functools.partial(oracle.oracle_trace, node_budget=2)
+        oracle, "oracle_trace", functools.partial(oracle.oracle_trace, node_budget=2)
     )
     verdict = check_upper_read(e1, c1, "a")
     assert (verdict.outcome, verdict.exit_code) == (UNKNOWN, 2)
@@ -263,7 +263,7 @@ def test_replay_stays_inside_the_under_approximation(monkeypatch):
     # long before it walks the chain; restricted to the one-phase pre*,
     # the replay finds the chain at once.
     monkeypatch.setattr(
-        checkers, "oracle_trace", functools.partial(oracle.oracle_trace, node_budget=1000)
+        oracle, "oracle_trace", functools.partial(oracle.oracle_trace, node_budget=1000)
     )
     verdict = check_upper_read(_switch_chain(10), "I", "x", k=1)
     assert verdict.outcome == UNSAFE

@@ -11,6 +11,7 @@ from upstack.kphase import PhaseKind, bounded_phase_pre_star, phase_pre
 from upstack.nfa import Nfa
 from upstack.oracle import oracle_pre_kphase
 
+import phase_reference
 from conftest import cfg, random_configuration, random_spec
 from equivalence_reference import equivalent_sets
 from mpds import MpdsRule, config_to_mpds, mpds_step, mpds_to_config, upds_to_mpds
@@ -103,6 +104,53 @@ def test_phase_pre_idempotent_random():
             assert equivalent_sets(once.compact(), twice.compact())
 
 
+def _with_dead_ends(rng, targets):
+    """The same set with, in each component, an edge from an initial node
+    to a node that reaches no final one, and a node no initial one
+    reaches."""
+    components = {}
+    for state, nfa in targets.components.items():
+        nfa = nfa.copy()
+        label = rng.choice(targets.alphabet)
+        nfa.add_edge(next(iter(nfa.initial)), label, ("dead", state))
+        nfa.add_edge(("unreached", state), label, next(iter(nfa.finals)))
+        components[state] = nfa
+    return ConfigAutomaton(targets.alphabet, components)
+
+
+def test_phases_accept_what_their_first_construction_accepts():
+    # Random systems with at least three states, so that components reach
+    # across states; targets are small finite sets or a round or two of
+    # pre* of them, some with dead ends. Each phase compacts `same` as the
+    # construction that embeds every zone and trims at the end, and is
+    # built trimmed; so do whole bounded runs.
+    rng = random.Random(2718)
+    checked = 0
+    while checked < 120:
+        spec = random_spec(rng, max_states=5, max_symbols=3, max_rules=10)
+        if len(spec.states) < 3:
+            continue
+        targets = from_config_set(
+            spec, [random_configuration(rng, spec) for _ in range(rng.randint(1, 4))]
+        )
+        if rng.random() < 0.5:
+            targets = phase_reference.bounded_phase_pre_star(spec, targets, rng.randint(1, 2))
+        if rng.random() < 0.5:
+            targets = _with_dead_ends(rng, targets)
+        references = {
+            PhaseKind.POP: phase_reference.pop_phase_pre,
+            PhaseKind.PUSH: phase_reference.push_phase_pre,
+        }
+        for kind, reference in references.items():
+            built = phase_pre(spec, targets, kind)
+            assert built.compact().same(reference(spec, targets).compact()), kind
+            assert all(nfa.trim().same(nfa) for nfa in built.components.values()), kind
+        k = rng.randint(0, 3)
+        expected = phase_reference.bounded_phase_pre_star(spec, targets, k)
+        assert bounded_phase_pre_star(spec, targets, k).same(expected)
+        checked += 1
+
+
 # -- iterated closure ------------------------------------------------------
 
 def test_bounded_zero_phases_is_target_set(e2, c2):
@@ -133,8 +181,9 @@ def test_fixpoint_test_of_canonical_rounds_does_not_determinize(e2, c2, monkeypa
         raise AssertionError("the fixpoint test determinized")
 
     def structural_only(a, b):
+        # Compaction is the only subset construction in the package.
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(Nfa, "determinize", refuse)
+            patch.setattr(Nfa, "compact", refuse)
             rounds.append(same(a, b))
         return rounds[-1]
 

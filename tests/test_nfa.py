@@ -8,9 +8,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from compaction_reference import bisimulation_quotient, determinize, layout, minimal_dfa
+from compaction_reference import compact as reference_compact
 from equivalence_reference import equivalent, product_equivalent
 from upstack.errors import ResourceLimitError
-from upstack.nfa import EPSILON, Nfa, from_words, intersection, union
+from upstack.nfa import DFA_STATE_BUDGET, EPSILON, Nfa, from_words, intersection, union
 
 
 def _sample() -> Nfa:
@@ -79,8 +81,8 @@ def test_eps_eliminate_preserves_language():
 
 def test_determinize_minimize_roundtrip():
     n = _sample()
-    d = n.eps_eliminate().determinize()
-    m = d.minimal_dfa()
+    d = determinize(n.eps_eliminate())
+    m = minimal_dfa(d)
     # deterministic: one target per (node, label)
     for dfa in (d, m):
         for src in dfa.nodes():
@@ -92,7 +94,7 @@ def test_determinize_minimize_roundtrip():
 
 def test_determinize_budget_is_a_resource_limit():
     with pytest.raises(ResourceLimitError):
-        _sample().determinize(node_budget=1)
+        determinize(_sample(), node_budget=1)
     # compact falls back to the bisimulation quotient instead of failing.
     assert equivalent(_sample().compact(node_budget=1), _sample())
 
@@ -187,7 +189,7 @@ def test_equivalence_agrees_with_bounded_enumeration(a, b):
 @settings(deadline=None)
 @given(_random_nfa())
 def test_bisimulation_quotient_keeps_the_language_in_fewer_nodes(n):
-    quotient = n.bisimulation_quotient()
+    quotient = bisimulation_quotient(n)
     assert product_equivalent(quotient, n)
     assert len(quotient.nodes()) <= len(n.eps_eliminate().trim().nodes())
     assert all(label is not EPSILON for _, label, _ in quotient.edges())
@@ -204,10 +206,54 @@ def test_bisimulation_quotient_merges_equivalent_branches():
     n.add_edge(1, "b", 1)
     n.add_edge(2, "b", 2)
     n.add_edge(0, EPSILON, 3)
-    quotient = n.bisimulation_quotient()
+    quotient = bisimulation_quotient(n)
     assert quotient.nodes() == [0, 1]
     assert list(quotient.edges()) == [(0, "a", 1), (1, "b", 1)]
     assert list(quotient.initial) == [0] and list(quotient.finals) == [1]
+
+
+def _wide_nfa(rng: random.Random) -> Nfa:
+    """Up to 8 nodes, added in a shuffled order, one or two initial nodes,
+    up to 16 edges over plain, barred and epsilon labels."""
+    n = Nfa()
+    size = rng.randint(1, 8)
+    for i in rng.sample(range(size), size):
+        n.add_node(i)
+    for _ in range(rng.randint(1, 2)):
+        n.add_initial(rng.randrange(size))
+    for i in range(size):
+        if rng.random() < 0.4:
+            n.add_final(i)
+    labels = ["a", "b", ("bar", "a"), EPSILON]
+    for _ in range(rng.randint(0, 16)):
+        n.add_edge(rng.randrange(size), rng.choice(labels), rng.randrange(size))
+    return n
+
+
+_BUDGETS = (1, 2, 5, DFA_STATE_BUDGET)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_compaction_is_the_reference_pipeline_in_one_pass(seed):
+    # The same nodes, rows in the same order with their labels and targets
+    # in the same order, and the same initial and final nodes in the same
+    # order, at budgets that make the subset construction fall back.
+    n = _wide_nfa(random.Random(seed))
+    for budget in _BUDGETS:
+        assert layout(n.compact(budget)) == layout(reference_compact(n, budget))
+
+
+def test_compaction_matches_the_reference_through_both_outcomes():
+    rng = random.Random(1515)
+    fell_back = 0
+    for _ in range(400):
+        n = _wide_nfa(rng)
+        for budget in _BUDGETS:
+            got = n.compact(budget)
+            assert layout(got) == layout(reference_compact(n, budget))
+            fell_back += not got.same(n.compact())
+    assert fell_back >= 100
 
 
 def _renamed_and_shuffled(n: Nfa, seed: int) -> Nfa:
@@ -237,7 +283,7 @@ def test_compaction_is_canonical_and_idempotent(n, seed):
     assert n.compact().same(copy.compact())
     assert list(n.compact().edges()) == list(copy.compact().edges())
     assert n.compact().same(n.compact().compact())
-    assert n.compact().same(n.minimal_dfa())
+    assert n.compact().same(minimal_dfa(n))
     assert equivalent(n, copy)
 
 
@@ -252,10 +298,10 @@ def test_same_compares_structure_not_insertion_order():
     b.add_edge(2, "a", 2)
     assert not a.same(b)
     assert not a.same(Nfa(initial=(0,), finals=(1,)))
-    assert Nfa().same(from_words([]).minimal_dfa())
+    assert Nfa().same(minimal_dfa(from_words([])))
     # Minimal DFAs with the same edges, told apart by their finals alone.
-    one = from_words([("a",)]).minimal_dfa()
-    up_to_one = from_words([(), ("a",)]).minimal_dfa()
+    one = minimal_dfa(from_words([("a",)]))
+    up_to_one = minimal_dfa(from_words([(), ("a",)]))
     assert list(one.edges()) == list(up_to_one.edges())
     assert not one.same(up_to_one)
     assert not equivalent(one, up_to_one)
@@ -270,25 +316,25 @@ def test_minimal_dfa_determinizes_epsilon_closed_subsets():
     n.add_edge(0, "b", 2)
     n.add_edge(1, EPSILON, 2)
     n.add_edge(2, "c", 3)
-    assert len(n.determinize().nodes()) == 3
-    assert len(n.eps_eliminate().trim().determinize().nodes()) == 4
-    assert n.compact(node_budget=3).same(n.minimal_dfa())
+    assert len(determinize(n).nodes()) == 3
+    assert len(determinize(n.eps_eliminate().trim()).nodes()) == 4
+    assert n.compact(node_budget=3).same(minimal_dfa(n))
     with pytest.raises(ResourceLimitError):
-        n.minimal_dfa(node_budget=2)
+        minimal_dfa(n, node_budget=2)
 
 
 @settings(deadline=None)
 @given(_random_nfa(), _random_nfa())
 def test_minimal_dfas_are_same_exactly_when_the_languages_are_equal(a, b):
-    assert a.minimal_dfa().same(b.minimal_dfa()) == product_equivalent(a, b)
+    assert minimal_dfa(a).same(minimal_dfa(b)) == product_equivalent(a, b)
     # The minimal DFA comes out of an NFA quotient: check that it is one.
     for n in (a, b):
-        dfa = n.minimal_dfa()
+        dfa = minimal_dfa(n)
         for src in dfa.nodes():
             labels = [label for label, _ in dfa.out_edges(src)]
             assert EPSILON not in labels
             assert len(labels) == len(set(labels))
-        assert len(dfa.nodes()) <= len(n.trim().determinize().nodes())
+        assert len(dfa.nodes()) <= len(determinize(n.trim()).nodes())
 
 
 def _trim_by_reversal(n: Nfa) -> Nfa:

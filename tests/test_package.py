@@ -49,7 +49,8 @@ def test_namespace_exports_each_name_from_its_home():
 
 
 # Runs in a fresh interpreter: prints, as JSON, the upstack submodules
-# loaded after a bare import and after each command, run in this order.
+# loaded after a bare import and after each command of the argument lists
+# in sys.argv[1] (JSON), run in this order.
 _LOADED_PER_STEP = """
 import contextlib, io, json, sys
 
@@ -60,12 +61,8 @@ import upstack
 steps = {"import": loaded()}
 from upstack.cli import main
 from upstack.fixtures import fixture_path
-e1, relocate = str(fixture_path("e1.upds")), str(fixture_path("relocate.upds"))
-for argv in (
-    ["member", e1, "--init", "C1", "--config", "p2: a ^ bot"],
-    ["check-read", relocate, "--init", "Boot", "--symbol", "secret"],
-    ["check-overflow", e1, "-m", "1", "--lower", "x (y x)* bot"],
-):
+for argv in json.loads(sys.argv[1]):
+    argv[1] = str(fixture_path(argv[1]))
     with contextlib.redirect_stdout(io.StringIO()):
         main(argv)
     steps[argv[0]] = loaded()
@@ -73,19 +70,38 @@ print(json.dumps(steps))
 """
 
 
-def test_each_command_loads_only_what_it_runs():
+def _loaded_per_step(*argvs: list[str]) -> dict[str, set[str]]:
     proc = subprocess.run(
-        [sys.executable, "-c", _LOADED_PER_STEP],
+        [sys.executable, "-c", _LOADED_PER_STEP, json.dumps(argvs)],
         env=subprocess_env(),
         capture_output=True,
         text=True,
         check=True,
     )
-    loaded = {step: set(modules) for step, modules in json.loads(proc.stdout).items()}
+    return {step: set(modules) for step, modules in json.loads(proc.stdout).items()}
+
+
+def test_each_command_loads_only_what_it_runs():
+    loaded = _loaded_per_step(
+        ["member", "e1.upds", "--init", "C1", "--config", "p2: a ^ bot"],
+        ["check-read", "relocate.upds", "--init", "Boot", "--symbol", "secret"],
+        ["check-overflow", "e1.upds", "-m", "1", "--lower", "x (y x)* bot"],
+    )
     assert loaded["import"] == set()
     assert "oracle" in loaded["member"]
-    assert not loaded["member"] & {"checkers", "kphase", "upperapprox", "pds", "dot", "grammar"}
+    assert not loaded["member"] & {
+        "checkers", "compaction", "kphase", "upperapprox", "pds", "dot", "grammar"
+    }
     # The checkers ran (so the sets below are not trivially small), yet
-    # neither the grammar nor the DOT renderer was loaded.
-    assert {"checkers", "kphase", "upperapprox"} <= loaded["check-read"]
+    # neither the grammar nor the DOT renderer was loaded. Both answers
+    # are Unsafe: a hit decides them, so the over-approximation is never
+    # loaded.
+    assert {"checkers", "compaction", "kphase", "oracle"} <= loaded["check-read"]
+    assert "upperapprox" not in loaded["check-read"]
+    assert "upperapprox" not in loaded["check-overflow"]
     assert not loaded["check-overflow"] & {"grammar", "dot"}
+    # A Safe answer has no hit to replay: it loads the over-approximation
+    # and not the replay.
+    safe = _loaded_per_step(["check-read", "relocate.upds", "--init", "Boot", "--symbol", "ret"])
+    assert {"checkers", "kphase", "upperapprox"} <= safe["check-read"]
+    assert "oracle" not in safe["check-read"]
