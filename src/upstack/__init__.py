@@ -11,60 +11,42 @@ safety patterns built on those, plus a small CLI.
 The public names load on first use (PEP 562): `import upstack` loads no
 analysis module, and `upstack.X` or `from upstack import X` imports only
 the submodule that defines X.
+
+Each CLI call compiles every module it imports, so code lives in a
+module that the commands running it load: what no command runs is in
+`extras`, and what only some commands run is in theirs. Where a
+function or a method moved, its old place still serves it, loading its
+home on first use: a module through `_forward`, a class through
+`_MovedMethod`.
 """
 
 from importlib import import_module
 
-# Each public name and the submodule that defines it.
+# Each submodule and the public names it defines.
 _HOMES = {
-    "Verdict": "checkers",
-    "check_stack_overflow": "checkers",
-    "check_upper_read": "checkers",
-    "decide_safety": "checkers",
-    "ConfigAutomaton": "configsets",
-    "from_config_set": "configsets",
-    "Configuration": "core",
-    "Rule": "core",
-    "RuleKind": "core",
-    "Trace": "core",
-    "UpdsSpec": "core",
-    "count_phases": "core",
-    "make_spec": "core",
-    "run_trace": "core",
-    "step": "core",
-    "trace_upper_word": "core",
-    "export_dot": "dot",
-    "MalformedInputError": "errors",
-    "ParseError": "errors",
-    "ResourceLimitError": "errors",
-    "RuleNotEnabledError": "errors",
-    "UpstackError": "errors",
-    "fixture_names": "fixtures",
-    "fixture_path": "fixtures",
-    "fixture_text": "fixtures",
-    "build_post_grammar": "grammar",
-    "PhaseKind": "kphase",
-    "bounded_phase_pre_star": "kphase",
-    "phase_pre": "kphase",
-    "ModelFile": "model",
-    "parse_config_literal": "model",
-    "parse_model": "model",
-    "print_config_literal": "model",
-    "print_model": "model",
-    "is_reachable": "oracle",
-    "oracle_post": "oracle",
-    "oracle_pre_kphase": "oracle",
-    "oracle_trace": "oracle",
-    "compile_config_regex": "regex",
-    "parse_config_regex": "regex",
-    "print_config_regex": "regex",
-    "TraceAutomaton": "upperapprox",
-    "UpperAutomaton": "upperapprox",
-    "overapprox_post": "upperapprox",
-    "saturate_upper": "upperapprox",
-    "single_origin": "upperapprox",
-    "trace_overapprox": "upperapprox",
-    "upper_config_set": "upperapprox",
+    name: home
+    for home, names in {
+        "checkers": "Verdict decide_safety",
+        "configsets": "ConfigAutomaton",
+        "core": "Configuration Rule RuleKind Trace UpdsSpec make_spec",
+        "dot": "export_dot",
+        "errors": "MalformedInputError ParseError ResourceLimitError RuleNotEnabledError "
+        "UpstackError",
+        "extras": "count_phases from_config_set oracle_pre_kphase phase_pre "
+        "print_config_regex print_model run_trace step trace_upper_word",
+        "fixtures": "fixture_names fixture_path fixture_text",
+        "grammar": "build_post_grammar",
+        "kphase": "PhaseKind bounded_phase_pre_star",
+        "membership": "is_reachable",
+        "model": "ModelFile parse_config_literal parse_model print_config_literal",
+        "oracle": "oracle_post oracle_trace",
+        "overflow": "check_stack_overflow",
+        "regex": "compile_config_regex parse_config_regex",
+        "residue": "check_upper_read",
+        "upperapprox": "TraceAutomaton UpperAutomaton overapprox_post saturate_upper "
+        "single_origin trace_overapprox upper_config_set",
+    }.items()
+    for name in names.split()
 }
 
 __all__ = sorted(_HOMES)
@@ -84,3 +66,38 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted(set(globals()) | set(__all__))
+
+
+def _forward(module: str, **homes: str):
+    """The `__getattr__` (PEP 562) of a submodule some of whose names
+    moved: each keyword is a home module, its value the names (separated
+    by spaces) that moved there. A name loads its home on first use."""
+    home_of = {name: home for home, names in homes.items() for name in names.split()}
+
+    def __getattr__(name: str):
+        home = home_of.get(name)
+        if home is None:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        return getattr(import_module(f".{home}", __name__), name)
+
+    return __getattr__
+
+
+class _MovedMethod:
+    """A method whose body is a function of the submodule `home`, named
+    `function` or else like the method, that takes the instance as its
+    first argument. The first lookup loads the home and puts the function
+    itself on the class, so later calls go straight to it."""
+
+    def __init__(self, home: str, function: str = "") -> None:
+        self.home = home
+        self.function = function
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner):
+        home = import_module(f".{self.home}", __name__)
+        function = getattr(home, self.function or self.name)
+        setattr(owner, self.name, function)
+        return function.__get__(instance, owner)

@@ -13,24 +13,33 @@ under-approximation, with no depth or size bound of its own: every
 configuration on a trace of at most k phases to the forbidden set lies
 in the phase-bounded pre* itself, so the restricted search always finds
 one, and only its configuration budget can stop it.
+
+The replay starts from a shortest member of the hit (`shortest_config`,
+also the method `ConfigAutomaton.shortest_config`); only the checkers
+look for one, so it lives here.
+
+The two checkers pose their questions to `decide_safety` from modules
+of their own, `overflow` and `residue`, so that each command compiles
+only its own; `check_stack_overflow`, `check_upper_read` and the
+overflow checker's reserved symbols still import from here.
 """
 
 from __future__ import annotations
 
-from .configsets import ConfigAutomaton, intersect_sets
-from .core import Configuration, Frozen, Rule, UpdsSpec, make_spec
+from typing import Iterable
+
+from .configsets import ConfigAutomaton, intersect_sets, is_barred, unbar
+from . import _forward
+from .core import Configuration, Frozen, Rule, UpdsSpec
 from .errors import MalformedInputError, ResourceLimitError
 from .kphase import bounded_phase_pre_star
 from .limits import DEFAULT_PHASES, DFA_STATE_BUDGET
 from .model import ModelFile, print_config_literal
-from .regex import compile_config_regex, parse_zone_regex
+from .regex import compile_config_regex
 
 SAFE = "Safe"
 UNSAFE = "Unsafe"
 UNKNOWN = "Unknown"
-
-TOP_SENTINEL = "@top"
-FILLER = "@fill"
 
 
 class Verdict(Frozen):
@@ -79,6 +88,36 @@ class Verdict(Frozen):
         return "\n".join(lines)
 
 
+def config_from_word(state: str, word: Iterable) -> Configuration:
+    """The configuration of a state and a flattened word (barred upper
+    symbols, then plain lower ones)."""
+    upper: list[str] = []
+    lower: list[str] = []
+    for label in word:
+        if is_barred(label):
+            if lower:
+                raise MalformedInputError(
+                    f"barred symbol after plain symbols in {tuple(word)!r}"
+                )
+            upper.append(unbar(label))
+        else:
+            lower.append(label)
+    return Configuration(state, tuple(upper), tuple(lower))
+
+
+def shortest_config(configs: ConfigAutomaton) -> Configuration | None:
+    """A member of the set with a shortest flattened word, or None if the
+    set is empty (`ConfigAutomaton.shortest_config`)."""
+    best: tuple[int, str, tuple] | None = None
+    for state, nfa in configs.components.items():
+        word = nfa.shortest_word()
+        if word is not None and (best is None or len(word) < best[0]):
+            best = (len(word), state, word)
+    if best is None:
+        return None
+    return config_from_word(best[1], best[2])
+
+
 def decide_safety(
     spec: UpdsSpec,
     initial: ConfigAutomaton,
@@ -97,7 +136,7 @@ def decide_safety(
     under = bounded_phase_pre_star(spec, forbidden, k, node_budget=node_budget)
     hit = intersect_sets(under, initial)
     if not hit.is_empty():
-        witness = hit.shortest_config()
+        witness = shortest_config(hit)
         reached = f"under-approximation reached {print_config_literal(witness)}"
         from .oracle import oracle_trace
 
@@ -147,11 +186,14 @@ def _spec_of(model: ModelFile | UpdsSpec) -> UpdsSpec:
 
 def _all_states_set(spec: UpdsSpec, upper: tuple, lower: tuple) -> ConfigAutomaton:
     """Every control state with an upper word from `upper` and a lower
-    word from `lower`, both zone ASTs (see `regex`)."""
+    word from `lower`, both zone ASTs (see `regex`). Compiled over the
+    alphabet, the set is valid by construction, as a model's sets are."""
     component = compile_config_regex(("config", ((upper, lower),)), spec.alphabet)
-    return ConfigAutomaton(
+    configs = ConfigAutomaton(
         spec.alphabet, {state: component.copy() for state in spec.states}
     )
+    configs._validated = True
+    return configs
 
 
 def _any_word(symbols) -> tuple:
@@ -160,63 +202,8 @@ def _any_word(symbols) -> tuple:
     return ("star", parts[0] if len(parts) == 1 else ("alt", parts))
 
 
-def check_stack_overflow(
-    model: ModelFile | UpdsSpec,
-    m: int,
-    lower: str,
-    k: int = DEFAULT_PHASES,
-    node_budget: int = DFA_STATE_BUDGET,
-) -> Verdict:
-    """Can the stack grow past its bound? The system is run with a
-    sentinel on top of the upper zone and m filler cells of headroom
-    below it; every starting lower word matches `lower` (one zone
-    expression over the declared alphabet, '_' for the empty word).
-    Pushes consume the headroom first; a configuration whose upper zone
-    lost the sentinel has overwritten memory past the bound."""
-    spec = _spec_of(model)
-    if m < 0:
-        raise MalformedInputError(f"headroom must be nonnegative, got {m}")
-    for name in (TOP_SENTINEL, FILLER):
-        if name in spec.alphabet or name in spec.states:
-            raise MalformedInputError(
-                f"{name!r} is reserved for the overflow checker; "
-                "it may not be declared, let alone appear in a rule"
-            )
-    starts = parse_zone_regex(lower, spec.alphabet)
-    extended = make_spec(
-        spec.states,
-        spec.alphabet + (TOP_SENTINEL, FILLER),
-        [(r.from_state, r.read_symbol, r.to_state, r.written) for r in spec.rules],
-    )
-    cells = (("sym", TOP_SENTINEL),) + (("sym", FILLER),) * m
-    headroom = cells[0] if m == 0 else ("concat", cells)
-    initial = _all_states_set(extended, headroom, starts)
-    unguarded = _any_word(s for s in extended.alphabet if s != TOP_SENTINEL)
-    forbidden = _all_states_set(extended, unguarded, _any_word(extended.alphabet))
-    return decide_safety(extended, initial, forbidden, k, node_budget)
-
-
-def check_upper_read(
-    model: ModelFile | UpdsSpec,
-    configs: str | ConfigAutomaton,
-    symbol: str,
-    k: int = DEFAULT_PHASES,
-    node_budget: int = DFA_STATE_BUDGET,
-) -> Verdict:
-    """Can `symbol` sit in the cell just above the boundary — where a
-    read past the end of the stack would pick it up — in some reachable
-    configuration? `configs` is a set name (with a ModelFile) or a
-    configuration automaton."""
-    spec = _spec_of(model)
-    if symbol not in spec.alphabet:
-        raise MalformedInputError(f"undeclared symbol {symbol!r}")
-    if isinstance(configs, str):
-        if not isinstance(model, ModelFile):
-            raise MalformedInputError(
-                "a set name needs a ModelFile; pass a ConfigAutomaton instead"
-            )
-        configs = model.config_set(configs)
-    anything = _any_word(spec.alphabet)
-    ending_with = ("concat", (anything, ("sym", symbol)))
-    forbidden = _all_states_set(spec, ending_with, anything)
-    return decide_safety(spec, configs, forbidden, k, node_budget)
+__getattr__ = _forward(
+    __name__,
+    overflow="check_stack_overflow TOP_SENTINEL FILLER",
+    residue="check_upper_read",
+)

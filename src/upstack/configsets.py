@@ -7,16 +7,23 @@ one NFA per control state over this two-track alphabet. The zone
 discipline makes the flattening unambiguous: no plain-symbol edge may
 precede a barred edge on any path from an initial node, so accepted
 words always split as barred-prefix then plain-suffix.
+
+What only some commands run lives in their modules, and what none runs
+in `extras`: the zone projections and their product in `upperapprox`,
+the walk of a set's members in `membership`, a shortest member and
+`config_from_word` in `checkers`, `from_config_set` in `extras`. They
+still import from here, and the methods load their bodies on first use.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
-from .core import ConfigTuple, Configuration, UpdsSpec, Word
+from . import _forward, _MovedMethod
+from .core import Configuration, UpdsSpec
 from .errors import MalformedInputError
 from .limits import DFA_STATE_BUDGET
-from .nfa import EPSILON, Nfa, from_words, intersection, union
+from .nfa import Nfa, union
 
 _BAR = "bar"
 
@@ -39,35 +46,15 @@ def config_word(c: Configuration) -> tuple:
     return tuple(bar(s) for s in c.upper) + tuple(c.lower)
 
 
-def config_from_word(state: str, word: Iterable) -> Configuration:
-    upper: list[str] = []
-    lower: list[str] = []
-    for label in word:
-        if is_barred(label):
-            if lower:
-                raise MalformedInputError(
-                    f"barred symbol after plain symbols in {tuple(word)!r}"
-                )
-            upper.append(unbar(label))
-        else:
-            lower.append(label)
-    return Configuration(state, tuple(upper), tuple(lower))
-
-
-def _extend_zones(c: ConfigTuple, label) -> ConfigTuple | None:
-    state, upper, lower = c
-    if not is_barred(label):
-        return state, upper, lower + (label,)
-    return None if lower else (state, upper + (label[1],), lower)
-
-
 class ConfigAutomaton:
     """One NFA per control state; missing states denote empty slices.
 
     Like an `Nfa`, a set is treated as immutable once it is handed out, so
     a fact established about it stays true. It records one: that it passed
-    `validate`, which then returns at once (`ModelFile.config_set` hands
-    out sets that hold by construction)."""
+    `validate`, which then returns at once. Sets compiled from expressions
+    over the alphabet hold by construction (`ModelFile.config_set` and the
+    checkers' sets are marked), and so does the compaction of a valid set,
+    so no command scans a set."""
 
     _validated = False
 
@@ -106,49 +93,23 @@ class ConfigAutomaton:
         spec.check_word(self.alphabet, f"{what} alphabet")
         self.validate()
 
-    def _scan(self) -> None:
-        symbols = set(self.alphabet)
-        for state, nfa in self.components.items():
-            for _, label, _ in nfa.edges():
-                if label is EPSILON:
-                    continue
-                plain = label if not is_barred(label) else unbar(label)
-                if plain not in symbols:
-                    raise MalformedInputError(
-                        f"component {state!r}: undeclared symbol in label {label!r}"
-                    )
-            # Taint scan: a node is tainted once a plain edge was crossed;
-            # no barred edge may leave a tainted node.
-            seen: set[tuple[object, bool]] = set()
-            stack = [(n, False) for n in nfa.initial]
-            seen.update(stack)
-            while stack:
-                node, tainted = stack.pop()
-                for label, dst in nfa.out_edges(node):
-                    if label is EPSILON:
-                        nxt = tainted
-                    elif is_barred(label):
-                        if tainted:
-                            raise MalformedInputError(
-                                f"component {state!r}: barred edge after a plain edge"
-                            )
-                        nxt = False
-                    else:
-                        nxt = True
-                    if (dst, nxt) not in seen:
-                        seen.add((dst, nxt))
-                        stack.append((dst, nxt))
+    # No command scans a set (see the class docstring).
+    _scan = _MovedMethod("extras")
 
     def compact(self, node_budget: int = DFA_STATE_BUDGET) -> "ConfigAutomaton":
         """Compact every component and drop the empty ones. Unless a
         component fell back on the budget, equal sets compact to sets that
-        are `same`."""
+        are `same`. The compaction of a valid set is valid: it keeps the
+        labels, and each of its paths from an initial node spells a prefix
+        of an accepted word of the set."""
         out: dict[str, Nfa] = {}
         for state, nfa in self.components.items():
             compacted = nfa.compact(node_budget)
             if not compacted.is_empty():
                 out[state] = compacted
-        return ConfigAutomaton(self.alphabet, out)
+        compacted_set = ConfigAutomaton(self.alphabet, out)
+        compacted_set._validated = self._validated
+        return compacted_set
 
     def same(self, other: "ConfigAutomaton") -> bool:
         """Structural equality: the same states, and `same` components."""
@@ -156,49 +117,11 @@ class ConfigAutomaton:
             nfa.same(other.components[state]) for state, nfa in self.components.items()
         )
 
-    def shortest_config(self) -> Configuration | None:
-        best: tuple[int, str, tuple] | None = None
-        for state, nfa in self.components.items():
-            word = nfa.shortest_word()
-            if word is not None and (best is None or len(word) < best[0]):
-                best = (len(word), state, word)
-        if best is None:
-            return None
-        return config_from_word(best[1], best[2])
-
-    def members(self, max_len: int) -> Iterator[ConfigTuple]:
-        """The accepted configurations of total stack size <= max_len as
-        (state, upper, lower) tuples: state by state in component order,
-        each state's in `Nfa.walk` order of their flattened words. Each word
-        is split into its zones as it is extended, and a barred label is
-        never added after a plain one."""
-        for state, nfa in self.components.items():
-            yield from nfa.walk(max_len, _extend_zones, (state, (), ()))
-
-    def enumerate_configs(self, max_len: int) -> list[Configuration]:
-        """All accepted configurations of total stack size <= max_len, in
-        `members` order."""
-        return [Configuration(*c) for c in self.members(max_len)]
-
-    def summary(self) -> str:
-        parts = []
-        for state, nfa in sorted(self.components.items()):
-            parts.append(f"{state}: {len(nfa.nodes())} nodes, {nfa.edge_count()} edges")
-        return "; ".join(parts) if parts else "empty"
-
-
-def from_config_set(spec: UpdsSpec, configs: Iterable[Configuration]) -> ConfigAutomaton:
-    by_state: dict[str, list[tuple]] = {}
-    for c in configs:
-        if c.state not in spec.states:
-            raise MalformedInputError(f"undeclared state {c.state!r}")
-        spec.check_word(c.upper, "upper word")
-        spec.check_word(c.lower, "lower word")
-        by_state.setdefault(c.state, []).append(config_word(c))
-    return ConfigAutomaton(
-        spec.alphabet,
-        {state: from_words(words) for state, words in by_state.items()},
-    )
+    # Only membership walks the members, and only the checkers look for a
+    # shortest one.
+    members = _MovedMethod("membership")
+    enumerate_configs = _MovedMethod("membership")
+    shortest_config = _MovedMethod("checkers")
 
 
 def check_alphabets(a: tuple[str, ...], b: tuple[str, ...]) -> None:
@@ -217,6 +140,8 @@ def union_sets(a: ConfigAutomaton, b: ConfigAutomaton) -> ConfigAutomaton:
 
 
 def intersect_sets(a: ConfigAutomaton, b: ConfigAutomaton) -> ConfigAutomaton:
+    from .product import intersection
+
     check_alphabets(a.alphabet, b.alphabet)
     out: dict[str, Nfa] = {}
     for state, nfa in a.components.items():
@@ -226,41 +151,9 @@ def intersect_sets(a: ConfigAutomaton, b: ConfigAutomaton) -> ConfigAutomaton:
     return ConfigAutomaton(a.alphabet, out)
 
 
-def project_lower(a: ConfigAutomaton) -> dict[str, Nfa]:
-    """Per-state NFAs for the lower words (upper zone erased)."""
-    return {
-        state: nfa.map_labels(lambda l: EPSILON if is_barred(l) else l)
-        for state, nfa in a.components.items()
-    }
-
-
-def project_upper(a: ConfigAutomaton) -> dict[str, Nfa]:
-    """Per-state NFAs for the upper words (bars dropped, lower zone erased)."""
-    return {
-        state: nfa.map_labels(lambda l: unbar(l) if is_barred(l) else EPSILON)
-        for state, nfa in a.components.items()
-    }
-
-
-def upper_lower_product(
-    alphabet: Iterable[str],
-    upper: Mapping[str, Nfa],
-    lower: Mapping[str, Nfa],
-) -> ConfigAutomaton:
-    """Per-state product set {<p, u, l> : u in upper[p], l in lower[p]},
-    given NFAs over the plain alphabet for both zones."""
-    out: dict[str, Nfa] = {}
-    for state, up in upper.items():
-        low = lower.get(state)
-        if low is None:
-            continue
-        component = Nfa(("u", n) for n in up.initial)
-        component.embed(up, lambda n: ("u", n), bar)
-        component.embed(low, lambda n: ("l", n))
-        for n in up.finals:
-            for m in low.initial:
-                component.add_edge(("u", n), EPSILON, ("l", m))
-        for n in low.finals:
-            component.add_final(("l", n))
-        out[state] = component
-    return ConfigAutomaton(alphabet, out)
+__getattr__ = _forward(
+    __name__,
+    upperapprox="project_lower project_upper upper_lower_product",
+    checkers="config_from_word",
+    extras="from_config_set",
+)

@@ -17,6 +17,12 @@ write back:
   already empty.
 
 No rule fires on an empty lower stack.
+
+The one-step semantics on `Configuration` objects (`successors`, `step`,
+`apply_rule`, `run_trace`), the trace facts `trace_upper_word` and
+`count_phases`, and `UpdsSpec.rules_reading` live in `extras`, which no
+command loads, and `fresh_name` in `upperapprox`, its one user; they
+still import from here.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ from __future__ import annotations
 import enum
 from typing import Iterable, Sequence
 
-from .errors import MalformedInputError, RuleNotEnabledError
+from . import _forward, _MovedMethod
+from .errors import MalformedInputError
 
 Word = tuple[str, ...]
 
@@ -143,14 +150,14 @@ class UpdsSpec(Frozen):
         _set(self, "_state_set", state_set)
         _set(self, "_symbols", symbols)
         # (state, lower top) -> move entries of the rules reading it, in
-        # declaration order: the table `successors` applies.
+        # declaration order: the table a step applies (`oracle.explore`).
         _set(self, "moves", {key: tuple(group) for key, group in moves.items()})
 
     def _fields(self) -> tuple:
         return (self.states, self.alphabet, self.rules)
 
-    def rules_reading(self, state: str, symbol: str) -> tuple[Rule, ...]:
-        return tuple(move[0] for move in self.moves.get((state, symbol), ()))
+    # The rules reading a state and a lower top; no command asks.
+    rules_reading = _MovedMethod("extras")
 
     def rules_of_kind(self, *kinds: RuleKind) -> tuple[Rule, ...]:
         wanted = set(kinds)
@@ -213,97 +220,6 @@ def check_configuration(spec: UpdsSpec, c: Configuration) -> Configuration:
     return c
 
 
-def successors(
-    moves: Iterable[Move], upper: Word, lower: Word, grow: bool = True
-) -> list[tuple[Rule, ConfigTuple]]:
-    """Apply move entries (rule, to_state, arity, written) whose rules read
-    the top of a nonempty lower word, in the order given; successors are
-    plain (state, upper, lower) tuples. With grow=False a push onto an
-    empty upper word, the only step that grows the total stack size, is
-    left out. This is the definition of a step that `step` and
-    `apply_rule` use; `oracle.explore` inlines it and is checked against
-    it."""
-    top, rest = lower[:1], lower[1:]
-    out = []
-    for rule, to_state, arity, written in moves:
-        if arity == 0:
-            out.append((rule, (to_state, upper + top, rest)))
-        elif arity == 1:
-            out.append((rule, (to_state, upper, written + rest)))
-        elif upper or grow:
-            # upper[:-1] is () on an empty upper word: nothing is overwritten.
-            out.append((rule, (to_state, upper[:-1], written + rest)))
-    return out
-
-
-def apply_rule(rule: Rule, c: Configuration) -> Configuration:
-    """Apply an enabled rule; the caller guarantees enabledness."""
-    move = (rule, rule.to_state, len(rule.written), rule.written)
-    ((_, succ),) = successors((move,), c.upper, c.lower)
-    return Configuration(*succ)
-
-
-def step(spec: UpdsSpec, c: Configuration) -> list[tuple[Rule, Configuration]]:
-    """All one-step successors of c, in rule declaration order."""
-    if not c.lower:
-        return []
-    moves = spec.moves.get((c.state, c.lower[0]), ())
-    return [
-        (rule, Configuration(*succ))
-        for rule, succ in successors(moves, c.upper, c.lower)
-    ]
-
-
-def run_trace(spec: UpdsSpec, c: Configuration, trace: Sequence[Rule]) -> Configuration:
-    """Run a trace from c; raises RuleNotEnabledError at the first step
-    whose rule does not read the current state and lower top."""
-    current = c
-    for index, rule in enumerate(trace):
-        if not current.lower:
-            raise RuleNotEnabledError(index, f"{rule} on empty lower stack")
-        if rule.from_state != current.state or rule.read_symbol != current.lower[0]:
-            raise RuleNotEnabledError(
-                index, f"{rule} not enabled in {current}"
-            )
-        current = apply_rule(rule, current)
-    return current
-
-
-def trace_upper_word(spec: UpdsSpec, trace: Sequence[Rule], c: Configuration) -> Word:
-    """The upper word after running the trace from c, computed on the rule
-    sequence alone (no enabledness check): pops append their read symbol,
-    pushes drop the rightmost symbol of a nonempty word, switches keep it.
-    """
-    upper = c.upper
-    for rule in trace:
-        kind = rule.kind
-        if kind is RuleKind.POP:
-            upper = upper + (rule.read_symbol,)
-        elif kind is RuleKind.PUSH:
-            upper = upper[:-1]
-    return upper
-
-
-def count_phases(trace: Sequence[Rule]) -> int:
-    """The least k such that the trace splits into k blocks, each avoiding
-    pushes or avoiding pops. Switches join any block; a nonempty all-switch
-    trace is one block; the empty trace is zero."""
-    runs = 0
-    current: RuleKind | None = None
-    nonempty = False
-    for rule in trace:
-        nonempty = True
-        kind = rule.kind
-        if kind is RuleKind.SWITCH:
-            continue
-        if kind is not current:
-            runs += 1
-            current = kind
-    if runs:
-        return runs
-    return 1 if nonempty else 0
-
-
 def make_spec(
     states: Iterable[str],
     alphabet: Iterable[str],
@@ -317,11 +233,8 @@ def make_spec(
     )
 
 
-def fresh_name(used: set[str], base: str) -> str:
-    """A name not in `used`, derived from base by appending primes; the
-    chosen name is added to `used`."""
-    name = base
-    while name in used:
-        name += "'"
-    used.add(name)
-    return name
+__getattr__ = _forward(
+    __name__,
+    extras="successors apply_rule step run_trace trace_upper_word count_phases",
+    upperapprox="fresh_name",
+)

@@ -7,11 +7,15 @@ for equal inputs.
 
 from __future__ import annotations
 
+import sys
+from typing import TYPE_CHECKING
+
 from .configsets import ConfigAutomaton
 from .errors import MalformedInputError
-from .grammar import CsGrammar
 from .nfa import EPSILON, Nfa
-from .upperapprox import TraceAutomaton, UpperAutomaton
+
+if TYPE_CHECKING:
+    from .grammar import CsGrammar
 
 
 def _quote(text: str) -> str:
@@ -24,14 +28,22 @@ def _label(label) -> str:
 
 def export_dot(artifact) -> str:
     """Render an automaton (plain, per-state set, trace, or upper) or a
-    grammar. The text is stable: equal artifacts give equal bytes."""
+    grammar. The text is stable: equal artifacts give equal bytes.
+
+    The trace and upper automata and the grammar are looked up among the
+    loaded modules: an artifact of a module that was never loaded cannot
+    exist, so rendering a set loads neither `upperapprox` nor `grammar`."""
     if isinstance(artifact, Nfa):
         return "\n".join(_nfa_lines(artifact, "automaton")) + "\n"
     if isinstance(artifact, ConfigAutomaton):
         return "\n".join(_config_lines(artifact)) + "\n"
-    if isinstance(artifact, (TraceAutomaton, UpperAutomaton)):
+    upper = sys.modules.get(f"{__package__}.upperapprox")
+    if upper is not None and isinstance(
+        artifact, (upper.TraceAutomaton, upper.UpperAutomaton)
+    ):
         return "\n".join(_nfa_lines(artifact.nfa, "automaton")) + "\n"
-    if isinstance(artifact, CsGrammar):
+    grammar = sys.modules.get(f"{__package__}.grammar")
+    if grammar is not None and isinstance(artifact, grammar.CsGrammar):
         return "\n".join(_grammar_lines(artifact)) + "\n"
     raise MalformedInputError(f"cannot render a {type(artifact).__name__}")
 

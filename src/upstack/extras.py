@@ -1,0 +1,468 @@
+"""The library's functions that no CLI command runs.
+
+Every CLI call compiles the modules it imports, so what no command runs
+lives here, and no command imports this module. The modules these
+functions were written for still serve them by name (PEP 562), so
+`from upstack.core import step` and the other old import paths keep
+working:
+
+- from `core`: the one-step semantics on `Configuration` objects
+  (`successors`, which `oracle.explore` inlines and is checked against,
+  `apply_rule`, `step`, `run_trace`), two facts of a rule sequence
+  (`trace_upper_word`, `count_phases`) and `UpdsSpec.rules_reading`;
+- from `oracle`: the ground truths the tests compare the analyses with,
+  the backward phase-bounded closure (`oracle_pre_kphase`) and the
+  lower-stack-only closure (`pds_step`, `pds_closure`, `pds_reaches`);
+- from `pds`: the backward saturation `pds_pre_star`, and the
+  membership test and word listing of a `LowerAutomaton`;
+- from `kphase`: `phase_pre`, a single phase;
+- from `regex` and `model`: the printers (`print_config_regex`,
+  `print_model`);
+- from `configsets`: `from_config_set`, a set of listed configurations,
+  and the scan behind `ConfigAutomaton.validate`, which only sets built
+  by hand need.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from typing import Iterable, Sequence
+
+from .configsets import ConfigAutomaton, config_word, is_barred, unbar
+from .core import (
+    ConfigTuple,
+    Configuration,
+    Move,
+    Rule,
+    RuleKind,
+    UpdsSpec,
+    Word,
+    check_configuration,
+)
+from .errors import MalformedInputError, ResourceLimitError, RuleNotEnabledError
+from .kphase import PhaseKind, _phases
+from .limits import DEFAULT_NODE_BUDGET
+from .model import ModelFile
+from .nfa import EPSILON, from_words
+from .pds import LowerAutomaton
+
+# -- one-step semantics (core) ------------------------------------------------
+
+
+def rules_reading(spec: UpdsSpec, state: str, symbol: str) -> tuple[Rule, ...]:
+    """The rules that read `symbol` in `state`, in declaration order
+    (`UpdsSpec.rules_reading`)."""
+    return tuple(move[0] for move in spec.moves.get((state, symbol), ()))
+
+
+def successors(
+    moves: Iterable[Move], upper: Word, lower: Word, grow: bool = True
+) -> list[tuple[Rule, ConfigTuple]]:
+    """Apply move entries (rule, to_state, arity, written) whose rules read
+    the top of a nonempty lower word, in the order given; successors are
+    plain (state, upper, lower) tuples. With grow=False a push onto an
+    empty upper word, the only step that grows the total stack size, is
+    left out. This is the definition of a step that `step` and
+    `apply_rule` use; `oracle.explore` inlines it and is checked against
+    it."""
+    top, rest = lower[:1], lower[1:]
+    out = []
+    for rule, to_state, arity, written in moves:
+        if arity == 0:
+            out.append((rule, (to_state, upper + top, rest)))
+        elif arity == 1:
+            out.append((rule, (to_state, upper, written + rest)))
+        elif upper or grow:
+            # upper[:-1] is () on an empty upper word: nothing is overwritten.
+            out.append((rule, (to_state, upper[:-1], written + rest)))
+    return out
+
+
+def apply_rule(rule: Rule, c: Configuration) -> Configuration:
+    """Apply an enabled rule; the caller guarantees enabledness."""
+    move = (rule, rule.to_state, len(rule.written), rule.written)
+    ((_, succ),) = successors((move,), c.upper, c.lower)
+    return Configuration(*succ)
+
+
+def step(spec: UpdsSpec, c: Configuration) -> list[tuple[Rule, Configuration]]:
+    """All one-step successors of c, in rule declaration order."""
+    if not c.lower:
+        return []
+    moves = spec.moves.get((c.state, c.lower[0]), ())
+    return [
+        (rule, Configuration(*succ))
+        for rule, succ in successors(moves, c.upper, c.lower)
+    ]
+
+
+def run_trace(spec: UpdsSpec, c: Configuration, trace: Sequence[Rule]) -> Configuration:
+    """Run a trace from c; raises RuleNotEnabledError at the first step
+    whose rule does not read the current state and lower top."""
+    current = c
+    for index, rule in enumerate(trace):
+        if not current.lower:
+            raise RuleNotEnabledError(index, f"{rule} on empty lower stack")
+        if rule.from_state != current.state or rule.read_symbol != current.lower[0]:
+            raise RuleNotEnabledError(
+                index, f"{rule} not enabled in {current}"
+            )
+        current = apply_rule(rule, current)
+    return current
+
+
+def trace_upper_word(spec: UpdsSpec, trace: Sequence[Rule], c: Configuration) -> Word:
+    """The upper word after running the trace from c, computed on the rule
+    sequence alone (no enabledness check): pops append their read symbol,
+    pushes drop the rightmost symbol of a nonempty word, switches keep it.
+    """
+    upper = c.upper
+    for rule in trace:
+        kind = rule.kind
+        if kind is RuleKind.POP:
+            upper = upper + (rule.read_symbol,)
+        elif kind is RuleKind.PUSH:
+            upper = upper[:-1]
+    return upper
+
+
+def count_phases(trace: Sequence[Rule]) -> int:
+    """The least k such that the trace splits into k blocks, each avoiding
+    pushes or avoiding pops. Switches join any block; a nonempty all-switch
+    trace is one block; the empty trace is zero."""
+    runs = 0
+    current: RuleKind | None = None
+    nonempty = False
+    for rule in trace:
+        nonempty = True
+        kind = rule.kind
+        if kind is RuleKind.SWITCH:
+            continue
+        if kind is not current:
+            runs += 1
+            current = kind
+    if runs:
+        return runs
+    return 1 if nonempty else 0
+
+
+# -- ground truths (oracle) ---------------------------------------------------
+
+
+def _predecessors(
+    spec: UpdsSpec, c: Configuration
+) -> list[tuple[Rule, Configuration]]:
+    """All one-step predecessors of c, i.e. pairs (rule, c') with
+    c' -rule-> c, in rule declaration order."""
+    preds: list[tuple[Rule, Configuration]] = []
+    for rule in spec.rules:
+        if rule.to_state != c.state:
+            continue
+        kind = rule.kind
+        if kind is RuleKind.SWITCH:
+            if c.lower[:1] == rule.written:
+                preds.append(
+                    (rule, Configuration(
+                        rule.from_state, c.upper, (rule.read_symbol,) + c.lower[1:]
+                    ))
+                )
+        elif kind is RuleKind.POP:
+            if c.upper and c.upper[-1] == rule.read_symbol:
+                preds.append(
+                    (rule, Configuration(
+                        rule.from_state, c.upper[:-1], (rule.read_symbol,) + c.lower
+                    ))
+                )
+        else:
+            if c.lower[:2] != rule.written:
+                continue
+            rest = (rule.read_symbol,) + c.lower[2:]
+            # The overwritten upper symbol is unconstrained.
+            for x in spec.alphabet:
+                preds.append(
+                    (rule, Configuration(rule.from_state, c.upper + (x,), rest))
+                )
+            if not c.upper:
+                preds.append((rule, Configuration(rule.from_state, (), rest)))
+    return preds
+
+
+def _prepend_phase(runs: int, first: RuleKind | None, kind: RuleKind):
+    """Phase skeleton of rule . suffix, given the suffix's skeleton: the
+    number of maximal same-kind runs among pops and pushes, plus the kind
+    of the leading run."""
+    if kind is RuleKind.SWITCH:
+        return runs, first
+    if first is kind:
+        return runs, first
+    return runs + 1, kind
+
+
+def oracle_pre_kphase(
+    spec: UpdsSpec,
+    targets: Iterable[Configuration],
+    depth: int,
+    k: int,
+    size_cap: int,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+) -> frozenset[Configuration]:
+    """Configurations that reach some target by a trace of length <= depth
+    splitting into at most k phases, staying within size_cap.
+
+    Implemented as a backward breadth-first search with inverted rules,
+    tracking the phase skeleton of the trace suffix built so far (run
+    count plus leading run kind). Total stack size never shrinks along a
+    forward trace, so capping every visited configuration at size_cap
+    never severs a path between endpoints that are themselves within the
+    cap.
+    """
+    capped = []
+    for c in targets:
+        check_configuration(spec, c)
+        if c.total_size <= size_cap:
+            capped.append(c)
+    answer: set[Configuration] = set(capped)
+    if k <= 0:
+        return frozenset(answer)
+    State = tuple[Configuration, int, RuleKind | None]
+    seen: set[State] = {(c, 0, None) for c in capped}
+    frontier: deque[State] = deque(seen)
+    explored = len(seen)
+    for _ in range(depth):
+        if not frontier:
+            break
+        next_frontier: deque[State] = deque()
+        for c, runs, first in frontier:
+            for rule, pred in _predecessors(spec, c):
+                if pred.total_size > size_cap:
+                    continue
+                new_runs, new_first = _prepend_phase(runs, first, rule.kind)
+                if max(new_runs, 1) > k:
+                    continue
+                state = (pred, new_runs, new_first)
+                if state in seen:
+                    continue
+                explored += 1
+                if explored > node_budget:
+                    raise ResourceLimitError(explored, "backward closure budget")
+                seen.add(state)
+                answer.add(pred)
+                next_frontier.append(state)
+        frontier = next_frontier
+    return frozenset(answer)
+
+
+def pds_step(
+    spec: UpdsSpec, state: str, word: tuple[str, ...]
+) -> list[tuple[Rule, tuple[str, tuple[str, ...]]]]:
+    """Successors under the lower-stack-only reading: a rule rewrites the
+    top of the single stack and no upper stack exists."""
+    if not word:
+        return []
+    return [
+        (rule, (rule.to_state, rule.written + word[1:]))
+        for rule in rules_reading(spec, state, word[0])
+    ]
+
+
+def pds_closure(
+    spec: UpdsSpec,
+    initial: Iterable[tuple[str, tuple[str, ...]]],
+    size_cap: int,
+    depth: int | None = None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+) -> frozenset[tuple[str, tuple[str, ...]]]:
+    """Forward closure of the lower-stack-only semantics, restricted to
+    stack words of length <= size_cap. depth=None runs to fixpoint, which
+    is exact on the capped region whenever every witness run fits under
+    the cap; an integer bounds the trace length instead."""
+    seen: set[tuple[str, tuple[str, ...]]] = set()
+    frontier: list[tuple[str, tuple[str, ...]]] = []
+    for state, word in initial:
+        if len(word) <= size_cap and (state, word) not in seen:
+            seen.add((state, word))
+            frontier.append((state, word))
+    layer = 0
+    while frontier and (depth is None or layer < depth):
+        layer += 1
+        next_frontier: list[tuple[str, tuple[str, ...]]] = []
+        for state, word in frontier:
+            for _, succ in pds_step(spec, state, word):
+                if len(succ[1]) > size_cap or succ in seen:
+                    continue
+                if len(seen) >= node_budget:
+                    raise ResourceLimitError(len(seen), "pushdown closure budget")
+                seen.add(succ)
+                next_frontier.append(succ)
+        frontier = next_frontier
+    return frozenset(seen)
+
+
+def pds_reaches(
+    spec: UpdsSpec,
+    source: tuple[str, tuple[str, ...]],
+    targets: Iterable[tuple[str, tuple[str, ...]]],
+    size_cap: int,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+) -> bool:
+    """Whether the lower-stack-only semantics can drive `source` into one
+    of `targets` without the stack ever growing past size_cap."""
+    goal = set(targets)
+    return bool(goal & pds_closure(spec, [source], size_cap, node_budget=node_budget))
+
+
+# -- lower-stack saturation (pds) ---------------------------------------------
+
+
+def pds_pre_star(spec: UpdsSpec, targets: LowerAutomaton) -> LowerAutomaton:
+    """Backward closure: accepts <p, w> iff some accepted <p', w'> is
+    reachable from it. Saturation: for a rule (p, a) -> (p', w) and any
+    node n readable as w from entry(p'), add entry(p) --a--> n."""
+    out = targets.copy()
+    nfa, entries = out.nfa, out.entries
+
+    def additions():
+        for rule in spec.rules:
+            src = entries[rule.from_state]
+            for node in nfa.run(rule.written, start=(entries[rule.to_state],)):
+                yield src, rule.read_symbol, node
+
+    nfa.saturate(additions)
+    return out
+
+
+def lower_accepts(lower: LowerAutomaton, state: str, word: Word) -> bool:
+    """Whether the set holds <state, word> (`LowerAutomaton.accepts`)."""
+    entry = lower.entries.get(state)
+    if entry is None:
+        return False
+    return lower.nfa.accepts(word, start=(entry,))
+
+
+def lower_words_up_to(lower: LowerAutomaton, state: str, max_len: int) -> list[Word]:
+    """The state's words of length <= max_len (`LowerAutomaton.words_up_to`)."""
+    entry = lower.entries.get(state)
+    if entry is None:
+        return []
+    return lower.nfa.words_up_to(max_len, start=(entry,))
+
+
+# -- one phase (kphase) ------------------------------------------------------
+
+
+def phase_pre(
+    spec: UpdsSpec,
+    targets: ConfigAutomaton,
+    kind: PhaseKind,
+    closures: dict[tuple[str, str], tuple] | None = None,
+) -> ConfigAutomaton:
+    """All configurations from which some target configuration is reached
+    by a trace, possibly empty, whose non-switch rules are all pops
+    (PhaseKind.POP) or all pushes (PhaseKind.PUSH). Exact, and trimmed. A
+    push phase uses push_closures(spec), computed here unless the caller
+    passes it."""
+    targets.check_against(spec, "target set")
+    return _phases(spec, targets, (kind,), closures)
+
+
+# -- printers (regex, model) --------------------------------------------------
+
+
+def _print_part(ast: tuple, parent: str) -> str:
+    """parent is "outer" (a branch zone or alternation member), "concat",
+    or "star"; it decides where parentheses are required to reparse to the
+    same AST. Alternations are always parenthesized: a bare '|' would bind
+    at branch level."""
+    kind = ast[0]
+    if kind == "sym":
+        return ast[1]
+    if kind == "empty":
+        return "_"
+    if kind == "star":
+        return _print_part(ast[1], "star") + "*"
+    if kind == "concat":
+        body = " ".join(_print_part(x, "concat") for x in ast[1])
+        return f"({body})" if parent in ("concat", "star") else body
+    if kind == "alt":
+        body = " | ".join(_print_part(x, "outer") for x in ast[1])
+        return f"({body})"
+    raise MalformedInputError(f"not a regex node: {ast!r}")
+
+
+def print_config_regex(ast: tuple) -> str:
+    """The canonical text of a set expression's syntax tree (see `regex`);
+    it parses back to the same tree."""
+    if ast[0] != "config":
+        raise MalformedInputError(f"not a top-level regex: {ast!r}")
+    branches = []
+    for upper, lower in ast[1]:
+        left = _print_part(upper, "outer")
+        right = _print_part(lower, "outer")
+        branches.append(f"{left} ^ {right}")
+    return " | ".join(branches)
+
+
+def print_model(model: ModelFile) -> str:
+    """Render a model back to its file form (canonical spacing)."""
+    lines = ["states " + " ".join(model.spec.states)]
+    if model.spec.alphabet:
+        lines.append("alphabet " + " ".join(model.spec.alphabet))
+    for rule in model.spec.rules:
+        lines.append(f"rule {rule}")
+    for name, slices in model.sets.items():
+        for state, ast in slices.items():
+            lines.append(f"set {name} {state} {print_config_regex(ast)}")
+    return "\n".join(lines) + "\n"
+
+
+# -- sets (configsets) --------------------------------------------------------
+
+
+def from_config_set(spec: UpdsSpec, configs: Iterable[Configuration]) -> ConfigAutomaton:
+    """The set of the given configurations, checked against spec."""
+    by_state: dict[str, list[tuple]] = {}
+    for c in configs:
+        if c.state not in spec.states:
+            raise MalformedInputError(f"undeclared state {c.state!r}")
+        spec.check_word(c.upper, "upper word")
+        spec.check_word(c.lower, "lower word")
+        by_state.setdefault(c.state, []).append(config_word(c))
+    return ConfigAutomaton(
+        spec.alphabet,
+        {state: from_words(words) for state, words in by_state.items()},
+    )
+
+
+def _scan(configs: ConfigAutomaton) -> None:
+    """Check a set's labels against its alphabet and the zone discipline
+    (`ConfigAutomaton.validate`): a node is tainted once a plain edge was
+    crossed, and no barred edge may leave a tainted node."""
+    symbols = set(configs.alphabet)
+    for state, nfa in configs.components.items():
+        for _, label, _ in nfa.edges():
+            if label is EPSILON:
+                continue
+            plain = label if not is_barred(label) else unbar(label)
+            if plain not in symbols:
+                raise MalformedInputError(
+                    f"component {state!r}: undeclared symbol in label {label!r}"
+                )
+        seen: set[tuple[object, bool]] = set()
+        stack = [(n, False) for n in nfa.initial]
+        seen.update(stack)
+        while stack:
+            node, tainted = stack.pop()
+            for label, dst in nfa.out_edges(node):
+                if label is EPSILON:
+                    nxt = tainted
+                elif is_barred(label):
+                    if tainted:
+                        raise MalformedInputError(
+                            f"component {state!r}: barred edge after a plain edge"
+                        )
+                    nxt = False
+                else:
+                    nxt = True
+                if (dst, nxt) not in seen:
+                    seen.add((dst, nxt))
+                    stack.append((dst, nxt))

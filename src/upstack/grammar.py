@@ -10,15 +10,22 @@ system is then compiled into a noncontracting grammar whose terminal
 words are exactly the flattened reachable configurations, fenced by
 endpoint markers. Start-set members with an empty lower stack are
 omitted, as in the extension.
+
+`is_reachable`, `single_origin`, `SingleOriginUpds` and
+`DEFAULT_CONFIG_BUDGET` still import from here; each loads its own
+module on first use, so loading the grammar loads neither the search
+nor the over-approximation.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+from . import _forward
 from .core import Configuration, Frozen, RuleKind
-from .limits import DEFAULT_CONFIG_BUDGET  # noqa: F401 (still importable from here)
-# tests/test_acceptance.py imports is_reachable and single_origin from here.
-from .oracle import is_reachable  # noqa: F401
-from .upperapprox import SingleOriginUpds, single_origin  # noqa: F401
+
+if TYPE_CHECKING:
+    from .upperapprox import SingleOriginUpds
 
 TOP = ("top",)
 BOTTOM = ("bottom",)
@@ -146,3 +153,11 @@ def build_post_grammar(so: SingleOriginUpds) -> CsGrammar:
         productions=tuple(productions),
         start=start,
     )
+
+
+__getattr__ = _forward(
+    __name__,
+    membership="is_reachable",
+    upperapprox="single_origin SingleOriginUpds",
+    limits="DEFAULT_CONFIG_BUDGET",
+)

@@ -22,13 +22,16 @@ its initial nodes, and a node is made only when a final node can still
 be reached from it (lockstep pairs are explored and cut before any edge
 is added), so what they return is already trimmed. A round of
 `bounded_phase_pre_star` builds both phases into one automaton per
-state, sharing the copies of the targets' zones, and compacts that.
+state, sharing the copies of the targets' zones, and compacts that. A
+single phase on its own, `phase_pre`, which no command runs, lives in
+`extras` and still imports from here.
 """
 
 from __future__ import annotations
 
 import enum
 
+from . import _forward
 from .configsets import ConfigAutomaton, bar, is_barred
 from .core import RuleKind, UpdsSpec
 from .limits import DFA_STATE_BUDGET
@@ -354,21 +357,6 @@ def _phases(
     return ConfigAutomaton(spec.alphabet, out)
 
 
-def phase_pre(
-    spec: UpdsSpec,
-    targets: ConfigAutomaton,
-    kind: PhaseKind,
-    closures: dict[tuple[str, str], tuple] | None = None,
-) -> ConfigAutomaton:
-    """All configurations from which some target configuration is reached
-    by a trace, possibly empty, whose non-switch rules are all pops
-    (PhaseKind.POP) or all pushes (PhaseKind.PUSH). Exact, and trimmed. A
-    push phase uses push_closures(spec), computed here unless the caller
-    passes it."""
-    targets.check_against(spec, "target set")
-    return _phases(spec, targets, (kind,), closures)
-
-
 def bounded_phase_pre_star(
     spec: UpdsSpec,
     targets: ConfigAutomaton,
@@ -392,3 +380,6 @@ def bounded_phase_pre_star(
             return grown
         current = grown
     return current
+
+
+__getattr__ = _forward(__name__, extras="phase_pre")

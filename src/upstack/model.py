@@ -15,17 +15,19 @@ line gives one boundary-marker expression per control state; states
 without a line have empty slices. The expression punctuation ``^ _ | (
 ) *`` cannot be used in identifiers, and the ``@`` prefix is reserved
 for symbols the checkers inject. Parsing, printing, and reparsing is
-the identity on the abstract syntax.
+the identity on the abstract syntax. The printer, `print_model`, lives
+in `extras`, which no command loads, and still imports from here.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
+from . import _forward
 from .configsets import ConfigAutomaton
 from .core import Configuration, Frozen, UpdsSpec, make_spec
 from .errors import MalformedInputError, ParseError
-from .regex import compile_config_regex, parse_config_regex, print_config_regex
+from .regex import compile_config_regex, parse_config_regex
 
 RESERVED = ("^", "_", "|", "(", ")", "*", "->")
 _PUNCT = set("^|()*#")
@@ -152,7 +154,8 @@ def _parse_rule(rest, lineno, head_col, states, alphabet, rules):
         written.append(token)
     rule = (from_state, read_symbol, to_state, tuple(written))
     if rule in rules:
-        raise ParseError(lineno, head_col, f"duplicate rule '{_rule_text(rule)}'")
+        text = " ".join((from_state, read_symbol, "->", to_state, *written))
+        raise ParseError(lineno, head_col, f"duplicate rule '{text}'")
     return rule
 
 
@@ -177,24 +180,6 @@ def _parse_set_line(line, rest, lineno, head_col, states, alphabet, sets):
     slices[state] = ast
 
 
-def _rule_text(rule: tuple[str, str, str, tuple[str, ...]]) -> str:
-    from_state, read_symbol, to_state, written = rule
-    return " ".join((from_state, read_symbol, "->", to_state, *written))
-
-
-def print_model(model: ModelFile) -> str:
-    """Render a model back to its file form (canonical spacing)."""
-    lines = ["states " + " ".join(model.spec.states)]
-    if model.spec.alphabet:
-        lines.append("alphabet " + " ".join(model.spec.alphabet))
-    for rule in model.spec.rules:
-        lines.append(f"rule {rule}")
-    for name, slices in model.sets.items():
-        for state, ast in slices.items():
-            lines.append(f"set {name} {state} {print_config_regex(ast)}")
-    return "\n".join(lines) + "\n"
-
-
 def parse_config_literal(spec: UpdsSpec, text: str) -> Configuration:
     """A single configuration written as '<state>: <upper> ^ <lower>',
     e.g. 'p2: a ^ bot' for state p2, upper word a, lower word bot."""
@@ -217,3 +202,6 @@ def parse_config_literal(spec: UpdsSpec, text: str) -> Configuration:
 def print_config_literal(c: Configuration) -> str:
     """Inverse of parse_config_literal."""
     return f"{c.state}: {' '.join((*c.upper, '^', *c.lower))}"
+
+
+__getattr__ = _forward(__name__, extras="print_model")

@@ -20,6 +20,12 @@ compaction share one backward search (`_coreachable`), and
 `eps_eliminate` and the compaction one epsilon-free row (`_free_row`).
 `walk` lists accepted words in (length, label-key) order without
 sorting them. DOT exports sort what they print.
+
+Like `compact`, what only some commands run lives in those commands'
+modules, loaded on first use (see `upstack._MovedMethod`): `walk` and
+`words_up_to` in `membership`, `map_labels`, `map_nodes` and `relabel`
+in `upperapprox`, and `intersection`, which still imports from here, in
+`product`.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Hashable, Iterable, Iterator
 
+from . import _forward, _MovedMethod
 from .limits import DFA_STATE_BUDGET
 
 
@@ -48,16 +55,8 @@ Node = Hashable
 Label = Hashable
 
 
-# The row of a node without edges; never written to.
-_NO_ROW: dict = {}
-
-
 def _identity(x):
     return x
-
-
-def _append(word: tuple[Label, ...], label: Label) -> tuple[Label, ...]:
-    return word + (label,)
 
 
 def label_key(label: Label) -> str:
@@ -200,41 +199,6 @@ class Nfa:
                 out.update(row[label])
         return self.eps_closure(out)
 
-    def _eps_free(self) -> bool:
-        """Whether no edge carries EPSILON, so every set is its own closure."""
-        return not any(EPSILON in row for row in self._edges.values())
-
-    def _closed_steps(
-        self, closed: frozenset[Node], eps_free: bool
-    ) -> list[tuple[Label, frozenset[Node], bool]]:
-        """(label, epsilon-closed targets, whether they hold a final node)
-        for each label that an edge leaving the epsilon-closed set carries,
-        in label-key order: one subset construction step, in one pass over
-        the set's rows (a single node's row is read as it is). eps_free says
-        the automaton has no epsilon edge (see `_eps_free`), so no closure
-        is computed."""
-        edges = self._edges
-        if len(closed) == 1:
-            (node,) = closed
-            out = edges.get(node, _NO_ROW)
-        else:
-            out = {}
-            for n in closed:
-                for label, targets in edges.get(n, _NO_ROW).items():
-                    got = out.get(label)
-                    if got is None:
-                        out[label] = set(targets)
-                    else:
-                        got.update(targets)
-        close = frozenset if eps_free else self.eps_closure
-        finals = self.finals.keys()
-        steps = []
-        for label in sorted(out, key=label_key) if len(out) > 1 else out:
-            if label is not EPSILON:
-                stepped = close(out[label])
-                steps.append((label, stepped, not finals.isdisjoint(stepped)))
-        return steps
-
     def run(self, word: Iterable[Label], start: Iterable[Node] | None = None) -> frozenset[Node]:
         current = self.eps_closure(self.initial if start is None else start)
         for sym in word:
@@ -292,68 +256,14 @@ class Nfa:
     def is_empty(self) -> bool:
         return self.shortest_word() is None
 
-    def walk(
-        self,
-        max_len: int,
-        extend: Callable[[object, Label], object | None],
-        seed: object,
-        start: Iterable[Node] | None = None,
-    ) -> Iterator[object]:
-        """The accepted words of length <= max_len, in (length, label-key)
-        order, each built from `seed` by `extend(built, label)` one label at
-        a time; `extend` may return None to drop a word and every word it
-        prefixes. A layer holds (word, epsilon-closed subset, accepting) for
-        the words of one length. The subset walk reaches each word once, so
-        extending a layer in order by labels in key order gives the next
-        layer in order: nothing is sorted or deduplicated. Each subset's
-        label steps are computed once, with no closures when no edge is an
-        epsilon edge. The number of words can grow exponentially with
-        max_len."""
-        finals = self.finals.keys()
-        eps_free = self._eps_free()
-        first = self.initial if start is None else start
-        first = frozenset(first) if eps_free else self.eps_closure(first)
-        layer = [(seed, first, not finals.isdisjoint(first))]
-        steps: dict[frozenset[Node], list[tuple[Label, frozenset[Node], bool]]] = {}
-        for length in range(max_len + 1):
-            for built, _, accepting in layer:
-                if accepting:
-                    yield built
-            if length == max_len:
-                return
-            # The last layer keeps only accepted words: nothing extends them.
-            last = length + 1 == max_len
-            next_layer = []
-            for built, subset, _ in layer:
-                row = steps.get(subset)
-                if row is None:
-                    row = steps[subset] = self._closed_steps(subset, eps_free)
-                for label, stepped, accepting in row:
-                    if accepting or not last:
-                        grown = extend(built, label)
-                        if grown is not None:
-                            next_layer.append((grown, stepped, accepting))
-            layer = next_layer
-
-    def words_up_to(self, max_len: int, start: Iterable[Node] | None = None) -> list[tuple[Label, ...]]:
-        """All accepted words of length <= max_len, in `walk` order: by
-        length, then by label keys. Their number can grow exponentially
-        with max_len. Start configurations are not listed with this:
-        `ConfigAutomaton.members` runs the same walk and cuts each word into
-        its zones as it grows."""
-        return list(self.walk(max_len, _append, (), start))
+    # Listing words (see the module docstring).
+    walk = _MovedMethod("membership")
+    words_up_to = _MovedMethod("membership")
 
     # -- transformations (all build fresh automata) ----------------------
 
     def copy(self) -> "Nfa":
         return Nfa(self.initial, self.finals).embed(self)
-
-    def map_labels(self, fn: Callable[[Label], Label]) -> "Nfa":
-        """Relabel edges; fn may return EPSILON to erase a label."""
-        return Nfa(self.initial, self.finals).embed(self, label=fn)
-
-    def map_nodes(self, fn: Callable[[Node], Node]) -> "Nfa":
-        return Nfa(map(fn, self.initial), map(fn, self.finals)).embed(self, node=fn)
 
     def reverse(self) -> "Nfa":
         out = Nfa(self.finals, self.initial)
@@ -441,23 +351,11 @@ class Nfa:
             and self.finals.keys() == other.finals.keys()
         )
 
-    def relabel(self) -> "Nfa":
-        """Rename nodes to consecutive ints in breadth-first discovery order."""
-        order: dict[Node, int] = {}
-        queue: deque[Node] = deque()
-        for n in self.initial:
-            if n not in order:
-                order[n] = len(order)
-                queue.append(n)
-        while queue:
-            for _, dst in self.out_edges(queue.popleft()):
-                if dst not in order:
-                    order[dst] = len(order)
-                    queue.append(dst)
-        for n in self.nodes():
-            if n not in order:
-                order[n] = len(order)
-        return self.map_nodes(lambda n: order[n])
+    # Relabelling edges and renaming nodes, which only the
+    # over-approximation does.
+    map_labels = _MovedMethod("upperapprox")
+    map_nodes = _MovedMethod("upperapprox")
+    relabel = _MovedMethod("upperapprox")
 
 
 def _coreachable(rows: dict[Node, dict], ends: Iterable[Node]) -> set[Node]:
@@ -490,40 +388,6 @@ def union(automata: Iterable[Nfa]) -> Nfa:
     return out
 
 
-def intersection(a: Nfa, b: Nfa) -> Nfa:
-    """Synchronous product; epsilon edges advance either side alone."""
-    out = Nfa()
-    start = [(x, y) for x in a.initial for y in b.initial]
-    queue: deque[tuple[Node, Node]] = deque()
-    seen: set[tuple[Node, Node]] = set()
-    for pair in start:
-        out.add_initial(pair)
-        if pair not in seen:
-            seen.add(pair)
-            queue.append(pair)
-    while queue:
-        pair = queue.popleft()
-        x, y = pair
-        if x in a.finals and y in b.finals:
-            out.add_final(pair)
-        moves: list[tuple[Label, tuple[Node, Node]]] = []
-        for label, xd in a.out_edges(x):
-            if label is EPSILON:
-                moves.append((EPSILON, (xd, y)))
-            else:
-                for yd in b.targets(y, label):
-                    moves.append((label, (xd, yd)))
-        for label, yd in b.out_edges(y):
-            if label is EPSILON:
-                moves.append((EPSILON, (x, yd)))
-        for label, nxt in moves:
-            out.add_edge(pair, label, nxt)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return out
-
-
 def from_words(words: Iterable[tuple[Label, ...]]) -> Nfa:
     """An automaton accepting exactly the given words."""
     out = Nfa()
@@ -536,3 +400,6 @@ def from_words(words: Iterable[tuple[Label, ...]]) -> Nfa:
             prev = node
         out.add_final(prev)
     return out
+
+
+__getattr__ = _forward(__name__, product="intersection")

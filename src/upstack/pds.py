@@ -10,13 +10,17 @@ entry nodes stand for control states: <p, w> is in the set when w runs
 from entry(p) to a final node. Entry nodes carry no incoming edges on
 input, which the saturation rules rely on; pds_post_star additionally
 introduces one auxiliary node per push rule, named by rule index so
-output is reproducible.
+output is reproducible. The backward saturation, `pds_pre_star`, and
+the membership test and word listing of a `LowerAutomaton`, which no
+command runs, live in `extras`, and `LowerAutomaton.slice` in
+`upperapprox`, its one user; they still import from here.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping
 
+from . import _forward, _MovedMethod
 from .core import UpdsSpec, Word
 from .errors import MalformedInputError
 from .nfa import EPSILON, Nfa, from_words
@@ -72,41 +76,13 @@ class LowerAutomaton:
     def copy(self) -> "LowerAutomaton":
         return LowerAutomaton(self.alphabet, self.nfa.copy(), self.entries)
 
-    def accepts(self, state: str, word: Word) -> bool:
-        entry = self.entries.get(state)
-        if entry is None:
-            return False
-        return self.nfa.accepts(word, start=(entry,))
+    # No command tests or lists a lower set's words.
+    accepts = _MovedMethod("extras", "lower_accepts")
+    words_up_to = _MovedMethod("extras", "lower_words_up_to")
 
-    def slice(self, state: str) -> Nfa:
-        """Standalone NFA for one control state's words."""
-        entry = self.entries.get(state)
-        if entry is None:
-            return Nfa()
-        return Nfa((entry,), self.nfa.finals).embed(self.nfa).trim()
-
-    def words_up_to(self, state: str, max_len: int) -> list[Word]:
-        entry = self.entries.get(state)
-        if entry is None:
-            return []
-        return self.nfa.words_up_to(max_len, start=(entry,))
-
-
-def pds_pre_star(spec: UpdsSpec, targets: LowerAutomaton) -> LowerAutomaton:
-    """Backward closure: accepts <p, w> iff some accepted <p', w'> is
-    reachable from it. Saturation: for a rule (p, a) -> (p', w) and any
-    node n readable as w from entry(p'), add entry(p) --a--> n."""
-    out = targets.copy()
-    nfa, entries = out.nfa, out.entries
-
-    def additions():
-        for rule in spec.rules:
-            src = entries[rule.from_state]
-            for node in nfa.run(rule.written, start=(entries[rule.to_state],)):
-                yield src, rule.read_symbol, node
-
-    nfa.saturate(additions)
-    return out
+    # One state's words on their own, which only the over-approximation
+    # takes.
+    slice = _MovedMethod("upperapprox", "lower_slice")
 
 
 def pds_post_star(spec: UpdsSpec, init: LowerAutomaton) -> LowerAutomaton:
@@ -145,3 +121,6 @@ def singleton_lower(spec: UpdsSpec, state: str, word: Word) -> LowerAutomaton:
     if state not in spec.states:
         raise MalformedInputError(f"undeclared state {state!r}")
     return LowerAutomaton.from_slices(spec.states, spec.alphabet, {state: from_words([word])})
+
+
+__getattr__ = _forward(__name__, extras="pds_pre_star")

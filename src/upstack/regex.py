@@ -12,7 +12,9 @@ ASTs are plain tuples:
     ("config", ((upper, lower), ...))   top level, one pair per alternative
     ("sym", name) | ("empty",) | ("star", x)
     ("concat", (x, y, ...)) | ("alt", (x, y, ...))    both n-ary, n >= 2
-The printer emits a canonical form that parses back to the same AST.
+The printer, `print_config_regex`, emits a canonical form that parses
+back to the same AST; it lives in `extras`, which no command loads, and
+still imports from here.
 
 `compile_config_regex` builds an epsilon-free automaton: Glushkov's
 position automaton, with at most one node per symbol occurrence plus a
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from . import _forward
 from .configsets import bar
 from .errors import MalformedInputError, ParseError
 from .nfa import Nfa
@@ -179,38 +182,6 @@ def parse_zone_regex(text: str, alphabet: Iterable[str]) -> tuple:
     return _Parser(tokenize(text), set(alphabet)).parse_zone()
 
 
-def _print_part(ast: tuple, parent: str) -> str:
-    """parent is "outer" (a branch zone or alternation member), "concat",
-    or "star"; it decides where parentheses are required to reparse to the
-    same AST. Alternations are always parenthesized: a bare '|' would bind
-    at branch level."""
-    kind = ast[0]
-    if kind == "sym":
-        return ast[1]
-    if kind == "empty":
-        return "_"
-    if kind == "star":
-        return _print_part(ast[1], "star") + "*"
-    if kind == "concat":
-        body = " ".join(_print_part(x, "concat") for x in ast[1])
-        return f"({body})" if parent in ("concat", "star") else body
-    if kind == "alt":
-        body = " | ".join(_print_part(x, "outer") for x in ast[1])
-        return f"({body})"
-    raise MalformedInputError(f"not a regex node: {ast!r}")
-
-
-def print_config_regex(ast: tuple) -> str:
-    if ast[0] != "config":
-        raise MalformedInputError(f"not a top-level regex: {ast!r}")
-    branches = []
-    for upper, lower in ast[1]:
-        left = _print_part(upper, "outer")
-        right = _print_part(lower, "outer")
-        branches.append(f"{left} ^ {right}")
-    return " | ".join(branches)
-
-
 class _Positions:
     """Glushkov's position construction: one position per symbol
     occurrence, each with its labels and the positions that may follow it.
@@ -333,3 +304,6 @@ def compile_config_regex(
             for label in labels[q]:
                 nfa.add_edge(p, label, q)
     return nfa
+
+
+__getattr__ = _forward(__name__, extras="print_config_regex _print_part")

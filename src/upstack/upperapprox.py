@@ -21,25 +21,117 @@ content, then hand control to the original rules. Start-set members
 with an empty lower stack cannot be spelled that way (handing control
 back reads a plain lower top), so the extension omits them; such
 configurations have no successors at all.
+
+The operations that only this module runs live here, so that commands
+that never over-approximate do not compile them: the zone projections
+and their product (still importable from `configsets`), fresh names
+(from `core`), relabelling an automaton's edges and renaming its nodes
+(the methods `Nfa.map_labels`, `Nfa.map_nodes` and `Nfa.relabel`), and
+one state's slice of a lower set (`LowerAutomaton.slice`).
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from collections import deque
+from typing import Callable, Iterable, Mapping
 
-from .configsets import (
-    ConfigAutomaton,
-    is_barred,
-    project_lower,
-    project_upper,
-    unbar,
-    union_sets,
-    upper_lower_product,
-)
-from .core import Configuration, Frozen, Rule, RuleKind, UpdsSpec, fresh_name
+from .configsets import ConfigAutomaton, bar, is_barred, unbar, union_sets
+from .core import Configuration, Frozen, Rule, RuleKind, UpdsSpec
 from .errors import MalformedInputError
-from .nfa import EPSILON, Nfa, from_words
-from .pds import pds_post_star, singleton_lower
+from .nfa import EPSILON, Label, Nfa, Node, from_words
+from .pds import LowerAutomaton, pds_post_star, singleton_lower
+
+
+# -- set and automaton operations that only this module runs -----------------
+
+
+def project_lower(a: ConfigAutomaton) -> dict[str, Nfa]:
+    """Per-state NFAs for the lower words (upper zone erased)."""
+    return {
+        state: map_labels(nfa, lambda l: EPSILON if is_barred(l) else l)
+        for state, nfa in a.components.items()
+    }
+
+
+def project_upper(a: ConfigAutomaton) -> dict[str, Nfa]:
+    """Per-state NFAs for the upper words (bars dropped, lower zone erased)."""
+    return {
+        state: map_labels(nfa, lambda l: unbar(l) if is_barred(l) else EPSILON)
+        for state, nfa in a.components.items()
+    }
+
+
+def lower_slice(lower: LowerAutomaton, state: str) -> Nfa:
+    """One state's words as an automaton of their own
+    (`LowerAutomaton.slice`)."""
+    entry = lower.entries.get(state)
+    if entry is None:
+        return Nfa()
+    return Nfa((entry,), lower.nfa.finals).embed(lower.nfa).trim()
+
+
+def upper_lower_product(
+    alphabet: Iterable[str],
+    upper: Mapping[str, Nfa],
+    lower: Mapping[str, Nfa],
+) -> ConfigAutomaton:
+    """Per-state product set {<p, u, l> : u in upper[p], l in lower[p]},
+    given NFAs over the plain alphabet for both zones."""
+    out: dict[str, Nfa] = {}
+    for state, up in upper.items():
+        low = lower.get(state)
+        if low is None:
+            continue
+        component = Nfa(("u", n) for n in up.initial)
+        component.embed(up, lambda n: ("u", n), bar)
+        component.embed(low, lambda n: ("l", n))
+        for n in up.finals:
+            for m in low.initial:
+                component.add_edge(("u", n), EPSILON, ("l", m))
+        for n in low.finals:
+            component.add_final(("l", n))
+        out[state] = component
+    return ConfigAutomaton(alphabet, out)
+
+
+def fresh_name(used: set[str], base: str) -> str:
+    """A name not in `used`, derived from base by appending primes; the
+    chosen name is added to `used`."""
+    name = base
+    while name in used:
+        name += "'"
+    used.add(name)
+    return name
+
+
+def map_labels(nfa: Nfa, fn: Callable[[Label], Label]) -> Nfa:
+    """The automaton with each edge label relabelled by fn, which may
+    return EPSILON to erase it (`Nfa.map_labels`)."""
+    return Nfa(nfa.initial, nfa.finals).embed(nfa, label=fn)
+
+
+def map_nodes(nfa: Nfa, fn: Callable[[Node], Node]) -> Nfa:
+    """The automaton with each node renamed by fn (`Nfa.map_nodes`)."""
+    return Nfa(map(fn, nfa.initial), map(fn, nfa.finals)).embed(nfa, node=fn)
+
+
+def relabel(nfa: Nfa) -> Nfa:
+    """Rename nodes to consecutive ints in breadth-first discovery order."""
+    order: dict[Node, int] = {}
+    queue: deque[Node] = deque()
+    for n in nfa.initial:
+        if n not in order:
+            order[n] = len(order)
+            queue.append(n)
+    while queue:
+        for _, dst in nfa.out_edges(queue.popleft()):
+            if dst not in order:
+                order[dst] = len(order)
+                queue.append(dst)
+    for n in nfa.nodes():
+        if n not in order:
+            order[n] = len(order)
+    return map_nodes(nfa, lambda n: order[n])
 
 
 class TraceAutomaton(Frozen):
@@ -287,7 +379,7 @@ def _spelling_automaton(component: Nfa) -> Nfa:
     initial node 'i' without in-edges and a single final node 'f' without
     out-edges, epsilon-free. The empty word is dropped: spelling it would
     mean an empty-lower start configuration, which the caller excludes."""
-    base = component.reverse().eps_eliminate().trim().relabel()
+    base = relabel(component.reverse().eps_eliminate().trim())
     out = Nfa()
     out.add_initial("i")
     out.add_final("f")
@@ -393,7 +485,7 @@ def overapprox_post(spec: UpdsSpec, configs: ConfigAutomaton) -> ConfigAutomaton
     for state in spec.states:
         if state not in uppers:
             continue
-        low = lower.slice(state)
+        low = lower_slice(lower, state)
         if low.is_empty():
             continue
         upper_slices[state] = uppers[state]

@@ -7,14 +7,25 @@ All expectations here were adjudicated against the bounded oracle or
 hand-replayed before being pinned.
 """
 
+import argparse
 import contextlib
 import io
 import os
+import re
+import shlex
 import subprocess
 import sys
+import types
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import BAD_LOWER_ZONES, subprocess_env
+from upstack import cli
 from upstack.cli import main
+from upstack.commands import COMMANDS, command
+from upstack.commands._parser import build_parser
 from upstack.fixtures import fixture_path
 
 E1 = str(fixture_path("e1.upds"))
@@ -259,3 +270,219 @@ def test_closed_stdout_is_not_an_analysis_error():
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (141, "")
+
+
+# -- the command-line surface ------------------------------------------------
+
+# What `upstack` prints for the help of every command and for usage errors,
+# at 80 columns: `=== upstack ARGS (exit CODE, STREAM)` and then the text,
+# with model files named as fixtures.
+SURFACE = Path(__file__).with_name("cli_surface.golden")
+
+
+def _surface_cases():
+    cases = []
+    for chunk in SURFACE.read_text(encoding="utf-8").split("=== upstack")[1:]:
+        header, _, text = chunk.partition("\n")
+        args, code, stream = re.fullmatch(
+            r"(.*) \(exit (\d+), (stdout|stderr)\)", header
+        ).groups()
+        argv = shlex.split(args)
+        argv = [str(fixture_path(arg)) if arg.endswith(".upds") else arg for arg in argv]
+        cases.append((argv, int(code), stream, text))
+    return cases
+
+
+@pytest.mark.skipif(
+    sys.version_info >= (3, 13), reason="argparse lays out usage and options differently"
+)
+def test_help_and_usage_errors_match_the_golden(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    cases = _surface_cases()
+    assert [argv[1:2] for argv, *_ in cases if argv[1:2] == ["--help"]] == [["--help"]] * 7
+    for argv, code, stream, text in cases:
+        got_code, out, err = run_cli(argv)
+        assert (got_code, out if stream == "stdout" else err) == (code, text), argv
+        assert (err if stream == "stdout" else out) == "", argv
+
+
+def test_help_and_unknown_commands_list_every_command():
+    code, out, _ = run_cli(["-h"])
+    assert code == 0
+    assert re.search(r"\{([a-z,-]+)\}", out).group(1) == ",".join(COMMANDS)
+    assert all(f"\n    {name} " in out for name in COMMANDS)
+    code, _, err = run_cli(["frobnicate"])
+    assert code == 3 and "frobnicate" in err
+    choices = err.partition("choose from")[2]
+    assert [name for name in COMMANDS if name in choices] == list(COMMANDS)
+    # A bare call names what is missing, as it always has.
+    missing = "upstack: error: the following arguments are required: command\n"
+    assert run_cli([]) == (3, "", missing)
+
+
+# Runs main on sys.argv[1:] in a fresh interpreter and prints the command
+# modules it loaded, and whether it loaded argparse.
+_COMMANDS_LOADED = """
+import contextlib, io, sys
+from upstack.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        main(sys.argv[1:])
+    except SystemExit:
+        pass
+print(" ".join(sorted(m[17:] for m in sys.modules if m.startswith("upstack.commands."))))
+print("argparse" in sys.modules)
+"""
+
+
+def test_a_call_loads_only_its_command_and_argparse_only_for_help_and_errors():
+    modules = ["_parser", *(name.replace("-", "_") for name in COMMANDS)]
+    every = " ".join(sorted(modules))
+    for argv, loaded in (
+        (["member", E1, "--init", "C1", "--config", "p2: a ^ bot"], "member\nFalse"),
+        (["check-read", E1, "--init", "C1", "--symbol", "a"], "check_read\nFalse"),
+        (["member", E1, "--init", "C1"], "_parser member\nTrue"),
+        (["export-dot", E1, "--set", "C1"], "_parser export_dot\nTrue"),
+        ([], every + "\nTrue"),
+        (["-h"], every + "\nTrue"),
+        (["frobnicate"], every + "\nTrue"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", _COMMANDS_LOADED, *argv],
+            env=subprocess_env(), capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout == loaded + "\n", argv
+
+
+def test_one_subparser_says_what_all_of_them_say(monkeypatch):
+    # On any Python: the help and usage of a parser built for one command
+    # are those of the parser built for all of them.
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def printed(parser, argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+            parser.parse_args(argv)
+        return out.getvalue()
+
+    every = build_parser()
+    for name in COMMANDS:
+        alone = build_parser((name,))
+        assert alone.format_usage() == every.format_usage()
+        assert printed(alone, [name, "--help"]) == printed(every, [name, "--help"])
+
+
+# -- command lines read without argparse -------------------------------------
+
+def _argparse_args(argv):
+    """What argparse makes of a command line, or None where it stops with
+    help or an error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(build_parser((argv[0],)).parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _plain(argv):
+    args = cli._plain_args(argv[0], argv[1:])
+    return None if args is None else vars(args)
+
+
+def test_plain_command_lines_read_as_argparse_reads_them():
+    lines = [
+        ["member", E1, "--init", "C1", "--config", "p2: a ^ bot"],
+        ["member", E1, "--config", "p2: a ^ bot", "--budget", "10", "--init", "C1"],
+        ["pre-under", "--target", "C2", E2, "-k", "2"],
+        ["post-over", E2, "--init", "C2"],
+        ["check-overflow", E1, "-m", "1", "--lower", "x (y x)* bot", "--budget", "1"],
+        ["check-read", RELOCATE, "--init", "Boot", "--symbol", "ret", "-k", "0"],
+        ["oracle", E2, "--init", "C2", "--depth", "0", "--cap", "5", "--config", ""],
+    ]
+    for argv in lines:
+        assert _plain(argv) == _argparse_args(argv) is not None, argv
+    # argparse reads each of these its own way, or stops: they go to it.
+    for argv in (
+        ["pre-under", E2, "--target", "C2", "-k", "x", "-k", "2"],  # converts each value
+        ["member", E1, "--init", "C1", "--config", "--init"],  # a flag as a value
+        ["member", E1, "--ini", "C1", "--config", "p2: a ^ bot"],  # an abbreviation
+        ["member", E1, "--init=C1", "--config", "p2: a ^ bot"],
+        ["check-overflow", E1, "--lower", "x bot"],  # a required option missing
+        ["export-dot", E1, "--set", "C1"],  # a group, which argparse checks
+        ["oracle", E2, "--init", "C2", "--depth", "0", "-h"],
+    ):
+        assert _plain(argv) is None, argv
+
+
+def _plain_options() -> dict:
+    """Each command whose plain lines are read without argparse, and the
+    options it declares: flag -> (dest, required, type, default)."""
+    options = {}
+    for name in COMMANDS:
+        declared = cli._Declared()
+        try:
+            command(name).add_arguments(declared)
+        except (TypeError, AttributeError):
+            continue
+        options[name] = declared.options
+    return options
+
+
+_PLAIN_OPTIONS = _plain_options()
+
+_VALUES = [
+    "0", "7", "1_0", " 2", "-1", "x", "", "p2: a ^ bot", "-x y", "C1", "-h", "--init",
+]
+# Words that make a line other than plain: help, `--`, an abbreviated
+# flag, attached values, an unknown word.
+_ODD_WORDS = ["-h", "--", "-", "--ini", "--init=C1", "-k3", "extra"]
+
+
+def test_a_declaration_is_read_as_argparse_reads_it(monkeypatch):
+    def declare(parser):
+        parser.add_argument("model")
+        parser.add_argument("--max-depth", type=int, default=4)
+        parser.add_argument("--cap", dest="size", type=int, required=True)
+
+    def read(declare, argv):
+        module = types.SimpleNamespace(add_arguments=declare)
+        monkeypatch.setattr(cli, "command", lambda name: module)
+        plain = cli._plain_args("probe", argv)
+        parser = argparse.ArgumentParser()
+        declare(parser)
+        expected = dict(vars(parser.parse_args(argv)), command="probe")
+        return None if plain is None else vars(plain), expected
+
+    plain, expected = read(declare, ["m", "--cap", "3"])
+    assert plain == expected == {"command": "probe", "model": "m", "max_depth": 4, "size": 3}
+    plain, expected = read(declare, ["--max-depth", "2", "--cap", "3", "m"])
+    assert plain == expected
+    # argparse converts a string default with the option's type.
+    plain, expected = read(lambda parser: parser.add_argument("-k", type=int, default="3"), [])
+    assert (plain, expected) == (None, {"command": "probe", "k": 3})
+
+
+def test_plain_lines_are_read_for_every_command_but_export_dot():
+    # export-dot declares a group and a two-flag option; argparse reads it.
+    assert set(_PLAIN_OPTIONS) == set(COMMANDS) - {"export-dot"}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(_PLAIN_OPTIONS)), st.data())
+def test_a_line_read_without_argparse_reads_as_argparse_reads_it(name, data):
+    # Lines made from the command's own arguments, mostly plain: the model,
+    # each option once (a required one), or not at all, or twice, in any
+    # order, values that may look like options or numbers, and sometimes
+    # an odd word inserted.
+    parts = [["e1.upds"]]
+    for flag, (_, required, _, _) in _PLAIN_OPTIONS[name].items():
+        usual = 1 if required else data.draw(st.integers(0, 1))
+        for _ in range(data.draw(st.sampled_from([usual] * 4 + [0, 2]))):
+            parts.append([flag, data.draw(st.sampled_from(_VALUES))])
+    words = [word for part in data.draw(st.permutations(parts)) for word in part]
+    if data.draw(st.booleans()):
+        odd = data.draw(st.sampled_from(_ODD_WORDS))
+        words.insert(data.draw(st.integers(0, len(words))), odd)
+    plain = _plain([name, *words])
+    assert plain is None or plain == _argparse_args([name, *words])

@@ -15,6 +15,7 @@ import hashlib
 import pytest
 
 from upstack import bounded_phase_pre_star, overapprox_post, parse_model
+from upstack.commands.post_over import summary
 from upstack.dot import export_dot
 from upstack.fixtures import fixture_path
 
@@ -67,7 +68,7 @@ GOLDEN = {
 
 
 def _pinned(result) -> tuple[str, str]:
-    return result.summary(), hashlib.sha256(export_dot(result).encode()).hexdigest()[:16]
+    return summary(result), hashlib.sha256(export_dot(result).encode()).hexdigest()[:16]
 
 
 @pytest.mark.parametrize("fixture, name", FIXTURE_SETS)

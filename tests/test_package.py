@@ -5,10 +5,12 @@ imports only the analysis it runs, so a call compiles no module it does
 not use.
 """
 
+import ast
 import json
 import subprocess
 import sys
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 
@@ -105,3 +107,51 @@ def test_each_command_loads_only_what_it_runs():
     safe = _loaded_per_step(["check-read", "relocate.upds", "--init", "Boot", "--symbol", "ret"])
     assert {"checkers", "kphase", "upperapprox"} <= safe["check-read"]
     assert "oracle" not in safe["check-read"]
+    # A set's DOT needs neither a search, an over-approximation nor a grammar.
+    dot = _loaded_per_step(["export-dot", "e1.upds", "--set", "C1"])["export-dot"]
+    assert "dot" in dot
+    assert not dot & {"oracle", "grammar", "upperapprox"}
+
+
+# The upstack syntax-tree nodes that a call compiles, summed over the
+# modules it loads (`ast.walk` of each file, the package's __init__
+# included), and a ceiling for each: the count when it was set, plus 3%.
+# Compile time follows the size of the syntax tree, not the number of
+# lines, and the CLI compiles the package from source on every call, so a
+# ceiling that fails means that code moved onto a command's path.
+_COMPILED_NODE_CEILINGS = {
+    # kind: (argv, ceiling); the counts were 11861, 17040, 18997, 17165,
+    # 14768 and 10935.
+    "member": (["member", "e1.upds", "--init", "C1", "--config", "p2: a ^ bot"], 12216),
+    "check-read-unsafe": (
+        ["check-read", "relocate.upds", "--init", "Boot", "--symbol", "secret"], 17551
+    ),
+    "check-read-safe": (
+        ["check-read", "relocate.upds", "--init", "Boot", "--symbol", "ret"], 19566
+    ),
+    "check-overflow": (
+        ["check-overflow", "e1.upds", "-m", "1", "--lower", "x (y x)* bot"], 17679
+    ),
+    "post-over": (["post-over", "e2.upds", "--init", "C2", "--config", "p: a ^ c b"], 15211),
+    "export-dot-set": (["export-dot", "e1.upds", "--set", "C1"], 11263),
+}
+
+
+def _compiled_nodes(modules: set[str]) -> int:
+    package = Path(upstack.__file__).parent
+    files = [package / "__init__.py"]
+    for name in modules:
+        path = package.joinpath(*name.split("."))
+        files.append(path / "__init__.py" if path.is_dir() else path.with_suffix(".py"))
+    trees = (ast.parse(path.read_text(encoding="utf-8")) for path in files)
+    return sum(sum(1 for _ in ast.walk(tree)) for tree in trees)
+
+
+@pytest.mark.parametrize("kind", _COMPILED_NODE_CEILINGS)
+def test_each_command_compiles_at_most_its_ceiling(kind):
+    argv, ceiling = _COMPILED_NODE_CEILINGS[kind]
+    # The helper itself loads `fixtures`; a CLI call does not.
+    loaded = _loaded_per_step(argv)[argv[0]] - {"fixtures"}
+    # What no command runs lives in `extras`.
+    assert "extras" not in loaded
+    assert _compiled_nodes(loaded) <= ceiling

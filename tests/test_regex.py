@@ -147,14 +147,18 @@ def test_print_examples():
     )
 
 
-_part = st.deferred(
-    lambda: st.one_of(
-        st.just(("empty",)),
-        st.sampled_from([("sym", "a"), ("sym", "b"), ("sym", "c")]),
-        st.tuples(st.just("star"), _part),
-        st.tuples(st.just("concat"), st.lists(_part, min_size=2, max_size=3).map(tuple)),
-        st.tuples(st.just("alt"), st.lists(_part, min_size=2, max_size=3).map(tuple)),
-    )
+# Zone syntax trees of at most eight leaves: an unbounded recursion spent
+# most of these tests' time drawing examples, not checking them.
+_part = st.recursive(
+    st.one_of(
+        st.just(("empty",)), st.sampled_from([("sym", "a"), ("sym", "b"), ("sym", "c")])
+    ),
+    lambda part: st.one_of(
+        st.tuples(st.just("star"), part),
+        st.tuples(st.just("concat"), st.lists(part, min_size=2, max_size=3).map(tuple)),
+        st.tuples(st.just("alt"), st.lists(part, min_size=2, max_size=3).map(tuple)),
+    ),
+    max_leaves=8,
 )
 _config = st.tuples(
     st.just("config"),
