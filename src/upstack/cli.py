@@ -19,7 +19,7 @@ import sys
 from types import SimpleNamespace
 
 from .commands import COMMANDS, command
-from .errors import UpstackError
+from .errors import ResourceLimitError, UpstackError
 from .model import parse_model
 
 
@@ -105,6 +105,10 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
+    except ResourceLimitError as err:
+        # A limit leaves the question open: an Unknown, not an error.
+        print(f"upstack: unknown: {err}", file=sys.stderr)
+        return 2
     except (UpstackError, OSError) as err:
         print(f"upstack: error: {err}", file=sys.stderr)
         return 3

@@ -119,34 +119,35 @@ class UpdsSpec(Frozen):
     def __init__(
         self, states: tuple[str, ...], alphabet: tuple[str, ...], rules: tuple[Rule, ...]
     ) -> None:
-        for name, ids in (("state", states), ("symbol", alphabet)):
-            seen = set()
-            for ident in ids:
-                if not ident:
-                    raise MalformedInputError(f"empty {name} identifier")
-                if ident in seen:
-                    raise MalformedInputError(f"duplicate {name} {ident!r}")
-                seen.add(ident)
-        state_set = frozenset(states)
-        symbols = frozenset(alphabet)
-        seen_rules = set()
-        moves: dict[tuple[str, str], list[Move]] = {}
-        for rule in rules:
-            for st in (rule.from_state, rule.to_state):
-                if st not in state_set:
-                    raise MalformedInputError(f"undeclared state {st!r} in rule {rule}")
-            for sym in (rule.read_symbol,) + rule.written:
-                if sym not in symbols:
-                    raise MalformedInputError(f"undeclared symbol {sym!r} in rule {rule}")
-            key = (rule.from_state, rule.read_symbol, rule.to_state, rule.written)
-            if key in seen_rules:
-                raise MalformedInputError(f"duplicate rule {rule}")
-            seen_rules.add(key)
-            moves.setdefault(key[:2], []).append((rule, rule.to_state, len(rule.written), rule.written))
         _set = object.__setattr__
         _set(self, "states", states)
         _set(self, "alphabet", alphabet)
         _set(self, "rules", rules)
+        state_set = frozenset(states)
+        symbols = frozenset(alphabet)
+        keys = [(r.from_state, r.read_symbol, r.to_state, r.written) for r in rules]
+        # Each check is one C-level operation, a hash lookup or a set's
+        # size; only a failed one scans the parts, to word the first error.
+        if not (
+            all(states)
+            and all(alphabet)
+            and len(state_set) == len(states)
+            and len(symbols) == len(alphabet)
+            and len(set(keys)) == len(keys)
+        ):
+            self._reject()
+        moves: dict[tuple[str, str], list[Move]] = {}
+        for rule, (from_state, read_symbol, to_state, written) in zip(rules, keys):
+            if (
+                from_state not in state_set
+                or read_symbol not in symbols
+                or to_state not in state_set
+                or not symbols.issuperset(written)
+            ):
+                self._reject()
+            moves.setdefault((from_state, read_symbol), []).append(
+                (rule, to_state, len(written), written)
+            )
         _set(self, "_state_set", state_set)
         _set(self, "_symbols", symbols)
         # (state, lower top) -> move entries of the rules reading it, in
@@ -158,6 +159,9 @@ class UpdsSpec(Frozen):
 
     # The rules reading a state and a lower top; no command asks.
     rules_reading = _MovedMethod("extras")
+    # The scan that words the error of a system failing a check; every
+    # system a command builds passes them.
+    _reject = _MovedMethod("extras")
 
     def rules_of_kind(self, *kinds: RuleKind) -> tuple[Rule, ...]:
         wanted = set(kinds)
@@ -229,7 +233,7 @@ def make_spec(
     return UpdsSpec(
         tuple(states),
         tuple(alphabet),
-        tuple(Rule(f, r, t, tuple(w)) for f, r, t, w in rules),
+        tuple([Rule(f, r, t, tuple(w)) for f, r, t, w in rules]),
     )
 
 

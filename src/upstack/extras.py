@@ -9,7 +9,9 @@ working:
 - from `core`: the one-step semantics on `Configuration` objects
   (`successors`, which `oracle.explore` inlines and is checked against,
   `apply_rule`, `step`, `run_trace`), two facts of a rule sequence
-  (`trace_upper_word`, `count_phases`) and `UpdsSpec.rules_reading`;
+  (`trace_upper_word`, `count_phases`), `UpdsSpec.rules_reading`, and
+  the scan that words the error of a system failing its checks
+  (`UpdsSpec._reject`);
 - from `oracle`: the ground truths the tests compare the analyses with,
   the backward phase-bounded closure (`oracle_pre_kphase`) and the
   lower-stack-only closure (`pds_step`, `pds_closure`, `pds_reaches`);
@@ -53,6 +55,32 @@ def rules_reading(spec: UpdsSpec, state: str, symbol: str) -> tuple[Rule, ...]:
     """The rules that read `symbol` in `state`, in declaration order
     (`UpdsSpec.rules_reading`)."""
     return tuple(move[0] for move in spec.moves.get((state, symbol), ()))
+
+
+def _reject(spec: UpdsSpec) -> None:
+    """Raise the error of the first bad part of a system under
+    construction, scanning its identifiers and then its rules in order
+    (`UpdsSpec._reject`)."""
+    for name, ids in (("state", spec.states), ("symbol", spec.alphabet)):
+        seen = set()
+        for ident in ids:
+            if not ident:
+                raise MalformedInputError(f"empty {name} identifier")
+            if ident in seen:
+                raise MalformedInputError(f"duplicate {name} {ident!r}")
+            seen.add(ident)
+    states, symbols, seen_rules = set(spec.states), set(spec.alphabet), set()
+    for rule in spec.rules:
+        for st in (rule.from_state, rule.to_state):
+            if st not in states:
+                raise MalformedInputError(f"undeclared state {st!r} in rule {rule}")
+        for sym in (rule.read_symbol,) + rule.written:
+            if sym not in symbols:
+                raise MalformedInputError(f"undeclared symbol {sym!r} in rule {rule}")
+        key = rule._fields()
+        if key in seen_rules:
+            raise MalformedInputError(f"duplicate rule {rule}")
+        seen_rules.add(key)
 
 
 def successors(

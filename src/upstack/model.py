@@ -70,113 +70,114 @@ class ModelFile(Frozen):
         return compiled
 
 
-def _words(line: str) -> list[tuple[str, int]]:
-    """Whitespace-split tokens with their 1-based columns."""
-    out = []
-    i = 0
-    while i < len(line):
-        if line[i].isspace():
-            i += 1
-            continue
-        j = i
-        while j < len(line) and not line[j].isspace():
-            j += 1
-        out.append((line[i:j], i + 1))
-        i = j
-    return out
+class _WordError(Exception):
+    """A fault at words[k] of a line, or just past its last word when k is
+    their number; `parse_model` adds the line and works out the column."""
 
 
-def _check_ident(token: str, lineno: int, col: int) -> None:
+def _column(line: str, words: list[str], k: int) -> int:
+    """The 1-based column of words[k] in line, of which words is the
+    whitespace split, or the column just past the last word when k is
+    their number. Each word is found from the end of the one before, so
+    only whitespace lies between and no earlier match is possible."""
+    end = 0
+    for word in words[:k]:
+        end = line.index(word, end) + len(word)
+    return (line.index(words[k], end) if k < len(words) else end) + 1
+
+
+def _check_ident(token: str, k: int) -> None:
+    """Raise if words[k] may not be an identifier; only a bad one is
+    scanned, to word the error."""
+    if _PUNCT.isdisjoint(token) and token not in RESERVED and token[0] != "@":
+        return
     if token in RESERVED:
-        raise ParseError(lineno, col, f"{token!r} is reserved punctuation")
+        raise _WordError(k, f"{token!r} is reserved punctuation")
     bad = sorted(_PUNCT.intersection(token))
     if bad:
-        raise ParseError(
-            lineno, col, f"identifier {token!r} contains reserved {bad[0]!r}"
-        )
-    if token.startswith("@"):
-        raise ParseError(
-            lineno, col, f"identifier {token!r}: the '@' prefix is reserved"
-        )
+        raise _WordError(k, f"identifier {token!r} contains reserved {bad[0]!r}")
+    raise _WordError(k, f"identifier {token!r}: the '@' prefix is reserved")
 
 
 def parse_model(text: str) -> ModelFile:
-    """Parse a model file; diagnostics carry 1-based line and column."""
+    """Parse a model file; diagnostics carry 1-based line and column.
+    Parsing is linear in the text: each line is split once, each check is
+    a hash lookup, and a column is worked out only for a diagnostic or
+    where a set expression starts."""
     states: dict[str, None] = {}
     alphabet: dict[str, None] = {}
-    rules: list[tuple[str, str, str, tuple[str, ...]]] = []
+    symbols: set[str] = set()  # the alphabet so far, for set expressions
+    rules: dict[tuple[str, str, str, tuple[str, ...]], None] = {}
     sets: dict[str, dict[str, tuple]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        words = _words(line)
-        if not words:
-            continue
-        head, head_col = words[0]
-        rest = words[1:]
-        if head in ("states", "alphabet"):
-            if not rest:
-                raise ParseError(lineno, head_col, f"empty {head} declaration")
-            bucket = states if head == "states" else alphabet
-            for token, col in rest:
-                _check_ident(token, lineno, col)
-                if token in states or token in alphabet:
-                    raise ParseError(lineno, col, f"duplicate identifier {token!r}")
-                bucket[token] = None
-        elif head == "rule":
-            rules.append(_parse_rule(rest, lineno, head_col, states, alphabet, rules))
-        elif head == "set":
-            _parse_set_line(line, rest, lineno, head_col, states, alphabet, sets)
-        else:
-            raise ParseError(lineno, head_col, f"unknown directive {head!r}")
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0]
+            words = line.split()
+            if not words:
+                continue
+            head = words[0]
+            if head == "rule":
+                _parse_rule(words, states, alphabet, rules)
+            elif head == "set":
+                if len(symbols) != len(alphabet):
+                    symbols = set(alphabet)
+                _parse_set_line(words, lineno, line, states, symbols, sets)
+            elif head in ("states", "alphabet"):
+                if len(words) == 1:
+                    raise _WordError(0, f"empty {head} declaration")
+                bucket = states if head == "states" else alphabet
+                for k in range(1, len(words)):
+                    token = words[k]
+                    _check_ident(token, k)
+                    if token in states or token in alphabet:
+                        raise _WordError(k, f"duplicate identifier {token!r}")
+                    bucket[token] = None
+            else:
+                raise _WordError(0, f"unknown directive {head!r}")
+    except _WordError as err:
+        raise ParseError(lineno, _column(line, words, err.args[0]), err.args[1]) from None
     if not states:
         raise ParseError(1, 1, "missing states declaration")
     return ModelFile(make_spec(tuple(states), tuple(alphabet), rules), sets)
 
 
-def _parse_rule(rest, lineno, head_col, states, alphabet, rules):
-    if len(rest) < 4 or rest[2][0] != "->":
-        raise ParseError(
-            lineno, head_col, "expected 'rule <state> <symbol> -> <state> ...'"
-        )
-    (from_state, col_f), (read_symbol, col_r), _, (to_state, col_t) = rest[:4]
+def _parse_rule(words, states, alphabet, rules):
+    if len(words) < 5 or words[3] != "->":
+        raise _WordError(0, "expected 'rule <state> <symbol> -> <state> ...'")
+    from_state, read_symbol, to_state, written = words[1], words[2], words[4], words[5:]
     if from_state not in states:
-        raise ParseError(lineno, col_f, f"undeclared state {from_state!r}")
+        raise _WordError(1, f"undeclared state {from_state!r}")
     if read_symbol not in alphabet:
-        raise ParseError(lineno, col_r, f"undeclared symbol {read_symbol!r}")
+        raise _WordError(2, f"undeclared symbol {read_symbol!r}")
     if to_state not in states:
-        raise ParseError(lineno, col_t, f"undeclared state {to_state!r}")
-    if len(rest) > 6:
-        raise ParseError(lineno, rest[6][1], "a rule writes at most two symbols")
-    written = []
-    for token, col in rest[4:]:
+        raise _WordError(4, f"undeclared state {to_state!r}")
+    if len(written) > 2:
+        raise _WordError(7, "a rule writes at most two symbols")
+    for k, token in enumerate(written, 5):
         if token not in alphabet:
-            raise ParseError(lineno, col, f"undeclared symbol {token!r}")
-        written.append(token)
+            raise _WordError(k, f"undeclared symbol {token!r}")
     rule = (from_state, read_symbol, to_state, tuple(written))
     if rule in rules:
-        text = " ".join((from_state, read_symbol, "->", to_state, *written))
-        raise ParseError(lineno, head_col, f"duplicate rule '{text}'")
-    return rule
+        raise _WordError(0, f"duplicate rule '{' '.join(words[1:])}'")
+    rules[rule] = None
 
 
-def _parse_set_line(line, rest, lineno, head_col, states, alphabet, sets):
-    if len(rest) < 2:
-        raise ParseError(
-            lineno, head_col, "expected 'set <name> <state> <expression>'"
-        )
-    (name, col_n), (state, col_s) = rest[:2]
-    _check_ident(name, lineno, col_n)
+def _parse_set_line(words, lineno, line, states, symbols, sets):
+    if len(words) < 3:
+        raise _WordError(0, "expected 'set <name> <state> <expression>'")
+    name, state = words[1], words[2]
+    _check_ident(name, 1)
     if state not in states:
-        raise ParseError(lineno, col_s, f"undeclared state {state!r}")
-    if len(rest) < 3:
-        raise ParseError(lineno, col_s + len(state), "missing expression")
-    expr_col = rest[2][1]
+        raise _WordError(2, f"undeclared state {state!r}")
+    if len(words) < 4:
+        raise _WordError(3, "missing expression")
+    expr_col = _column(line, words, 3)
     ast = parse_config_regex(
-        line[expr_col - 1 :], line=lineno, col=expr_col, alphabet=tuple(alphabet)
+        line[expr_col - 1 :], line=lineno, col=expr_col, alphabet=symbols
     )
     slices = sets.setdefault(name, {})
     if state in slices:
-        raise ParseError(lineno, col_s, f"set {name!r} already has a {state!r} slice")
+        raise _WordError(2, f"set {name!r} already has a {state!r} slice")
     slices[state] = ast
 
 

@@ -31,7 +31,9 @@ from .configsets import bar
 from .errors import MalformedInputError, ParseError
 from .nfa import Nfa
 
-_PUNCT = {"(": "lparen", ")": "rparen", "|": "pipe", "*": "star", "^": "caret"}
+# The token kind of each operator and of `_`, the empty word; any other
+# word is a symbol.
+_KINDS = {"(": "lparen", ")": "rparen", "|": "pipe", "*": "star", "^": "caret", "_": "empty"}
 
 
 class _Token:
@@ -45,33 +47,25 @@ class _Token:
 
 
 def tokenize(text: str, line: int = 1, col: int = 1) -> list[_Token]:
+    """The tokens of `text`, which starts at (line, col), ending with an
+    `end` token just past its last character. Operators are spaced out so
+    that one whitespace split of each line gives every token, and each is
+    found in the line from the end of the one before, so only whitespace
+    lies between and no earlier match is possible."""
     tokens: list[_Token] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
+    for row_number, row in enumerate(text.split("\n")):
+        if row_number:
             line += 1
             col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(_PUNCT[ch], ch, line, col))
-            col += 1
-            i += 1
-            continue
-        j = i
-        while j < len(text) and not text[j].isspace() and text[j] not in _PUNCT:
-            j += 1
-        word = text[i:j]
-        kind = "empty" if word == "_" else "sym"
-        tokens.append(_Token(kind, word, line, col))
-        col += j - i
-        i = j
-    tokens.append(_Token("end", "", line, col))
+        spaced = row
+        for op in "()|*^":
+            spaced = spaced.replace(op, f" {op} ")
+        at = 0
+        for word in spaced.split():
+            at = row.index(word, at)
+            tokens.append(_Token(_KINDS.get(word, "sym"), word, line, col + at))
+            at += len(word)
+    tokens.append(_Token("end", "", line, col + len(row)))
     return tokens
 
 
@@ -171,8 +165,9 @@ class _Parser:
 def parse_config_regex(
     text: str, line: int = 1, col: int = 1, alphabet: Iterable[str] | None = None
 ) -> tuple:
-    tokens = tokenize(text, line, col)
-    return _Parser(tokens, set(alphabet) if alphabet is not None else None).parse_config()
+    if alphabet is not None and not isinstance(alphabet, set):
+        alphabet = set(alphabet)
+    return _Parser(tokenize(text, line, col), alphabet).parse_config()
 
 
 def parse_zone_regex(text: str, alphabet: Iterable[str]) -> tuple:

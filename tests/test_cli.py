@@ -195,10 +195,14 @@ def test_analysis_errors_exit_3_with_message():
     assert code == 3 and "no configuration set named 'NoSuch'" in err
     code, _, err = run_cli(["member", E1, "--init", "C1", "--config", "p: ^ zz"])
     assert code == 3 and "undeclared symbol 'zz'" in err
-    code, _, err = run_cli(
+
+
+def test_a_spent_budget_is_unknown_not_an_error():
+    code, out, err = run_cli(
         ["member", E1, "--init", "C1", "--config", "p2: a a b ^ bot", "--budget", "10"]
     )
-    assert code == 3 and "configuration search budget" in err
+    assert (code, out) == (2, "")
+    assert err.startswith("upstack: unknown: ") and "configuration search budget" in err
 
 
 def test_module_entry_point_round_trips():

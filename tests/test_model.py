@@ -1,8 +1,12 @@
 """Model-file parsing, printing, and the literal configuration syntax."""
 
-import pytest
+import time
 
-from upstack.errors import MalformedInputError, ParseError
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from upstack.core import Rule, UpdsSpec
+from upstack.errors import MalformedInputError, ParseError, UpstackError
 from upstack.fixtures import fixture_names, fixture_text
 from upstack.model import (
     ModelFile,
@@ -12,7 +16,10 @@ from upstack.model import (
     print_model,
 )
 
+from upstack.regex import tokenize
+
 from conftest import cfg
+from parser_reference import reference_parse_model, reference_spec_checks, reference_tokenize
 
 E1_TEXT = """\
 # pump popped symbols back through the boundary
@@ -79,29 +86,40 @@ def test_round_trip_normalizes_spacing():
     assert parse_model(printed) == model
 
 
+# (text, line, column, message fragment) of each diagnostic.
+_DIAGNOSTICS = [
+    ("states q\nalphabet g\nrule q z -> q g\n", 3, 8, "undeclared symbol 'z'"),
+    ("states q\nalphabet g\nrule r g -> q\n", 3, 6, "undeclared state 'r'"),
+    ("states q\nalphabet g\nrule q g -> q g g g\n", 3, 19, "at most two"),
+    ("states q\nalphabet g\nrule q g q\n", 3, 1, "expected 'rule"),
+    ("states q\nalphabet g\nset S r ^ g\n", 3, 7, "undeclared state 'r'"),
+    ("states q\nalphabet g\nset S q\n", 3, 8, "missing expression"),
+    ("states q q\nalphabet g\n", 1, 10, "duplicate identifier 'q'"),
+    ("states q\nalphabet g q\n", 2, 12, "duplicate identifier 'q'"),
+    ("states q\nalphabet g\nwobble q\n", 3, 1, "unknown directive"),
+    ("alphabet g\n", 1, 1, "missing states"),
+    ("states ^\n", 1, 8, "reserved punctuation"),
+    ("states a*b\n", 1, 8, "contains reserved"),
+    ("states @q\nalphabet g\n", 1, 8, "'@' prefix is reserved"),
+    ("states q\nalphabet g\nset S q ^ g )\n", 3, 13, ""),
+    # A later word of a tab-separated line.
+    ("states q\nalphabet g\nrule\tq g\t->\t q\t\tz\n", 3, 17, "undeclared symbol 'z'"),
+    # A duplicate rule points at its directive, however it is spaced.
+    ("states q\nalphabet g\nrule q g -> q\n  rule  q g  ->  q\n", 4, 3, "duplicate rule 'q g -> q'"),
+    # Expression errors after runs of spaces.
+    ("states q\nalphabet g\nset S q   ^    g    )\n", 3, 21, "unexpected ')'"),
+    ("states q\nalphabet g\nset S q   ^    g  (  g\n", 3, 23, "unbalanced parenthesis"),
+]
+_COLUMNS = {text: column for text, _, column, _ in _DIAGNOSTICS}
+
+
 @pytest.mark.parametrize(
-    "text, line, fragment",
-    [
-        ("states q\nalphabet g\nrule q z -> q g\n", 3, "undeclared symbol 'z'"),
-        ("states q\nalphabet g\nrule r g -> q\n", 3, "undeclared state 'r'"),
-        ("states q\nalphabet g\nrule q g -> q g g g\n", 3, "at most two"),
-        ("states q\nalphabet g\nrule q g q\n", 3, "expected 'rule"),
-        ("states q\nalphabet g\nset S r ^ g\n", 3, "undeclared state 'r'"),
-        ("states q\nalphabet g\nset S q\n", 3, "missing expression"),
-        ("states q q\nalphabet g\n", 1, "duplicate identifier 'q'"),
-        ("states q\nalphabet g q\n", 2, "duplicate identifier 'q'"),
-        ("states q\nalphabet g\nwobble q\n", 3, "unknown directive"),
-        ("alphabet g\n", 1, "missing states"),
-        ("states ^\n", 1, "reserved punctuation"),
-        ("states a*b\n", 1, "contains reserved"),
-        ("states @q\nalphabet g\n", 1, "'@' prefix is reserved"),
-        ("states q\nalphabet g\nset S q ^ g )\n", 3, ""),
-    ],
+    "text, line, fragment", [(text, line, fragment) for text, line, _, fragment in _DIAGNOSTICS]
 )
 def test_parse_errors_carry_position(text, line, fragment):
     with pytest.raises(ParseError) as err:
         parse_model(text)
-    assert err.value.line == line
+    assert (err.value.line, err.value.column) == (line, _COLUMNS[text])
     assert fragment in str(err.value)
 
 
@@ -164,3 +182,106 @@ def test_model_equality_is_structural():
     b = parse_model(E1_TEXT)
     assert a == b and a is not b
     assert a != parse_model(E1_TEXT.replace("set C1 p ^ x (y x)* bot", ""))
+
+
+# Differential tests against the character-by-character front end in
+# parser_reference.py. Lines mix whole valid directives with words drawn
+# from identifiers, reserved words and punctuation glued to symbols,
+# joined by tabs, carriage returns and Unicode whitespace.
+_SPACES = st.sampled_from(
+    [" ", " ", "  ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2003", "\u3000"]
+)
+_WORDS = st.sampled_from(
+    ["states", "alphabet", "rule", "set", "->", "p", "q", "a", "b", "bot", "S", "_", "^", "*",
+     "(", ")", "|", "@a", "é", "a*", "(a", "b)", "a|b", "^a", "a^", "(a|b)*", "**", "#", "a#b", ""]
+)
+_VALID_LINES = st.sampled_from(
+    ["rule p a -> q", "rule q b -> p a b", "rule\tp bot  ->  q bot", "set S p ^ a (b|a)* bot",
+     "set T q a^(a | b)*", "set S q _ ^ _", "alphabet ab", "states r"]
+)
+# A directive, then words; words that repeat or hold one another test
+# that each column is found after the word before.
+_LINES = st.lists(
+    _VALID_LINES
+    | st.tuples(
+        st.sampled_from(["states", "alphabet", "rule", "set", "", "wobble"]),
+        st.lists(st.tuples(_SPACES, _WORDS), max_size=8),
+    ).map(lambda line: line[0] + "".join(space + word for space, word in line[1])),
+    max_size=8,
+)
+
+
+def _outcome(parse, *args):
+    """What a parse gives: its result, or its error with the position."""
+    try:
+        result = parse(*args)
+    except UpstackError as err:
+        return type(err), str(err), getattr(err, "line", None), getattr(err, "column", None)
+    if isinstance(result, list):
+        return [(t.kind, t.value, t.line, t.col) for t in result]
+    return result
+
+
+@settings(max_examples=300, deadline=None)
+@given(declared=st.booleans(), lines=_LINES, ending=st.sampled_from(["", "\n", "\r\n"]))
+def test_parse_model_matches_the_reference(declared, lines, ending):
+    head = ["states p q", "alphabet a b bot"] if declared else []
+    text = "\n".join(head + lines) + ending
+    assert _outcome(parse_model, text) == _outcome(reference_parse_model, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=st.text(alphabet="ab_xé ()|*^\n\t\r\u3000\x85", max_size=30),
+    line=st.integers(1, 5),
+    col=st.integers(1, 9),
+)
+def test_tokens_match_the_reference(text, line, col):
+    assert _outcome(tokenize, text, line, col) == _outcome(reference_tokenize, text, line, col)
+
+
+_IDS = st.sampled_from(["p", "q", "a", "b", ""])
+# Mostly valid identifier lists, so that the rule checks are reached too.
+_DECLARED = st.lists(st.sampled_from(["p", "q", "a"]), min_size=1, max_size=3, unique=True) | st.lists(
+    _IDS, max_size=3
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    states=_DECLARED,
+    alphabet=_DECLARED.map(lambda ids: [f"{i}1" if i else i for i in ids]),
+    rules=st.lists(
+        st.tuples(_IDS, _IDS, _IDS, st.lists(_IDS, max_size=2)).map(
+            lambda rule: (rule[0], rule[1] + "1", rule[2], tuple(f"{i}1" for i in rule[3]))
+        ),
+        max_size=4,
+    ),
+)
+def test_system_checks_match_the_reference(states, alphabet, rules):
+    # UpdsSpec checks its parts in bulk and scans them only to word an
+    # error; the reference scans them one at a time.
+    states, alphabet = tuple(states), tuple(alphabet)
+    rules = tuple(Rule(*rule) for rule in rules)
+    assert _outcome(UpdsSpec, states, alphabet, rules) == _outcome(
+        lambda: reference_spec_checks(states, alphabet, rules) or UpdsSpec(states, alphabet, rules)
+    )
+
+
+def test_parsing_is_linear_in_the_rules():
+    # 20,000 distinct rules over 40 states and 25 symbols. A duplicate
+    # check against the list of earlier rules makes this quadratic (about
+    # 10 s on a 2-vCPU host); with a hash lookup it takes about 0.2 s
+    # there, so the bound is more than 10x that.
+    states = [f"q{i}" for i in range(40)]
+    symbols = [f"s{i}" for i in range(25)]
+    lines = [f"states {' '.join(states)}", f"alphabet {' '.join(symbols)}"]
+    for i in range(20_000):
+        written = " ".join(symbols[(i + j) % 25] for j in range(i % 3))
+        lines.append(f"rule {states[i % 40]} {symbols[i // 40 % 25]} -> {states[i // 1000]} {written}")
+    text = "\n".join(lines)
+    start = time.perf_counter()
+    model = parse_model(text)
+    elapsed = time.perf_counter() - start
+    assert len(model.spec.rules) == 20_000
+    assert elapsed < 3.0, f"parsing 20,000 rules took {elapsed:.2f} s"
