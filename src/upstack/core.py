@@ -163,14 +163,6 @@ class UpdsSpec(Frozen):
     # system a command builds passes them.
     _reject = _MovedMethod("extras")
 
-    def rules_of_kind(self, *kinds: RuleKind) -> tuple[Rule, ...]:
-        wanted = set(kinds)
-        return tuple(r for r in self.rules if r.kind in wanted)
-
-    def restricted(self, *kinds: RuleKind) -> "UpdsSpec":
-        """The same system keeping only rules of the given kinds."""
-        return UpdsSpec(self.states, self.alphabet, self.rules_of_kind(*kinds))
-
     def check_word(self, word: Sequence[str], what: str = "word") -> Word:
         for sym in word:
             if sym not in self._symbols:

@@ -42,7 +42,7 @@ from .core import (
     check_configuration,
 )
 from .errors import MalformedInputError, ResourceLimitError, RuleNotEnabledError
-from .kphase import PhaseKind, _phases
+from .kphase import PhaseKind, _Moves, _phases
 from .limits import DEFAULT_NODE_BUDGET
 from .model import ModelFile
 from .nfa import EPSILON, from_words
@@ -378,19 +378,12 @@ def lower_words_up_to(lower: LowerAutomaton, state: str, max_len: int) -> list[W
 # -- one phase (kphase) ------------------------------------------------------
 
 
-def phase_pre(
-    spec: UpdsSpec,
-    targets: ConfigAutomaton,
-    kind: PhaseKind,
-    closures: dict[tuple[str, str], tuple] | None = None,
-) -> ConfigAutomaton:
+def phase_pre(spec: UpdsSpec, targets: ConfigAutomaton, kind: PhaseKind) -> ConfigAutomaton:
     """All configurations from which some target configuration is reached
     by a trace, possibly empty, whose non-switch rules are all pops
-    (PhaseKind.POP) or all pushes (PhaseKind.PUSH). Exact, and trimmed. A
-    push phase uses push_closures(spec), computed here unless the caller
-    passes it."""
+    (PhaseKind.POP) or all pushes (PhaseKind.PUSH). Exact, and trimmed."""
     targets.check_against(spec, "target set")
-    return _phases(spec, targets, (kind,), closures)
+    return _phases(spec, targets, (kind,), _Moves(spec))
 
 
 # -- printers (regex, model) --------------------------------------------------

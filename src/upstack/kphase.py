@@ -8,14 +8,16 @@ uniting the two phase kinds gives an under-approximation of the full
 backward closure that is exact for traces splitting into at most k
 phases.
 
-The constructions work directly on configuration automata. For the pop
-phase, a product saturation tracks how far the target automaton has read
-the barred image of the symbols popped so far. For the push phase, each
-possible lower-top rewrite word is matched in lockstep between the
-target automaton and a forward closure of the push/switch fragment, so
-that the number of symbols dropped from the upper word equals the
-number of pushes; a separate entry mode absorbs the case where the
-upper word is exhausted entirely.
+Within a phase the lower top moves along a finite graph of (state, top)
+pairs (`_Moves`), built once per system, so each phase is a product of
+the target automaton with that graph and needs no saturation. For the
+pop phase, one pass follows each lower symbol through the switches that
+rewrite it to the pop that sheds it, advancing the target automaton over
+its barred image, or to the end of the trace. For the push phase, the
+word the lower top turns into is read off the graph in lockstep with the
+target automaton, so that the number of symbols dropped from the upper
+word equals the number of pushes; a separate entry mode absorbs the case
+where the upper word is exhausted entirely.
 
 Both phases build on demand: each state's automaton grows forward from
 its initial nodes, and a node is made only when a final node can still
@@ -33,10 +35,9 @@ import enum
 
 from . import _forward
 from .configsets import ConfigAutomaton, bar, is_barred
-from .core import RuleKind, UpdsSpec
+from .core import UpdsSpec
 from .limits import DFA_STATE_BUDGET
 from .nfa import EPSILON, Nfa
-from .pds import pds_post_star, singleton_lower
 
 
 class PhaseKind(enum.Enum):
@@ -68,6 +69,46 @@ class _Target:
         self.first = [number[r] for r in t.eps_closure(t.initial) if r in number]
 
 
+class _Moves:
+    """The graph of (state, top) pairs along which a phase moves the lower
+    top, read by both phases. Its nodes are the pairs (p, x) and one start
+    node per state p2, named p2. The start node of p2 reads x into
+    (p2, x); a switch (p, y) -> (p', y') is an epsilon edge from (p', y')
+    to (p, y); a push (p, y) -> (p', b c) reads c from (p', b) to (p, y).
+    So the words read from the start of p2 to (q, top) are the lower words
+    w with <q, top> ->* <p2, w> by switches and pushes, and the epsilon
+    closure of a pair holds the pairs whose switches lead into it.
+
+    The push phase reads the graph's lockstep tables (`_plain_steps`, every
+    pair final), the position of each start node, and per state q the
+    positions of q's pairs with their tops (`exits`). The pop phase reads
+    a row per pair, pairs with no rules included: the pair, the states its
+    pops move to, and its epsilon closure."""
+
+    def __init__(self, spec: UpdsSpec) -> None:
+        pairs = [(p, x) for p in spec.states for x in spec.alphabet]
+        graph = Nfa(finals=pairs)
+        for p, x in pairs:
+            graph.add_edge(p, x, (p, x))
+        for (p, y), group in spec.moves.items():
+            for _, to_state, arity, written in group:
+                if arity:
+                    label = EPSILON if arity == 1 else written[1]
+                    graph.add_edge((to_state, written[0]), label, (p, y))
+        names, self.steps = _plain_steps(graph)
+        number = {n: i for i, n in enumerate(names)}
+        self.start = {p2: number[p2] for p2 in spec.states}
+        self.exits = {q: {number[(q, x)]: x for x in spec.alphabet} for q in spec.states}
+        self.rows = [
+            (
+                pair,
+                [to_state for _, to_state, arity, _ in spec.moves.get(pair, ()) if not arity],
+                graph.eps_closure((pair,)),
+            )
+            for pair in pairs
+        ]
+
+
 def _zone_part(comp: Nfa, zone: tuple[Nfa, Nfa], starts, ends, tag: tuple) -> set:
     """Copy into comp the nodes of a zone (the zone and its reverse) on a
     path from `starts` to `ends`, in the zone's order, each node r as
@@ -88,7 +129,9 @@ def _zone_part(comp: Nfa, zone: tuple[Nfa, Nfa], starts, ends, tag: tuple) -> se
     return keep
 
 
-def _pop_phase_pre(spec: UpdsSpec, targets: dict[str, _Target], out: dict[str, Nfa]) -> None:
+def _pop_phase_pre(
+    spec: UpdsSpec, targets: dict[str, _Target], moves: _Moves, out: dict[str, Nfa]
+) -> None:
     """One pop phase, backwards, added to each state's automaton in `out`.
     A trace of switches and pops from <q, w_u, w_l> never shrinks the
     upper word: it appends the popped symbols z and leaves some final
@@ -96,47 +139,34 @@ def _pop_phase_pre(spec: UpdsSpec, targets: dict[str, _Target], out: dict[str, N
     The core automaton has one walker node per (predecessor state q,
     target state, target node): its language is the set of current lower
     words from which some trace lands in the target with the target
-    automaton finishing from that node. Saturation mirrors the rules: a
-    switch defers to the successor state's walker after reading the
-    rewritten symbol; a pop consumes its symbol from the input and
-    advances the target automaton over the barred copy. Plain-zone copies
-    terminate the walk once the trace is exhausted. Each state's part is
+    automaton finishing from that node. The trace treats each lower
+    symbol a on its own: switches rewrite (q, a) into some pair (qk, ak)
+    whose graph closure holds (q, a), and then either a pop of ak
+    advances the target automaton over bar(ak) and hands on to the popped
+    state's walker, or, where qk is the target state, the trace ends and
+    the target's plain zone reads ak and the rest of the lower word. So
+    one pass over the pairs adds every core edge. Each state's part is
     then grown from its barred zones into its own walkers, through core
     nodes that can still reach a final node only."""
     core = Nfa()
     for p2, target in targets.items():
+        t = target.nfa
         plain_zone, _ = target.lower
         core.embed(plain_zone, lambda r: ("e", p2, r))
-        for r in target.nfa.finals:
+        for r in t.finals:
             core.add_final(("e", p2, r))
-    for q in spec.states:
-        for p2, target in targets.items():
-            for r in target.nfa.nodes():
-                core.add_node(("i", q, p2, r))
-    for p2, target in targets.items():
-        for r in target.nfa.nodes():
+        for r in t.nodes():
             core.add_edge(("i", p2, p2, r), EPSILON, ("e", p2, r))
-    rules = spec.rules_of_kind(RuleKind.SWITCH, RuleKind.POP)
-
-    def additions():
-        for rule in rules:
-            for p2, target in targets.items():
-                t = target.nfa
-                for r in t.nodes():
-                    src = ("i", rule.from_state, p2, r)
-                    if rule.kind is RuleKind.SWITCH:
-                        reached = core.step(
-                            [("i", rule.to_state, p2, r)], rule.written[0]
-                        )
-                    else:
-                        reached = [
-                            ("i", rule.to_state, p2, r2)
-                            for r2 in t.step([r], bar(rule.read_symbol))
-                        ]
-                    for node in reached:
-                        yield src, rule.read_symbol, node
-
-    core.saturate(additions)
+        for (qk, ak), pops, into in moves.rows:
+            if not pops and qk != p2:
+                continue
+            for r in t.nodes():
+                landed = [("i", q2, p2, r2) for r2 in t.step((r,), bar(ak)) for q2 in pops]
+                if qk == p2:
+                    landed += [("e", p2, r2) for r2 in t.step((r,), ak)]
+                for q, a in into:
+                    for node in landed:
+                        core.add_edge(("i", q, p2, r), a, node)
     live = core.reverse().reachable(core.finals)
     for q in spec.states:
         comp = out.get(q) or Nfa()
@@ -194,34 +224,8 @@ def _plain_steps(nfa: Nfa) -> tuple[list, list[dict[str, tuple[int, ...]]]]:
     return live, steps
 
 
-def push_closures(spec: UpdsSpec) -> dict[tuple[str, str], tuple]:
-    """For each control state q and symbol top, the forward closure of the
-    push/switch fragment from <q, top>: the words a push phase can turn
-    the lower top into. Each is kept as tables over the numbered nodes
-    that can still reach a final node (`_plain_steps`): their steps, the
-    start nodes of each state (the closure of its entry node) and the
-    final nodes, which come first. They depend on the system alone, so
-    one set serves every push phase over it."""
-    push_switch = spec.restricted(RuleKind.SWITCH, RuleKind.PUSH)
-    closures = {}
-    for q in spec.states:
-        for top in spec.alphabet:
-            lower = pds_post_star(push_switch, singleton_lower(spec, q, (top,)))
-            names, steps = _plain_steps(lower.nfa)
-            number = {z: i for i, z in enumerate(names)}
-            starts = {
-                p2: [number[z] for z in lower.nfa.eps_closure((entry,)) if z in number]
-                for p2, entry in lower.entries.items()
-            }
-            closures[(q, top)] = (steps, starts, range(len(lower.nfa.finals)))
-    return closures
-
-
 def _push_phase_pre(
-    spec: UpdsSpec,
-    targets: dict[str, _Target],
-    closures: dict[tuple[str, str], tuple],
-    out: dict[str, Nfa],
+    spec: UpdsSpec, targets: dict[str, _Target], moves: _Moves, out: dict[str, Nfa]
 ) -> None:
     """One push phase, backwards, added to each state's automaton in `out`.
     A trace of switches and pushes from <q, g v, w_u> rewrites the lower
@@ -231,13 +235,13 @@ def _push_phase_pre(
     component guesses the split of the input upper word into the
     surviving prefix, read against the target's barred zone, and the
     dropped suffix, consumed during a lockstep walk that advances the
-    target automaton and a forward closure of the push/switch fragment
-    over the same z, one dropped symbol per step except the last. The exit
-    step instead consumes g and hands the remaining input to the target's
-    plain zone. A second entry mode starts the lockstep at the target's
-    initial nodes for traces that exhaust the upper word, where extra
-    pushes advance for free. A verbatim copy of the target component
-    keeps empty traces. The closures come from push_closures(spec).
+    target automaton and the move graph, from the start node of the
+    target's state, over the same z, one dropped symbol per step except
+    the last. The exit step instead lands the graph on a pair (q, g),
+    consumes g and hands the remaining input to the target's plain zone.
+    A second entry mode starts the lockstep at the target's initial nodes
+    for traces that exhaust the upper word, where extra pushes advance for
+    free. A verbatim copy of the target component keeps empty traces.
 
     Only what an accepted word uses is built. The lockstep pairs are
     explored first and kept only if an exit can follow (`_lockstep`); a
@@ -255,38 +259,36 @@ def _push_phase_pre(
                 comp.add_final(("v", n))
         for p2, target in targets.items():
             names = target.names
+            z = moves.start[p2]
+            entering = [(r, z) for r in target.entered + target.first]
+            walk = _lockstep(target.steps, moves.steps, moves.exits[q], entering)
             entries: set = set()
             exits: set = set()
-            for top in spec.alphabet:
-                zsteps, starts, zfinals = closures[(q, top)]
-                zs = starts[p2]
-                entering = [(r, z) for r in target.entered + target.first for z in zs]
-                walk = _lockstep(target.steps, zsteps, zfinals, entering)
-                for free, rs in ((0, target.entered), (1, target.first)):
-                    reached = [(r, z) for r in rs for z in zs if (r, z) in walk]
-                    for r, z in reached:
+            for free, rs in ((0, target.entered), (1, target.first)):
+                reached = [(r, z) for r in rs if (r, z) in walk]
+                for r, _ in reached:
+                    if free:
+                        comp.add_initial(("k", p2, r, z, 1))
+                    else:
+                        comp.add_edge(("u", p2, names[r]), EPSILON, ("k", p2, r, z, 0))
+                        entries.add(names[r])
+                seen = set(reached)
+                while reached:
+                    pair = reached.pop()
+                    src = ("k", p2, *pair, free)
+                    successors, landings = walk[pair]
+                    for nxt in successors:
+                        dst = ("k", p2, *nxt, free)
+                        for label in barred:
+                            comp.add_edge(src, label, dst)
                         if free:
-                            comp.add_initial(("k", top, p2, r, z, 1))
-                        else:
-                            comp.add_edge(("u", p2, names[r]), EPSILON, ("k", top, p2, r, z, 0))
-                            entries.add(names[r])
-                    seen = set(reached)
-                    while reached:
-                        r, z = pair = reached.pop()
-                        src = ("k", top, p2, r, z, free)
-                        moves, landings = walk[pair]
-                        for nxt in moves:
-                            dst = ("k", top, p2, *nxt, free)
-                            for label in barred:
-                                comp.add_edge(src, label, dst)
-                            if free:
-                                comp.add_edge(src, EPSILON, dst)
-                            if nxt not in seen:
-                                seen.add(nxt)
-                                reached.append(nxt)
-                        for r2 in landings:
-                            comp.add_edge(src, top, ("e", p2, names[r2]))
-                            exits.add(names[r2])
+                            comp.add_edge(src, EPSILON, dst)
+                        if nxt not in seen:
+                            seen.add(nxt)
+                            reached.append(nxt)
+                    for top, r2 in landings:
+                        comp.add_edge(src, top, ("e", p2, names[r2]))
+                        exits.add(names[r2])
             if entries:
                 _zone_part(comp, target.upper, target.nfa.initial, entries, ("u", p2))
             if exits:
@@ -295,12 +297,12 @@ def _push_phase_pre(
             out[q] = comp
 
 
-def _lockstep(steps: list, zsteps: list, zfinals, starts: list) -> dict:
-    """The pairs (r, z) of a target node and a closure node that joint
+def _lockstep(steps: list, zsteps: list, zexits: dict, starts: list) -> dict:
+    """The pairs (r, z) of a target node and a graph node that joint
     steps over one plain symbol reach from `starts`, kept to those from
-    which a step lands the closure on a final node: for each, its
-    successor pairs so kept, and the target nodes of its steps that land
-    the closure on a final node (the exits)."""
+    which a step lands the graph on a node of `zexits`: for each, its
+    successor pairs so kept, and its exits, (top, target node) for each
+    step that lands the graph on a node that `zexits` maps to top."""
     graph: dict = dict.fromkeys(starts)
     stack = list(graph)
     while stack:
@@ -315,8 +317,9 @@ def _lockstep(steps: list, zsteps: list, zfinals, starts: list) -> dict:
                     if nxt not in graph:
                         graph[nxt] = None
                         stack.append(nxt)
-                if z2 in zfinals:
-                    landings.extend(landed)
+                top = zexits.get(z2)
+                if top is not None:
+                    landings.extend((top, r2) for r2 in landed)
         graph[pair] = (moves, landings)
     preds: dict = {}
     for pair, (moves, _) in graph.items():
@@ -337,10 +340,7 @@ def _lockstep(steps: list, zsteps: list, zfinals, starts: list) -> dict:
 
 
 def _phases(
-    spec: UpdsSpec,
-    targets: ConfigAutomaton,
-    kinds: tuple[PhaseKind, ...],
-    closures: dict[tuple[str, str], tuple] | None,
+    spec: UpdsSpec, targets: ConfigAutomaton, kinds: tuple[PhaseKind, ...], moves: _Moves
 ) -> ConfigAutomaton:
     """The configurations that reach the targets by one phase of any of
     the given kinds. Both phases write into one automaton per state: they
@@ -351,9 +351,9 @@ def _phases(
     components = {state: _Target(nfa) for state, nfa in trimmed.items() if nfa.initial}
     out: dict[str, Nfa] = {}
     if PhaseKind.POP in kinds:
-        _pop_phase_pre(spec, components, out)
+        _pop_phase_pre(spec, components, moves, out)
     if PhaseKind.PUSH in kinds:
-        _push_phase_pre(spec, components, closures or push_closures(spec), out)
+        _push_phase_pre(spec, components, moves, out)
     return ConfigAutomaton(spec.alphabet, out)
 
 
@@ -373,9 +373,9 @@ def bounded_phase_pre_star(
     if k <= 0:
         return current
     current.check_against(spec, "target set")
-    closures = push_closures(spec)
+    moves = _Moves(spec)
     for _ in range(k):
-        grown = _phases(spec, current, tuple(PhaseKind), closures).compact(node_budget)
+        grown = _phases(spec, current, tuple(PhaseKind), moves).compact(node_budget)
         if grown.same(current):
             return grown
         current = grown

@@ -184,20 +184,24 @@ def _parse_set_line(words, lineno, line, states, symbols, sets):
 def parse_config_literal(spec: UpdsSpec, text: str) -> Configuration:
     """A single configuration written as '<state>: <upper> ^ <lower>',
     e.g. 'p2: a ^ bot' for state p2, upper word a, lower word bot."""
-    state, sep, stacks = text.partition(":")
-    state = state.strip()
+    head, sep, stacks = text.partition(":")
+    state = head.strip()
     if not sep:
         raise ParseError(1, 1, "expected '<state>: <upper> ^ <lower>'")
     if state not in spec.states:
-        raise ParseError(1, 1, f"undeclared state {state!r}")
+        raise ParseError(1, _column(head, [state], 0), f"undeclared state {state!r}")
     tokens = stacks.split()
-    if tokens.count("^") != 1:
-        raise ParseError(1, len(text) + 1, "expected exactly one boundary marker '^'")
-    split = tokens.index("^")
-    for token in tokens[:split] + tokens[split + 1 :]:
-        if token not in spec.alphabet:
-            raise ParseError(1, 1, f"undeclared symbol {token!r}")
+    markers = [i for i, token in enumerate(tokens) if token == "^"]
+    if len(markers) != 1:
+        column = len(head) + 1 + _column(stacks, tokens, markers[1]) if markers else len(text) + 1
+        raise ParseError(1, column, "expected exactly one boundary marker '^'")
+    split = markers[0]
+    for i, token in enumerate(tokens):
+        if i != split and token not in spec.alphabet:
+            column = len(head) + 1 + _column(stacks, tokens, i)
+            raise ParseError(1, column, f"undeclared symbol {token!r}")
     return Configuration(state, tuple(tokens[:split]), tuple(tokens[split + 1 :]))
+
 
 
 def print_config_literal(c: Configuration) -> str:

@@ -1,11 +1,16 @@
 """The two phases of `kphase` as they were first built, for tests.
 
-Every state's component embeds the zones of every target component (the
-pop phase copies its whole saturated core per state; the push phase runs
-the lockstep walk from every target node), and one `trim` at the end
-throws away what no accepted word uses. A round unites the two phases.
-`kphase` builds the same languages on demand, both phases into one
-automaton per state; tests compare the two after compaction.
+Both saturate: the pop phase closes a core automaton under the switch
+and pop rules (`Nfa.saturate`), and the push phase reads the forward
+closure of the push/switch fragment from each (state, top) pair, one
+`pds_post_star` each. Every state's component embeds the zones of every
+target component (the pop phase copies its whole saturated core per
+state; the push phase runs the lockstep walk from every target node),
+and one `trim` at the end throws away what no accepted word uses. A
+round unites the two phases. `kphase` builds the same languages on
+demand from one graph of (state, top) pairs, without saturating, both
+phases into one automaton per state; tests compare the two after
+compaction.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ def pop_phase_pre(spec: UpdsSpec, targets: ConfigAutomaton) -> ConfigAutomaton:
     for p2, t in components.items():
         for r in t.nodes():
             core.add_edge(("i", p2, p2, r), EPSILON, ("e", p2, r))
-    rules = spec.rules_of_kind(RuleKind.SWITCH, RuleKind.POP)
+    rules = [rule for rule in spec.rules if rule.kind is not RuleKind.PUSH]
 
     def additions():
         for rule in rules:
@@ -102,7 +107,9 @@ def bounded_phase_pre_star(
 def push_closures(spec: UpdsSpec) -> dict[tuple[str, str], LowerAutomaton]:
     """For each control state q and symbol top, the forward closure of the
     push/switch fragment from <q, top>."""
-    push_switch = spec.restricted(RuleKind.SWITCH, RuleKind.PUSH)
+    push_switch = UpdsSpec(
+        spec.states, spec.alphabet, tuple(r for r in spec.rules if r.kind is not RuleKind.POP)
+    )
     return {
         (q, top): pds_post_star(push_switch, singleton_lower(spec, q, (top,)))
         for q in spec.states

@@ -196,13 +196,6 @@ def test_count_phases_is_minimal_block_decomposition(trace):
     assert count_phases(trace) == best[n]
 
 
-def test_restricted_keeps_declaration_order(e1):
-    pops = e1.restricted(RuleKind.POP)
-    assert [str(r) for r in pops.rules] == ["p a -> p", "p b -> p"]
-    both = e1.restricted(RuleKind.POP, RuleKind.SWITCH)
-    assert len(both.rules) == 5
-
-
 def test_apply_rule_matches_step(e1):
     c = cfg("p", "x y", "a bot")
     for rule, succ in step(e1, c):

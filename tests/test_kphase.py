@@ -5,11 +5,12 @@ from collections import deque
 import pytest
 
 from upstack.configsets import ConfigAutomaton, from_config_set
-from upstack.core import Configuration, count_phases, step
+from upstack.core import Configuration, RuleKind, UpdsSpec, count_phases, make_spec, step
 from upstack.errors import MalformedInputError
-from upstack.kphase import PhaseKind, bounded_phase_pre_star, phase_pre
+from upstack.kphase import PhaseKind, _Moves, bounded_phase_pre_star, phase_pre
 from upstack.nfa import Nfa
 from upstack.oracle import oracle_pre_kphase
+from upstack.pds import pds_post_star, singleton_lower
 
 import phase_reference
 from conftest import cfg, random_configuration, random_spec
@@ -149,6 +150,80 @@ def test_phases_accept_what_their_first_construction_accepts():
         expected = phase_reference.bounded_phase_pre_star(spec, targets, k)
         assert bounded_phase_pre_star(spec, targets, k).same(expected)
         checked += 1
+
+
+def _with_cycle_and_chain(rng, spec):
+    """spec plus a switch cycle through two random pairs and a chain of two
+    pushes, the second reading a symbol the first writes."""
+    s, a = spec.states, spec.alphabet
+    (p, x), (p2, y) = [(rng.choice(s), rng.choice(a)) for _ in range(2)]
+    b, c, d, e = [rng.choice(a) for _ in range(4)]
+    q = rng.choice(s)
+    extra = [(p, x, p2, (y,)), (p2, y, p, (x,)), (p, b, q, (c, d)), (q, c, p2, (e, d))]
+    rules = [(r.from_state, r.read_symbol, r.to_state, r.written) for r in spec.rules]
+    return make_spec(s, a, list(dict.fromkeys(rules + extra)))
+
+
+def _graph_words(moves, alphabet, p2, max_len):
+    """The words of length <= max_len that the move graph's lockstep
+    tables read from the start node of p2, each with the graph positions
+    it reaches."""
+    level = {(): {moves.start[p2]}}
+    words = {}
+    for _ in range(max_len):
+        level = {
+            word + (a,): {z2 for z in zs for z2 in moves.steps[z].get(a, ())}
+            for word, zs in level.items()
+            for a in alphabet
+        }
+        level = {word: zs for word, zs in level.items() if zs}
+        words.update(level)
+    return words
+
+
+def test_move_graph_reads_what_the_push_switch_closure_reaches():
+    # The words the graph reads from p2's start to (q, top) are the lower
+    # words that switches and pushes reach from <q, top> in state p2, and
+    # each pair's row lists its pops and the pairs whose switches lead
+    # into it; every pair has a row, whether or not it has rules.
+    rng = random.Random(1805)
+    seen = {"rule-less pair entered by a switch": 0, "switch cycle": 0, "push chain": 0}
+    for n in range(200):
+        spec = random_spec(rng, max_states=3, max_symbols=3, max_rules=8)
+        if n % 2:
+            spec = _with_cycle_and_chain(rng, spec)
+        moves = _Moves(spec)
+        closures = phase_reference.push_closures(spec)
+        for p2 in spec.states:
+            words = _graph_words(moves, spec.alphabet, p2, 5)
+            for (q, top), closure in closures.items():
+                ends = moves.exits[q]
+                read = {word for word, zs in words.items() if any(ends.get(z) == top for z in zs)}
+                assert read == set(closure.words_up_to(p2, 5)), (spec.rules, q, top, p2)
+        switches = UpdsSpec(
+            spec.states, spec.alphabet, tuple(r for r in spec.rules if r.kind is RuleKind.SWITCH)
+        )
+        pairs = [(p, x) for p in spec.states for x in spec.alphabet]
+        into = {pair: set() for pair in pairs}
+        for q, a in pairs:
+            reached = pds_post_star(switches, singleton_lower(spec, q, (a,)))
+            for p in spec.states:
+                for (x,) in reached.words_up_to(p, 1):
+                    into[(p, x)].add((q, a))
+        assert [pair for pair, _, _ in moves.rows] == pairs
+        for pair, pops, entering in moves.rows:
+            rules = [r for r in spec.rules if (r.from_state, r.read_symbol) == pair]
+            assert pops == [r.to_state for r in rules if r.kind is RuleKind.POP]
+            assert set(entering) == into[pair]
+            seen["rule-less pair entered by a switch"] += not rules and len(entering) > 1
+            seen["switch cycle"] += any(pair in into[other] for other in entering - {pair})
+        pushes = [r for r in spec.rules if r.kind is RuleKind.PUSH]
+        seen["push chain"] += any(
+            (r.to_state, r.written[0]) == (r2.from_state, r2.read_symbol)
+            for r in pushes
+            for r2 in pushes
+        )
+    assert all(seen.values()), seen
 
 
 # -- iterated closure ------------------------------------------------------

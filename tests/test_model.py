@@ -167,14 +167,28 @@ def test_config_literal_round_trip():
         assert parse_config_literal(model.spec, print_config_literal(parsed)) == parsed
 
 
+_CONFIG_LITERAL_ERRORS = [
+    ("p2 a ^ bot", 1),
+    ("nope: a ^ bot", 1),
+    ("  zz: a ^ bot", 3),
+    ("p: a bot", 9),
+    ("p: ^ ^", 6),
+    ("p: a ^ ^", 8),
+    ("p: z ^ bot", 4),
+    ("p: a ^ zz", 8),
+]
+
+
 @pytest.mark.parametrize(
-    "text",
-    ["p2 a ^ bot", "nope: a ^ bot", "p: a bot", "p: ^ ^", "p: z ^ bot"],
+    ("text", "column"), _CONFIG_LITERAL_ERRORS, ids=[text for text, _ in _CONFIG_LITERAL_ERRORS]
 )
-def test_config_literal_errors(text):
+def test_config_literal_errors(text, column):
+    # Each error points at the token at fault; a missing marker, at the
+    # end of the literal.
     model = parse_model(E1_TEXT)
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         parse_config_literal(model.spec, text)
+    assert (err.value.line, err.value.column) == (1, column)
 
 
 def test_model_equality_is_structural():
