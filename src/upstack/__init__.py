@@ -14,10 +14,14 @@ the submodule that defines X.
 
 Each CLI call compiles every module it imports, so code lives in a
 module that the commands running it load: what no command runs is in
-`extras`, and what only some commands run is in theirs. Where a
-function or a method moved, its old place still serves it, loading its
-home on first use: a module through `_forward`, a class through
-`_MovedMethod`.
+`extras`, and what only some commands run is in theirs. Parsing a
+model, compiling its sets and deciding membership use only the
+automaton core (`nfa`); the automaton and set algebra that the analyses
+run is in `compaction`, and the bounded closure that only the `oracle`
+command lists is in that command's module. Where a function or a method
+moved, its old place still serves it, loading its home on first use: a
+module through `_forward`, a class through `_MovedMethod` (several at a
+time through `_moved_methods`).
 """
 
 from importlib import import_module
@@ -27,6 +31,7 @@ _HOMES = {
     name: home
     for home, names in {
         "checkers": "Verdict decide_safety",
+        "commands.oracle": "oracle_post",
         "configsets": "ConfigAutomaton",
         "core": "Configuration Rule RuleKind Trace UpdsSpec make_spec",
         "dot": "export_dot",
@@ -39,7 +44,7 @@ _HOMES = {
         "kphase": "PhaseKind bounded_phase_pre_star",
         "membership": "is_reachable",
         "model": "ModelFile parse_config_literal parse_model print_config_literal",
-        "oracle": "oracle_post oracle_trace",
+        "oracle": "oracle_trace",
         "overflow": "check_stack_overflow",
         "regex": "compile_config_regex parse_config_regex",
         "residue": "check_upper_read",
@@ -101,3 +106,20 @@ class _MovedMethod:
         function = getattr(home, self.function or self.name)
         setattr(owner, self.name, function)
         return function.__get__(instance, owner)
+
+
+def _moved_methods(**homes: str):
+    """A class decorator for methods that moved under their own names:
+    each keyword is a home module, its value the names (separated by
+    spaces) of the methods whose bodies are functions of that module.
+    Each becomes a `_MovedMethod`."""
+
+    def decorate(cls):
+        for home, names in homes.items():
+            for name in names.split():
+                method = _MovedMethod(home)
+                method.name = name
+                setattr(cls, name, method)
+        return cls
+
+    return decorate

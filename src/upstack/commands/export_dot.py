@@ -30,16 +30,9 @@ def run(args, model) -> int:
     from ..dot import export_dot
 
     if args.set_name:
-        from ..configsets import ConfigAutomaton
-
-        compiled = model.config_set(args.set_name)
-        artifact = ConfigAutomaton(
-            compiled.alphabet,
-            {
-                state: nfa.eps_eliminate().trim()
-                for state, nfa in compiled.components.items()
-            },
-        )
+        # A compiled set is its position automaton: epsilon-free and
+        # trimmed by construction, so it is rendered as it is.
+        artifact = model.config_set(args.set_name)
     elif args.trace_name:
         from ..upperapprox import trace_overapprox
 

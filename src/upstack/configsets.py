@@ -8,11 +8,18 @@ discipline makes the flattening unambiguous: no plain-symbol edge may
 precede a barred edge on any path from an initial node, so accepted
 words always split as barred-prefix then plain-suffix.
 
-What only some commands run lives in their modules, and what none runs
-in `extras`: the zone projections and their product in `upperapprox`,
-the walk of a set's members in `membership`, a shortest member and
-`config_from_word` in `checkers`, `from_config_set` in `extras`. They
-still import from here, and the methods load their bodies on first use.
+This module holds what compiling a set, checking it against a system
+and walking its members need. The set algebra, which only the analyses
+run, lives with the automaton algebra in `compaction`: `accepts`,
+`is_empty`, `compact` and `same` are methods whose bodies load on first
+use, `config_word` and `check_alphabets` still import from here, and
+`union_sets` and `intersect_sets` stay bound here, where the analyses
+call them, and load their bodies from there. What only some commands
+run lives in their modules, and what none runs in `extras`: the zone
+projections and their product in `upperapprox`, the walk of a set's
+members in `membership`, a shortest member and `config_from_word` in
+`checkers`, `from_config_set` in `extras`. They still import from here,
+and the methods load their bodies on first use.
 """
 
 from __future__ import annotations
@@ -20,10 +27,9 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from . import _forward, _MovedMethod
-from .core import Configuration, UpdsSpec
+from .core import UpdsSpec
 from .errors import MalformedInputError
-from .limits import DFA_STATE_BUDGET
-from .nfa import Nfa, union
+from .nfa import Nfa
 
 _BAR = "bar"
 
@@ -40,10 +46,6 @@ def unbar(label) -> str:
     if not is_barred(label):
         raise MalformedInputError(f"not a barred symbol: {label!r}")
     return label[1]
-
-
-def config_word(c: Configuration) -> tuple:
-    return tuple(bar(s) for s in c.upper) + tuple(c.lower)
 
 
 class ConfigAutomaton:
@@ -68,13 +70,6 @@ class ConfigAutomaton:
     def states(self) -> list[str]:
         return list(self.components)
 
-    def accepts(self, c: Configuration) -> bool:
-        nfa = self.components.get(c.state)
-        return nfa.accepts(config_word(c)) if nfa is not None else False
-
-    def is_empty(self) -> bool:
-        return all(nfa.is_empty() for nfa in self.components.values())
-
     def validate(self) -> None:
         """Check labels against the alphabet and the zone discipline, once
         per set: a set that passed returns at once."""
@@ -96,26 +91,11 @@ class ConfigAutomaton:
     # No command scans a set (see the class docstring).
     _scan = _MovedMethod("extras")
 
-    def compact(self, node_budget: int = DFA_STATE_BUDGET) -> "ConfigAutomaton":
-        """Compact every component and drop the empty ones. Unless a
-        component fell back on the budget, equal sets compact to sets that
-        are `same`. The compaction of a valid set is valid: it keeps the
-        labels, and each of its paths from an initial node spells a prefix
-        of an accepted word of the set."""
-        out: dict[str, Nfa] = {}
-        for state, nfa in self.components.items():
-            compacted = nfa.compact(node_budget)
-            if not compacted.is_empty():
-                out[state] = compacted
-        compacted_set = ConfigAutomaton(self.alphabet, out)
-        compacted_set._validated = self._validated
-        return compacted_set
-
-    def same(self, other: "ConfigAutomaton") -> bool:
-        """Structural equality: the same states, and `same` components."""
-        return self.components.keys() == other.components.keys() and all(
-            nfa.same(other.components[state]) for state, nfa in self.components.items()
-        )
+    # The set algebra (see the module docstring).
+    accepts = _MovedMethod("compaction", "set_accepts")
+    is_empty = _MovedMethod("compaction", "set_is_empty")
+    compact = _MovedMethod("compaction", "set_compact")
+    same = _MovedMethod("compaction", "set_same")
 
     # Only membership walks the members, and only the checkers look for a
     # shortest one.
@@ -124,31 +104,18 @@ class ConfigAutomaton:
     shortest_config = _MovedMethod("checkers")
 
 
-def check_alphabets(a: tuple[str, ...], b: tuple[str, ...]) -> None:
-    """Raise MalformedInputError unless both alphabets hold the same symbols."""
-    if set(a) != set(b):
-        raise MalformedInputError(f"alphabet mismatch: {sorted(a)} vs {sorted(b)}")
-
-
+# Bound here, where the analyses look them up; the bodies are in
+# `compaction`, loaded on the first call.
 def union_sets(a: ConfigAutomaton, b: ConfigAutomaton) -> ConfigAutomaton:
-    check_alphabets(a.alphabet, b.alphabet)
-    out: dict[str, Nfa] = {}
-    for state in list(a.components) + [s for s in b.components if s not in a.components]:
-        parts = [x.components[state] for x in (a, b) if state in x.components]
-        out[state] = parts[0] if len(parts) == 1 else union(parts)
-    return ConfigAutomaton(a.alphabet, out)
+    from .compaction import union_sets
+
+    return union_sets(a, b)
 
 
 def intersect_sets(a: ConfigAutomaton, b: ConfigAutomaton) -> ConfigAutomaton:
-    from .product import intersection
+    from .compaction import intersect_sets
 
-    check_alphabets(a.alphabet, b.alphabet)
-    out: dict[str, Nfa] = {}
-    for state, nfa in a.components.items():
-        other = b.components.get(state)
-        if other is not None:
-            out[state] = intersection(nfa, other)
-    return ConfigAutomaton(a.alphabet, out)
+    return intersect_sets(a, b)
 
 
 __getattr__ = _forward(
@@ -156,4 +123,7 @@ __getattr__ = _forward(
     upperapprox="project_lower project_upper upper_lower_product",
     checkers="config_from_word",
     extras="from_config_set",
+    compaction="config_word check_alphabets union",
+    core="Configuration",
+    limits="DFA_STATE_BUDGET",
 )

@@ -28,6 +28,7 @@ still import from here.
 from __future__ import annotations
 
 import enum
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from . import _forward, _MovedMethod
@@ -42,8 +43,9 @@ class RuleKind(enum.Enum):
     PUSH = "push"
 
 
-# The records below are plain classes rather than dataclasses: importing
-# dataclasses and generating their methods costs every CLI call at start-up.
+# The records below are plain classes (and `Rule` a tuple) rather than
+# dataclasses: importing dataclasses and generating their methods costs
+# every CLI call at start-up.
 class Frozen:
     """Base of the package's immutable records: any assignment or
     deletion of an attribute raises AttributeError. Each record lists its
@@ -75,41 +77,47 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class Rule(Frozen):
-    """A rewrite rule (from_state, read_symbol) -> (to_state, written)."""
+class Rule(tuple):
+    """A rewrite rule (from_state, read_symbol) -> (to_state, written).
 
-    __slots__ = ("from_state", "read_symbol", "to_state", "written")
+    Like a named tuple, a rule is the tuple of its four fields, which it
+    also names: immutable, equal and hashed by its fields, and pickled
+    through its constructor. Being a tuple, it is built by one call of
+    `tuple.__new__`, with no attribute set one at a time (see
+    `make_spec`)."""
 
-    def __init__(
-        self, from_state: str, read_symbol: str, to_state: str, written: Word = ()
-    ) -> None:
+    __slots__ = ()
+
+    def __new__(
+        cls, from_state: str, read_symbol: str, to_state: str, written: Word = ()
+    ) -> "Rule":
         if len(written) > 2:
             raise MalformedInputError(
                 f"rule may write at most two symbols, got {written!r}"
             )
-        _set = object.__setattr__
-        _set(self, "from_state", from_state)
-        _set(self, "read_symbol", read_symbol)
-        _set(self, "to_state", to_state)
-        _set(self, "written", written)
+        return tuple.__new__(cls, (from_state, read_symbol, to_state, written))
+
+    from_state = property(itemgetter(0))
+    read_symbol = property(itemgetter(1))
+    to_state = property(itemgetter(2))
+    written = property(itemgetter(3))
+
+    def __reduce__(self):
+        return (self.__class__, tuple(self))
 
     def __repr__(self) -> str:
         return (
-            f"{type(self).__qualname__}(from_state={self.from_state!r}, "
-            f"read_symbol={self.read_symbol!r}, to_state={self.to_state!r}, "
-            f"written={self.written!r})"
+            f"{type(self).__qualname__}(from_state={self[0]!r}, "
+            f"read_symbol={self[1]!r}, to_state={self[2]!r}, written={self[3]!r})"
         )
-
-    def _fields(self) -> tuple:
-        return (self.from_state, self.read_symbol, self.to_state, self.written)
 
     @property
     def kind(self) -> RuleKind:
-        return (RuleKind.POP, RuleKind.SWITCH, RuleKind.PUSH)[len(self.written)]
+        return (RuleKind.POP, RuleKind.SWITCH, RuleKind.PUSH)[len(self[3])]
 
     def __str__(self) -> str:
-        rhs = " ".join((self.to_state,) + self.written)
-        return f"{self.from_state} {self.read_symbol} -> {rhs}"
+        rhs = " ".join((self[2],) + self[3])
+        return f"{self[0]} {self[1]} -> {rhs}"
 
 
 class UpdsSpec(Frozen):
@@ -125,7 +133,6 @@ class UpdsSpec(Frozen):
         _set(self, "rules", rules)
         state_set = frozenset(states)
         symbols = frozenset(alphabet)
-        keys = [(r.from_state, r.read_symbol, r.to_state, r.written) for r in rules]
         # Each check is one C-level operation, a hash lookup or a set's
         # size; only a failed one scans the parts, to word the first error.
         if not (
@@ -133,11 +140,12 @@ class UpdsSpec(Frozen):
             and all(alphabet)
             and len(state_set) == len(states)
             and len(symbols) == len(alphabet)
-            and len(set(keys)) == len(keys)
+            and len(set(rules)) == len(rules)
         ):
             self._reject()
         moves: dict[tuple[str, str], list[Move]] = {}
-        for rule, (from_state, read_symbol, to_state, written) in zip(rules, keys):
+        for rule in rules:
+            from_state, read_symbol, to_state, written = rule
             if (
                 from_state not in state_set
                 or read_symbol not in symbols
@@ -207,6 +215,9 @@ ConfigTuple = tuple[str, Word, Word]
 
 Trace = tuple[Rule, ...]
 
+_new = tuple.__new__
+_written = Rule.written.fget
+
 
 def check_configuration(spec: UpdsSpec, c: Configuration) -> Configuration:
     if c.state not in spec._state_set:
@@ -221,12 +232,14 @@ def make_spec(
     alphabet: Iterable[str],
     rules: Iterable[tuple[str, str, str, Sequence[str]]],
 ) -> UpdsSpec:
-    """Convenience constructor from plain tuples."""
-    return UpdsSpec(
-        tuple(states),
-        tuple(alphabet),
-        tuple([Rule(f, r, t, tuple(w)) for f, r, t, w in rules]),
-    )
+    """Convenience constructor from plain tuples. Each rule is built by one
+    `tuple.__new__` call, and the writes are checked in one pass; only a
+    failed check builds the rules through `Rule`, to word the error."""
+    built = tuple([_new(Rule, (f, r, t, tuple(w))) for f, r, t, w in rules])
+    if max(map(len, map(_written, built)), default=0) > 2:
+        for rule in built:
+            Rule(*rule)
+    return UpdsSpec(tuple(states), tuple(alphabet), built)
 
 
 __getattr__ = _forward(

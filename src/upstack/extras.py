@@ -30,7 +30,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Sequence
 
-from .configsets import ConfigAutomaton, config_word, is_barred, unbar
+from .compaction import config_word, from_words
+from .configsets import ConfigAutomaton, is_barred, unbar
 from .core import (
     ConfigTuple,
     Configuration,
@@ -45,7 +46,7 @@ from .errors import MalformedInputError, ResourceLimitError, RuleNotEnabledError
 from .kphase import PhaseKind, _Moves, _phases
 from .limits import DEFAULT_NODE_BUDGET
 from .model import ModelFile
-from .nfa import EPSILON, from_words
+from .nfa import EPSILON
 from .pds import LowerAutomaton
 
 # -- one-step semantics (core) ------------------------------------------------
@@ -77,10 +78,9 @@ def _reject(spec: UpdsSpec) -> None:
         for sym in (rule.read_symbol,) + rule.written:
             if sym not in symbols:
                 raise MalformedInputError(f"undeclared symbol {sym!r} in rule {rule}")
-        key = rule._fields()
-        if key in seen_rules:
+        if rule in seen_rules:
             raise MalformedInputError(f"duplicate rule {rule}")
-        seen_rules.add(key)
+        seen_rules.add(rule)
 
 
 def successors(

@@ -15,8 +15,9 @@ same state, lower word, upper length and longest prefix shared with U
 have the same runs, step for step, and one of them is U's configuration
 exactly when all are. `oracle.explore(goal_upper=U)` stores one per
 class: the shared prefix, then one placeholder cell per symbol above it.
-This is exact, the budget counts these classes, and the parent links are
-still rule sequences that apply to the concrete starts.
+This is exact, and the budget counts these classes. The search keeps no
+parent links (`links=False`): the answer is whether the goal was hit,
+and a link would cost a tuple per stored configuration.
 
 The start set is validated once per set, and a set from
 `ModelFile.config_set` never: it is valid by construction. Its members
@@ -60,7 +61,7 @@ def is_reachable(
     goal = (config.state, config.upper, config.lower)
     hit, _ = explore(
         spec, members(start_set, size), goal.__eq__, size, node_budget=budget,
-        goal_upper=config.upper,
+        goal_upper=config.upper, links=False,
     )
     return hit is not None
 

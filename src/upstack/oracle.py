@@ -2,10 +2,11 @@
 
 These are the ground truth the rest of the package is tested against.
 One forward breadth-first search over configurations (`explore`),
-size-capped or kept inside a region, lists the bounded forward closure
-(`oracle_post`) and finds shortest traces (`search_trace`), which decide
-exact membership (`membership.is_reachable`) and replay checker
-witnesses inside the under-approximation that found them
+size-capped or kept inside a region, decides exact membership
+(`membership.is_reachable`), lists the bounded forward closure
+(`oracle_post`, which only the `oracle` command runs, in its module
+`commands.oracle`) and finds shortest traces (`search_trace`), which
+replay checker witnesses inside the under-approximation that found them
 (`oracle_trace`). All are exhaustive within their bounds, deterministic
 (successors in rule declaration order), and refuse to run past an
 explicit node budget rather than silently truncating.
@@ -22,7 +23,7 @@ they are.
 The backward phase-bounded closure (`oracle_pre_kphase`) and the
 lower-stack-only closure (`pds_step`, `pds_closure`, `pds_reaches`),
 which only the tests run, live in `extras` and still import from here,
-as do `is_reachable` and `step`.
+as do `is_reachable`, `oracle_post` and `step`.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ def explore(
     node_budget: int = DEFAULT_NODE_BUDGET,
     within: Callable[[ConfigTuple], bool] | None = None,
     goal_upper: tuple[str, ...] | None = None,
+    links: bool = True,
 ) -> tuple[ConfigTuple | None, dict[ConfigTuple, tuple[ConfigTuple, Rule] | None]]:
     """Breadth-first search over (state, upper, lower) tuples: starts in
     the order given, successors in rule declaration order. The starts are
@@ -71,6 +73,9 @@ def explore(
     configurations, starts included. Returns the first stored configuration
     that `accepts` (or None) and everything stored, each mapped to the
     (predecessor, rule) that first reached it, or to None for a start.
+    With links=False every configuration is mapped to None: a caller that
+    asks only what was stored or whether a configuration was hit keeps no
+    link tuples.
 
     With goal_upper, every upper word is stored up to that word (see
     `membership`): its longest prefix shared with goal_upper, then one
@@ -139,30 +144,12 @@ def explore(
                     continue
                 if len(stored) >= node_budget:
                     raise ResourceLimitError(len(stored), SEARCH_BUDGET)
-                stored[succ] = (c, rule)
+                stored[succ] = (c, rule) if links else None
                 if accepts(succ):
                     return succ, stored
                 next_frontier.append(succ)
         frontier = next_frontier
     return None, stored
-
-
-def oracle_post(
-    spec: UpdsSpec,
-    initial: Iterable[Configuration],
-    depth: int,
-    size_cap: int,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> frozenset[Configuration]:
-    """Configurations reachable from `initial` by traces of length <= depth,
-    never passing through a configuration whose total stack size exceeds
-    size_cap (initial configurations above the cap are discarded too).
-    node_budget caps the stored configurations, the initial ones included,
-    but those are always kept."""
-    capped = [c for c in _checked(spec, initial) if len(c[1]) + len(c[2]) <= size_cap]
-    budget = max(node_budget, len(set(capped)))
-    _, stored = explore(spec, capped, lambda c: False, size_cap, depth, budget)
-    return frozenset(Configuration(*c) for c in stored)
 
 
 def search_trace(
@@ -217,6 +204,8 @@ def oracle_trace(
 __getattr__ = _forward(
     __name__,
     membership="is_reachable",
+    # Only the `oracle` command lists the bounded closure.
+    **{"commands.oracle": "oracle_post"},
     extras="step oracle_pre_kphase _predecessors _prepend_phase "
     "pds_step pds_closure pds_reaches",
 )

@@ -21,9 +21,10 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from . import _forward, _MovedMethod
+from .compaction import from_words
 from .core import UpdsSpec, Word
 from .errors import MalformedInputError
-from .nfa import EPSILON, Nfa, from_words
+from .nfa import EPSILON, Nfa
 
 _ENTRY = "entry"
 _SLICE = "slice"

@@ -16,6 +16,11 @@ The printer, `print_config_regex`, emits a canonical form that parses
 back to the same AST; it lives in `extras`, which no command loads, and
 still imports from here.
 
+The parser reads the words of the text, operators spaced out and one
+whitespace split of the whole text, as plain strings: no token object is
+built and no position is worked out. A fault names the index of its
+word, and only then does `tokenize` give that word's line and column.
+
 `compile_config_regex` builds an epsilon-free automaton: Glushkov's
 position automaton, with at most one node per symbol occurrence plus a
 start. Symbols alternated side by side share one node, so
@@ -34,6 +39,8 @@ from .nfa import Nfa
 # The token kind of each operator and of `_`, the empty word; any other
 # word is a symbol.
 _KINDS = {"(": "lparen", ")": "rparen", "|": "pipe", "*": "star", "^": "caret", "_": "empty"}
+# The words that end a sequence: what may follow one, and "", the end.
+_AFTER_SEQUENCE = frozenset(("|", ")", "*", "^", ""))
 
 
 class _Token:
@@ -51,7 +58,9 @@ def tokenize(text: str, line: int = 1, col: int = 1) -> list[_Token]:
     `end` token just past its last character. Operators are spaced out so
     that one whitespace split of each line gives every token, and each is
     found in the line from the end of the one before, so only whitespace
-    lies between and no earlier match is possible."""
+    lies between and no earlier match is possible. The parser reads the
+    same words without positions (`_words`); this works out a diagnostic's
+    position."""
     tokens: list[_Token] = []
     for row_number, row in enumerate(text.split("\n")):
         if row_number:
@@ -69,97 +78,96 @@ def tokenize(text: str, line: int = 1, col: int = 1) -> list[_Token]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token], alphabet: set[str] | None):
-        self.tokens = tokens
-        self.pos = 0
-        self.alphabet = alphabet
+def _words(text: str) -> list[str]:
+    """The values of `tokenize(text)`, the end token's being "", without
+    positions: a line break is whitespace to one split of the whole
+    text."""
+    for op in "()|*^":
+        text = text.replace(op, f" {op} ")
+    words = text.split()
+    words.append("")
+    return words
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
 
-    def take(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+class _Fault(Exception):
+    """A parse error at words[k]; the caller works out its position."""
 
-    def fail(self, tok: _Token, message: str):
-        raise ParseError(tok.line, tok.col, message)
 
-    def parse_config(self) -> tuple:
-        branches = [self.parse_branch()]
-        while self.peek().kind == "pipe":
-            self.take()
-            branches.append(self.parse_branch())
-        tok = self.peek()
-        if tok.kind != "end":
-            self.fail(tok, f"unexpected {tok.value!r}")
-        return ("config", tuple(branches))
+def _parse(words: list[str], alphabet: set[str] | None, zone: bool) -> tuple:
+    """The syntax tree of the words, a configuration expression or, with
+    `zone`, one zone on its own; a fault raises `_Fault(k, message)`.
+    Recursive descent with one function per level that has a node: a
+    sequence of starred items, and alternatives of sequences inside a
+    group or a zone."""
+    pos = 0
 
-    def parse_zone(self) -> tuple:
-        node = self.parse_alt()
-        tok = self.peek()
-        if tok.kind == "caret":
-            self.fail(tok, "boundary marker '^' not allowed in a zone expression")
-        if tok.kind != "end":
-            self.fail(tok, f"unexpected {tok.value!r}")
-        return node
-
-    def parse_branch(self) -> tuple:
-        upper = self.parse_seq()
-        tok = self.peek()
-        if tok.kind != "caret":
-            self.fail(tok, "missing boundary marker '^' in alternative")
-        self.take()
-        lower = self.parse_seq()
-        tok = self.peek()
-        if tok.kind == "caret":
-            self.fail(tok, "second boundary marker '^' in alternative")
-        return (upper, lower)
-
-    def parse_seq(self) -> tuple:
+    def sequence() -> tuple:
+        nonlocal pos
         items = []
-        while self.peek().kind in ("sym", "empty", "lparen"):
-            items.append(self.parse_item())
+        word = words[pos]
+        while word not in _AFTER_SEQUENCE:
+            pos += 1
+            if word == "(":
+                node = alternatives()
+                if words[pos] != ")":
+                    if words[pos] == "^":
+                        raise _Fault(pos, "boundary marker '^' not allowed inside a group")
+                    raise _Fault(pos, "unbalanced parenthesis")
+                pos += 1
+            elif word == "_":
+                node = ("empty",)
+            elif alphabet is None or word in alphabet:
+                node = ("sym", word)
+            else:
+                raise _Fault(pos - 1, f"undeclared symbol {word!r}")
+            word = words[pos]
+            while word == "*":
+                node = ("star", node)
+                pos += 1
+                word = words[pos]
+            items.append(node)
         if not items:
             return ("empty",)
-        if len(items) == 1:
-            return items[0]
-        return ("concat", tuple(items))
+        return items[0] if len(items) == 1 else ("concat", tuple(items))
 
-    def parse_item(self) -> tuple:
-        node = self.parse_atom()
-        while self.peek().kind == "star":
-            self.take()
-            node = ("star", node)
-        return node
+    def alternatives() -> tuple:
+        nonlocal pos
+        parts = [sequence()]
+        while words[pos] == "|":
+            pos += 1
+            parts.append(sequence())
+        return parts[0] if len(parts) == 1 else ("alt", tuple(parts))
 
-    def parse_atom(self) -> tuple:
-        tok = self.take()
-        if tok.kind == "sym":
-            if self.alphabet is not None and tok.value not in self.alphabet:
-                self.fail(tok, f"undeclared symbol {tok.value!r}")
-            return ("sym", tok.value)
-        if tok.kind == "empty":
-            return ("empty",)
-        if tok.kind == "lparen":
-            node = self.parse_alt()
-            closing = self.take()
-            if closing.kind != "rparen":
-                if closing.kind == "caret":
-                    self.fail(closing, "boundary marker '^' not allowed inside a group")
-                self.fail(closing, "unbalanced parenthesis")
-            return node
-        self.fail(tok, f"unexpected {tok.value!r}" if tok.kind != "end" else "unexpected end of expression")
+    if zone:
+        tree = alternatives()
+        if words[pos] == "^":
+            raise _Fault(pos, "boundary marker '^' not allowed in a zone expression")
+    else:
+        branches = []
+        while True:
+            upper = sequence()
+            if words[pos] != "^":
+                raise _Fault(pos, "missing boundary marker '^' in alternative")
+            pos += 1
+            branches.append((upper, sequence()))
+            if words[pos] == "^":
+                raise _Fault(pos, "second boundary marker '^' in alternative")
+            if words[pos] != "|":
+                break
+            pos += 1
+        tree = ("config", tuple(branches))
+    if words[pos]:
+        raise _Fault(pos, f"unexpected {words[pos]!r}")
+    return tree
 
-    def parse_alt(self) -> tuple:
-        parts = [self.parse_seq()]
-        while self.peek().kind == "pipe":
-            self.take()
-            parts.append(self.parse_seq())
-        if len(parts) == 1:
-            return parts[0]
-        return ("alt", tuple(parts))
+
+def _parse_text(text: str, line: int, col: int, alphabet: set[str] | None, zone: bool) -> tuple:
+    try:
+        return _parse(_words(text), alphabet, zone)
+    except _Fault as fault:
+        k, message = fault.args
+        token = tokenize(text, line, col)[k]
+        raise ParseError(token.line, token.col, message) from None
 
 
 def parse_config_regex(
@@ -167,14 +175,14 @@ def parse_config_regex(
 ) -> tuple:
     if alphabet is not None and not isinstance(alphabet, set):
         alphabet = set(alphabet)
-    return _Parser(tokenize(text, line, col), alphabet).parse_config()
+    return _parse_text(text, line, col, alphabet, False)
 
 
 def parse_zone_regex(text: str, alphabet: Iterable[str]) -> tuple:
     """Parse one zone over `alphabet` on its own: what may stand on one
     side of `^`, with alternation allowed at the top. Columns count from
     the text's start."""
-    return _Parser(tokenize(text), set(alphabet)).parse_zone()
+    return _parse_text(text, 1, 1, set(alphabet), True)
 
 
 class _Positions:

@@ -35,10 +35,11 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Iterable, Mapping
 
+from .compaction import from_words
 from .configsets import ConfigAutomaton, bar, is_barred, unbar, union_sets
 from .core import Configuration, Frozen, Rule, RuleKind, UpdsSpec
 from .errors import MalformedInputError
-from .nfa import EPSILON, Label, Nfa, Node, from_words
+from .nfa import EPSILON, Label, Nfa, Node
 from .pds import LowerAutomaton, pds_post_star, singleton_lower
 
 

@@ -1,12 +1,16 @@
 """The character-by-character model and expression front end, kept as the
-reference that `model.parse_model` and `regex.tokenize` are pinned
-against.
+reference that `model.parse_model`, `regex.tokenize` and the expression
+parsers (`regex.parse_config_regex`, `regex.parse_zone_regex`) are
+pinned against.
 
 Every line is walked one character at a time, each word is kept with its
 column, and a duplicate rule is looked for in the list of the rules
-before it, so a model of n rules takes time quadratic in n. The checks
-and their order are the ones the package makes; only how a column is
-found and how a duplicate is looked up differ.
+before it, so a model of n rules takes time quadratic in n. An
+expression is parsed from a list of token objects, each with its kind
+and position, by one method per grammar level that peeks at and takes
+tokens one at a time. The checks and their order are the ones the
+package makes; only how a column is found, how a duplicate is looked up
+and how tokens are read differ.
 """
 
 from __future__ import annotations
@@ -14,11 +18,20 @@ from __future__ import annotations
 from upstack.core import make_spec
 from upstack.errors import MalformedInputError, ParseError
 from upstack.model import ModelFile
-from upstack.regex import _Parser, _Token
 
 RESERVED = ("^", "_", "|", "(", ")", "*", "->")
 _MODEL_PUNCT = set("^|()*#")
 _PUNCT = {"(": "lparen", ")": "rparen", "|": "pipe", "*": "star", "^": "caret"}
+
+
+class _Token:
+    __slots__ = ("kind", "value", "line", "col")
+
+    def __init__(self, kind: str, value: str, line: int, col: int):
+        self.kind = kind
+        self.value = value
+        self.line = line
+        self.col = col
 
 
 def reference_tokenize(text: str, line: int = 1, col: int = 1) -> list[_Token]:
@@ -50,6 +63,109 @@ def reference_tokenize(text: str, line: int = 1, col: int = 1) -> list[_Token]:
         i = j
     tokens.append(_Token("end", "", line, col))
     return tokens
+
+
+class _Parser:
+    def __init__(self, tokens: list[_Token], alphabet: set[str] | None):
+        self.tokens = tokens
+        self.pos = 0
+        self.alphabet = alphabet
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def take(self) -> _Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def fail(self, tok: _Token, message: str):
+        raise ParseError(tok.line, tok.col, message)
+
+    def parse_config(self) -> tuple:
+        branches = [self.parse_branch()]
+        while self.peek().kind == "pipe":
+            self.take()
+            branches.append(self.parse_branch())
+        tok = self.peek()
+        if tok.kind != "end":
+            self.fail(tok, f"unexpected {tok.value!r}")
+        return ("config", tuple(branches))
+
+    def parse_zone(self) -> tuple:
+        node = self.parse_alt()
+        tok = self.peek()
+        if tok.kind == "caret":
+            self.fail(tok, "boundary marker '^' not allowed in a zone expression")
+        if tok.kind != "end":
+            self.fail(tok, f"unexpected {tok.value!r}")
+        return node
+
+    def parse_branch(self) -> tuple:
+        upper = self.parse_seq()
+        tok = self.peek()
+        if tok.kind != "caret":
+            self.fail(tok, "missing boundary marker '^' in alternative")
+        self.take()
+        lower = self.parse_seq()
+        tok = self.peek()
+        if tok.kind == "caret":
+            self.fail(tok, "second boundary marker '^' in alternative")
+        return (upper, lower)
+
+    def parse_seq(self) -> tuple:
+        items = []
+        while self.peek().kind in ("sym", "empty", "lparen"):
+            items.append(self.parse_item())
+        if not items:
+            return ("empty",)
+        if len(items) == 1:
+            return items[0]
+        return ("concat", tuple(items))
+
+    def parse_item(self) -> tuple:
+        node = self.parse_atom()
+        while self.peek().kind == "star":
+            self.take()
+            node = ("star", node)
+        return node
+
+    def parse_atom(self) -> tuple:
+        tok = self.take()
+        if tok.kind == "sym":
+            if self.alphabet is not None and tok.value not in self.alphabet:
+                self.fail(tok, f"undeclared symbol {tok.value!r}")
+            return ("sym", tok.value)
+        if tok.kind == "empty":
+            return ("empty",)
+        if tok.kind == "lparen":
+            node = self.parse_alt()
+            closing = self.take()
+            if closing.kind != "rparen":
+                if closing.kind == "caret":
+                    self.fail(closing, "boundary marker '^' not allowed inside a group")
+                self.fail(closing, "unbalanced parenthesis")
+            return node
+        self.fail(tok, f"unexpected {tok.value!r}" if tok.kind != "end" else "unexpected end of expression")
+
+    def parse_alt(self) -> tuple:
+        parts = [self.parse_seq()]
+        while self.peek().kind == "pipe":
+            self.take()
+            parts.append(self.parse_seq())
+        if len(parts) == 1:
+            return parts[0]
+        return ("alt", tuple(parts))
+
+
+def reference_parse_config_regex(
+    text: str, line: int = 1, col: int = 1, alphabet: set[str] | None = None
+) -> tuple:
+    return _Parser(reference_tokenize(text, line, col), alphabet).parse_config()
+
+
+def reference_parse_zone_regex(text: str, alphabet: set[str]) -> tuple:
+    return _Parser(reference_tokenize(text), alphabet).parse_zone()
 
 
 def reference_words(line: str) -> list[tuple[str, int]]:

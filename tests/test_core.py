@@ -280,6 +280,40 @@ def test_records_are_frozen(e1):
         c.extra = 1
 
 
+def test_rule_is_an_immutable_record_equal_by_fields(e1):
+    rule = Rule("p", "a", "p", ("a", "b"))
+    same = Rule(from_state="p", read_symbol="a", to_state="p", written=("a", "b"))
+    built = make_spec(e1.states, e1.alphabet, [("p", "a", "p", ["a", "b"])]).rules[0]
+    for name in ("from_state", "read_symbol", "to_state", "written", "kind"):
+        with pytest.raises(AttributeError):
+            setattr(rule, name, "x")
+        with pytest.raises(AttributeError):
+            delattr(rule, name)
+    with pytest.raises(AttributeError):
+        rule.extra = 1
+    assert (rule.from_state, rule.read_symbol, rule.to_state, rule.written) == (
+        "p", "a", "p", ("a", "b")
+    )
+    assert rule.kind is RuleKind.PUSH and str(rule) == "p a -> p a b"
+    for other in (same, built):
+        assert type(other) is Rule and other == rule and hash(other) == hash(rule)
+    assert len({rule, same, built}) == 1
+    for differs in (("q", "a", "p", ("a", "b")), ("p", "b", "p", ("a", "b")),
+                    ("p", "a", "q", ("a", "b")), ("p", "a", "p", ("a",))):
+        assert Rule(*differs) != rule
+    assert rule != Configuration("p", ("a",), ("p",))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        clone = pickle.loads(pickle.dumps(rule, protocol))
+        assert type(clone) is Rule and clone == rule and hash(clone) == hash(rule)
+        assert repr(clone) == repr(rule)
+    # make_spec words a rule writing three symbols as Rule does.
+    with pytest.raises(MalformedInputError) as by_rule:
+        Rule("p", "a", "p", ("a", "b", "a"))
+    with pytest.raises(MalformedInputError) as by_spec:
+        make_spec(e1.states, e1.alphabet, [("p", "a", "p", ()), ("p", "a", "p", "aba")])
+    assert str(by_spec.value) == str(by_rule.value)
+
+
 def test_model_file_sets_default_to_fresh_dicts(e1):
     first, second = ModelFile(e1), ModelFile(e1)
     assert first.sets == {} and first.sets is not second.sets

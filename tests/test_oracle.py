@@ -174,7 +174,8 @@ def _upper_start_set(rng, spec):
 def test_membership_up_to_the_goal_upper_word_agrees_with_the_concrete_search():
     """On 2000 random systems, with starts and goals whose upper words are
     nonempty, `is_reachable` answers as the search that stores every upper
-    word as it is, and the reduced search never stores more."""
+    word as it is, and the reduced search never stores more. Without links
+    the reduced search stores the same configurations in the same order."""
     rng = random.Random(20261018)
     reachable = fewer = 0
     for _ in range(2000):
@@ -192,10 +193,16 @@ def test_membership_up_to_the_goal_upper_word_agrees_with_the_concrete_search():
         hit, concrete = explore(spec, start_set.members(size), target.__eq__, size)
         answer = is_reachable(spec, start_set, goal)
         assert answer == (hit is not None), (spec.rules, goal)
-        _, reduced = explore(
+        reduced_hit, reduced = explore(
             spec, start_set.members(size), target.__eq__, size, goal_upper=goal.upper
         )
         assert len(reduced) <= len(concrete)
+        unlinked_hit, unlinked = explore(
+            spec, start_set.members(size), target.__eq__, size, goal_upper=goal.upper,
+            links=False,
+        )
+        assert unlinked_hit == reduced_hit and list(unlinked) == list(reduced)
+        assert not any(unlinked.values())
         reachable += answer
         fewer += len(reduced) < len(concrete)
     assert reachable > 800

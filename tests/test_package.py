@@ -113,10 +113,11 @@ def test_each_command_loads_only_what_it_runs():
     safe = _loaded_per_step(["check-read", "relocate.upds", "--init", "Boot", "--symbol", "ret"])
     assert {"checkers", "kphase", "upperapprox"} <= safe["check-read"]
     assert "oracle" not in safe["check-read"]
-    # A set's DOT needs neither a search, an over-approximation nor a grammar.
+    # A set's DOT needs neither a search, an over-approximation, a grammar
+    # nor the automaton algebra: a compiled set is drawn as it is.
     dot = _loaded_per_step(["export-dot", "e1.upds", "--set", "C1"])["export-dot"]
     assert "dot" in dot
-    assert not dot & {"oracle", "grammar", "upperapprox"}
+    assert not dot & {"oracle", "grammar", "upperapprox", "compaction"}
 
 
 # The upstack syntax-tree nodes that a call compiles, summed over the
@@ -126,9 +127,9 @@ def test_each_command_loads_only_what_it_runs():
 # lines, and the CLI compiles the package from source on every call, so a
 # ceiling that fails means that code moved onto a command's path.
 _COMPILED_NODE_CEILINGS = {
-    # kind: (argv, ceiling); the counts were 11719, 16154, 18855, 16279,
-    # 14626, 10793 and 13639.
-    "member": (["member", "e1.upds", "--init", "C1", "--config", "p2: a ^ bot"], 12070),
+    # kind: (argv, ceiling); the counts were 8980, 16154, 18855, 16279,
+    # 14626, 8110 and 13639.
+    "member": (["member", "e1.upds", "--init", "C1", "--config", "p2: a ^ bot"], 9249),
     "check-read-unsafe": (
         ["check-read", "relocate.upds", "--init", "Boot", "--symbol", "secret"], 16638
     ),
@@ -139,7 +140,7 @@ _COMPILED_NODE_CEILINGS = {
         ["check-overflow", "e1.upds", "-m", "1", "--lower", "x (y x)* bot"], 16767
     ),
     "post-over": (["post-over", "e2.upds", "--init", "C2", "--config", "p: a ^ c b"], 15064),
-    "export-dot-set": (["export-dot", "e1.upds", "--set", "C1"], 11116),
+    "export-dot-set": (["export-dot", "e1.upds", "--set", "C1"], 8353),
     "pre-under": (
         ["pre-under", "e2.upds", "--target", "C2", "-k", "2", "--config", "p: b ^ c c"], 14048
     ),
@@ -164,3 +165,157 @@ def test_each_command_compiles_at_most_its_ceiling(kind):
     # What no command runs lives in `extras`.
     assert "extras" not in loaded
     assert _compiled_nodes(loaded) <= ceiling
+
+
+# Runs in a fresh interpreter: the set-up of exact membership (parse a
+# model, compile its sets, parse the probes) and then the queries, on e1's
+# C1 and on a wide set. Prints, as JSON, the upstack submodules loaded
+# after the set-up and after the queries, and the answers.
+_MEMBERSHIP_PATH = """
+import json, sys
+
+def loaded():
+    return sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("upstack."))
+
+import upstack
+from upstack.fixtures import fixture_text
+model = upstack.parse_model(fixture_text("e1.upds") + "set Wide p ^ (x | y | a | b)* bot\\n")
+sets = {name: model.config_set(name) for name in ("C1", "Wide")}
+probes = [
+    ("C1", "p2: a ^ bot"), ("C1", "p2: x a b ^ bot"), ("C1", "p2: a a a b b ^ bot"),
+    ("Wide", "p2: a a b ^ bot"), ("Wide", "p: x ^ y bot"),
+]
+configs = [(name, upstack.parse_config_literal(model.spec, text)) for name, text in probes]
+steps = {"setup": loaded()}
+answers = [upstack.is_reachable(model.spec, sets[name], c) for name, c in configs]
+steps["queries"] = loaded()
+print(json.dumps({"steps": steps, "answers": answers}))
+"""
+
+# The set-up of exact membership compiled 8752 nodes before the automaton
+# algebra left `nfa`; the ceiling is the count since then, 6100, plus 3%.
+_MEMBERSHIP_SETUP_CEILING = 6283
+
+
+def test_membership_never_loads_the_automaton_algebra():
+    proc = subprocess.run(
+        [sys.executable, "-c", _MEMBERSHIP_PATH],
+        env=subprocess_env(),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    out = json.loads(proc.stdout)
+    assert out["answers"] == [True, False, True, True, False]
+    setup, queries = (set(out["steps"][step]) - {"fixtures"} for step in ("setup", "queries"))
+    assert setup == {"configsets", "core", "errors", "model", "nfa", "regex"}
+    assert queries == setup | {"limits", "membership", "oracle"}
+    assert _compiled_nodes(setup) <= _MEMBERSHIP_SETUP_CEILING
+
+
+# The names that `nfa`, `configsets` and `core` had before the automaton
+# and set algebra moved to `compaction` and `oracle_post` to the `oracle`
+# command, less what they imported from the standard library and the
+# package's forwarding helpers. Each still resolves where it was, and the
+# moved ones run from there.
+_MODULE_NAMES = {
+    "nfa": "DFA_STATE_BUDGET EPSILON Label Nfa Node _Epsilon _coreachable _identity "
+    "from_words intersection label_key union",
+    "configsets": "ConfigAutomaton Configuration DFA_STATE_BUDGET MalformedInputError Nfa "
+    "UpdsSpec _BAR bar check_alphabets config_from_word config_word "
+    "from_config_set intersect_sets is_barred project_lower project_upper unbar union "
+    "union_sets upper_lower_product",
+    "core": "ConfigTuple Configuration Frozen MalformedInputError Move Rule RuleKind Trace "
+    "UpdsSpec Word apply_rule check_configuration count_phases fresh_name make_spec "
+    "run_trace step successors trace_upper_word",
+    "oracle": "oracle_post oracle_trace explore search_trace is_reachable",
+}
+_CLASS_MEMBERS = {
+    "Nfa": "_advance _free_row accepts add_edge add_final add_initial add_node compact copy "
+    "edge_count edges embed eps_closure eps_eliminate has_edge is_empty labels map_labels "
+    "map_nodes nodes out_edges reachable relabel reverse run same saturate shortest_word "
+    "step targets trim walk words_up_to",
+    "ConfigAutomaton": "_scan accepts check_against compact component enumerate_configs "
+    "is_empty members same shortest_config states validate",
+    "Rule": "from_state kind read_symbol to_state written",
+    "UpdsSpec": "_reject check_word rules_reading",
+}
+
+_NAMES_RUN = """
+import json, sys
+from upstack import core, configsets, nfa, oracle
+
+modules = {"nfa": nfa, "configsets": configsets, "core": core, "oracle": oracle}
+names = json.loads(sys.argv[1])
+missing = [f"{m}.{n}" for m, ns in names["modules"].items() for n in ns.split()
+           if not hasattr(modules[m], n)]
+classes = {"Nfa": nfa.Nfa, "ConfigAutomaton": configsets.ConfigAutomaton,
+           "Rule": core.Rule, "UpdsSpec": core.UpdsSpec}
+missing += [f"{c}.{n}" for c, ns in names["classes"].items() for n in ns.split()
+            if not hasattr(classes[c], n)]
+print(json.dumps(missing))
+"""
+
+
+def test_names_of_the_core_modules_still_resolve():
+    proc = subprocess.run(
+        [sys.executable, "-c", _NAMES_RUN,
+         json.dumps({"modules": _MODULE_NAMES, "classes": _CLASS_MEMBERS})],
+        env=subprocess_env(),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(proc.stdout) == []
+
+
+def test_moved_names_run_from_their_old_places(e1):
+    from upstack import compaction, configsets, core, nfa, oracle
+    from upstack.commands import oracle as oracle_command
+
+    a = nfa.from_words([("a",), ("a", "b")])
+    b = nfa.from_words([("b",)])
+    both = nfa.union([a, b])
+    assert both.words_up_to(2) == [("a",), ("b",), ("a", "b")]
+    assert nfa.intersection(both, a).compact().same(a.compact())
+    assert nfa._identity(3) == 3 and nfa.DFA_STATE_BUDGET > 0
+    assert nfa._coreachable(a._edges, a.finals) == set(a.nodes())
+    # The algebra, as methods of an automaton built by the core alone.
+    loop = nfa.Nfa(["s"], ["t"])
+    loop.add_edge("s", nfa.EPSILON, "t")
+    loop.add_edge("t", "a", "s")
+    loop.add_edge("u", "b", "t")
+    assert loop.has_edge("t", "a", "s") and loop.labels() == ["a", "b"]
+    assert list(loop.out_edges("t")) == [("a", "s")] and loop.targets("u", "b") == ("t",)
+    assert loop.edge_count() == 3 and loop.eps_closure(["s"]) == {"s", "t"}
+    assert loop.step(["t"], "a") == {"s", "t"} and loop._advance({"t"}, "a") == {"s", "t"}
+    assert loop.run(["a", "a"]) == {"s", "t"} and loop.accepts(["a"])
+    assert loop.reachable(["u"]) == {"u", "s", "t"} and loop.shortest_word() == ()
+    assert not loop.is_empty() and loop.copy().same(loop) and not loop.same(a)
+    assert loop.reverse().reverse().same(loop)
+    assert loop.trim().nodes() == ["s", "t"]
+    assert loop._free_row("s") == ({"a": {"s": None}}, True)
+    assert nfa.EPSILON not in {label for _, label, _ in loop.eps_eliminate().edges()}
+    assert loop.compact().words_up_to(2) == [(), ("a",), ("a", "a")]
+    grown = nfa.Nfa().embed(a, lambda n: ("x", n), lambda label: label * 2)
+    assert ("x", "w") in grown.nodes() and grown.labels() == ["aa", "bb"]
+    grown.saturate(lambda: [(("x", "w"), "c", ("x", "w"))])
+    assert grown.has_edge(("x", "w"), "c", ("x", "w"))
+    assert a.map_labels(str.upper).labels() == ["A", "B"]
+    assert set(a.map_nodes(str).nodes()) == {str(n) for n in a.nodes()}
+    assert len(a.relabel().nodes()) == len(a.nodes())
+    assert list(a.walk(1, lambda word, label: word + label, "")) == ["a"]
+    # The set algebra, from `configsets`.
+    c1 = configsets.ConfigAutomaton(e1.alphabet, {"p": nfa.from_words([("x", "bot")])})
+    other = configsets.ConfigAutomaton(e1.alphabet, {"p2": nfa.from_words([("bot",)])})
+    start = core.Configuration("p", (), ("x", "bot"))
+    assert c1.accepts(start) and not other.accepts(start) and not c1.is_empty()
+    assert c1.compact().same(c1.compact()) and not c1.same(other)
+    assert configsets.union_sets(c1, other).states() == ["p", "p2"]
+    assert configsets.intersect_sets(c1, other).is_empty()
+    assert configsets.config_word(start) == ("x", "bot")
+    assert configsets.union is compaction.union
+    configsets.check_alphabets(("a", "b"), ("b", "a"))
+    # The bounded closure, from `oracle` and the package.
+    assert oracle.oracle_post is oracle_command.oracle_post
+    assert oracle.oracle_post(e1, [start], 1, 3) == {start, core.Configuration("p", (), ("a", "bot"))}

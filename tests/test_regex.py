@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from upstack.configsets import ConfigAutomaton, bar, config_word, is_barred
-from upstack.errors import ParseError
+from upstack.errors import ParseError, UpstackError
 from upstack.nfa import EPSILON, Nfa, from_words
 from upstack.regex import (
     compile_config_regex,
@@ -16,6 +16,7 @@ from upstack.regex import (
 
 from conftest import cfg
 from equivalence_reference import equivalent, product_equivalent
+from parser_reference import reference_parse_config_regex, reference_parse_zone_regex
 from thompson_reference import thompson_config_regex
 
 
@@ -90,6 +91,45 @@ def test_a_zone_parses_on_its_own_as_it_does_in_a_group():
     for text in ("a | b a*", "_", "a (b a)* b", "(a | b)*"):
         zone = parse_zone_regex(text, ("a", "b"))
         assert parse_config_regex(f"^ ( {text} )") == ("config", ((("empty",), zone),))
+
+
+# Differential tests of the expression parsers against the token-object
+# parser kept in parser_reference.py: the same tree, or the same error with
+# the same message, line and column. Texts are drawn character by character
+# (mostly malformed) and word by word (mostly well formed), with line
+# breaks, tabs and Unicode whitespace between the words.
+_EXPRESSION_CHARS = st.text(alphabet="abz_ ()|*^\n\t\r\u3000\x85", max_size=30)
+_EXPRESSION_WORDS = st.lists(
+    st.tuples(
+        st.sampled_from([" ", "", "  ", "\n", "\t", "\n  ", "\u3000"]),
+        st.sampled_from(["a", "b", "z", "ab", "_", "__", "(", ")", "|", "*", "^", "a*", "(a|b)*"]),
+    ),
+    max_size=14,
+).map(lambda words: "".join(space + word for space, word in words))
+
+
+def _parsed(parse, *args):
+    try:
+        return parse(*args)
+    except UpstackError as err:
+        return type(err), str(err), err.line, err.column
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    text=_EXPRESSION_CHARS | _EXPRESSION_WORDS,
+    line=st.integers(1, 5),
+    col=st.integers(1, 9),
+    alphabet=st.sampled_from([None, {"a", "b"}, {"a", "b", "z", "ab", "__"}]),
+)
+def test_expression_parsers_match_the_reference(text, line, col, alphabet):
+    assert _parsed(parse_config_regex, text, line, col, alphabet) == _parsed(
+        reference_parse_config_regex, text, line, col, alphabet
+    )
+    zone_alphabet = alphabet or {"a", "b"}
+    assert _parsed(parse_zone_regex, text, zone_alphabet) == _parsed(
+        reference_parse_zone_regex, text, zone_alphabet
+    )
 
 
 def test_empty_regex_accepts_empty_config():
@@ -203,6 +243,8 @@ def _assert_pinned_to_thompson(ast: tuple) -> None:
     symbols = sum(_occurrences(upper) + _occurrences(lower) for upper, lower in ast[1])
     assert len(compiled.nodes()) <= symbols + 1
     assert compiled.trim().same(compiled)
+    # So `export-dot --set` renders a compiled set as it is.
+    assert compiled.eps_eliminate().same(compiled)
     # Sets from a model are marked valid without a scan: scan this one.
     ConfigAutomaton(_ABC, {"p": compiled})._scan()
 
