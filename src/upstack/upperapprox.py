@@ -10,7 +10,9 @@ turns it into an automaton for a superset of the reachable upper words,
 and pairing those per-state with the classic regular forward closure of
 the lower stack yields a regular superset of the reachable
 configurations. Precision is whatever the trace abstraction buys;
-soundness never depends on it.
+soundness never depends on it. The abstraction here is a graph of
+(control state, lower-stack top) pairs read off the system's move table
+(`trace_overapprox`); `export-dot --trace` draws it.
 
 Before the saturation, the query's regular start set is folded into the
 system itself (`single_origin`): an extended system with one origin
@@ -35,7 +37,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Iterable, Mapping
 
-from .compaction import from_words
+from .compaction import _coreachable, from_words
 from .configsets import ConfigAutomaton, bar, is_barred, unbar, union_sets
 from .core import Configuration, Frozen, Rule, RuleKind, UpdsSpec
 from .errors import MalformedInputError
@@ -222,64 +224,42 @@ def _first_lower_tops(component: Nfa) -> tuple[list[str], bool]:
     return list(tops), empty_lower
 
 
-def trace_overapprox(
-    spec: UpdsSpec, configs: ConfigAutomaton, refine_top: bool = False
-) -> TraceAutomaton:
+def trace_overapprox(spec: UpdsSpec, configs: ConfigAutomaton) -> TraceAutomaton:
     """A sound trace automaton for the rule sequences runnable from the
-    given configurations. The default abstraction is the control-state
-    graph: one node per control state, an edge per rule, initial where
-    the configuration set is nonempty. With refine_top, nodes also carry
-    an abstract lower-stack top (a symbol, or None for unknown): rules
-    fire only on a matching or unknown top, pushes and switches set the
-    top to what they wrote, pops forget it. Both are prefix-closed and
-    accept every real rule sequence; the refinement is tighter."""
-    starts = [
-        state for state, nfa in configs.components.items() if not nfa.is_empty()
-    ]
-    nfa = Nfa()
-    owner: dict[object, str] = {}
-    if not refine_top:
-        for state in spec.states:
-            nfa.add_node(state)
-            nfa.add_final(state)
-            owner[state] = state
-        for state in starts:
-            nfa.add_initial(state)
-        for rule in spec.rules:
-            nfa.add_edge(rule.from_state, rule, rule.to_state)
-        return TraceAutomaton(nfa, owner)
+    given configurations, refined by the lower-stack top. Its nodes are
+    pairs (state, top) of a control state and an abstract top, a symbol
+    or None for unknown; initial ones are the states where the set is
+    nonempty with each first lower symbol of their members (None for an
+    empty lower word). A node's edges are the moves of its state and top
+    (`UpdsSpec.moves`), every move of the state for an unknown top:
+    pushes and switches set the top to the first symbol they write, pops
+    forget it. Prefix-closed, and it accepts every real rule sequence."""
     pending: list[tuple[str, str | None]] = []
-    for state in starts:
-        tops, empty_lower = _first_lower_tops(configs.components[state])
-        for top in tops:
-            pending.append((state, top))
+    for state, component in configs.components.items():
+        if component.is_empty():
+            continue
+        tops, empty_lower = _first_lower_tops(component)
+        pending.extend((state, top) for top in tops)
         if empty_lower:
             pending.append((state, None))
+    nfa = Nfa(pending)
+    owner: dict[object, str] = {}
     seen = set(pending)
-    for node in pending:
-        nfa.add_initial(node)
     while pending:
         node = pending.pop()
         state, top = node
         nfa.add_final(node)
         owner[node] = state
-        for rule in spec.rules:
-            if rule.from_state != state:
-                continue
-            if top is not None and rule.read_symbol != top:
-                continue
-            successor = (
-                rule.to_state,
-                rule.written[0] if rule.written else None,
-            )
+        if top is None:
+            moves = [m for a in spec.alphabet for m in spec.moves.get((state, a), ())]
+        else:
+            moves = spec.moves.get(node, ())
+        for rule, to_state, _, written in moves:
+            successor = (to_state, written[0] if written else None)
             nfa.add_edge(node, rule, successor)
             if successor not in seen:
                 seen.add(successor)
                 pending.append(successor)
-    for node in nfa.nodes():
-        if node not in owner:
-            nfa.add_final(node)
-            owner[node] = node[0]
     return TraceAutomaton(nfa, owner)
 
 
@@ -326,15 +306,20 @@ def saturate_upper(at: TraceAutomaton, origin: Configuration) -> UpperAutomaton:
             else:
                 # Collect the sources before yielding: an added edge would
                 # change the rows being walked.
+                rows = up._edges
+                reach = _coreachable(
+                    {n: {EPSILON: row[EPSILON]} for n, row in rows.items() if EPSILON in row},
+                    (q0,),
+                )
                 sources = [
                     q
-                    for q in up.nodes()
+                    for q, row in rows.items()
                     if any(
-                        label is not EPSILON and q0 in up.eps_closure([mid])
-                        for label, mid in up.out_edges(q)
+                        label is not EPSILON and not reach.isdisjoint(targets)
+                        for label, targets in row.items()
                     )
                 ]
-                sources += [q for q in up.initial if q0 in up.eps_closure([q])]
+                sources += [q for q in up.initial if q in reach]
                 for q in sources:
                     yield q, EPSILON, q1
 
@@ -459,11 +444,10 @@ def overapprox_post(spec: UpdsSpec, configs: ConfigAutomaton) -> ConfigAutomaton
     per-state projection product joins the union so members that no rule
     can leave (empty lower word) are kept.
 
-    The trace abstraction is the top-refined one here: the funnel's
-    spelling rules are enabled purely by what tops the lower stack, so
-    the state-graph abstraction would let their pops run unchecked and
-    flood every upper zone; tracking the abstract top keeps the funnel
-    honest."""
+    The trace abstraction tracks the lower-stack top because the
+    funnel's spelling rules are enabled purely by what tops the lower
+    stack: a graph of control states alone would let their pops run
+    unchecked and flood every upper zone."""
     configs.check_against(spec, "start set")
     own = upper_lower_product(
         spec.alphabet, project_upper(configs), project_lower(configs)
@@ -476,20 +460,20 @@ def overapprox_post(spec: UpdsSpec, configs: ConfigAutomaton) -> ConfigAutomaton
         extension.spec.alphabet,
         {origin.state: from_words([origin.lower])},
     )
-    traces = trace_overapprox(extension.spec, seeded, refine_top=True)
-    uppers = upper_config_set(saturate_upper(traces, origin))
+    au = saturate_upper(trace_overapprox(extension.spec, seeded), origin)
     lower = pds_post_star(
         extension.spec, singleton_lower(extension.spec, origin.state, origin.lower)
     )
     upper_slices: dict[str, Nfa] = {}
     lower_slices: dict[str, Nfa] = {}
     for state in spec.states:
-        if state not in uppers:
+        up = au.slice(state)
+        if up.is_empty():
             continue
         low = lower_slice(lower, state)
         if low.is_empty():
             continue
-        upper_slices[state] = uppers[state]
+        upper_slices[state] = up
         lower_slices[state] = low
     product = upper_lower_product(spec.alphabet, upper_slices, lower_slices)
     return union_sets(product, own).compact()

@@ -3,8 +3,8 @@
 The exporter promises byte-identical output for equal inputs, so these
 tests pin structure (node/edge counts, escaping, determinism) rather
 than every incidental byte, plus two adjudicated shape goldens: the
-seed set's normalized automaton and the pumping system's control-graph
-trace abstraction.
+seed set's normalized automaton and the pumping system's trace
+abstraction.
 """
 
 import re
@@ -105,18 +105,26 @@ def test_seed_set_normalizes_to_five_node_chain_with_cycle(e1, c1):
     assert labels == {'"x"', '"y"', '"bot"'}
 
 
-def test_trace_abstraction_of_pumping_system_is_two_node_six_edge(e1, c1):
-    at = trace_overapprox(e1, c1, refine_top=False)
-    text = export_dot(at)
-    assert count_nodes(text) == 2
-    assert len(parse_edges(text)) == 6
-    assert '[label="p a -> p a b"];' in text
+def test_trace_abstraction_of_pumping_system_is_five_node_ten_edge(e1, c1):
+    text = export_dot(trace_overapprox(e1, c1))
+    labels = re.findall(r'\[label="(.*)" shape=doublecircle\];$', text, re.M)
+    assert labels == [
+        "('p', 'a')", "('p', 'b')", "('p', 'x')", "('p', None)", "('p2', 'bot')"
+    ]
+    assert count_nodes(text) == 5
+    assert len(parse_edges(text)) == 10
+    assert text.count("[shape=point") == 1
+    assert "nstart0 -> n2;" in text
+    # Only an unknown top (after a pop) reads bot or y.
+    assert 'n3 -> n4 [label="p bot -> p2 bot"];' in text
+    assert 'n3 -> n1 [label="p y -> p b"];' in text
+    assert 'n0 -> n0 [label="p a -> p a b"];' in text
 
 
 def test_upper_automaton_exports_like_its_nfa(e1, c1):
     so = single_origin(e1, c1)
     seed = from_config_set(so.spec, [so.origin])
-    at = trace_overapprox(so.spec, seed, refine_top=True)
+    at = trace_overapprox(so.spec, seed)
     au = saturate_upper(at, so.origin)
     assert export_dot(au) == export_dot(au.nfa)
 

@@ -5,7 +5,10 @@ package prints. These goldens pin, for every set of the shipped
 fixtures, the `pre-under` summary at k = 0..4 and the `post-over`
 summary, each with a digest of the compacted automaton's DOT text.
 Compaction is canonical, so a change here means a changed language or a
-changed canonical form, not a changed construction order.
+changed canonical form, not a changed construction order. They also
+pin the digests of what `export-dot --trace` and `export-dot --grammar`
+print for each set; DOT text is sorted, so those change only with the
+nodes and edges of the trace abstraction or the grammar.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from upstack import bounded_phase_pre_star, overapprox_post, parse_model
 from upstack.commands.post_over import summary
 from upstack.dot import export_dot
 from upstack.fixtures import fixture_path
+from upstack.grammar import build_post_grammar
+from upstack.upperapprox import single_origin, trace_overapprox
 
 FIXTURE_SETS = (
     ("e1.upds", "C1"),
@@ -67,8 +72,22 @@ GOLDEN = {
 }
 
 
+# set -> (digest of `export-dot --trace`, digest of `export-dot --grammar`),
+# first 16 hex digits of the DOT's sha256
+EXPORT_GOLDEN = {
+    "C1": ("5c7f663d502ba55b", "3e38f63d889bc462"),
+    "C2": ("546e3c8e5f65475e", "bab8a2fce38cd6da"),
+    "Boot": ("6cdfad97fe31b8d4", "2a0b965f3e6cb80d"),
+    "NewStack": ("f810279e9f43655b", "5b6055632f999dfa"),
+}
+
+
+def _digest(artifact) -> str:
+    return hashlib.sha256(export_dot(artifact).encode()).hexdigest()[:16]
+
+
 def _pinned(result) -> tuple[str, str]:
-    return summary(result), hashlib.sha256(export_dot(result).encode()).hexdigest()[:16]
+    return summary(result), _digest(result)
 
 
 @pytest.mark.parametrize("fixture, name", FIXTURE_SETS)
@@ -78,3 +97,12 @@ def test_fixture_outputs_match_the_goldens(fixture, name):
     for k in range(5):
         assert _pinned(bounded_phase_pre_star(model.spec, configs, k)) == GOLDEN[(name, k)], k
     assert _pinned(overapprox_post(model.spec, configs)) == GOLDEN[(name, "post")]
+
+
+@pytest.mark.parametrize("fixture, name", FIXTURE_SETS)
+def test_fixture_exports_match_the_goldens(fixture, name):
+    model = parse_model(fixture_path(fixture).read_text(encoding="utf-8"))
+    configs = model.config_set(name)
+    trace = trace_overapprox(model.spec, configs)
+    grammar = build_post_grammar(single_origin(model.spec, configs))
+    assert (_digest(trace), _digest(grammar)) == EXPORT_GOLDEN[name]

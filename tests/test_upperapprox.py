@@ -13,6 +13,7 @@ from upstack.upperapprox import (
     UpperAutomaton,
     overapprox_post,
     saturate_upper,
+    single_origin,
     trace_overapprox,
     upper_config_set,
 )
@@ -24,6 +25,7 @@ from conftest import (
     random_trace_automaton,
 )
 from equivalence_reference import equivalent
+import upper_reference
 
 
 def trace_paths(at, max_len):
@@ -99,11 +101,13 @@ def test_control_graph_accepts_real_and_fake(e1, c1):
     assert at.accepts([s_x, r_a])
     assert at.accepts([s_x, c, r_a, r_b, e])
     assert run_trace(e1, cfg("p", "", "x bot"), (s_x, c, r_a, r_b, e))
-    # The abstraction keeps state chaining only: this sequence is not
-    # runnable but stays inside the state graph.
-    assert at.accepts([s_x, s_x])
     with pytest.raises(RuleNotEnabledError):
         run_trace(e1, cfg("p", "", "x bot"), (s_x, s_x))
+    # A pop forgets the top: this sequence is not runnable (bot is on
+    # top after the pop) but any rule of p may follow an unknown top.
+    assert at.accepts([s_x, r_a, r_b])
+    with pytest.raises(RuleNotEnabledError):
+        run_trace(e1, cfg("p", "", "x bot"), (s_x, r_a, r_b))
 
 
 def test_no_rules_accepts_only_empty(e2):
@@ -115,7 +119,7 @@ def test_no_rules_accepts_only_empty(e2):
 
 def test_refined_abstraction_is_tighter_and_sound(e1, c1):
     s_x = e1.rules[0]
-    refined = trace_overapprox(e1, c1, refine_top=True)
+    refined = trace_overapprox(e1, c1)
     refined.validate()
     assert refined.accepts([s_x, e1.rules[3]])
     assert not refined.accepts([s_x, s_x])
@@ -124,7 +128,7 @@ def test_refined_abstraction_is_tighter_and_sound(e1, c1):
 def test_refined_empty_lower_members():
     spec = make_spec(("p",), ("a",), [("p", "a", "p", ())])
     configs = from_config_set(spec, [cfg("p", "a", "")])
-    at = trace_overapprox(spec, configs, refine_top=True)
+    at = trace_overapprox(spec, configs)
     assert at.accepts([])
 
 
@@ -137,15 +141,13 @@ def test_trace_overapprox_sound_on_random_traces():
             for _ in range(2)
         ]
         configs = from_config_set(spec, members)
-        coarse = trace_overapprox(spec, configs)
-        refined = trace_overapprox(spec, configs, refine_top=True)
+        at = trace_overapprox(spec, configs)
         frontier = deque((m, ()) for m in members)
         count = 0
         while frontier and count < 400:
             current, seq = frontier.popleft()
             count += 1
-            assert coarse.accepts(seq)
-            assert refined.accepts(seq)
+            assert at.accepts(seq)
             if len(seq) >= 6 or current.total_size > 7:
                 continue
             from upstack.core import step
@@ -298,6 +300,33 @@ def test_saturation_words_have_witness_sequences():
                 unresolved += 1
     assert total > 100
     assert unresolved <= total * 0.01, f"{unresolved}/{total} words unwitnessed"
+
+
+def _assert_same_upper(at, origin):
+    au = saturate_upper(at, origin)
+    expected = upper_reference.saturate_upper(at, origin)
+    assert au.nfa.same(expected.nfa)
+    assert au.owner == expected.owner
+    assert au.entries == expected.entries
+
+
+def test_constructions_match_the_reference():
+    # Random sets on random systems, the funnel of each set (the
+    # abstraction `overapprox_post` builds) and random trace automata.
+    rng = random.Random(2029)
+    for _ in range(40):
+        spec = random_spec(rng)
+        configs = from_config_set(spec, [random_configuration(rng, spec) for _ in range(2)])
+        so = single_origin(spec, configs)
+        seeded = from_config_set(so.spec, [so.origin])
+        empty = Configuration(spec.states[0], (), ())
+        for system, start, origin in ((spec, configs, empty), (so.spec, seeded, so.origin)):
+            at = trace_overapprox(system, start)
+            expected = upper_reference.trace_overapprox(system, start)
+            assert at.nfa.same(expected.nfa)
+            assert at.owner == expected.owner
+            _assert_same_upper(at, origin)
+        _assert_same_upper(random_trace_automaton(rng, spec), empty)
 
 
 # -- the product over-approximation ------------------------------------------
