@@ -3,10 +3,13 @@
 A query is a pair of regular configuration sets: the initial set and a
 forbidden set. The verdict is Unsafe only when the phase-bounded
 under-approximation of the forbidden set's predecessors meets the
-initial set AND the hit replays as a concrete trace; Safe only when the
-regular over-approximation of the initial set's successors misses the
-forbidden set; anything else is Unknown. Both sides are conservative,
-so a verdict other than Unknown is trusted.
+initial set AND the hit replays as a concrete trace. It is Safe when
+the rounds of that under-approximation converge with no hit, since a
+round that adds nothing is the exact pre*, or else when the regular
+over-approximation of the initial set's successors misses the forbidden
+set. Anything else is Unknown. Each side is conservative, so a verdict
+other than Unknown is trusted; the verdict records which side decided
+it and after how many rounds.
 
 The replay is a breadth-first search restricted to the
 under-approximation, with no depth or size bound of its own: every
@@ -20,8 +23,9 @@ look for one, so it lives here.
 
 The two checkers pose their questions to `decide_safety` from modules
 of their own, `overflow` and `residue`, so that each command compiles
-only its own; `check_stack_overflow`, `check_upper_read` and the
-overflow checker's reserved symbols still import from here.
+only its own; `check_stack_overflow`, `check_upper_read`, the
+overflow checker's reserved symbols and `bounded_phase_pre_star` still
+import from here.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .configsets import ConfigAutomaton, intersect_sets, is_barred, unbar
 from . import _forward
 from .core import Configuration, Frozen, Rule, UpdsSpec
 from .errors import MalformedInputError, ResourceLimitError
-from .kphase import bounded_phase_pre_star
+from .kphase import pre_star_rounds
 from .limits import DEFAULT_PHASES, DFA_STATE_BUDGET
 from .model import ModelFile, print_config_literal
 from .regex import compile_config_regex
@@ -41,10 +45,17 @@ SAFE = "Safe"
 UNSAFE = "Unsafe"
 UNKNOWN = "Unknown"
 
+# What decided a verdict: a hit of the under-approximation (Unsafe once
+# replayed; Unknown if, through a defect, no replay stays inside it),
+# pre* rounds that converged with no hit, the over-approximation, or a
+# budget that stopped the replay.
+DECIDED_BY = ("hit", "convergence", "over-approximation", "limit")
+
 
 class Verdict(Frozen):
-    """Outcome plus the analysis parameters it was reached under. An
-    Unsafe verdict carries an initial configuration from which a
+    """Outcome plus the analysis parameters it was reached under, what
+    decided it (one of `DECIDED_BY`) and the number of pre* rounds run by
+    then. An Unsafe verdict carries an initial configuration from which a
     forbidden one is reachable, and a replayed trace proving it."""
 
     def __init__(
@@ -55,11 +66,15 @@ class Verdict(Frozen):
         witness: Configuration | None = None,
         trace: tuple[Rule, ...] | None = None,
         note: str = "",
+        decided_by: str | None = None,
+        at_round: int | None = None,
     ) -> None:
         if outcome not in (SAFE, UNSAFE, UNKNOWN):
             raise MalformedInputError(f"unknown outcome {outcome!r}")
         if outcome == UNSAFE and (witness is None or trace is None):
             raise MalformedInputError("an Unsafe verdict needs witness and trace")
+        if decided_by is not None and decided_by not in DECIDED_BY:
+            raise MalformedInputError(f"unknown decider {decided_by!r}")
         _set = object.__setattr__
         _set(self, "outcome", outcome)
         _set(self, "k", k)
@@ -67,9 +82,14 @@ class Verdict(Frozen):
         _set(self, "witness", witness)
         _set(self, "trace", trace)
         _set(self, "note", note)
+        _set(self, "decided_by", decided_by)
+        _set(self, "at_round", at_round)
 
     def _fields(self) -> tuple:
-        return (self.outcome, self.k, self.node_budget, self.witness, self.trace, self.note)
+        return (
+            self.outcome, self.k, self.node_budget, self.witness, self.trace, self.note,
+            self.decided_by, self.at_round,
+        )
 
     @property
     def exit_code(self) -> int:
@@ -129,11 +149,23 @@ def decide_safety(
     initial set may be over a part of the system's alphabet: once checked,
     it is taken over the whole alphabet, where it is just as valid. The
     replay is loaded only for a hit, and the over-approximation only when
-    there is none, so a call compiles just the side that decides it."""
+    there is none and the pre* rounds did not converge, so a call compiles
+    just the side that decides it."""
     initial.check_against(spec, "start set")
     if initial.alphabet != spec.alphabet:
         initial = ConfigAutomaton(spec.alphabet, initial.components)
-    under = bounded_phase_pre_star(spec, forbidden, k, node_budget=node_budget)
+    # Only the last round is read: its hit, and whether the rounds
+    # converged.
+    for at_round, (under, converged) in enumerate(
+        pre_star_rounds(spec, forbidden, k, node_budget)
+    ):
+        pass
+
+    def verdict(outcome: str, decided_by: str, **found) -> Verdict:
+        return Verdict(
+            outcome, k, node_budget, decided_by=decided_by, at_round=at_round, **found
+        )
+
     hit = intersect_sets(under, initial)
     if not hit.is_empty():
         witness = shortest_config(hit)
@@ -145,34 +177,34 @@ def decide_safety(
                 spec, witness, forbidden.accepts, None, None, within=under.accepts
             )
         except ResourceLimitError as exhausted:
-            return Verdict(
+            return verdict(
                 UNKNOWN,
-                k,
-                node_budget,
+                "limit",
                 witness=witness,
                 note=f"{reached} but the replay ran out of its {exhausted}",
             )
         if trace is not None:
-            return Verdict(UNSAFE, k, node_budget, witness=witness, trace=trace)
+            return verdict(UNSAFE, "hit", witness=witness, trace=trace)
         # Unreachable unless pre* accepted a configuration with no trace
         # inside it: a defect, kept as Unknown so that Unsafe never comes
         # without a replayed trace.
-        return Verdict(
+        return verdict(
             UNKNOWN,
-            k,
-            node_budget,
+            "hit",
             witness=witness,
             note=f"{reached} but no trace to the forbidden set stays inside it",
         )
+    if converged:
+        # The exact pre* misses the initial set.
+        return verdict(SAFE, "convergence")
     from .upperapprox import overapprox_post
 
     over = overapprox_post(spec, initial)
     if intersect_sets(over, forbidden).is_empty():
-        return Verdict(SAFE, k, node_budget)
-    return Verdict(
+        return verdict(SAFE, "over-approximation")
+    return verdict(
         UNKNOWN,
-        k,
-        node_budget,
+        "over-approximation",
         note=(
             "the approximations bracket the forbidden set: no phase-bounded "
             f"witness at k={k}, but the over-approximation meets it"
@@ -204,6 +236,7 @@ def _any_word(symbols) -> tuple:
 
 __getattr__ = _forward(
     __name__,
+    kphase="bounded_phase_pre_star",
     overflow="check_stack_overflow TOP_SENTINEL FILLER",
     residue="check_upper_read",
 )

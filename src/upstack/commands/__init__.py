@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from importlib import import_module
 
+from ..errors import MalformedInputError
+
 # The commands in the order the help lists them.
 COMMANDS = (
     "member", "pre-under", "post-over", "check-overflow", "check-read", "export-dot",
@@ -33,6 +35,16 @@ def command(name: str):
 
 def add_model(parser) -> None:
     parser.add_argument("model", help="model file (see the package README)")
+
+
+def check_nonnegative(args, *flags: str) -> None:
+    """Raise MalformedInputError naming the first of the options, spelled
+    as on the command line, whose value is negative: bounds and budgets
+    count steps, phases or stored items."""
+    for flag in flags:
+        value = getattr(args, flag.lstrip("-").replace("-", "_"))
+        if value < 0:
+            raise MalformedInputError(f"{flag} must be nonnegative, got {value}")
 
 
 def bool_exit(value: bool) -> int:

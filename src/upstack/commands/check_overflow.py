@@ -4,7 +4,7 @@ bound?"""
 from __future__ import annotations
 
 from ..limits import DEFAULT_PHASES, DFA_STATE_BUDGET
-from . import DFA_BUDGET_HELP, add_model
+from . import DFA_BUDGET_HELP, add_model, check_nonnegative
 
 HELP = "can a push overwrite memory past the stack bound?"
 
@@ -22,6 +22,7 @@ def add_arguments(parser) -> None:
 
 
 def run(args, model) -> int:
+    check_nonnegative(args, "-k", "--budget")
     from ..overflow import check_stack_overflow
 
     verdict = check_stack_overflow(

@@ -4,7 +4,7 @@ a given symbol?"""
 from __future__ import annotations
 
 from ..limits import DEFAULT_PHASES, DFA_STATE_BUDGET
-from . import DFA_BUDGET_HELP, add_model
+from . import DFA_BUDGET_HELP, add_model, check_nonnegative
 
 HELP = "can the cell just above the stack pointer hold a given symbol?"
 
@@ -20,6 +20,7 @@ def add_arguments(parser) -> None:
 
 
 def run(args, model) -> int:
+    check_nonnegative(args, "-k", "--budget")
     from ..residue import check_upper_read
 
     verdict = check_upper_read(

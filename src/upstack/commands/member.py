@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from ..limits import DEFAULT_CONFIG_BUDGET
 from ..model import parse_config_literal
-from . import add_model, bool_exit
+from . import add_model, bool_exit, check_nonnegative
 
 HELP = "exact forward reachability of one configuration"
 
@@ -23,6 +23,7 @@ def add_arguments(parser) -> None:
 
 
 def run(args, model) -> int:
+    check_nonnegative(args, "--budget")
     from ..membership import is_reachable
 
     target = parse_config_literal(model.spec, args.config)

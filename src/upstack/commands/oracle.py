@@ -12,7 +12,7 @@ from ..core import Configuration, UpdsSpec
 from ..limits import DEFAULT_NODE_BUDGET
 from ..model import parse_config_literal, print_config_literal
 from ..oracle import _checked, explore
-from . import add_model, bool_exit
+from . import add_model, bool_exit, check_nonnegative
 
 HELP = "bounded explicit-state exploration (ground truth)"
 
@@ -44,6 +44,7 @@ def oracle_post(
 
 
 def run(args, model) -> int:
+    check_nonnegative(args, "--depth", "--cap")
     found = oracle_post(
         model.spec,
         model.config_set(args.init).enumerate_configs(args.cap),

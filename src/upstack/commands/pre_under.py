@@ -4,7 +4,7 @@ set's predecessors, probed or summarized."""
 from __future__ import annotations
 
 from ..limits import DEFAULT_PHASES, DFA_STATE_BUDGET
-from . import DFA_BUDGET_HELP, add_model
+from . import DFA_BUDGET_HELP, add_model, check_nonnegative
 from .post_over import probe_or_summary
 
 HELP = "phase-bounded under-approximation of a target set's predecessors"
@@ -21,6 +21,7 @@ def add_arguments(parser) -> None:
 
 
 def run(args, model) -> int:
+    check_nonnegative(args, "-k", "--budget")
     from ..kphase import bounded_phase_pre_star
 
     result = bounded_phase_pre_star(

@@ -6,7 +6,8 @@ regular target set, the exact set of configurations that reach it within
 one phase is regular again, and this module computes it; iterating and
 uniting the two phase kinds gives an under-approximation of the full
 backward closure that is exact for traces splitting into at most k
-phases.
+phases. Once a round adds nothing, it is exact outright: it is the whole
+backward closure (`pre_star_rounds` reports that round).
 
 Within a phase the lower top moves along a finite graph of (state, top)
 pairs (`_Moves`), built once per system, so each phase is a product of
@@ -23,7 +24,7 @@ Both phases build on demand: each state's automaton grows forward from
 its initial nodes, and a node is made only when a final node can still
 be reached from it (lockstep pairs are explored and cut before any edge
 is added), so what they return is already trimmed. A round of
-`bounded_phase_pre_star` builds both phases into one automaton per
+`pre_star_rounds` builds both phases into one automaton per
 state, sharing the copies of the targets' zones, and compacts that. A
 single phase on its own, `phase_pre`, which no command runs, lives in
 `extras` and still imports from here.
@@ -32,6 +33,7 @@ single phase on its own, `phase_pre`, which no command runs, lives in
 from __future__ import annotations
 
 import enum
+from typing import Iterator
 
 from . import _forward
 from .configsets import ConfigAutomaton, bar, is_barred
@@ -357,6 +359,37 @@ def _phases(
     return ConfigAutomaton(spec.alphabet, out)
 
 
+def pre_star_rounds(
+    spec: UpdsSpec,
+    targets: ConfigAutomaton,
+    k: int,
+    node_budget: int = DFA_STATE_BUDGET,
+) -> Iterator[tuple[ConfigAutomaton, bool]]:
+    """The rounds of `bounded_phase_pre_star`, each with whether it
+    converged. Round 0 is the targets, compacted; round i closes round
+    i - 1 under one pop phase and one push phase at once, so it holds the
+    configurations reaching the targets by traces splitting into at most
+    i phases. The rounds stop after round k, or after a round that is
+    `same` as the one before: that round added nothing, so it is closed
+    under every one-rule predecessor (one rule is one phase), which makes
+    it the exact pre*, and it is the only round that comes with True.
+    Rounds are compacted, so a round that adds nothing shows it, unless a
+    compaction fell back on the node budget; k <= 0 yields round 0 only."""
+    current = targets.compact(node_budget)
+    yield current, False
+    if k <= 0:
+        return
+    current.check_against(spec, "target set")
+    moves = _Moves(spec)
+    for _ in range(k):
+        grown = _phases(spec, current, tuple(PhaseKind), moves).compact(node_budget)
+        converged = grown.same(current)
+        yield grown, converged
+        if converged:
+            return
+        current = grown
+
+
 def bounded_phase_pre_star(
     spec: UpdsSpec,
     targets: ConfigAutomaton,
@@ -364,21 +397,11 @@ def bounded_phase_pre_star(
     node_budget: int = DFA_STATE_BUDGET,
 ) -> ConfigAutomaton:
     """Configurations reaching the target set by traces splitting into at
-    most k phases: k rounds of closing under one pop phase and one push
-    phase at once. Monotone in k; k <= 0 returns the targets. Stops early
-    once a round is `same` as the one before. Rounds are compacted, so
-    that happens as soon as a round adds nothing, unless a compaction fell
-    back on the node budget."""
-    current = targets.compact(node_budget)
-    if k <= 0:
-        return current
-    current.check_against(spec, "target set")
-    moves = _Moves(spec)
-    for _ in range(k):
-        grown = _phases(spec, current, tuple(PhaseKind), moves).compact(node_budget)
-        if grown.same(current):
-            return grown
-        current = grown
+    most k phases: the last of the `pre_star_rounds`. Monotone in k; k <= 0
+    returns the targets. Stops early once a round is `same` as the one
+    before."""
+    for current, _ in pre_star_rounds(spec, targets, k, node_budget):
+        pass
     return current
 
 

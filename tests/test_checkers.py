@@ -1,5 +1,6 @@
 """The two safety checkers and their shared decision procedure."""
 
+import collections
 import functools
 import random
 
@@ -52,6 +53,8 @@ def test_verdict_validation():
         Verdict("Sideways", 3, 100)
     with pytest.raises(MalformedInputError):
         Verdict(UNSAFE, 3, 100)  # no witness, no trace
+    with pytest.raises(MalformedInputError):
+        Verdict(SAFE, 3, 100, decided_by="luck")
 
 
 # -- the upper-read checker ---------------------------------------------------
@@ -221,9 +224,24 @@ def test_decide_unknown_when_approximations_bracket(e2, c2):
     # bracketing Unknown.
     initial = singleton(e2, cfg("p", "b b", "c c c"))
     verdict = decide_safety(e2, initial, c2, k=1)
-    assert verdict.outcome == UNKNOWN
+    assert (verdict.outcome, verdict.decided_by, verdict.at_round) == (
+        UNKNOWN, "over-approximation", 1
+    )
     assert "bracket" in verdict.note
-    assert decide_safety(e2, initial, c2, k=4).outcome == UNSAFE
+    deeper = decide_safety(e2, initial, c2, k=4)
+    assert (deeper.outcome, deeper.decided_by, deeper.at_round) == (UNSAFE, "hit", 4)
+
+
+def test_converged_rounds_without_a_hit_are_an_exact_safe(e2, c2):
+    # In e2 only pops move symbols into the upper word, and c is never
+    # popped, so nothing else reaches <p, c, eps>: pre* of it is itself,
+    # round 1 adds nothing, and C2 misses it.
+    stuck = singleton(e2, cfg("p", "c", ""))
+    verdict = decide_safety(e2, c2, stuck, k=3)
+    assert (verdict.outcome, verdict.decided_by, verdict.at_round) == (SAFE, "convergence", 1)
+    # Without rounds there is nothing to converge: the over-approximation
+    # decides.
+    assert decide_safety(e2, c2, stuck, k=0).decided_by == "over-approximation"
 
 
 def test_replay_out_of_budget_is_unknown(monkeypatch, e1, c1):
@@ -234,7 +252,7 @@ def test_replay_out_of_budget_is_unknown(monkeypatch, e1, c1):
         oracle, "oracle_trace", functools.partial(oracle.oracle_trace, node_budget=2)
     )
     verdict = check_upper_read(e1, c1, "a")
-    assert (verdict.outcome, verdict.exit_code) == (UNKNOWN, 2)
+    assert (verdict.outcome, verdict.exit_code, verdict.decided_by) == (UNKNOWN, 2, "limit")
     assert verdict.witness == cfg("p", "", "x bot")
     assert verdict.note == (
         "under-approximation reached p: ^ x bot but the replay ran out of its "
@@ -274,25 +292,31 @@ def test_replay_stays_inside_the_under_approximation(monkeypatch):
 
 
 def test_decide_random_sweep_verdicts_are_sound():
+    # At k=2 most Safe verdicts come from pre* rounds that converged with
+    # no hit; at k=0 no round runs, so a Safe comes from the
+    # over-approximation. Every one is confirmed by the bounded oracle.
     rng = random.Random(2026)
-    outcomes = {SAFE: 0, UNSAFE: 0, UNKNOWN: 0}
+    decided = collections.Counter()
     for _ in range(40):
         spec = random_spec(rng)
         initial = singleton(
             spec, random_configuration(rng, spec, allow_empty_lower=False)
         )
         forbidden = singleton(spec, random_configuration(rng, spec))
-        verdict = decide_safety(spec, initial, forbidden, k=2)
-        outcomes[verdict.outcome] += 1
-        # A hit always replays: a witness never comes without its trace.
-        assert verdict.witness is None or verdict.trace is not None
-        if verdict.outcome == UNSAFE:
-            assert initial.accepts(verdict.witness)
-            landed = run_trace(spec, verdict.witness, verdict.trace)
-            assert forbidden.accepts(landed)
-        elif verdict.outcome == SAFE:
-            reached = oracle_post(
-                spec, initial.enumerate_configs(6), depth=5, size_cap=7
-            )
-            assert not any(forbidden.accepts(c) for c in reached)
-    assert outcomes[SAFE] and outcomes[UNSAFE]
+        for k in (0, 2):
+            verdict = decide_safety(spec, initial, forbidden, k=k)
+            decided[verdict.outcome, verdict.decided_by] += 1
+            assert 0 <= verdict.at_round <= k
+            # A hit always replays: a witness never comes without its trace.
+            assert verdict.witness is None or verdict.trace is not None
+            if verdict.outcome == UNSAFE:
+                assert initial.accepts(verdict.witness)
+                landed = run_trace(spec, verdict.witness, verdict.trace)
+                assert forbidden.accepts(landed)
+            elif verdict.outcome == SAFE:
+                reached = oracle_post(
+                    spec, initial.enumerate_configs(6), depth=5, size_cap=7
+                )
+                assert not any(forbidden.accepts(c) for c in reached)
+    assert decided[SAFE, "convergence"] >= 10
+    assert decided[SAFE, "over-approximation"] and decided[UNSAFE, "hit"]

@@ -7,7 +7,13 @@ import pytest
 from upstack.configsets import ConfigAutomaton, from_config_set
 from upstack.core import Configuration, RuleKind, UpdsSpec, count_phases, make_spec, step
 from upstack.errors import MalformedInputError
-from upstack.kphase import PhaseKind, _Moves, bounded_phase_pre_star, phase_pre
+from upstack.kphase import (
+    PhaseKind,
+    _Moves,
+    bounded_phase_pre_star,
+    phase_pre,
+    pre_star_rounds,
+)
 from upstack.nfa import Nfa
 from upstack.oracle import oracle_pre_kphase
 from upstack.pds import pds_post_star, singleton_lower
@@ -309,6 +315,42 @@ def test_bounded_monotone_in_k(e2, c2):
         if previous is not None:
             assert previous <= accepted
         previous = accepted
+
+
+def test_converged_rounds_are_closed_under_every_step():
+    # A round that adds nothing is the exact pre*: no configuration outside
+    # it has a one-step successor inside it. Brute force over every
+    # configuration of total size <= 5.
+    rng = random.Random(5)
+    rounds_run = []
+    for _ in range(40):
+        spec = random_spec(rng)
+        targets = from_config_set(
+            spec, [random_configuration(rng, spec) for _ in range(rng.randint(1, 3))]
+        )
+        for i, (pre, converged) in enumerate(pre_star_rounds(spec, targets, 4)):
+            pass
+        if not converged:
+            continue
+        rounds_run.append(i)
+        for c in configs_up_to(spec, 5):
+            if not pre.accepts(c):
+                assert not any(pre.accepts(d) for _, d in step(spec, c)), (spec, c)
+    assert len(rounds_run) >= 30 and max(rounds_run) >= 2
+
+
+def test_rounds_stop_at_the_first_round_that_adds_nothing(e2, c2):
+    # C2 needs one more phase per layer of e2's stack, so its rounds never
+    # converge; the last is what bounded_phase_pre_star returns.
+    rounds = list(pre_star_rounds(e2, c2, 3))
+    assert [converged for _, converged in rounds] == [False] * 4
+    assert rounds[-1][0].same(bounded_phase_pre_star(e2, c2, 3))
+    assert len(list(pre_star_rounds(e2, c2, 0))) == 1
+    # Without rules only the targets reach the targets: round 1 adds
+    # nothing, and the rounds stop there whatever k is.
+    idle = make_spec(("p",), ("a",), [])
+    targets = from_config_set(idle, [cfg("p", "", "a")])
+    assert [converged for _, converged in pre_star_rounds(idle, targets, 5)] == [False, True]
 
 
 def test_bounded_matches_backward_oracle():
