@@ -38,8 +38,7 @@ def run(args, model) -> int:
 
         artifact = trace_overapprox(model.spec, model.config_set(args.trace_name))
     else:
-        from ..grammar import build_post_grammar
-        from ..upperapprox import single_origin
+        from ..grammar import build_post_grammar, single_origin
 
         origin = single_origin(model.spec, model.config_set(args.grammar_name))
         artifact = build_post_grammar(origin)

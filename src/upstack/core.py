@@ -21,7 +21,7 @@ No rule fires on an empty lower stack.
 The one-step semantics on `Configuration` objects (`successors`, `step`,
 `apply_rule`, `run_trace`), the trace facts `trace_upper_word` and
 `count_phases`, and `UpdsSpec.rules_reading` live in `extras`, which no
-command loads, and `fresh_name` in `upperapprox`, its one user; they
+command loads, and `fresh_name` in `grammar`, its one user; they
 still import from here.
 """
 
@@ -245,5 +245,5 @@ def make_spec(
 __getattr__ = _forward(
     __name__,
     extras="successors apply_rule step run_trace trace_upper_word count_phases",
-    upperapprox="fresh_name",
+    grammar="fresh_name",
 )

@@ -15,8 +15,9 @@ working:
 - from `oracle`: the ground truths the tests compare the analyses with,
   the backward phase-bounded closure (`oracle_pre_kphase`) and the
   lower-stack-only closure (`pds_step`, `pds_closure`, `pds_reaches`);
-- from `pds`: the backward saturation `pds_pre_star`, and the
-  membership test and word listing of a `LowerAutomaton`;
+- from `pds`: the backward saturation `pds_pre_star`, the one-element
+  lower set `singleton_lower`, and the membership test and word listing
+  of a `LowerAutomaton`;
 - from `kphase`: `phase_pre`, a single phase;
 - from `regex` and `model`: the printers (`print_config_regex`,
   `print_model`);
@@ -357,6 +358,14 @@ def pds_pre_star(spec: UpdsSpec, targets: LowerAutomaton) -> LowerAutomaton:
 
     nfa.saturate(additions)
     return out
+
+
+def singleton_lower(spec: UpdsSpec, state: str, word: Word) -> LowerAutomaton:
+    """The one-element set {<state, word>}."""
+    spec.check_word(word, "lower word")
+    if state not in spec.states:
+        raise MalformedInputError(f"undeclared state {state!r}")
+    return LowerAutomaton.from_slices(spec.states, spec.alphabet, {state: from_words([word])})
 
 
 def lower_accepts(lower: LowerAutomaton, state: str, word: Word) -> bool:

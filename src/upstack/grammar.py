@@ -4,14 +4,22 @@ No step shrinks the total stack size (see `oracle`, whose size-capped
 search decides membership exactly), which is why the paper's grammar for
 post* is noncontracting. The module keeps that construction for DOT
 export and as a cross-check in the tests. The query's regular start set
-is first folded into the system itself (`upperapprox.single_origin`), so
-that one origin configuration stands for the whole set; the extended
-system is then compiled into a noncontracting grammar whose terminal
-words are exactly the flattened reachable configurations, fenced by
-endpoint markers. Start-set members with an empty lower stack are
-omitted, as in the extension.
+is first folded into the system itself (`single_origin`): an extended
+system with one origin configuration <origin, eps, $> whose rules first
+spell a chosen start configuration onto the lower stack (reading an
+automaton for the reversed flattened word), then convert the barred
+prefix into upper content, then hand control to the original rules.
+The extension belongs to the grammar alone: the over-approximation
+saturates from the start set itself. Start-set members with an empty
+lower stack cannot be spelled that way (handing control back reads a
+plain lower top), so the extension omits them; such configurations have
+no successors at all. The extended system is then compiled into a
+noncontracting grammar whose terminal words are exactly the flattened
+reachable configurations, fenced by endpoint markers.
 
-`is_reachable`, `single_origin`, `SingleOriginUpds` and
+The extension's helpers live here too: fresh names (`fresh_name`, still
+importable from `core`) and renaming an automaton's nodes (the methods
+`Nfa.map_nodes` and `Nfa.relabel`). `is_reachable` and
 `DEFAULT_CONFIG_BUDGET` still import from here; each loads its own
 module on first use, so loading the grammar loads neither the search
 nor the over-approximation.
@@ -19,13 +27,13 @@ nor the over-approximation.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from collections import deque
+from typing import Callable
 
 from . import _forward
-from .core import Configuration, Frozen, RuleKind
-
-if TYPE_CHECKING:
-    from .upperapprox import SingleOriginUpds
+from .configsets import ConfigAutomaton, is_barred, unbar
+from .core import Configuration, Frozen, Rule, RuleKind, UpdsSpec
+from .nfa import Nfa, Node
 
 TOP = ("top",)
 BOTTOM = ("bottom",)
@@ -155,9 +163,135 @@ def build_post_grammar(so: SingleOriginUpds) -> CsGrammar:
     )
 
 
-__getattr__ = _forward(
-    __name__,
-    membership="is_reachable",
-    upperapprox="single_origin SingleOriginUpds",
-    limits="DEFAULT_CONFIG_BUDGET",
-)
+# -- the single-origin extension ----------------------------------------------
+
+
+def fresh_name(used: set[str], base: str) -> str:
+    """A name not in `used`, derived from base by appending primes; the
+    chosen name is added to `used`."""
+    name = base
+    while name in used:
+        name += "'"
+    used.add(name)
+    return name
+
+
+def map_nodes(nfa: Nfa, fn: Callable[[Node], Node]) -> Nfa:
+    """The automaton with each node renamed by fn (`Nfa.map_nodes`)."""
+    return Nfa(map(fn, nfa.initial), map(fn, nfa.finals)).embed(nfa, node=fn)
+
+
+def relabel(nfa: Nfa) -> Nfa:
+    """Rename nodes to consecutive ints in breadth-first discovery order."""
+    order: dict[Node, int] = {}
+    queue: deque[Node] = deque()
+    for n in nfa.initial:
+        if n not in order:
+            order[n] = len(order)
+            queue.append(n)
+    while queue:
+        for _, dst in nfa.out_edges(queue.popleft()):
+            if dst not in order:
+                order[dst] = len(order)
+                queue.append(dst)
+    for n in nfa.nodes():
+        if n not in order:
+            order[n] = len(order)
+    return map_nodes(nfa, lambda n: order[n])
+
+
+class SingleOriginUpds(Frozen):
+    """Extension of a system whose entire start set collapses to one
+    configuration <origin_state, eps, dollar>."""
+
+    def __init__(
+        self,
+        spec: UpdsSpec,
+        origin: Configuration,
+        original_states: tuple[str, ...],
+    ) -> None:
+        _set = object.__setattr__
+        _set(self, "spec", spec)
+        _set(self, "origin", origin)
+        _set(self, "original_states", original_states)
+
+    def _fields(self) -> tuple:
+        return (self.spec, self.origin, self.original_states)
+
+
+def _spelling_automaton(component: Nfa) -> Nfa:
+    """Reverse the flattened-word automaton and normalize it to a single
+    initial node 'i' without in-edges and a single final node 'f' without
+    out-edges, epsilon-free. The empty word is dropped: spelling it would
+    mean an empty-lower start configuration, which the caller excludes."""
+    base = relabel(component.reverse().eps_eliminate().trim())
+    out = Nfa()
+    out.add_initial("i")
+    out.add_final("f")
+    for node in base.nodes():
+        out.add_node(("n", node))
+    for src, label, dst in base.edges():
+        out.add_edge(("n", src), label, ("n", dst))
+        if dst in base.finals:
+            out.add_edge(("n", src), label, "f")
+        if src in base.initial:
+            out.add_edge("i", label, ("n", dst))
+            if dst in base.finals:
+                out.add_edge("i", label, "f")
+    return out.trim()
+
+
+def single_origin(spec: UpdsSpec, start_set: ConfigAutomaton) -> SingleOriginUpds:
+    """Extended system reaching exactly the original post-image of
+    start_set on the original control states (empty-lower members of the
+    start set excepted; see the module docstring)."""
+    start_set.check_against(spec, "start set")
+    used_states = set(spec.states)
+    used_symbols = set(spec.alphabet)
+    bar_names = {s: fresh_name(used_symbols, s + "~") for s in spec.alphabet}
+    dollar = fresh_name(used_symbols, "$")
+    origin_state = fresh_name(used_states, "$origin")
+
+    def ext_label(label) -> str:
+        return bar_names[unbar(label)] if is_barred(label) else label
+
+    states = list(spec.states) + [origin_state]
+    alphabet = list(spec.alphabet) + [bar_names[s] for s in spec.alphabet] + [dollar]
+    rules: list[Rule] = list(spec.rules)
+    push_targets = list(spec.alphabet) + [bar_names[s] for s in spec.alphabet]
+
+    for state in start_set.states():
+        component = start_set.component(state)
+        walk = _spelling_automaton(component)
+        if walk.is_empty():
+            continue
+        names = {
+            node: fresh_name(used_states, f"{state}@w{i}")
+            for i, node in enumerate(walk.nodes())
+        }
+        final = names["f"]
+        halfway = fresh_name(used_states, f"{state}@setting")
+        states.extend(names[n] for n in walk.nodes() if n != "i")
+        states.append(halfway)
+        for src, label, dst in walk.edges():
+            symbol = ext_label(label)
+            if src == "i":
+                rules.append(Rule(origin_state, dollar, names[dst], (symbol,)))
+            else:
+                for below in push_targets:
+                    rules.append(Rule(names[src], below, names[dst], (symbol, below)))
+        for s in spec.alphabet:
+            rules.append(Rule(final, bar_names[s], halfway, (s,)))
+            rules.append(Rule(halfway, s, final, ()))
+        for s in spec.alphabet:
+            rules.append(Rule(final, s, state, (s,)))
+
+    ext = UpdsSpec(states=tuple(states), alphabet=tuple(alphabet), rules=tuple(rules))
+    return SingleOriginUpds(
+        spec=ext,
+        origin=Configuration(origin_state, (), (dollar,)),
+        original_states=spec.states,
+    )
+
+
+__getattr__ = _forward(__name__, membership="is_reachable", limits="DEFAULT_CONFIG_BUDGET")

@@ -16,10 +16,10 @@ epsilon elimination, `union`, `from_words`, `compact` to the canonical
 minimal DFA, and structural equality (`same`). Each is still a method of
 `Nfa` or a name of this module, whose home is loaded on first use (see
 `upstack._MovedMethod`). So are `walk` and `words_up_to`, in
-`membership`, `map_labels`, `map_nodes` and `relabel`, in
-`upperapprox`, and `intersection`, in `product`. Insertion order is
-preserved everywhere, but what the package prints does not depend on
-it.
+`membership`, `map_labels`, in `upperapprox`, `map_nodes` and
+`relabel`, in `grammar`, and `intersection`, in `product`. Insertion
+order is preserved everywhere, but what the package prints does not
+depend on it.
 """
 
 from __future__ import annotations
@@ -57,7 +57,8 @@ def label_key(label: Label) -> str:
     "eps_closure step _advance run accepts reachable shortest_word is_empty "
     "copy reverse trim _free_row eps_eliminate compact same",
     membership="walk words_up_to",
-    upperapprox="map_labels map_nodes relabel",
+    upperapprox="map_labels",
+    grammar="map_nodes relabel",
 )
 class Nfa:
     """Mutable while being built; treat as immutable once handed out."""

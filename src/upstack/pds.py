@@ -10,10 +10,11 @@ entry nodes stand for control states: <p, w> is in the set when w runs
 from entry(p) to a final node. Entry nodes carry no incoming edges on
 input, which the saturation rules rely on; pds_post_star additionally
 introduces one auxiliary node per push rule, named by rule index so
-output is reproducible. The backward saturation, `pds_pre_star`, and
-the membership test and word listing of a `LowerAutomaton`, which no
-command runs, live in `extras`, and `LowerAutomaton.slice` in
-`upperapprox`, its one user; they still import from here.
+output is reproducible. The backward saturation, `pds_pre_star`, the
+one-element set `singleton_lower`, and the membership test and word
+listing of a `LowerAutomaton`, which no command runs, live in `extras`,
+and `LowerAutomaton.slice` in `upperapprox`, its one user; they still
+import from here.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from . import _forward, _MovedMethod
-from .compaction import from_words
-from .core import UpdsSpec, Word
+from .core import UpdsSpec
 from .errors import MalformedInputError
 from .nfa import EPSILON, Nfa
 
@@ -116,12 +116,4 @@ def pds_post_star(spec: UpdsSpec, init: LowerAutomaton) -> LowerAutomaton:
     return out
 
 
-def singleton_lower(spec: UpdsSpec, state: str, word: Word) -> LowerAutomaton:
-    """The one-element set {<state, word>}."""
-    spec.check_word(word, "lower word")
-    if state not in spec.states:
-        raise MalformedInputError(f"undeclared state {state!r}")
-    return LowerAutomaton.from_slices(spec.states, spec.alphabet, {state: from_words([word])})
-
-
-__getattr__ = _forward(__name__, extras="pds_pre_star")
+__getattr__ = _forward(__name__, extras="pds_pre_star singleton_lower")

@@ -14,35 +14,39 @@ soundness never depends on it. The abstraction here is a graph of
 (control state, lower-stack top) pairs read off the system's move table
 (`trace_overapprox`); `export-dot --trace` draws it.
 
-Before the saturation, the query's regular start set is folded into the
-system itself (`single_origin`): an extended system with one origin
-configuration <origin, eps, $> whose rules first spell a chosen start
-configuration onto the lower stack (reading an automaton for the
-reversed flattened word), then convert the barred prefix into upper
-content, then hand control to the original rules. Start-set members
-with an empty lower stack cannot be spelled that way (handing control
-back reads a plain lower top), so the extension omits them; such
-configurations have no successors at all.
+Both saturations start from the query's regular start set itself, as
+pushdown post* saturation can start from any regular set of
+configurations (Bouajjani, Esparza and Maler, CONCUR 1997). The upper
+one starts from each component's barred zone, which steps into the
+abstraction at the (state, top) pair of each plain edge leaving it; the
+lower one starts from the members' nonempty lower words. Members with
+an empty lower word have no successors at all, and the set's own
+projection product keeps them.
 
 The operations that only this module runs live here, so that commands
 that never over-approximate do not compile them: the zone projections
-and their product (still importable from `configsets`), fresh names
-(from `core`), relabelling an automaton's edges and renaming its nodes
-(the methods `Nfa.map_labels`, `Nfa.map_nodes` and `Nfa.relabel`), and
-one state's slice of a lower set (`LowerAutomaton.slice`).
+and their product (still importable from `configsets`), relabelling an
+automaton's edges (the method `Nfa.map_labels`), and one state's slice
+of a lower set (`LowerAutomaton.slice`). The single-origin extension,
+which folds a start set into the system, belongs to the grammar
+(`grammar.single_origin`); it and its helpers still import from here.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, Iterable, Mapping
 
-from .compaction import _coreachable, from_words
+from . import _forward
+from .compaction import _coreachable
 from .configsets import ConfigAutomaton, bar, is_barred, unbar, union_sets
 from .core import Configuration, Frozen, Rule, RuleKind, UpdsSpec
 from .errors import MalformedInputError
 from .nfa import EPSILON, Label, Nfa, Node
-from .pds import LowerAutomaton, pds_post_star, singleton_lower
+from .pds import LowerAutomaton, pds_post_star
+
+# The fresh initial node of the upper saturation seeded by a set; the
+# set's zone nodes there are tagged (_SET, state).
+_SET = ("@set",)
 
 
 # -- set and automaton operations that only this module runs -----------------
@@ -97,44 +101,10 @@ def upper_lower_product(
     return ConfigAutomaton(alphabet, out)
 
 
-def fresh_name(used: set[str], base: str) -> str:
-    """A name not in `used`, derived from base by appending primes; the
-    chosen name is added to `used`."""
-    name = base
-    while name in used:
-        name += "'"
-    used.add(name)
-    return name
-
-
 def map_labels(nfa: Nfa, fn: Callable[[Label], Label]) -> Nfa:
     """The automaton with each edge label relabelled by fn, which may
     return EPSILON to erase it (`Nfa.map_labels`)."""
     return Nfa(nfa.initial, nfa.finals).embed(nfa, label=fn)
-
-
-def map_nodes(nfa: Nfa, fn: Callable[[Node], Node]) -> Nfa:
-    """The automaton with each node renamed by fn (`Nfa.map_nodes`)."""
-    return Nfa(map(fn, nfa.initial), map(fn, nfa.finals)).embed(nfa, node=fn)
-
-
-def relabel(nfa: Nfa) -> Nfa:
-    """Rename nodes to consecutive ints in breadth-first discovery order."""
-    order: dict[Node, int] = {}
-    queue: deque[Node] = deque()
-    for n in nfa.initial:
-        if n not in order:
-            order[n] = len(order)
-            queue.append(n)
-    while queue:
-        for _, dst in nfa.out_edges(queue.popleft()):
-            if dst not in order:
-                order[dst] = len(order)
-                queue.append(dst)
-    for n in nfa.nodes():
-        if n not in order:
-            order[n] = len(order)
-    return map_nodes(nfa, lambda n: order[n])
 
 
 class TraceAutomaton(Frozen):
@@ -201,12 +171,12 @@ class UpperAutomaton(Frozen):
         return Nfa(self.nfa.initial, finals).embed(self.nfa).trim()
 
 
-def _first_lower_tops(component: Nfa) -> tuple[list[str], bool]:
-    """The possible first lower-stack symbols of accepted configurations,
-    plus whether some accepted configuration has an empty lower word.
-    Walks the barred zone (barred and epsilon edges) and records the
-    plain labels leaving it."""
-    tops: dict[str, None] = {}
+def _zone_exits(component: Nfa) -> tuple[list[tuple], bool]:
+    """The plain edges (node, top, target) leaving a set component's
+    barred zone, which is walked from the initial nodes over barred and
+    epsilon edges: their labels are the members' first lower symbols.
+    Also whether some member has an empty lower word."""
+    exits: list[tuple] = []
     empty_lower = False
     seen = set(component.initial)
     stack = list(component.initial)
@@ -220,8 +190,8 @@ def _first_lower_tops(component: Nfa) -> tuple[list[str], bool]:
                     seen.add(dst)
                     stack.append(dst)
             else:
-                tops[label] = None
-    return list(tops), empty_lower
+                exits.append((node, label, dst))
+    return exits, empty_lower
 
 
 def trace_overapprox(spec: UpdsSpec, configs: ConfigAutomaton) -> TraceAutomaton:
@@ -238,8 +208,8 @@ def trace_overapprox(spec: UpdsSpec, configs: ConfigAutomaton) -> TraceAutomaton
     for state, component in configs.components.items():
         if component.is_empty():
             continue
-        tops, empty_lower = _first_lower_tops(component)
-        pending.extend((state, top) for top in tops)
+        exits, empty_lower = _zone_exits(component)
+        pending.extend((state, top) for top in dict.fromkeys(top for _, top, _ in exits))
         if empty_lower:
             pending.append((state, None))
     nfa = Nfa(pending)
@@ -267,17 +237,13 @@ def saturate_upper(at: TraceAutomaton, origin: Configuration) -> UpperAutomaton:
     """The least edge set over the trace automaton's nodes such that the
     words reaching a node cover the upper words left behind, starting
     from an empty upper word, by the accepted rule sequences ending
-    there. Per trace edge q0 -> q1: a pop adds q0 --a--> q1 for its read
-    symbol; a switch adds q0 --eps--> q1; a push strips the last symbol,
-    so any node q with a plain edge whose target reaches q0 by epsilon
-    edges gets q --eps--> q1, and so does any entry node reaching q0 by
-    epsilon edges (the word there was empty and stays empty).
+    there (`_close_upper`).
 
-    The entry rule is only exact for entry nodes that carry no word but
-    the empty one, so an initial node with incoming trace edges is
-    represented by a fresh mirror ("@entry", node) that epsilon-steps
-    into it; mirrors become the result's initial nodes and nothing ever
-    flows back into them."""
+    The push rule's case for initial nodes is only exact when they carry
+    no word but the empty one, so an initial node with incoming trace
+    edges is represented by a fresh mirror ("@entry", node) that
+    epsilon-steps into it; mirrors become the result's initial nodes and
+    nothing ever flows back into them."""
     at.validate()
     if origin.upper:
         raise MalformedInputError("origin configuration must have an empty upper word")
@@ -295,6 +261,17 @@ def saturate_upper(at: TraceAutomaton, origin: Configuration) -> UpperAutomaton:
         up.add_initial(mirror)
         up.add_final(mirror)
         up.add_edge(mirror, EPSILON, node)
+    return _close_upper(at, up, owner, entries)
+
+
+def _close_upper(at: TraceAutomaton, up: Nfa, owner: Mapping, entries=None) -> UpperAutomaton:
+    """Close `up`, whose initial nodes carry the empty word alone, under
+    the trace edges, and return it with its nodes' owning states. Per
+    trace edge q0 -> q1: a pop adds q0 --a--> q1 for its read symbol; a
+    switch adds q0 --eps--> q1; a push strips the last symbol, so any
+    node q with a plain edge whose target reaches q0 by epsilon edges
+    gets q --eps--> q1, and so does any initial node reaching q0 by
+    epsilon edges (the word there was empty and stays empty)."""
     trace_edges = list(at.nfa.edges())
 
     def additions():
@@ -341,139 +318,50 @@ def upper_config_set(au: UpperAutomaton) -> dict[str, Nfa]:
     return out
 
 
-class SingleOriginUpds(Frozen):
-    """Extension of a system whose entire start set collapses to one
-    configuration <origin_state, eps, dollar>."""
-
-    def __init__(
-        self,
-        spec: UpdsSpec,
-        origin: Configuration,
-        original_states: tuple[str, ...],
-    ) -> None:
-        _set = object.__setattr__
-        _set(self, "spec", spec)
-        _set(self, "origin", origin)
-        _set(self, "original_states", original_states)
-
-    def _fields(self) -> tuple:
-        return (self.spec, self.origin, self.original_states)
-
-
-def _spelling_automaton(component: Nfa) -> Nfa:
-    """Reverse the flattened-word automaton and normalize it to a single
-    initial node 'i' without in-edges and a single final node 'f' without
-    out-edges, epsilon-free. The empty word is dropped: spelling it would
-    mean an empty-lower start configuration, which the caller excludes."""
-    base = relabel(component.reverse().eps_eliminate().trim())
-    out = Nfa()
-    out.add_initial("i")
-    out.add_final("f")
-    for node in base.nodes():
-        out.add_node(("n", node))
-    for src, label, dst in base.edges():
-        out.add_edge(("n", src), label, ("n", dst))
-        if dst in base.finals:
-            out.add_edge(("n", src), label, "f")
-        if src in base.initial:
-            out.add_edge("i", label, ("n", dst))
-            if dst in base.finals:
-                out.add_edge("i", label, "f")
-    return out.trim()
-
-
-def single_origin(spec: UpdsSpec, start_set: ConfigAutomaton) -> SingleOriginUpds:
-    """Extended system reaching exactly the original post-image of
-    start_set on the original control states (empty-lower members of the
-    start set excepted; see the module docstring)."""
-    start_set.check_against(spec, "start set")
-    used_states = set(spec.states)
-    used_symbols = set(spec.alphabet)
-    bar_names = {s: fresh_name(used_symbols, s + "~") for s in spec.alphabet}
-    dollar = fresh_name(used_symbols, "$")
-    origin_state = fresh_name(used_states, "$origin")
-
-    def ext_label(label) -> str:
-        return bar_names[unbar(label)] if is_barred(label) else label
-
-    states = list(spec.states) + [origin_state]
-    alphabet = list(spec.alphabet) + [bar_names[s] for s in spec.alphabet] + [dollar]
-    rules: list[Rule] = list(spec.rules)
-    push_targets = list(spec.alphabet) + [bar_names[s] for s in spec.alphabet]
-
-    for state in start_set.states():
-        component = start_set.component(state)
-        walk = _spelling_automaton(component)
-        if walk.is_empty():
-            continue
-        names = {
-            node: fresh_name(used_states, f"{state}@w{i}")
-            for i, node in enumerate(walk.nodes())
-        }
-        final = names["f"]
-        halfway = fresh_name(used_states, f"{state}@setting")
-        states.extend(names[n] for n in walk.nodes() if n != "i")
-        states.append(halfway)
-        for src, label, dst in walk.edges():
-            symbol = ext_label(label)
-            if src == "i":
-                rules.append(Rule(origin_state, dollar, names[dst], (symbol,)))
-            else:
-                for below in push_targets:
-                    rules.append(Rule(names[src], below, names[dst], (symbol, below)))
-        for s in spec.alphabet:
-            rules.append(Rule(final, bar_names[s], halfway, (s,)))
-            rules.append(Rule(halfway, s, final, ()))
-        for s in spec.alphabet:
-            rules.append(Rule(final, s, state, (s,)))
-
-    ext = UpdsSpec(states=tuple(states), alphabet=tuple(alphabet), rules=tuple(rules))
-    return SingleOriginUpds(
-        spec=ext,
-        origin=Configuration(origin_state, (), (dollar,)),
-        original_states=spec.states,
-    )
-
-
 def overapprox_post(spec: UpdsSpec, configs: ConfigAutomaton) -> ConfigAutomaton:
     """A regular superset of everything reachable from the given set.
-    The set is first funneled through the single-origin extension; the
-    upper zone comes from saturating a trace over-approximation of the
-    extension, the lower zone from its forward pushdown closure, and the
-    two are paired per original control state. The configurations' own
+    Both saturations start from the set itself. The upper zone comes from
+    closing the set's barred zones under the trace abstraction
+    (`trace_overapprox`): one fresh initial node steps into every
+    component, and each exit of a zone by a plain edge `top`
+    epsilon-steps to the trace node (state, top). The lower zone comes
+    from the forward pushdown closure of the members' nonempty lower
+    words. The two are paired per control state. The configurations' own
     per-state projection product joins the union so members that no rule
-    can leave (empty lower word) are kept.
-
-    The trace abstraction tracks the lower-stack top because the
-    funnel's spelling rules are enabled purely by what tops the lower
-    stack: a graph of control states alone would let their pops run
-    unchecked and flood every upper zone."""
+    can leave (empty lower word) are kept."""
     configs.check_against(spec, "start set")
     own = upper_lower_product(
         spec.alphabet, project_upper(configs), project_lower(configs)
     )
     if configs.is_empty():
         return ConfigAutomaton(spec.alphabet)
-    extension = single_origin(spec, configs)
-    origin = extension.origin
-    seeded = ConfigAutomaton(
-        extension.spec.alphabet,
-        {origin.state: from_words([origin.lower])},
-    )
-    au = saturate_upper(trace_overapprox(extension.spec, seeded), origin)
+    at = trace_overapprox(spec, configs)
+    upper = Nfa([_SET])
+    lower_words: dict[str, Nfa] = {}
+    for state, component in configs.components.items():
+        # Trimmed, a zone leads only to members' words.
+        component = component.trim()
+        tag = (_SET, state)
+        upper.embed(component, lambda n: (tag, n), lambda l: unbar(l) if is_barred(l) else None)
+        for node in component.initial:
+            upper.add_edge(_SET, EPSILON, (tag, node))
+        words = Nfa([_SET], component.finals)
+        for src, top, dst in _zone_exits(component)[0]:
+            upper.add_edge((tag, src), EPSILON, (state, top))
+            words.add_edge(_SET, top, dst)
+        lower_words[state] = words.embed(component).trim()
+    au = _close_upper(at, upper, at.owner)
     lower = pds_post_star(
-        extension.spec, singleton_lower(extension.spec, origin.state, origin.lower)
+        spec, LowerAutomaton.from_slices(spec.states, spec.alphabet, lower_words)
     )
-    upper_slices: dict[str, Nfa] = {}
-    lower_slices: dict[str, Nfa] = {}
-    for state in spec.states:
-        up = au.slice(state)
-        if up.is_empty():
-            continue
-        low = lower_slice(lower, state)
-        if low.is_empty():
-            continue
-        upper_slices[state] = up
-        lower_slices[state] = low
-    product = upper_lower_product(spec.alphabet, upper_slices, lower_slices)
+    product = upper_lower_product(
+        spec.alphabet,
+        {state: au.slice(state) for state in spec.states},
+        {state: lower_slice(lower, state) for state in spec.states},
+    )
     return union_sets(product, own).compact()
+
+
+__getattr__ = _forward(
+    __name__, grammar="single_origin SingleOriginUpds fresh_name map_nodes relabel"
+)

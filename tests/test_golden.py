@@ -44,7 +44,7 @@ GOLDEN = {
     ("C2", 2): ("p: 8 nodes, 19 edges", "5fee2c21433c3e4d"),
     ("C2", 3): ("p: 10 nodes, 26 edges", "c835c317758fa8d6"),
     ("C2", 4): ("p: 17 nodes, 49 edges", "aab4c2bb00601a7d"),
-    ("C2", "post"): ("p: 4 nodes, 12 edges", "370044c5a92895d3"),
+    ("C2", "post"): ("p: 4 nodes, 11 edges", "e9503d56edead0ba"),
     ("Boot", 0): ("boot: 3 nodes, 2 edges", "75a8f1dd4eea4178"),
     ("Boot", 1): ("boot: 3 nodes, 2 edges", "75a8f1dd4eea4178"),
     ("Boot", 2): ("boot: 3 nodes, 2 edges", "75a8f1dd4eea4178"),
@@ -68,7 +68,7 @@ GOLDEN = {
         "boot: 4 nodes, 7 edges; fill: 4 nodes, 9 edges; pivot: 4 nodes, 4 edges",
         "6bb1162c56a728eb",
     ),
-    ("NewStack", "post"): ("pivot: 4 nodes, 8 edges", "505f306f0647129c"),
+    ("NewStack", "post"): ("pivot: 4 nodes, 4 edges", "790bd7dc3937f649"),
 }
 
 

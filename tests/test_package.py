@@ -135,7 +135,9 @@ def test_each_command_loads_only_what_it_runs():
 # ceiling that fails means that code moved onto a command's path.
 _COMPILED_NODE_CEILINGS = {
     # kind: (argv, ceiling); the counts are 9041, 16396, 15301, 16521,
-    # 14715, 8163 and 13887, and each ceiling is at most its count plus 3%.
+    # 13780, 8163 and 13887, and each ceiling is at most its count plus 3%.
+    # The post-over ceiling is its count since the single-origin extension
+    # moved to `grammar`.
     # A converged Safe (check-read-safe) loads no over-approximation.
     "member": (["member", "e1.upds", "--init", "C1", "--config", "p2: a ^ bot"], 9249),
     "check-read-unsafe": (
@@ -147,7 +149,7 @@ _COMPILED_NODE_CEILINGS = {
     "check-overflow": (
         ["check-overflow", "e1.upds", "-m", "1", "--lower", "x (y x)* bot"], 16767
     ),
-    "post-over": (["post-over", "e2.upds", "--init", "C2", "--config", "p: a ^ c b"], 15064),
+    "post-over": (["post-over", "e2.upds", "--init", "C2", "--config", "p: a ^ c b"], 13780),
     "export-dot-set": (["export-dot", "e1.upds", "--set", "C1"], 8353),
     "pre-under": (
         ["pre-under", "e2.upds", "--target", "C2", "-k", "2", "--config", "p: b ^ c c"], 14048

@@ -1,5 +1,5 @@
-"""The trace abstraction and the upper-word saturation of `upperapprox`
-as they were first built, for tests.
+"""The trace abstraction, the upper-word saturation and the
+over-approximation of `upperapprox` as they were first built, for tests.
 
 `trace_overapprox` scans every rule of the system at every node it
 adds, keeping those that leave the node's state and read its abstract
@@ -10,15 +10,46 @@ initial node its own closure. `upperapprox` reads the move table
 instead of scanning, and does one backward search over the epsilon
 edges per push edge; tests pin the two to these `same` automata, with
 equal owners and entry mirrors.
+
+`overapprox_post` first folds the start set into the single-origin
+extension (`single_origin`) and saturates that system from its one
+origin configuration. `upperapprox` seeds both saturations from the set
+itself, which gives a subset of this one's language; tests check that
+it is never larger.
 """
 
 from __future__ import annotations
 
-from upstack.configsets import ConfigAutomaton
+from upstack.configsets import ConfigAutomaton, is_barred, union_sets
 from upstack.core import Configuration, RuleKind, UpdsSpec
 from upstack.errors import MalformedInputError
-from upstack.nfa import EPSILON, Nfa
-from upstack.upperapprox import TraceAutomaton, UpperAutomaton, _first_lower_tops
+from upstack.nfa import EPSILON, Nfa, from_words
+from upstack.pds import pds_post_star, singleton_lower
+from upstack import upperapprox
+from upstack.upperapprox import TraceAutomaton, UpperAutomaton
+
+
+def _first_lower_tops(component: Nfa) -> tuple[list[str], bool]:
+    """The possible first lower-stack symbols of accepted configurations,
+    plus whether some accepted configuration has an empty lower word.
+    Walks the barred zone (barred and epsilon edges) and records the
+    plain labels leaving it."""
+    tops: dict[str, None] = {}
+    empty_lower = False
+    seen = set(component.initial)
+    stack = list(component.initial)
+    while stack:
+        node = stack.pop()
+        if node in component.finals:
+            empty_lower = True
+        for label, dst in component.out_edges(node):
+            if label is EPSILON or is_barred(label):
+                if dst not in seen:
+                    seen.add(dst)
+                    stack.append(dst)
+            else:
+                tops[label] = None
+    return list(tops), empty_lower
 
 
 def trace_overapprox(spec: UpdsSpec, configs: ConfigAutomaton) -> TraceAutomaton:
@@ -97,3 +128,41 @@ def saturate_upper(at: TraceAutomaton, origin: Configuration) -> UpperAutomaton:
 
     up.saturate(additions)
     return UpperAutomaton(up, owner, entries)
+
+
+def overapprox_post(spec: UpdsSpec, configs: ConfigAutomaton) -> ConfigAutomaton:
+    """The over-approximation through the single-origin extension: the
+    upper zone from saturating the extension's trace abstraction from its
+    origin, the lower zone from its forward pushdown closure, paired per
+    original control state, and the set's own projection product."""
+    configs.check_against(spec, "start set")
+    own = upperapprox.upper_lower_product(
+        spec.alphabet, upperapprox.project_upper(configs), upperapprox.project_lower(configs)
+    )
+    if configs.is_empty():
+        return ConfigAutomaton(spec.alphabet)
+    extension = upperapprox.single_origin(spec, configs)
+    origin = extension.origin
+    seeded = ConfigAutomaton(
+        extension.spec.alphabet,
+        {origin.state: from_words([origin.lower])},
+    )
+    au = upperapprox.saturate_upper(
+        upperapprox.trace_overapprox(extension.spec, seeded), origin
+    )
+    lower = pds_post_star(
+        extension.spec, singleton_lower(extension.spec, origin.state, origin.lower)
+    )
+    upper_slices: dict[str, Nfa] = {}
+    lower_slices: dict[str, Nfa] = {}
+    for state in spec.states:
+        up = au.slice(state)
+        if up.is_empty():
+            continue
+        low = upperapprox.lower_slice(lower, state)
+        if low.is_empty():
+            continue
+        upper_slices[state] = up
+        lower_slices[state] = low
+    product = upperapprox.upper_lower_product(spec.alphabet, upper_slices, lower_slices)
+    return union_sets(product, own).compact()
