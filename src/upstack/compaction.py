@@ -13,7 +13,8 @@ imports from `nfa` or `configsets`, so a command that runs none of it
 The analyses build their automata from two steps: `embed` copies one
 automaton into another under a node renaming and a label map, and
 `saturate` adds the edges a rule generator yields until a whole pass
-adds nothing (P-automaton saturation). `trim` and the compaction share
+adds nothing (P-automaton saturation). `trim`, the compaction, the
+phases of `kphase` and the push case of the upper-word saturation share
 one backward search (`_coreachable`), and `eps_eliminate` and the
 compaction one epsilon-free row (`_free_row`).
 

@@ -13,13 +13,14 @@ and walking its members need. The set algebra, which only the analyses
 run, lives with the automaton algebra in `compaction`: `accepts`,
 `is_empty`, `compact` and `same` are methods whose bodies load on first
 use, `config_word` and `check_alphabets` still import from here, and
-`union_sets` and `intersect_sets` stay bound here, where the analyses
-call them, and load their bodies from there. What only some commands
-run lives in their modules, and what none runs in `extras`: the zone
-projections and their product in `upperapprox`, the walk of a set's
-members in `membership`, a shortest member and `config_from_word` in
-`checkers`, `from_config_set` in `extras`. They still import from here,
-and the methods load their bodies on first use.
+`intersect_sets`, which the checkers call, and `union_sets`, which no
+analysis calls any more, stay bound here and load their bodies from
+there. What only some commands run lives in their modules, and what
+none runs in `extras`: the walk of a set's members in `membership`, a
+shortest member and `config_from_word` in `checkers`, and
+`from_config_set` and the zone projections and their product in
+`extras`. They still import from here, and the methods load their
+bodies on first use.
 """
 
 from __future__ import annotations
@@ -120,9 +121,8 @@ def intersect_sets(a: ConfigAutomaton, b: ConfigAutomaton) -> ConfigAutomaton:
 
 __getattr__ = _forward(
     __name__,
-    upperapprox="project_lower project_upper upper_lower_product",
     checkers="config_from_word",
-    extras="from_config_set",
+    extras="from_config_set project_lower project_upper upper_lower_product",
     compaction="config_word check_alphabets union",
     core="Configuration",
     limits="DFA_STATE_BUDGET",

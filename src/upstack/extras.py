@@ -16,8 +16,14 @@ working:
   the backward phase-bounded closure (`oracle_pre_kphase`) and the
   lower-stack-only closure (`pds_step`, `pds_closure`, `pds_reaches`);
 - from `pds`: the backward saturation `pds_pre_star`, the one-element
-  lower set `singleton_lower`, and the membership test and word listing
-  of a `LowerAutomaton`;
+  lower set `singleton_lower`, and the membership test, word listing
+  and one state's slice (`LowerAutomaton.slice`) of a `LowerAutomaton`;
+- from `upperapprox`: the zone projections (`project_lower`,
+  `project_upper`) and their product (`upper_lower_product`), one
+  state's slice of an upper set (`UpperAutomaton.slice`) and all of
+  them (`upper_config_set`), and relabelling edges (`Nfa.map_labels`),
+  which no analysis runs; the projections and the product also import
+  from `configsets`;
 - from `kphase`: `phase_pre`, a single phase;
 - from `regex` and `model`: the printers (`print_config_regex`,
   `print_model`);
@@ -29,10 +35,10 @@ working:
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .compaction import config_word, from_words
-from .configsets import ConfigAutomaton, is_barred, unbar
+from .configsets import ConfigAutomaton, bar, is_barred, unbar
 from .core import (
     ConfigTuple,
     Configuration,
@@ -47,8 +53,11 @@ from .errors import MalformedInputError, ResourceLimitError, RuleNotEnabledError
 from .kphase import PhaseKind, _Moves, _phases
 from .limits import DEFAULT_NODE_BUDGET
 from .model import ModelFile
-from .nfa import EPSILON
+from .nfa import EPSILON, Label, Nfa
 from .pds import LowerAutomaton
+
+if TYPE_CHECKING:
+    from .upperapprox import UpperAutomaton
 
 # -- one-step semantics (core) ------------------------------------------------
 
@@ -382,6 +391,82 @@ def lower_words_up_to(lower: LowerAutomaton, state: str, max_len: int) -> list[W
     if entry is None:
         return []
     return lower.nfa.words_up_to(max_len, start=(entry,))
+
+
+# -- zone projections and slices (upperapprox) -------------------------------
+
+
+def project_lower(a: ConfigAutomaton) -> dict[str, Nfa]:
+    """Per-state NFAs for the lower words (upper zone erased)."""
+    return {
+        state: map_labels(nfa, lambda l: EPSILON if is_barred(l) else l)
+        for state, nfa in a.components.items()
+    }
+
+
+def project_upper(a: ConfigAutomaton) -> dict[str, Nfa]:
+    """Per-state NFAs for the upper words (bars dropped, lower zone erased)."""
+    return {
+        state: map_labels(nfa, lambda l: unbar(l) if is_barred(l) else EPSILON)
+        for state, nfa in a.components.items()
+    }
+
+
+def upper_lower_product(
+    alphabet: Iterable[str],
+    upper: Mapping[str, Nfa],
+    lower: Mapping[str, Nfa],
+) -> ConfigAutomaton:
+    """Per-state product set {<p, u, l> : u in upper[p], l in lower[p]},
+    given NFAs over the plain alphabet for both zones."""
+    out: dict[str, Nfa] = {}
+    for state, up in upper.items():
+        low = lower.get(state)
+        if low is None:
+            continue
+        component = Nfa(("u", n) for n in up.initial)
+        component.embed(up, lambda n: ("u", n), bar)
+        component.embed(low, lambda n: ("l", n))
+        for n in up.finals:
+            for m in low.initial:
+                component.add_edge(("u", n), EPSILON, ("l", m))
+        for n in low.finals:
+            component.add_final(("l", n))
+        out[state] = component
+    return ConfigAutomaton(alphabet, out)
+
+
+def map_labels(nfa: Nfa, fn: Callable[[Label], Label]) -> Nfa:
+    """The automaton with each edge label relabelled by fn, which may
+    return EPSILON to erase it (`Nfa.map_labels`)."""
+    return Nfa(nfa.initial, nfa.finals).embed(nfa, label=fn)
+
+
+def lower_slice(lower: LowerAutomaton, state: str) -> Nfa:
+    """One state's words as an automaton of their own
+    (`LowerAutomaton.slice`)."""
+    entry = lower.entries.get(state)
+    if entry is None:
+        return Nfa()
+    return Nfa((entry,), lower.nfa.finals).embed(lower.nfa).trim()
+
+
+def upper_slice(au: UpperAutomaton, state: str) -> Nfa:
+    """The upper words reaching a node that the state owns
+    (`UpperAutomaton.slice`)."""
+    finals = [node for node, owning in au.owner.items() if owning == state]
+    return Nfa(au.nfa.initial, finals).embed(au.nfa).trim()
+
+
+def upper_config_set(au: UpperAutomaton) -> dict[str, Nfa]:
+    """Per-state upper-word languages; states with empty slices are
+    dropped."""
+    out: dict[str, Nfa] = {}
+    for state in dict.fromkeys(au.owner.values()):
+        part = upper_slice(au, state)
+        if not part.is_empty():
+            out[state] = part
+    return out
 
 
 # -- one phase (kphase) ------------------------------------------------------

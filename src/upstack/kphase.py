@@ -23,7 +23,10 @@ where the upper word is exhausted entirely.
 Both phases build on demand: each state's automaton grows forward from
 its initial nodes, and a node is made only when a final node can still
 be reached from it (lockstep pairs are explored and cut before any edge
-is added), so what they return is already trimmed. A round of
+is added), so what they return is already trimmed. Which nodes can
+still reach one is the package's one backward search,
+`compaction._coreachable`, run on the rows as they are: no automaton is
+reversed. A round of
 `pre_star_rounds` builds both phases into one automaton per
 state, sharing the copies of the targets' zones, and compacts that. A
 single phase on its own, `phase_pre`, which no command runs, lives in
@@ -36,6 +39,7 @@ import enum
 from typing import Iterator
 
 from . import _forward
+from .compaction import _coreachable
 from .configsets import ConfigAutomaton, bar, is_barred
 from .core import UpdsSpec
 from .limits import DFA_STATE_BUDGET
@@ -54,20 +58,19 @@ class _Target:
     its barred zone (its barred and epsilon edges, initial where t is),
     which reads the part of the input upper word that a phase leaves in
     place; its plain zone (its plain and epsilon edges, final where t is),
-    which reads the lower word once a phase's trace is exhausted; both
-    reversed; and the lockstep tables of the push phase: the nodes that
-    reach a final node over plain edges (`_plain_steps`), which of them
-    the barred zone reaches, and which lie in the closure of the initial
-    nodes. Since t is trimmed, a verbatim copy of it is too."""
+    which reads the lower word once a phase's trace is exhausted; and the
+    lockstep tables of the push phase: the nodes that reach a final node
+    over plain edges (`_plain_steps`), which of them the barred zone
+    reaches, and which lie in the closure of the initial nodes. Since t
+    is trimmed, a verbatim copy of it is too."""
 
     def __init__(self, t: Nfa) -> None:
         self.nfa = t
-        upper = Nfa(t.initial).embed(t, label=lambda a: a if is_barred(a) else None)
-        lower = Nfa(finals=t.finals).embed(t, label=lambda a: None if is_barred(a) else a)
-        self.upper, self.lower = (upper, upper.reverse()), (lower, lower.reverse())
+        self.upper = Nfa(t.initial).embed(t, label=lambda a: a if is_barred(a) else None)
+        self.lower = Nfa(finals=t.finals).embed(t, label=lambda a: None if is_barred(a) else a)
         self.names, self.steps = _plain_steps(t)
         number = {r: i for i, r in enumerate(self.names)}
-        self.entered = [number[r] for r in upper.reachable(t.initial) if r in number]
+        self.entered = [number[r] for r in self.upper.reachable(t.initial) if r in number]
         self.first = [number[r] for r in t.eps_closure(t.initial) if r in number]
 
 
@@ -111,13 +114,11 @@ class _Moves:
         ]
 
 
-def _zone_part(comp: Nfa, zone: tuple[Nfa, Nfa], starts, ends, tag: tuple) -> set:
-    """Copy into comp the nodes of a zone (the zone and its reverse) on a
-    path from `starts` to `ends`, in the zone's order, each node r as
-    (*tag, r), initial and final where the zone is; return the nodes
-    copied."""
-    zone, back = zone
-    keep = zone.reachable(starts) & back.reachable(ends)
+def _zone_part(comp: Nfa, zone: Nfa, starts, ends, tag: tuple) -> set:
+    """Copy into comp the nodes of a zone on a path from `starts` to
+    `ends`, in the zone's order, each node r as (*tag, r), initial and
+    final where the zone is; return the nodes copied."""
+    keep = zone.reachable(starts) & _coreachable(zone._edges, ends)
     for r in zone.nodes():
         if r not in keep:
             continue
@@ -153,8 +154,7 @@ def _pop_phase_pre(
     core = Nfa()
     for p2, target in targets.items():
         t = target.nfa
-        plain_zone, _ = target.lower
-        core.embed(plain_zone, lambda r: ("e", p2, r))
+        core.embed(target.lower, lambda r: ("e", p2, r))
         for r in t.finals:
             core.add_final(("e", p2, r))
         for r in t.nodes():
@@ -169,7 +169,7 @@ def _pop_phase_pre(
                 for q, a in into:
                     for node in landed:
                         core.add_edge(("i", q, p2, r), a, node)
-    live = core.reverse().reachable(core.finals)
+    live = _coreachable(core._edges, core.finals)
     for q in spec.states:
         comp = out.get(q) or Nfa()
         stack = []
@@ -323,17 +323,11 @@ def _lockstep(steps: list, zsteps: list, zexits: dict, starts: list) -> dict:
                 if top is not None:
                     landings.extend((top, r2) for r2 in landed)
         graph[pair] = (moves, landings)
-    preds: dict = {}
-    for pair, (moves, _) in graph.items():
-        for nxt in moves:
-            preds.setdefault(nxt, []).append(pair)
-    live = {pair for pair, (_, landings) in graph.items() if landings}
-    stack = list(live)
-    while stack:
-        for pair in preds.get(stack.pop(), ()):
-            if pair not in live:
-                live.add(pair)
-                stack.append(pair)
+    # Each pair's successors as one row under a dummy label.
+    live = _coreachable(
+        {pair: {None: moves} for pair, (moves, _) in graph.items()},
+        [pair for pair, (_, landings) in graph.items() if landings],
+    )
     return {
         pair: ([nxt for nxt in moves if nxt in live], landings)
         for pair, (moves, landings) in graph.items()

@@ -76,10 +76,11 @@ class _WordError(Exception):
 
 
 def _column(line: str, words: list[str], k: int) -> int:
-    """The 1-based column of words[k] in line, of which words is the
-    whitespace split, or the column just past the last word when k is
-    their number. Each word is found from the end of the one before, so
-    only whitespace lies between and no earlier match is possible."""
+    """The 1-based column of words[k] in line, whose words they are in
+    order with only whitespace between (its whitespace split, or that of
+    a literal with its '^' spaced out), or the column just past the last
+    word when k is their number. Each word is found from the end of the
+    one before, so no earlier match is possible."""
     end = 0
     for word in words[:k]:
         end = line.index(word, end) + len(word)
@@ -183,23 +184,26 @@ def _parse_set_line(words, lineno, line, states, symbols, sets):
 
 def parse_config_literal(spec: UpdsSpec, text: str) -> Configuration:
     """A single configuration written as '<state>: <upper> ^ <lower>',
-    e.g. 'p2: a ^ bot' for state p2, upper word a, lower word bot."""
+    e.g. 'p2: a ^ bot' for state p2, upper word a, lower word bot. No
+    name holds '^', so the marker needs no spaces around it: 'p2: a^bot'
+    is the same configuration."""
     head, sep, stacks = text.partition(":")
     state = head.strip()
     if not sep:
         raise ParseError(1, 1, "expected '<state>: <upper> ^ <lower>'")
     if state not in spec.states:
         raise ParseError(1, _column(head, [state], 0), f"undeclared state {state!r}")
-    tokens = stacks.split()
+    # Columns count in the text with its state and colon blanked out.
+    stacks = " " * len(head + sep) + stacks
+    tokens = stacks.replace("^", " ^ ").split()
     markers = [i for i, token in enumerate(tokens) if token == "^"]
     if len(markers) != 1:
-        column = len(head) + 1 + _column(stacks, tokens, markers[1]) if markers else len(text) + 1
+        column = _column(stacks, tokens, markers[1]) if markers else len(text) + 1
         raise ParseError(1, column, "expected exactly one boundary marker '^'")
     split = markers[0]
     for i, token in enumerate(tokens):
         if i != split and token not in spec.alphabet:
-            column = len(head) + 1 + _column(stacks, tokens, i)
-            raise ParseError(1, column, f"undeclared symbol {token!r}")
+            raise ParseError(1, _column(stacks, tokens, i), f"undeclared symbol {token!r}")
     return Configuration(state, tuple(tokens[:split]), tuple(tokens[split + 1 :]))
 
 

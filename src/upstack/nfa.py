@@ -16,8 +16,9 @@ epsilon elimination, `union`, `from_words`, `compact` to the canonical
 minimal DFA, and structural equality (`same`). Each is still a method of
 `Nfa` or a name of this module, whose home is loaded on first use (see
 `upstack._MovedMethod`). So are `walk` and `words_up_to`, in
-`membership`, `map_labels`, in `upperapprox`, `map_nodes` and
-`relabel`, in `grammar`, and `intersection`, in `product`. Insertion
+`membership`, `map_labels`, in `extras`, `map_nodes` and `relabel`, in
+`grammar`, and `intersection`, in `product`. `trim`, compaction and the
+phases of `kphase` share one backward search, `_coreachable`. Insertion
 order is preserved everywhere, but what the package prints does not
 depend on it.
 """
@@ -57,7 +58,7 @@ def label_key(label: Label) -> str:
     "eps_closure step _advance run accepts reachable shortest_word is_empty "
     "copy reverse trim _free_row eps_eliminate compact same",
     membership="walk words_up_to",
-    upperapprox="map_labels",
+    extras="map_labels",
     grammar="map_nodes relabel",
 )
 class Nfa:

@@ -11,10 +11,11 @@ from entry(p) to a final node. Entry nodes carry no incoming edges on
 input, which the saturation rules rely on; pds_post_star additionally
 introduces one auxiliary node per push rule, named by rule index so
 output is reproducible. The backward saturation, `pds_pre_star`, the
-one-element set `singleton_lower`, and the membership test and word
-listing of a `LowerAutomaton`, which no command runs, live in `extras`,
-and `LowerAutomaton.slice` in `upperapprox`, its one user; they still
-import from here.
+one-element set `singleton_lower`, and the membership test, word
+listing and one state's slice (`LowerAutomaton.slice`) of a
+`LowerAutomaton`, which no command runs, live in `extras`; they still
+import from here. The over-approximation reads the shared automaton
+from each state's entry and slices nothing.
 """
 
 from __future__ import annotations
@@ -81,9 +82,8 @@ class LowerAutomaton:
     accepts = _MovedMethod("extras", "lower_accepts")
     words_up_to = _MovedMethod("extras", "lower_words_up_to")
 
-    # One state's words on their own, which only the over-approximation
-    # takes.
-    slice = _MovedMethod("upperapprox", "lower_slice")
+    # One state's words on their own, which no command takes.
+    slice = _MovedMethod("extras", "lower_slice")
 
 
 def pds_post_star(spec: UpdsSpec, init: LowerAutomaton) -> LowerAutomaton:

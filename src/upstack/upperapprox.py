@@ -19,92 +19,38 @@ pushdown post* saturation can start from any regular set of
 configurations (Bouajjani, Esparza and Maler, CONCUR 1997). The upper
 one starts from each component's barred zone, which steps into the
 abstraction at the (state, top) pair of each plain edge leaving it; the
-lower one starts from the members' nonempty lower words. Members with
-an empty lower word have no successors at all, and the set's own
-projection product keeps them.
+lower one starts from the members' nonempty lower words. Each state's
+component is built straight from the two closures: the closed upper
+automaton, barred, then an epsilon step from each node the state owns
+into the lower closure at the state's entry. Members with an empty lower
+word have no successors at all; their zone, which nothing but the fresh
+initial node enters, accepts them.
 
-The operations that only this module runs live here, so that commands
-that never over-approximate do not compile them: the zone projections
-and their product (still importable from `configsets`), relabelling an
-automaton's edges (the method `Nfa.map_labels`), and one state's slice
-of a lower set (`LowerAutomaton.slice`). The single-origin extension,
+No command slices or projects a set, so the zone projections and their
+product, one state's slice of an upper or a lower set
+(`UpperAutomaton.slice`, `LowerAutomaton.slice`), `upper_config_set`
+and relabelling an automaton's edges (`Nfa.map_labels`) live in
+`extras`; they still import from here. The single-origin extension,
 which folds a start set into the system, belongs to the grammar
-(`grammar.single_origin`); it and its helpers still import from here.
+(`grammar.single_origin`); it and its helpers still import from here
+too.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from typing import Mapping
 
-from . import _forward
+from . import _forward, _MovedMethod
 from .compaction import _coreachable
-from .configsets import ConfigAutomaton, bar, is_barred, unbar, union_sets
+from .configsets import ConfigAutomaton, bar, is_barred, unbar
 from .core import Configuration, Frozen, Rule, RuleKind, UpdsSpec
 from .errors import MalformedInputError
-from .nfa import EPSILON, Label, Nfa, Node
+from .nfa import EPSILON, Nfa
 from .pds import LowerAutomaton, pds_post_star
 
 # The fresh initial node of the upper saturation seeded by a set; the
 # set's zone nodes there are tagged (_SET, state).
 _SET = ("@set",)
-
-
-# -- set and automaton operations that only this module runs -----------------
-
-
-def project_lower(a: ConfigAutomaton) -> dict[str, Nfa]:
-    """Per-state NFAs for the lower words (upper zone erased)."""
-    return {
-        state: map_labels(nfa, lambda l: EPSILON if is_barred(l) else l)
-        for state, nfa in a.components.items()
-    }
-
-
-def project_upper(a: ConfigAutomaton) -> dict[str, Nfa]:
-    """Per-state NFAs for the upper words (bars dropped, lower zone erased)."""
-    return {
-        state: map_labels(nfa, lambda l: unbar(l) if is_barred(l) else EPSILON)
-        for state, nfa in a.components.items()
-    }
-
-
-def lower_slice(lower: LowerAutomaton, state: str) -> Nfa:
-    """One state's words as an automaton of their own
-    (`LowerAutomaton.slice`)."""
-    entry = lower.entries.get(state)
-    if entry is None:
-        return Nfa()
-    return Nfa((entry,), lower.nfa.finals).embed(lower.nfa).trim()
-
-
-def upper_lower_product(
-    alphabet: Iterable[str],
-    upper: Mapping[str, Nfa],
-    lower: Mapping[str, Nfa],
-) -> ConfigAutomaton:
-    """Per-state product set {<p, u, l> : u in upper[p], l in lower[p]},
-    given NFAs over the plain alphabet for both zones."""
-    out: dict[str, Nfa] = {}
-    for state, up in upper.items():
-        low = lower.get(state)
-        if low is None:
-            continue
-        component = Nfa(("u", n) for n in up.initial)
-        component.embed(up, lambda n: ("u", n), bar)
-        component.embed(low, lambda n: ("l", n))
-        for n in up.finals:
-            for m in low.initial:
-                component.add_edge(("u", n), EPSILON, ("l", m))
-        for n in low.finals:
-            component.add_final(("l", n))
-        out[state] = component
-    return ConfigAutomaton(alphabet, out)
-
-
-def map_labels(nfa: Nfa, fn: Callable[[Label], Label]) -> Nfa:
-    """The automaton with each edge label relabelled by fn, which may
-    return EPSILON to erase it (`Nfa.map_labels`)."""
-    return Nfa(nfa.initial, nfa.finals).embed(nfa, label=fn)
 
 
 class TraceAutomaton(Frozen):
@@ -166,9 +112,8 @@ class UpperAutomaton(Frozen):
     def _fields(self) -> tuple:
         return (self.nfa, self.owner, self.entries)
 
-    def slice(self, state: str) -> Nfa:
-        finals = [node for node, owning in self.owner.items() if owning == state]
-        return Nfa(self.nfa.initial, finals).embed(self.nfa).trim()
+    # One state's words on their own, which no command takes.
+    slice = _MovedMethod("extras", "upper_slice")
 
 
 def _zone_exits(component: Nfa) -> tuple[list[tuple], bool]:
@@ -304,20 +249,6 @@ def _close_upper(at: TraceAutomaton, up: Nfa, owner: Mapping, entries=None) -> U
     return UpperAutomaton(up, owner, entries)
 
 
-def upper_config_set(au: UpperAutomaton) -> dict[str, Nfa]:
-    """Per-state upper-word languages; states with empty slices are
-    dropped."""
-    out: dict[str, Nfa] = {}
-    states: dict[str, None] = {}
-    for owning in au.owner.values():
-        states.setdefault(owning, None)
-    for state in states:
-        part = au.slice(state)
-        if not part.is_empty():
-            out[state] = part
-    return out
-
-
 def overapprox_post(spec: UpdsSpec, configs: ConfigAutomaton) -> ConfigAutomaton:
     """A regular superset of everything reachable from the given set.
     Both saturations start from the set itself. The upper zone comes from
@@ -326,18 +257,16 @@ def overapprox_post(spec: UpdsSpec, configs: ConfigAutomaton) -> ConfigAutomaton
     component, and each exit of a zone by a plain edge `top`
     epsilon-steps to the trace node (state, top). The lower zone comes
     from the forward pushdown closure of the members' nonempty lower
-    words. The two are paired per control state. The configurations' own
-    per-state projection product joins the union so members that no rule
-    can leave (empty lower word) are kept."""
+    words. Each state's component reads the closed upper automaton,
+    barred, and then, from a node the state owns, the lower closure from
+    the state's entry. Members with an empty lower word, which no rule
+    can leave, end in their own zone: nothing enters a zone but the
+    fresh node, so its final nodes accept just them."""
     configs.check_against(spec, "start set")
-    own = upper_lower_product(
-        spec.alphabet, project_upper(configs), project_lower(configs)
-    )
-    if configs.is_empty():
-        return ConfigAutomaton(spec.alphabet)
     at = trace_overapprox(spec, configs)
     upper = Nfa([_SET])
     lower_words: dict[str, Nfa] = {}
+    members: dict[str, list] = {}
     for state, component in configs.components.items():
         # Trimmed, a zone leads only to members' words.
         component = component.trim()
@@ -350,18 +279,31 @@ def overapprox_post(spec: UpdsSpec, configs: ConfigAutomaton) -> ConfigAutomaton
             upper.add_edge((tag, src), EPSILON, (state, top))
             words.add_edge(_SET, top, dst)
         lower_words[state] = words.embed(component).trim()
-    au = _close_upper(at, upper, at.owner)
+        members[state] = [(tag, n) for n in component.finals]
+    closed = _close_upper(at, upper, at.owner).nfa
     lower = pds_post_star(
         spec, LowerAutomaton.from_slices(spec.states, spec.alphabet, lower_words)
     )
-    product = upper_lower_product(
-        spec.alphabet,
-        {state: au.slice(state) for state in spec.states},
-        {state: lower_slice(lower, state) for state in spec.states},
-    )
-    return union_sets(product, own).compact()
+    out: dict[str, Nfa] = {}
+    for state in spec.states:
+        component = Nfa([("u", _SET)])
+        component.embed(closed, lambda n: ("u", n), bar)
+        component.embed(lower.nfa, lambda n: ("l", n))
+        entry = ("l", lower.entries[state])
+        for node, owning in at.owner.items():
+            if owning == state:
+                component.add_edge(("u", node), EPSILON, entry)
+        for node in members.get(state, ()):
+            component.add_final(("u", node))
+        for node in lower.nfa.finals:
+            component.add_final(("l", node))
+        out[state] = component
+    return ConfigAutomaton(spec.alphabet, out).compact()
 
 
 __getattr__ = _forward(
-    __name__, grammar="single_origin SingleOriginUpds fresh_name map_nodes relabel"
+    __name__,
+    grammar="single_origin SingleOriginUpds fresh_name map_nodes relabel",
+    extras="project_lower project_upper upper_lower_product lower_slice map_labels "
+    "upper_config_set",
 )

@@ -161,6 +161,7 @@ def test_config_literal_round_trip():
         ("p: ^ x bot", cfg("p", "", "x bot")),
         ("p: a b ^", cfg("p", "a b", "")),
         ("p: ^", cfg("p", "", "")),
+        ("p2: a^bot", cfg("p2", "a", "bot")),
     ]:
         parsed = parse_config_literal(model.spec, text)
         assert parsed == expect
@@ -174,6 +175,7 @@ _CONFIG_LITERAL_ERRORS = [
     ("p: a bot", 9),
     ("p: ^ ^", 6),
     ("p: a ^ ^", 8),
+    ("p: a^^ bot", 6),
     ("p: z ^ bot", 4),
     ("p: a ^ zz", 8),
 ]

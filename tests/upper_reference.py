@@ -13,20 +13,34 @@ equal owners and entry mirrors.
 
 `overapprox_post` first folds the start set into the single-origin
 extension (`single_origin`) and saturates that system from its one
-origin configuration. `upperapprox` seeds both saturations from the set
-itself, which gives a subset of this one's language; tests check that
-it is never larger.
+origin configuration. `overapprox_post_with_projections` seeds both
+saturations from the set itself, cuts the closed upper automaton and
+the lower closure into per-state slices, pairs them and unites that
+product with the set's own projection product (every member's upper
+word with every member's lower word of the same state), which keeps the
+members with an empty lower word but adds configurations that are
+neither members nor reachable. `upperapprox` builds each state's
+component straight from the two closures and keeps those members in
+their own zone; tests check that its language is never larger than
+either.
 """
 
 from __future__ import annotations
 
-from upstack.configsets import ConfigAutomaton, is_barred, union_sets
+from upstack.configsets import ConfigAutomaton, is_barred, unbar, union_sets
 from upstack.core import Configuration, RuleKind, UpdsSpec
 from upstack.errors import MalformedInputError
+from upstack.extras import lower_slice, project_lower, project_upper, upper_lower_product
 from upstack.nfa import EPSILON, Nfa, from_words
-from upstack.pds import pds_post_star, singleton_lower
+from upstack.pds import LowerAutomaton, pds_post_star, singleton_lower
 from upstack import upperapprox
-from upstack.upperapprox import TraceAutomaton, UpperAutomaton
+from upstack.upperapprox import (
+    _SET,
+    TraceAutomaton,
+    UpperAutomaton,
+    _close_upper,
+    _zone_exits,
+)
 
 
 def _first_lower_tops(component: Nfa) -> tuple[list[str], bool]:
@@ -136,9 +150,7 @@ def overapprox_post(spec: UpdsSpec, configs: ConfigAutomaton) -> ConfigAutomaton
     origin, the lower zone from its forward pushdown closure, paired per
     original control state, and the set's own projection product."""
     configs.check_against(spec, "start set")
-    own = upperapprox.upper_lower_product(
-        spec.alphabet, upperapprox.project_upper(configs), upperapprox.project_lower(configs)
-    )
+    own = upper_lower_product(spec.alphabet, project_upper(configs), project_lower(configs))
     if configs.is_empty():
         return ConfigAutomaton(spec.alphabet)
     extension = upperapprox.single_origin(spec, configs)
@@ -159,10 +171,44 @@ def overapprox_post(spec: UpdsSpec, configs: ConfigAutomaton) -> ConfigAutomaton
         up = au.slice(state)
         if up.is_empty():
             continue
-        low = upperapprox.lower_slice(lower, state)
+        low = lower_slice(lower, state)
         if low.is_empty():
             continue
         upper_slices[state] = up
         lower_slices[state] = low
-    product = upperapprox.upper_lower_product(spec.alphabet, upper_slices, lower_slices)
+    product = upper_lower_product(spec.alphabet, upper_slices, lower_slices)
+    return union_sets(product, own).compact()
+
+
+def overapprox_post_with_projections(spec: UpdsSpec, configs: ConfigAutomaton) -> ConfigAutomaton:
+    """The over-approximation seeded from the set itself: the closed upper
+    automaton and the lower closure, each sliced per state, paired, and
+    united with the set's own projection product."""
+    configs.check_against(spec, "start set")
+    own = upper_lower_product(spec.alphabet, project_upper(configs), project_lower(configs))
+    if configs.is_empty():
+        return ConfigAutomaton(spec.alphabet)
+    at = upperapprox.trace_overapprox(spec, configs)
+    upper = Nfa([_SET])
+    lower_words: dict[str, Nfa] = {}
+    for state, component in configs.components.items():
+        component = component.trim()
+        tag = (_SET, state)
+        upper.embed(component, lambda n: (tag, n), lambda l: unbar(l) if is_barred(l) else None)
+        for node in component.initial:
+            upper.add_edge(_SET, EPSILON, (tag, node))
+        words = Nfa([_SET], component.finals)
+        for src, top, dst in _zone_exits(component)[0]:
+            upper.add_edge((tag, src), EPSILON, (state, top))
+            words.add_edge(_SET, top, dst)
+        lower_words[state] = words.embed(component).trim()
+    au = _close_upper(at, upper, at.owner)
+    lower = pds_post_star(
+        spec, LowerAutomaton.from_slices(spec.states, spec.alphabet, lower_words)
+    )
+    product = upper_lower_product(
+        spec.alphabet,
+        {state: au.slice(state) for state in spec.states},
+        {state: lower_slice(lower, state) for state in spec.states},
+    )
     return union_sets(product, own).compact()
