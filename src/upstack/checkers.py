@@ -32,7 +32,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .configsets import ConfigAutomaton, intersect_sets, is_barred, unbar
+from .compaction import intersect_sets
+from .configsets import ConfigAutomaton, is_barred, unbar
 from . import _forward
 from .core import Configuration, Frozen, Rule, UpdsSpec
 from .errors import MalformedInputError, ResourceLimitError

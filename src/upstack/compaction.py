@@ -13,10 +13,9 @@ imports from `nfa` or `configsets`, so a command that runs none of it
 The analyses build their automata from two steps: `embed` copies one
 automaton into another under a node renaming and a label map, and
 `saturate` adds the edges a rule generator yields until a whole pass
-adds nothing (P-automaton saturation). `trim`, the compaction, the
-phases of `kphase` and the push case of the upper-word saturation share
-one backward search (`_coreachable`), and `eps_eliminate` and the
-compaction one epsilon-free row (`_free_row`).
+adds nothing (P-automaton saturation). `trim`, the compaction and the
+phases of `kphase` share one backward search (`_coreachable`), and
+`eps_eliminate` and the compaction one epsilon-free row (`_free_row`).
 
 Compaction takes the epsilon-free rows of the forward-reachable nodes,
 one closure per node, trims them backwards, merges the coarsest
@@ -460,8 +459,8 @@ def from_words(words: Iterable[tuple[Label, ...]]) -> Nfa:
     return out
 
 
-# -- the algebra of configuration sets: methods of ConfigAutomaton, and the
-# bodies of `configsets.union_sets` and `configsets.intersect_sets` ----------
+# -- the algebra of configuration sets: methods of ConfigAutomaton, and
+# `union_sets` and `intersect_sets` -------------------------------------------
 
 def config_word(c: Configuration) -> tuple:
     return tuple(bar(s) for s in c.upper) + tuple(c.lower)

@@ -12,15 +12,13 @@ This module holds what compiling a set, checking it against a system
 and walking its members need. The set algebra, which only the analyses
 run, lives with the automaton algebra in `compaction`: `accepts`,
 `is_empty`, `compact` and `same` are methods whose bodies load on first
-use, `config_word` and `check_alphabets` still import from here, and
-`intersect_sets`, which the checkers call, and `union_sets`, which no
-analysis calls any more, stay bound here and load their bodies from
-there. What only some commands run lives in their modules, and what
-none runs in `extras`: the walk of a set's members in `membership`, a
-shortest member and `config_from_word` in `checkers`, and
-`from_config_set` and the zone projections and their product in
-`extras`. They still import from here, and the methods load their
-bodies on first use.
+use, and `config_word`, `check_alphabets`, `union_sets` and
+`intersect_sets` still import from here. What only some commands run
+lives in their modules, and what none runs in `extras`: the walk of a
+set's members in `membership`, a shortest member and `config_from_word`
+in `checkers`, and `from_config_set` and the zone projections and their
+product in `extras`. They still import from here, and the methods load
+their bodies on first use.
 """
 
 from __future__ import annotations
@@ -105,25 +103,11 @@ class ConfigAutomaton:
     shortest_config = _MovedMethod("checkers")
 
 
-# Bound here, where the analyses look them up; the bodies are in
-# `compaction`, loaded on the first call.
-def union_sets(a: ConfigAutomaton, b: ConfigAutomaton) -> ConfigAutomaton:
-    from .compaction import union_sets
-
-    return union_sets(a, b)
-
-
-def intersect_sets(a: ConfigAutomaton, b: ConfigAutomaton) -> ConfigAutomaton:
-    from .compaction import intersect_sets
-
-    return intersect_sets(a, b)
-
-
 __getattr__ = _forward(
     __name__,
     checkers="config_from_word",
     extras="from_config_set project_lower project_upper upper_lower_product",
-    compaction="config_word check_alphabets union",
+    compaction="config_word check_alphabets union union_sets intersect_sets",
     core="Configuration",
     limits="DFA_STATE_BUDGET",
 )

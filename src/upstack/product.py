@@ -1,7 +1,7 @@
 """The synchronous product of two automata: the intersection of their
 languages. Of the commands only the checkers intersect sets, so this is
-loaded on first use by `configsets.intersect_sets` (whose body is in
-`compaction`); `intersection` still imports from `nfa`.
+loaded on first use by `compaction.intersect_sets`; `intersection` still
+imports from `nfa`.
 """
 
 from __future__ import annotations

@@ -9,7 +9,11 @@ of the real rule sequences (a *trace automaton*), a small saturation
 turns it into an automaton for a superset of the reachable upper words,
 and pairing those per-state with the classic regular forward closure of
 the lower stack yields a regular superset of the reachable
-configurations. Precision is whatever the trace abstraction buys;
+configurations. The upper word is itself a stack whose top sits at the
+boundary, so that saturation is the P-automaton post* saturation that
+`pds_post_star` runs on the lower words, over an automaton that reads
+each upper word from the boundary: the reverse of the one it returns
+(`_close_upper`). Precision is whatever the trace abstraction buys;
 soundness never depends on it. The abstraction here is a graph of
 (control state, lower-stack top) pairs read off the system's move table
 (`trace_overapprox`); `export-dot --trace` draws it.
@@ -41,7 +45,6 @@ from __future__ import annotations
 from typing import Mapping
 
 from . import _forward, _MovedMethod
-from .compaction import _coreachable
 from .configsets import ConfigAutomaton, bar, is_barred, unbar
 from .core import Configuration, Frozen, Rule, RuleKind, UpdsSpec
 from .errors import MalformedInputError
@@ -211,42 +214,40 @@ def saturate_upper(at: TraceAutomaton, origin: Configuration) -> UpperAutomaton:
 
 def _close_upper(at: TraceAutomaton, up: Nfa, owner: Mapping, entries=None) -> UpperAutomaton:
     """Close `up`, whose initial nodes carry the empty word alone, under
-    the trace edges, and return it with its nodes' owning states. Per
-    trace edge q0 -> q1: a pop adds q0 --a--> q1 for its read symbol; a
-    switch adds q0 --eps--> q1; a push strips the last symbol, so any
-    node q with a plain edge whose target reaches q0 by epsilon edges
-    gets q --eps--> q1, and so does any initial node reaching q0 by
-    epsilon edges (the word there was empty and stays empty)."""
-    trace_edges = list(at.nfa.edges())
+    the trace edges, and return it with its nodes' owning states. The
+    upper word is a stack whose top is at the boundary, so the closure is
+    P-automaton post* saturation, as `pds_post_star` runs it on the lower
+    words, over the reverse of `up`, which reads each word from the
+    boundary. Per trace edge q0 -> q1, in the reverse: a pop adds
+    q1 --a--> q0 for its read symbol; a switch adds q1 --eps--> q0; a push
+    strips the boundary symbol, so it adds q1 --eps--> n for each node n
+    one plain edge from q0's epsilon closure, and for each final node in
+    that closure (the word there was empty and stays empty)."""
+    rev = up.reverse()
+    pushes = []
+    for q0, rule, q1 in at.nfa.edges():
+        if rule is EPSILON or rule.kind is RuleKind.SWITCH:
+            rev.add_edge(q1, EPSILON, q0)
+        elif rule.kind is RuleKind.POP:
+            rev.add_edge(q1, rule.read_symbol, q0)
+        else:
+            pushes.append((q0, q1))
 
     def additions():
-        for q0, rule, q1 in trace_edges:
-            if rule is EPSILON or rule.kind is RuleKind.SWITCH:
-                yield q0, EPSILON, q1
-            elif rule.kind is RuleKind.POP:
-                yield q0, rule.read_symbol, q1
-            else:
-                # Collect the sources before yielding: an added edge would
-                # change the rows being walked.
-                rows = up._edges
-                reach = _coreachable(
-                    {n: {EPSILON: row[EPSILON]} for n, row in rows.items() if EPSILON in row},
-                    (q0,),
-                )
-                sources = [
-                    q
-                    for q, row in rows.items()
-                    if any(
-                        label is not EPSILON and not reach.isdisjoint(targets)
-                        for label, targets in row.items()
-                    )
-                ]
-                sources += [q for q in up.initial if q in reach]
-                for q in sources:
-                    yield q, EPSILON, q1
+        for q0, q1 in pushes:
+            closure = rev.eps_closure((q0,))
+            # Collect the targets before yielding: an added edge changes
+            # q1's row, which the walk reads when q1 is in the closure (a
+            # push self-loop, say).
+            targets = [
+                n for q in closure for label, n in rev.out_edges(q) if label is not EPSILON
+            ]
+            targets += [q for q in closure if q in rev.finals]
+            for n in targets:
+                yield q1, EPSILON, n
 
-    up.saturate(additions)
-    return UpperAutomaton(up, owner, entries)
+    rev.saturate(additions)
+    return UpperAutomaton(rev.reverse(), owner, entries)
 
 
 def overapprox_post(spec: UpdsSpec, configs: ConfigAutomaton) -> ConfigAutomaton:

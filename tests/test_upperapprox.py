@@ -12,6 +12,7 @@ from upstack.regex import compile_config_regex
 from upstack.upperapprox import (
     TraceAutomaton,
     UpperAutomaton,
+    _close_upper,
     overapprox_post,
     saturate_upper,
     single_origin,
@@ -313,7 +314,8 @@ def _assert_same_upper(at, origin):
 
 def test_constructions_match_the_reference():
     # Random sets on random systems, the single-origin extension of each
-    # set seeded from its origin, and random trace automata.
+    # set seeded from its origin, and random trace automata; the closure
+    # seeded from each set as well as from each origin.
     rng = random.Random(2029)
     for _ in range(40):
         spec = random_spec(rng)
@@ -327,6 +329,9 @@ def test_constructions_match_the_reference():
             assert at.nfa.same(expected.nfa)
             assert at.owner == expected.owner
             _assert_same_upper(at, origin)
+            seed = upper_reference.set_seed(start)[0]
+            closed = _close_upper(at, seed.copy(), at.owner).nfa
+            assert closed.same(upper_reference.close_upper(at, seed))
         _assert_same_upper(random_trace_automaton(rng, spec), empty)
 
 

@@ -3,13 +3,16 @@ over-approximation of `upperapprox` as they were first built, for tests.
 
 `trace_overapprox` scans every rule of the system at every node it
 adds, keeping those that leave the node's state and read its abstract
-top (any rule, for an unknown top). `saturate_upper` finds the sources
-of a push edge q0 -> q1 by taking, for every node and each of its
-out-edges, the epsilon closure of the edge's target, and for every
-initial node its own closure. `upperapprox` reads the move table
-instead of scanning, and does one backward search over the epsilon
-edges per push edge; tests pin the two to these `same` automata, with
-equal owners and entry mirrors.
+top (any rule, for an unknown top). `close_upper` reads the upper words
+forwards and finds the sources of a push edge q0 -> q1 by taking, for
+every node and each of its out-edges, the epsilon closure of the edge's
+target, and for every initial node its own closure; `saturate_upper`
+closes an origin's seed with it, and `overapprox_post_with_projections`
+the seed that `set_seed` builds from a set. `upperapprox` reads the
+move table instead of scanning, and closes the reversed automaton, one
+epsilon closure per push edge; tests pin the two to these `same`
+automata, with equal owners and entry mirrors, from an origin and from
+a set.
 
 `overapprox_post` first folds the start set into the single-origin
 extension (`single_origin`) and saturates that system from its one
@@ -38,7 +41,6 @@ from upstack.upperapprox import (
     _SET,
     TraceAutomaton,
     UpperAutomaton,
-    _close_upper,
     _zone_exits,
 )
 
@@ -100,8 +102,8 @@ def trace_overapprox(spec: UpdsSpec, configs: ConfigAutomaton) -> TraceAutomaton
 
 
 def saturate_upper(at: TraceAutomaton, origin: Configuration) -> UpperAutomaton:
-    """The upper-word saturation, one epsilon closure per (node, out-edge)
-    for each push edge in every pass."""
+    """The upper-word saturation from an origin with an empty upper word,
+    through entry mirrors for initial nodes with incoming trace edges."""
     at.validate()
     if origin.upper:
         raise MalformedInputError("origin configuration must have an empty upper word")
@@ -119,6 +121,13 @@ def saturate_upper(at: TraceAutomaton, origin: Configuration) -> UpperAutomaton:
         up.add_initial(mirror)
         up.add_final(mirror)
         up.add_edge(mirror, EPSILON, node)
+    return UpperAutomaton(close_upper(at, up), owner, entries)
+
+
+def close_upper(at: TraceAutomaton, up: Nfa) -> Nfa:
+    """Close `up` in place under the trace edges, read forwards: one
+    epsilon closure per (node, out-edge), and one per initial node, for
+    each push edge in every pass."""
     trace_edges = list(at.nfa.edges())
 
     def additions():
@@ -141,7 +150,29 @@ def saturate_upper(at: TraceAutomaton, origin: Configuration) -> UpperAutomaton:
                     yield q, EPSILON, q1
 
     up.saturate(additions)
-    return UpperAutomaton(up, owner, entries)
+    return up
+
+
+def set_seed(configs: ConfigAutomaton) -> tuple[Nfa, dict[str, Nfa]]:
+    """The upper saturation's seed from a set, and each state's members'
+    nonempty lower words. The seed holds every trimmed component's barred
+    zone, tagged (_SET, state), behind one fresh initial node _SET; each
+    exit of a zone by a plain edge `top` epsilon-steps to the trace node
+    (state, top)."""
+    upper = Nfa([_SET])
+    lower_words: dict[str, Nfa] = {}
+    for state, component in configs.components.items():
+        component = component.trim()
+        tag = (_SET, state)
+        upper.embed(component, lambda n: (tag, n), lambda l: unbar(l) if is_barred(l) else None)
+        for node in component.initial:
+            upper.add_edge(_SET, EPSILON, (tag, node))
+        words = Nfa([_SET], component.finals)
+        for src, top, dst in _zone_exits(component)[0]:
+            upper.add_edge((tag, src), EPSILON, (state, top))
+            words.add_edge(_SET, top, dst)
+        lower_words[state] = words.embed(component).trim()
+    return upper, lower_words
 
 
 def overapprox_post(spec: UpdsSpec, configs: ConfigAutomaton) -> ConfigAutomaton:
@@ -189,20 +220,8 @@ def overapprox_post_with_projections(spec: UpdsSpec, configs: ConfigAutomaton) -
     if configs.is_empty():
         return ConfigAutomaton(spec.alphabet)
     at = upperapprox.trace_overapprox(spec, configs)
-    upper = Nfa([_SET])
-    lower_words: dict[str, Nfa] = {}
-    for state, component in configs.components.items():
-        component = component.trim()
-        tag = (_SET, state)
-        upper.embed(component, lambda n: (tag, n), lambda l: unbar(l) if is_barred(l) else None)
-        for node in component.initial:
-            upper.add_edge(_SET, EPSILON, (tag, node))
-        words = Nfa([_SET], component.finals)
-        for src, top, dst in _zone_exits(component)[0]:
-            upper.add_edge((tag, src), EPSILON, (state, top))
-            words.add_edge(_SET, top, dst)
-        lower_words[state] = words.embed(component).trim()
-    au = _close_upper(at, upper, at.owner)
+    upper, lower_words = set_seed(configs)
+    au = UpperAutomaton(close_upper(at, upper), at.owner)
     lower = pds_post_star(
         spec, LowerAutomaton.from_slices(spec.states, spec.alphabet, lower_words)
     )
