@@ -167,9 +167,10 @@ def decide_safety(
             outcome, k, node_budget, decided_by=decided_by, at_round=at_round, **found
         )
 
-    hit = intersect_sets(under, initial)
-    if not hit.is_empty():
-        witness = shortest_config(hit)
+    # One shortest-word search per component finds the witness, and finds
+    # none exactly when there is no hit.
+    witness = shortest_config(intersect_sets(under, initial))
+    if witness is not None:
         reached = f"under-approximation reached {print_config_literal(witness)}"
         from .oracle import oracle_trace
 

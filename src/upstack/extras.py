@@ -477,7 +477,7 @@ def phase_pre(spec: UpdsSpec, targets: ConfigAutomaton, kind: PhaseKind) -> Conf
     by a trace, possibly empty, whose non-switch rules are all pops
     (PhaseKind.POP) or all pushes (PhaseKind.PUSH). Exact, and trimmed."""
     targets.check_against(spec, "target set")
-    return _phases(spec, targets, (kind,), _Moves(spec))
+    return _phases(spec, targets.compact(), (kind,), _Moves(spec))
 
 
 # -- printers (regex, model) --------------------------------------------------

@@ -26,11 +26,18 @@ be reached from it (lockstep pairs are explored and cut before any edge
 is added), so what they return is already trimmed. Which nodes can
 still reach one is the package's one backward search,
 `compaction._coreachable`, run on the rows as they are: no automaton is
-reversed. A round of
-`pre_star_rounds` builds both phases into one automaton per
-state, sharing the copies of the targets' zones, and compacts that. A
-single phase on its own, `phase_pre`, which no command runs, lives in
-`extras` and still imports from here.
+reversed. A round of `pre_star_rounds` builds both phases into one
+automaton per state, sharing the copies of the targets' zones, and
+compacts that. A single phase on its own, `phase_pre`, which no command
+runs, lives in `extras` and still imports from here.
+
+Each target the phases read is a set as compaction leaves it: every
+round of `pre_star_rounds` is compacted, a budget fallback included,
+and `phase_pre` compacts what it is given. So each component is
+epsilon-free, trimmed and nonempty, and the phases work none of that out
+again: they read the targets' rows as they are, and a plain zone is
+copied forward from where a phase enters it, since past a plain edge
+only plain edges lead on to a final node.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ import enum
 from typing import Iterator
 
 from . import _forward
-from .compaction import _coreachable
+from .compaction import _coreachable, _identity
 from .configsets import ConfigAutomaton, bar, is_barred
 from .core import UpdsSpec
 from .limits import DFA_STATE_BUDGET
@@ -54,24 +61,32 @@ class PhaseKind(enum.Enum):
 # -- one-phase backward closures ------------------------------------------
 
 class _Target:
-    """What the phases read of one trimmed, nonempty target component t:
-    its barred zone (its barred and epsilon edges, initial where t is),
-    which reads the part of the input upper word that a phase leaves in
-    place; its plain zone (its plain and epsilon edges, final where t is),
-    which reads the lower word once a phase's trace is exhausted; and the
-    lockstep tables of the push phase: the nodes that reach a final node
-    over plain edges (`_plain_steps`), which of them the barred zone
-    reaches, and which lie in the closure of the initial nodes. Since t
-    is trimmed, a verbatim copy of it is too."""
+    """What the phases read of one target component t, which is as
+    compaction leaves it: epsilon-free, trimmed and with an initial node.
+    Its barred zone (its barred edges, initial where t is) reads the part
+    of the input upper word that a phase leaves in place, and `reach`
+    holds the nodes it reaches; its plain zone (its plain edges, final
+    where t is) reads the lower word once a phase's trace is exhausted.
+    The lockstep tables of the push phase are the nodes that reach a
+    final node over plain edges (`_plain_steps`), and the positions of
+    those the barred zone reaches (`entered`) and of the initial ones
+    (`first`). Since t is trimmed, a verbatim copy of it is too, and
+    every node that a plain edge reaches still reaches a final node, over
+    plain edges only, as accepted words end in plain symbols."""
 
     def __init__(self, t: Nfa) -> None:
         self.nfa = t
         self.upper = Nfa(t.initial).embed(t, label=lambda a: a if is_barred(a) else None)
         self.lower = Nfa(finals=t.finals).embed(t, label=lambda a: None if is_barred(a) else a)
+        self.reach = self.upper.reachable(t.initial)
         self.names, self.steps = _plain_steps(t)
-        number = {r: i for i, r in enumerate(self.names)}
-        self.entered = [number[r] for r in self.upper.reachable(t.initial) if r in number]
-        self.first = [number[r] for r in t.eps_closure(t.initial) if r in number]
+        self.entered = [i for i, r in enumerate(self.names) if r in self.reach]
+        self.first = [i for i, r in enumerate(self.names) if r in t.initial]
+
+    def upper_part(self, entries) -> set:
+        """The nodes of the barred zone on a path from an initial node to
+        one of `entries`."""
+        return self.reach & _coreachable(self.upper._edges, entries)
 
 
 class _Moves:
@@ -114,22 +129,22 @@ class _Moves:
         ]
 
 
-def _zone_part(comp: Nfa, zone: Nfa, starts, ends, tag: tuple) -> set:
-    """Copy into comp the nodes of a zone on a path from `starts` to
-    `ends`, in the zone's order, each node r as (*tag, r), initial and
-    final where the zone is; return the nodes copied."""
-    keep = zone.reachable(starts) & _coreachable(zone._edges, ends)
-    for r in zone.nodes():
+def _zone_part(comp: Nfa, zone: Nfa, keep, name=_identity) -> None:
+    """Copy into comp the nodes of `zone` in `keep`, in the zone's order,
+    each node r as name(r), with the edges between them, initial and
+    final where the zone is."""
+    for r, row in zone._edges.items():
         if r not in keep:
             continue
-        for label, m in zone.out_edges(r):
-            if m in keep:
-                comp.add_edge((*tag, r), label, (*tag, m))
+        src = name(r)
+        for label, targets in row.items():
+            for m in targets:
+                if m in keep:
+                    comp.add_edge(src, label, name(m))
         if r in zone.initial:
-            comp.add_initial((*tag, r))
+            comp.add_initial(src)
         if r in zone.finals:
-            comp.add_final((*tag, r))
-    return keep
+            comp.add_final(src)
 
 
 def _pop_phase_pre(
@@ -149,70 +164,56 @@ def _pop_phase_pre(
     state's walker, or, where qk is the target state, the trace ends and
     the target's plain zone reads ak and the rest of the lower word. So
     one pass over the pairs adds every core edge. Each state's part is
-    then grown from its barred zones into its own walkers, through core
-    nodes that can still reach a final node only."""
+    then its barred zones, entering its own walkers, and the part of the
+    core that those walkers reach and that can still reach a final node."""
     core = Nfa()
     for p2, target in targets.items():
         t = target.nfa
-        core.embed(target.lower, lambda r: ("e", p2, r))
-        for r in t.finals:
-            core.add_final(("e", p2, r))
+        _zone_part(core, target.lower, t._edges, lambda r: ("e", p2, r))
         for r in t.nodes():
             core.add_edge(("i", p2, p2, r), EPSILON, ("e", p2, r))
         for (qk, ak), pops, into in moves.rows:
             if not pops and qk != p2:
                 continue
-            for r in t.nodes():
-                landed = [("i", q2, p2, r2) for r2 in t.step((r,), bar(ak)) for q2 in pops]
+            barred = bar(ak)
+            # Sorted, so that nodes are added in one order whatever the
+            # hash seed.
+            into = sorted(into)
+            for r, row in t._edges.items():
+                landed = [("i", q2, p2, r2) for r2 in row.get(barred, ()) for q2 in pops]
                 if qk == p2:
-                    landed += [("e", p2, r2) for r2 in t.step((r,), ak)]
+                    landed += [("e", p2, r2) for r2 in row.get(ak, ())]
                 for q, a in into:
                     for node in landed:
                         core.add_edge(("i", q, p2, r), a, node)
     live = _coreachable(core._edges, core.finals)
     for q in spec.states:
         comp = out.get(q) or Nfa()
-        stack = []
+        walkers = []
         for p2, target in targets.items():
-            entries = [r for r in target.nfa.nodes() if ("i", q, p2, r) in live]
+            entries = [
+                r for r in target.nfa.nodes() if r in target.reach and ("i", q, p2, r) in live
+            ]
             if entries:
-                part = _zone_part(comp, target.upper, target.nfa.initial, entries, ("u", p2))
+                _zone_part(comp, target.upper, target.upper_part(entries), lambda r: ("u", p2, r))
                 for r in entries:
-                    if r in part:
-                        comp.add_edge(("u", p2, r), EPSILON, ("i", q, p2, r))
-                        stack.append(("i", q, p2, r))
-        seen = set(stack)
-        while stack:
-            n = stack.pop()
-            if n in core.finals:
-                comp.add_final(n)
-            for label, m in core.out_edges(n):
-                if m in live:
-                    comp.add_edge(n, label, m)
-                    if m not in seen:
-                        seen.add(m)
-                        stack.append(m)
+                    comp.add_edge(("u", p2, r), EPSILON, ("i", q, p2, r))
+                    walkers.append(("i", q, p2, r))
+        _zone_part(comp, core, core.reachable(walkers) & live)
         if comp.initial:
             out[q] = comp
 
 
 def _plain_steps(nfa: Nfa) -> tuple[list, list[dict[str, tuple[int, ...]]]]:
     """The nodes of nfa from which a final node is reachable over plain and
-    epsilon edges, listed with the final nodes first, and for each its
-    closed steps over the plain symbols: symbol -> the list positions of
-    the listed nodes reached. A symbol that reaches none is left out."""
-    preds: dict = {}
-    for r in nfa.nodes():
-        for label, m in nfa.out_edges(r):
-            if not is_barred(label):
-                preds.setdefault(m, []).append(r)
-    live = list(nfa.finals)
+    epsilon edges, in nfa's order, and for each its closed steps over the
+    plain symbols: symbol -> the sorted list positions of the listed nodes
+    reached. A symbol that reaches none is left out."""
+    edges = nfa._edges
+    plain = {r: {a: ms for a, ms in row.items() if not is_barred(a)} for r, row in edges.items()}
+    keep = _coreachable(plain, nfa.finals)
+    live = [r for r in edges if r in keep]
     number = {r: i for i, r in enumerate(live)}
-    for r in live:
-        for m in preds.get(r, ()):
-            if m not in number:
-                number[m] = len(live)
-                live.append(m)
     closures = [nfa.eps_closure((r,)) for r in live]
     closed = [[number[m] for m in closure if m in number] for closure in closures]
     steps = []
@@ -222,7 +223,7 @@ def _plain_steps(nfa: Nfa) -> tuple[list, list[dict[str, tuple[int, ...]]]]:
             for label, m in nfa.out_edges(n):
                 if label is not EPSILON and not is_barred(label) and m in number:
                     row.setdefault(label, set()).update(closed[number[m]])
-        steps.append({a: tuple(ms) for a, ms in row.items()})
+        steps.append({a: tuple(sorted(ms)) for a, ms in row.items()})
     return live, steps
 
 
@@ -248,17 +249,14 @@ def _push_phase_pre(
     Only what an accepted word uses is built. The lockstep pairs are
     explored first and kept only if an exit can follow (`_lockstep`); a
     barred zone is copied only up to the nodes that enter a kept pair, and
-    a plain zone only from the exits."""
+    a plain zone only forward from the exits: past the plain edge that
+    lands on an exit, every node the zone reaches is live."""
     barred = [bar(x) for x in spec.alphabet]
     for q in spec.states:
         comp = out.get(q) or Nfa()
         own = targets.get(q)
         if own is not None:
-            comp.embed(own.nfa, lambda n: ("v", n))
-            for n in own.nfa.initial:
-                comp.add_initial(("v", n))
-            for n in own.nfa.finals:
-                comp.add_final(("v", n))
+            _zone_part(comp, own.nfa, own.nfa._edges, lambda r: ("v", r))
         for p2, target in targets.items():
             names = target.names
             z = moves.start[p2]
@@ -292,9 +290,10 @@ def _push_phase_pre(
                         comp.add_edge(src, top, ("e", p2, names[r2]))
                         exits.add(names[r2])
             if entries:
-                _zone_part(comp, target.upper, target.nfa.initial, entries, ("u", p2))
+                _zone_part(comp, target.upper, target.upper_part(entries), lambda r: ("u", p2, r))
             if exits:
-                _zone_part(comp, target.lower, exits, target.nfa.finals, ("e", p2))
+                lower = target.lower
+                _zone_part(comp, lower, lower.reachable(exits), lambda r: ("e", p2, r))
         if comp.initial:
             out[q] = comp
 
@@ -338,13 +337,12 @@ def _lockstep(steps: list, zsteps: list, zexits: dict, starts: list) -> dict:
 def _phases(
     spec: UpdsSpec, targets: ConfigAutomaton, kinds: tuple[PhaseKind, ...], moves: _Moves
 ) -> ConfigAutomaton:
-    """The configurations that reach the targets by one phase of any of
-    the given kinds. Both phases write into one automaton per state: they
-    share the copies of the target's zones, and a path through either
-    phase's nodes is one of its own, so each state's automaton accepts the
-    union of what the phases accept."""
-    trimmed = {state: nfa.trim() for state, nfa in targets.components.items()}
-    components = {state: _Target(nfa) for state, nfa in trimmed.items() if nfa.initial}
+    """The configurations that reach the targets, a set as compaction
+    leaves it, by one phase of any of the given kinds. Both phases write
+    into one automaton per state: they share the copies of the target's
+    zones, and a path through either phase's nodes is one of its own, so
+    each state's automaton accepts the union of what the phases accept."""
+    components = {state: _Target(nfa) for state, nfa in targets.components.items()}
     out: dict[str, Nfa] = {}
     if PhaseKind.POP in kinds:
         _pop_phase_pre(spec, components, moves, out)

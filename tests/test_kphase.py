@@ -1,5 +1,7 @@
 import itertools
 import random
+import subprocess
+import sys
 from collections import deque
 
 import pytest
@@ -14,12 +16,13 @@ from upstack.kphase import (
     phase_pre,
     pre_star_rounds,
 )
-from upstack.nfa import Nfa
+from upstack.limits import DFA_STATE_BUDGET
+from upstack.nfa import EPSILON, Nfa
 from upstack.oracle import oracle_pre_kphase
 from upstack.pds import pds_post_star, singleton_lower
 
 import phase_reference
-from conftest import cfg, random_configuration, random_spec
+from conftest import cfg, random_configuration, random_spec, subprocess_env
 from equivalence_reference import equivalent_sets
 from mpds import MpdsRule, config_to_mpds, mpds_step, mpds_to_config, upds_to_mpds
 
@@ -292,6 +295,61 @@ def test_rounds_that_fell_back_on_the_budget_stay_small(e2, c2):
     for k in range(5):
         fell_back = bounded_phase_pre_star(e2, c2, k, node_budget=1)
         assert sum(len(nfa.nodes()) for nfa in fell_back.components.values()) < 40, k
+
+
+def test_every_round_is_as_the_phases_read_it():
+    # The phases take each round as compaction leaves it (kphase._Target):
+    # every component epsilon-free, trimmed and with an initial node, on
+    # the budget fallback too. Some targets carry dead ends, which round 0
+    # must already have cut.
+    rng = random.Random(2503)
+    fell_back = 0
+    for _ in range(40):
+        spec = random_spec(rng, max_states=4, max_symbols=3, max_rules=10)
+        targets = from_config_set(
+            spec, [random_configuration(rng, spec) for _ in range(rng.randint(1, 3))]
+        )
+        if rng.random() < 0.5:
+            targets = _with_dead_ends(rng, targets)
+        for budget in (DFA_STATE_BUDGET, 1):
+            for current, _ in pre_star_rounds(spec, targets, 3, budget):
+                for nfa in current.components.values():
+                    assert nfa.initial
+                    assert all(label is not EPSILON for _, label, _ in nfa.edges())
+                    assert nfa.trim().same(nfa)
+                    fell_back += budget == 1 and len(nfa.initial) > 1
+    assert fell_back
+
+
+# The budget-fallback DOT of check-read's forbidden sets on two fixtures:
+# `compact`'s fallback names each class by its first node, so what the
+# phases insert first must not follow string hashing.
+_FALLBACK_DOTS = """
+from upstack import export_dot, fixture_text, parse_model
+from upstack.checkers import _all_states_set, _any_word
+from upstack.kphase import bounded_phase_pre_star
+
+for name in ("e2.upds", "relocate.upds"):
+    spec = parse_model(fixture_text(name)).spec
+    anything = _any_word(spec.alphabet)
+    for symbol in spec.alphabet:
+        forbidden = _all_states_set(spec, ("concat", (anything, ("sym", symbol))), anything)
+        print(export_dot(bounded_phase_pre_star(spec, forbidden, 3, node_budget=1)))
+"""
+
+
+def test_budget_fallbacks_do_not_depend_on_the_hash_seed():
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", _FALLBACK_DOTS],
+            env=dict(subprocess_env(), PYTHONHASHSEED=seed),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for seed in ("0", "1")
+    }
+    assert len(outputs) == 1
 
 
 def test_bounded_two_phase_example(e2, c2):
