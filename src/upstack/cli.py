@@ -19,7 +19,7 @@ import sys
 from types import SimpleNamespace
 
 from .commands import COMMANDS, command
-from .errors import ResourceLimitError, UpstackError
+from .errors import MalformedInputError, ResourceLimitError, UpstackError
 from .model import parse_model
 
 
@@ -93,8 +93,13 @@ def main(argv=None) -> int:
 
         args = build_parser((argv[0],) if named else COMMANDS).parse_args(argv)
     try:
-        with open(args.model, encoding="utf-8") as handle:
-            model = parse_model(handle.read())
+        try:
+            with open(args.model, encoding="utf-8") as handle:
+                text = handle.read()
+        except UnicodeDecodeError as err:
+            # The whole file is decoded at once, so err.start is its offset.
+            raise MalformedInputError(f"{args.model}: not UTF-8 at byte {err.start}") from None
+        model = parse_model(text)
         code = command(args.command).run(args, model)
         sys.stdout.flush()
         return code

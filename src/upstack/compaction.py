@@ -296,20 +296,17 @@ def reachable(nfa: Nfa, start: Iterable[Node]) -> set[Node]:
 def shortest_word(nfa: Nfa, start: Iterable[Node] | None = None) -> tuple[Label, ...] | None:
     """A shortest accepted word, or None if the language is empty.
     Zero-one BFS so epsilon edges cost nothing; deterministic."""
-    starts = list(nfa.initial if start is None else start)
-    best: dict[Node, tuple[Label, ...]] = {}
-    queue: deque[Node] = deque()
-    for n in starts:
-        if n not in best:
-            best[n] = ()
-            queue.append(n)
+    best: dict[Node, tuple[Label, ...]] = dict.fromkeys(
+        nfa.initial if start is None else start, ()
+    )
+    queue: deque[Node] = deque(best)
     answer: tuple[Label, ...] | None = None
     while queue:
         n = queue.popleft()
         word = best[n]
         if answer is not None and len(word) >= len(answer):
             continue
-        if n in nfa.finals and (answer is None or len(word) < len(answer)):
+        if n in nfa.finals:
             answer = word
             continue
         for label, m in nfa.out_edges(n):
@@ -480,11 +477,12 @@ def set_compact(configs: ConfigAutomaton, node_budget: int = DFA_STATE_BUDGET) -
     component fell back on the budget, equal sets compact to sets that
     are `same`. The compaction of a valid set is valid: it keeps the
     labels, and each of its paths from an initial node spells a prefix
-    of an accepted word of the set."""
+    of an accepted word of the set. A compaction is trimmed, so it has
+    an initial node exactly when its language is not empty."""
     out: dict[str, Nfa] = {}
     for state, nfa in configs.components.items():
         compacted = nfa.compact(node_budget)
-        if not compacted.is_empty():
+        if compacted.initial:
             out[state] = compacted
     compacted_set = ConfigAutomaton(configs.alphabet, out)
     compacted_set._validated = configs._validated

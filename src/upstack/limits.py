@@ -20,5 +20,8 @@ DEFAULT_CONFIG_BUDGET = 2_000_000
 # replay of a checker's witness and the `oracle` command's closure.
 DEFAULT_NODE_BUDGET = 1_000_000
 
+# What a configuration search that runs out of its budget calls it.
+SEARCH_BUDGET = "configuration search budget"
+
 # Phases of the bounded pre* under-approximation (`-k`).
 DEFAULT_PHASES = 3

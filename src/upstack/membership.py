@@ -13,19 +13,27 @@ drops its last cell, and which rules apply depends only on the state,
 the lower word and the upper word's length. So configurations with the
 same state, lower word, upper length and longest prefix shared with U
 have the same runs, step for step, and one of them is U's configuration
-exactly when all are. `oracle.explore(goal_upper=U)` stores one per
-class: the shared prefix, then one placeholder cell per symbol above it.
-This is exact, and the budget counts these classes. The search keeps no
-parent links (`links=False`): the answer is whether the goal was hit,
-and a link would cost a tuple per stored configuration.
+exactly when all are. `search` stores one class per such configuration
+as (state, shared, above, lower): the length of the prefix shared with
+U and the number of cells above it. A pop extends the shared prefix
+when nothing is above it and the popped symbol is U's next one, and
+adds a cell above it otherwise; a push drops a cell above the prefix,
+else a cell of the prefix. The goal is the class (state, |U|, 0, lower).
+This is exact, and the budget counts these classes. The search keeps
+no parent links: the answer is whether the goal was hit.
 
 The start set is validated once per set, and a set from
-`ModelFile.config_set` never: it is valid by construction. Its members
-(`members`) go into the search as they are walked (`walk`), in (length,
-label) order straight from its automaton, each word cut into its zones
-as it grows, so no start is built as an object, sorted or checked again.
-`walk`, `words_up_to`, `members` and `enumerate_configs` are also the
-methods of `Nfa` and `ConfigAutomaton` of those names.
+`ModelFile.config_set` never: it is valid by construction. Its classes
+(`start_classes`) go into the search as they are walked (`walk`), in
+(length, label) order straight from its automaton, each word cut into
+its zones and counted against U as it grows, so no start is built as an
+object, sorted or checked again. In the upper zone, words of one length
+that reach the same class and the same automaton subset have the same
+extensions, so the walk keeps the first of them only (`walk`'s
+`merge`): an upper zone over k symbols walks O(n^2) classes per subset
+up to size n, not k^n words. `walk`, `words_up_to`, `members` and
+`enumerate_configs` are also the methods of `Nfa` and `ConfigAutomaton`
+of those names.
 
 Only the `member` command and the `oracle` command's start listing run
 this module, so the other commands do not compile it.
@@ -37,12 +45,20 @@ from typing import Callable, Iterable, Iterator
 
 from .configsets import ConfigAutomaton, is_barred
 from .core import ConfigTuple, Configuration, UpdsSpec, check_configuration
-from .limits import DEFAULT_CONFIG_BUDGET
+from .errors import ResourceLimitError
+from .limits import DEFAULT_CONFIG_BUDGET, SEARCH_BUDGET
 from .nfa import EPSILON, Label, Nfa, Node, label_key
-from .oracle import explore
+
+# A class of configurations: (state, shared, above, lower).
+Class = tuple[str, int, int, tuple[str, ...]]
 
 # The row of a node without edges; never written to.
 _NO_ROW: dict = {}
+
+# `walk` merges only layers longer than this. Start layers mostly hold a
+# few entries, and merging each one that grew made the membership
+# workload's queries about 4% slower than merging none.
+_MERGED = 16
 
 
 def is_reachable(
@@ -52,18 +68,104 @@ def is_reachable(
     budget: int = DEFAULT_CONFIG_BUDGET,
 ) -> bool:
     """Whether some member of start_set reaches config. budget counts the
-    configurations the search stores (see the module docstring). Members
-    of a valid set over the system's states and alphabet are
-    configurations of the system, so they go into the search unchecked."""
+    classes the search stores (see the module docstring). Members of a
+    valid set over the system's states and alphabet are configurations of
+    the system, so they go into the search unchecked."""
     check_configuration(spec, config)
     start_set.check_against(spec, "start set")
-    size = config.total_size
-    goal = (config.state, config.upper, config.lower)
-    hit, _ = explore(
-        spec, members(start_set, size), goal.__eq__, size, node_budget=budget,
-        goal_upper=config.upper, links=False,
-    )
-    return hit is not None
+    return search(spec, start_set, config, budget)[0]
+
+
+def search(
+    spec: UpdsSpec, start_set: ConfigAutomaton, goal: Configuration, budget: int
+) -> tuple[bool, int]:
+    """Whether some member of start_set reaches goal, and how many classes
+    the search stored: breadth-first from `start_classes` in walk order,
+    successors in rule declaration order, none larger than goal. budget
+    counts stored classes, starts included; storing one more raises
+    ResourceLimitError. Trusts its arguments: `is_reachable` checks them."""
+    moves = spec.moves
+    upper = goal.upper
+    depth = len(upper)
+    cap = goal.total_size
+    target = (goal.state, depth, 0, goal.lower)
+    seen: set[Class] = set()
+    frontier: list[Class] = []
+    for start in start_classes(start_set, upper, cap):
+        count = len(seen)
+        seen.add(start)
+        if len(seen) == count:
+            continue
+        if count >= budget:
+            raise ResourceLimitError(count, SEARCH_BUDGET)
+        if start == target:
+            return True, count + 1
+        frontier.append(start)
+    while frontier:
+        next_frontier: list[Class] = []
+        for state, shared, above, lower in frontier:
+            entries = moves.get((state, lower[0])) if lower else None
+            if entries is None:
+                continue
+            top, rest = lower[0], lower[1:]
+            # A pop extends the shared prefix only with U's next symbol.
+            climbs = not above and shared < depth and upper[shared] == top
+            for rule, to_state, arity, written in entries:
+                if arity == 0:
+                    if climbs:
+                        succ = (to_state, shared + 1, 0, rest)
+                    else:
+                        succ = (to_state, shared, above + 1, rest)
+                elif arity == 1:
+                    succ = (to_state, shared, above, written + rest)
+                elif above:
+                    succ = (to_state, shared, above - 1, written + rest)
+                elif shared:
+                    succ = (to_state, shared - 1, 0, written + rest)
+                elif len(lower) < cap:
+                    succ = (to_state, 0, 0, written + rest)
+                else:
+                    continue
+                count = len(seen)
+                seen.add(succ)
+                if len(seen) == count:
+                    continue
+                if count >= budget:
+                    raise ResourceLimitError(count, SEARCH_BUDGET)
+                if succ == target:
+                    return True, count + 1
+                next_frontier.append(succ)
+        frontier = next_frontier
+    return False, len(seen)
+
+
+def start_classes(
+    configs: ConfigAutomaton, upper: tuple[str, ...], max_len: int
+) -> Iterator[Class]:
+    """The classes, counted against the upper word `upper`, of the accepted
+    configurations of total stack size <= max_len, in `members` order,
+    each class at the first member in it (it may come again later)."""
+    depth = len(upper)
+
+    def extend(c: Class, label: Label) -> Class | None:
+        state, shared, above, lower = c
+        if not is_barred(label):
+            return state, shared, above, lower + (label,)
+        if lower:
+            return None
+        if not above and shared < depth and upper[shared] == label[1]:
+            return state, shared + 1, 0, lower
+        return state, shared, above + 1, lower
+
+    for state, nfa in configs.components.items():
+        yield from walk(nfa, max_len, extend, (state, 0, 0, ()), merge=_upper_zone)
+
+
+def _upper_zone(c: Class) -> Class | None:
+    """A class while its lower word is empty, where words of one length
+    fall into few classes; None past it, where lower words tell them
+    apart."""
+    return None if c[3] else c
 
 
 def _extend_zones(c: ConfigTuple, label) -> ConfigTuple | None:
@@ -95,6 +197,7 @@ def walk(
     extend: Callable[[object, Label], object | None],
     seed: object,
     start: Iterable[Node] | None = None,
+    merge: Callable[[object], object | None] | None = None,
 ) -> Iterator[object]:
     """The accepted words of length <= max_len, in (length, label-key)
     order, each built from `seed` by `extend(built, label)` one label at
@@ -102,10 +205,16 @@ def walk(
     prefixes. A layer holds (word, epsilon-closed subset, accepting) for
     the words of one length. The subset walk reaches each word once, so
     extending a layer in order by labels in key order gives the next
-    layer in order: nothing is sorted or deduplicated. Each subset's
-    label steps are computed once, with no closures when no edge is an
-    epsilon edge. The number of words can grow exponentially with
-    max_len."""
+    layer in order: nothing is sorted. Each subset's label steps are
+    computed once, with no closures when no edge is an epsilon edge. The
+    number of words can grow exponentially with max_len.
+
+    With merge, a layer of more than _MERGED entries keeps only the first
+    of its entries with the same subset and the same key `merge(built)`,
+    where that key is not None. Entries with equal keys and subsets must
+    extend to the same values; those of the later entries then come later
+    in each layer, so the first occurrence of every value stays where it
+    was."""
     finals = nfa.finals.keys()
     eps_free = not any(EPSILON in row for row in nfa._edges.values())
     first = nfa.initial if start is None else start
@@ -130,6 +239,17 @@ def walk(
                     grown = extend(built, label)
                     if grown is not None:
                         next_layer.append((grown, stepped, accepting))
+        if merge is not None and len(next_layer) > _MERGED:
+            merged, kept = set(), []
+            for entry in next_layer:
+                key = merge(entry[0])
+                if key is not None:
+                    key = key, entry[1]
+                    if key in merged:
+                        continue
+                    merged.add(key)
+                kept.append(entry)
+            next_layer = kept
         layer = next_layer
 
 

@@ -2,12 +2,13 @@
 
 These are the ground truth the rest of the package is tested against.
 One forward breadth-first search over configurations (`explore`),
-size-capped or kept inside a region, decides exact membership
-(`membership.is_reachable`), lists the bounded forward closure
+size-capped or kept inside a region, lists the bounded forward closure
 (`oracle_post`, which only the `oracle` command runs, in its module
 `commands.oracle`) and finds shortest traces (`search_trace`), which
 replay checker witnesses inside the under-approximation that found them
-(`oracle_trace`). All are exhaustive within their bounds, deterministic
+(`oracle_trace`). Exact membership runs its own search over classes of
+configurations (`membership.search`), and the tests check it against
+this one. All are exhaustive within their bounds, deterministic
 (successors in rule declaration order), and refuse to run past an
 explicit node budget rather than silently truncating.
 
@@ -15,10 +16,7 @@ explicit node budget rather than silently truncating.
 starts. It applies the system's move table in its own loop: the step is
 `successors` (in `extras`) inlined, and the tests check it against that
 function. The entry points that take `Configuration` starts check and
-convert each of them once. With `goal_upper` it stores each
-configuration only up to that upper word (see `membership`);
-`search_trace`, `oracle_trace` and `oracle_post` store configurations as
-they are.
+convert each of them once.
 
 The backward phase-bounded closure (`oracle_pre_kphase`) and the
 lower-stack-only closure (`pds_step`, `pds_closure`, `pds_reaches`),
@@ -34,13 +32,7 @@ from typing import Callable, Iterable
 from . import _forward
 from .core import ConfigTuple, Configuration, Rule, UpdsSpec, check_configuration
 from .errors import ResourceLimitError
-from .limits import DEFAULT_NODE_BUDGET
-
-SEARCH_BUDGET = "configuration search budget"
-
-# The placeholder cell of a search stored up to a goal's upper word: it
-# stands for any symbol above the prefix shared with that word.
-_ABOVE = (None,)
+from .limits import DEFAULT_NODE_BUDGET, SEARCH_BUDGET
 
 
 def _checked(spec: UpdsSpec, configs: Iterable[Configuration]) -> list[ConfigTuple]:
@@ -60,7 +52,6 @@ def explore(
     depth: int | None = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
     within: Callable[[ConfigTuple], bool] | None = None,
-    goal_upper: tuple[str, ...] | None = None,
     links: bool = True,
 ) -> tuple[ConfigTuple | None, dict[ConfigTuple, tuple[ConfigTuple, Rule] | None]]:
     """Breadth-first search over (state, upper, lower) tuples: starts in
@@ -75,29 +66,13 @@ def explore(
     (predecessor, rule) that first reached it, or to None for a start.
     With links=False every configuration is mapped to None: a caller that
     asks only what was stored or whether a configuration was hit keeps no
-    link tuples.
-
-    With goal_upper, every upper word is stored up to that word (see
-    `membership`): its longest prefix shared with goal_upper, then one
-    placeholder cell, `None`, per symbol above that prefix. Starts are
-    reduced as they enter and deduplicated after reduction, and the budget
-    counts reduced configurations. `accepts` and `within` see reduced
-    tuples; a configuration whose upper word is goal_upper has no
-    placeholder, so it is stored as itself."""
+    link tuples."""
     moves = spec.moves
     if size_cap is None:
         size_cap = math.inf
     stored: dict[ConfigTuple, tuple[ConfigTuple, Rule] | None] = {}
     frontier: list[ConfigTuple] = []
     for start in starts:
-        if goal_upper is not None and start[1]:
-            state, upper, lower = start
-            shared = 0
-            for mine, theirs in zip(upper, goal_upper):
-                if mine != theirs:
-                    break
-                shared += 1
-            start = (state, goal_upper[:shared] + _ABOVE * (len(upper) - shared), lower)
         if start in stored:
             continue
         if len(stored) >= node_budget:
@@ -124,16 +99,7 @@ def explore(
             grow = size < size_cap
             for rule, to_state, arity, written in entries:
                 if arity == 0:
-                    # Stored up to goal_upper: the popped symbol extends the
-                    # shared prefix only if it is goal_upper's next symbol.
-                    if goal_upper is None or (
-                        len(upper) < len(goal_upper)
-                        and goal_upper[len(upper)] == top[0]
-                        and upper[-1:] != _ABOVE
-                    ):
-                        succ = (to_state, upper + top, rest)
-                    else:
-                        succ = (to_state, upper + _ABOVE, rest)
+                    succ = (to_state, upper + top, rest)
                 elif arity == 1:
                     succ = (to_state, upper, written + rest)
                 elif upper or grow:

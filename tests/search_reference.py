@@ -17,7 +17,7 @@ Exact membership stores each configuration only up to the goal's upper
 word. `reference_membership` searches concrete configurations and
 counts one per class (state, upper length, prefix shared with the
 goal's upper word, lower word), so it pins what that search stores
-without its placeholder cells.
+without sharing its (state, shared, above, lower) classes.
 """
 
 from __future__ import annotations

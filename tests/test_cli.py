@@ -226,6 +226,21 @@ def test_analysis_errors_exit_3_with_message():
     assert code == 3 and "undeclared symbol 'zz'" in err
 
 
+def test_a_model_file_not_in_utf8_is_an_error_naming_the_byte(tmp_path):
+    # e1 with a Latin-1 comment appended: an error (exit 3) that names the
+    # file and the first byte that does not decode, not a traceback.
+    text = Path(E1).read_bytes()
+    model = tmp_path / "latin1.upds"
+    model.write_bytes(text + b"# \xff\n")
+    for argv in (
+        ["member", str(model), "--init", "C1", "--config", "p2: a ^ bot"],
+        ["check-read", str(model), "--init", "C1", "--symbol", "a"],
+    ):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (3, "")
+        assert err == f"upstack: error: {model}: not UTF-8 at byte {len(text) + 2}\n"
+
+
 def test_a_spent_budget_is_unknown_not_an_error():
     code, out, err = run_cli(
         ["member", E1, "--init", "C1", "--config", "p2: a a b ^ bot", "--budget", "10"]

@@ -21,9 +21,11 @@ from upstack.errors import MalformedInputError
 from upstack.fixtures import fixture_names, fixture_text
 from upstack.grammar import is_reachable, single_origin
 from upstack.kphase import PhaseKind, phase_pre
+from upstack.membership import start_classes
 from upstack.model import ModelFile, parse_model, print_model
 from upstack.nfa import EPSILON, Nfa, from_words
 from upstack.oracle import oracle_post
+from upstack.regex import compile_config_regex
 from upstack.upperapprox import overapprox_post
 
 from conftest import cfg, random_configuration, random_spec
@@ -351,6 +353,67 @@ def test_the_member_walk_never_puts_a_barred_label_after_a_plain_one(e1):
     nfa.add_edge(1, bar("a"), 2)
     nfa.add_edge(2, "bot", 3)
     assert list(ConfigAutomaton(e1.alphabet, {"p": nfa}).members(3)) == []
+
+
+def _counted(member, upper):
+    """A (state, upper, lower) member's class counted against upper:
+    (state, shared prefix length, cells above it, lower)."""
+    state, mine, lower = member
+    shared = 0
+    for symbol, theirs in zip(mine, upper):
+        if symbol != theirs:
+            break
+        shared += 1
+    return state, shared, len(mine) - shared, lower
+
+
+def test_the_class_walk_yields_the_counted_member_stream_in_order():
+    """On random compiled sets, the same sets built by Thompson's
+    construction (epsilon edges), listed sets and sets with a starred
+    upper zone, the classes that `start_classes` walks, counted against an
+    upper word, are the members each counted into its class, first
+    occurrences in the same order, at every cap 0..6; and the walk never
+    yields more than the members."""
+    rng = random.Random(20261019)
+    covered = {"epsilon": 0, "shared": 0, "above": 0, "merged": 0}
+    for _ in range(40):
+        model = _random_model(rng)
+        spec = model.spec
+        thompson = ConfigAutomaton(
+            spec.alphabet,
+            {
+                state: thompson_config_regex(ast, spec.alphabet)
+                for state, ast in model.sets["S"].items()
+            },
+        )
+        listed = from_config_set(
+            spec, [random_configuration(rng, spec, max_side=3) for _ in range(rng.randint(1, 4))]
+        )
+        x, y, z, w = (rng.choice(spec.alphabet) for _ in range(4))
+        starred = ConfigAutomaton(spec.alphabet, {
+            rng.choice(spec.states): compile_config_regex(f"({x} | {y} | {z})* ^ {w}*", spec.alphabet)
+        })
+        covered["epsilon"] += any(
+            label is EPSILON for nfa in thompson.components.values() for _, label, _ in nfa.edges()
+        )
+        for start_set in (model.config_set("S"), thompson, listed, starred):
+            uppers = [c.upper for c in start_set.enumerate_configs(4) if c.upper]
+            for cap in range(7):
+                # Mostly a member's upper word, grown or cut, so prefixes match.
+                if uppers and rng.random() < 0.7:
+                    upper = rng.choice(uppers)[: rng.randint(1, 4)]
+                    upper += tuple(rng.choices(spec.alphabet, k=rng.randint(0, 2)))
+                else:
+                    upper = tuple(rng.choices(spec.alphabet, k=rng.randint(0, 3)))
+                members = list(start_set.members(cap))
+                want = list(dict.fromkeys(_counted(m, upper) for m in members))
+                got = list(start_classes(start_set, upper, cap))
+                assert list(dict.fromkeys(got)) == want, (upper, cap)
+                assert len(got) <= len(members)
+                covered["shared"] += any(c[1] for c in want)
+                covered["above"] += any(c[2] for c in want)
+                covered["merged"] += len(got) < len(members)
+    assert min(covered.values()) >= 10, covered
 
 
 # -- canonical sets compare by structure -----------------------------------

@@ -168,6 +168,14 @@ def test_compact_preserves_language(n):
 
 
 @settings(deadline=None)
+@given(_random_nfa())
+def test_a_compaction_has_an_initial_node_exactly_when_its_language_is_not_empty(n):
+    # `set_compact` drops a component by this, fallen back on the budget or not.
+    for budget in (DFA_STATE_BUDGET, 1):
+        assert bool(n.compact(budget).initial) is not n.is_empty()
+
+
+@settings(deadline=None)
 @given(_random_nfa(), _random_nfa())
 def test_equivalence_agrees_with_bounded_enumeration(a, b):
     same_words = sorted(a.words_up_to(4)) == sorted(b.words_up_to(4))

@@ -17,6 +17,7 @@ from search_reference import (
 from upstack.configsets import ConfigAutomaton, from_config_set
 from upstack.core import Configuration, count_phases, make_spec, run_trace, step, successors
 from upstack.errors import MalformedInputError, ResourceLimitError
+from upstack.membership import search, start_classes
 from upstack.nfa import from_words
 from upstack.oracle import (
     _predecessors,
@@ -173,9 +174,10 @@ def _upper_start_set(rng, spec):
 
 def test_membership_up_to_the_goal_upper_word_agrees_with_the_concrete_search():
     """On 2000 random systems, with starts and goals whose upper words are
-    nonempty, `is_reachable` answers as the search that stores every upper
-    word as it is, and the reduced search never stores more. Without links
-    the reduced search stores the same configurations in the same order."""
+    nonempty, `is_reachable` and the class search answer as the search
+    that stores every upper word as it is, and the class search never
+    stores more. Without links that search stores the same configurations
+    in the same order."""
     rng = random.Random(20261018)
     reachable = fewer = 0
     for _ in range(2000):
@@ -193,18 +195,16 @@ def test_membership_up_to_the_goal_upper_word_agrees_with_the_concrete_search():
         hit, concrete = explore(spec, start_set.members(size), target.__eq__, size)
         answer = is_reachable(spec, start_set, goal)
         assert answer == (hit is not None), (spec.rules, goal)
-        reduced_hit, reduced = explore(
-            spec, start_set.members(size), target.__eq__, size, goal_upper=goal.upper
-        )
-        assert len(reduced) <= len(concrete)
+        reduced_hit, reduced = search(spec, start_set, goal, 10**6)
+        assert reduced_hit is answer
+        assert reduced <= len(concrete)
         unlinked_hit, unlinked = explore(
-            spec, start_set.members(size), target.__eq__, size, goal_upper=goal.upper,
-            links=False,
+            spec, start_set.members(size), target.__eq__, size, links=False
         )
-        assert unlinked_hit == reduced_hit and list(unlinked) == list(reduced)
+        assert unlinked_hit == hit and list(unlinked) == list(concrete)
         assert not any(unlinked.values())
         reachable += answer
-        fewer += len(reduced) < len(concrete)
+        fewer += reduced < len(concrete)
     assert reachable > 800
     assert fewer > 200
 
@@ -217,16 +217,31 @@ def test_membership_stores_each_configuration_up_to_the_goal_upper_word(e1, c1):
         size, target = goal.total_size, _as_tuple(goal)
         _, stored = explore(e1, c1.members(size), target.__eq__, size)
         assert len(stored) == concrete
-        _, stored = explore(
-            e1, c1.members(size), target.__eq__, size, goal_upper=goal.upper
-        )
-        assert len(stored) == reduced
-        # The membership budget counts what the reduced search stores.
         answer = goal == e1_pumped(2)
+        assert search(e1, c1, goal, 10**6) == (answer, reduced)
+        # The membership budget counts what the class search stores.
         assert is_reachable(e1, c1, goal, budget=reduced) is answer
         with pytest.raises(ResourceLimitError) as info:
             is_reachable(e1, c1, goal, budget=reduced - 1)
         assert info.value.explored == reduced - 1
+
+
+def test_an_upper_rich_start_set_walks_classes_not_words(e1):
+    # p (x | y | a | b)* ^ x bot has 87,381 members no larger than the
+    # probe p2: a^5 b^4 ^ bot. Counted against the probe's upper word they
+    # fall into 45 classes, one per (shared, above) with shared + above
+    # <= 8. The walk yields 47: two repeats come from a layer too short to
+    # merge. Counts pinned, not timings.
+    upper_rich = ConfigAutomaton(
+        e1.alphabet, {"p": compile_config_regex("(x | y | a | b)* ^ x bot", alphabet=e1.alphabet)}
+    )
+    goal = cfg("p2", "a a a a a b b b b", "bot")
+    classes = list(start_classes(upper_rich, goal.upper, goal.total_size))
+    assert (len(classes), len(set(classes))) == (47, 45)
+    assert search(e1, upper_rich, goal, 10**6) == (True, 464)
+    assert is_reachable(e1, upper_rich, goal, budget=464)
+    with pytest.raises(ResourceLimitError):
+        is_reachable(e1, upper_rich, goal, budget=463)
 
 
 def test_membership_refuses_a_start_set_outside_the_system(e1):
