@@ -221,11 +221,10 @@ def _spec_of(model: ModelFile | UpdsSpec) -> UpdsSpec:
 def _all_states_set(spec: UpdsSpec, upper: tuple, lower: tuple) -> ConfigAutomaton:
     """Every control state with an upper word from `upper` and a lower
     word from `lower`, both zone ASTs (see `regex`). Compiled over the
-    alphabet, the set is valid by construction, as a model's sets are."""
+    alphabet, the set is valid by construction, as a model's sets are.
+    Every state shares the one component: no set is changed once made."""
     component = compile_config_regex(("config", ((upper, lower),)), spec.alphabet)
-    configs = ConfigAutomaton(
-        spec.alphabet, {state: component.copy() for state in spec.states}
-    )
+    configs = ConfigAutomaton(spec.alphabet, dict.fromkeys(spec.states, component))
     configs._validated = True
     return configs
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-from .compaction import config_word, from_words
+from .compaction import config_word, from_words, union_sets
 from .configsets import ConfigAutomaton, bar, is_barred, unbar
 from .core import (
     ConfigTuple,
@@ -475,9 +475,13 @@ def upper_config_set(au: UpperAutomaton) -> dict[str, Nfa]:
 def phase_pre(spec: UpdsSpec, targets: ConfigAutomaton, kind: PhaseKind) -> ConfigAutomaton:
     """All configurations from which some target configuration is reached
     by a trace, possibly empty, whose non-switch rules are all pops
-    (PhaseKind.POP) or all pushes (PhaseKind.PUSH). Exact, and trimmed."""
+    (PhaseKind.POP) or all pushes (PhaseKind.PUSH). Exact, and trimmed.
+    A pop phase accepts its targets by the empty trace; a push phase
+    misses those with an empty lower word, so the targets are added to it."""
     targets.check_against(spec, "target set")
-    return _phases(spec, targets.compact(), (kind,), _Moves(spec))
+    targets = targets.compact()
+    phase = _phases(spec, targets, (kind,), _Moves(spec))
+    return union_sets(phase, targets) if kind is PhaseKind.PUSH else phase
 
 
 # -- printers (regex, model) --------------------------------------------------

@@ -27,8 +27,10 @@ is added), so what they return is already trimmed. Which nodes can
 still reach one is the package's one backward search,
 `compaction._coreachable`, run on the rows as they are: no automaton is
 reversed. A round of `pre_star_rounds` builds both phases into one
-automaton per state, sharing the copies of the targets' zones, and
-compacts that. A single phase on its own, `phase_pre`, which no command
+automaton per state, then copies each target's barred zone into it once,
+up to where either phase enters the zone, and compacts that. No target
+is copied verbatim: the pop phase accepts the targets by the empty
+trace. A single phase on its own, `phase_pre`, which no command
 runs, lives in `extras` and still imports from here.
 
 Each target the phases read is a set as compaction leaves it: every
@@ -70,9 +72,10 @@ class _Target:
     The lockstep tables of the push phase are the nodes that reach a
     final node over plain edges (`_plain_steps`), and the positions of
     those the barred zone reaches (`entered`) and of the initial ones
-    (`first`). Since t is trimmed, a verbatim copy of it is too, and
-    every node that a plain edge reaches still reaches a final node, over
-    plain edges only, as accepted words end in plain symbols."""
+    (`first`). Since t is trimmed, every node that a plain edge reaches
+    still reaches a final node, over plain edges only, as accepted words
+    end in plain symbols. The phases only note where they enter the
+    barred zone; `_phases` copies it once per state (`upper_part`)."""
 
     def __init__(self, t: Nfa) -> None:
         self.nfa = t
@@ -148,9 +151,10 @@ def _zone_part(comp: Nfa, zone: Nfa, keep, name=_identity) -> None:
 
 
 def _pop_phase_pre(
-    spec: UpdsSpec, targets: dict[str, _Target], moves: _Moves, out: dict[str, Nfa]
+    spec: UpdsSpec, targets: dict[str, _Target], moves: _Moves, out: dict[str, Nfa], entered: dict
 ) -> None:
-    """One pop phase, backwards, added to each state's automaton in `out`.
+    """One pop phase, backwards, added to each state's automaton in `out`,
+    with the barred-zone nodes it enters per (state, target) in `entered`.
     A trace of switches and pops from <q, w_u, w_l> never shrinks the
     upper word: it appends the popped symbols z and leaves some final
     lower word, so the target automaton must read bar(w_u) bar(z) w_l'.
@@ -164,8 +168,11 @@ def _pop_phase_pre(
     state's walker, or, where qk is the target state, the trace ends and
     the target's plain zone reads ak and the rest of the lower word. So
     one pass over the pairs adds every core edge. Each state's part is
-    then its barred zones, entering its own walkers, and the part of the
-    core that those walkers reach and that can still reach a final node."""
+    then the epsilon edges from its barred zones into its own walkers,
+    and the part of the core that those walkers reach and that can still
+    reach a final node. Since a state's walker at its own target steps by
+    epsilon into the target's plain zone, the phase accepts every target
+    word by the empty trace."""
     core = Nfa()
     for p2, target in targets.items():
         t = target.nfa
@@ -188,20 +195,15 @@ def _pop_phase_pre(
                         core.add_edge(("i", q, p2, r), a, node)
     live = _coreachable(core._edges, core.finals)
     for q in spec.states:
-        comp = out.get(q) or Nfa()
+        comp = out[q]
         walkers = []
         for p2, target in targets.items():
-            entries = [
-                r for r in target.nfa.nodes() if r in target.reach and ("i", q, p2, r) in live
-            ]
-            if entries:
-                _zone_part(comp, target.upper, target.upper_part(entries), lambda r: ("u", p2, r))
-                for r in entries:
+            for r in target.nfa.nodes():
+                if r in target.reach and ("i", q, p2, r) in live:
                     comp.add_edge(("u", p2, r), EPSILON, ("i", q, p2, r))
                     walkers.append(("i", q, p2, r))
+                    entered.setdefault((q, p2), set()).add(r)
         _zone_part(comp, core, core.reachable(walkers) & live)
-        if comp.initial:
-            out[q] = comp
 
 
 def _plain_steps(nfa: Nfa) -> tuple[list, list[dict[str, tuple[int, ...]]]]:
@@ -228,9 +230,10 @@ def _plain_steps(nfa: Nfa) -> tuple[list, list[dict[str, tuple[int, ...]]]]:
 
 
 def _push_phase_pre(
-    spec: UpdsSpec, targets: dict[str, _Target], moves: _Moves, out: dict[str, Nfa]
+    spec: UpdsSpec, targets: dict[str, _Target], moves: _Moves, out: dict[str, Nfa], entered: dict
 ) -> None:
-    """One push phase, backwards, added to each state's automaton in `out`.
+    """One push phase, backwards, added to each state's automaton in `out`,
+    with the barred-zone nodes it enters per (state, target) in `entered`.
     A trace of switches and pushes from <q, g v, w_u> rewrites the lower
     top g into some word z (one symbol per push plus the survivor, so z
     has one more symbol than there are pushes) and drops that many
@@ -244,25 +247,21 @@ def _push_phase_pre(
     consumes g and hands the remaining input to the target's plain zone.
     A second entry mode starts the lockstep at the target's initial nodes
     for traces that exhaust the upper word, where extra pushes advance for
-    free. A verbatim copy of the target component keeps empty traces.
+    free. A trace needs a lower top to start from, so the empty trace on
+    an empty lower word is left to the pop phase.
 
     Only what an accepted word uses is built. The lockstep pairs are
     explored first and kept only if an exit can follow (`_lockstep`); a
-    barred zone is copied only up to the nodes that enter a kept pair, and
-    a plain zone only forward from the exits: past the plain edge that
-    lands on an exit, every node the zone reaches is live."""
+    plain zone is copied only forward from the exits: past the plain edge
+    that lands on an exit, every node the zone reaches is live."""
     barred = [bar(x) for x in spec.alphabet]
     for q in spec.states:
-        comp = out.get(q) or Nfa()
-        own = targets.get(q)
-        if own is not None:
-            _zone_part(comp, own.nfa, own.nfa._edges, lambda r: ("v", r))
+        comp = out[q]
         for p2, target in targets.items():
             names = target.names
             z = moves.start[p2]
             entering = [(r, z) for r in target.entered + target.first]
             walk = _lockstep(target.steps, moves.steps, moves.exits[q], entering)
-            entries: set = set()
             exits: set = set()
             for free, rs in ((0, target.entered), (1, target.first)):
                 reached = [(r, z) for r in rs if (r, z) in walk]
@@ -271,7 +270,7 @@ def _push_phase_pre(
                         comp.add_initial(("k", p2, r, z, 1))
                     else:
                         comp.add_edge(("u", p2, names[r]), EPSILON, ("k", p2, r, z, 0))
-                        entries.add(names[r])
+                        entered.setdefault((q, p2), set()).add(names[r])
                 seen = set(reached)
                 while reached:
                     pair = reached.pop()
@@ -289,13 +288,9 @@ def _push_phase_pre(
                     for top, r2 in landings:
                         comp.add_edge(src, top, ("e", p2, names[r2]))
                         exits.add(names[r2])
-            if entries:
-                _zone_part(comp, target.upper, target.upper_part(entries), lambda r: ("u", p2, r))
             if exits:
                 lower = target.lower
                 _zone_part(comp, lower, lower.reachable(exits), lambda r: ("e", p2, r))
-        if comp.initial:
-            out[q] = comp
 
 
 def _lockstep(steps: list, zsteps: list, zexits: dict, starts: list) -> dict:
@@ -341,14 +336,21 @@ def _phases(
     leaves it, by one phase of any of the given kinds. Both phases write
     into one automaton per state: they share the copies of the target's
     zones, and a path through either phase's nodes is one of its own, so
-    each state's automaton accepts the union of what the phases accept."""
+    each state's automaton accepts the union of what the phases accept.
+    Each (state, target) gets one copy of the barred zone, up to the
+    nodes that either phase enters; a state whose automaton has no
+    initial node then reaches no target."""
     components = {state: _Target(nfa) for state, nfa in targets.components.items()}
-    out: dict[str, Nfa] = {}
+    out = {q: Nfa() for q in spec.states}
+    entered: dict = {}
     if PhaseKind.POP in kinds:
-        _pop_phase_pre(spec, components, moves, out)
+        _pop_phase_pre(spec, components, moves, out, entered)
     if PhaseKind.PUSH in kinds:
-        _push_phase_pre(spec, components, moves, out)
-    return ConfigAutomaton(spec.alphabet, out)
+        _push_phase_pre(spec, components, moves, out, entered)
+    for (q, p2), entries in entered.items():
+        target = components[p2]
+        _zone_part(out[q], target.upper, target.upper_part(entries), lambda r: ("u", p2, r))
+    return ConfigAutomaton(spec.alphabet, {q: comp for q, comp in out.items() if comp.initial})
 
 
 def pre_star_rounds(

@@ -1,0 +1,114 @@
+"""Hand mutants of the analyses, each with the test files that must kill it.
+
+Run from anywhere: python3 tests/mutants.py
+
+Each mutant replaces one exact piece of text in one file of the package.
+For each, the runner copies `src/`, `tests/` and `pyproject.toml` to a
+temporary directory, applies the mutant to the copy, and runs the
+mutant's test files there with `pytest -x`. A mutant is killed when
+those tests fail; it survives when they pass. The run fails if a mutant
+survives, if its tests end in anything but passing or failing (a
+collection error, say), or if its old text is not found exactly once in
+the checkout: a change that rewrites mutated code updates the mutant's
+text with it. pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# (name, file under src/upstack, exact old text, new text, test files
+# that must fail).
+MUTANTS = (
+    (
+        "pop core without the empty trace",
+        "kphase.py",
+        'core.add_edge(("i", p2, p2, r), EPSILON, ("e", p2, r))',
+        "pass",
+        ["tests/test_kphase.py"],
+    ),
+    (
+        "push phase_pre without the targets",
+        "extras.py",
+        "return union_sets(phase, targets) if kind is PhaseKind.PUSH else phase",
+        "return phase",
+        ["tests/test_kphase.py"],
+    ),
+    (
+        "barred zones copied for the pop phase's entries only",
+        "kphase.py",
+        "_push_phase_pre(spec, components, moves, out, entered)",
+        "_push_phase_pre(spec, components, moves, out, {})",
+        ["tests/test_kphase.py"],
+    ),
+    (
+        "every round reported as converged",
+        "kphase.py",
+        "converged = grown.same(current)",
+        "converged = True",
+        ["tests/test_kphase.py"],
+    ),
+)
+
+
+def check_texts() -> list[str]:
+    """A line for each mutant whose old text is not in its file exactly
+    once."""
+    problems = []
+    for name, file, old, _, _ in MUTANTS:
+        found = (ROOT / "src" / "upstack" / file).read_text(encoding="utf-8").count(old)
+        if found != 1:
+            problems.append(f"{name}: old text found {found} times in {file}")
+    return problems
+
+
+def run(mutant) -> tuple[str, str]:
+    """Apply one mutant to a temporary copy and run its tests: the
+    outcome (killed, survived or error) and pytest's last lines."""
+    _, file, old, new, tests = mutant
+    with tempfile.TemporaryDirectory(prefix="upstack-mutant-") as tmp:
+        copy = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(
+                ROOT / part, copy / part, ignore=shutil.ignore_patterns("__pycache__")
+            )
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        path = copy / "src" / "upstack" / file
+        path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+            cwd=copy, env=env, capture_output=True, text=True,
+        )
+    outcome = {0: "survived", 1: "killed"}.get(done.returncode, "error")
+    tail = [line for line in done.stdout.splitlines() if line.startswith("FAILED")]
+    return outcome, "\n".join(tail or done.stdout.splitlines()[-3:])
+
+
+def main() -> int:
+    problems = check_texts()
+    for problem in problems:
+        print(problem)
+    if problems:
+        return 1
+    failed = 0
+    for mutant in MUTANTS:
+        start = time.perf_counter()
+        outcome, detail = run(mutant)
+        print(f"{outcome}: {mutant[0]} ({time.perf_counter() - start:.1f} s)")
+        print("  " + detail.replace("\n", "\n  "))
+        failed += outcome != "killed"
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

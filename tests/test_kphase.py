@@ -6,7 +6,7 @@ from collections import deque
 
 import pytest
 
-from upstack.configsets import ConfigAutomaton, from_config_set
+from upstack.configsets import ConfigAutomaton, from_config_set, union_sets
 from upstack.core import Configuration, RuleKind, UpdsSpec, count_phases, make_spec, step
 from upstack.errors import MalformedInputError
 from upstack.kphase import (
@@ -159,6 +159,31 @@ def test_phases_accept_what_their_first_construction_accepts():
         expected = phase_reference.bounded_phase_pre_star(spec, targets, k)
         assert bounded_phase_pre_star(spec, targets, k).same(expected)
         checked += 1
+
+
+def test_the_pop_phase_alone_contains_its_targets():
+    # A round of pre_star_rounds keeps its targets only through the pop
+    # phase's empty trace: a state's walker at its own target steps by
+    # epsilon into the target's plain zone, whatever the lower word, and
+    # the push phase needs a lower top. Drawn as the test above draws, so
+    # that some members have an empty lower word.
+    rng = random.Random(2718)
+    checked = empty_lower = 0
+    while checked < 300:
+        spec = random_spec(rng, max_states=5, max_symbols=3, max_rules=10)
+        if len(spec.states) < 3:
+            continue
+        members = [random_configuration(rng, spec) for _ in range(rng.randint(1, 4))]
+        empty_lower += any(not c.lower for c in members)
+        targets = from_config_set(spec, members)
+        if rng.random() < 0.5:
+            targets = phase_reference.bounded_phase_pre_star(spec, targets, rng.randint(1, 2))
+        if rng.random() < 0.5:
+            targets = _with_dead_ends(rng, targets)
+        popped = phase_pre(spec, targets, PhaseKind.POP)
+        assert union_sets(popped, targets).compact().same(popped.compact())
+        checked += 1
+    assert empty_lower
 
 
 def _with_cycle_and_chain(rng, spec):
