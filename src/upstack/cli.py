@@ -86,13 +86,13 @@ def _plain_args(name: str, argv: list[str]) -> SimpleNamespace | None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    named = bool(argv) and argv[0] in COMMANDS
-    args = _plain_args(argv[0], argv[1:]) if named else None
-    if args is None:
-        from .commands._parser import build_parser
-
-        args = build_parser((argv[0],) if named else COMMANDS).parse_args(argv)
     try:
+        named = bool(argv) and argv[0] in COMMANDS
+        args = _plain_args(argv[0], argv[1:]) if named else None
+        if args is None:
+            from .commands._parser import build_parser
+
+            args = build_parser((argv[0],) if named else COMMANDS).parse_args(argv)
         try:
             with open(args.model, encoding="utf-8") as handle:
                 text = handle.read()
@@ -117,6 +117,11 @@ def main(argv=None) -> int:
     except (UpstackError, OSError) as err:
         print(f"upstack: error: {err}", file=sys.stderr)
         return 3
+    except Exception as err:
+        # A defect: exit with a code no answer uses, so that a crash never
+        # reads as false or Unsafe.
+        print(f"upstack: internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

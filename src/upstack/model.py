@@ -17,6 +17,10 @@ without a line have empty slices. The expression punctuation ``^ _ | (
 for symbols the checkers inject. Parsing, printing, and reparsing is
 the identity on the abstract syntax. The printer, `print_model`, lives
 in `extras`, which no command loads, and still imports from here.
+
+A fault in a line is raised as `regex._Fault` with the index of its
+word, and `regex._place` gives that word's column, as it does for a
+fault in a set expression or a configuration literal.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from . import _forward
 from .configsets import ConfigAutomaton
 from .core import Configuration, Frozen, UpdsSpec, make_spec
 from .errors import MalformedInputError, ParseError
-from .regex import compile_config_regex, parse_config_regex
+from .regex import _Fault, _place, compile_config_regex, parse_config_regex
 
 RESERVED = ("^", "_", "|", "(", ")", "*", "->")
 _PUNCT = set("^|()*#")
@@ -70,34 +74,17 @@ class ModelFile(Frozen):
         return compiled
 
 
-class _WordError(Exception):
-    """A fault at words[k] of a line, or just past its last word when k is
-    their number; `parse_model` adds the line and works out the column."""
-
-
-def _column(line: str, words: list[str], k: int) -> int:
-    """The 1-based column of words[k] in line, whose words they are in
-    order with only whitespace between (its whitespace split, or that of
-    a literal with its '^' spaced out), or the column just past the last
-    word when k is their number. Each word is found from the end of the
-    one before, so no earlier match is possible."""
-    end = 0
-    for word in words[:k]:
-        end = line.index(word, end) + len(word)
-    return (line.index(words[k], end) if k < len(words) else end) + 1
-
-
 def _check_ident(token: str, k: int) -> None:
     """Raise if words[k] may not be an identifier; only a bad one is
     scanned, to word the error."""
     if _PUNCT.isdisjoint(token) and token not in RESERVED and token[0] != "@":
         return
     if token in RESERVED:
-        raise _WordError(k, f"{token!r} is reserved punctuation")
+        raise _Fault(k, f"{token!r} is reserved punctuation")
     bad = sorted(_PUNCT.intersection(token))
     if bad:
-        raise _WordError(k, f"identifier {token!r} contains reserved {bad[0]!r}")
-    raise _WordError(k, f"identifier {token!r}: the '@' prefix is reserved")
+        raise _Fault(k, f"identifier {token!r} contains reserved {bad[0]!r}")
+    raise _Fault(k, f"identifier {token!r}: the '@' prefix is reserved")
 
 
 def parse_model(text: str) -> ModelFile:
@@ -125,18 +112,19 @@ def parse_model(text: str) -> ModelFile:
                 _parse_set_line(words, lineno, line, states, symbols, sets)
             elif head in ("states", "alphabet"):
                 if len(words) == 1:
-                    raise _WordError(0, f"empty {head} declaration")
+                    raise _Fault(0, f"empty {head} declaration")
                 bucket = states if head == "states" else alphabet
                 for k in range(1, len(words)):
                     token = words[k]
                     _check_ident(token, k)
                     if token in states or token in alphabet:
-                        raise _WordError(k, f"duplicate identifier {token!r}")
+                        raise _Fault(k, f"duplicate identifier {token!r}")
                     bucket[token] = None
             else:
-                raise _WordError(0, f"unknown directive {head!r}")
-    except _WordError as err:
-        raise ParseError(lineno, _column(line, words, err.args[0]), err.args[1]) from None
+                raise _Fault(0, f"unknown directive {head!r}")
+    except _Fault as fault:
+        k, message = fault.args
+        raise ParseError(*_place(line, words, k, lineno), message) from None
     if not states:
         raise ParseError(1, 1, "missing states declaration")
     return ModelFile(make_spec(tuple(states), tuple(alphabet), rules), sets)
@@ -144,41 +132,41 @@ def parse_model(text: str) -> ModelFile:
 
 def _parse_rule(words, states, alphabet, rules):
     if len(words) < 5 or words[3] != "->":
-        raise _WordError(0, "expected 'rule <state> <symbol> -> <state> ...'")
+        raise _Fault(0, "expected 'rule <state> <symbol> -> <state> ...'")
     from_state, read_symbol, to_state, written = words[1], words[2], words[4], words[5:]
     if from_state not in states:
-        raise _WordError(1, f"undeclared state {from_state!r}")
+        raise _Fault(1, f"undeclared state {from_state!r}")
     if read_symbol not in alphabet:
-        raise _WordError(2, f"undeclared symbol {read_symbol!r}")
+        raise _Fault(2, f"undeclared symbol {read_symbol!r}")
     if to_state not in states:
-        raise _WordError(4, f"undeclared state {to_state!r}")
+        raise _Fault(4, f"undeclared state {to_state!r}")
     if len(written) > 2:
-        raise _WordError(7, "a rule writes at most two symbols")
+        raise _Fault(7, "a rule writes at most two symbols")
     for k, token in enumerate(written, 5):
         if token not in alphabet:
-            raise _WordError(k, f"undeclared symbol {token!r}")
+            raise _Fault(k, f"undeclared symbol {token!r}")
     rule = (from_state, read_symbol, to_state, tuple(written))
     if rule in rules:
-        raise _WordError(0, f"duplicate rule '{' '.join(words[1:])}'")
+        raise _Fault(0, f"duplicate rule '{' '.join(words[1:])}'")
     rules[rule] = None
 
 
 def _parse_set_line(words, lineno, line, states, symbols, sets):
     if len(words) < 3:
-        raise _WordError(0, "expected 'set <name> <state> <expression>'")
+        raise _Fault(0, "expected 'set <name> <state> <expression>'")
     name, state = words[1], words[2]
     _check_ident(name, 1)
     if state not in states:
-        raise _WordError(2, f"undeclared state {state!r}")
+        raise _Fault(2, f"undeclared state {state!r}")
     if len(words) < 4:
-        raise _WordError(3, "missing expression")
-    expr_col = _column(line, words, 3)
+        raise _Fault(3, "missing expression")
+    _, expr_col = _place(line, words, 3)
     ast = parse_config_regex(
         line[expr_col - 1 :], line=lineno, col=expr_col, alphabet=symbols
     )
     slices = sets.setdefault(name, {})
     if state in slices:
-        raise _WordError(2, f"set {name!r} already has a {state!r} slice")
+        raise _Fault(2, f"set {name!r} already has a {state!r} slice")
     slices[state] = ast
 
 
@@ -192,18 +180,24 @@ def parse_config_literal(spec: UpdsSpec, text: str) -> Configuration:
     if not sep:
         raise ParseError(1, 1, "expected '<state>: <upper> ^ <lower>'")
     if state not in spec.states:
-        raise ParseError(1, _column(head, [state], 0), f"undeclared state {state!r}")
-    # Columns count in the text with its state and colon blanked out.
-    stacks = " " * len(head + sep) + stacks
+        raise ParseError(
+            *_place(head.replace("\n", " "), head.split(), 0), f"undeclared state {state!r}"
+        )
+    # A literal is one line: columns count along the whole text, a line
+    # break in it included, with its state and colon blanked out.
+    stacks = " " * len(head + sep) + stacks.replace("\n", " ")
     tokens = stacks.replace("^", " ^ ").split()
     markers = [i for i, token in enumerate(tokens) if token == "^"]
     if len(markers) != 1:
-        column = _column(stacks, tokens, markers[1]) if markers else len(text) + 1
-        raise ParseError(1, column, "expected exactly one boundary marker '^'")
+        # With no marker, the fault is at the end marker "", the text's end.
+        raise ParseError(
+            *_place(stacks, tokens + [""], markers[1] if markers else len(tokens)),
+            "expected exactly one boundary marker '^'",
+        )
     split = markers[0]
     for i, token in enumerate(tokens):
         if i != split and token not in spec.alphabet:
-            raise ParseError(1, _column(stacks, tokens, i), f"undeclared symbol {token!r}")
+            raise ParseError(*_place(stacks, tokens, i), f"undeclared symbol {token!r}")
     return Configuration(state, tuple(tokens[:split]), tuple(tokens[split + 1 :]))
 
 

@@ -17,9 +17,11 @@ back to the same AST; it lives in `extras`, which no command loads, and
 still imports from here.
 
 The parser reads the words of the text, operators spaced out and one
-whitespace split of the whole text, as plain strings: no token object is
-built and no position is worked out. A fault names the index of its
-word, and only then does `tokenize` give that word's line and column.
+whitespace split of the whole text, as plain strings: no position is
+worked out while parsing. A fault names the index of its word
+(`_Fault`), and only then does `_place` give that word's line and
+column; the model parser places its faults the same way. Groups nest at
+most `MAX_NESTING` deep, and stacked stars compile as one.
 
 `compile_config_regex` builds an epsilon-free automaton: Glushkov's
 position automaton, with at most one node per symbol occurrence plus a
@@ -36,52 +38,19 @@ from .configsets import bar
 from .errors import MalformedInputError, ParseError
 from .nfa import Nfa
 
-# The token kind of each operator and of `_`, the empty word; any other
-# word is a symbol.
-_KINDS = {"(": "lparen", ")": "rparen", "|": "pipe", "*": "star", "^": "caret", "_": "empty"}
 # The words that end a sequence: what may follow one, and "", the end.
 _AFTER_SEQUENCE = frozenset(("|", ")", "*", "^", ""))
-
-
-class _Token:
-    __slots__ = ("kind", "value", "line", "col")
-
-    def __init__(self, kind: str, value: str, line: int, col: int):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.col = col
-
-
-def tokenize(text: str, line: int = 1, col: int = 1) -> list[_Token]:
-    """The tokens of `text`, which starts at (line, col), ending with an
-    `end` token just past its last character. Operators are spaced out so
-    that one whitespace split of each line gives every token, and each is
-    found in the line from the end of the one before, so only whitespace
-    lies between and no earlier match is possible. The parser reads the
-    same words without positions (`_words`); this works out a diagnostic's
-    position."""
-    tokens: list[_Token] = []
-    for row_number, row in enumerate(text.split("\n")):
-        if row_number:
-            line += 1
-            col = 1
-        spaced = row
-        for op in "()|*^":
-            spaced = spaced.replace(op, f" {op} ")
-        at = 0
-        for word in spaced.split():
-            at = row.index(word, at)
-            tokens.append(_Token(_KINDS.get(word, "sym"), word, line, col + at))
-            at += len(word)
-    tokens.append(_Token("end", "", line, col + len(row)))
-    return tokens
+# The deepest nesting of groups that a set expression may have. Per group
+# the parser makes two nested calls and the position compiler at most four
+# (an alternation, a sequence and its comprehension, a star), so at the
+# bound both stay within Python's default recursion limit of 1000, with
+# room for their callers.
+MAX_NESTING = 200
 
 
 def _words(text: str) -> list[str]:
-    """The values of `tokenize(text)`, the end token's being "", without
-    positions: a line break is whitespace to one split of the whole
-    text."""
+    """The words of the text, operators spaced out and one whitespace
+    split of the whole text, ending with "", the end marker."""
     for op in "()|*^":
         text = text.replace(op, f" {op} ")
     words = text.split()
@@ -89,8 +58,28 @@ def _words(text: str) -> list[str]:
     return words
 
 
+def _place(text: str, words: list[str], k: int, line: int = 1, col: int = 1) -> tuple[int, int]:
+    """The 1-based line and column of words[k] in text, which starts at
+    (line, col): words[k] is found in the text from the end of the word
+    before, the end marker "" stands for the end of the text, and k past
+    the last word for the column just after it. The words are the text's
+    in order with only whitespace between (a whitespace split, or that of
+    the text with its operators spaced out), so no earlier match is
+    possible. Lines break at "\\n" only."""
+    end = 0
+    for word in words[:k]:
+        end = text.index(word, end) + len(word)
+    if k < len(words):
+        end = text.index(words[k], end) if words[k] else len(text)
+    row = text.rfind("\n", 0, end)
+    if row < 0:
+        return line, col + end
+    return line + text.count("\n", 0, end), end - row
+
+
 class _Fault(Exception):
-    """A parse error at words[k]; the caller works out its position."""
+    """A parse error at words[k], raised as `_Fault(k, message)`; the
+    caller places it with `_place`."""
 
 
 def _parse(words: list[str], alphabet: set[str] | None, zone: bool) -> tuple:
@@ -101,14 +90,16 @@ def _parse(words: list[str], alphabet: set[str] | None, zone: bool) -> tuple:
     group or a zone."""
     pos = 0
 
-    def sequence() -> tuple:
+    def sequence(depth: int) -> tuple:
         nonlocal pos
         items = []
         word = words[pos]
         while word not in _AFTER_SEQUENCE:
             pos += 1
             if word == "(":
-                node = alternatives()
+                if depth == MAX_NESTING:
+                    raise _Fault(pos - 1, f"groups nested deeper than {MAX_NESTING}")
+                node = alternatives(depth + 1)
                 if words[pos] != ")":
                     if words[pos] == "^":
                         raise _Fault(pos, "boundary marker '^' not allowed inside a group")
@@ -130,26 +121,26 @@ def _parse(words: list[str], alphabet: set[str] | None, zone: bool) -> tuple:
             return ("empty",)
         return items[0] if len(items) == 1 else ("concat", tuple(items))
 
-    def alternatives() -> tuple:
+    def alternatives(depth: int) -> tuple:
         nonlocal pos
-        parts = [sequence()]
+        parts = [sequence(depth)]
         while words[pos] == "|":
             pos += 1
-            parts.append(sequence())
+            parts.append(sequence(depth))
         return parts[0] if len(parts) == 1 else ("alt", tuple(parts))
 
     if zone:
-        tree = alternatives()
+        tree = alternatives(0)
         if words[pos] == "^":
             raise _Fault(pos, "boundary marker '^' not allowed in a zone expression")
     else:
         branches = []
         while True:
-            upper = sequence()
+            upper = sequence(0)
             if words[pos] != "^":
                 raise _Fault(pos, "missing boundary marker '^' in alternative")
             pos += 1
-            branches.append((upper, sequence()))
+            branches.append((upper, sequence(0)))
             if words[pos] == "^":
                 raise _Fault(pos, "second boundary marker '^' in alternative")
             if words[pos] != "|":
@@ -162,12 +153,12 @@ def _parse(words: list[str], alphabet: set[str] | None, zone: bool) -> tuple:
 
 
 def _parse_text(text: str, line: int, col: int, alphabet: set[str] | None, zone: bool) -> tuple:
+    words = _words(text)
     try:
-        return _parse(_words(text), alphabet, zone)
+        return _parse(words, alphabet, zone)
     except _Fault as fault:
         k, message = fault.args
-        token = tokenize(text, line, col)[k]
-        raise ParseError(token.line, token.col, message) from None
+        raise ParseError(*_place(text, words, k, line, col), message) from None
 
 
 def parse_config_regex(
@@ -218,6 +209,8 @@ class _Positions:
         if kind == "empty":
             return True, [], []
         if kind == "star":
+            while ast[1][0] == "star":  # x** is x*
+                ast = ast[1]
             _, first, last = self.scan(ast[1], barred)
             self.link(last, first)
             return True, first, last

@@ -56,6 +56,76 @@ MUTANTS = (
         "converged = True",
         ["tests/test_kphase.py"],
     ),
+    (
+        "push phase's free mode without its epsilon steps",
+        "kphase.py",
+        "if free:\n                            comp.add_edge(src, EPSILON, dst)",
+        "if free:\n                            pass",
+        ["tests/test_kphase.py"],
+    ),
+    (
+        "membership climbs without checking the goal's prefix",
+        "membership.py",
+        "climbs = not above and shared < depth and upper[shared] == top",
+        "climbs = not above and shared < depth",
+        ["tests/test_oracle.py"],
+    ),
+    (
+        "membership pushes past its size cap",
+        "membership.py",
+        "elif len(lower) < cap:",
+        "elif True:",
+        ["tests/test_oracle.py"],
+    ),
+    (
+        "a pop that forgets its symbol",
+        "oracle.py",
+        "succ = (to_state, upper + top, rest)",
+        "succ = (to_state, upper, rest)",
+        ["tests/test_oracle.py"],
+    ),
+    (
+        "an upper push that ignores the empty word",
+        "upperapprox.py",
+        "targets += [q for q in closure if q in rev.finals]",
+        "pass",
+        ["tests/test_upperapprox.py"],
+    ),
+    (
+        "switches dropped from the upper closure",
+        "upperapprox.py",
+        "RuleKind.SWITCH:\n            rev.add_edge(q1, EPSILON, q0)",
+        "RuleKind.SWITCH:\n            pass",
+        ["tests/test_upperapprox.py"],
+    ),
+    (
+        "a subset budget one node too large",
+        "compaction.py",
+        "if len(number) >= node_budget:",
+        "if len(number) > node_budget:",
+        ["tests/test_nfa.py"],
+    ),
+    (
+        "a replay not kept inside the under-approximation",
+        "checkers.py",
+        "within=under.accepts",
+        "within=None",
+        ["tests/test_checkers.py"],
+    ),
+    (
+        "Safe without convergence",
+        "checkers.py",
+        "    if converged:\n        # The exact pre* misses the initial set.",
+        "    if True:\n        # The exact pre* misses the initial set.",
+        ["tests/test_checkers.py"],
+    ),
+    (
+        "set expressions nested past the bound",
+        "regex.py",
+        "if depth == MAX_NESTING:",
+        "if False:",
+        ["tests/test_regex.py"],
+    ),
 )
 
 

@@ -1,7 +1,8 @@
 """The character-by-character model and expression front end, kept as the
-reference that `model.parse_model`, `regex.tokenize` and the expression
-parsers (`regex.parse_config_regex`, `regex.parse_zone_regex`) are
-pinned against.
+reference that `model.parse_model`, the expression parsers
+(`regex.parse_config_regex`, `regex.parse_zone_regex`) and the position
+finder (`regex._place`, against `reference_tokenize`) are pinned
+against.
 
 Every line is walked one character at a time, each word is kept with its
 column, and a duplicate rule is looked for in the list of the rules

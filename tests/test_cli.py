@@ -2,7 +2,8 @@
 
 Exit-code contract: 0 a true probe or a Safe verdict, 1 a false probe
 or an Unsafe verdict, 2 Unknown, 3 any usage, parse, or analysis error,
-141 (as for SIGPIPE) when the reader of stdout has gone away.
+4 an internal error (a defect), 141 (as for SIGPIPE) when the reader of
+stdout has gone away.
 All expectations here were adjudicated against the bounded oracle or
 hand-replayed before being pinned.
 """
@@ -15,6 +16,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 import types
 from pathlib import Path
 
@@ -27,6 +29,7 @@ from upstack.cli import main
 from upstack.commands import COMMANDS, command
 from upstack.commands._parser import build_parser
 from upstack.fixtures import fixture_path
+from upstack.regex import MAX_NESTING
 
 E1 = str(fixture_path("e1.upds"))
 E2 = str(fixture_path("e2.upds"))
@@ -239,6 +242,62 @@ def test_a_model_file_not_in_utf8_is_an_error_naming_the_byte(tmp_path):
         code, out, err = run_cli(argv)
         assert (code, out) == (3, "")
         assert err == f"upstack: error: {model}: not UTF-8 at byte {len(text) + 2}\n"
+
+
+def _e1_with_set_d(tmp_path, expression):
+    """e1's model file with the line `set D p <expression>` appended, and
+    that line's number."""
+    text = Path(E1).read_text(encoding="utf-8")
+    model = tmp_path / "e1_d.upds"
+    model.write_text(f"{text}set D p {expression}\n", encoding="utf-8")
+    return str(model), text.count("\n") + 1
+
+
+def _member_and_check_read(model):
+    return (
+        run_cli(["member", model, "--init", "D", "--config", "p2: a a b ^ bot"]),
+        run_cli(["check-read", model, "--init", "D", "--symbol", "a", "-k", "1"]),
+    )
+
+
+def test_groups_nested_past_the_bound_are_a_parse_error(tmp_path):
+    # Nested that deep, the parser used to raise RecursionError, which
+    # exited 1: false for member, Unsafe for check-read. Each level is
+    # (y x G)*, so the set is C1 at any depth.
+    for depth in (MAX_NESTING, MAX_NESTING + 1, 500):
+        prefix = "^ x " + "( y x " * depth
+        model, line = _e1_with_set_d(tmp_path, prefix + ")*" * depth + " bot")
+        runs = _member_and_check_read(model)
+        if depth == MAX_NESTING:
+            assert [code for code, _, _ in runs] == [0, 1]
+            continue
+        # The (MAX_NESTING + 1)-th '(' of the line.
+        column = len("set D p ^ x ") + len("( y x ") * MAX_NESTING + 1
+        for code, out, err in runs:
+            assert (code, out) == (3, "")
+            assert err == (
+                f"upstack: error: line {line}, column {column}: "
+                f"groups nested deeper than {MAX_NESTING}\n"
+            )
+
+
+def test_stacked_stars_answer_as_one_star(tmp_path):
+    answers = []
+    for stars in ("*", "*" * 2000):
+        model, _ = _e1_with_set_d(tmp_path, f"^ x (y x){stars} bot")
+        answers.append(_member_and_check_read(model))
+    assert answers[0] == answers[1]
+    assert [code for code, _, _ in answers[0]] == [0, 1]
+
+
+def test_a_crash_exits_4_and_never_reads_as_an_answer(monkeypatch):
+    def crash(args, model):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(command("member"), "run", crash)
+    code, out, err = run_cli(["member", E1, "--init", "C1", "--config", "p2: a ^ bot"])
+    assert (code, out) == (4, "")
+    assert err == "upstack: internal error: RecursionError: maximum recursion depth exceeded\n"
 
 
 def test_a_spent_budget_is_unknown_not_an_error():
@@ -535,3 +594,62 @@ def test_a_line_read_without_argparse_reads_as_argparse_reads_it(name, data):
         words.insert(data.draw(st.integers(0, len(words))), odd)
     plain = _plain([name, *words])
     assert plain is None or plain == _argparse_args([name, *words])
+
+
+# Command lines for each fixture, the model's path left out; the checkers
+# run at k = 1 to keep each example fast.
+_FUZZED_COMMANDS = {
+    "e1.upds": (
+        ["member", "--init", "C1", "--config", "p2: a ^ bot"],
+        ["check-read", "--init", "C1", "--symbol", "a", "-k", "1"],
+        ["check-overflow", "-m", "1", "--lower", "x (y x)* bot", "-k", "1"],
+    ),
+    "e2.upds": (
+        ["pre-under", "--target", "C2", "-k", "1", "--config", "p: b ^ c c"],
+        ["post-over", "--init", "C2", "--config", "p: a ^ c b"],
+        ["check-read", "--init", "C2", "--symbol", "b", "-k", "1"],
+    ),
+    "relocate.upds": (
+        ["member", "--init", "Boot", "--config", "pivot: secret ^ ret bot"],
+        ["post-over", "--init", "Boot", "--config", "pivot: canary ^ ret bot"],
+        ["check-read", "--init", "Boot", "--symbol", "secret", "-k", "1"],
+    ),
+}
+# Any byte, or one that the model syntax gives a meaning.
+_BYTES = st.integers(0, 255) | st.sampled_from(b"()|*^_#@:-> \n")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_FUZZED_COMMANDS)),
+    edits=st.lists(
+        st.tuples(st.sampled_from(["replace", "insert", "delete"]), st.floats(0, 1), _BYTES),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_a_mutated_model_gets_an_honest_exit_code(name, edits):
+    # Every exit is an answer (0, 1), Unknown (2) or an error (3): nothing
+    # escapes main and no crash (4) happens, and 1 always comes with the
+    # false or Unsafe it stands for.
+    data = bytearray(fixture_path(name).read_bytes())
+    for edit, where, byte in edits:
+        at = int(where * (len(data) - (edit != "insert")))
+        if edit == "delete":
+            del data[at]
+        elif edit == "insert":
+            data.insert(at, byte)
+        else:
+            data[at] = byte
+    with tempfile.TemporaryDirectory() as tmp:
+        model = os.path.join(tmp, name)
+        with open(model, "wb") as handle:
+            handle.write(data)
+        for argv in _FUZZED_COMMANDS[name]:
+            code, out, err = run_cli([argv[0], model, *argv[1:]])
+            assert code in (0, 1, 2, 3), (argv, bytes(data), err)
+            if code == 1:
+                lines = out.splitlines()
+                assert "false" in lines or any(
+                    line.startswith("verdict: Unsafe") for line in lines
+                ), (argv, bytes(data), out)

@@ -16,7 +16,7 @@ from upstack.model import (
     print_model,
 )
 
-from upstack.regex import tokenize
+from upstack.regex import _place, _words
 
 from conftest import cfg
 from parser_reference import reference_parse_model, reference_spec_checks, reference_tokenize
@@ -233,8 +233,6 @@ def _outcome(parse, *args):
         result = parse(*args)
     except UpstackError as err:
         return type(err), str(err), getattr(err, "line", None), getattr(err, "column", None)
-    if isinstance(result, list):
-        return [(t.kind, t.value, t.line, t.col) for t in result]
     return result
 
 
@@ -252,8 +250,13 @@ def test_parse_model_matches_the_reference(declared, lines, ending):
     line=st.integers(1, 5),
     col=st.integers(1, 9),
 )
-def test_tokens_match_the_reference(text, line, col):
-    assert _outcome(tokenize, text, line, col) == _outcome(reference_tokenize, text, line, col)
+def test_place_matches_the_reference(text, line, col):
+    """Every word of the text, the end marker included, is placed where
+    the character-by-character tokenizer puts its token."""
+    words = _words(text)
+    placed = [(word, *_place(text, words, k, line, col)) for k, word in enumerate(words)]
+    reference = reference_tokenize(text, line, col)
+    assert placed == [(token.value, token.line, token.col) for token in reference]
 
 
 _IDS = st.sampled_from(["p", "q", "a", "b", ""])

@@ -7,11 +7,13 @@ from upstack.configsets import ConfigAutomaton, bar, config_word, is_barred
 from upstack.errors import ParseError, UpstackError
 from upstack.nfa import EPSILON, Nfa, from_words
 from upstack.regex import (
+    MAX_NESTING,
+    _place,
+    _words,
     compile_config_regex,
     parse_config_regex,
     parse_zone_regex,
     print_config_regex,
-    tokenize,
 )
 
 from conftest import cfg
@@ -20,18 +22,18 @@ from parser_reference import reference_parse_config_regex, reference_parse_zone_
 from thompson_reference import thompson_config_regex
 
 
-def test_tokenizer_positions():
-    toks = tokenize("a (b\n c)* ^", line=3, col=1)
-    kinds = [(t.kind, t.value, t.line, t.col) for t in toks]
-    assert kinds == [
-        ("sym", "a", 3, 1),
-        ("lparen", "(", 3, 3),
-        ("sym", "b", 3, 4),
-        ("sym", "c", 4, 2),
-        ("rparen", ")", 4, 3),
-        ("star", "*", 4, 4),
-        ("caret", "^", 4, 6),
-        ("end", "", 4, 7),
+def test_place_finds_each_word_across_lines():
+    text = "a (b\n c)* ^"
+    words = _words(text)
+    assert [(word, *_place(text, words, k, line=3)) for k, word in enumerate(words)] == [
+        ("a", 3, 1),
+        ("(", 3, 3),
+        ("b", 3, 4),
+        ("c", 4, 2),
+        (")", 4, 3),
+        ("*", 4, 4),
+        ("^", 4, 6),
+        ("", 4, 7),
     ]
 
 
@@ -85,6 +87,41 @@ def test_parse_errors_carry_positions():
     assert err.value.column == 5
     with pytest.raises(ParseError, match="undeclared symbol 'z'"):
         parse_config_regex("z ^", alphabet=("a", "b"))
+
+
+def test_groups_nest_at_most_the_bound():
+    # Each group holds an alternation of a sequence that ends in the next
+    # group, starred: the most calls the position compiler makes per level.
+    deep = "a"
+    for _ in range(MAX_NESTING):
+        deep = f"( a | b {deep}* )"
+    nfa = compile_config_regex(f"^ {deep}", ("a", "b"))
+    assert len(nfa.nodes()) == 2 * MAX_NESTING + 2
+    assert parse_zone_regex(deep, ("a", "b"))[0] == "alt"
+    # One level more is an error at the first '(' past the bound, here the
+    # last '(' of the text.
+    for parse, text in (
+        (parse_config_regex, f"a ^ ( {deep} )"),
+        (lambda text: parse_zone_regex(text, ("a", "b")), f"( {deep} )"),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.line, err.value.column) == (1, text.rindex("(") + 1)
+        assert str(err.value).endswith(f"groups nested deeper than {MAX_NESTING}")
+
+
+def test_stacked_stars_compile_as_one():
+    one, many = (compile_config_regex(f"a{stars} ^ b", ("a", "b")) for stars in ("*", "*" * 2000))
+    assert (list(many.initial), list(many.finals), list(many.edges())) == (
+        list(one.initial), list(one.finals), list(one.edges())
+    )
+    # The syntax tree keeps every star.
+    tree = parse_config_regex("a" + "*" * 2000 + " ^")
+    depth = 0
+    node = tree[1][0][0]
+    while node[0] == "star":
+        node, depth = node[1], depth + 1
+    assert (node, depth) == (("sym", "a"), 2000)
 
 
 def test_a_zone_parses_on_its_own_as_it_does_in_a_group():
