@@ -143,7 +143,14 @@ class UpdsSpec(Frozen):
             and len(set(rules)) == len(rules)
         ):
             self._reject()
-        moves: dict[tuple[str, str], list[Move]] = {}
+        # (state, lower top) -> move entries of the rules reading it, in
+        # declaration order: the table a step applies (`oracle.explore`).
+        # (to_state, written) -> (from_state, read_symbol) of the rules
+        # writing it, in declaration order: the table a backward step
+        # undoes (`membership.search`). Groups are short, so each grows
+        # as a tuple.
+        moves, into = {}, {}
+        reading, writing = moves.get, into.get
         for rule in rules:
             from_state, read_symbol, to_state, written = rule
             if (
@@ -153,14 +160,13 @@ class UpdsSpec(Frozen):
                 or not symbols.issuperset(written)
             ):
                 self._reject()
-            moves.setdefault((from_state, read_symbol), []).append(
-                (rule, to_state, len(written), written)
-            )
+            key, out = (from_state, read_symbol), (to_state, written)
+            moves[key] = reading(key, ()) + ((rule, to_state, len(written), written),)
+            into[out] = writing(out, ()) + (key,)
         _set(self, "_state_set", state_set)
         _set(self, "_symbols", symbols)
-        # (state, lower top) -> move entries of the rules reading it, in
-        # declaration order: the table a step applies (`oracle.explore`).
-        _set(self, "moves", {key: tuple(group) for key, group in moves.items()})
+        _set(self, "moves", moves)
+        _set(self, "moves_into", into)
 
     def _fields(self) -> tuple:
         return (self.states, self.alphabet, self.rules)

@@ -491,26 +491,43 @@ def _print_part(ast: tuple, parent: str) -> str:
     """parent is "outer" (a branch zone or alternation member), "concat",
     or "star"; it decides where parentheses are required to reparse to the
     same AST. Alternations are always parenthesized: a bare '|' would bind
-    at branch level."""
-    kind = ast[0]
-    if kind == "sym":
-        return ast[1]
-    if kind == "empty":
-        return "_"
-    if kind == "star":
-        return _print_part(ast[1], "star") + "*"
-    if kind == "concat":
-        body = " ".join(_print_part(x, "concat") for x in ast[1])
-        return f"({body})" if parent in ("concat", "star") else body
-    if kind == "alt":
-        body = " | ".join(_print_part(x, "outer") for x in ast[1])
-        return f"({body})"
-    raise MalformedInputError(f"not a regex node: {ast!r}")
+    at branch level. Stacked stars print as one (x** is x*). The text is
+    built from a stack of what is left to print, not by a call per level,
+    so every tree the parser accepts prints."""
+    out = []
+    todo: list = [(ast, parent)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, parent = item
+        kind = node[0]
+        if kind == "sym":
+            out.append(node[1])
+        elif kind == "empty":
+            out.append("_")
+        elif kind == "star":
+            while node[1][0] == "star":
+                node = node[1]
+            todo += ["*", (node[1], "star")]
+        elif kind in ("concat", "alt"):
+            sep, inner = (" ", "concat") if kind == "concat" else (" | ", "outer")
+            wrap = kind == "alt" or parent in ("concat", "star")
+            pieces: list = ["("] if wrap else []
+            for k, part in enumerate(node[1]):
+                pieces += [sep, (part, inner)] if k else [(part, inner)]
+            if wrap:
+                pieces.append(")")
+            todo += reversed(pieces)
+        else:
+            raise MalformedInputError(f"not a regex node: {node!r}")
+    return "".join(out)
 
 
 def print_config_regex(ast: tuple) -> str:
     """The canonical text of a set expression's syntax tree (see `regex`);
-    it parses back to the same tree."""
+    it parses back to the same tree, each stack of stars folded into one."""
     if ast[0] != "config":
         raise MalformedInputError(f"not a top-level regex: {ast!r}")
     branches = []

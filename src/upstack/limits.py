@@ -13,7 +13,8 @@ DFA_STATE_BUDGET = 50_000
 # Configurations one exact membership search may store (`member --budget`),
 # each stored only up to the goal's upper stack: configurations that differ
 # only above the prefix they share with it count once, so fewer searches
-# run out of it.
+# run out of it. The search runs forward from the start set and backward
+# from the goal, and this counts what both sides store, the goal included.
 DEFAULT_CONFIG_BUDGET = 2_000_000
 
 # Configurations a bounded explicit-state search stores by default: the

@@ -1,4 +1,4 @@
-"""Exact membership: the start-set walk and the size-capped search.
+"""Exact membership: the start-set walk and the size-capped two-way search.
 
 `is_reachable` decides whether a configuration is reachable from a
 regular start set. No step shrinks the total stack size (a pop moves a
@@ -6,6 +6,8 @@ symbol from one zone to the other; a push adds a lower cell and
 overwrites at most one upper cell), so a breadth-first search from the
 start-set members no larger than the target, never storing a larger
 configuration, explores a finite region and decides membership exactly.
+So does a breadth-first search backward from the target: what reaches
+it is no larger than it.
 
 It stores each configuration only up to the goal's upper word U. No
 rule reads the upper word: a pop appends the lower top to it, a push
@@ -19,8 +21,28 @@ U and the number of cells above it. A pop extends the shared prefix
 when nothing is above it and the popped symbol is U's next one, and
 adds a cell above it otherwise; a push drops a cell above the prefix,
 else a cell of the prefix. The goal is the class (state, |U|, 0, lower).
-This is exact, and the budget counts these classes. The search keeps
-no parent links: the answer is whether the goal was hit.
+This is exact. The search keeps no parent links.
+
+The step is a function of the class, so it can be undone class by
+class too, with the rules writing what the lower word starts with
+(`UpdsSpec.moves_into`). The predecessors of (q, s, a, L) by a rule
+that reads lower top r in state f are:
+- undoing a pop: (f, s-1, 0, r L) if a = 0, s > 0 and U[s-1] = r, the
+  prefix's last cell; (f, s, a-1, r L) if a > 0, unless a = 1, s < |U|
+  and U[s] = r, a cell that the pop would have added to the prefix;
+- undoing a switch to b, if L starts with b: (f, s, a, r L[1:]);
+- undoing a push of b c, if L starts with b c, with R = L[2:]: the
+  overwritten cell was above the prefix, (f, s, a+1, r R); or, if
+  a = 0, it was U[s], (f, s+1, 0, r R) if s < |U|; or there was none,
+  (f, 0, 0, r R) if a = s = 0. Over a one-symbol alphabet the first is
+  skipped when a = 0 and s < |U|: no upper word falls in it.
+`search` stores classes from both ends, forward from the starts and
+backward from the goal, one layer at a time, expanding the side with
+the smaller frontier (Pohl's balanced bidirectional search). The
+answer is true when a side meets a class the other side stored, and
+false when either side runs dry. The budget counts the classes both
+sides store, the goal's included; a class stored by one side is not
+stored again by the other.
 
 The start set is validated once per set, and a set from
 `ModelFile.config_set` never: it is valid by construction. Its classes
@@ -67,10 +89,12 @@ def is_reachable(
     config: Configuration,
     budget: int = DEFAULT_CONFIG_BUDGET,
 ) -> bool:
-    """Whether some member of start_set reaches config. budget counts the
-    classes the search stores (see the module docstring). Members of a
-    valid set over the system's states and alphabet are configurations of
-    the system, so they go into the search unchecked."""
+    """Whether some member of start_set reaches config. The search runs
+    forward from the start set and backward from config until the two
+    meet, and budget counts the classes both sides store (see the module
+    docstring). Members of a valid set over the system's states and
+    alphabet are configurations of the system, so they go into the
+    search unchecked."""
     check_configuration(spec, config)
     start_set.check_against(spec, "start set")
     return search(spec, start_set, config, budget)[0]
@@ -80,62 +104,112 @@ def search(
     spec: UpdsSpec, start_set: ConfigAutomaton, goal: Configuration, budget: int
 ) -> tuple[bool, int]:
     """Whether some member of start_set reaches goal, and how many classes
-    the search stored: breadth-first from `start_classes` in walk order,
-    successors in rule declaration order, none larger than goal. budget
-    counts stored classes, starts included; storing one more raises
-    ResourceLimitError. Trusts its arguments: `is_reachable` checks them."""
-    moves = spec.moves
+    the search stored on both sides: the forward side from
+    `start_classes` in walk order, the backward side from goal's class
+    (see the module docstring). Each round expands one layer of the side
+    with the smaller frontier, forward on a tie, its classes in order:
+    successors in rule declaration order, none larger than goal, and
+    predecessors by undone pops, switches, then pushes, each in rule
+    declaration order. The answer is true once a side meets a class the
+    other side stored, and false once either frontier is empty. budget
+    counts stored classes, the goal's and the starts' included; storing
+    one more raises ResourceLimitError. Trusts its arguments:
+    `is_reachable` checks them."""
+    moves, into = spec.moves, spec.moves_into
     upper = goal.upper
     depth = len(upper)
     cap = goal.total_size
+    # Over a one-symbol alphabet no upper word has a cell above a prefix
+    # of U shorter than U: the class of such words is empty.
+    several = len(spec.alphabet) > 1
     target = (goal.state, depth, 0, goal.lower)
-    seen: set[Class] = set()
-    frontier: list[Class] = []
+    if budget < 1:
+        raise ResourceLimitError(0, SEARCH_BUDGET)
+    # Each stored class, and whether the forward side stored it.
+    seen = {target: False}
+    forward = []
     for start in start_classes(start_set, upper, cap):
         count = len(seen)
-        seen.add(start)
+        if not seen.setdefault(start, True):
+            return True, count
         if len(seen) == count:
             continue
         if count >= budget:
             raise ResourceLimitError(count, SEARCH_BUDGET)
-        if start == target:
-            return True, count + 1
-        frontier.append(start)
-    while frontier:
-        next_frontier: list[Class] = []
-        for state, shared, above, lower in frontier:
-            entries = moves.get((state, lower[0])) if lower else None
-            if entries is None:
-                continue
-            top, rest = lower[0], lower[1:]
-            # A pop extends the shared prefix only with U's next symbol.
-            climbs = not above and shared < depth and upper[shared] == top
-            for rule, to_state, arity, written in entries:
-                if arity == 0:
-                    if climbs:
-                        succ = (to_state, shared + 1, 0, rest)
-                    else:
-                        succ = (to_state, shared, above + 1, rest)
-                elif arity == 1:
-                    succ = (to_state, shared, above, written + rest)
-                elif above:
-                    succ = (to_state, shared, above - 1, written + rest)
-                elif shared:
-                    succ = (to_state, shared - 1, 0, written + rest)
-                elif len(lower) < cap:
-                    succ = (to_state, 0, 0, written + rest)
-                else:
+        forward.append(start)
+    backward = [target]
+    while forward and backward:
+        grown = []
+        if len(forward) <= len(backward):
+            for state, shared, above, lower in forward:
+                entries = moves.get((state, lower[0])) if lower else None
+                if entries is None:
                     continue
+                top, rest = lower[0], lower[1:]
+                # A pop extends the shared prefix only with U's next symbol.
+                climbs = not above and shared < depth and upper[shared] == top
+                for rule, to_state, arity, written in entries:
+                    if arity == 0:
+                        if climbs:
+                            succ = (to_state, shared + 1, 0, rest)
+                        else:
+                            succ = (to_state, shared, above + 1, rest)
+                    elif arity == 1:
+                        succ = (to_state, shared, above, written + rest)
+                    elif above:
+                        succ = (to_state, shared, above - 1, written + rest)
+                    elif shared:
+                        succ = (to_state, shared - 1, 0, written + rest)
+                    elif len(lower) < cap:
+                        succ = (to_state, 0, 0, written + rest)
+                    else:
+                        continue
+                    count = len(seen)
+                    if not seen.setdefault(succ, True):
+                        return True, count
+                    if len(seen) == count:
+                        continue
+                    if count >= budget:
+                        raise ResourceLimitError(count, SEARCH_BUDGET)
+                    grown.append(succ)
+            forward = grown
+            continue
+        for state, shared, above, lower in backward:
+            found = []
+            # Undo a pop: take back the cell it added. With nothing above
+            # the prefix, that cell ended the prefix; a lone cell above it
+            # is not U's next symbol, or the pop would have extended it.
+            for source, read in into.get((state, ()), ()):
+                if not above:
+                    if shared and read == upper[shared - 1]:
+                        found.append((source, shared - 1, 0, (read,) + lower))
+                elif above > 1 or shared == depth or read != upper[shared]:
+                    found.append((source, shared, above - 1, (read,) + lower))
+            if lower:
+                rest = lower[1:]
+                for source, read in into.get((state, lower[:1]), ()):
+                    found.append((source, shared, above, (read,) + rest))
+            # Undo a push: restore the cell it overwrote, which is above
+            # the prefix, extends it, or was never there.
+            if len(lower) > 1:
+                for source, read in into.get((state, lower[:2]), ()):
+                    before = (read,) + lower[2:]
+                    if above or shared == depth or several:
+                        found.append((source, shared, above + 1, before))
+                    if not above and shared < depth:
+                        found.append((source, shared + 1, 0, before))
+                    if not above and not shared:
+                        found.append((source, 0, 0, before))
+            for pred in found:
                 count = len(seen)
-                seen.add(succ)
+                if seen.setdefault(pred, False):
+                    return True, count
                 if len(seen) == count:
                     continue
                 if count >= budget:
                     raise ResourceLimitError(count, SEARCH_BUDGET)
-                if succ == target:
-                    return True, count + 1
-                next_frontier.append(succ)
-        frontier = next_frontier
+                grown.append(pred)
+        backward = grown
     return False, len(seen)
 
 

@@ -13,8 +13,8 @@ ASTs are plain tuples:
     ("sym", name) | ("empty",) | ("star", x)
     ("concat", (x, y, ...)) | ("alt", (x, y, ...))    both n-ary, n >= 2
 The printer, `print_config_regex`, emits a canonical form that parses
-back to the same AST; it lives in `extras`, which no command loads, and
-still imports from here.
+back to the same AST, each stack of stars folded into one; it lives in
+`extras`, which no command loads, and still imports from here.
 
 The parser reads the words of the text, operators spaced out and one
 whitespace split of the whole text, as plain strings: no position is

@@ -78,6 +78,27 @@ MUTANTS = (
         ["tests/test_oracle.py"],
     ),
     (
+        "membership undoes a pop without checking the goal's prefix",
+        "membership.py",
+        "if shared and read == upper[shared - 1]:",
+        "if shared:",
+        ["tests/test_oracle.py"],
+    ),
+    (
+        "membership undoes a push as if the upper word was never empty",
+        "membership.py",
+        "found.append((source, 0, 0, before))",
+        "pass",
+        ["tests/test_oracle.py"],
+    ),
+    (
+        "membership's backward side never meets the forward one",
+        "membership.py",
+        "if seen.setdefault(pred, False):\n                    return True, count",
+        "if seen.setdefault(pred, False):\n                    pass",
+        ["tests/test_oracle.py"],
+    ),
+    (
         "a pop that forgets its symbol",
         "oracle.py",
         "succ = (to_state, upper + top, rest)",

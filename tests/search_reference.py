@@ -14,14 +14,18 @@ collected by subset construction, deduplicated, sorted by length and
 label keys, and only then cut into a `Configuration`.
 
 Exact membership stores each configuration only up to the goal's upper
-word. `reference_membership` searches concrete configurations and
-counts one per class (state, upper length, prefix shared with the
-goal's upper word, lower word), so it pins what that search stores
-without sharing its (state, shared, above, lower) classes.
+word, and searches from both ends. `reference_membership` searches
+concrete configurations forward from the starts and backward from the
+goal, and counts one per class (state, upper length, prefix shared with
+the goal's upper word, lower word) on each side, so it pins what that
+search stores without sharing its (state, shared, above, lower) classes
+or its backward step: a backward class is expanded by stepping each of
+its configurations back with `reference_pre_step`.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Callable, Iterable
 
 from upstack.configsets import ConfigAutomaton, config_from_word
@@ -165,19 +169,73 @@ def reference_trace(
     return None
 
 
+def reference_pre_step(spec: UpdsSpec, c: Configuration) -> list[tuple[Rule, Configuration]]:
+    """All one-step predecessors of c: the pops undone first, then the
+    switches, then the pushes, each kind in rule declaration order.
+    Undoing a pop moves the upper word's last symbol back onto the lower
+    stack, if it is the symbol read; undoing a switch rewrites the lower
+    top; undoing a push restores the upper cell it overwrote, any symbol
+    of the alphabet, or none when the upper word is empty."""
+    out = []
+    for arity in (0, 1, 2):
+        for rule in spec.rules:
+            if rule.to_state != c.state or len(rule.written) != arity:
+                continue
+            if c.lower[:arity] != rule.written:
+                continue
+            before = (rule.read_symbol,) + c.lower[arity:]
+            if arity == 0:
+                if c.upper[-1:] == (rule.read_symbol,):
+                    out.append((rule, Configuration(rule.from_state, c.upper[:-1], before)))
+            elif arity == 1:
+                out.append((rule, Configuration(rule.from_state, c.upper, before)))
+            else:
+                for sym in spec.alphabet:
+                    out.append((rule, Configuration(rule.from_state, c.upper + (sym,), before)))
+                if not c.upper:
+                    out.append((rule, Configuration(rule.from_state, (), before)))
+    return out
+
+
+def reference_pre_closure(spec: UpdsSpec, goal: Configuration) -> set[Configuration]:
+    """Every configuration that reaches goal; none is larger than goal,
+    since no step shrinks the total stack size."""
+    seen = {goal}
+    frontier = [goal]
+    while frontier:
+        grown = []
+        for c in frontier:
+            for _, pred in reference_pre_step(spec, c):
+                if pred not in seen:
+                    seen.add(pred)
+                    grown.append(pred)
+        frontier = grown
+    return seen
+
+
 def reference_membership(
     spec: UpdsSpec,
     starts: Iterable[Configuration],
     goal: Configuration,
     node_budget: int,
-) -> tuple[bool, int]:
+) -> tuple[bool, int, int]:
     """Whether some start reaches goal without passing its total size, and
-    how many classes the search stored: breadth-first over concrete
-    configurations, a successor dropped when a configuration of its class
-    was stored before. No rule reads the upper word, so the members of one
-    class have the same runs, and goal is the only member of its class.
-    The budget counts classes, starts included."""
-    keys: set[tuple] = set()
+    how many classes the search stored forward and backward.
+
+    The forward side steps concrete configurations from the starts, a
+    successor dropped when a configuration of its class was stored
+    before; no rule reads the upper word, so the members of one class
+    have the same runs, and goal is the only member of its class. The
+    backward side starts from goal's class; a class is expanded by
+    stepping each of its configurations back, and for each rule in
+    `reference_pre_step`'s order, the classes its predecessors fall into
+    are taken longer upper words first, then shorter shared prefixes.
+    Each round expands one layer of the side with fewer classes in its
+    frontier, forward on a tie. The answer is true once a side meets a
+    class the other side stored, and false once a frontier is empty. The
+    budget counts the classes of both sides, goal's first."""
+    stored: tuple[set[tuple], set[tuple]] = (set(), set())
+    met = object()
 
     def key(c: Configuration) -> tuple:
         shared = 0
@@ -187,29 +245,66 @@ def reference_membership(
             shared += 1
         return (c.state, len(c.upper), c.upper[:shared], c.lower)
 
-    def store(c: Configuration) -> bool:
-        """Whether c is new to the search; if so, it is stored."""
+    def store(c: Configuration, side: int):
+        """met if the other side stored c's class; else its key if it is
+        new to side, which then stores it, and None if it is not."""
         k = key(c)
-        if k in keys:
-            return False
-        if len(keys) >= node_budget:
-            raise ResourceLimitError(len(keys), "configuration search budget")
-        keys.add(k)
-        return True
+        if k in stored[1 - side]:
+            return met
+        if k in stored[side]:
+            return None
+        total = len(stored[0]) + len(stored[1])
+        if total >= node_budget:
+            raise ResourceLimitError(total, "configuration search budget")
+        stored[side].add(k)
+        return k
 
-    frontier: list[Configuration] = []
+    def members(k: tuple) -> list[Configuration]:
+        state, length, prefix, lower = k
+        out = []
+        for rest in product(spec.alphabet, repeat=length - len(prefix)):
+            upper = prefix + rest
+            if key(Configuration(state, upper, lower)) == k:
+                out.append(Configuration(state, upper, lower))
+        return out
+
+    def predecessors(k: tuple) -> list[Configuration]:
+        by_rule: dict[Rule, dict[tuple, Configuration]] = {}
+        for c in members(k):
+            for rule, pred in reference_pre_step(spec, c):
+                by_rule.setdefault(rule, {}).setdefault(key(pred), pred)
+        out = []
+        for rule in sorted(by_rule, key=lambda r: (len(r.written), spec.rules.index(r))):
+            classes = by_rule[rule]
+            out += [classes[pk] for pk in sorted(classes, key=lambda pk: (-pk[1], len(pk[2])))]
+        return out
+
+    store(goal, 1)
+    forward: list[Configuration] = []
     for c in starts:
-        if store(c):
-            if c == goal:
-                return True, len(keys)
-            frontier.append(c)
-    while frontier:
-        next_frontier: list[Configuration] = []
-        for c in frontier:
-            for _, succ in reference_step(spec, c):
-                if succ.total_size <= goal.total_size and store(succ):
-                    if succ == goal:
-                        return True, len(keys)
-                    next_frontier.append(succ)
-        frontier = next_frontier
-    return False, len(keys)
+        got = store(c, 0)
+        if got is met:
+            return True, len(stored[0]), len(stored[1])
+        if got is not None:
+            forward.append(c)
+    backward = [key(goal)]
+    while forward and backward:
+        if len(forward) <= len(backward):
+            side, frontier, expand = 0, forward, lambda c: [s for _, s in reference_step(spec, c)]
+        else:
+            side, frontier, expand = 1, backward, predecessors
+        grown = []
+        for item in frontier:
+            for nxt in expand(item):
+                if nxt.total_size > goal.total_size:
+                    continue
+                got = store(nxt, side)
+                if got is met:
+                    return True, len(stored[0]), len(stored[1])
+                if got is not None:
+                    grown.append(nxt if side == 0 else got)
+        if side == 0:
+            forward = grown
+        else:
+            backward = grown
+    return False, len(stored[0]), len(stored[1])

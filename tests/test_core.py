@@ -209,6 +209,34 @@ def test_move_table_lists_rules_by_state_and_top_in_declaration_order(e1):
     assert set(e1.moves) == {("p", "x"), ("p", "y"), ("p", "a"), ("p", "b"), ("p", "bot")}
     assert e1.rules_reading("p", "a") == (c, r_a)
     assert e1.rules_reading("p2", "a") == ()
+    # The backward table: (to_state, written) -> (from_state, read_symbol).
+    assert e1.moves_into == {
+        ("p", ("a",)): (("p", "x"),),
+        ("p", ("b",)): (("p", "y"),),
+        ("p", ("a", "b")): (("p", "a"),),
+        ("p", ()): (("p", "a"), ("p", "b")),
+        ("p2", ("bot",)): (("p", "bot"),),
+    }
+
+
+@pytest.mark.parametrize(
+    "states, alphabet, rules, message",
+    [
+        (("p", ""), ("a",), [], "empty state identifier"),
+        (("p",), ("a", "a"), [], "duplicate symbol 'a'"),
+        (("p",), ("a",), [("q", "a", "p", ())], "undeclared state 'q' in rule q a -> p"),
+        (("p",), ("a",), [("p", "a", "q", ())], "undeclared state 'q' in rule p a -> q"),
+        (("p",), ("a",), [("p", "b", "p", ())], "undeclared symbol 'b' in rule p b -> p"),
+        (("p",), ("a",), [("p", "a", "p", ("a", "c"))], "undeclared symbol 'c' in rule p a -> p a c"),
+        (("p",), ("a",), [("p", "a", "p", ())] * 2, "duplicate rule p a -> p"),
+    ],
+)
+def test_a_system_words_the_first_error_its_checks_find(
+    states, alphabet, rules, message
+):
+    with pytest.raises(MalformedInputError) as err:
+        make_spec(states, alphabet, rules)
+    assert str(err.value) == message
 
 
 def test_successors_are_tuples_and_grow_false_drops_only_the_growing_push(e1):

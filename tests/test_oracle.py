@@ -12,6 +12,7 @@ from search_reference import (
     reference_members,
     reference_membership,
     reference_post,
+    reference_pre_closure,
     reference_trace,
 )
 from upstack.configsets import ConfigAutomaton, from_config_set
@@ -142,12 +143,15 @@ def test_search_and_closure_match_the_reference_loops():
         assert got == want
 
         # Membership walks the start automaton's members into the search,
-        # which stores each configuration up to the goal's upper word.
+        # which stores each configuration up to the goal's upper word and
+        # meets a backward search from the goal.
         start_set = from_config_set(spec, starts)
         members = reference_members(start_set, goal.total_size)
-        answer, stored = reference_membership(spec, members, goal, 10**6)
+        answer, forward, backward = reference_membership(spec, members, goal, 10**6)
+        stored = forward + backward
         assert answer == (reference_trace(
             spec, members, goal.__eq__, goal.total_size, None, 10**6) is not None)
+        assert search(spec, start_set, goal, 10**6) == (answer, stored)
         for budget in sorted({0, 1, stored - 1, stored}):
             got = _outcome(lambda: is_reachable(spec, start_set, goal, budget))
             want = _outcome(lambda: reference_membership(spec, members, goal, budget)[0])
@@ -175,9 +179,11 @@ def _upper_start_set(rng, spec):
 def test_membership_up_to_the_goal_upper_word_agrees_with_the_concrete_search():
     """On 2000 random systems, with starts and goals whose upper words are
     nonempty, `is_reachable` and the class search answer as the search
-    that stores every upper word as it is, and the class search never
-    stores more. Without links that search stores the same configurations
-    in the same order."""
+    that stores every upper word as it is. Neither side of the class
+    search stores more than the concrete search of its direction: the
+    forward side than the forward search from the starts, the backward
+    side than the configurations that reach the goal. Without links the
+    forward search stores the same configurations in the same order."""
     rng = random.Random(20261018)
     reachable = fewer = 0
     for _ in range(2000):
@@ -197,23 +203,28 @@ def test_membership_up_to_the_goal_upper_word_agrees_with_the_concrete_search():
         assert answer == (hit is not None), (spec.rules, goal)
         reduced_hit, reduced = search(spec, start_set, goal, 10**6)
         assert reduced_hit is answer
-        assert reduced <= len(concrete)
+        starts = [Configuration(*c) for c in start_set.members(size)]
+        ref_answer, forward, backward = reference_membership(spec, starts, goal, 10**6)
+        assert (ref_answer, forward + backward) == (answer, reduced)
+        assert forward <= len(concrete)
+        assert backward <= len(reference_pre_closure(spec, goal))
         unlinked_hit, unlinked = explore(
             spec, start_set.members(size), target.__eq__, size, links=False
         )
         assert unlinked_hit == hit and list(unlinked) == list(concrete)
         assert not any(unlinked.values())
         reachable += answer
-        fewer += reduced < len(concrete)
+        fewer += forward < len(concrete)
     assert reachable > 800
     assert fewer > 200
 
 
 def test_membership_stores_each_configuration_up_to_the_goal_upper_word(e1, c1):
     # Work counts on e1 from C1, pinned: the pumped p2: a a a b b ^ bot
-    # (reachable) and p2: x a a b b ^ bot (not).
+    # (reachable) and p2: x a a b b ^ bot (not). Both sides count: the
+    # backward side stores more here than it saves the forward one.
     unreachable = cfg("p2", "x a a b b", "bot")
-    for goal, concrete, reduced in ((e1_pumped(2), 112, 81), (unreachable, 112, 58)):
+    for goal, concrete, reduced in ((e1_pumped(2), 112, 98), (unreachable, 112, 89)):
         size, target = goal.total_size, _as_tuple(goal)
         _, stored = explore(e1, c1.members(size), target.__eq__, size)
         assert len(stored) == concrete
@@ -238,10 +249,40 @@ def test_an_upper_rich_start_set_walks_classes_not_words(e1):
     goal = cfg("p2", "a a a a a b b b b", "bot")
     classes = list(start_classes(upper_rich, goal.upper, goal.total_size))
     assert (len(classes), len(set(classes))) == (47, 45)
-    assert search(e1, upper_rich, goal, 10**6) == (True, 464)
-    assert is_reachable(e1, upper_rich, goal, budget=464)
+    assert search(e1, upper_rich, goal, 10**6) == (True, 299)
+    assert is_reachable(e1, upper_rich, goal, budget=299)
     with pytest.raises(ResourceLimitError):
-        is_reachable(e1, upper_rich, goal, budget=463)
+        is_reachable(e1, upper_rich, goal, budget=298)
+
+
+def _upper_rich(e1):
+    return ConfigAutomaton(
+        e1.alphabet, {"p": compile_config_regex("(x | y | a | b)* ^ x bot", alphabet=e1.alphabet)}
+    )
+
+
+def test_a_probe_without_predecessors_is_decided_backward(e1):
+    # No rule writes y, and the pops into p read a or b, not the x that
+    # ends the probe's upper word: p: x ^ y bot has no predecessor. Its
+    # start classes up to size 3 are three, one backward class is fewer,
+    # so the backward side goes first and empties: the goal and the three
+    # starts are all the search stores. The forward search alone stores
+    # 24 configurations.
+    goal = cfg("p", "x", "y bot")
+    size, target = goal.total_size, _as_tuple(goal)
+    assert len(explore(e1, _upper_rich(e1).members(size), target.__eq__, size)[1]) == 24
+    assert search(e1, _upper_rich(e1), goal, 10**6) == (False, 4)
+    with pytest.raises(ResourceLimitError):
+        is_reachable(e1, _upper_rich(e1), goal, budget=3)
+
+
+def test_the_backward_side_meets_a_start(e1):
+    # p: x ^ a bot has one predecessor, p: x ^ x bot by the switch
+    # p x -> p a, and it is a start. The backward side goes first (one
+    # class against three) and meets it before either side stores more.
+    goal = cfg("p", "x", "a bot")
+    assert search(e1, _upper_rich(e1), goal, 10**6) == (True, 4)
+    assert is_reachable(e1, _upper_rich(e1), goal, budget=4)
 
 
 def test_membership_refuses_a_start_set_outside_the_system(e1):
