@@ -26,7 +26,7 @@ working:
   from `configsets`;
 - from `kphase`: `phase_pre`, a single phase;
 - from `regex` and `model`: the printers (`print_config_regex`,
-  `print_model`);
+  `print_model`) and `ModelFile ==` (`model_eq`);
 - from `configsets`: `from_config_set`, a set of listed configurations,
   and the scan behind `ConfigAutomaton.validate`, which only sets built
   by hand need.
@@ -484,7 +484,7 @@ def phase_pre(spec: UpdsSpec, targets: ConfigAutomaton, kind: PhaseKind) -> Conf
     return union_sets(phase, targets) if kind is PhaseKind.PUSH else phase
 
 
-# -- printers (regex, model) --------------------------------------------------
+# -- printers and equality (regex, model) -------------------------------------
 
 
 def _print_part(ast: tuple, parent: str) -> str:
@@ -549,6 +549,30 @@ def print_model(model: ModelFile) -> str:
         for state, ast in slices.items():
             lines.append(f"set {name} {state} {print_config_regex(ast)}")
     return "\n".join(lines) + "\n"
+
+
+def model_eq(model: ModelFile, other) -> bool:
+    """`ModelFile ==`: the same system and the same sets. The syntax trees
+    are compared from a stack of the pairs left to compare, not by a call
+    per level, so every two trees the parser accepts compare."""
+    if other.__class__ is not model.__class__:
+        return NotImplemented
+    if model.spec != other.spec or model.sets.keys() != other.sets.keys():
+        return False
+    todo = []
+    for name, slices in model.sets.items():
+        if slices.keys() != other.sets[name].keys():
+            return False
+        todo += [(ast, other.sets[name][state]) for state, ast in slices.items()]
+    while todo:
+        a, b = todo.pop()
+        if isinstance(a, tuple) and isinstance(b, tuple):
+            if len(a) != len(b):
+                return False
+            todo += zip(a, b)
+        elif a != b:
+            return False
+    return True
 
 
 # -- sets (configsets) --------------------------------------------------------

@@ -22,15 +22,16 @@ where the upper word is exhausted entirely.
 
 Both phases build on demand: each state's automaton grows forward from
 its initial nodes, and a node is made only when a final node can still
-be reached from it (lockstep pairs are explored and cut before any edge
-is added), so what they return is already trimmed. Which nodes can
-still reach one is the package's one backward search,
-`compaction._coreachable`, run on the rows as they are: no automaton is
-reversed. A round of `pre_star_rounds` builds both phases into one
-automaton per state, then copies each target's barred zone into it once,
-up to where either phase enters the zone, and compacts that. No target
-is copied verbatim: the pop phase accepts the targets by the empty
-trace. A single phase on its own, `phase_pre`, which no command
+be reached from it, so what they return is already trimmed. The push
+phase explores each target's lockstep pairs once per round, and each
+state cuts them to those its exits can follow before adding an edge.
+Which nodes can still reach a final node is the package's one backward
+search, `compaction._coreachable`, run on the rows as they are: no
+automaton is reversed. A round of `pre_star_rounds` builds both phases
+into one automaton per state, then copies each target's barred zone into
+it once, up to where either phase enters the zone, and compacts that. No
+target is copied verbatim: the pop phase accepts the targets by the
+empty trace. A single phase on its own, `phase_pre`, which no command
 runs, lives in `extras` and still imports from here.
 
 Each target the phases read is a set as compaction leaves it: every
@@ -250,21 +251,24 @@ def _push_phase_pre(
     free. A trace needs a lower top to start from, so the empty trace on
     an empty lower word is left to the pop phase.
 
-    Only what an accepted word uses is built. The lockstep pairs are
-    explored first and kept only if an exit can follow (`_lockstep`); a
-    plain zone is copied only forward from the exits: past the plain edge
-    that lands on an exit, every node the zone reaches is live."""
+    Only what an accepted word uses is built. Each target's lockstep
+    pairs are explored once (`_lockstep`), and each state q keeps those
+    from which a step lands on one of q's exits; a plain zone is copied
+    only forward from the exits: past the plain edge that lands on an
+    exit, every node the zone reaches is live."""
     barred = [bar(x) for x in spec.alphabet]
-    for q in spec.states:
-        comp = out[q]
-        for p2, target in targets.items():
-            names = target.names
-            z = moves.start[p2]
-            entering = [(r, z) for r in target.entered + target.first]
-            walk = _lockstep(target.steps, moves.steps, moves.exits[q], entering)
+    for p2, target in targets.items():
+        names = target.names
+        z = moves.start[p2]
+        walk = _lockstep(target.steps, moves.steps, [(r, z) for r in target.entered + target.first])
+        for q in spec.states:
+            comp = out[q]
+            zexits = moves.exits[q]
+            ends = [pair for pair, row in walk.items() if not zexits.keys().isdisjoint(row)]
+            live = _coreachable(walk, ends)
             exits: set = set()
             for free, rs in ((0, target.entered), (1, target.first)):
-                reached = [(r, z) for r in rs if (r, z) in walk]
+                reached = [(r, z) for r in rs if (r, z) in live]
                 for r, _ in reached:
                     if free:
                         comp.add_initial(("k", p2, r, z, 1))
@@ -275,58 +279,46 @@ def _push_phase_pre(
                 while reached:
                     pair = reached.pop()
                     src = ("k", p2, *pair, free)
-                    successors, landings = walk[pair]
-                    for nxt in successors:
-                        dst = ("k", p2, *nxt, free)
-                        for label in barred:
-                            comp.add_edge(src, label, dst)
-                        if free:
-                            comp.add_edge(src, EPSILON, dst)
-                        if nxt not in seen:
-                            seen.add(nxt)
-                            reached.append(nxt)
-                    for top, r2 in landings:
-                        comp.add_edge(src, top, ("e", p2, names[r2]))
-                        exits.add(names[r2])
+                    for z2, nexts in walk[pair].items():
+                        top = zexits.get(z2)
+                        for nxt in nexts:
+                            if top is not None:
+                                comp.add_edge(src, top, ("e", p2, names[nxt[0]]))
+                                exits.add(names[nxt[0]])
+                            if nxt not in live:
+                                continue
+                            dst = ("k", p2, *nxt, free)
+                            for label in barred:
+                                comp.add_edge(src, label, dst)
+                            if free:
+                                comp.add_edge(src, EPSILON, dst)
+                            if nxt not in seen:
+                                seen.add(nxt)
+                                reached.append(nxt)
             if exits:
                 lower = target.lower
                 _zone_part(comp, lower, lower.reachable(exits), lambda r: ("e", p2, r))
 
 
-def _lockstep(steps: list, zsteps: list, zexits: dict, starts: list) -> dict:
+def _lockstep(steps: list, zsteps: list, starts: list) -> dict:
     """The pairs (r, z) of a target node and a graph node that joint
-    steps over one plain symbol reach from `starts`, kept to those from
-    which a step lands the graph on a node of `zexits`: for each, its
-    successor pairs so kept, and its exits, (top, target node) for each
-    step that lands the graph on a node that `zexits` maps to top."""
+    steps over one plain symbol reach from `starts`, each with its row:
+    graph node landed on -> the pairs its steps reach there."""
     graph: dict = dict.fromkeys(starts)
     stack = list(graph)
     while stack:
         r, z = pair = stack.pop()
-        moves, landings = [], []
+        graph[pair] = row = {}
         zrow = zsteps[z]
         for a, landed in steps[r].items():
             for z2 in zrow.get(a, ()):
                 for r2 in landed:
                     nxt = (r2, z2)
-                    moves.append(nxt)
+                    row.setdefault(z2, []).append(nxt)
                     if nxt not in graph:
                         graph[nxt] = None
                         stack.append(nxt)
-                top = zexits.get(z2)
-                if top is not None:
-                    landings.extend((top, r2) for r2 in landed)
-        graph[pair] = (moves, landings)
-    # Each pair's successors as one row under a dummy label.
-    live = _coreachable(
-        {pair: {None: moves} for pair, (moves, _) in graph.items()},
-        [pair for pair, (_, landings) in graph.items() if landings],
-    )
-    return {
-        pair: ([nxt for nxt in moves if nxt in live], landings)
-        for pair, (moves, landings) in graph.items()
-        if pair in live
-    }
+    return graph
 
 
 def _phases(

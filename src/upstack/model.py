@@ -16,7 +16,8 @@ without a line have empty slices. The expression punctuation ``^ _ | (
 ) *`` cannot be used in identifiers, and the ``@`` prefix is reserved
 for symbols the checkers inject. Parsing, printing, and reparsing is
 the identity on the abstract syntax. The printer, `print_model`, lives
-in `extras`, which no command loads, and still imports from here.
+in `extras`, which no command loads, and still imports from here; so
+does the comparison behind `ModelFile ==`.
 
 A fault in a line is raised as `regex._Fault` with the index of its
 word, and `regex._place` gives that word's column, as it does for a
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from . import _forward
+from . import _MovedMethod, _forward
 from .configsets import ConfigAutomaton
 from .core import Configuration, Frozen, UpdsSpec, make_spec
 from .errors import MalformedInputError, ParseError
@@ -40,6 +41,10 @@ _PUNCT = set("^|()*#")
 class ModelFile(Frozen):
     """A parsed model: the system and its named configuration sets, each
     a mapping from control state to a boundary-expression syntax tree."""
+
+    # Trees nest deeper than a recursive comparison reaches, so `==`
+    # compares them from a stack (`extras.model_eq`).
+    __eq__ = _MovedMethod("extras", "model_eq")
 
     def __init__(
         self, spec: UpdsSpec, sets: Mapping[str, Mapping[str, tuple]] | None = None

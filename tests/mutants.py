@@ -59,8 +59,15 @@ MUTANTS = (
     (
         "push phase's free mode without its epsilon steps",
         "kphase.py",
-        "if free:\n                            comp.add_edge(src, EPSILON, dst)",
-        "if free:\n                            pass",
+        "if free:\n                                comp.add_edge(src, EPSILON, dst)",
+        "if free:\n                                pass",
+        ["tests/test_kphase.py"],
+    ),
+    (
+        "every state cuts the push phase's lockstep pairs with the first state's exits",
+        "kphase.py",
+        "if not zexits.keys().isdisjoint(row)]",
+        "if not moves.exits[spec.states[0]].keys().isdisjoint(row)]",
         ["tests/test_kphase.py"],
     ),
     (

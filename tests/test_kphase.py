@@ -9,6 +9,7 @@ import pytest
 from upstack.configsets import ConfigAutomaton, from_config_set, union_sets
 from upstack.core import Configuration, RuleKind, UpdsSpec, count_phases, make_spec, step
 from upstack.errors import MalformedInputError
+from upstack import kphase
 from upstack.kphase import (
     PhaseKind,
     _Moves,
@@ -258,6 +259,27 @@ def test_move_graph_reads_what_the_push_switch_closure_reaches():
             for r2 in pushes
         )
     assert all(seen.values()), seen
+
+
+def test_a_round_explores_each_targets_lockstep_product_once(monkeypatch):
+    # The push phase's lockstep walk from a target's start node does not
+    # depend on the state whose exits cut it, so one call of `_phases`
+    # explores it once per target component, not once per state as well.
+    explored = []
+    explore = kphase._lockstep
+    monkeypatch.setattr(kphase, "_lockstep", lambda *args: explored.append(args) or explore(*args))
+    rng = random.Random(3141)
+    checked = 0
+    while checked < 20:
+        spec = random_spec(rng, max_states=4, max_symbols=3, max_rules=10)
+        members = [random_configuration(rng, spec) for _ in range(4)]
+        targets = from_config_set(spec, members).compact()
+        if len(spec.states) < 3 or len(targets.components) < 2:
+            continue
+        explored.clear()
+        kphase._phases(spec, targets, tuple(PhaseKind), _Moves(spec))
+        assert len(explored) == len(targets.components)
+        checked += 1
 
 
 # -- iterated closure ------------------------------------------------------

@@ -200,6 +200,21 @@ def test_model_equality_is_structural():
     assert a != parse_model(E1_TEXT.replace("set C1 p ^ x (y x)* bot", ""))
 
 
+@pytest.mark.parametrize(
+    "expression",
+    [lambda leaf: leaf + " *" * 2000, lambda leaf: "( a | b " * 200 + leaf + " * )" * 200],
+    ids=["2000 stacked stars", "200 nested groups"],
+)
+def test_model_equality_compares_the_deepest_trees_the_parser_accepts(expression):
+    # A recursive comparison of these trees exceeds the recursion limit;
+    # the two models that differ do so only at the innermost symbol.
+    def model(leaf):
+        return parse_model(f"states p\nalphabet a b\nset S p ^ {expression(leaf)}\n")
+
+    assert model("a") == model("a")
+    assert model("a") != model("b") and not model("a") == model("b")
+
+
 # Differential tests against the character-by-character front end in
 # parser_reference.py. Lines mix whole valid directives with words drawn
 # from identifiers, reserved words and punctuation glued to symbols,
