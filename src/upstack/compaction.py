@@ -412,14 +412,21 @@ def same(nfa: Nfa, other: Nfa) -> bool:
 
 # -- automata from other automata and from words ------------------------------
 
-def _coreachable(rows: dict[Node, dict], ends: Iterable[Node]) -> set[Node]:
-    """The nodes of `rows` (node -> label -> targets) with a path to one of
-    `ends`, by one backward search."""
+def _predecessors(rows: dict[Node, dict]) -> dict:
+    """Each node's predecessors in `rows` (node -> label -> targets)."""
     preds: dict[Node, list[Node]] = {}
     for n, row in rows.items():
         for targets in row.values():
             for m in targets:
                 preds.setdefault(m, []).append(n)
+    return preds
+
+
+def _coreachable(rows: dict[Node, dict], ends: Iterable[Node], preds=None) -> set[Node]:
+    """The nodes of `rows` (node -> label -> targets) with a path to one of
+    `ends`, by one backward search over `preds`, which is
+    `_predecessors(rows)`: pass it to search the same rows again."""
+    preds = preds or _predecessors(rows)
     keep = set(ends)
     stack = list(keep)
     while stack:

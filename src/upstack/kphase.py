@@ -23,8 +23,9 @@ where the upper word is exhausted entirely.
 Both phases build on demand: each state's automaton grows forward from
 its initial nodes, and a node is made only when a final node can still
 be reached from it, so what they return is already trimmed. The push
-phase explores each target's lockstep pairs once per round, and each
-state cuts them to those its exits can follow before adding an edge.
+phase explores each target's lockstep pairs and lists their predecessors
+once per round, and each state cuts them, by a backward search over
+those lists, to those its exits can follow before adding an edge.
 Which nodes can still reach a final node is the package's one backward
 search, `compaction._coreachable`, run on the rows as they are: no
 automaton is reversed. A round of `pre_star_rounds` builds both phases
@@ -49,7 +50,7 @@ import enum
 from typing import Iterator
 
 from . import _forward
-from .compaction import _coreachable, _identity
+from .compaction import _coreachable, _identity, _predecessors
 from .configsets import ConfigAutomaton, bar, is_barred
 from .core import UpdsSpec
 from .limits import DFA_STATE_BUDGET
@@ -252,8 +253,9 @@ def _push_phase_pre(
     an empty lower word is left to the pop phase.
 
     Only what an accepted word uses is built. Each target's lockstep
-    pairs are explored once (`_lockstep`), and each state q keeps those
-    from which a step lands on one of q's exits; a plain zone is copied
+    pairs are explored once (`_lockstep`), with their predecessor lists,
+    and each state q keeps those from which a step lands on one of q's
+    exits, by a backward search over those lists; a plain zone is copied
     only forward from the exits: past the plain edge that lands on an
     exit, every node the zone reaches is live."""
     barred = [bar(x) for x in spec.alphabet]
@@ -261,11 +263,12 @@ def _push_phase_pre(
         names = target.names
         z = moves.start[p2]
         walk = _lockstep(target.steps, moves.steps, [(r, z) for r in target.entered + target.first])
+        preds = _predecessors(walk)
         for q in spec.states:
             comp = out[q]
             zexits = moves.exits[q]
             ends = [pair for pair, row in walk.items() if not zexits.keys().isdisjoint(row)]
-            live = _coreachable(walk, ends)
+            live = _coreachable(walk, ends, preds)
             exits: set = set()
             for free, rs in ((0, target.entered), (1, target.first)):
                 reached = [(r, z) for r in rs if (r, z) in live]

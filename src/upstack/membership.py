@@ -1,4 +1,4 @@
-"""Exact membership: the start-set walk and the size-capped two-way search.
+"""Exact membership: a size-capped search from the goal and the start set.
 
 `is_reachable` decides whether a configuration is reachable from a
 regular start set. No step shrinks the total stack size (a pop moves a
@@ -36,13 +36,24 @@ that reads lower top r in state f are:
   a = 0, it was U[s], (f, s+1, 0, r R) if s < |U|; or there was none,
   (f, 0, 0, r R) if a = s = 0. Over a one-symbol alphabet the first is
   skipped when a = 0 and s < |U|: no upper word falls in it.
-`search` stores classes from both ends, forward from the starts and
-backward from the goal, one layer at a time, expanding the side with
-the smaller frontier (Pohl's balanced bidirectional search). The
-answer is true when a side meets a class the other side stored, and
-false when either side runs dry. The budget counts the classes both
-sides store, the goal's included; a class stored by one side is not
-stored again by the other.
+
+`search` starts from the goal alone: while the backward frontier holds
+one class, it expands that class and the start set is not walked. More
+than half the queries of the benchmark's membership workload end there,
+with a chain of single classes that runs dry. Every class that reaches
+the goal is then stored, and the answer is whether one of them holds a
+start (`_holds_start`): a run of the start automaton of the class's
+state over the barred U[:s], then `above` barred cells, the first of
+them not U[s] when s < |U|, then the plain lower word.
+
+Once the backward frontier branches, the start set is walked into the
+search, and classes are stored from both ends, one layer at a time,
+expanding the side with the smaller frontier (Pohl's balanced
+bidirectional search). The answer is true when a side meets a class the
+other side stored, and false when either side runs dry. The budget
+counts the classes both sides store, the goal's included; a class
+stored by one side is not stored again by the other, and the class
+test stores none.
 
 The start set is validated once per set, and a set from
 `ModelFile.config_set` never: it is valid by construction. Its classes
@@ -65,7 +76,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator
 
-from .configsets import ConfigAutomaton, is_barred
+from .configsets import ConfigAutomaton, bar, is_barred
 from .core import ConfigTuple, Configuration, UpdsSpec, check_configuration
 from .errors import ResourceLimitError
 from .limits import DEFAULT_CONFIG_BUDGET, SEARCH_BUDGET
@@ -90,11 +101,11 @@ def is_reachable(
     budget: int = DEFAULT_CONFIG_BUDGET,
 ) -> bool:
     """Whether some member of start_set reaches config. The search runs
-    forward from the start set and backward from config until the two
-    meet, and budget counts the classes both sides store (see the module
-    docstring). Members of a valid set over the system's states and
-    alphabet are configurations of the system, so they go into the
-    search unchecked."""
+    backward from config, and forward from the start set too once the
+    backward side branches, until the two meet; budget counts the classes
+    both sides store (see the module docstring). Members of a valid set
+    over the system's states and alphabet are configurations of the
+    system, so they go into the search unchecked."""
     check_configuration(spec, config)
     start_set.check_against(spec, "start set")
     return search(spec, start_set, config, budget)[0]
@@ -104,17 +115,21 @@ def search(
     spec: UpdsSpec, start_set: ConfigAutomaton, goal: Configuration, budget: int
 ) -> tuple[bool, int]:
     """Whether some member of start_set reaches goal, and how many classes
-    the search stored on both sides: the forward side from
-    `start_classes` in walk order, the backward side from goal's class
-    (see the module docstring). Each round expands one layer of the side
-    with the smaller frontier, forward on a tie, its classes in order:
-    successors in rule declaration order, none larger than goal, and
-    predecessors by undone pops, switches, then pushes, each in rule
-    declaration order. The answer is true once a side meets a class the
-    other side stored, and false once either frontier is empty. budget
-    counts stored classes, the goal's and the starts' included; storing
-    one more raises ResourceLimitError. Trusts its arguments:
-    `is_reachable` checks them."""
+    the search stored on both sides: the backward side from goal's class,
+    the forward side from `start_classes` in walk order (see the module
+    docstring). The backward side goes first, alone, while its frontier
+    holds one class. If it runs dry there, the answer is whether a stored
+    class holds a start (`_holds_start`), and the start set is never
+    walked. Once the frontier holds more, the start classes are stored,
+    and each round expands one layer of the side with the smaller
+    frontier, forward on a tie, its classes in order: successors in rule
+    declaration order, none larger than goal, and predecessors by undone
+    pops, switches, then pushes, each in rule declaration order. The
+    answer is true once a side meets a class the other side stored, and
+    false once either frontier is empty. budget counts stored classes,
+    the goal's and the starts' included; storing one more raises
+    ResourceLimitError. Trusts its arguments: `is_reachable` checks
+    them."""
     moves, into = spec.moves, spec.moves_into
     upper = goal.upper
     depth = len(upper)
@@ -127,20 +142,25 @@ def search(
         raise ResourceLimitError(0, SEARCH_BUDGET)
     # Each stored class, and whether the forward side stored it.
     seen = {target: False}
-    forward = []
-    for start in start_classes(start_set, upper, cap):
-        count = len(seen)
-        if not seen.setdefault(start, True):
-            return True, count
-        if len(seen) == count:
-            continue
-        if count >= budget:
-            raise ResourceLimitError(count, SEARCH_BUDGET)
-        forward.append(start)
     backward = [target]
-    while forward and backward:
+    # None until the backward frontier branches and the starts are walked.
+    forward = None
+    while backward:
+        if forward is None and len(backward) > 1:
+            forward = []
+            for start in start_classes(start_set, upper, cap):
+                count = len(seen)
+                if not seen.setdefault(start, True):
+                    return True, count
+                if len(seen) == count:
+                    continue
+                if count >= budget:
+                    raise ResourceLimitError(count, SEARCH_BUDGET)
+                forward.append(start)
         grown = []
-        if len(forward) <= len(backward):
+        if forward is not None and len(forward) <= len(backward):
+            if not forward:
+                break
             for state, shared, above, lower in forward:
                 entries = moves.get((state, lower[0])) if lower else None
                 if entries is None:
@@ -210,7 +230,46 @@ def search(
                     raise ResourceLimitError(count, SEARCH_BUDGET)
                 grown.append(pred)
         backward = grown
+    if forward is None:
+        # A chain of single classes ran dry: seen holds every class that
+        # reaches the goal.
+        return _holds_start(start_set, upper, seen), len(seen)
     return False, len(seen)
+
+
+def _holds_start(configs: ConfigAutomaton, upper: tuple[str, ...], classes) -> bool:
+    """Whether one of `classes`, counted against the upper word `upper`,
+    holds a member of configs: a run of the automaton of its state over
+    the barred upper[:shared], then `above` barred cells, the first of
+    them not upper[shared] when shared < len(upper), then the plain lower
+    word. Subsets are epsilon-closed only when the automaton has an
+    epsilon edge, and a run stops once its subset is empty."""
+    depth = len(upper)
+    for state, shared, above, lower in classes:
+        nfa = configs.components.get(state)
+        if nfa is None:
+            continue
+        edges = nfa._edges
+        close = nfa.eps_closure if any(EPSILON in row for row in edges.values()) else set
+        nodes = close(nfa.initial)
+        # Each cell's label, None for a barred cell above the prefix: any
+        # barred label but `other`.
+        other = bar(upper[shared]) if shared < depth else None
+        for cell in [bar(x) for x in upper[:shared]] + [None] * above + list(lower):
+            stepped = set()
+            for n in nodes:
+                for label, ms in edges.get(n, _NO_ROW).items():
+                    if label == cell or cell is None and label != other and is_barred(label):
+                        stepped.update(ms)
+            if not stepped:
+                break
+            if cell is None:
+                other = None
+            nodes = close(stepped)
+        else:
+            if not nfa.finals.keys().isdisjoint(nodes):
+                return True
+    return False
 
 
 def start_classes(

@@ -106,6 +106,20 @@ MUTANTS = (
         ["tests/test_oracle.py"],
     ),
     (
+        "membership's class test lets the first cell above the prefix be U's next symbol",
+        "membership.py",
+        "other = bar(upper[shared]) if shared < depth else None",
+        "other = None",
+        ["tests/test_configsets.py"],
+    ),
+    (
+        "membership answers a dry chain false without testing its classes",
+        "membership.py",
+        "return _holds_start(start_set, upper, seen), len(seen)",
+        "return False, len(seen)",
+        ["tests/test_oracle.py"],
+    ),
+    (
         "a pop that forgets its symbol",
         "oracle.py",
         "succ = (to_state, upper + top, rest)",

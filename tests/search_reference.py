@@ -230,10 +230,14 @@ def reference_membership(
     stepping each of its configurations back, and for each rule in
     `reference_pre_step`'s order, the classes its predecessors fall into
     are taken longer upper words first, then shorter shared prefixes.
-    Each round expands one layer of the side with fewer classes in its
-    frontier, forward on a tie. The answer is true once a side meets a
-    class the other side stored, and false once a frontier is empty. The
-    budget counts the classes of both sides, goal's first."""
+    The backward side goes first, alone, while its frontier holds one
+    class: if that chain runs dry, nothing more is stored, and the answer
+    is whether some start falls in a class it stored. Once the frontier
+    holds more, the starts are stored, and each round expands one layer
+    of the side with fewer classes in its frontier, forward on a tie. The
+    answer is true once a side meets a class the other side stored, and
+    false once a frontier is empty. The budget counts the classes of both
+    sides, goal's first."""
     stored: tuple[set[tuple], set[tuple]] = (set(), set())
     met = object()
 
@@ -280,16 +284,21 @@ def reference_membership(
         return out
 
     store(goal, 1)
-    forward: list[Configuration] = []
-    for c in starts:
-        got = store(c, 0)
-        if got is met:
-            return True, len(stored[0]), len(stored[1])
-        if got is not None:
-            forward.append(c)
+    starts = list(starts)
     backward = [key(goal)]
-    while forward and backward:
-        if len(forward) <= len(backward):
+    forward: list[Configuration] | None = None
+    while backward:
+        if forward is None and len(backward) > 1:
+            forward = []
+            for c in starts:
+                got = store(c, 0)
+                if got is met:
+                    return True, len(stored[0]), len(stored[1])
+                if got is not None:
+                    forward.append(c)
+        if forward is not None and len(forward) <= len(backward):
+            if not forward:
+                break
             side, frontier, expand = 0, forward, lambda c: [s for _, s in reference_step(spec, c)]
         else:
             side, frontier, expand = 1, backward, predecessors
@@ -307,4 +316,7 @@ def reference_membership(
             forward = grown
         else:
             backward = grown
+    if forward is None:
+        # The chain ran dry: the starts are looked up, not stored.
+        return any(key(c) in stored[1] for c in starts), 0, len(stored[1])
     return False, len(stored[0]), len(stored[1])

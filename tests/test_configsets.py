@@ -16,12 +16,12 @@ from upstack.configsets import (
     union_sets,
     upper_lower_product,
 )
-from upstack.core import Configuration
+from upstack.core import Configuration, make_spec
 from upstack.errors import MalformedInputError
 from upstack.fixtures import fixture_names, fixture_text
 from upstack.grammar import is_reachable, single_origin
 from upstack.kphase import PhaseKind, phase_pre
-from upstack.membership import start_classes
+from upstack.membership import _holds_start, start_classes
 from upstack.model import ModelFile, parse_model, print_model
 from upstack.nfa import EPSILON, Nfa, from_words
 from upstack.oracle import oracle_post
@@ -34,6 +34,8 @@ from search_reference import reference_members
 from thompson_reference import thompson_config_regex
 
 import random
+from collections import Counter
+from itertools import product
 
 
 def test_bar_roundtrip():
@@ -414,6 +416,96 @@ def test_the_class_walk_yields_the_counted_member_stream_in_order():
                 covered["above"] += any(c[2] for c in want)
                 covered["merged"] += len(got) < len(members)
     assert min(covered.values()) >= 10, covered
+
+
+def _class_members(alphabet, cls, upper):
+    """The configurations of a class counted against upper, found by
+    counting every upper word of its length."""
+    state, shared, above, lower = cls
+    return [
+        Configuration(state, word, lower)
+        for word in product(alphabet, repeat=shared + above)
+        if _counted((state, word, lower), upper) == cls
+    ]
+
+
+def test_the_class_test_agrees_with_the_members_of_each_class():
+    """On random compiled sets, the same sets built by Thompson's
+    construction (epsilon edges) and sets with a starred upper zone, over
+    alphabets of one to three symbols, `_holds_start` finds a start in a
+    class exactly when the set accepts one of the class's members, and in
+    a list of classes exactly when it finds one in some class. Half the
+    classes are those of members, counted against upper words grown or
+    cut from theirs, so that many hold a start."""
+    rng = random.Random(20261020)
+    covered = Counter()
+    for _ in range(60):
+        model = _random_model(rng)
+        spec = model.spec
+        thompson = ConfigAutomaton(
+            spec.alphabet,
+            {
+                state: thompson_config_regex(ast, spec.alphabet)
+                for state, ast in model.sets["S"].items()
+            },
+        )
+        x, y, z = (rng.choice(spec.alphabet) for _ in range(3))
+        starred = ConfigAutomaton(spec.alphabet, {
+            rng.choice(spec.states): compile_config_regex(f"({x} | {y})* ^ {z}*", spec.alphabet)
+        })
+        for start_set in (model.config_set("S"), thompson, starred):
+            members = list(start_set.members(4))
+            for _ in range(10):
+                if members and rng.random() < 0.5:
+                    member = rng.choice(members)
+                    upper = member[1][: rng.randint(0, len(member[1]))]
+                    upper += tuple(rng.choices(spec.alphabet, k=rng.randint(0, 2)))
+                    cls = _counted(member, upper)
+                else:
+                    upper = tuple(rng.choices(spec.alphabet, k=rng.randint(0, 3)))
+                    cls = (
+                        rng.choice(spec.states),
+                        rng.randint(0, len(upper)),
+                        rng.randint(0, 2),
+                        tuple(rng.choices(spec.alphabet, k=rng.randint(0, 2))),
+                    )
+                want = any(map(start_set.accepts, _class_members(spec.alphabet, cls, upper)))
+                assert _holds_start(start_set, upper, [cls]) is want, (upper, cls)
+                others = [_counted(m, upper) for m in rng.sample(members, min(2, len(members)))]
+                assert _holds_start(start_set, upper, [*others, cls]) is (bool(others) or want)
+                climbing = cls[2] and cls[1] < len(upper)
+                covered["epsilon" if start_set is thompson else "no epsilon", want] += 1
+                covered["one symbol" if len(spec.alphabet) == 1 else "symbols", want] += 1
+                covered["above, short prefix" if climbing else "other", want] += 1
+    assert min(covered.values()) >= 100, covered
+
+
+def test_the_class_test_on_hand_built_sets():
+    # An automaton with epsilon edges, which the compiler never builds,
+    # for p: a ^ b, p: _ ^ c b and p: _ ^ c c.
+    nfa = Nfa(initial=(0,), finals=(4,))
+    nfa.add_edge(0, EPSILON, 1)
+    nfa.add_edge(1, bar("a"), 2)
+    nfa.add_edge(2, EPSILON, 3)
+    nfa.add_edge(3, "b", 4)
+    nfa.add_edge(0, EPSILON, 5)
+    nfa.add_edge(5, "c", 6)
+    nfa.add_edge(6, EPSILON, 3)
+    nfa.add_edge(6, "c", 4)
+    eps = ConfigAutomaton(("a", "b", "c"), {"p": nfa})
+    assert _holds_start(eps, ("a",), [("p", 1, 0, ("b",))])
+    assert _holds_start(eps, ("a",), [("p", 0, 0, ("c", "c"))])
+    assert _holds_start(eps, ("a",), [("p", 0, 0, ("c", "b"))])
+    assert not _holds_start(eps, ("a",), [("p", 0, 1, ("b",)), ("p2", 1, 0, ("b",))])
+    assert _holds_start(eps, ("b",), [("p", 0, 1, ("b",))])
+    assert _holds_start(eps, (), [("p", 0, 1, ("b",))])
+    # The first cell above the prefix is never U's next symbol: counted
+    # against a, p: a ^ bot is in (p, 1, 0, bot), not in (p, 0, 1, bot).
+    one = from_config_set(make_spec(("p",), ("a", "bot"), []), [cfg("p", "a", "bot")])
+    assert _holds_start(one, ("a",), [("p", 1, 0, ("bot",))])
+    assert not _holds_start(one, ("a",), [("p", 0, 1, ("bot",))])
+    assert _holds_start(one, ("a", "a"), [("p", 1, 0, ("bot",))])
+    assert _holds_start(one, ("bot",), [("p", 0, 1, ("bot",))])
 
 
 # -- canonical sets compare by structure -----------------------------------

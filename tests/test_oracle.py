@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from search_reference import (
     reference_pre_closure,
     reference_trace,
 )
+from upstack import membership
 from upstack.configsets import ConfigAutomaton, from_config_set
 from upstack.core import Configuration, count_phases, make_spec, run_trace, step, successors
 from upstack.errors import MalformedInputError, ResourceLimitError
@@ -219,6 +221,53 @@ def test_membership_up_to_the_goal_upper_word_agrees_with_the_concrete_search():
     assert fewer > 200
 
 
+def test_a_dry_chain_agrees_with_the_concrete_search_on_upper_zones(monkeypatch):
+    """On 1500 random systems, with start sets whose members all have
+    nonempty upper words, `is_reachable` answers as the concrete reference
+    search from the same members. Goals are met on runs from the starts,
+    or are starts with one cell changed, or random, so that many chains
+    run dry, holding a start and not, on classes with a prefix shared with
+    the goal's upper word and with cells above it. The benchmark's start
+    sets have empty upper zones, so they never reach that part of the
+    class test. A dry chain seldom stores a cell above a prefix shorter
+    than the goal's upper word: undoing a push there also extends the
+    prefix, so the frontier branches. `test_configsets` covers that case
+    of the class test."""
+    walked, tested = [], []
+    walk, test = membership.start_classes, membership._holds_start
+    monkeypatch.setattr(membership, "start_classes", lambda *a: walked.append(a) or walk(*a))
+    monkeypatch.setattr(membership, "_holds_start", lambda *a: tested.append(a) or test(*a))
+    rng = random.Random(20261020)
+    covered = Counter()
+    for _ in range(1500):
+        spec = random_spec(rng, max_rules=7)
+        start_set = _upper_start_set(rng, spec)
+        starts = list(start_set.members(5))
+        _, region = explore(spec, starts, lambda c: False, 5)
+        roll = rng.random()
+        if roll < 0.4 and region:
+            goal = Configuration(*rng.choice(sorted(region)))
+        elif roll < 0.7 and starts:
+            state, upper, lower = rng.choice(starts)
+            cell = rng.randrange(len(upper))
+            upper = upper[:cell] + (rng.choice(spec.alphabet),) + upper[cell + 1:]
+            goal = Configuration(state, upper, lower)
+        else:
+            goal = random_configuration(rng, spec, max_side=3)
+        size = goal.total_size
+        members = reference_members(start_set, size)
+        want = reference_trace(spec, members, goal.__eq__, size, None, 10**6) is not None
+        walked.clear()
+        tested.clear()
+        assert is_reachable(spec, start_set, goal) is want, (spec.rules, goal)
+        covered["walked" if walked else "dry", want] += 1
+        if tested:
+            held = [c for c in tested[0][2] if c[0] in start_set.components]
+            covered["shared", want] += any(shared for _, shared, _, _ in held)
+            covered["above", want] += any(above for _, _, above, _ in held)
+    assert min(covered.values()) >= 10, covered
+
+
 def test_membership_stores_each_configuration_up_to_the_goal_upper_word(e1, c1):
     # Work counts on e1 from C1, pinned: the pumped p2: a a a b b ^ bot
     # (reachable) and p2: x a a b b ^ bot (not). Both sides count: the
@@ -263,26 +312,47 @@ def _upper_rich(e1):
 
 def test_a_probe_without_predecessors_is_decided_backward(e1):
     # No rule writes y, and the pops into p read a or b, not the x that
-    # ends the probe's upper word: p: x ^ y bot has no predecessor. Its
-    # start classes up to size 3 are three, one backward class is fewer,
-    # so the backward side goes first and empties: the goal and the three
-    # starts are all the search stores. The forward search alone stores
-    # 24 configurations.
+    # ends the probe's upper word: p: x ^ y bot has no predecessor. The
+    # backward side goes first, alone, and runs dry at once: the goal's
+    # class is all the search stores, and no start falls in it. The
+    # forward search alone stores 24 configurations.
     goal = cfg("p", "x", "y bot")
     size, target = goal.total_size, _as_tuple(goal)
     assert len(explore(e1, _upper_rich(e1).members(size), target.__eq__, size)[1]) == 24
-    assert search(e1, _upper_rich(e1), goal, 10**6) == (False, 4)
+    assert search(e1, _upper_rich(e1), goal, 10**6) == (False, 1)
+    assert not is_reachable(e1, _upper_rich(e1), goal, budget=1)
     with pytest.raises(ResourceLimitError):
-        is_reachable(e1, _upper_rich(e1), goal, budget=3)
+        is_reachable(e1, _upper_rich(e1), goal, budget=0)
 
 
 def test_the_backward_side_meets_a_start(e1):
     # p: x ^ a bot has one predecessor, p: x ^ x bot by the switch
-    # p x -> p a, and it is a start. The backward side goes first (one
-    # class against three) and meets it before either side stores more.
+    # p x -> p a, and it has none, so the backward side, going first and
+    # alone, runs dry after storing two classes. The second holds a
+    # start, p: x ^ x bot itself.
     goal = cfg("p", "x", "a bot")
-    assert search(e1, _upper_rich(e1), goal, 10**6) == (True, 4)
-    assert is_reachable(e1, _upper_rich(e1), goal, budget=4)
+    assert search(e1, _upper_rich(e1), goal, 10**6) == (True, 2)
+    assert is_reachable(e1, _upper_rich(e1), goal, budget=2)
+    with pytest.raises(ResourceLimitError):
+        is_reachable(e1, _upper_rich(e1), goal, budget=1)
+
+
+def test_a_chain_that_runs_dry_never_walks_the_start_set(e1, c1, monkeypatch):
+    # Each goal's predecessors form a chain of single classes that runs
+    # dry, so the answer comes from the classes it stored: the start set
+    # is never walked, and the stored counts are the chains' lengths.
+    def refuse(*args):
+        raise AssertionError("the start set was walked")
+
+    monkeypatch.setattr(membership, "start_classes", refuse)
+    for start_set, goal, decided in (
+        (_upper_rich(e1), cfg("p", "x", "y bot"), (False, 1)),
+        (_upper_rich(e1), cfg("p", "x", "a bot"), (True, 2)),
+        (c1, cfg("p2", "a", "bot"), (True, 4)),
+        (c1, cfg("p2", "b", "bot"), (False, 4)),
+    ):
+        assert search(e1, start_set, goal, 10**6) == decided, goal
+        assert is_reachable(e1, start_set, goal) is decided[0]
 
 
 def test_membership_refuses_a_start_set_outside_the_system(e1):

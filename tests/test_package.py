@@ -138,12 +138,12 @@ _COMPILED_NODE_CEILINGS = {
     # 2%, rounded down: check-read-unsafe 15794, check-read-safe 14873,
     # check-overflow 15919, export-dot-set 8087 and pre-under 13467,
     # counted when the front end came to place every parse error with one
-    # finder, and member 9128 (8668 before), when exact membership came to
-    # search backward from the probe too. Post-over's is its count of
-    # 13291 when the upper-word saturation came to close the reversed
-    # automaton; it counts 13245 now.
+    # finder, and member 9458 (9137 before), when exact membership came to
+    # test the classes of a backward chain that runs dry against the start
+    # set. Post-over's is its count of 13291 when the upper-word
+    # saturation came to close the reversed automaton; it counts 13288 now.
     # A converged Safe (check-read-safe) loads no over-approximation.
-    "member": (["member", "e1.upds", "--init", "C1", "--config", "p2: a ^ bot"], 9310),
+    "member": (["member", "e1.upds", "--init", "C1", "--config", "p2: a ^ bot"], 9647),
     "check-read-unsafe": (
         ["check-read", "relocate.upds", "--init", "Boot", "--symbol", "secret"], 16109
     ),
