@@ -480,7 +480,8 @@ def phase_pre(spec: UpdsSpec, targets: ConfigAutomaton, kind: PhaseKind) -> Conf
     misses those with an empty lower word, so the targets are added to it."""
     targets.check_against(spec, "target set")
     targets = targets.compact()
-    phase = _phases(spec, targets, (kind,), _Moves(spec))
+    built = _phases(spec, targets, (kind,), _Moves(spec))
+    phase = ConfigAutomaton(spec.alphabet, {q: nfa.trim() for q, nfa in built.components.items()})
     return union_sets(phase, targets) if kind is PhaseKind.PUSH else phase
 
 

@@ -20,20 +20,21 @@ target automaton, so that the number of symbols dropped from the upper
 word equals the number of pushes; a separate entry mode absorbs the case
 where the upper word is exhausted entirely.
 
-Both phases build on demand: each state's automaton grows forward from
-its initial nodes, and a node is made only when a final node can still
-be reached from it, so what they return is already trimmed. The push
-phase explores each target's lockstep pairs and lists their predecessors
-once per round, and each state cuts them, by a backward search over
-those lists, to those its exits can follow before adding an edge.
-Which nodes can still reach a final node is the package's one backward
-search, `compaction._coreachable`, run on the rows as they are: no
-automaton is reversed. A round of `pre_star_rounds` builds both phases
-into one automaton per state, then copies each target's barred zone into
-it once, up to where either phase enters the zone, and compacts that. No
-target is copied verbatim: the pop phase accepts the targets by the
-empty trace. A single phase on its own, `phase_pre`, which no command
-runs, lives in `extras` and still imports from here.
+Both phases build on demand: a phase's part of each state's automaton
+grows forward from where the phase enters a target, and a phase node is
+made only when a final node can still be reached from it. The push phase
+explores each target's lockstep pairs and lists their predecessors once
+per round, and each state cuts them, by a backward search over those
+lists, to those its exits can follow before adding an edge. Which nodes
+can still reach a final node is the package's one backward search,
+`compaction._coreachable`, run on the rows as they are: no automaton is
+reversed. A round of `pre_star_rounds` builds both phases into one
+automaton per state, copies into it once the whole reachable barred zone
+of each target that either phase enters, and compacts that, trimming
+the few zone nodes that lead to no entry. No target is copied verbatim:
+the pop phase accepts the targets by the empty trace. A single phase on
+its own, `phase_pre`, which no command runs, lives in `extras`, trims
+what `_phases` returns and still imports from here.
 
 Each target the phases read is a set as compaction leaves it: every
 round of `pre_star_rounds` is compacted, a budget fallback included,
@@ -77,7 +78,7 @@ class _Target:
     (`first`). Since t is trimmed, every node that a plain edge reaches
     still reaches a final node, over plain edges only, as accepted words
     end in plain symbols. The phases only note where they enter the
-    barred zone; `_phases` copies it once per state (`upper_part`)."""
+    barred zone; `_phases` copies all of it (`reach`) once per state."""
 
     def __init__(self, t: Nfa) -> None:
         self.nfa = t
@@ -87,11 +88,6 @@ class _Target:
         self.names, self.steps = _plain_steps(t)
         self.entered = [i for i, r in enumerate(self.names) if r in self.reach]
         self.first = [i for i, r in enumerate(self.names) if r in t.initial]
-
-    def upper_part(self, entries) -> set:
-        """The nodes of the barred zone on a path from an initial node to
-        one of `entries`."""
-        return self.reach & _coreachable(self.upper._edges, entries)
 
 
 class _Moves:
@@ -108,7 +104,7 @@ class _Moves:
     pair final), the position of each start node, and per state q the
     positions of q's pairs with their tops (`exits`). The pop phase reads
     a row per pair, pairs with no rules included: the pair, the states its
-    pops move to, and its epsilon closure."""
+    pops move to, and its epsilon closure, sorted."""
 
     def __init__(self, spec: UpdsSpec) -> None:
         pairs = [(p, x) for p in spec.states for x in spec.alphabet]
@@ -128,7 +124,8 @@ class _Moves:
             (
                 pair,
                 [to_state for _, to_state, arity, _ in spec.moves.get(pair, ()) if not arity],
-                graph.eps_closure((pair,)),
+                # Sorted, so that node order does not follow the hash seed.
+                sorted(graph.eps_closure((pair,))),
             )
             for pair in pairs
         ]
@@ -156,7 +153,7 @@ def _pop_phase_pre(
     spec: UpdsSpec, targets: dict[str, _Target], moves: _Moves, out: dict[str, Nfa], entered: dict
 ) -> None:
     """One pop phase, backwards, added to each state's automaton in `out`,
-    with the barred-zone nodes it enters per (state, target) in `entered`.
+    with the (state, target) pairs it enters as keys of `entered`.
     A trace of switches and pops from <q, w_u, w_l> never shrinks the
     upper word: it appends the popped symbols z and leaves some final
     lower word, so the target automaton must read bar(w_u) bar(z) w_l'.
@@ -185,9 +182,6 @@ def _pop_phase_pre(
             if not pops and qk != p2:
                 continue
             barred = bar(ak)
-            # Sorted, so that nodes are added in one order whatever the
-            # hash seed.
-            into = sorted(into)
             for r, row in t._edges.items():
                 landed = [("i", q2, p2, r2) for r2 in row.get(barred, ()) for q2 in pops]
                 if qk == p2:
@@ -204,7 +198,7 @@ def _pop_phase_pre(
                 if r in target.reach and ("i", q, p2, r) in live:
                     comp.add_edge(("u", p2, r), EPSILON, ("i", q, p2, r))
                     walkers.append(("i", q, p2, r))
-                    entered.setdefault((q, p2), set()).add(r)
+                    entered[q, p2] = None
         _zone_part(comp, core, core.reachable(walkers) & live)
 
 
@@ -235,7 +229,7 @@ def _push_phase_pre(
     spec: UpdsSpec, targets: dict[str, _Target], moves: _Moves, out: dict[str, Nfa], entered: dict
 ) -> None:
     """One push phase, backwards, added to each state's automaton in `out`,
-    with the barred-zone nodes it enters per (state, target) in `entered`.
+    with the (state, target) pairs it enters as keys of `entered`.
     A trace of switches and pushes from <q, g v, w_u> rewrites the lower
     top g into some word z (one symbol per push plus the survivor, so z
     has one more symbol than there are pushes) and drops that many
@@ -277,7 +271,7 @@ def _push_phase_pre(
                         comp.add_initial(("k", p2, r, z, 1))
                     else:
                         comp.add_edge(("u", p2, names[r]), EPSILON, ("k", p2, r, z, 0))
-                        entered.setdefault((q, p2), set()).add(names[r])
+                        entered[q, p2] = None
                 seen = set(reached)
                 while reached:
                     pair = reached.pop()
@@ -327,14 +321,16 @@ def _lockstep(steps: list, zsteps: list, starts: list) -> dict:
 def _phases(
     spec: UpdsSpec, targets: ConfigAutomaton, kinds: tuple[PhaseKind, ...], moves: _Moves
 ) -> ConfigAutomaton:
-    """The configurations that reach the targets, a set as compaction
-    leaves it, by one phase of any of the given kinds. Both phases write
+    """The configurations that reach the targets (a set as compaction
+    leaves it) by one phase of any of the given kinds. Both phases write
     into one automaton per state: they share the copies of the target's
     zones, and a path through either phase's nodes is one of its own, so
     each state's automaton accepts the union of what the phases accept.
-    Each (state, target) gets one copy of the barred zone, up to the
-    nodes that either phase enters; a state whose automaton has no
-    initial node then reaches no target."""
+    Each (state, target) pair either phase enters, in the order entered
+    (a dict, so that the order does not follow the hash seed), gets one
+    copy of the target's whole reachable barred zone, whose nodes that
+    lead to no entry stay dead until compaction trims them. A state whose
+    automaton has no initial node reaches no target."""
     components = {state: _Target(nfa) for state, nfa in targets.components.items()}
     out = {q: Nfa() for q in spec.states}
     entered: dict = {}
@@ -342,9 +338,9 @@ def _phases(
         _pop_phase_pre(spec, components, moves, out, entered)
     if PhaseKind.PUSH in kinds:
         _push_phase_pre(spec, components, moves, out, entered)
-    for (q, p2), entries in entered.items():
+    for q, p2 in entered:
         target = components[p2]
-        _zone_part(out[q], target.upper, target.upper_part(entries), lambda r: ("u", p2, r))
+        _zone_part(out[q], target.upper, target.reach, lambda r: ("u", p2, r))
     return ConfigAutomaton(spec.alphabet, {q: comp for q, comp in out.items() if comp.initial})
 
 

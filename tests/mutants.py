@@ -50,6 +50,27 @@ MUTANTS = (
         ["tests/test_kphase.py"],
     ),
     (
+        "barred zones copied in hash order",
+        "kphase.py",
+        "for q, p2 in entered:",
+        "for q, p2 in set(entered):",
+        ["tests/test_kphase.py"],
+    ),
+    (
+        "the push phase's entries left unrecorded",
+        "kphase.py",
+        'EPSILON, ("k", p2, r, z, 0))\n                        entered[q, p2] = None',
+        'EPSILON, ("k", p2, r, z, 0))\n                        pass',
+        ["tests/test_kphase.py"],
+    ),
+    (
+        "the push phase's per-state cut dropped",
+        "kphase.py",
+        "live = _coreachable(walk, ends, preds)",
+        "live = walk",
+        ["tests/test_kphase.py"],
+    ),
+    (
         "every round reported as converged",
         "kphase.py",
         "converged = grown.same(current)",

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from collections import deque
+from pathlib import Path
 
 import pytest
 
@@ -133,8 +134,10 @@ def test_phases_accept_what_their_first_construction_accepts():
     # Random systems with at least three states, so that components reach
     # across states; targets are small finite sets or a round or two of
     # pre* of them, some with dead ends. Each phase compacts `same` as the
-    # construction that embeds every zone and trims at the end, and is
-    # built trimmed; so do whole bounded runs.
+    # construction that embeds every zone and trims at the end; so do
+    # whole bounded runs. What `_phases` builds is trimmed but for the
+    # barred-zone copies, which it copies whole and leaves to compaction:
+    # every phase node is built live.
     rng = random.Random(2718)
     checked = 0
     while checked < 120:
@@ -155,7 +158,10 @@ def test_phases_accept_what_their_first_construction_accepts():
         for kind, reference in references.items():
             built = phase_pre(spec, targets, kind)
             assert built.compact().same(reference(spec, targets).compact()), kind
-            assert all(nfa.trim().same(nfa) for nfa in built.components.values()), kind
+            raw = kphase._phases(spec, targets.compact(), (kind,), _Moves(spec))
+            for nfa in raw.components.values():
+                dead = set(nfa.nodes()) - set(nfa.trim().nodes())
+                assert all(node[0] == "u" for node in dead), kind
         k = rng.randint(0, 3)
         expected = phase_reference.bounded_phase_pre_star(spec, targets, k)
         assert bounded_phase_pre_star(spec, targets, k).same(expected)
@@ -251,7 +257,7 @@ def test_move_graph_reads_what_the_push_switch_closure_reaches():
             assert pops == [r.to_state for r in rules if r.kind is RuleKind.POP]
             assert set(entering) == into[pair]
             seen["rule-less pair entered by a switch"] += not rules and len(entering) > 1
-            seen["switch cycle"] += any(pair in into[other] for other in entering - {pair})
+            seen["switch cycle"] += any(pair in into[other] for other in set(entering) - {pair})
         pushes = [r for r in spec.rules if r.kind is RuleKind.PUSH]
         seen["push chain"] += any(
             (r.to_state, r.written[0]) == (r2.from_state, r2.read_symbol)
@@ -368,12 +374,18 @@ def test_every_round_is_as_the_phases_read_it():
     assert fell_back
 
 
-# The budget-fallback DOT of check-read's forbidden sets on two fixtures:
+# The budget-fallback DOTs of check-read's forbidden sets on two fixtures
+# and of small targets on 30 random systems of three or four states:
 # `compact`'s fallback names each class by its first node, so what the
 # phases insert first must not follow string hashing.
 _FALLBACK_DOTS = """
+import random, sys
+
+sys.path.insert(0, sys.argv[1])
+from conftest import random_configuration, random_spec
 from upstack import export_dot, fixture_text, parse_model
 from upstack.checkers import _all_states_set, _any_word
+from upstack.configsets import from_config_set
 from upstack.kphase import bounded_phase_pre_star
 
 for name in ("e2.upds", "relocate.upds"):
@@ -382,13 +394,22 @@ for name in ("e2.upds", "relocate.upds"):
     for symbol in spec.alphabet:
         forbidden = _all_states_set(spec, ("concat", (anything, ("sym", symbol))), anything)
         print(export_dot(bounded_phase_pre_star(spec, forbidden, 3, node_budget=1)))
+rng = random.Random(1789)
+drawn = 0
+while drawn < 30:
+    spec = random_spec(rng, max_states=4, max_symbols=3, max_rules=10)
+    if len(spec.states) < 3:
+        continue
+    configs = [random_configuration(rng, spec) for _ in range(rng.randint(1, 3))]
+    print(export_dot(bounded_phase_pre_star(spec, from_config_set(spec, configs), 3, node_budget=1)))
+    drawn += 1
 """
 
 
 def test_budget_fallbacks_do_not_depend_on_the_hash_seed():
     outputs = {
         subprocess.run(
-            [sys.executable, "-c", _FALLBACK_DOTS],
+            [sys.executable, "-c", _FALLBACK_DOTS, str(Path(__file__).parent)],
             env=dict(subprocess_env(), PYTHONHASHSEED=seed),
             capture_output=True,
             text=True,
