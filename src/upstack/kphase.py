@@ -20,29 +20,35 @@ target automaton, so that the number of symbols dropped from the upper
 word equals the number of pushes; a separate entry mode absorbs the case
 where the upper word is exhausted entirely.
 
-Both phases build on demand: a phase's part of each state's automaton
-grows forward from where the phase enters a target, and a phase node is
-made only when a final node can still be reached from it. The push phase
-explores each target's lockstep pairs and lists their predecessors once
-per round, and each state cuts them, by a backward search over those
-lists, to those its exits can follow before adding an edge. Which nodes
-can still reach a final node is the package's one backward search,
-`compaction._coreachable`, run on the rows as they are: no automaton is
-reversed. A round of `pre_star_rounds` builds both phases into one
-automaton per state, copies into it once the whole reachable barred zone
-of each target that either phase enters, and compacts that, trimming
-the few zone nodes that lead to no entry. No target is copied verbatim:
-the pop phase accepts the targets by the empty trace. A single phase on
-its own, `phase_pre`, which no command runs, lives in `extras`, trims
-what `_phases` returns and still imports from here.
+Both phases build on demand, and build only their own nodes: the pop
+phase's walkers and the push phase's lockstep pairs. A phase node is
+made only when a final node can still be reached from it. The push
+phase explores each target's lockstep pairs and lists their
+predecessors once per round, and each state cuts them, by a backward
+search over those lists, to those its exits can follow before adding an
+edge. Which nodes can still reach a final node is the package's one
+backward search, `compaction._coreachable`, run on the rows as they
+are: no automaton is reversed. Where a phase touches a target it only
+records it: the (state, target) pairs whose barred zone it enters, and
+the nodes where it lands in the plain zone. A round of
+`pre_star_rounds` builds both phases into one automaton per state, then
+copies each recorded zone once, straight from the target: the whole
+barred zone of each entered target, and the plain zone forward from its
+landings. It compacts that, trimming the few barred-zone nodes that
+lead to no entry. No target is copied verbatim: the pop phase accepts
+the targets by the empty trace. A single phase on its own, `phase_pre`,
+which no command runs, lives in `extras`, trims what `_phases` returns
+and still imports from here.
 
 Each target the phases read is a set as compaction leaves it: every
 round of `pre_star_rounds` is compacted, a budget fallback included,
 and `phase_pre` compacts what it is given. So each component is
 epsilon-free, trimmed and nonempty, and the phases work none of that out
-again: they read the targets' rows as they are, and a plain zone is
-copied forward from where a phase enters it, since past a plain edge
-only plain edges lead on to a final node.
+again: they read the targets' rows as they are. No plain edge precedes
+a barred one, since accepted words end in plain symbols, so the barred
+zone is the initial nodes and the targets of barred edges, and a plain
+zone is copied forward from where a phase lands in it: past a plain
+edge only plain edges lead on to a final node.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ import enum
 from typing import Iterator
 
 from . import _forward
-from .compaction import _coreachable, _identity, _predecessors
+from .compaction import _coreachable, _predecessors
 from .configsets import ConfigAutomaton, bar, is_barred
 from .core import UpdsSpec
 from .limits import DFA_STATE_BUDGET
@@ -69,22 +75,24 @@ class _Target:
     """What the phases read of one target component t, which is as
     compaction leaves it: epsilon-free, trimmed and with an initial node.
     Its barred zone (its barred edges, initial where t is) reads the part
-    of the input upper word that a phase leaves in place, and `reach`
-    holds the nodes it reaches; its plain zone (its plain edges, final
-    where t is) reads the lower word once a phase's trace is exhausted.
-    The lockstep tables of the push phase are the nodes that reach a
-    final node over plain edges (`_plain_steps`), and the positions of
-    those the barred zone reaches (`entered`) and of the initial ones
-    (`first`). Since t is trimmed, every node that a plain edge reaches
-    still reaches a final node, over plain edges only, as accepted words
-    end in plain symbols. The phases only note where they enter the
-    barred zone; `_phases` copies all of it (`reach`) once per state."""
+    of the input upper word that a phase leaves in place; its plain zone
+    (its plain edges, final where t is) reads the lower word once a
+    phase's trace is exhausted. No plain edge of t precedes a barred one,
+    as accepted words end in plain symbols, so the nodes the barred zone
+    reaches (`reach`) are the initial nodes and the targets of barred
+    edges, and every node that a plain edge reaches still reaches a final
+    node over plain edges only. The nodes that reach a final node over
+    plain edges (`names`) are where the pop phase's liveness ends, and
+    with their closed steps (`steps`, from `_plain_steps`) they are the
+    push phase's lockstep tables, which it enters at the positions the
+    barred zone reaches (`entered`) and at the initial ones (`first`).
+    The phases only note where they touch t; `_phases` copies its
+    zones."""
 
     def __init__(self, t: Nfa) -> None:
         self.nfa = t
-        self.upper = Nfa(t.initial).embed(t, label=lambda a: a if is_barred(a) else None)
-        self.lower = Nfa(finals=t.finals).embed(t, label=lambda a: None if is_barred(a) else a)
-        self.reach = self.upper.reachable(t.initial)
+        barred = [ms for row in t._edges.values() for a, ms in row.items() if is_barred(a)]
+        self.reach = dict.fromkeys([*t.initial, *(m for ms in barred for m in ms)])
         self.names, self.steps = _plain_steps(t)
         self.entered = [i for i, r in enumerate(self.names) if r in self.reach]
         self.first = [i for i, r in enumerate(self.names) if r in t.initial]
@@ -131,29 +139,14 @@ class _Moves:
         ]
 
 
-def _zone_part(comp: Nfa, zone: Nfa, keep, name=_identity) -> None:
-    """Copy into comp the nodes of `zone` in `keep`, in the zone's order,
-    each node r as name(r), with the edges between them, initial and
-    final where the zone is."""
-    for r, row in zone._edges.items():
-        if r not in keep:
-            continue
-        src = name(r)
-        for label, targets in row.items():
-            for m in targets:
-                if m in keep:
-                    comp.add_edge(src, label, name(m))
-        if r in zone.initial:
-            comp.add_initial(src)
-        if r in zone.finals:
-            comp.add_final(src)
-
-
 def _pop_phase_pre(
-    spec: UpdsSpec, targets: dict[str, _Target], moves: _Moves, out: dict[str, Nfa], entered: dict
+    spec: UpdsSpec, targets: dict[str, _Target], moves: _Moves, out: dict[str, Nfa],
+    entered: dict, landings: dict,
 ) -> None:
     """One pop phase, backwards, added to each state's automaton in `out`,
-    with the (state, target) pairs it enters as keys of `entered`.
+    with the (state, target) pairs it enters as keys of `entered`, and the
+    target nodes where it lands in each (state, target) pair's plain zone
+    as keys of `landings[state, target]`. `_phases` copies both zones.
     A trace of switches and pops from <q, w_u, w_l> never shrinks the
     upper word: it appends the popped symbols z and leaves some final
     lower word, so the target automaton must read bar(w_u) bar(z) w_l'.
@@ -166,17 +159,19 @@ def _pop_phase_pre(
     advances the target automaton over bar(ak) and hands on to the popped
     state's walker, or, where qk is the target state, the trace ends and
     the target's plain zone reads ak and the rest of the lower word. So
-    one pass over the pairs adds every core edge. Each state's part is
-    then the epsilon edges from its barred zones into its own walkers,
-    and the part of the core that those walkers reach and that can still
-    reach a final node. Since a state's walker at its own target steps by
-    epsilon into the target's plain zone, the phase accepts every target
-    word by the empty trace."""
+    one pass over the pairs adds every core edge. The core holds no plain
+    zone: its edges into a plain zone end on a landing node, and a walker
+    is live when it reaches a landing that reaches a final node over
+    plain edges (`_Target.names`). Each state's part is then the epsilon
+    edges from its barred zones into its own live walkers, and one walk
+    from those that follows live nodes only and stops at the landings.
+    Since a state's walker at its own target steps by epsilon into the
+    target's plain zone, the phase accepts every target word by the empty
+    trace."""
     core = Nfa()
     for p2, target in targets.items():
         t = target.nfa
-        _zone_part(core, target.lower, t._edges, lambda r: ("e", p2, r))
-        for r in t.nodes():
+        for r in target.names:
             core.add_edge(("i", p2, p2, r), EPSILON, ("e", p2, r))
         for (qk, ak), pops, into in moves.rows:
             if not pops and qk != p2:
@@ -189,17 +184,29 @@ def _pop_phase_pre(
                 for q, a in into:
                     for node in landed:
                         core.add_edge(("i", q, p2, r), a, node)
-    live = _coreachable(core._edges, core.finals)
+    ends = [("e", p2, r) for p2, target in targets.items() for r in target.names]
+    live = _coreachable(core._edges, ends)
     for q in spec.states:
         comp = out[q]
         walkers = []
         for p2, target in targets.items():
-            for r in target.nfa.nodes():
-                if r in target.reach and ("i", q, p2, r) in live:
+            for r in target.reach:
+                if ("i", q, p2, r) in live:
                     comp.add_edge(("u", p2, r), EPSILON, ("i", q, p2, r))
                     walkers.append(("i", q, p2, r))
                     entered[q, p2] = None
-        _zone_part(comp, core, core.reachable(walkers) & live)
+        seen = set(walkers)
+        while walkers:
+            src = walkers.pop()
+            for label, nodes in core._edges[src].items():
+                for node in nodes:
+                    if node in live:
+                        comp.add_edge(src, label, node)
+                        if node[0] == "e":
+                            landings.setdefault((q, node[1]), {})[node[2]] = None
+                        elif node not in seen:
+                            seen.add(node)
+                            walkers.append(node)
 
 
 def _plain_steps(nfa: Nfa) -> tuple[list, list[dict[str, tuple[int, ...]]]]:
@@ -226,10 +233,13 @@ def _plain_steps(nfa: Nfa) -> tuple[list, list[dict[str, tuple[int, ...]]]]:
 
 
 def _push_phase_pre(
-    spec: UpdsSpec, targets: dict[str, _Target], moves: _Moves, out: dict[str, Nfa], entered: dict
+    spec: UpdsSpec, targets: dict[str, _Target], moves: _Moves, out: dict[str, Nfa],
+    entered: dict, landings: dict,
 ) -> None:
     """One push phase, backwards, added to each state's automaton in `out`,
-    with the (state, target) pairs it enters as keys of `entered`.
+    with the (state, target) pairs it enters as keys of `entered`, and the
+    target nodes where it lands in each (state, target) pair's plain zone
+    as keys of `landings[state, target]`. `_phases` copies both zones.
     A trace of switches and pushes from <q, g v, w_u> rewrites the lower
     top g into some word z (one symbol per push plus the survivor, so z
     has one more symbol than there are pushes) and drops that many
@@ -249,9 +259,9 @@ def _push_phase_pre(
     Only what an accepted word uses is built. Each target's lockstep
     pairs are explored once (`_lockstep`), with their predecessor lists,
     and each state q keeps those from which a step lands on one of q's
-    exits, by a backward search over those lists; a plain zone is copied
-    only forward from the exits: past the plain edge that lands on an
-    exit, every node the zone reaches is live."""
+    exits, by a backward search over those lists. An exit step lands on a
+    target node that a plain edge reaches, so every node the plain zone
+    reaches from there is live."""
     barred = [bar(x) for x in spec.alphabet]
     for p2, target in targets.items():
         names = target.names
@@ -263,7 +273,6 @@ def _push_phase_pre(
             zexits = moves.exits[q]
             ends = [pair for pair, row in walk.items() if not zexits.keys().isdisjoint(row)]
             live = _coreachable(walk, ends, preds)
-            exits: set = set()
             for free, rs in ((0, target.entered), (1, target.first)):
                 reached = [(r, z) for r in rs if (r, z) in live]
                 for r, _ in reached:
@@ -281,7 +290,7 @@ def _push_phase_pre(
                         for nxt in nexts:
                             if top is not None:
                                 comp.add_edge(src, top, ("e", p2, names[nxt[0]]))
-                                exits.add(names[nxt[0]])
+                                landings.setdefault((q, p2), {})[names[nxt[0]]] = None
                             if nxt not in live:
                                 continue
                             dst = ("k", p2, *nxt, free)
@@ -292,9 +301,6 @@ def _push_phase_pre(
                             if nxt not in seen:
                                 seen.add(nxt)
                                 reached.append(nxt)
-            if exits:
-                lower = target.lower
-                _zone_part(comp, lower, lower.reachable(exits), lambda r: ("e", p2, r))
 
 
 def _lockstep(steps: list, zsteps: list, starts: list) -> dict:
@@ -323,24 +329,45 @@ def _phases(
 ) -> ConfigAutomaton:
     """The configurations that reach the targets (a set as compaction
     leaves it) by one phase of any of the given kinds. Both phases write
-    into one automaton per state: they share the copies of the target's
-    zones, and a path through either phase's nodes is one of its own, so
-    each state's automaton accepts the union of what the phases accept.
-    Each (state, target) pair either phase enters, in the order entered
-    (a dict, so that the order does not follow the hash seed), gets one
-    copy of the target's whole reachable barred zone, whose nodes that
-    lead to no entry stay dead until compaction trims them. A state whose
+    their own nodes into one automaton per state, and only record where
+    they touch a target: the (state, target) pairs whose barred zone they
+    enter, and the nodes where they land in each pair's plain zone. Both
+    are dicts, so that the order does not follow the hash seed. Then each
+    recorded zone is copied once, by one walk of the target over that
+    zone's edges only: each entered pair's barred zone from the target's
+    initial nodes, initial where the target is, so it is copied whole
+    (`_Target.reach`) and its nodes that lead to no entry stay dead until
+    compaction trims them; each pair's plain zone from its landings,
+    final where the target is. The phases share these copies, and a path
+    through either phase's nodes is one of its own, so each state's
+    automaton accepts the union of what the phases accept. A state whose
     automaton has no initial node reaches no target."""
     components = {state: _Target(nfa) for state, nfa in targets.components.items()}
     out = {q: Nfa() for q in spec.states}
     entered: dict = {}
+    landings: dict = {}
     if PhaseKind.POP in kinds:
-        _pop_phase_pre(spec, components, moves, out, entered)
+        _pop_phase_pre(spec, components, moves, out, entered, landings)
     if PhaseKind.PUSH in kinds:
-        _push_phase_pre(spec, components, moves, out, entered)
-    for q, p2 in entered:
-        target = components[p2]
-        _zone_part(out[q], target.upper, target.reach, lambda r: ("u", p2, r))
+        _push_phase_pre(spec, components, moves, out, entered, landings)
+    zones = [("u", key, dict.fromkeys(components[key[1]].nfa.initial)) for key in entered]
+    for zone, (q, p2), seen in zones + [("e", key, landed) for key, landed in landings.items()]:
+        t = components[p2].nfa
+        comp, barred = out[q], zone == "u"
+        marked, mark = (t.initial, comp.add_initial) if barred else (t.finals, comp.add_final)
+        stack = list(seen)
+        while stack:
+            r = stack.pop()
+            src = (zone, p2, r)
+            for label, rs in t._edges[r].items():
+                if is_barred(label) is barred:
+                    for m in rs:
+                        comp.add_edge(src, label, (zone, p2, m))
+                        if m not in seen:
+                            seen[m] = None
+                            stack.append(m)
+            if r in marked:
+                mark(src)
     return ConfigAutomaton(spec.alphabet, {q: comp for q, comp in out.items() if comp.initial})
 
 

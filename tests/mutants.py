@@ -45,15 +45,15 @@ MUTANTS = (
     (
         "barred zones copied for the pop phase's entries only",
         "kphase.py",
-        "_push_phase_pre(spec, components, moves, out, entered)",
-        "_push_phase_pre(spec, components, moves, out, {})",
+        "_push_phase_pre(spec, components, moves, out, entered, landings)",
+        "_push_phase_pre(spec, components, moves, out, {}, landings)",
         ["tests/test_kphase.py"],
     ),
     (
         "barred zones copied in hash order",
         "kphase.py",
-        "for q, p2 in entered:",
-        "for q, p2 in set(entered):",
+        "for key in entered]",
+        "for key in set(entered)]",
         ["tests/test_kphase.py"],
     ),
     (
@@ -61,6 +61,20 @@ MUTANTS = (
         "kphase.py",
         'EPSILON, ("k", p2, r, z, 0))\n                        entered[q, p2] = None',
         'EPSILON, ("k", p2, r, z, 0))\n                        pass',
+        ["tests/test_kphase.py"],
+    ),
+    (
+        "the zone copy follows edges of both zones",
+        "kphase.py",
+        "if is_barred(label) is barred:",
+        "if True:",
+        ["tests/test_kphase.py"],
+    ),
+    (
+        "the pop walk records no plain-zone landing",
+        "kphase.py",
+        "landings.setdefault((q, node[1]), {})[node[2]] = None",
+        "pass",
         ["tests/test_kphase.py"],
     ),
     (

@@ -5,10 +5,13 @@ package prints. These goldens pin, for every set of the shipped
 fixtures, the `pre-under` summary at k = 0..4 and the `post-over`
 summary, each with a digest of the compacted automaton's DOT text.
 Compaction is canonical, so a change here means a changed language or a
-changed canonical form, not a changed construction order. They also
-pin the digests of what `export-dot --trace` and `export-dot --grammar`
-print for each set; DOT text is sorted, so those change only with the
-nodes and edges of the trace abstraction or the grammar.
+changed canonical form, not a changed construction order. They pin the
+`pre-under --budget 1` summaries too: every compaction then falls back
+on the bisimulation quotient, whose node names follow construction
+order but whose nodes and edges do not, so only the summary is pinned.
+They also pin the digests of what `export-dot --trace` and `export-dot
+--grammar` print for each set; DOT text is sorted, so those change only
+with the nodes and edges of the trace abstraction or the grammar.
 """
 
 from __future__ import annotations
@@ -72,6 +75,31 @@ GOLDEN = {
 }
 
 
+# (set, k) -> `pre-under --budget 1` summary
+FALLBACK_GOLDEN = {
+    ("C1", 0): "p: 3 nodes, 3 edges",
+    ("C1", 1): "p: 3 nodes, 3 edges",
+    ("C1", 2): "p: 3 nodes, 3 edges",
+    ("C1", 3): "p: 3 nodes, 3 edges",
+    ("C1", 4): "p: 3 nodes, 3 edges",
+    ("C2", 0): "p: 3 nodes, 3 edges",
+    ("C2", 1): "p: 6 nodes, 9 edges",
+    ("C2", 2): "p: 8 nodes, 19 edges",
+    ("C2", 3): "p: 11 nodes, 38 edges",
+    ("C2", 4): "p: 15 nodes, 70 edges",
+    ("Boot", 0): "boot: 3 nodes, 2 edges",
+    ("Boot", 1): "boot: 3 nodes, 2 edges",
+    ("Boot", 2): "boot: 3 nodes, 2 edges",
+    ("Boot", 3): "boot: 3 nodes, 2 edges",
+    ("Boot", 4): "boot: 3 nodes, 2 edges",
+    ("NewStack", 0): "pivot: 4 nodes, 4 edges",
+    ("NewStack", 1): "fill: 4 nodes, 6 edges; pivot: 4 nodes, 4 edges",
+    ("NewStack", 2): "boot: 5 nodes, 11 edges; fill: 6 nodes, 19 edges; pivot: 4 nodes, 4 edges",
+    ("NewStack", 3): "boot: 5 nodes, 11 edges; fill: 6 nodes, 19 edges; pivot: 4 nodes, 4 edges",
+    ("NewStack", 4): "boot: 5 nodes, 11 edges; fill: 6 nodes, 19 edges; pivot: 4 nodes, 4 edges",
+}
+
+
 # set -> (digest of `export-dot --trace`, digest of `export-dot --grammar`),
 # first 16 hex digits of the DOT's sha256
 EXPORT_GOLDEN = {
@@ -96,6 +124,8 @@ def test_fixture_outputs_match_the_goldens(fixture, name):
     configs = model.config_set(name)
     for k in range(5):
         assert _pinned(bounded_phase_pre_star(model.spec, configs, k)) == GOLDEN[(name, k)], k
+        fell_back = bounded_phase_pre_star(model.spec, configs, k, node_budget=1)
+        assert summary(fell_back) == FALLBACK_GOLDEN[(name, k)], k
     assert _pinned(overapprox_post(model.spec, configs)) == GOLDEN[(name, "post")]
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from upstack.configsets import ConfigAutomaton, from_config_set, union_sets
+from upstack.configsets import ConfigAutomaton, from_config_set, is_barred, union_sets
 from upstack.core import Configuration, RuleKind, UpdsSpec, count_phases, make_spec, step
 from upstack.errors import MalformedInputError
 from upstack import kphase
@@ -137,7 +137,11 @@ def test_phases_accept_what_their_first_construction_accepts():
     # construction that embeds every zone and trims at the end; so do
     # whole bounded runs. What `_phases` builds is trimmed but for the
     # barred-zone copies, which it copies whole and leaves to compaction:
-    # every phase node is built live.
+    # every phase node is built live. `_Target.reach` takes the barred
+    # zone to be the initial nodes and the targets of barred edges, which
+    # holds only because no plain edge of a compacted target precedes a
+    # barred one: it is checked against a search, on the budget fallback
+    # too.
     rng = random.Random(2718)
     checked = 0
     while checked < 120:
@@ -151,6 +155,10 @@ def test_phases_accept_what_their_first_construction_accepts():
             targets = phase_reference.bounded_phase_pre_star(spec, targets, rng.randint(1, 2))
         if rng.random() < 0.5:
             targets = _with_dead_ends(rng, targets)
+        for compacted in (targets.compact(), targets.compact(1)):
+            for nfa in compacted.components.values():
+                barred = Nfa().embed(nfa, label=lambda a: a if is_barred(a) else None)
+                assert set(kphase._Target(nfa).reach) == barred.reachable(nfa.initial)
         references = {
             PhaseKind.POP: phase_reference.pop_phase_pre,
             PhaseKind.PUSH: phase_reference.push_phase_pre,
