@@ -18,10 +18,15 @@ module that the commands running it load: what no command runs is in
 model, compiling its sets and deciding membership use only the
 automaton core (`nfa`); the automaton and set algebra that the analyses
 run is in `compaction`, and the bounded closure that only the `oracle`
-command lists is in that command's module. Where a function or a method
-moved, its old place still serves it, loading its home on first use: a
-module through `_forward`, a class through `_MovedMethod` (several at a
-time through `_moved_methods`).
+command lists is in that command's module.
+
+Each name has one home. A moved method is still a method of its class,
+whose body loads on first use (`_MovedMethod`, several at a time through
+`_moved_methods`). A moved name keeps its old import path only where a
+pinned contract imports it from there: the imports of
+`tests/test_acceptance.py`, and the module names that
+`tests/test_package.py` lists (`_MODULE_NAMES`). The old module's
+`_forward` then serves it, loading its home on first use.
 """
 
 from importlib import import_module

@@ -23,9 +23,7 @@ look for one, so it lives here.
 
 The two checkers pose their questions to `decide_safety` from modules
 of their own, `overflow` and `residue`, so that each command compiles
-only its own; `check_stack_overflow`, `check_upper_read`, the
-overflow checker's reserved symbols and `bounded_phase_pre_star` still
-import from here.
+only its own.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from typing import Iterable
 
 from .compaction import intersect_sets
 from .configsets import ConfigAutomaton, is_barred, unbar
-from . import _forward
 from .core import Configuration, Frozen, Rule, UpdsSpec
 from .errors import MalformedInputError, ResourceLimitError
 from .kphase import pre_star_rounds
@@ -233,11 +230,3 @@ def _any_word(symbols) -> tuple:
     """The zone AST of (s1 | s2 | ...)*, for at least one symbol."""
     parts = tuple(("sym", s) for s in symbols)
     return ("star", parts[0] if len(parts) == 1 else ("alt", parts))
-
-
-__getattr__ = _forward(
-    __name__,
-    kphase="bounded_phase_pre_star",
-    overflow="check_stack_overflow TOP_SENTINEL FILLER",
-    residue="check_upper_read",
-)

@@ -449,20 +449,6 @@ def union(automata: Iterable[Nfa]) -> Nfa:
     return out
 
 
-def from_words(words: Iterable[tuple[Label, ...]]) -> Nfa:
-    """An automaton accepting exactly the given words."""
-    out = Nfa()
-    root = out.add_initial("w")
-    for i, word in enumerate(words):
-        prev = root
-        for j, sym in enumerate(word):
-            node = out.add_node(("w", i, j))
-            out.add_edge(prev, sym, node)
-            prev = node
-        out.add_final(prev)
-    return out
-
-
 # -- the algebra of configuration sets: methods of ConfigAutomaton, and
 # `union_sets` and `intersect_sets` -------------------------------------------
 

@@ -1,10 +1,11 @@
 """The library's functions that no CLI command runs.
 
 Every CLI call compiles the modules it imports, so what no command runs
-lives here, and no command imports this module. The modules these
-functions were written for still serve them by name (PEP 562), so
-`from upstack.core import step` and the other old import paths keep
-working:
+lives here, and no command imports this module. Each function is listed
+with the module it was written for; a moved method is still a method of
+its class, loaded on first use (`upstack._MovedMethod`), and a moved
+function still imports from its old module only where the package's
+compatibility contract names it there (see `upstack`):
 
 - from `core`: the one-step semantics on `Configuration` objects
   (`successors`, which `oracle.explore` inlines and is checked against,
@@ -21,12 +22,13 @@ working:
 - from `upperapprox`: the zone projections (`project_lower`,
   `project_upper`) and their product (`upper_lower_product`), one
   state's slice of an upper set (`UpperAutomaton.slice`) and all of
-  them (`upper_config_set`), and relabelling edges (`Nfa.map_labels`),
-  which no analysis runs; the projections and the product also import
-  from `configsets`;
+  them (`upper_config_set`), relabelling edges (`Nfa.map_labels`), and
+  the check and the membership test of a trace automaton built by hand
+  (`TraceAutomaton.validate`, `TraceAutomaton.accepts`);
 - from `kphase`: `phase_pre`, a single phase;
 - from `regex` and `model`: the printers (`print_config_regex`,
   `print_model`) and `ModelFile ==` (`model_eq`);
+- from `nfa`: `from_words`, an automaton of listed words;
 - from `configsets`: `from_config_set`, a set of listed configurations,
   and the scan behind `ConfigAutomaton.validate`, which only sets built
   by hand need.
@@ -37,7 +39,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-from .compaction import config_word, from_words, union_sets
+from .compaction import config_word, union_sets
 from .configsets import ConfigAutomaton, bar, is_barred, unbar
 from .core import (
     ConfigTuple,
@@ -57,7 +59,7 @@ from .nfa import EPSILON, Label, Nfa
 from .pds import LowerAutomaton
 
 if TYPE_CHECKING:
-    from .upperapprox import UpperAutomaton
+    from .upperapprox import TraceAutomaton, UpperAutomaton
 
 # -- one-step semantics (core) ------------------------------------------------
 
@@ -469,6 +471,34 @@ def upper_config_set(au: UpperAutomaton) -> dict[str, Nfa]:
     return out
 
 
+def trace_validate(at: TraceAutomaton) -> None:
+    """Check a trace automaton built by hand (`TraceAutomaton.validate`):
+    every node owned and final, and every edge a rule leaving a node of
+    its source state for one of its target state."""
+    for node in at.nfa.nodes():
+        if node not in at.owner:
+            raise MalformedInputError(f"node {node!r} has no owning state")
+        if node not in at.nfa.finals:
+            raise MalformedInputError(
+                f"node {node!r} is not final; the language must be prefix-closed"
+            )
+    for src, label, dst in at.nfa.edges():
+        if label is EPSILON:
+            continue
+        if not isinstance(label, Rule):
+            raise MalformedInputError(f"edge label {label!r} is not a rule")
+        if at.owner[src] != label.from_state or at.owner[dst] != label.to_state:
+            raise MalformedInputError(
+                f"edge {at.owner[src]!r} -> {at.owner[dst]!r} does not match rule {label}"
+            )
+
+
+def trace_accepts(at: TraceAutomaton, trace: Iterable[Rule]) -> bool:
+    """Whether the trace automaton accepts the rule sequence
+    (`TraceAutomaton.accepts`)."""
+    return at.nfa.accepts(tuple(trace))
+
+
 # -- one phase (kphase) ------------------------------------------------------
 
 
@@ -574,6 +604,23 @@ def model_eq(model: ModelFile, other) -> bool:
         elif a != b:
             return False
     return True
+
+
+# -- word lists (nfa) ---------------------------------------------------------
+
+
+def from_words(words: Iterable[tuple[Label, ...]]) -> Nfa:
+    """An automaton accepting exactly the given words."""
+    out = Nfa()
+    root = out.add_initial("w")
+    for i, word in enumerate(words):
+        prev = root
+        for j, sym in enumerate(word):
+            node = out.add_node(("w", i, j))
+            out.add_edge(prev, sym, node)
+            prev = node
+        out.add_final(prev)
+    return out
 
 
 # -- sets (configsets) --------------------------------------------------------

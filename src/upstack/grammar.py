@@ -19,10 +19,9 @@ reachable configurations, fenced by endpoint markers.
 
 The extension's helpers live here too: fresh names (`fresh_name`, still
 importable from `core`) and renaming an automaton's nodes (the methods
-`Nfa.map_nodes` and `Nfa.relabel`). `is_reachable` and
-`DEFAULT_CONFIG_BUDGET` still import from here; each loads its own
-module on first use, so loading the grammar loads neither the search
-nor the over-approximation.
+`Nfa.map_nodes` and `Nfa.relabel`). `is_reachable` still imports from
+here and loads `membership` on first use, so loading the grammar loads
+neither the search nor the over-approximation.
 """
 
 from __future__ import annotations
@@ -294,4 +293,4 @@ def single_origin(spec: UpdsSpec, start_set: ConfigAutomaton) -> SingleOriginUpd
     )
 
 
-__getattr__ = _forward(__name__, membership="is_reachable", limits="DEFAULT_CONFIG_BUDGET")
+__getattr__ = _forward(__name__, membership="is_reachable")

@@ -37,8 +37,8 @@ barred zone of each entered target, and the plain zone forward from its
 landings. It compacts that, trimming the few barred-zone nodes that
 lead to no entry. No target is copied verbatim: the pop phase accepts
 the targets by the empty trace. A single phase on its own, `phase_pre`,
-which no command runs, lives in `extras`, trims what `_phases` returns
-and still imports from here.
+which no command runs, lives in `extras` and trims what `_phases`
+returns.
 
 Each target the phases read is a set as compaction leaves it: every
 round of `pre_star_rounds` is compacted, a budget fallback included,
@@ -56,7 +56,6 @@ from __future__ import annotations
 import enum
 from typing import Iterator
 
-from . import _forward
 from .compaction import _coreachable, _predecessors
 from .configsets import ConfigAutomaton, bar, is_barred
 from .core import UpdsSpec
@@ -415,6 +414,3 @@ def bounded_phase_pre_star(
     for current, _ in pre_star_rounds(spec, targets, k, node_budget):
         pass
     return current
-
-
-__getattr__ = _forward(__name__, extras="phase_pre")

@@ -12,15 +12,15 @@ The automaton algebra lives in `compaction`, which only the analyses
 load: copying one automaton into another under a node renaming and a
 label map (`embed`), P-automaton saturation (`saturate`), epsilon
 closure and closed steps, runs, shortest words, reversal, trimming,
-epsilon elimination, `union`, `from_words`, `compact` to the canonical
-minimal DFA, and structural equality (`same`). Each is still a method of
-`Nfa` or a name of this module, whose home is loaded on first use (see
+epsilon elimination, `union`, `compact` to the canonical minimal DFA,
+and structural equality (`same`). Each is still a method of `Nfa` or a
+name of this module, whose home is loaded on first use (see
 `upstack._MovedMethod`). So are `walk` and `words_up_to`, in
-`membership`, `map_labels`, in `extras`, `map_nodes` and `relabel`, in
-`grammar`, and `intersection`, in `product`. `trim`, compaction and the
-phases of `kphase` share one backward search, `_coreachable`. Insertion
-order is preserved everywhere, but what the package prints does not
-depend on it.
+`membership`, `map_labels` and `from_words`, which no command runs, in
+`extras`, `map_nodes` and `relabel`, in `grammar`, and `intersection`,
+in `product`. `trim`, compaction and the phases of `kphase` share one
+backward search, `_coreachable`. Insertion order is preserved
+everywhere, but what the package prints does not depend on it.
 """
 
 from __future__ import annotations
@@ -113,7 +113,8 @@ class Nfa:
 
 __getattr__ = _forward(
     __name__,
-    compaction="union from_words _coreachable _identity",
+    compaction="union _coreachable _identity",
+    extras="from_words",
     product="intersection",
     limits="DFA_STATE_BUDGET",
 )

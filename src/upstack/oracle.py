@@ -172,6 +172,5 @@ __getattr__ = _forward(
     membership="is_reachable",
     # Only the `oracle` command lists the bounded closure.
     **{"commands.oracle": "oracle_post"},
-    extras="step oracle_pre_kphase _predecessors _prepend_phase "
-    "pds_step pds_closure pds_reaches",
+    extras="step oracle_pre_kphase pds_step pds_closure pds_reaches",
 )

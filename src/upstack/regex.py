@@ -14,7 +14,7 @@ ASTs are plain tuples:
     ("concat", (x, y, ...)) | ("alt", (x, y, ...))    both n-ary, n >= 2
 The printer, `print_config_regex`, emits a canonical form that parses
 back to the same AST, each stack of stars folded into one; it lives in
-`extras`, which no command loads, and still imports from here.
+`extras`, which no command loads.
 
 The parser reads the words of the text, operators spaced out and one
 whitespace split of the whole text, as plain strings: no position is
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from . import _forward
 from .configsets import bar
 from .errors import MalformedInputError, ParseError
 from .nfa import Nfa
@@ -300,6 +299,3 @@ def compile_config_regex(
             for label in labels[q]:
                 nfa.add_edge(p, label, q)
     return nfa
-
-
-__getattr__ = _forward(__name__, extras="print_config_regex _print_part")

@@ -34,19 +34,20 @@ No command slices or projects a set, so the zone projections and their
 product, one state's slice of an upper or a lower set
 (`UpperAutomaton.slice`, `LowerAutomaton.slice`), `upper_config_set`
 and relabelling an automaton's edges (`Nfa.map_labels`) live in
-`extras`; they still import from here. The single-origin extension,
-which folds a start set into the system, belongs to the grammar
-(`grammar.single_origin`); it and its helpers still import from here
-too.
+`extras`. So do the checks of a trace automaton built by hand
+(`TraceAutomaton.validate`) and its membership test
+(`TraceAutomaton.accepts`): the analyses build theirs valid and test
+no trace against them. The single-origin extension, which folds a start
+set into the system, belongs to the grammar (`grammar.single_origin`).
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from . import _forward, _MovedMethod
+from . import _MovedMethod
 from .configsets import ConfigAutomaton, bar, is_barred, unbar
-from .core import Configuration, Frozen, Rule, RuleKind, UpdsSpec
+from .core import Configuration, Frozen, RuleKind, UpdsSpec
 from .errors import MalformedInputError
 from .nfa import EPSILON, Nfa
 from .pds import LowerAutomaton, pds_post_star
@@ -71,27 +72,10 @@ class TraceAutomaton(Frozen):
     def _fields(self) -> tuple:
         return (self.nfa, self.owner)
 
-    def validate(self) -> None:
-        for node in self.nfa.nodes():
-            if node not in self.owner:
-                raise MalformedInputError(f"node {node!r} has no owning state")
-            if node not in self.nfa.finals:
-                raise MalformedInputError(
-                    f"node {node!r} is not final; the language must be prefix-closed"
-                )
-        for src, label, dst in self.nfa.edges():
-            if label is EPSILON:
-                continue
-            if not isinstance(label, Rule):
-                raise MalformedInputError(f"edge label {label!r} is not a rule")
-            if self.owner[src] != label.from_state or self.owner[dst] != label.to_state:
-                raise MalformedInputError(
-                    f"edge {self.owner[src]!r} -> {self.owner[dst]!r} "
-                    f"does not match rule {label}"
-                )
-
-    def accepts(self, trace) -> bool:
-        return self.nfa.accepts(tuple(trace))
+    # The checks of an automaton built by hand, and its membership test,
+    # which no command runs.
+    validate = _MovedMethod("extras", "trace_validate")
+    accepts = _MovedMethod("extras", "trace_accepts")
 
 
 class UpperAutomaton(Frozen):
@@ -300,11 +284,3 @@ def overapprox_post(spec: UpdsSpec, configs: ConfigAutomaton) -> ConfigAutomaton
             component.add_final(("l", node))
         out[state] = component
     return ConfigAutomaton(spec.alphabet, out).compact()
-
-
-__getattr__ = _forward(
-    __name__,
-    grammar="single_origin SingleOriginUpds fresh_name map_nodes relabel",
-    extras="project_lower project_upper upper_lower_product lower_slice map_labels "
-    "upper_config_set",
-)

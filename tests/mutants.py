@@ -176,6 +176,13 @@ MUTANTS = (
         ["tests/test_upperapprox.py"],
     ),
     (
+        "a trace started from a component that accepts nothing",
+        "upperapprox.py",
+        "        if component.is_empty():\n            continue\n",
+        "",
+        ["tests/test_upperapprox.py"],
+    ),
+    (
         "a subset budget one node too large",
         "compaction.py",
         "if len(number) >= node_budget:",
@@ -187,6 +194,13 @@ MUTANTS = (
         "checkers.py",
         "within=under.accepts",
         "within=None",
+        ["tests/test_checkers.py"],
+    ),
+    (
+        "a hit with no trace inside it answered Unsafe",
+        "checkers.py",
+        'if trace is not None:\n            return verdict(UNSAFE, "hit", witness=witness, trace=trace)',
+        'return verdict(UNSAFE, "hit", witness=witness, trace=trace or ())',
         ["tests/test_checkers.py"],
     ),
     (
@@ -202,6 +216,13 @@ MUTANTS = (
         "if depth == MAX_NESTING:",
         "if False:",
         ["tests/test_regex.py"],
+    ),
+    (
+        "an old import path that serves a misspelt name",
+        "model.py",
+        'extras="print_model"',
+        'extras="print_modle"',
+        ["tests/test_package.py"],
     ),
 )
 

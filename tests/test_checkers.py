@@ -15,23 +15,16 @@ from conftest import (
     random_spec,
 )
 from upstack import oracle
-from upstack.checkers import (
-    FILLER,
-    SAFE,
-    TOP_SENTINEL,
-    UNKNOWN,
-    UNSAFE,
-    Verdict,
-    check_stack_overflow,
-    check_upper_read,
-    decide_safety,
-)
+from upstack.checkers import SAFE, UNKNOWN, UNSAFE, Verdict, decide_safety
 from upstack.configsets import ConfigAutomaton, from_config_set
 from upstack.core import RuleKind, make_spec, run_trace
 from upstack.errors import MalformedInputError, ParseError
-from upstack.model import parse_model
+from upstack.fixtures import fixture_text
+from upstack.model import parse_model, print_config_literal
 from upstack.oracle import explore, oracle_post
+from upstack.overflow import FILLER, TOP_SENTINEL, check_stack_overflow
 from upstack.regex import compile_config_regex
+from upstack.residue import check_upper_read
 
 
 def singleton(spec, *configs):
@@ -259,6 +252,23 @@ def test_replay_out_of_budget_is_unknown(monkeypatch, e1, c1):
         "configuration search budget (explored 2 nodes)"
     )
 
+
+
+def test_a_hit_with_no_trace_inside_it_is_unknown(monkeypatch):
+    # A hit whose replay finds no trace inside the under-approximation is
+    # a defect of pre*; the verdict stays Unknown, so that an Unsafe
+    # always carries a replayed trace.
+    model = parse_model(fixture_text("relocate.upds"))
+    unsafe = check_upper_read(model, "Boot", "secret")
+    assert unsafe.outcome == UNSAFE
+    monkeypatch.setattr(oracle, "oracle_trace", lambda *args, **kwargs: None)
+    verdict = check_upper_read(model, "Boot", "secret")
+    assert (verdict.outcome, verdict.exit_code, verdict.decided_by) == (UNKNOWN, 2, "hit")
+    assert verdict.witness == unsafe.witness and verdict.trace is None
+    assert verdict.note == (
+        f"under-approximation reached {print_config_literal(unsafe.witness)} "
+        "but no trace to the forbidden set stays inside it"
+    )
 
 def _switch_chain(n):
     """States s0..s{n-1}: a switch chain on x, both pushes on both tops in

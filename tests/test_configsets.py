@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from upstack.checkers import check_upper_read
 from upstack.configsets import (
     ConfigAutomaton,
     bar,
@@ -19,13 +18,15 @@ from upstack.configsets import (
 from upstack.core import Configuration, make_spec
 from upstack.errors import MalformedInputError
 from upstack.fixtures import fixture_names, fixture_text
+from upstack.extras import phase_pre
 from upstack.grammar import is_reachable, single_origin
-from upstack.kphase import PhaseKind, phase_pre
+from upstack.kphase import PhaseKind
 from upstack.membership import _holds_start, start_classes
 from upstack.model import ModelFile, parse_model, print_model
 from upstack.nfa import EPSILON, Nfa, from_words
 from upstack.oracle import oracle_post
 from upstack.regex import compile_config_regex
+from upstack.residue import check_upper_read
 from upstack.upperapprox import overapprox_post
 
 from conftest import cfg, random_configuration, random_spec

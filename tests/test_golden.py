@@ -24,8 +24,8 @@ from upstack import bounded_phase_pre_star, overapprox_post, parse_model
 from upstack.commands.post_over import summary
 from upstack.dot import export_dot
 from upstack.fixtures import fixture_path
-from upstack.grammar import build_post_grammar
-from upstack.upperapprox import single_origin, trace_overapprox
+from upstack.grammar import build_post_grammar, single_origin
+from upstack.upperapprox import trace_overapprox
 
 FIXTURE_SETS = (
     ("e1.upds", "C1"),

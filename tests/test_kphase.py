@@ -11,13 +11,8 @@ from upstack.configsets import ConfigAutomaton, from_config_set, is_barred, unio
 from upstack.core import Configuration, RuleKind, UpdsSpec, count_phases, make_spec, step
 from upstack.errors import MalformedInputError
 from upstack import kphase
-from upstack.kphase import (
-    PhaseKind,
-    _Moves,
-    bounded_phase_pre_star,
-    phase_pre,
-    pre_star_rounds,
-)
+from upstack.extras import phase_pre
+from upstack.kphase import PhaseKind, _Moves, bounded_phase_pre_star, pre_star_rounds
 from upstack.limits import DFA_STATE_BUDGET
 from upstack.nfa import EPSILON, Nfa
 from upstack.oracle import oracle_pre_kphase

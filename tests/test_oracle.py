@@ -20,10 +20,10 @@ from upstack import membership
 from upstack.configsets import ConfigAutomaton, from_config_set
 from upstack.core import Configuration, count_phases, make_spec, run_trace, step, successors
 from upstack.errors import MalformedInputError, ResourceLimitError
+from upstack.extras import _predecessors
 from upstack.membership import search, start_classes
 from upstack.nfa import from_words
 from upstack.oracle import (
-    _predecessors,
     explore,
     is_reachable,
     oracle_post,

@@ -141,8 +141,13 @@ _COMPILED_NODE_CEILINGS = {
     # finder, and member 9458 (9137 before), when exact membership came to
     # test the classes of a backward chain that runs dry against the start
     # set. Post-over's is its count of 13291 when the upper-word
-    # saturation came to close the reversed automaton; it counts 13288 now.
-    # A converged Safe (check-read-safe) loads no over-approximation.
+    # saturation came to close the reversed automaton. Counted when the
+    # old import paths that no pinned contract imports were dropped and
+    # `from_words` and the trace-automaton checks moved to `extras`:
+    # member 9448, check-read-unsafe 15744, check-read-safe 14823,
+    # check-overflow 15869, post-over 12996, export-dot-set 8121 and
+    # pre-under 13433. A converged Safe (check-read-safe) loads no
+    # over-approximation.
     "member": (["member", "e1.upds", "--init", "C1", "--config", "p2: a ^ bot"], 9647),
     "check-read-unsafe": (
         ["check-read", "relocate.upds", "--init", "Boot", "--symbol", "secret"], 16109
@@ -334,3 +339,49 @@ def test_moved_names_run_from_their_old_places(e1):
     # The bounded closure, from `oracle` and the package.
     assert oracle.oracle_post is oracle_command.oracle_post
     assert oracle.oracle_post(e1, [start], 1, 3) == {start, core.Configuration("p", (), ("a", "bot"))}
+
+
+def _forward_tables() -> dict[str, dict[str, str]]:
+    """Each module of the package that calls `_forward`, with the names
+    its table serves and the home each loads, read from the source."""
+    package = Path(upstack.__file__).parent
+    tables: dict[str, dict[str, str]] = {}
+    for path in sorted(package.rglob("*.py")):
+        module = ".".join(path.relative_to(package).with_suffix("").parts)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_forward"):
+                continue
+            table = tables.setdefault(module, {})
+            for keyword in node.keywords:
+                value = ast.literal_eval(keyword.value)
+                homes = value if keyword.arg is None else {keyword.arg: value}
+                for home, names in homes.items():
+                    for name in names.split():
+                        assert name not in table, f"{module}.{name}"
+                        table[name] = home
+    return tables
+
+
+def test_each_old_path_is_pinned_and_serves_its_home():
+    # A moved name keeps its old import path only where a pinned contract
+    # imports it from there: `_MODULE_NAMES`, or the imports of
+    # test_acceptance.py.
+    acceptance = Path(__file__).with_name("test_acceptance.py").read_text(encoding="utf-8")
+    pinned = {(module, name) for module, names in _MODULE_NAMES.items() for name in names.split()}
+    pinned |= {
+        (node.module.removeprefix("upstack."), alias.name)
+        for node in ast.walk(ast.parse(acceptance))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("upstack.")
+        for alias in node.names
+    }
+    tables = _forward_tables()
+    assert tables
+    for module, table in tables.items():
+        old = import_module(f"upstack.{module}")
+        for name, home in table.items():
+            assert (module, name) in pinned, f"{module}.{name} is not pinned"
+            # The module's own names would shadow the table's.
+            assert name not in vars(old), f"{module}.{name}"
+            defined = vars(import_module(f"upstack.{home}"))
+            assert name in defined, f"{home} defines no {name}"
+            assert getattr(old, name) is defined[name], f"{module}.{name}"

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from upstack.configsets import ConfigAutomaton, bar, config_word, is_barred
 from upstack.errors import ParseError, UpstackError
+from upstack.extras import print_config_regex
 from upstack.nfa import EPSILON, Nfa, from_words
 from upstack.regex import (
     MAX_NESTING,
@@ -13,7 +14,6 @@ from upstack.regex import (
     compile_config_regex,
     parse_config_regex,
     parse_zone_regex,
-    print_config_regex,
 )
 
 from conftest import cfg

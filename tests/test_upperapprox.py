@@ -6,6 +6,8 @@ import pytest
 from upstack.configsets import ConfigAutomaton, bar, from_config_set, union_sets
 from upstack.core import Configuration, RuleKind, make_spec, run_trace, trace_upper_word
 from upstack.errors import MalformedInputError, RuleNotEnabledError
+from upstack.extras import upper_config_set
+from upstack.grammar import single_origin
 from upstack.nfa import EPSILON, Nfa, from_words
 from upstack.oracle import explore, oracle_post
 from upstack.regex import compile_config_regex
@@ -15,9 +17,7 @@ from upstack.upperapprox import (
     _close_upper,
     overapprox_post,
     saturate_upper,
-    single_origin,
     trace_overapprox,
-    upper_config_set,
 )
 
 from conftest import (
@@ -471,6 +471,17 @@ def test_overapprox_reads_no_dead_part_of_a_set():
         padded = ConfigAutomaton(spec.alphabet, dead)
         assert overapprox_post(spec, padded).same(overapprox_post(spec, configs))
 
+
+
+def test_an_empty_component_starts_no_trace(e1, c1):
+    # A component that accepts nothing may still have a plain edge out of
+    # its barred zone; no trace of that state starts there.
+    empty = Nfa(["i"])
+    empty.add_edge("i", "x", "dead")
+    configs = ConfigAutomaton(e1.alphabet, {**c1.components, "p2": empty})
+    at = trace_overapprox(e1, configs)
+    assert [node for node in at.nfa.initial if node[0] == "p2"] == []
+    assert overapprox_post(e1, configs).same(overapprox_post(e1, c1))
 
 def test_overapprox_start_set_with_a_loop_through_its_initial_node():
     # The set <p, (a b)^n, x> as a DFA whose initial node closes the

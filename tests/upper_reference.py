@@ -34,6 +34,7 @@ from upstack.configsets import ConfigAutomaton, is_barred, unbar, union_sets
 from upstack.core import Configuration, RuleKind, UpdsSpec
 from upstack.errors import MalformedInputError
 from upstack.extras import lower_slice, project_lower, project_upper, upper_lower_product
+from upstack.grammar import single_origin
 from upstack.nfa import EPSILON, Nfa, from_words
 from upstack.pds import LowerAutomaton, pds_post_star, singleton_lower
 from upstack import upperapprox
@@ -184,7 +185,7 @@ def overapprox_post(spec: UpdsSpec, configs: ConfigAutomaton) -> ConfigAutomaton
     own = upper_lower_product(spec.alphabet, project_upper(configs), project_lower(configs))
     if configs.is_empty():
         return ConfigAutomaton(spec.alphabet)
-    extension = upperapprox.single_origin(spec, configs)
+    extension = single_origin(spec, configs)
     origin = extension.origin
     seeded = ConfigAutomaton(
         extension.spec.alphabet,
