@@ -43,7 +43,8 @@ _HOMES = {
         "errors": "MalformedInputError ParseError ResourceLimitError RuleNotEnabledError "
         "UpstackError",
         "extras": "count_phases from_config_set oracle_pre_kphase phase_pre "
-        "print_config_regex print_model run_trace step trace_upper_word upper_config_set",
+        "print_config_regex print_model run_trace saturate_upper step trace_upper_word "
+        "upper_config_set",
         "fixtures": "fixture_names fixture_path fixture_text",
         "grammar": "build_post_grammar single_origin",
         "kphase": "PhaseKind bounded_phase_pre_star",
@@ -53,8 +54,7 @@ _HOMES = {
         "overflow": "check_stack_overflow",
         "regex": "compile_config_regex parse_config_regex",
         "residue": "check_upper_read",
-        "upperapprox": "TraceAutomaton UpperAutomaton overapprox_post saturate_upper "
-        "trace_overapprox",
+        "upperapprox": "TraceAutomaton UpperAutomaton overapprox_post trace_overapprox",
     }.items()
     for name in names.split()
 }

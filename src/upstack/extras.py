@@ -22,9 +22,10 @@ compatibility contract names it there (see `upstack`):
 - from `upperapprox`: the zone projections (`project_lower`,
   `project_upper`) and their product (`upper_lower_product`), one
   state's slice of an upper set (`UpperAutomaton.slice`) and all of
-  them (`upper_config_set`), relabelling edges (`Nfa.map_labels`), and
-  the check and the membership test of a trace automaton built by hand
-  (`TraceAutomaton.validate`, `TraceAutomaton.accepts`);
+  them (`upper_config_set`), relabelling edges (`Nfa.map_labels`), the
+  check and the membership test of a trace automaton built by hand
+  (`TraceAutomaton.validate`, `TraceAutomaton.accepts`), and the upper
+  saturation from one configuration (`saturate_upper`);
 - from `kphase`: `phase_pre`, a single phase;
 - from `regex` and `model`: the printers (`print_config_regex`,
   `print_model`) and `ModelFile ==` (`model_eq`);
@@ -37,7 +38,7 @@ compatibility contract names it there (see `upstack`):
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .compaction import config_word, union_sets
 from .configsets import ConfigAutomaton, bar, is_barred, unbar
@@ -57,9 +58,7 @@ from .limits import DEFAULT_NODE_BUDGET
 from .model import ModelFile
 from .nfa import EPSILON, Label, Nfa
 from .pds import LowerAutomaton
-
-if TYPE_CHECKING:
-    from .upperapprox import TraceAutomaton, UpperAutomaton
+from .upperapprox import TraceAutomaton, UpperAutomaton, _close_upper
 
 # -- one-step semantics (core) ------------------------------------------------
 
@@ -497,6 +496,37 @@ def trace_accepts(at: TraceAutomaton, trace: Iterable[Rule]) -> bool:
     """Whether the trace automaton accepts the rule sequence
     (`TraceAutomaton.accepts`)."""
     return at.nfa.accepts(tuple(trace))
+
+
+def saturate_upper(at: TraceAutomaton, origin: Configuration) -> UpperAutomaton:
+    """The least edge set over the trace automaton's nodes such that the
+    words reaching a node cover the upper words left behind, starting
+    from an empty upper word, by the accepted rule sequences ending
+    there (`_close_upper`).
+
+    The push rule's case for initial nodes is only exact when they carry
+    no word but the empty one, so an initial node with incoming trace
+    edges is represented by a fresh mirror ("@entry", node) that
+    epsilon-steps into it; mirrors become the result's initial nodes and
+    nothing ever flows back into them."""
+    at.validate()
+    if origin.upper:
+        raise MalformedInputError("origin configuration must have an empty upper word")
+    up = Nfa(finals=at.nfa.nodes())
+    owner = dict(at.owner)
+    entries: dict[object, object] = {}
+    targeted = {dst for _, _, dst in at.nfa.edges()}
+    for node in at.nfa.initial:
+        if node not in targeted:
+            up.add_initial(node)
+            continue
+        mirror = ("@entry", node)
+        entries[mirror] = node
+        owner[mirror] = at.owner[node]
+        up.add_initial(mirror)
+        up.add_final(mirror)
+        up.add_edge(mirror, EPSILON, node)
+    return _close_upper(at, up, owner, entries)
 
 
 # -- one phase (kphase) ------------------------------------------------------

@@ -19,6 +19,12 @@ the identity on the abstract syntax. The printer, `print_model`, lives
 in `extras`, which no command loads, and still imports from here; so
 does the comparison behind `ModelFile ==`.
 
+Each declared name is stored once per model: the rules, the set
+expressions' leaves and the sets' state keys hold the declared strings,
+not the words split from their lines, and so do configuration literals
+(`parse_config_literal`). The table is the model's own, not
+`sys.intern`'s (see `parse_model`).
+
 A fault in a line is raised as `regex._Fault` with the index of its
 word, and `regex._place` gives that word's column, as it does for a
 fault in a set expression or a configuration literal.
@@ -32,7 +38,7 @@ from . import _MovedMethod, _forward
 from .configsets import ConfigAutomaton
 from .core import Configuration, Frozen, UpdsSpec, make_spec
 from .errors import MalformedInputError, ParseError
-from .regex import _Fault, _place, compile_config_regex, parse_config_regex
+from .regex import _Fault, _parse_text, _place, compile_config_regex
 
 RESERVED = ("^", "_", "|", "(", ")", "*", "->")
 _PUNCT = set("^|()*#")
@@ -96,10 +102,17 @@ def parse_model(text: str) -> ModelFile:
     """Parse a model file; diagnostics carry 1-based line and column.
     Parsing is linear in the text: each line is split once, each check is
     a hash lookup, and a column is worked out only for a diagnostic or
-    where a set expression starts."""
-    states: dict[str, None] = {}
-    alphabet: dict[str, None] = {}
-    symbols: set[str] = set()  # the alphabet so far, for set expressions
+    where a set expression starts.
+
+    Each declared name is stored once per model: `states` and `alphabet`
+    map each name to itself, so the lookup that checks a later word also
+    gives the declared string, and that one goes into the rules, the set
+    expressions' leaves and the sets' state keys, not the word split from
+    the line. The table is the model's own, not `sys.intern`'s: on
+    Python 3.12 an interned string is immortal, and a process that parses
+    many models would never free their names."""
+    states: dict[str, str] = {}
+    alphabet: dict[str, str] = {}
     rules: dict[tuple[str, str, str, tuple[str, ...]], None] = {}
     sets: dict[str, dict[str, tuple]] = {}
     try:
@@ -112,9 +125,7 @@ def parse_model(text: str) -> ModelFile:
             if head == "rule":
                 _parse_rule(words, states, alphabet, rules)
             elif head == "set":
-                if len(symbols) != len(alphabet):
-                    symbols = set(alphabet)
-                _parse_set_line(words, lineno, line, states, symbols, sets)
+                _parse_set_line(words, lineno, line, states, alphabet, sets)
             elif head in ("states", "alphabet"):
                 if len(words) == 1:
                     raise _Fault(0, f"empty {head} declaration")
@@ -124,7 +135,7 @@ def parse_model(text: str) -> ModelFile:
                     _check_ident(token, k)
                     if token in states or token in alphabet:
                         raise _Fault(k, f"duplicate identifier {token!r}")
-                    bucket[token] = None
+                    bucket[token] = token
             else:
                 raise _Fault(0, f"unknown directive {head!r}")
     except _Fault as fault:
@@ -135,40 +146,40 @@ def parse_model(text: str) -> ModelFile:
     return ModelFile(make_spec(tuple(states), tuple(alphabet), rules), sets)
 
 
+def _undeclared(words: list[str], k: int, kind: str):
+    """Raise the fault of words[k], a name that no declaration made. A
+    declared name is never empty, so `names.get(word) or
+    _undeclared(...)` gives the declared string or this fault."""
+    raise _Fault(k, f"undeclared {kind} {words[k]!r}")
+
+
 def _parse_rule(words, states, alphabet, rules):
     if len(words) < 5 or words[3] != "->":
         raise _Fault(0, "expected 'rule <state> <symbol> -> <state> ...'")
-    from_state, read_symbol, to_state, written = words[1], words[2], words[4], words[5:]
-    if from_state not in states:
-        raise _Fault(1, f"undeclared state {from_state!r}")
-    if read_symbol not in alphabet:
-        raise _Fault(2, f"undeclared symbol {read_symbol!r}")
-    if to_state not in states:
-        raise _Fault(4, f"undeclared state {to_state!r}")
-    if len(written) > 2:
+    from_state = states.get(words[1]) or _undeclared(words, 1, "state")
+    read_symbol = alphabet.get(words[2]) or _undeclared(words, 2, "symbol")
+    to_state = states.get(words[4]) or _undeclared(words, 4, "state")
+    if len(words) > 7:
         raise _Fault(7, "a rule writes at most two symbols")
-    for k, token in enumerate(written, 5):
-        if token not in alphabet:
-            raise _Fault(k, f"undeclared symbol {token!r}")
+    written = words[5:]
+    for k, token in enumerate(written):
+        written[k] = alphabet.get(token) or _undeclared(words, 5 + k, "symbol")
     rule = (from_state, read_symbol, to_state, tuple(written))
     if rule in rules:
         raise _Fault(0, f"duplicate rule '{' '.join(words[1:])}'")
     rules[rule] = None
 
 
-def _parse_set_line(words, lineno, line, states, symbols, sets):
+def _parse_set_line(words, lineno, line, states, alphabet, sets):
     if len(words) < 3:
         raise _Fault(0, "expected 'set <name> <state> <expression>'")
-    name, state = words[1], words[2]
+    name = words[1]
     _check_ident(name, 1)
-    if state not in states:
-        raise _Fault(2, f"undeclared state {state!r}")
+    state = states.get(words[2]) or _undeclared(words, 2, "state")
     if len(words) < 4:
         raise _Fault(3, "missing expression")
     _, expr_col = _place(line, words, 3)
-    ast = parse_config_regex(
-        line[expr_col - 1 :], line=lineno, col=expr_col, alphabet=symbols
-    )
+    ast = _parse_text(line[expr_col - 1 :], lineno, expr_col, alphabet, False)
     slices = sets.setdefault(name, {})
     if state in slices:
         raise _Fault(2, f"set {name!r} already has a {state!r} slice")
@@ -179,7 +190,8 @@ def parse_config_literal(spec: UpdsSpec, text: str) -> Configuration:
     """A single configuration written as '<state>: <upper> ^ <lower>',
     e.g. 'p2: a ^ bot' for state p2, upper word a, lower word bot. No
     name holds '^', so the marker needs no spaces around it: 'p2: a^bot'
-    is the same configuration."""
+    is the same configuration. The configuration holds the system's own
+    strings, as the model's rules do."""
     head, sep, stacks = text.partition(":")
     state = head.strip()
     if not sep:
@@ -200,11 +212,17 @@ def parse_config_literal(spec: UpdsSpec, text: str) -> Configuration:
             "expected exactly one boundary marker '^'",
         )
     split = markers[0]
+    alphabet = spec.alphabet
     for i, token in enumerate(tokens):
-        if i != split and token not in spec.alphabet:
-            raise ParseError(*_place(stacks, tokens, i), f"undeclared symbol {token!r}")
+        if i != split:
+            try:
+                tokens[i] = alphabet[alphabet.index(token)]
+            except ValueError:
+                raise ParseError(
+                    *_place(stacks, tokens, i), f"undeclared symbol {token!r}"
+                ) from None
+    state = spec.states[spec.states.index(state)]
     return Configuration(state, tuple(tokens[:split]), tuple(tokens[split + 1 :]))
-
 
 
 def print_config_literal(c: Configuration) -> str:

@@ -18,10 +18,15 @@ back to the same AST, each stack of stars folded into one; it lives in
 
 The parser reads the words of the text, operators spaced out and one
 whitespace split of the whole text, as plain strings: no position is
-worked out while parsing. A fault names the index of its word
-(`_Fault`), and only then does `_place` give that word's line and
-column; the model parser places its faults the same way. Groups nest at
-most `MAX_NESTING` deep, and stacked stars compile as one.
+worked out while parsing. Given an alphabet, the parser maps each of
+its names to itself, and a `("sym", name)` leaf holds the alphabet's
+string, not the word, so a model stores each name once: the model
+parser passes its own table, never a global one such as `sys.intern`'s,
+whose strings are immortal on Python 3.12. A fault names the index
+of its word (`_Fault`), and only then does `_place` give that word's
+line and column; the model parser places its faults the same way.
+Groups nest at most `MAX_NESTING` deep, and stacked stars compile as
+one.
 
 `compile_config_regex` builds an epsilon-free automaton: Glushkov's
 position automaton, with at most one node per symbol occurrence plus a
@@ -81,10 +86,11 @@ class _Fault(Exception):
     caller places it with `_place`."""
 
 
-def _parse(words: list[str], alphabet: set[str] | None, zone: bool) -> tuple:
+def _parse(words: list[str], alphabet: dict[str, str] | None, zone: bool) -> tuple:
     """The syntax tree of the words, a configuration expression or, with
     `zone`, one zone on its own; a fault raises `_Fault(k, message)`.
-    Recursive descent with one function per level that has a node: a
+    `alphabet` maps each declared symbol to itself, and a leaf holds the
+    declared string, not the word. Recursive descent with one function per level that has a node: a
     sequence of starred items, and alternatives of sequences inside a
     group or a zone."""
     pos = 0
@@ -107,7 +113,7 @@ def _parse(words: list[str], alphabet: set[str] | None, zone: bool) -> tuple:
             elif word == "_":
                 node = ("empty",)
             elif alphabet is None or word in alphabet:
-                node = ("sym", word)
+                node = ("sym", word if alphabet is None else alphabet[word])
             else:
                 raise _Fault(pos - 1, f"undeclared symbol {word!r}")
             word = words[pos]
@@ -151,7 +157,9 @@ def _parse(words: list[str], alphabet: set[str] | None, zone: bool) -> tuple:
     return tree
 
 
-def _parse_text(text: str, line: int, col: int, alphabet: set[str] | None, zone: bool) -> tuple:
+def _parse_text(
+    text: str, line: int, col: int, alphabet: dict[str, str] | None, zone: bool
+) -> tuple:
     words = _words(text)
     try:
         return _parse(words, alphabet, zone)
@@ -163,8 +171,8 @@ def _parse_text(text: str, line: int, col: int, alphabet: set[str] | None, zone:
 def parse_config_regex(
     text: str, line: int = 1, col: int = 1, alphabet: Iterable[str] | None = None
 ) -> tuple:
-    if alphabet is not None and not isinstance(alphabet, set):
-        alphabet = set(alphabet)
+    if alphabet is not None:
+        alphabet = {name: name for name in alphabet}
     return _parse_text(text, line, col, alphabet, False)
 
 
@@ -172,7 +180,7 @@ def parse_zone_regex(text: str, alphabet: Iterable[str]) -> tuple:
     """Parse one zone over `alphabet` on its own: what may stand on one
     side of `^`, with alternation allowed at the top. Columns count from
     the text's start."""
-    return _parse_text(text, 1, 1, set(alphabet), True)
+    return _parse_text(text, 1, 1, {name: name for name in alphabet}, True)
 
 
 class _Positions:

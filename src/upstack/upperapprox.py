@@ -34,10 +34,12 @@ No command slices or projects a set, so the zone projections and their
 product, one state's slice of an upper or a lower set
 (`UpperAutomaton.slice`, `LowerAutomaton.slice`), `upper_config_set`
 and relabelling an automaton's edges (`Nfa.map_labels`) live in
-`extras`. So do the checks of a trace automaton built by hand
-(`TraceAutomaton.validate`) and its membership test
-(`TraceAutomaton.accepts`): the analyses build theirs valid and test
-no trace against them. The single-origin extension, which folds a start
+`extras`. So does the upper saturation from one configuration with an
+empty upper word (`saturate_upper`): the analyses close the upper
+automaton of a whole set with `_close_upper`. So do the checks of a
+trace automaton built by hand (`TraceAutomaton.validate`) and its
+membership test (`TraceAutomaton.accepts`): the analyses build theirs
+valid and test no trace against them. The single-origin extension, which folds a start
 set into the system, belongs to the grammar (`grammar.single_origin`).
 """
 
@@ -45,10 +47,9 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from . import _MovedMethod
+from . import _MovedMethod, _forward
 from .configsets import ConfigAutomaton, bar, is_barred, unbar
-from .core import Configuration, Frozen, RuleKind, UpdsSpec
-from .errors import MalformedInputError
+from .core import Frozen, UpdsSpec
 from .nfa import EPSILON, Nfa
 from .pds import LowerAutomaton, pds_post_star
 
@@ -165,44 +166,14 @@ def trace_overapprox(spec: UpdsSpec, configs: ConfigAutomaton) -> TraceAutomaton
     return TraceAutomaton(nfa, owner)
 
 
-def saturate_upper(at: TraceAutomaton, origin: Configuration) -> UpperAutomaton:
-    """The least edge set over the trace automaton's nodes such that the
-    words reaching a node cover the upper words left behind, starting
-    from an empty upper word, by the accepted rule sequences ending
-    there (`_close_upper`).
-
-    The push rule's case for initial nodes is only exact when they carry
-    no word but the empty one, so an initial node with incoming trace
-    edges is represented by a fresh mirror ("@entry", node) that
-    epsilon-steps into it; mirrors become the result's initial nodes and
-    nothing ever flows back into them."""
-    at.validate()
-    if origin.upper:
-        raise MalformedInputError("origin configuration must have an empty upper word")
-    up = Nfa(finals=at.nfa.nodes())
-    owner = dict(at.owner)
-    entries: dict[object, object] = {}
-    targeted = {dst for _, _, dst in at.nfa.edges()}
-    for node in at.nfa.initial:
-        if node not in targeted:
-            up.add_initial(node)
-            continue
-        mirror = ("@entry", node)
-        entries[mirror] = node
-        owner[mirror] = at.owner[node]
-        up.add_initial(mirror)
-        up.add_final(mirror)
-        up.add_edge(mirror, EPSILON, node)
-    return _close_upper(at, up, owner, entries)
-
-
 def _close_upper(at: TraceAutomaton, up: Nfa, owner: Mapping, entries=None) -> UpperAutomaton:
     """Close `up`, whose initial nodes carry the empty word alone, under
     the trace edges, and return it with its nodes' owning states. The
     upper word is a stack whose top is at the boundary, so the closure is
     P-automaton post* saturation, as `pds_post_star` runs it on the lower
     words, over the reverse of `up`, which reads each word from the
-    boundary. Per trace edge q0 -> q1, in the reverse: a pop adds
+    boundary. Per trace edge q0 -> q1, by the arity of its rule, in the
+    reverse: a pop adds
     q1 --a--> q0 for its read symbol; a switch adds q1 --eps--> q0; a push
     strips the boundary symbol, so it adds q1 --eps--> n for each node n
     one plain edge from q0's epsilon closure, and for each final node in
@@ -210,9 +181,10 @@ def _close_upper(at: TraceAutomaton, up: Nfa, owner: Mapping, entries=None) -> U
     rev = up.reverse()
     pushes = []
     for q0, rule, q1 in at.nfa.edges():
-        if rule is EPSILON or rule.kind is RuleKind.SWITCH:
+        arity = 1 if rule is EPSILON else len(rule.written)
+        if arity == 1:
             rev.add_edge(q1, EPSILON, q0)
-        elif rule.kind is RuleKind.POP:
+        elif arity == 0:
             rev.add_edge(q1, rule.read_symbol, q0)
         else:
             pushes.append((q0, q1))
@@ -284,3 +256,6 @@ def overapprox_post(spec: UpdsSpec, configs: ConfigAutomaton) -> ConfigAutomaton
             component.add_final(("l", node))
         out[state] = component
     return ConfigAutomaton(spec.alphabet, out).compact()
+
+
+__getattr__ = _forward(__name__, extras="saturate_upper")

@@ -171,8 +171,8 @@ MUTANTS = (
     (
         "switches dropped from the upper closure",
         "upperapprox.py",
-        "RuleKind.SWITCH:\n            rev.add_edge(q1, EPSILON, q0)",
-        "RuleKind.SWITCH:\n            pass",
+        "if arity == 1:\n            rev.add_edge(q1, EPSILON, q0)",
+        "if arity == 1:\n            pass",
         ["tests/test_upperapprox.py"],
     ),
     (
@@ -216,6 +216,13 @@ MUTANTS = (
         "if depth == MAX_NESTING:",
         "if False:",
         ["tests/test_regex.py"],
+    ),
+    (
+        "a rule that holds the split word, not the declared state",
+        "model.py",
+        "rule = (from_state, read_symbol, to_state, tuple(written))",
+        "rule = (words[1], read_symbol, to_state, tuple(written))",
+        ["tests/test_model.py"],
     ),
     (
         "an old import path that serves a misspelt name",

@@ -1,5 +1,6 @@
 """Model-file parsing, printing, and the literal configuration syntax."""
 
+import random
 import time
 
 import pytest
@@ -16,9 +17,9 @@ from upstack.model import (
     print_model,
 )
 
-from upstack.regex import _place, _words
+from upstack.regex import _place, _words, parse_zone_regex
 
-from conftest import cfg
+from conftest import cfg, random_spec
 from parser_reference import reference_parse_model, reference_spec_checks, reference_tokenize
 
 E1_TEXT = """\
@@ -43,6 +44,60 @@ def test_parse_e1_shape():
     kinds = [rule.kind.name for rule in model.spec.rules]
     assert kinds == ["SWITCH", "SWITCH", "PUSH", "POP", "POP", "SWITCH"]
     assert model.set_names() == ["C1"]
+
+
+def _leaves(tree):
+    """The names of a syntax tree's `("sym", name)` leaves."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node[0] == "sym":
+            yield node[1]
+        else:
+            stack.extend(part for part in node if isinstance(part, tuple))
+
+
+def _random_model_text(rng):
+    spec = random_spec(rng, 4, 4, 12)
+    lines = [f"states {' '.join(spec.states)}", f"alphabet {' '.join(spec.alphabet)}"]
+    for rule in spec.rules:
+        lines.append(f"rule {rule.from_state} {rule.read_symbol} -> {rule.to_state} "
+                     + " ".join(rule.written))
+    for state in spec.states:
+        upper, lower = rng.choice(spec.alphabet), rng.choice(spec.alphabet)
+        lines.append(f"set S {state} ({upper} | {lower})* ^ {lower} ({upper} {lower})*")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_each_name_is_stored_once(seed):
+    # Names of two or more characters, as the random models have, are a
+    # new string for each word split from a line; the parser keeps the
+    # declared one instead.
+    text = E1_TEXT if seed is None else _random_model_text(random.Random(seed))
+    model = parse_model(text)
+    spec = model.spec
+    states = {name: name for name in spec.states}
+    symbols = {name: name for name in spec.alphabet}
+    for rule in spec.rules:
+        assert rule.from_state is states[rule.from_state]
+        assert rule.to_state is states[rule.to_state]
+        for symbol in (rule.read_symbol, *rule.written):
+            assert symbol is symbols[symbol]
+    assert model.sets
+    for slices in model.sets.values():
+        for state, tree in slices.items():
+            assert state is states[state]
+            for symbol in _leaves(tree):
+                assert symbol is symbols[symbol]
+    # A literal and a zone expression hold the system's strings too.
+    state, *names = (*spec.states[-1:], *spec.alphabet)
+    literal = parse_config_literal(spec, f"{state}: {' '.join(names)} ^ {names[0]}")
+    assert literal.state is states[state]
+    for symbol in (*literal.upper, *literal.lower):
+        assert symbol is symbols[symbol]
+    for symbol in _leaves(parse_zone_regex(f"({' | '.join(names)})*", spec.alphabet)):
+        assert symbol is symbols[symbol]
 
 
 def test_config_set_compiles():

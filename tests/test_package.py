@@ -140,14 +140,12 @@ _COMPILED_NODE_CEILINGS = {
     # counted when the front end came to place every parse error with one
     # finder, and member 9458 (9137 before), when exact membership came to
     # test the classes of a backward chain that runs dry against the start
-    # set. Post-over's is its count of 13291 when the upper-word
-    # saturation came to close the reversed automaton. Counted when the
-    # old import paths that no pinned contract imports were dropped and
-    # `from_words` and the trace-automaton checks moved to `extras`:
-    # member 9448, check-read-unsafe 15744, check-read-safe 14823,
-    # check-overflow 15869, post-over 12996, export-dot-set 8121 and
-    # pre-under 13433. A converged Safe (check-read-safe) loads no
-    # over-approximation.
+    # set, and post-over 12871, when `saturate_upper`, which no command
+    # runs, moved to `extras` (13291 before, a count with no margin).
+    # Counted then, with each declared name stored once per model: member
+    # 9501, check-read-unsafe 15797, check-read-safe 14876, check-overflow
+    # 15922, post-over 12871, export-dot-set 8174 and pre-under 13486. A
+    # converged Safe (check-read-safe) loads no over-approximation.
     "member": (["member", "e1.upds", "--init", "C1", "--config", "p2: a ^ bot"], 9647),
     "check-read-unsafe": (
         ["check-read", "relocate.upds", "--init", "Boot", "--symbol", "secret"], 16109
@@ -158,7 +156,7 @@ _COMPILED_NODE_CEILINGS = {
     "check-overflow": (
         ["check-overflow", "e1.upds", "-m", "1", "--lower", "x (y x)* bot"], 16237
     ),
-    "post-over": (["post-over", "e2.upds", "--init", "C2", "--config", "p: a ^ c b"], 13291),
+    "post-over": (["post-over", "e2.upds", "--init", "C2", "--config", "p: a ^ c b"], 13128),
     "export-dot-set": (["export-dot", "e1.upds", "--set", "C1"], 8248),
     "pre-under": (
         ["pre-under", "e2.upds", "--target", "C2", "-k", "2", "--config", "p: b ^ c c"], 13736
