@@ -38,7 +38,7 @@ _HOMES = {
         "checkers": "Verdict decide_safety",
         "commands.oracle": "oracle_post",
         "configsets": "ConfigAutomaton",
-        "core": "Configuration Rule RuleKind Trace UpdsSpec make_spec",
+        "core": "Configuration Rule Trace UpdsSpec make_spec",
         "dot": "export_dot",
         "errors": "MalformedInputError ParseError ResourceLimitError RuleNotEnabledError "
         "UpstackError",
@@ -46,7 +46,7 @@ _HOMES = {
         "print_config_regex print_model run_trace saturate_upper step trace_upper_word "
         "upper_config_set",
         "fixtures": "fixture_names fixture_path fixture_text",
-        "grammar": "build_post_grammar single_origin",
+        "grammar": "RuleKind build_post_grammar single_origin",
         "kphase": "PhaseKind bounded_phase_pre_star",
         "membership": "is_reachable",
         "model": "ModelFile parse_config_literal parse_model print_config_literal",

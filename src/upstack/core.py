@@ -22,12 +22,13 @@ The one-step semantics on `Configuration` objects (`successors`, `step`,
 `apply_rule`, `run_trace`), the trace facts `trace_upper_word` and
 `count_phases`, and `UpdsSpec.rules_reading` live in `extras`, which no
 command loads, and `fresh_name` in `grammar`, its one user; they
-still import from here.
+still import from here. So does `RuleKind`, the enum that `Rule.kind`
+gives: it lives in `grammar`, the one module on a command's path that
+reads a rule's kind, so only `export-dot --grammar` creates it.
 """
 
 from __future__ import annotations
 
-import enum
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -35,12 +36,6 @@ from . import _forward, _MovedMethod
 from .errors import MalformedInputError
 
 Word = tuple[str, ...]
-
-
-class RuleKind(enum.Enum):
-    POP = "pop"
-    SWITCH = "switch"
-    PUSH = "push"
 
 
 # The records below are plain classes (and `Rule` a tuple) rather than
@@ -84,7 +79,7 @@ class Rule(tuple):
     also names: immutable, equal and hashed by its fields, and pickled
     through its constructor. Being a tuple, it is built by one call of
     `tuple.__new__`, with no attribute set one at a time (see
-    `make_spec`)."""
+    `make_spec` and the model parser)."""
 
     __slots__ = ()
 
@@ -113,6 +108,8 @@ class Rule(tuple):
 
     @property
     def kind(self) -> RuleKind:
+        from .grammar import RuleKind
+
         return (RuleKind.POP, RuleKind.SWITCH, RuleKind.PUSH)[len(self[3])]
 
     def __str__(self) -> str:
@@ -148,7 +145,11 @@ class UpdsSpec(Frozen):
         # (to_state, written) -> (from_state, read_symbol) of the rules
         # writing it, in declaration order: the table a backward step
         # undoes (`membership.search`). Groups are short, so each grows
-        # as a tuple.
+        # as a tuple. Only `member` reads the second table, on its first
+        # backward step, yet it is built here: it takes about 2 µs a
+        # system (0.4 ms for the 201 of the membership benchmark), and a
+        # lazily built one would add that to the first query of each
+        # system, most of which get one query of about 20 µs.
         moves, into = {}, {}
         reading, writing = moves.get, into.get
         for rule in rules:
@@ -251,5 +252,5 @@ def make_spec(
 __getattr__ = _forward(
     __name__,
     extras="successors apply_rule step run_trace trace_upper_word count_phases",
-    grammar="fresh_name",
+    grammar="RuleKind fresh_name",
 )

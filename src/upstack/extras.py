@@ -47,12 +47,12 @@ from .core import (
     Configuration,
     Move,
     Rule,
-    RuleKind,
     UpdsSpec,
     Word,
     check_configuration,
 )
 from .errors import MalformedInputError, ResourceLimitError, RuleNotEnabledError
+from .grammar import RuleKind
 from .kphase import PhaseKind, _Moves, _phases
 from .limits import DEFAULT_NODE_BUDGET
 from .model import ModelFile

@@ -19,20 +19,34 @@ reachable configurations, fenced by endpoint markers.
 
 The extension's helpers live here too: fresh names (`fresh_name`, still
 importable from `core`) and renaming an automaton's nodes (the methods
-`Nfa.map_nodes` and `Nfa.relabel`). `is_reachable` still imports from
+`Nfa.map_nodes` and `Nfa.relabel`). So does `RuleKind`, the enum that
+`Rule.kind` gives (still importable from `core`): the construction is
+the one reader of a rule's kind on a command's path, so no other
+command creates the enum. `is_reachable` still imports from
 here and loads `membership` on first use, so loading the grammar loads
 neither the search nor the over-approximation.
 """
 
 from __future__ import annotations
 
+import enum
 from collections import deque
 from typing import Callable
 
 from . import _forward
 from .configsets import ConfigAutomaton, is_barred, unbar
-from .core import Configuration, Frozen, Rule, RuleKind, UpdsSpec
+from .core import Configuration, Frozen, Rule, UpdsSpec
 from .nfa import Nfa, Node
+
+
+class RuleKind(enum.Enum):
+    """What a rule does to the lower stack, by how many symbols it writes
+    (`Rule.kind`)."""
+
+    POP = "pop"
+    SWITCH = "switch"
+    PUSH = "push"
+
 
 TOP = ("top",)
 BOTTOM = ("bottom",)

@@ -25,6 +25,11 @@ not the words split from their lines, and so do configuration literals
 (`parse_config_literal`). The table is the model's own, not
 `sys.intern`'s (see `parse_model`).
 
+Each rule is built once, as a `Rule`, when its line is read, and
+`parse_model` hands the rules to `UpdsSpec`, which makes every check it
+makes on any system; `make_spec`, which builds each rule again from
+plain tuples, is not on the parse path.
+
 A fault in a line is raised as `regex._Fault` with the index of its
 word, and `regex._place` gives that word's column, as it does for a
 fault in a set expression or a configuration literal.
@@ -36,7 +41,7 @@ from typing import Mapping
 
 from . import _MovedMethod, _forward
 from .configsets import ConfigAutomaton
-from .core import Configuration, Frozen, UpdsSpec, make_spec
+from .core import Configuration, Frozen, Rule, UpdsSpec, _new
 from .errors import MalformedInputError, ParseError
 from .regex import _Fault, _parse_text, _place, compile_config_regex
 
@@ -113,11 +118,11 @@ def parse_model(text: str) -> ModelFile:
     many models would never free their names."""
     states: dict[str, str] = {}
     alphabet: dict[str, str] = {}
-    rules: dict[tuple[str, str, str, tuple[str, ...]], None] = {}
+    rules: dict[Rule, None] = {}
     sets: dict[str, dict[str, tuple]] = {}
     try:
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0]
+            line = raw.partition("#")[0]
             words = line.split()
             if not words:
                 continue
@@ -143,7 +148,7 @@ def parse_model(text: str) -> ModelFile:
         raise ParseError(*_place(line, words, k, lineno), message) from None
     if not states:
         raise ParseError(1, 1, "missing states declaration")
-    return ModelFile(make_spec(tuple(states), tuple(alphabet), rules), sets)
+    return ModelFile(UpdsSpec(tuple(states), tuple(alphabet), tuple(rules)), sets)
 
 
 def _undeclared(words: list[str], k: int, kind: str):
@@ -159,12 +164,18 @@ def _parse_rule(words, states, alphabet, rules):
     from_state = states.get(words[1]) or _undeclared(words, 1, "state")
     read_symbol = alphabet.get(words[2]) or _undeclared(words, 2, "symbol")
     to_state = states.get(words[4]) or _undeclared(words, 4, "state")
-    if len(words) > 7:
+    # The written word is built by its length, with no list to convert,
+    # and the rule by one `tuple.__new__`: `UpdsSpec` takes it as it is.
+    count = len(words)
+    if count == 5:
+        written = ()
+    elif count < 8:
+        written = (alphabet.get(words[5]) or _undeclared(words, 5, "symbol"),)
+        if count == 7:
+            written += (alphabet.get(words[6]) or _undeclared(words, 6, "symbol"),)
+    else:
         raise _Fault(7, "a rule writes at most two symbols")
-    written = words[5:]
-    for k, token in enumerate(written):
-        written[k] = alphabet.get(token) or _undeclared(words, 5 + k, "symbol")
-    rule = (from_state, read_symbol, to_state, tuple(written))
+    rule = _new(Rule, (from_state, read_symbol, to_state, written))
     if rule in rules:
         raise _Fault(0, f"duplicate rule '{' '.join(words[1:])}'")
     rules[rule] = None
@@ -204,14 +215,14 @@ def parse_config_literal(spec: UpdsSpec, text: str) -> Configuration:
     # break in it included, with its state and colon blanked out.
     stacks = " " * len(head + sep) + stacks.replace("\n", " ")
     tokens = stacks.replace("^", " ^ ").split()
-    markers = [i for i, token in enumerate(tokens) if token == "^"]
-    if len(markers) != 1:
+    if tokens.count("^") != 1:
         # With no marker, the fault is at the end marker "", the text's end.
+        markers = [i for i, token in enumerate(tokens) if token == "^"]
         raise ParseError(
             *_place(stacks, tokens + [""], markers[1] if markers else len(tokens)),
             "expected exactly one boundary marker '^'",
         )
-    split = markers[0]
+    split = tokens.index("^")
     alphabet = spec.alphabet
     for i, token in enumerate(tokens):
         if i != split:

@@ -220,8 +220,22 @@ MUTANTS = (
     (
         "a rule that holds the split word, not the declared state",
         "model.py",
-        "rule = (from_state, read_symbol, to_state, tuple(written))",
-        "rule = (words[1], read_symbol, to_state, tuple(written))",
+        "rule = _new(Rule, (from_state, read_symbol, to_state, written))",
+        "rule = _new(Rule, (words[1], read_symbol, to_state, written))",
+        ["tests/test_model.py"],
+    ),
+    (
+        "a parsed rule left a plain tuple",
+        "model.py",
+        "rule = _new(Rule, (from_state, read_symbol, to_state, written))",
+        "rule = (from_state, read_symbol, to_state, written)",
+        ["tests/test_model.py"],
+    ),
+    (
+        "a nullable expression's start left out of the finals",
+        "regex.py",
+        "nfa.finals = dict.fromkeys([0] + last if nullable else last)",
+        "nfa.finals = dict.fromkeys(last)",
         ["tests/test_model.py"],
     ),
     (

@@ -6,7 +6,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from upstack.core import Rule, UpdsSpec
+from upstack.configsets import bar
+from upstack.core import Rule, UpdsSpec, make_spec
 from upstack.errors import MalformedInputError, ParseError, UpstackError
 from upstack.fixtures import fixture_names, fixture_text
 from upstack.model import (
@@ -17,7 +18,8 @@ from upstack.model import (
     print_model,
 )
 
-from upstack.regex import _place, _words, parse_zone_regex
+from upstack.nfa import Nfa
+from upstack.regex import _place, _words, compile_config_regex, parse_zone_regex
 
 from conftest import cfg, random_spec
 from parser_reference import reference_parse_model, reference_spec_checks, reference_tokenize
@@ -98,6 +100,161 @@ def test_each_name_is_stored_once(seed):
         assert symbol is symbols[symbol]
     for symbol in _leaves(parse_zone_regex(f"({' | '.join(names)})*", spec.alphabet)):
         assert symbol is symbols[symbol]
+
+
+class _ReferencePositions:
+    """Glushkov's position construction as a method call per syntax-tree
+    node: each scan returns (nullable, first positions, last positions)
+    and records the follow pairs inside its node, concatenations scan
+    all their parts before linking them, and symbols alternated side by
+    side share one position."""
+
+    def __init__(self, symbols):
+        self.symbols = symbols
+        self.labels = [[]]
+        self.follow = [[]]
+
+    def label(self, ast, barred):
+        if self.symbols is not None and ast[1] not in self.symbols:
+            raise MalformedInputError(f"undeclared symbol {ast[1]!r}")
+        return bar(ast[1]) if barred else ast[1]
+
+    def scan(self, ast, barred):
+        kind = ast[0]
+        if kind == "sym":
+            pos = len(self.labels)
+            self.labels.append([self.label(ast, barred)])
+            self.follow.append([])
+            return False, [pos], [pos]
+        if kind == "empty":
+            return True, [], []
+        if kind == "star":
+            while ast[1][0] == "star":
+                ast = ast[1]
+            _, first, last = self.scan(ast[1], barred)
+            self.link(last, first)
+            return True, first, last
+        if kind == "concat":
+            return self.sequence([self.scan(part, barred) for part in ast[1]])
+        if kind == "alt":
+            parts = []
+            shared = None
+            for part in ast[1]:
+                if part[0] == "sym" and shared is not None:
+                    self.labels[shared].append(self.label(part, barred))
+                    continue
+                parts.append(self.scan(part, barred))
+                if part[0] == "sym":
+                    shared = parts[-1][1][0]
+            return self.choice(parts)
+        raise MalformedInputError(f"not a regex node: {ast!r}")
+
+    def sequence(self, parts):
+        nullable, first, last = True, [], []
+        for part_nullable, part_first, part_last in parts:
+            self.link(last, part_first)
+            if nullable:
+                first = first + part_first
+            last = last + part_last if part_nullable else part_last
+            nullable = nullable and part_nullable
+        return nullable, first, last
+
+    @staticmethod
+    def choice(parts):
+        return (
+            any(nullable for nullable, _, _ in parts),
+            [p for _, first, _ in parts for p in first],
+            [p for _, _, last in parts for p in last],
+        )
+
+    def link(self, sources, targets):
+        for p in sources:
+            self.follow[p] += targets
+
+
+def _reference_compile(ast, alphabet):
+    """The position automaton of a configuration expression, built node by
+    node and edge by edge through `add_node`, `add_initial`, `add_final`
+    and `add_edge`."""
+    positions = _ReferencePositions(set(alphabet))
+    nullable, first, last = positions.choice([
+        positions.sequence([positions.scan(upper, True), positions.scan(lower, False)])
+        for upper, lower in ast[1]
+    ])
+    positions.link([0], first)
+    nfa = Nfa()
+    for p in range(len(positions.follow)):
+        nfa.add_node(p)
+    nfa.add_initial(0)
+    for p in [0] + last if nullable else last:
+        nfa.add_final(p)
+    for p, after in enumerate(positions.follow):
+        for q in after:
+            for label in positions.labels[q]:
+                nfa.add_edge(p, label, q)
+    return nfa
+
+
+def _rows(nfa):
+    """An automaton's rows, labels and targets as nested lists, so that
+    comparing two compares their order too."""
+    return (
+        [(p, [(label, list(targets)) for label, targets in row.items()])
+         for p, row in nfa._edges.items()],
+        list(nfa.initial),
+        list(nfa.finals),
+    )
+
+
+def _random_zone(rng, symbols, depth=2):
+    """The text of a random zone expression: a sequence of symbols, empty
+    words and groups of alternatives, each item starred or not."""
+    items = []
+    for _ in range(rng.randint(1, 3)):
+        roll = rng.random()
+        if depth and roll < 0.3:
+            count = rng.randint(2, 3)
+            alternatives = [_random_zone(rng, symbols, depth - 1) for _ in range(count)]
+            item = f"( {' | '.join(alternatives)} )"
+        else:
+            item = "_" if roll < 0.4 else rng.choice(symbols)
+        items.append(item + " *" * rng.choice((0, 0, 1, 2)))
+    return " ".join(items)
+
+
+@pytest.mark.parametrize("source", ["e1.upds", "relocate.upds", *range(1, 21)])
+def test_the_parser_builds_each_rule_and_set_once(source):
+    # The parser builds each rule once, as a `Rule`, and hands the rules
+    # to `UpdsSpec` directly; `make_spec` of the same tuples must give the
+    # same system, tables in the same order included. A random model also
+    # gets sets whose branches may accept the empty word.
+    if isinstance(source, str):
+        text = fixture_text(source)
+    else:
+        rng = random.Random(source)
+        text = _random_model_text(rng)
+        spec = parse_model(text).spec
+        for state in spec.states:
+            branches = [f"{_random_zone(rng, spec.alphabet)} ^ {_random_zone(rng, spec.alphabet)}"
+                        for _ in range(rng.randint(1, 3))]
+            text += f"set R {state} {' | '.join(branches)}\n"
+    model = parse_model(text)
+    spec = model.spec
+    assert all(type(rule) is Rule for rule in spec.rules)
+    reference = make_spec(
+        list(spec.states), list(spec.alphabet), [(f, r, t, list(w)) for f, r, t, w in spec.rules]
+    )
+    assert vars(spec).keys() == vars(reference).keys()
+    for field, value in vars(reference).items():
+        assert getattr(spec, field) == value, field
+    for table in ("moves", "moves_into"):
+        assert list(getattr(spec, table).items()) == list(getattr(reference, table).items())
+    # Each set's rows, initial and final nodes, in order, as the automaton
+    # built edge by edge gives them.
+    for slices in model.sets.values():
+        for tree in slices.values():
+            compiled = compile_config_regex(tree, alphabet=spec.alphabet)
+            assert _rows(compiled) == _rows(_reference_compile(tree, spec.alphabet))
 
 
 def test_config_set_compiles():
