@@ -42,7 +42,7 @@ _HOMES = {
         "dot": "export_dot",
         "errors": "MalformedInputError ParseError ResourceLimitError RuleNotEnabledError "
         "UpstackError",
-        "extras": "count_phases from_config_set oracle_pre_kphase phase_pre "
+        "extras": "from_config_set oracle_pre_kphase phase_pre "
         "print_config_regex print_model run_trace saturate_upper step trace_upper_word "
         "upper_config_set",
         "fixtures": "fixture_names fixture_path fixture_text",
@@ -54,6 +54,7 @@ _HOMES = {
         "overflow": "check_stack_overflow",
         "regex": "compile_config_regex parse_config_regex",
         "residue": "check_upper_read",
+        "summaries": "count_phases",
         "upperapprox": "TraceAutomaton UpperAutomaton overapprox_post trace_overapprox",
     }.items()
     for name in names.split()

@@ -21,20 +21,22 @@ The replay starts from a shortest member of the hit (`shortest_config`,
 also the method `ConfigAutomaton.shortest_config`); only the checkers
 look for one, so it lives here.
 
-The two checkers pose their questions to `decide_safety` from modules
-of their own, `overflow` and `residue`, so that each command compiles
-only its own.
+The two checkers live in modules of their own, `overflow` and
+`residue`, so that each command compiles only its own. Each first
+decides from the lower-stack summaries of `summaries`, and poses to
+`decide_safety` only what those leave open. So `decide_safety` loads the
+pre* rounds (`kphase`) and the set algebra (`compaction`) on its first
+call, as it loads the replay and the over-approximation, and importing
+this module for `Verdict` loads none of them.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .compaction import intersect_sets
 from .configsets import ConfigAutomaton, is_barred, unbar
 from .core import Configuration, Frozen, Rule, UpdsSpec
 from .errors import MalformedInputError, ResourceLimitError
-from .kphase import pre_star_rounds
 from .limits import DEFAULT_PHASES, DFA_STATE_BUDGET
 from .model import ModelFile, print_config_literal
 from .regex import compile_config_regex
@@ -45,9 +47,10 @@ UNKNOWN = "Unknown"
 
 # What decided a verdict: a hit of the under-approximation (Unsafe once
 # replayed; Unknown if, through a defect, no replay stays inside it),
-# pre* rounds that converged with no hit, the over-approximation, or a
-# budget that stopped the replay.
-DECIDED_BY = ("hit", "convergence", "over-approximation", "limit")
+# pre* rounds that converged with no hit, the over-approximation, a
+# budget that stopped the replay, or the lower-stack summaries of
+# `summaries` (Safe, or Unsafe with a trace of at most k phases).
+DECIDED_BY = ("hit", "convergence", "over-approximation", "limit", "lower-stack")
 
 
 class Verdict(Frozen):
@@ -149,6 +152,9 @@ def decide_safety(
     replay is loaded only for a hit, and the over-approximation only when
     there is none and the pre* rounds did not converge, so a call compiles
     just the side that decides it."""
+    from .compaction import intersect_sets
+    from .kphase import pre_star_rounds
+
     initial.check_against(spec, "start set")
     if initial.alphabet != spec.alphabet:
         initial = ConfigAutomaton(spec.alphabet, initial.components)

@@ -19,12 +19,13 @@ write back:
 No rule fires on an empty lower stack.
 
 The one-step semantics on `Configuration` objects (`successors`, `step`,
-`apply_rule`, `run_trace`), the trace facts `trace_upper_word` and
-`count_phases`, and `UpdsSpec.rules_reading` live in `extras`, which no
-command loads, and `fresh_name` in `grammar`, its one user; they
-still import from here. So does `RuleKind`, the enum that `Rule.kind`
-gives: it lives in `grammar`, the one module on a command's path that
-reads a rule's kind, so only `export-dot --grammar` creates it.
+`apply_rule`, `run_trace`), the trace fact `trace_upper_word` and
+`UpdsSpec.rules_reading` live in `extras`, which no command loads,
+`count_phases` in `summaries`, whose checkers measure their traces, and
+`fresh_name` in `grammar`, its one user; they still import from here.
+So does `RuleKind`, the enum that `Rule.kind` gives: it lives in
+`grammar`, the one module on a command's path that reads a rule's kind,
+so only `export-dot --grammar` creates it.
 """
 
 from __future__ import annotations
@@ -251,6 +252,7 @@ def make_spec(
 
 __getattr__ = _forward(
     __name__,
-    extras="successors apply_rule step run_trace trace_upper_word count_phases",
+    extras="successors apply_rule step run_trace trace_upper_word",
+    summaries="count_phases",
     grammar="RuleKind fresh_name",
 )

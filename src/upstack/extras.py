@@ -9,8 +9,8 @@ compatibility contract names it there (see `upstack`):
 
 - from `core`: the one-step semantics on `Configuration` objects
   (`successors`, which `oracle.explore` inlines and is checked against,
-  `apply_rule`, `step`, `run_trace`), two facts of a rule sequence
-  (`trace_upper_word`, `count_phases`), `UpdsSpec.rules_reading`, and
+  `apply_rule`, `step`, `run_trace`), a fact of a rule sequence
+  (`trace_upper_word`), `UpdsSpec.rules_reading`, and
   the scan that words the error of a system failing its checks
   (`UpdsSpec._reject`);
 - from `oracle`: the ground truths the tests compare the analyses with,
@@ -163,26 +163,6 @@ def trace_upper_word(spec: UpdsSpec, trace: Sequence[Rule], c: Configuration) ->
         elif kind is RuleKind.PUSH:
             upper = upper[:-1]
     return upper
-
-
-def count_phases(trace: Sequence[Rule]) -> int:
-    """The least k such that the trace splits into k blocks, each avoiding
-    pushes or avoiding pops. Switches join any block; a nonempty all-switch
-    trace is one block; the empty trace is zero."""
-    runs = 0
-    current: RuleKind | None = None
-    nonempty = False
-    for rule in trace:
-        nonempty = True
-        kind = rule.kind
-        if kind is RuleKind.SWITCH:
-            continue
-        if kind is not current:
-            runs += 1
-            current = kind
-    if runs:
-        return runs
-    return 1 if nonempty else 0
 
 
 # -- ground truths (oracle) ---------------------------------------------------

@@ -211,6 +211,41 @@ MUTANTS = (
         ["tests/test_checkers.py"],
     ),
     (
+        "Ret without the push's composition",
+        "summaries.py",
+        "ret[head].update(self.after((to_state,), written))",
+        "ret[head].update(self.after((to_state,), written[:1]))",
+        ["tests/test_lower.py::test_summaries_match_the_lower_reference"],
+    ),
+    (
+        "overflow growth measured as if no start cell was popped",
+        "overflow.py",
+        "lambda r, a, d: growth.get((r, a), 0) >= d",
+        "lambda r, a, d: growth.get((r, a), 0) > m",
+        ["tests/test_lower.py::test_overflow_counts_the_start_cells_popped_before_a_run_grows"],
+    ),
+    (
+        "a reachable push cycle taken as finite growth",
+        "summaries.py",
+        "grows = math.inf if weight else grows",
+        "grows = grows",
+        ["tests/test_lower.py::test_summaries_match_the_lower_reference"],
+    ),
+    (
+        "a lower-stack trace answered Unsafe whatever its phases",
+        "summaries.py",
+        "if phases <= k:",
+        "if True:",
+        ["tests/test_lower.py::test_checkers_agree_with_decide_safety_on_the_fixtures"],
+    ),
+    (
+        "a read Safe although a start upper word holds the symbol",
+        "residue.py",
+        "if best is None and not held:",
+        "if best is None:",
+        ["tests/test_lower.py::test_checkers_agree_with_decide_safety_on_the_fixtures"],
+    ),
+    (
         "set expressions nested past the bound",
         "regex.py",
         "if depth == MAX_NESTING:",

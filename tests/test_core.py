@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import copy
 import pickle
 import random
@@ -367,16 +368,20 @@ def test_records_survive_copy_and_pickle(e1):
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # Both cost every CLI call start-up time.
-    code = (
-        "import sys, upstack.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env=subprocess_env(),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert proc.stdout == "[]\n"
+    # Both cost every CLI call start-up time. What a bare interpreter holds
+    # already (a module of site-packages may import either when Python
+    # starts) is not the CLI's doing, so only what `upstack.cli` adds
+    # counts.
+    def modules(code: str) -> set[str]:
+        proc = subprocess.run(
+            [sys.executable, "-c", f"{code}import sys; print(sorted(sys.modules))"],
+            env=subprocess_env(),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        return set(ast.literal_eval(proc.stdout))
+
+    added = modules("import upstack.cli; ") - modules("")
+    assert "upstack.cli" in added
+    assert not added & {"dataclasses", "inspect"}

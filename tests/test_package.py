@@ -16,6 +16,7 @@ import pytest
 
 import upstack
 from conftest import subprocess_env
+from upstack.fixtures import fixture_text
 
 # The public API as the package has always exported it.
 PUBLIC_NAMES = {
@@ -52,9 +53,10 @@ def test_namespace_exports_each_name_from_its_home():
 
 # Runs in a fresh interpreter: prints, as JSON, the upstack submodules
 # loaded after a bare import and after each command of the argument lists
-# in sys.argv[1] (JSON), run in this order.
+# in sys.argv[1] (JSON), run in this order. A model named by a relative
+# path is a shipped one.
 _LOADED_PER_STEP = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 
 def loaded():
     return sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("upstack."))
@@ -64,7 +66,8 @@ steps = {"import": loaded()}
 from upstack.cli import main
 from upstack.fixtures import fixture_path
 for argv in json.loads(sys.argv[1]):
-    argv[1] = str(fixture_path(argv[1]))
+    if not os.path.isabs(argv[1]):
+        argv[1] = str(fixture_path(argv[1]))
     with contextlib.redirect_stdout(io.StringIO()):
         main(argv)
     steps[argv[0]] = loaded()
@@ -83,7 +86,7 @@ def _loaded_per_step(*argvs: list[str]) -> dict[str, set[str]]:
     return {step: set(modules) for step, modules in json.loads(proc.stdout).items()}
 
 
-def test_each_command_loads_only_what_it_runs():
+def test_each_command_loads_only_what_it_runs(tmp_path):
     loaded = _loaded_per_step(
         ["member", "e1.upds", "--init", "C1", "--config", "p2: a ^ bot"],
         ["check-read", "relocate.upds", "--init", "Boot", "--symbol", "secret"],
@@ -95,29 +98,48 @@ def test_each_command_loads_only_what_it_runs():
     assert not loaded["member"] & {
         "checkers", "compaction", "kphase", "upperapprox", "pds", "dot", "grammar", "oracle"
     }
-    # The checkers ran (so the sets below are not trivially small), yet
-    # neither the grammar nor the DOT renderer was loaded. Both answers
-    # are Unsafe: a hit decides them, so the over-approximation is never
-    # loaded.
-    assert {"checkers", "compaction", "kphase", "oracle"} <= loaded["check-read"]
-    assert "upperapprox" not in loaded["check-read"]
-    assert "upperapprox" not in loaded["check-overflow"]
-    assert not loaded["check-overflow"] & {"grammar", "dot"}
+    # Both checker answers are Unsafe, decided on the lower stack: the
+    # summaries and a replayed trace of at most k phases. Such a call loads
+    # neither the pre* rounds, the set algebra, the over-approximation, the
+    # grammar nor what no command runs.
+    fallback = {"kphase", "compaction", "product", "upperapprox", "extras", "grammar"}
+    for command in ("check-read", "check-overflow"):
+        assert {"checkers", "summaries", "oracle"} <= loaded[command], command
+        assert not loaded[command] & (fallback | {"pds", "dot"}), command
+    # A Safe from the lower stack needs no replay either: no run pops ret.
+    safe = ["check-read", "relocate.upds", "--init", "Boot", "--symbol", "ret"]
+    lower_safe = _loaded_per_step(safe)["check-read"]
+    assert "summaries" in lower_safe
+    assert not lower_safe & (fallback | {"oracle"})
     # The phases saturate nothing, so `pre*` does not load the lower-stack
     # saturation.
     assert "kphase" in loaded["pre-under"]
-    for command in ("check-read", "check-overflow", "pre-under"):
-        assert "pds" not in loaded[command], command
-    # A Safe answer has no hit to replay, so it never loads the replay. At
-    # the default k, relocate's pre* rounds for `ret` converge (round 2
-    # adds nothing) with no hit: the exact pre* decides, and neither the
-    # over-approximation nor the lower-stack saturation is loaded. At k=1
-    # they have not converged yet, and the over-approximation decides.
-    safe = ["check-read", "relocate.upds", "--init", "Boot", "--symbol", "ret"]
-    converged = _loaded_per_step(safe)["check-read"]
+    assert "pds" not in loaded["pre-under"]
+    # Where a start upper word holds the symbol and no run pops it, the
+    # summaries leave the read to `decide_safety`. In NewStack every upper
+    # word ends with secret: the pre* rounds hit at once, and their hit
+    # replays (with no step), so the over-approximation is never loaded.
+    hit = _loaded_per_step(
+        ["check-read", "relocate.upds", "--init", "NewStack", "--symbol", "secret"]
+    )["check-read"]
+    assert {"checkers", "summaries", "compaction", "kphase", "oracle"} <= hit
+    assert not hit & {"upperapprox", "pds", "extras"}
+    # A Safe there has no hit to replay, so it never loads the replay. In
+    # Held, secret sits under canary and no run exposes or pops it. At the
+    # default k the pre* rounds converge with no hit: the exact pre*
+    # decides, and neither the over-approximation nor the lower-stack
+    # saturation is loaded. At k=1 they have not converged yet, and the
+    # over-approximation decides.
+    model = tmp_path / "held.upds"
+    model.write_text(
+        fixture_text("relocate.upds") + "set Held pivot secret canary ^ ret bot\n",
+        encoding="utf-8",
+    )
+    held = ["check-read", str(model), "--init", "Held", "--symbol", "secret"]
+    converged = _loaded_per_step(held)["check-read"]
     assert {"checkers", "kphase"} <= converged
     assert not converged & {"upperapprox", "pds", "oracle"}
-    over = _loaded_per_step([*safe, "-k", "1"])["check-read"]
+    over = _loaded_per_step([*held, "-k", "1"])["check-read"]
     assert {"checkers", "kphase", "upperapprox"} <= over
     assert "oracle" not in over
     # A set's DOT needs neither a search, an over-approximation, a grammar
@@ -149,17 +171,22 @@ _COMPILED_NODE_CEILINGS = {
     # `RuleKind` moved to `grammar`: member 9491, check-read-unsafe 15787,
     # check-read-safe 14866, check-overflow 15912, post-over 12861,
     # export-dot-set 8164 and pre-under 13476; the four ceilings that the
-    # count plus 2% undercuts were reset to it. A converged Safe
-    # (check-read-safe) loads no over-approximation.
+    # count plus 2% undercuts were reset to it. Counted when the checkers
+    # came to decide from the lower-stack summaries first, loading no
+    # pre* rounds, set algebra or product: check-read-unsafe 10831,
+    # check-read-safe 9910 and check-overflow 10843. The first and last,
+    # answered with a replayed trace, are held at 11000, a little under
+    # their count plus 2%; check-read-safe, a Safe with no replay, at its
+    # count plus 2%.
     "member": (["member", "e1.upds", "--init", "C1", "--config", "p2: a ^ bot"], 9647),
     "check-read-unsafe": (
-        ["check-read", "relocate.upds", "--init", "Boot", "--symbol", "secret"], 16102
+        ["check-read", "relocate.upds", "--init", "Boot", "--symbol", "secret"], 11000
     ),
     "check-read-safe": (
-        ["check-read", "relocate.upds", "--init", "Boot", "--symbol", "ret"], 15163
+        ["check-read", "relocate.upds", "--init", "Boot", "--symbol", "ret"], 10108
     ),
     "check-overflow": (
-        ["check-overflow", "e1.upds", "-m", "1", "--lower", "x (y x)* bot"], 16230
+        ["check-overflow", "e1.upds", "-m", "1", "--lower", "x (y x)* bot"], 11000
     ),
     "post-over": (["post-over", "e2.upds", "--init", "C2", "--config", "p: a ^ c b"], 13118),
     "export-dot-set": (["export-dot", "e1.upds", "--set", "C1"], 8248),
