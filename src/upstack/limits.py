@@ -21,6 +21,14 @@ DEFAULT_CONFIG_BUDGET = 2_000_000
 # replay of a checker's witness and the `oracle` command's closure.
 DEFAULT_NODE_BUDGET = 1_000_000
 
+# Configurations a checker's search for a trace from its lower-stack
+# witness may store. Past it the checker falls back to the pre* rounds,
+# so the search, which on systems that push freely keeps finding new
+# configurations long before it reaches the violation, can cost little
+# more than the fallback would. The searches of the checkers' tests and
+# workloads store at most 61.
+LOWER_TRACE_BUDGET = 2_000
+
 # What a configuration search that runs out of its budget calls it.
 SEARCH_BUDGET = "configuration search budget"
 

@@ -39,8 +39,9 @@ run pops s exactly when some reached pair has s in P(r, a).
 
 A checker decides Safe from these facts alone, and Unsafe only with a
 trace of at most k phases that `oracle_trace` found from a shortest
-start member the summaries show to violate (`settle`); anything else
-goes to `checkers.decide_safety`. `count_phases` measures a trace.
+start member the summaries show to violate (`settle`), a search that
+stores at most `limits.LOWER_TRACE_BUDGET` configurations; anything
+else goes to `checkers.decide_safety`. `count_phases` measures a trace.
 
 Every checker call compiles this module, so its helpers carry no type
 annotations, which are syntax-tree nodes too; their docstrings say what
@@ -51,28 +52,31 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Sequence
+from typing import Iterable
 
 from .checkers import UNKNOWN, UNSAFE, Verdict
 from .configsets import is_barred
 from .core import Rule
 from .errors import ResourceLimitError
+from .limits import LOWER_TRACE_BUDGET
 from .model import print_config_literal
 from .nfa import EPSILON, label_key
 
 
-def count_phases(trace: Sequence[Rule]) -> int:
+def count_phases(trace: Iterable[Rule]) -> int:
     """The least k such that the trace splits into k blocks, each avoiding
     pushes or avoiding pops. Switches join any block; a nonempty all-switch
     trace is one block; the empty trace is zero."""
     runs = 0
     current = None
+    nonempty = False
     for rule in trace:
+        nonempty = True
         arity = len(rule.written)
         if arity != 1 and arity != current:
             runs += 1
             current = arity
-    return runs or min(len(trace), 1)
+    return runs or int(nonempty)
 
 
 class Summaries:
@@ -133,6 +137,8 @@ class Summaries:
         through the Ret sets of its cells."""
         states = (state,)
         for cell in lower:
+            if not states:
+                break
             if any(symbol in self.pops.get((r, cell), ()) for r in states):
                 return True
             states = self.after(states, (cell,))
@@ -222,14 +228,19 @@ def settle(spec, witness, accepts, k, node_budget, fallback, size_cap=None, with
     of at most k phases in the system `spec` from the witness (a
     `Configuration`, or None for no search) to a configuration that
     `accepts`, within `size_cap` and the configurations `within` holds
-    for; else the verdict that `fallback()` returns. An Unknown there
-    whose violation the search found past k phases says so in its note."""
+    for; else the verdict that `fallback()` returns. The search stores at
+    most LOWER_TRACE_BUDGET configurations, and falls back past them. An
+    Unknown there whose violation the search found past k phases says so
+    in its note."""
     phases = None
     if witness is not None:
         from .oracle import oracle_trace
 
         try:
-            trace = oracle_trace(spec, witness, accepts, None, size_cap, within=within)
+            trace = oracle_trace(
+                spec, witness, accepts, None, size_cap, node_budget=LOWER_TRACE_BUDGET,
+                within=within,
+            )
         except ResourceLimitError:
             trace = None
         if trace is not None:

@@ -239,6 +239,13 @@ MUTANTS = (
         ["tests/test_lower.py::test_checkers_agree_with_decide_safety_on_the_fixtures"],
     ),
     (
+        "the search from a lower-stack witness left without its budget",
+        "summaries.py",
+        "node_budget=LOWER_TRACE_BUDGET,",
+        "",
+        ["tests/test_checkers.py::test_lower_stack_replay_stops_at_its_budget"],
+    ),
+    (
         "a read Safe although a start upper word holds the symbol",
         "residue.py",
         "if best is None and not held:",

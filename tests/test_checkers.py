@@ -14,11 +14,14 @@ from conftest import (
     random_configuration,
     random_spec,
 )
-from upstack import oracle
-from upstack.checkers import SAFE, UNKNOWN, UNSAFE, Verdict, decide_safety
+from upstack import oracle, summaries
+from upstack.checkers import (
+    SAFE, UNKNOWN, UNSAFE, Verdict, _all_states_set, _any_word, decide_safety,
+)
 from upstack.configsets import ConfigAutomaton, from_config_set
 from upstack.core import RuleKind, make_spec, run_trace
-from upstack.errors import MalformedInputError, ParseError
+from upstack.errors import MalformedInputError, ParseError, ResourceLimitError
+from upstack.limits import LOWER_TRACE_BUDGET
 from upstack.fixtures import fixture_text
 from upstack.model import parse_model, print_config_literal
 from upstack.oracle import explore, oracle_post
@@ -239,8 +242,10 @@ def test_converged_rounds_without_a_hit_are_an_exact_safe(e2, c2):
 
 def test_replay_out_of_budget_is_unknown(monkeypatch, e1, c1):
     # Unsafe at the default budget (the README's check-read golden); with
-    # room for two configurations the replay runs out before the hit.
+    # room for two configurations the search from the lower-stack witness
+    # runs out, and so does the replay of the hit it falls back to.
     assert check_upper_read(e1, c1, "a").outcome == UNSAFE
+    monkeypatch.setattr(summaries, "LOWER_TRACE_BUDGET", 2)
     monkeypatch.setattr(
         oracle, "oracle_trace", functools.partial(oracle.oracle_trace, node_budget=2)
     )
@@ -287,18 +292,45 @@ def _switch_chain(n):
 
 
 def test_replay_stays_inside_the_under_approximation(monkeypatch):
-    # A search over every successor runs through its budget on the pushes
-    # long before it walks the chain; restricted to the one-phase pre*,
-    # the replay finds the chain at once.
+    # A search over every successor, and so the one from the lower-stack
+    # witness too, runs through its budget on the pushes long before it
+    # walks the chain; restricted to the one-phase pre*, the replay finds
+    # the chain at once.
     monkeypatch.setattr(
         oracle, "oracle_trace", functools.partial(oracle.oracle_trace, node_budget=1000)
     )
     verdict = check_upper_read(_switch_chain(10), "I", "x", k=1)
-    assert verdict.outcome == UNSAFE
+    assert (verdict.outcome, verdict.decided_by) == (UNSAFE, "hit")
     assert verdict.witness == cfg("s0", "", "x")
     assert len(verdict.trace) == 10
     assert [rule.kind for rule in verdict.trace[:9]] == [RuleKind.SWITCH] * 9
     assert verdict.trace[-1].kind is RuleKind.POP
+
+
+def test_lower_stack_replay_stops_at_its_budget(monkeypatch):
+    # From almost every configuration around the chain a run can still
+    # pop x, so the search from the summaries' witness would store some
+    # 2^25 configurations before the chain ends. It stops at its own
+    # budget, and the fallback's replay inside the one-phase pre* walks
+    # the chain at once: the call stores few more configurations than
+    # twice that budget, where the unbounded search took seconds.
+    stored = []
+    search = oracle.explore
+
+    def counted(*args, **kwargs):
+        try:
+            hit, seen = search(*args, **kwargs)
+        except ResourceLimitError as err:
+            stored.append(err.explored)
+            raise
+        stored.append(len(seen))
+        return hit, seen
+
+    monkeypatch.setattr(oracle, "explore", counted)
+    verdict = check_upper_read(_switch_chain(25), "I", "x", k=1)
+    assert (verdict.outcome, verdict.decided_by) == (UNSAFE, "hit")
+    assert verdict.witness == cfg("s0", "", "x") and len(verdict.trace) == 25
+    assert stored[0] == LOWER_TRACE_BUDGET and sum(stored[1:]) < LOWER_TRACE_BUDGET
 
 
 def test_decide_random_sweep_verdicts_are_sound():
@@ -332,11 +364,15 @@ def test_decide_random_sweep_verdicts_are_sound():
     assert decided[SAFE, "over-approximation"] and decided[UNSAFE, "hit"]
 
 
-def test_safes_at_one_phase_have_no_bounded_counterexample():
+def test_over_approximation_safes_at_one_phase_have_no_bounded_counterexample():
     # Every Safe verdict at k=1, whatever decided it, is searched for a
-    # counterexample of size <= 5 from the initial members of that size.
+    # counterexample of size <= 5 from the initial members of that size:
+    # the checkers', and those of `decide_safety` alone on the same sets,
+    # where the pre* rounds rarely converge at k=1, so most come from the
+    # over-approximation.
     rng = random.Random(11)
     decided = collections.Counter()
+    alone = collections.Counter()
     for _ in range(40):
         spec = random_spec(rng, max_states=4, max_symbols=3, max_rules=10)
         loop = " ".join(rng.choice(spec.alphabet) for _ in range(rng.randint(1, 2)))
@@ -351,24 +387,32 @@ def test_safes_at_one_phase_have_no_bounded_counterexample():
         guarded_start = compile_config_regex(
             f"{TOP_SENTINEL} {FILLER} ^ {lower}", guarded.alphabet
         )
+        anything = _any_word(spec.alphabet)
+        unguarded = _any_word(s for s in guarded.alphabet if s != TOP_SENTINEL)
         queries = (
             (check_upper_read(spec, initial, symbol, k=1), spec, initial,
+             _all_states_set(spec, ("concat", (anything, ("sym", symbol))), anything),
              lambda c: c[1][-1:] == (symbol,)),
             (check_stack_overflow(spec, 1, lower, k=1), guarded,
              ConfigAutomaton(guarded.alphabet, dict.fromkeys(spec.states, guarded_start)),
+             _all_states_set(guarded, unguarded, _any_word(guarded.alphabet)),
              lambda c: TOP_SENTINEL not in c[1]),
         )
-        for verdict, system, starts, forbidden in queries:
+        for verdict, system, starts, forbidden_set, forbidden in queries:
+            by_itself = decide_safety(system, starts, forbidden_set, k=1)
             decided[verdict.outcome, verdict.decided_by] += 1
-            if verdict.outcome == SAFE:
+            alone[by_itself.outcome, by_itself.decided_by] += 1
+            if SAFE in (verdict.outcome, by_itself.outcome):
                 members = [(c.state, c.upper, c.lower) for c in starts.enumerate_configs(5)]
                 hit, _ = explore(system, members, forbidden, 5, links=False)
-                assert hit is None, verdict
-    # Pinned. Before the lower-stack summaries decided first, the
-    # over-approximation decided 37 of these Safe and the converged pre*
-    # rounds 7, and a pre* hit the 32 Unsafe; 4 were Unknown. Now the
-    # summaries decide all 44 Safe and all 32 Unsafe, and the same 4 are
-    # left to the over-approximation, which cannot exclude them.
+                assert hit is None, (verdict, by_itself)
+    # Pinned. `decide_safety` alone: through the single-origin extension
+    # the over-approximation decides 37 Safe, the converged pre* rounds 7,
+    # and a pre* hit the 32 Unsafe; 4 are Unknown. The checkers: the
+    # lower-stack summaries decide all 44 Safe and all 32 Unsafe, and the
+    # same 4 are left to the over-approximation, which cannot exclude them.
+    assert alone[SAFE, "over-approximation"] == 37
+    assert alone[UNKNOWN, "over-approximation"] == 4
     assert decided[SAFE, "lower-stack"] == 44
     assert decided[UNSAFE, "lower-stack"] == 32
     assert decided[UNKNOWN, "over-approximation"] <= 4

@@ -150,6 +150,10 @@ def test_count_phases_examples(e1):
     assert count_phases((c, s_x, c)) == 1
     assert count_phases((r_a, s_x, r_b)) == 1
     assert count_phases((c, c, r_a, r_b, c)) == 3
+    # Any iterable of rules, not only a sized one.
+    assert count_phases(iter(())) == 0
+    assert count_phases(iter((s_x, s_y))) == 1
+    assert count_phases(rule for rule in (c, c, r_a, r_b, c)) == 3
 
 
 _KIND_TO_RULE = {

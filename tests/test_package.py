@@ -177,7 +177,9 @@ _COMPILED_NODE_CEILINGS = {
     # check-read-safe 9910 and check-overflow 10843. The first and last,
     # answered with a replayed trace, are held at 11000, a little under
     # their count plus 2%; check-read-safe, a Safe with no replay, at its
-    # count plus 2%.
+    # count plus 2%. Counted when the search from a lower-stack witness
+    # got a budget of its own: check-read-unsafe 10850, check-read-safe
+    # 9929 and check-overflow 10862.
     "member": (["member", "e1.upds", "--init", "C1", "--config", "p2: a ^ bot"], 9647),
     "check-read-unsafe": (
         ["check-read", "relocate.upds", "--init", "Boot", "--symbol", "secret"], 11000
