@@ -18,7 +18,14 @@ module that the commands running it load: what no command runs is in
 model, compiling its sets and deciding membership use only the
 automaton core (`nfa`); the automaton and set algebra that the analyses
 run is in `compaction`, and the bounded closure that only the `oracle`
-command lists is in that command's module.
+command lists is in that command's module. Start-up, `import upstack`
+and then parsing a model and compiling its sets, loads seven modules:
+this one, `errors`, `core`, `regex`, `model`, `nfa` and `configsets`.
+They keep only what start-up, a membership query or most commands run:
+a configuration literal's parser is in `literal`, which only the
+commands that take a configuration load, and the checkers' shared
+decision is in `safety`, which a checker loads only for what the
+lower-stack summaries leave open.
 
 Each name has one home. A moved method is still a method of its class,
 whose body loads on first use (`_MovedMethod`, several at a time through
@@ -35,25 +42,27 @@ from importlib import import_module
 _HOMES = {
     name: home
     for home, names in {
-        "checkers": "Verdict decide_safety",
+        "checkers": "Verdict",
         "commands.oracle": "oracle_post",
         "configsets": "ConfigAutomaton",
-        "core": "Configuration Rule Trace UpdsSpec make_spec",
+        "core": "Configuration Rule Trace UpdsSpec",
         "dot": "export_dot",
         "errors": "MalformedInputError ParseError ResourceLimitError RuleNotEnabledError "
         "UpstackError",
-        "extras": "from_config_set oracle_pre_kphase phase_pre "
+        "extras": "from_config_set make_spec oracle_pre_kphase parse_config_regex phase_pre "
         "print_config_regex print_model run_trace saturate_upper step trace_upper_word "
         "upper_config_set",
         "fixtures": "fixture_names fixture_path fixture_text",
         "grammar": "RuleKind build_post_grammar single_origin",
         "kphase": "PhaseKind bounded_phase_pre_star",
+        "literal": "parse_config_literal",
         "membership": "is_reachable",
-        "model": "ModelFile parse_config_literal parse_model print_config_literal",
+        "model": "ModelFile parse_model print_config_literal",
         "oracle": "oracle_trace",
         "overflow": "check_stack_overflow",
-        "regex": "compile_config_regex parse_config_regex",
+        "regex": "compile_config_regex",
         "residue": "check_upper_read",
+        "safety": "decide_safety",
         "summaries": "count_phases",
         "upperapprox": "TraceAutomaton UpperAutomaton overapprox_post trace_overapprox",
     }.items()

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..limits import DEFAULT_CONFIG_BUDGET
-from ..model import parse_config_literal
+from ..literal import parse_config_literal
 from . import add_model, bool_exit, check_nonnegative
 
 HELP = "exact forward reachability of one configuration"

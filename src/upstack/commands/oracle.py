@@ -10,7 +10,8 @@ from typing import Iterable
 
 from ..core import Configuration, UpdsSpec
 from ..limits import DEFAULT_NODE_BUDGET
-from ..model import parse_config_literal, print_config_literal
+from ..literal import parse_config_literal
+from ..model import print_config_literal
 from ..oracle import _checked, explore
 from . import add_model, bool_exit, check_nonnegative
 

@@ -4,7 +4,6 @@ summarizes its sets the same way."""
 
 from __future__ import annotations
 
-from ..model import parse_config_literal
 from . import add_model, bool_exit
 
 HELP = "regular over-approximation of an initial set's successors"
@@ -29,6 +28,8 @@ def probe_or_summary(result, model, config: str | None) -> int:
     if config is None:
         print(summary(result))
         return 0
+    from ..literal import parse_config_literal
+
     return bool_exit(result.accepts(parse_config_literal(model.spec, config)))
 
 

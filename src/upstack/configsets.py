@@ -15,10 +15,10 @@ run, lives with the automaton algebra in `compaction`: `accepts`,
 use, and `config_word`, `check_alphabets`, `union_sets` and
 `intersect_sets` still import from here. What only some commands run
 lives in their modules, and what none runs in `extras`: the walk of a
-set's members in `membership`, a shortest member and `config_from_word`
-in `checkers`, and `from_config_set` and the zone projections and their
-product in `extras`. They still import from here, and the methods load
-their bodies on first use.
+set's members in `membership`, `config_from_word` in `checkers`, a
+shortest member in `safety`, and `from_config_set` and the zone
+projections and their product in `extras`. They still import from here,
+and the methods load their bodies on first use.
 """
 
 from __future__ import annotations
@@ -96,11 +96,11 @@ class ConfigAutomaton:
     compact = _MovedMethod("compaction", "set_compact")
     same = _MovedMethod("compaction", "set_same")
 
-    # Only membership walks the members, and only the checkers look for a
-    # shortest one.
+    # Only membership walks the members, and only the checkers' shared
+    # decision looks for a shortest one.
     members = _MovedMethod("membership")
     enumerate_configs = _MovedMethod("membership")
-    shortest_config = _MovedMethod("checkers")
+    shortest_config = _MovedMethod("safety")
 
 
 __getattr__ = _forward(

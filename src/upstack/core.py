@@ -19,10 +19,13 @@ write back:
 No rule fires on an empty lower stack.
 
 The one-step semantics on `Configuration` objects (`successors`, `step`,
-`apply_rule`, `run_trace`), the trace fact `trace_upper_word` and
-`UpdsSpec.rules_reading` live in `extras`, which no command loads,
-`count_phases` in `summaries`, whose checkers measure their traces, and
-`fresh_name` in `grammar`, its one user; they still import from here.
+`apply_rule`, `run_trace`), the trace fact `trace_upper_word`, and
+`make_spec`, which builds a system from plain tuples, live in `extras`,
+which no command loads, `count_phases` in `summaries`, whose checkers
+measure their traces, and `fresh_name` in `grammar`, its one user; they
+still import from here. The bodies of `UpdsSpec.rules_reading`, of a
+rule's `repr` and of a configuration's `str` are in `extras` too; they
+stay methods of their classes.
 So does `RuleKind`, the enum that `Rule.kind` gives: it lives in
 `grammar`, the one module on a command's path that reads a rule's kind,
 so only `export-dot --grammar` creates it.
@@ -31,7 +34,7 @@ so only `export-dot --grammar` creates it.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import _forward, _MovedMethod
 from .errors import MalformedInputError
@@ -79,8 +82,8 @@ class Rule(tuple):
     Like a named tuple, a rule is the tuple of its four fields, which it
     also names: immutable, equal and hashed by its fields, and pickled
     through its constructor. Being a tuple, it is built by one call of
-    `tuple.__new__`, with no attribute set one at a time (see
-    `make_spec` and the model parser)."""
+    `tuple.__new__`, with no attribute set one at a time (see the model
+    parser and `extras.make_spec`)."""
 
     __slots__ = ()
 
@@ -101,11 +104,8 @@ class Rule(tuple):
     def __reduce__(self):
         return (self.__class__, tuple(self))
 
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__qualname__}(from_state={self[0]!r}, "
-            f"read_symbol={self[1]!r}, to_state={self[2]!r}, written={self[3]!r})"
-        )
+    # No command shows a rule's repr.
+    __repr__ = _MovedMethod("extras", "rule_repr")
 
     @property
     def kind(self) -> RuleKind:
@@ -197,6 +197,7 @@ class Configuration(Frozen):
         _set(self, "upper", upper)
         _set(self, "lower", lower)
 
+    # The `oracle` command sorts the configurations it lists by this text.
     def __repr__(self) -> str:
         return (
             f"{type(self).__qualname__}(state={self.state!r}, "
@@ -210,10 +211,8 @@ class Configuration(Frozen):
     def total_size(self) -> int:
         return len(self.upper) + len(self.lower)
 
-    def __str__(self) -> str:
-        up = " ".join(self.upper) if self.upper else "_"
-        low = " ".join(self.lower) if self.lower else "_"
-        return f"<{self.state}: {up} ^ {low}>"
+    # No command prints a configuration this way: the CLI prints literals.
+    __str__ = _MovedMethod("extras", "config_str")
 
 
 # A move entry of UpdsSpec.moves: (rule, to_state, arity, written), and
@@ -224,7 +223,6 @@ ConfigTuple = tuple[str, Word, Word]
 Trace = tuple[Rule, ...]
 
 _new = tuple.__new__
-_written = Rule.written.fget
 
 
 def check_configuration(spec: UpdsSpec, c: Configuration) -> Configuration:
@@ -235,24 +233,9 @@ def check_configuration(spec: UpdsSpec, c: Configuration) -> Configuration:
     return c
 
 
-def make_spec(
-    states: Iterable[str],
-    alphabet: Iterable[str],
-    rules: Iterable[tuple[str, str, str, Sequence[str]]],
-) -> UpdsSpec:
-    """Convenience constructor from plain tuples. Each rule is built by one
-    `tuple.__new__` call, and the writes are checked in one pass; only a
-    failed check builds the rules through `Rule`, to word the error."""
-    built = tuple([_new(Rule, (f, r, t, tuple(w))) for f, r, t, w in rules])
-    if max(map(len, map(_written, built)), default=0) > 2:
-        for rule in built:
-            Rule(*rule)
-    return UpdsSpec(tuple(states), tuple(alphabet), built)
-
-
 __getattr__ = _forward(
     __name__,
-    extras="successors apply_rule step run_trace trace_upper_word",
+    extras="successors apply_rule step run_trace trace_upper_word make_spec",
     summaries="count_phases",
     grammar="RuleKind fresh_name",
 )

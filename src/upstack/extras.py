@@ -10,9 +10,11 @@ compatibility contract names it there (see `upstack`):
 - from `core`: the one-step semantics on `Configuration` objects
   (`successors`, which `oracle.explore` inlines and is checked against,
   `apply_rule`, `step`, `run_trace`), a fact of a rule sequence
-  (`trace_upper_word`), `UpdsSpec.rules_reading`, and
-  the scan that words the error of a system failing its checks
-  (`UpdsSpec._reject`);
+  (`trace_upper_word`), `UpdsSpec.rules_reading`, the scan that words
+  the error of a system failing its checks (`UpdsSpec._reject`), the
+  constructor from plain tuples (`make_spec`), and the text that `repr`
+  gives for a rule (`rule_repr`) and `str` for a configuration
+  (`config_str`);
 - from `oracle`: the ground truths the tests compare the analyses with,
   the backward phase-bounded closure (`oracle_pre_kphase`) and the
   lower-stack-only closure (`pds_step`, `pds_closure`, `pds_reaches`);
@@ -27,7 +29,8 @@ compatibility contract names it there (see `upstack`):
   (`TraceAutomaton.validate`, `TraceAutomaton.accepts`), and the upper
   saturation from one configuration (`saturate_upper`);
 - from `kphase`: `phase_pre`, a single phase;
-- from `regex` and `model`: the printers (`print_config_regex`,
+- from `regex` and `model`: the parser of a set expression on its own
+  (`parse_config_regex`), the printers (`print_config_regex`,
   `print_model`) and `ModelFile ==` (`model_eq`);
 - from `nfa`: `from_words`, an automaton of listed words;
 - from `configsets`: `from_config_set`, a set of listed configurations,
@@ -49,6 +52,7 @@ from .core import (
     Rule,
     UpdsSpec,
     Word,
+    _new,
     check_configuration,
 )
 from .errors import MalformedInputError, ResourceLimitError, RuleNotEnabledError
@@ -58,9 +62,10 @@ from .limits import DEFAULT_NODE_BUDGET
 from .model import ModelFile
 from .nfa import EPSILON, Label, Nfa
 from .pds import LowerAutomaton
+from .regex import _parse_text
 from .upperapprox import TraceAutomaton, UpperAutomaton, _close_upper
 
-# -- one-step semantics (core) ------------------------------------------------
+# -- systems, records and one-step semantics (core) ---------------------------
 
 
 def rules_reading(spec: UpdsSpec, state: str, symbol: str) -> tuple[Rule, ...]:
@@ -92,6 +97,37 @@ def _reject(spec: UpdsSpec) -> None:
         if rule in seen_rules:
             raise MalformedInputError(f"duplicate rule {rule}")
         seen_rules.add(rule)
+
+
+def make_spec(
+    states: Iterable[str],
+    alphabet: Iterable[str],
+    rules: Iterable[tuple[str, str, str, Sequence[str]]],
+) -> UpdsSpec:
+    """Convenience constructor from plain tuples. Each rule is built by one
+    `tuple.__new__` call, and the writes are checked in one pass; only a
+    failed check builds the rules through `Rule`, to word the error."""
+    built = tuple([_new(Rule, (f, r, t, tuple(w))) for f, r, t, w in rules])
+    if max(map(len, map(Rule.written.fget, built)), default=0) > 2:
+        for rule in built:
+            Rule(*rule)
+    return UpdsSpec(tuple(states), tuple(alphabet), built)
+
+
+def rule_repr(rule: Rule) -> str:
+    """`repr` of a rule: the constructor call with its fields named."""
+    return (
+        f"{type(rule).__qualname__}(from_state={rule[0]!r}, "
+        f"read_symbol={rule[1]!r}, to_state={rule[2]!r}, written={rule[3]!r})"
+    )
+
+
+def config_str(c: Configuration) -> str:
+    """`str` of a configuration: `<state: upper ^ lower>`, `_` for an
+    empty word."""
+    up = " ".join(c.upper) if c.upper else "_"
+    low = " ".join(c.lower) if c.lower else "_"
+    return f"<{c.state}: {up} ^ {low}>"
 
 
 def successors(
@@ -374,7 +410,7 @@ def lower_words_up_to(lower: LowerAutomaton, state: str, max_len: int) -> list[W
     return lower.nfa.words_up_to(max_len, start=(entry,))
 
 
-# -- zone projections and slices (upperapprox) -------------------------------
+# -- zone projections and slices (upperapprox) --------------------------------
 
 
 def project_lower(a: ConfigAutomaton) -> dict[str, Nfa]:
@@ -509,7 +545,7 @@ def saturate_upper(at: TraceAutomaton, origin: Configuration) -> UpperAutomaton:
     return _close_upper(at, up, owner, entries)
 
 
-# -- one phase (kphase) ------------------------------------------------------
+# -- one phase (kphase) -------------------------------------------------------
 
 
 def phase_pre(spec: UpdsSpec, targets: ConfigAutomaton, kind: PhaseKind) -> ConfigAutomaton:
@@ -525,7 +561,7 @@ def phase_pre(spec: UpdsSpec, targets: ConfigAutomaton, kind: PhaseKind) -> Conf
     return union_sets(phase, targets) if kind is PhaseKind.PUSH else phase
 
 
-# -- printers and equality (regex, model) -------------------------------------
+# -- parser, printers and equality (regex, model) -----------------------------
 
 
 def _print_part(ast: tuple, parent: str) -> str:
@@ -564,6 +600,16 @@ def _print_part(ast: tuple, parent: str) -> str:
         else:
             raise MalformedInputError(f"not a regex node: {node!r}")
     return "".join(out)
+
+
+def parse_config_regex(
+    text: str, line: int = 1, col: int = 1, alphabet: Iterable[str] | None = None
+) -> tuple:
+    """The syntax tree of a set expression (see `regex`); columns count
+    from (line, col). Given an alphabet, a symbol outside it is an error."""
+    if alphabet is not None:
+        alphabet = {name: name for name in alphabet}
+    return _parse_text(text, line, col, alphabet, False)
 
 
 def print_config_regex(ast: tuple) -> str:

@@ -22,13 +22,14 @@ does the comparison behind `ModelFile ==`.
 Each declared name is stored once per model: the rules, the set
 expressions' leaves and the sets' state keys hold the declared strings,
 not the words split from their lines, and so do configuration literals
-(`parse_config_literal`). The table is the model's own, not
-`sys.intern`'s (see `parse_model`).
+(`parse_config_literal`, which only the commands that take one run, in
+`literal`). The table is the model's own, not `sys.intern`'s (see
+`parse_model`).
 
 Each rule is built once, as a `Rule`, when its line is read, and
 `parse_model` hands the rules to `UpdsSpec`, which makes every check it
 makes on any system; `make_spec`, which builds each rule again from
-plain tuples, is not on the parse path.
+plain tuples, is in `extras`.
 
 A fault in a line is raised as `regex._Fault` with the index of its
 word, and `regex._place` gives that word's column, as it does for a
@@ -197,47 +198,8 @@ def _parse_set_line(words, lineno, line, states, alphabet, sets):
     slices[state] = ast
 
 
-def parse_config_literal(spec: UpdsSpec, text: str) -> Configuration:
-    """A single configuration written as '<state>: <upper> ^ <lower>',
-    e.g. 'p2: a ^ bot' for state p2, upper word a, lower word bot. No
-    name holds '^', so the marker needs no spaces around it: 'p2: a^bot'
-    is the same configuration. The configuration holds the system's own
-    strings, as the model's rules do."""
-    head, sep, stacks = text.partition(":")
-    state = head.strip()
-    if not sep:
-        raise ParseError(1, 1, "expected '<state>: <upper> ^ <lower>'")
-    if state not in spec.states:
-        raise ParseError(
-            *_place(head.replace("\n", " "), head.split(), 0), f"undeclared state {state!r}"
-        )
-    # A literal is one line: columns count along the whole text, a line
-    # break in it included, with its state and colon blanked out.
-    stacks = " " * len(head + sep) + stacks.replace("\n", " ")
-    tokens = stacks.replace("^", " ^ ").split()
-    if tokens.count("^") != 1:
-        # With no marker, the fault is at the end marker "", the text's end.
-        markers = [i for i, token in enumerate(tokens) if token == "^"]
-        raise ParseError(
-            *_place(stacks, tokens + [""], markers[1] if markers else len(tokens)),
-            "expected exactly one boundary marker '^'",
-        )
-    split = tokens.index("^")
-    alphabet = spec.alphabet
-    for i, token in enumerate(tokens):
-        if i != split:
-            try:
-                tokens[i] = alphabet[alphabet.index(token)]
-            except ValueError:
-                raise ParseError(
-                    *_place(stacks, tokens, i), f"undeclared symbol {token!r}"
-                ) from None
-    state = spec.states[spec.states.index(state)]
-    return Configuration(state, tuple(tokens[:split]), tuple(tokens[split + 1 :]))
-
-
 def print_config_literal(c: Configuration) -> str:
-    """Inverse of parse_config_literal."""
+    """Inverse of `literal.parse_config_literal`."""
     return f"{c.state}: {' '.join((*c.upper, '^', *c.lower))}"
 
 

@@ -1,25 +1,33 @@
 """The stack-overflow checker: can a push overwrite memory past the
 stack's bound? It decides from the lower-stack summaries of `summaries`
 first and poses what they leave open to the shared decision in
-`checkers`; only `upstack check-overflow` runs it.
+`safety`, which it loads only then; only `upstack check-overflow` runs
+it, and it reads its starting lower words with `parse_zone_regex`.
 """
 
 from __future__ import annotations
 
-from .checkers import (
-    SAFE, Verdict, _all_states_set, _any_word, _spec_of, config_from_word, decide_safety,
-)
-from .core import UpdsSpec, make_spec
+from typing import Iterable
+
+from .checkers import SAFE, Verdict, _all_states_set, _any_word, _spec_of, config_from_word
+from .core import UpdsSpec
 from .errors import MalformedInputError
 from .limits import DEFAULT_PHASES, DFA_STATE_BUDGET
 from .model import ModelFile
-from .regex import parse_zone_regex
+from .regex import _parse_text
 from .summaries import Summaries, settle, shortest_violation
 
 # The symbols the checker injects: the sentinel on top of the upper zone,
 # and the headroom below it.
 TOP_SENTINEL = "@top"
 FILLER = "@fill"
+
+
+def parse_zone_regex(text: str, alphabet: Iterable[str]) -> tuple:
+    """Parse one zone over `alphabet` on its own: what may stand on one
+    side of `^`, with alternation allowed at the top. Columns count from
+    the text's start."""
+    return _parse_text(text, 1, 1, {name: name for name in alphabet}, True)
 
 
 def check_stack_overflow(
@@ -52,7 +60,9 @@ def check_stack_overflow(
                 "it may not be declared, let alone appear in a rule"
             )
     starts = parse_zone_regex(lower, spec.alphabet)
-    extended = make_spec(spec.states, spec.alphabet + (TOP_SENTINEL, FILLER), spec.rules)
+    # The rules are the system's own, already checked, and `UpdsSpec`
+    # checks them again against the grown alphabet.
+    extended = UpdsSpec(spec.states, spec.alphabet + (TOP_SENTINEL, FILLER), spec.rules)
     cells = (("sym", TOP_SENTINEL),) + (("sym", FILLER),) * m
     headroom = cells[0] if m == 0 else ("concat", cells)
     initial = _all_states_set(extended, headroom, starts)
@@ -68,6 +78,8 @@ def check_stack_overflow(
         return Verdict(SAFE, k, node_budget, decided_by="lower-stack")
 
     def fallback() -> Verdict:
+        from .safety import decide_safety
+
         unguarded = _any_word(s for s in extended.alphabet if s != TOP_SENTINEL)
         forbidden = _all_states_set(extended, unguarded, _any_word(extended.alphabet))
         return decide_safety(extended, initial, forbidden, k, node_budget)

@@ -6,7 +6,8 @@ are whitespace-separated symbol identifiers plus the operators `|`
 upper/lower boundary). Every top-level alternative contains `^` exactly
 once; what is left of it is the upper word, what is right of it the
 lower word. Alternation inside a single zone needs parentheses, except
-in a zone parsed on its own (`parse_zone_regex`), which has no `^`.
+in a zone parsed on its own, which has no `^` (`parse_zone_regex`, in
+`overflow`, which reads its starting lower words so).
 
 ASTs are plain tuples:
     ("config", ((upper, lower), ...))   top level, one pair per alternative
@@ -14,7 +15,9 @@ ASTs are plain tuples:
     ("concat", (x, y, ...)) | ("alt", (x, y, ...))    both n-ary, n >= 2
 The printer, `print_config_regex`, emits a canonical form that parses
 back to the same AST, each stack of stars folded into one; it lives in
-`extras`, which no command loads.
+`extras`, which no command loads, and so does `parse_config_regex`, the
+parser on its own: a command parses a set expression only to compile
+it, and `compile_config_regex` parses text itself.
 
 The parser reads the words of the text, operators spaced out and one
 whitespace split of the whole text, as plain strings: no position is
@@ -182,21 +185,6 @@ def _parse_text(
         raise ParseError(*_place(text, words, k, line, col), message) from None
 
 
-def parse_config_regex(
-    text: str, line: int = 1, col: int = 1, alphabet: Iterable[str] | None = None
-) -> tuple:
-    if alphabet is not None:
-        alphabet = {name: name for name in alphabet}
-    return _parse_text(text, line, col, alphabet, False)
-
-
-def parse_zone_regex(text: str, alphabet: Iterable[str]) -> tuple:
-    """Parse one zone over `alphabet` on its own: what may stand on one
-    side of `^`, with alternation allowed at the top. Columns count from
-    the text's start."""
-    return _parse_text(text, 1, 1, {name: name for name in alphabet}, True)
-
-
 class _Positions:
     """Glushkov's position construction: one position per symbol
     occurrence, each with its labels and the positions that may follow
@@ -302,7 +290,8 @@ def compile_config_regex(
     would give."""
     symbols = None if alphabet is None else set(alphabet)
     if isinstance(source, str):
-        ast = parse_config_regex(source, line, col, symbols)
+        names = None if symbols is None else {name: name for name in symbols}
+        ast = _parse_text(source, line, col, names, False)
     else:
         ast = source
     positions = _Positions(symbols)

@@ -1,15 +1,13 @@
 """The residue-read checker: can the cell just above the stack pointer,
 where a read past the end of the stack would find it, hold a given
 symbol? It decides from the lower-stack summaries of `summaries` first
-and poses what they leave open to the shared decision in `checkers`;
-only `upstack check-read` runs it.
+and poses what they leave open to the shared decision in `safety`,
+which it loads only then; only `upstack check-read` runs it.
 """
 
 from __future__ import annotations
 
-from .checkers import (
-    SAFE, Verdict, _all_states_set, _any_word, _spec_of, config_from_word, decide_safety,
-)
+from .checkers import SAFE, Verdict, _all_states_set, _any_word, _spec_of, config_from_word
 from .configsets import ConfigAutomaton, bar
 from .core import UpdsSpec
 from .errors import MalformedInputError
@@ -59,6 +57,8 @@ def check_upper_read(
         return Verdict(SAFE, k, node_budget, decided_by="lower-stack")
 
     def fallback() -> Verdict:
+        from .safety import decide_safety
+
         anything = _any_word(spec.alphabet)
         ending_with = ("concat", (anything, ("sym", symbol)))
         forbidden = _all_states_set(spec, ending_with, anything)

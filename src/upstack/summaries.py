@@ -41,7 +41,7 @@ A checker decides Safe from these facts alone, and Unsafe only with a
 trace of at most k phases that `oracle_trace` found from a shortest
 start member the summaries show to violate (`settle`), a search that
 stores at most `limits.LOWER_TRACE_BUDGET` configurations; anything
-else goes to `checkers.decide_safety`. `count_phases` measures a trace.
+else goes to `safety.decide_safety`. `count_phases` measures a trace.
 
 Every checker call compiles this module, so its helpers carry no type
 annotations, which are syntax-tree nodes too; their docstrings say what

@@ -191,21 +191,21 @@ MUTANTS = (
     ),
     (
         "a replay not kept inside the under-approximation",
-        "checkers.py",
+        "safety.py",
         "within=under.accepts",
         "within=None",
         ["tests/test_checkers.py"],
     ),
     (
         "a hit with no trace inside it answered Unsafe",
-        "checkers.py",
+        "safety.py",
         'if trace is not None:\n            return verdict(UNSAFE, "hit", witness=witness, trace=trace)',
         'return verdict(UNSAFE, "hit", witness=witness, trace=trace or ())',
         ["tests/test_checkers.py"],
     ),
     (
         "Safe without convergence",
-        "checkers.py",
+        "safety.py",
         "    if converged:\n        # The exact pre* misses the initial set.",
         "    if True:\n        # The exact pre* misses the initial set.",
         ["tests/test_checkers.py"],
@@ -223,6 +223,13 @@ MUTANTS = (
         "lambda r, a, d: growth.get((r, a), 0) >= d",
         "lambda r, a, d: growth.get((r, a), 0) > m",
         ["tests/test_lower.py::test_overflow_counts_the_start_cells_popped_before_a_run_grows"],
+    ),
+    (
+        "the overflow checker's extended system without the filler",
+        "overflow.py",
+        "spec.alphabet + (TOP_SENTINEL, FILLER)",
+        "spec.alphabet + (TOP_SENTINEL,)",
+        ["tests/test_checkers.py::test_overflow_two_pushes_through_one_cell_of_headroom"],
     ),
     (
         "a reachable push cycle taken as finite growth",

@@ -15,9 +15,7 @@ from conftest import (
     random_spec,
 )
 from upstack import oracle, summaries
-from upstack.checkers import (
-    SAFE, UNKNOWN, UNSAFE, Verdict, _all_states_set, _any_word, decide_safety,
-)
+from upstack.checkers import SAFE, UNKNOWN, UNSAFE, Verdict, _all_states_set, _any_word
 from upstack.configsets import ConfigAutomaton, from_config_set
 from upstack.core import RuleKind, make_spec, run_trace
 from upstack.errors import MalformedInputError, ParseError, ResourceLimitError
@@ -28,6 +26,7 @@ from upstack.oracle import explore, oracle_post
 from upstack.overflow import FILLER, TOP_SENTINEL, check_stack_overflow
 from upstack.regex import compile_config_regex
 from upstack.residue import check_upper_read
+from upstack.safety import decide_safety
 
 
 def singleton(spec, *configs):

@@ -300,6 +300,45 @@ def test_record_reprs_are_pinned():
     assert repr(Rule("p", "a", "p", ("a", "b"))) == (
         "Rule(from_state='p', read_symbol='a', to_state='p', written=('a', 'b'))"
     )
+    assert repr(Rule("p", "a", "q")) == (
+        "Rule(from_state='p', read_symbol='a', to_state='q', written=())"
+    )
+    assert str(Rule("p", "a", "p", ("a", "b"))) == "p a -> p a b"
+    assert str(cfg("p2", "a b", "bot")) == "<p2: a b ^ bot>"
+    assert str(Configuration("p", (), ())) == "<p: _ ^ _>"
+    assert f"{cfg('p', '', 'x y')}" == "<p: _ ^ x y>"
+
+
+# Runs in a fresh interpreter, which has not loaded `extras`: a rule's
+# repr and a configuration's str, twice each. The first call loads the
+# method's body from `extras` and puts it on the class; the second finds
+# it there.
+_TEXTS = """
+import sys
+from upstack.core import Configuration, Rule
+
+rule, c = Rule("p", "a", "p", ("a", "b")), Configuration("p2", ("a", "b"), ("bot",))
+print("upstack.extras" in sys.modules)
+for _ in range(2):
+    print(repr(rule))
+    print(c)
+print("upstack.extras" in sys.modules)
+"""
+
+
+def test_moved_record_texts_load_on_first_use():
+    proc = subprocess.run(
+        [sys.executable, "-c", _TEXTS],
+        env=subprocess_env(),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    texts = [
+        "Rule(from_state='p', read_symbol='a', to_state='p', written=('a', 'b'))",
+        "<p2: a b ^ bot>",
+    ]
+    assert proc.stdout.splitlines() == ["False", *texts, *texts, "True"]
 
 
 def test_records_are_frozen(e1):

@@ -12,14 +12,15 @@ import pytest
 
 import lower_reference as ref
 from conftest import random_spec
-from upstack.checkers import SAFE, UNKNOWN, UNSAFE, _all_states_set, _any_word, decide_safety
+from upstack.checkers import SAFE, UNKNOWN, UNSAFE, _all_states_set, _any_word
 from upstack.configsets import ConfigAutomaton
 from upstack.core import make_spec, run_trace
 from upstack.fixtures import fixture_text
 from upstack.model import parse_model
-from upstack.overflow import FILLER, TOP_SENTINEL, check_stack_overflow
-from upstack.regex import compile_config_regex, parse_zone_regex
+from upstack.overflow import FILLER, TOP_SENTINEL, check_stack_overflow, parse_zone_regex
+from upstack.regex import compile_config_regex
 from upstack.residue import check_upper_read
+from upstack.safety import decide_safety
 from upstack.summaries import Summaries, count_phases, shortest_violation
 
 CAP = 9

@@ -10,16 +10,12 @@ from upstack.configsets import bar
 from upstack.core import Rule, UpdsSpec, make_spec
 from upstack.errors import MalformedInputError, ParseError, UpstackError
 from upstack.fixtures import fixture_names, fixture_text
-from upstack.model import (
-    ModelFile,
-    parse_config_literal,
-    parse_model,
-    print_config_literal,
-    print_model,
-)
+from upstack.literal import parse_config_literal
+from upstack.model import ModelFile, parse_model, print_config_literal, print_model
 
 from upstack.nfa import Nfa
-from upstack.regex import _place, _words, compile_config_regex, parse_zone_regex
+from upstack.overflow import parse_zone_regex
+from upstack.regex import _place, _words, compile_config_regex
 
 from conftest import cfg, random_spec
 from parser_reference import reference_parse_model, reference_spec_checks, reference_tokenize

@@ -5,16 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from upstack.configsets import ConfigAutomaton, bar, config_word, is_barred
 from upstack.errors import ParseError, UpstackError
-from upstack.extras import print_config_regex
+from upstack.extras import parse_config_regex, print_config_regex
 from upstack.nfa import EPSILON, Nfa, from_words
-from upstack.regex import (
-    MAX_NESTING,
-    _place,
-    _words,
-    compile_config_regex,
-    parse_config_regex,
-    parse_zone_regex,
-)
+from upstack.overflow import parse_zone_regex
+from upstack.regex import MAX_NESTING, _place, _words, compile_config_regex
 
 from conftest import cfg
 from equivalence_reference import equivalent, product_equivalent

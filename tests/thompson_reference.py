@@ -15,7 +15,7 @@ from typing import Iterable
 from upstack.configsets import bar
 from upstack.errors import MalformedInputError
 from upstack.nfa import EPSILON, Nfa
-from upstack.regex import parse_config_regex
+from upstack.extras import parse_config_regex
 
 
 class _Builder:
