@@ -28,11 +28,13 @@ def check_upper_read(
     configuration? `configs` is a set name (with a ModelFile) or a
     configuration automaton.
 
-    Every cell above the boundary holds a popped symbol or a start upper
-    symbol, so the answer is Safe when no run pops `symbol` and no start
-    upper word holds it. Else a shortest start member from which a run
-    pops it is replayed inside the configurations that can still pop it
-    (`settle`), and what that leaves open goes to `decide_safety`."""
+    The cell just above the boundary holds `symbol` right after a pop of
+    it, or once a run grows back up to a copy that its start's upper word
+    holds (see `summaries`), so the answer is Safe when the summaries show
+    neither from any start member. Else a shortest start member from
+    which they show one is replayed inside the configurations from which
+    they still show one (`settle`), and what that leaves open goes to
+    `decide_safety`."""
     spec = _spec_of(model)
     if symbol not in spec.alphabet:
         raise MalformedInputError(f"undeclared symbol {symbol!r}")
@@ -44,16 +46,14 @@ def check_upper_read(
         configs = model.config_set(configs)
     configs.check_against(spec, "start set")
     summaries = Summaries(spec)
-    pops = summaries.pops
-    best = shortest_violation(
-        summaries, spec.states, configs.components,
-        lambda r, a, d: symbol in pops.get((r, a), ()),
-    )
+    pops, growth = summaries.pops, summaries.growth
     barred = bar(symbol)
-    held = any(
-        barred in row for nfa in configs.components.values() for row in nfa._edges.values()
-    )
-    if best is None and not held:
+
+    def violates(r, a, d) -> bool:
+        return symbol in pops.get((r, a), ()) or (d is not None and growth.get((r, a), 0) >= d)
+
+    best = shortest_violation(summaries, spec.states, configs.components, violates, barred)
+    if best is None:
         return Verdict(SAFE, k, node_budget, decided_by="lower-stack")
 
     def fallback() -> Verdict:
@@ -64,15 +64,14 @@ def check_upper_read(
         forbidden = _all_states_set(spec, ending_with, anything)
         return decide_safety(spec, configs, forbidden, k, node_budget)
 
-    def ends(c) -> bool:
-        return c.upper[-1:] == (symbol,)
-
     return settle(
         spec,
-        best and config_from_word(*best),
-        ends,
+        config_from_word(*best),
+        lambda c: c.upper[-1:] == (symbol,),
         k,
         node_budget,
         fallback,
-        within=lambda c: ends(c) or summaries.can_pop(c.state, c.lower, symbol),
+        within=lambda c: summaries.shows(
+            c.state, tuple(map(bar, c.upper)) + c.lower, violates, barred
+        ),
     )

@@ -16,14 +16,17 @@ The replay is a breadth-first search restricted to the
 under-approximation, with no depth or size bound of its own: every
 configuration on a trace of at most k phases to the forbidden set lies
 in the phase-bounded pre* itself, so the restricted search always finds
-one, and only its configuration budget can stop it.
+one, and only its configuration budget can stop it. It searches a copy
+of the system that counts the phases a run uses (`_replay`), so the
+trace it finds has at most k phases.
 
 The replay starts from a shortest member of the hit (`shortest_config`,
 also the method `ConfigAutomaton.shortest_config`); only this decision
 looks for one, so it lives here.
 
 The checkers (`overflow`, `residue`) import this module only when the
-summaries leave their question open, and `decide_safety` loads the pre*
+summaries leave their question open, which they do only after showing
+that a violation exists, and `decide_safety` loads the pre*
 rounds (`kphase`) and the set algebra (`compaction`) on its first call,
 as it loads the replay and the over-approximation.
 """
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 from .checkers import SAFE, UNKNOWN, UNSAFE, Verdict, config_from_word
 from .configsets import ConfigAutomaton
-from .core import Configuration, UpdsSpec
+from .core import Configuration, Rule, UpdsSpec
 from .errors import ResourceLimitError
 from .limits import DEFAULT_PHASES, DFA_STATE_BUDGET
 from .model import print_config_literal
@@ -49,6 +52,44 @@ def shortest_config(configs: ConfigAutomaton) -> Configuration | None:
     if best is None:
         return None
     return config_from_word(best[1], best[2])
+
+
+def _replay(
+    spec: UpdsSpec,
+    witness: Configuration,
+    forbidden: ConfigAutomaton,
+    under: ConfigAutomaton,
+    k: int,
+) -> tuple[Rule, ...] | None:
+    """A shortest trace of at most k phases (`count_phases`) from the
+    witness into the forbidden set that never leaves `under`, or None.
+    It is searched in a copy of the system whose control states also
+    carry the phases used so far and the arity of the last push or pop,
+    with no rule that passes k phases; each rule of the copy's trace maps
+    back to the rule it copies."""
+    from .oracle import oracle_trace
+
+    marks = [(p, last) for p in range(k + 1) for last in (None, 0, 2)]
+    origin = {}
+    for rule in spec.rules:
+        q, a, q2, written = rule
+        arity = len(written)
+        for p, last in marks:
+            to = (q2, p, last) if arity == 1 else (q2, p + (arity != last), arity)
+            if to[1] <= k:
+                origin[Rule((q, p, last), a, to, written)] = rule
+    states = tuple((q, *mark) for q in spec.states for mark in marks)
+
+    def original(c: Configuration) -> Configuration:
+        return Configuration(c.state[0], c.upper, c.lower)
+
+    trace = oracle_trace(
+        UpdsSpec(states, spec.alphabet, tuple(origin)),
+        Configuration((witness.state, 0, None), witness.upper, witness.lower),
+        lambda c: forbidden.accepts(original(c)), None, None,
+        within=lambda c: under.accepts(original(c)),
+    )
+    return None if trace is None else tuple(origin[rule] for rule in trace)
 
 
 def decide_safety(
@@ -87,12 +128,8 @@ def decide_safety(
     witness = shortest_config(intersect_sets(under, initial))
     if witness is not None:
         reached = f"under-approximation reached {print_config_literal(witness)}"
-        from .oracle import oracle_trace
-
         try:
-            trace = oracle_trace(
-                spec, witness, forbidden.accepts, None, None, within=under.accepts
-            )
+            trace = _replay(spec, witness, forbidden, under, k)
         except ResourceLimitError as exhausted:
             return verdict(
                 UNKNOWN,

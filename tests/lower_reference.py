@@ -8,6 +8,11 @@ answers the two questions that the checkers put to the lower stack:
 - `pops`: does a run from the starts pop a given symbol?
 - `growth`: how far above its start does a run's lower stack grow?
 
+`exposes` asks the read checker's own question of full configurations
+(state, upper word, lower word), stepped as the package defines them: can
+a run put a given symbol in the cell just above the boundary, by popping
+it or by growing back up to a copy in the start's upper word?
+
 Each search explores every configuration reachable with at most `cap`
 lower symbols and reports whether it had to leave one out for being
 taller (`Search.capped`). An answer that no capped-off configuration
@@ -31,15 +36,20 @@ from collections import deque
 BOTTOM = "#bottom"
 
 
+def _moves(spec):
+    moves = {}
+    for rule in spec.rules:
+        moves.setdefault((rule[0], rule[1]), []).append(rule)
+    return moves
+
+
 class Search:
     """Every configuration reachable from the starts with at most `cap`
     lower symbols: `seen` maps each to the height of its start, and
     `capped` tells whether a taller successor was left out."""
 
     def __init__(self, spec, starts, cap):
-        moves = {}
-        for rule in spec.rules:
-            moves.setdefault((rule[0], rule[1]), []).append(rule)
+        moves = _moves(spec)
         self.popped = set()
         self.capped = False
         self.seen = {}
@@ -101,3 +111,33 @@ def head_growth(spec, state, symbol, cap):
     cell, whether the search was capped)."""
     search = Search(spec, [(state, (symbol, BOTTOM))], cap)
     return search.growth(), search.capped
+
+
+def exposes(spec, starts, symbol, cap):
+    """(whether a run from the starts, each a full configuration (state,
+    upper, lower), reaches one whose upper word ends with `symbol`,
+    whether the search left out a configuration with more than `cap`
+    lower symbols). A pop appends the lower top to the upper word, and a
+    push deletes the upper word's last symbol, if there is one."""
+    moves = _moves(spec)
+    seen = {(state, tuple(upper), tuple(lower)) for state, upper, lower in starts}
+    queue = deque(seen)
+    capped = False
+    while queue:
+        state, upper, lower = queue.popleft()
+        if upper[-1:] == (symbol,):
+            return True, capped
+        if not lower:
+            continue
+        for _, read, to_state, written in moves.get((state, lower[0]), ()):
+            if not written:
+                succ = (to_state, upper + (read,), lower[1:])
+            else:
+                kept = upper[:-1] if len(written) == 2 else upper
+                succ = (to_state, kept, tuple(written) + lower[1:])
+            if len(succ[2]) > cap:
+                capped = True
+            elif succ not in seen:
+                seen.add(succ)
+                queue.append(succ)
+    return False, capped

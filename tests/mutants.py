@@ -192,8 +192,8 @@ MUTANTS = (
     (
         "a replay not kept inside the under-approximation",
         "safety.py",
-        "within=under.accepts",
-        "within=None",
+        "within=lambda c: under.accepts(original(c)),",
+        "within=None,",
         ["tests/test_checkers.py"],
     ),
     (
@@ -255,9 +255,23 @@ MUTANTS = (
     (
         "a read Safe although a start upper word holds the symbol",
         "residue.py",
-        "if best is None and not held:",
-        "if best is None:",
-        ["tests/test_lower.py::test_checkers_agree_with_decide_safety_on_the_fixtures"],
+        "symbol in pops.get((r, a), ()) or (d is not None and growth.get((r, a), 0) >= d)",
+        "symbol in pops.get((r, a), ())",
+        ["tests/test_lower.py::test_new_stack_reads_are_decided_on_the_lower_stack"],
+    ),
+    (
+        "a held copy's distance counted from the first copy, not the last",
+        "summaries.py",
+        "d2 = 0 if label == marked else",
+        "d2 = 0 if label == marked and d is None else",
+        ["tests/test_lower.py::test_held_reads_match_the_exposure_reference"],
+    ),
+    (
+        "the search never asks at a word's end, missing a U ^ member",
+        "summaries.py",
+        "if node in finals and (r is None or violates(r, None, d)):",
+        "if node in finals and r is None:",
+        ["tests/test_lower.py::test_held_reads_match_the_exposure_reference"],
     ),
     (
         "set expressions nested past the bound",

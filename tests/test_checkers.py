@@ -27,6 +27,7 @@ from upstack.overflow import FILLER, TOP_SENTINEL, check_stack_overflow
 from upstack.regex import compile_config_regex
 from upstack.residue import check_upper_read
 from upstack.safety import decide_safety
+from upstack.summaries import count_phases
 
 
 def singleton(spec, *configs):
@@ -354,6 +355,7 @@ def test_decide_random_sweep_verdicts_are_sound():
                 assert initial.accepts(verdict.witness)
                 landed = run_trace(spec, verdict.witness, verdict.trace)
                 assert forbidden.accepts(landed)
+                assert count_phases(verdict.trace) <= k
             elif verdict.outcome == SAFE:
                 reached = oracle_post(
                     spec, initial.enumerate_configs(6), depth=5, size_cap=7

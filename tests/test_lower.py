@@ -1,10 +1,13 @@
 """The lower-stack summaries and the checkers that decide from them first.
 
 The summaries (`summaries.Summaries`) are checked against a brute-force
-stepper of the lower stack (`lower_reference`), and each checker's
-verdict against what `decide_safety` alone answers for the same sets.
+stepper of the lower stack (`lower_reference`), reads of a symbol that a
+start upper word holds against its search over full configurations, and
+each checker's verdict against what `decide_safety` alone answers for
+the same sets.
 """
 
+import collections
 import math
 import random
 
@@ -14,7 +17,7 @@ import lower_reference as ref
 from conftest import random_spec
 from upstack.checkers import SAFE, UNKNOWN, UNSAFE, _all_states_set, _any_word
 from upstack.configsets import ConfigAutomaton
-from upstack.core import make_spec, run_trace
+from upstack.core import Configuration, make_spec, run_trace
 from upstack.fixtures import fixture_text
 from upstack.model import parse_model
 from upstack.overflow import FILLER, TOP_SENTINEL, check_stack_overflow, parse_zone_regex
@@ -156,19 +159,16 @@ def _overflow_sets(spec, m, lower):
 
 def _agree(checked, alone, system, initial, forbidden, k):
     """The checker's verdict is decide_safety's, or Safe for its Unknown;
-    an Unsafe replays from an initial member into the forbidden set, within
-    k phases where the lower stack decided it (a shortest trace inside the
-    phase-bounded pre* may take more). Returns whether the Unknown became
-    Safe."""
+    an Unsafe replays from an initial member into the forbidden set within
+    k phases. Returns whether the Unknown became Safe."""
     assert checked.outcome == alone.outcome or (alone.outcome, checked.outcome) == (
         UNKNOWN, SAFE
     ), (checked, alone)
     if checked.outcome == UNSAFE:
         assert initial.accepts(checked.witness)
         assert forbidden.accepts(run_trace(system, checked.witness, checked.trace))
-    if checked.decided_by == "lower-stack":
-        assert checked.outcome == SAFE or count_phases(checked.trace) <= k
-    else:
+        assert count_phases(checked.trace) <= k, checked.describe()
+    if checked.decided_by != "lower-stack":
         assert checked.outcome == alone.outcome and checked.witness == alone.witness
     return checked.outcome != alone.outcome
 
@@ -209,6 +209,61 @@ def test_checkers_agree_with_decide_safety_on_the_fixtures(name):
         "relocate.upds": [],
     }[name]
     assert safer == expected
+
+
+def test_new_stack_reads_are_decided_on_the_lower_stack():
+    # The moved pointer leaves secret or canary just above it: each is read
+    # at once, with no step. No run pops or exposes ret or bot.
+    model = parse_model(fixture_text("relocate.upds"))
+    for k in range(5):
+        for symbol in ("secret", "canary"):
+            verdict = check_upper_read(model, "NewStack", symbol, k=k)
+            assert (verdict.outcome, verdict.decided_by, verdict.trace) == (
+                UNSAFE, "lower-stack", ()
+            ), (symbol, k)
+            assert verdict.witness == Configuration("pivot", (symbol,), ("ret", "bot"))
+        for symbol in ("ret", "bot"):
+            verdict = check_upper_read(model, "NewStack", symbol, k=k)
+            assert (verdict.outcome, verdict.decided_by) == (SAFE, "lower-stack"), (symbol, k)
+
+
+def test_held_reads_match_the_exposure_reference():
+    # Start sets whose upper zones hold the symbol, some members with an
+    # empty lower word: the read checker answers Safe exactly when no run
+    # from a member puts the symbol just above the boundary, by a pop or
+    # by growing back up to a held copy, and every Unsafe replays within
+    # k phases.
+    rng, systems = _random_systems(53, 300, max_states=3, max_symbols=3, max_rules=8)
+    counts = collections.Counter()
+    for spec in systems:
+        symbol, state = rng.choice(spec.alphabet), rng.choice(spec.states)
+        members = set()
+        for _ in range(rng.randint(1, 2)):
+            upper = [rng.choice(spec.alphabet) for _ in range(rng.randint(0, 3))]
+            upper.insert(rng.randint(0, len(upper)), symbol)
+            lower = tuple(rng.choice(spec.alphabet) for _ in range(rng.randint(0, 3)))
+            members.add((tuple(upper), lower))
+        text = " | ".join(f"{' '.join(u)} ^ {' '.join(l) or '_'}" for u, l in sorted(members))
+        initial = ConfigAutomaton(
+            spec.alphabet, {state: compile_config_regex(text, spec.alphabet)}
+        )
+        found, capped = ref.exposes(spec, [(state, u, l) for u, l in members], symbol, CAP)
+        popped, _ = ref.pops(spec, [(state, l) for _, l in members], symbol, CAP)
+        for k in (1, 3):
+            verdict = check_upper_read(spec, initial, symbol, k=k)
+            if found or not capped:
+                assert (verdict.outcome == SAFE) == (not found), (spec, text, symbol, k)
+            if verdict.outcome == SAFE:
+                assert verdict.decided_by == "lower-stack"
+            elif verdict.outcome == UNSAFE:
+                assert initial.accepts(verdict.witness)
+                landed = run_trace(spec, verdict.witness, verdict.trace)
+                assert landed.upper[-1:] == (symbol,)
+                assert count_phases(verdict.trace) <= k
+            counts[verdict.outcome, found and not popped] += 1
+    # Of the 600 verdicts, 392 Unsafe turn on a held copy alone, no run
+    # popping the symbol, and 46 are Safe; none is Unknown.
+    assert counts[UNSAFE, True] >= 350 and counts[SAFE, False] >= 40
 
 
 def test_checkers_agree_with_decide_safety_on_random_systems():
