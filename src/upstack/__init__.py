@@ -25,7 +25,8 @@ They keep only what start-up, a membership query or most commands run:
 a configuration literal's parser is in `literal`, which only the
 commands that take a configuration load, and the checkers' shared
 decision is in `safety`, which a checker loads only for what the
-lower-stack summaries leave open.
+lower-stack summaries leave open or for a trace within k phases where
+the shortest has more.
 
 Each name has one home. A moved method is still a method of its class,
 whose body loads on first use (`_MovedMethod`, several at a time through

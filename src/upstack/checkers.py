@@ -4,11 +4,10 @@ build.
 The two checkers live in modules of their own, `overflow` and
 `residue`, so that each command compiles only its own. Each first
 decides from the lower-stack summaries of `summaries`, and poses only
-what those leave open to `decide_safety`, the decision from the two
-one-sided analyses. That decision and the shortest member of a set that
-it replays a hit from are in `safety`, which a checker imports only when
-the summaries leave its question open, so a call that they decide
-compiles neither.
+what those leave open to the `pre*` rounds of `safety`, the module of
+the decision from the two one-sided analyses, which a checker imports
+only when the summaries leave its question open, so a call that they
+decide compiles neither.
 """
 
 from __future__ import annotations
@@ -28,9 +27,13 @@ UNKNOWN = "Unknown"
 # What decided a verdict: a hit of the under-approximation (Unsafe once
 # replayed; Unknown if, through a defect, no replay stays inside it),
 # pre* rounds that converged with no hit, the over-approximation, a
-# budget that stopped the replay, or the lower-stack summaries of
-# `summaries` (Safe, or Unsafe with a trace of at most k phases).
-DECIDED_BY = ("hit", "convergence", "over-approximation", "limit", "lower-stack")
+# budget that stopped the replay, the lower-stack summaries of
+# `summaries` (Safe, or Unsafe with a trace of at most k phases), or the
+# phase bound: pre* rounds that ran to k with no hit, where the summaries
+# have shown a violation (Unknown).
+DECIDED_BY = (
+    "hit", "convergence", "over-approximation", "limit", "lower-stack", "phase-bound"
+)
 
 
 class Verdict(Frozen):

@@ -49,7 +49,8 @@ def check_stack_overflow(
     word grows past m: when M <= m (see `summaries`). Else a shortest
     start member that does is replayed (`settle`). Until the sentinel is
     overwritten a step keeps the total stack size, so that search is
-    capped at the witness's. What it leaves open goes to `decide_safety`."""
+    capped at the witness's. What it leaves open goes to the `pre*`
+    rounds of `safety`."""
     spec = _spec_of(model)
     if m < 0:
         raise MalformedInputError(f"headroom must be nonnegative, got {m}")
@@ -77,20 +78,15 @@ def check_stack_overflow(
     if best is None:
         return Verdict(SAFE, k, node_budget, decided_by="lower-stack")
 
-    def fallback() -> Verdict:
-        from .safety import decide_safety
-
-        unguarded = _any_word(s for s in extended.alphabet if s != TOP_SENTINEL)
-        forbidden = _all_states_set(extended, unguarded, _any_word(extended.alphabet))
-        return decide_safety(extended, initial, forbidden, k, node_budget)
-
     witness = config_from_word(*best)
+    unguarded = _any_word(s for s in extended.alphabet if s != TOP_SENTINEL)
     return settle(
         extended,
         witness,
         lambda c: TOP_SENTINEL not in c.upper,
         k,
         node_budget,
-        fallback,
+        initial,
+        (unguarded, _any_word(extended.alphabet)),
         size_cap=witness.total_size,
     )

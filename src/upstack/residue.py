@@ -7,7 +7,7 @@ which it loads only then; only `upstack check-read` runs it.
 
 from __future__ import annotations
 
-from .checkers import SAFE, Verdict, _all_states_set, _any_word, _spec_of, config_from_word
+from .checkers import SAFE, Verdict, _any_word, _spec_of, config_from_word
 from .configsets import ConfigAutomaton, bar
 from .core import UpdsSpec
 from .errors import MalformedInputError
@@ -34,7 +34,7 @@ def check_upper_read(
     neither from any start member. Else a shortest start member from
     which they show one is replayed inside the configurations from which
     they still show one (`settle`), and what that leaves open goes to
-    `decide_safety`."""
+    the `pre*` rounds of `safety`."""
     spec = _spec_of(model)
     if symbol not in spec.alphabet:
         raise MalformedInputError(f"undeclared symbol {symbol!r}")
@@ -56,21 +56,15 @@ def check_upper_read(
     if best is None:
         return Verdict(SAFE, k, node_budget, decided_by="lower-stack")
 
-    def fallback() -> Verdict:
-        from .safety import decide_safety
-
-        anything = _any_word(spec.alphabet)
-        ending_with = ("concat", (anything, ("sym", symbol)))
-        forbidden = _all_states_set(spec, ending_with, anything)
-        return decide_safety(spec, configs, forbidden, k, node_budget)
-
+    anything = _any_word(spec.alphabet)
     return settle(
         spec,
         config_from_word(*best),
         lambda c: c.upper[-1:] == (symbol,),
         k,
         node_budget,
-        fallback,
+        configs,
+        (("concat", (anything, ("sym", symbol))), anything),
         within=lambda c: summaries.shows(
             c.state, tuple(map(bar, c.upper)) + c.lower, violates, barred
         ),

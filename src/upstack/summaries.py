@@ -49,10 +49,12 @@ configuration.
 
 A checker decides Safe from these facts alone, and Unsafe only with a
 trace of at most k phases that `oracle_trace` found from a shortest
-start member the summaries show to violate (`settle`), a search that
-stores at most `limits.LOWER_TRACE_BUDGET` configurations; anything
-else goes to `safety.decide_safety`, so only a question with a shown
-violation reaches it. `count_phases` measures a trace.
+start member the summaries show to violate (`settle`), or, where the
+shortest trace passes k phases, that a search of the system's copy that
+counts phases found (`safety.phase_bounded_trace`); each search stores
+at most `limits.LOWER_TRACE_BUDGET` configurations. Anything else goes
+to the `pre*` rounds of `safety`, so only a question with a shown
+violation reaches them. `count_phases` measures a trace.
 
 Every checker call compiles this module, so its helpers carry no type
 annotations, which are syntax-tree nodes too; their docstrings say what
@@ -65,7 +67,7 @@ import math
 from collections import deque
 from typing import Iterable
 
-from .checkers import UNKNOWN, UNSAFE, Verdict
+from .checkers import UNSAFE, Verdict, _all_states_set
 from .configsets import is_barred
 from .core import Rule
 from .errors import ResourceLimitError
@@ -245,37 +247,46 @@ def shortest_violation(summaries, states, components, violates, marked=None):
     return best
 
 
-def settle(spec, witness, accepts, k, node_budget, fallback, size_cap=None, within=None):
+def settle(
+    spec, witness, accepts, k, node_budget, initial, forbidden, size_cap=None, within=None
+):
     """Unsafe, decided by the lower stack, if `oracle_trace` finds a trace
     of at most k phases in the system `spec` from the witness (a
     `Configuration` that the summaries show to violate) to a configuration
     that `accepts`, within `size_cap` and the configurations `within`
-    holds for; else the verdict that `fallback()` returns. The search
-    stores at most LOWER_TRACE_BUDGET configurations, and falls back past
-    them. An Unknown there whose violation the search found past k phases
-    says so in its note."""
+    holds for. Where a shortest such trace passes k phases, a longer one
+    may not, so the search is made once more in a copy of the system that
+    counts phases (`safety.phase_bounded_trace`). Each search stores at
+    most LOWER_TRACE_BUDGET configurations. Else the verdict of the pre*
+    rounds (`safety._decide_under`) for the start set `initial` and the
+    forbidden set of the two zone ASTs `forbidden` (see
+    `checkers._all_states_set`); its Unknown says so in its note where a
+    search found the violation past k phases."""
     from .oracle import oracle_trace
 
+    past = ""
     try:
         trace = oracle_trace(
             spec, witness, accepts, None, size_cap, node_budget=LOWER_TRACE_BUDGET,
             within=within,
         )
+        if trace and (phases := count_phases(trace)) > k:
+            from .safety import phase_bounded_trace
+
+            past = (
+                f"; a violation exists past k={k}: a trace from "
+                f"{print_config_literal(witness)} reaches it in {phases} phase"
+                + "s" * (phases > 1)
+            )
+            trace = phase_bounded_trace(
+                spec, witness, accepts, k, size_cap, within, node_budget=LOWER_TRACE_BUDGET
+            )
     except ResourceLimitError:
         trace = None
-    phases = None
     if trace is not None:
-        phases = count_phases(trace)
-        if phases <= k:
-            return Verdict(UNSAFE, k, node_budget, witness, trace, decided_by="lower-stack")
-    verdict = fallback()
-    if verdict.outcome != UNKNOWN or phases is None:
-        return verdict
-    note = (
-        f"{verdict.note}; a violation exists past k={k}: a trace from "
-        f"{print_config_literal(witness)} reaches it in {phases} phase" + "s" * (phases > 1)
-    )
-    return Verdict(
-        UNKNOWN, k, node_budget, verdict.witness, verdict.trace, note,
-        verdict.decided_by, verdict.at_round,
+        return Verdict(UNSAFE, k, node_budget, witness, trace, decided_by="lower-stack")
+    from .safety import _decide_under
+
+    return _decide_under(
+        spec, initial, _all_states_set(spec, *forbidden), k, node_budget, past
     )

@@ -49,6 +49,23 @@ BAD_LOWER_ZONES = (
 )
 
 
+# Found by a seeded sweep of random held reads (`random_spec`, at most 3
+# states, 3 symbols and 8 rules), with the alphabet cut to the one symbol
+# its rules use. From q1 over g0 g0 g0, a push (declared first) and a pop
+# put g0 just above the boundary in two phases, and a switch and the same
+# pop in one, as short.
+HIDDEN_ONE_PHASE = """\
+states q0 q1
+alphabet g0
+rule q1 g0 -> q1 g0 g0
+rule q0 g0 -> q0
+rule q0 g0 -> q1
+rule q1 g0 -> q0 g0 g0
+rule q1 g0 -> q0 g0
+set I q1 ^ g0 g0 g0
+"""
+
+
 def subprocess_env() -> dict[str, str]:
     """The environment with this checkout's src/ first on PYTHONPATH, so a
     child `python -m upstack` runs the code under test."""

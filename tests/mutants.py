@@ -192,8 +192,8 @@ MUTANTS = (
     (
         "a replay not kept inside the under-approximation",
         "safety.py",
-        "within=lambda c: under.accepts(original(c)),",
-        "within=None,",
+        "forbidden.accepts, k, None, under.accepts)",
+        "forbidden.accepts, k, None, None)",
         ["tests/test_checkers.py"],
     ),
     (
@@ -241,9 +241,21 @@ MUTANTS = (
     (
         "a lower-stack trace answered Unsafe whatever its phases",
         "summaries.py",
-        "if phases <= k:",
-        "if True:",
+        "if trace and (phases := count_phases(trace)) > k:",
+        "if False:",
         ["tests/test_lower.py::test_checkers_agree_with_decide_safety_on_the_fixtures"],
+    ),
+    (
+        "the second search from a lower-stack witness without its phase bound",
+        "summaries.py",
+        "trace = phase_bounded_trace(\n                spec, witness, accepts, k, size_cap, "
+        "within, node_budget=LOWER_TRACE_BUDGET\n",
+        "trace = oracle_trace(\n                spec, witness, accepts, None, size_cap, "
+        "LOWER_TRACE_BUDGET, within\n",
+        [
+            "tests/test_lower.py::"
+            "test_a_trace_within_k_phases_is_found_past_a_shortest_one_that_is_not"
+        ],
     ),
     (
         "the search from a lower-stack witness left without its budget",
@@ -272,6 +284,20 @@ MUTANTS = (
         "if node in finals and (r is None or violates(r, None, d)):",
         "if node in finals and r is None:",
         ["tests/test_lower.py::test_held_reads_match_the_exposure_reference"],
+    ),
+    (
+        "the process entry exits without flushing",
+        "cli.py",
+        "        sys.stdout.flush()\n        sys.stderr.flush()\n",
+        "        pass\n",
+        ["tests/test_cli.py::test_atexit_callbacks_run_and_their_output_is_flushed"],
+    ),
+    (
+        "the process entry skips the atexit callbacks",
+        "cli.py",
+        "atexit._run_exitfuncs()",
+        "pass",
+        ["tests/test_cli.py::test_atexit_callbacks_run_and_their_output_is_flushed"],
     ),
     (
         "set expressions nested past the bound",

@@ -411,9 +411,10 @@ def test_over_approximation_safes_at_one_phase_have_no_bounded_counterexample():
     # the over-approximation decides 37 Safe, the converged pre* rounds 7,
     # and a pre* hit the 32 Unsafe; 4 are Unknown. The checkers: the
     # lower-stack summaries decide all 44 Safe and all 32 Unsafe, and the
-    # same 4 are left to the over-approximation, which cannot exclude them.
+    # same 4, whose violations the summaries show, are left to the phase
+    # bound: the pre* rounds find no witness within one phase.
     assert alone[SAFE, "over-approximation"] == 37
     assert alone[UNKNOWN, "over-approximation"] == 4
     assert decided[SAFE, "lower-stack"] == 44
     assert decided[UNSAFE, "lower-stack"] == 32
-    assert decided[UNKNOWN, "over-approximation"] <= 4
+    assert decided[UNKNOWN, "phase-bound"] == 4

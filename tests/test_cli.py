@@ -379,6 +379,128 @@ def test_closed_stdout_is_not_an_analysis_error():
     assert (proc.returncode, proc.stderr) == (141, "")
 
 
+# -- the process entry ---------------------------------------------------------
+#
+# `python -m upstack` and the `upstack` script end through `cli.run`, which
+# runs the atexit callbacks, flushes stdout and stderr and ends the process
+# without the interpreter's teardown.
+
+
+def _child(argv, code=None):
+    """(exit code, stdout, stderr) of `python -m upstack ARGV` in a child
+    process, or of `python -c CODE ARGV` where code is given. The child's
+    stdout is a pipe, block-buffered, as PYTHONUNBUFFERED is removed from
+    its environment: what is still in the buffer at exit arrives only if
+    it is flushed."""
+    env = subprocess_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    program = ["-m", "upstack"] if code is None else ["-c", code]
+    proc = subprocess.run(
+        [sys.executable, *program, *argv], env=env, capture_output=True, text=True
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _answers(tmp_path):
+    malformed = tmp_path / "malformed.upds"
+    malformed.write_text("states p\nalphabet a\nrule p b -> p\n", encoding="utf-8")
+    return {
+        "true": ["member", E1, "--init", "C1", "--config", "p2: a ^ bot"],
+        "unsafe": ["check-read", E1, "--init", "C1", "--symbol", "a"],
+        "unknown": ["check-read", RELOCATE, "--init", "Boot", "--symbol", "canary"],
+        "spent budget": [
+            "member", E1, "--init", "C1", "--config", "p2: a a b ^ bot", "--budget", "10"
+        ],
+        "malformed model": ["member", str(malformed), "--init", "C1", "--config", "p: ^ a"],
+        "negative k": ["check-read", E1, "--init", "C1", "--symbol", "a", "-k", "-1"],
+        "help": ["--help"],
+        "command help": ["check-overflow", "--help"],
+        "usage error": ["member", E1, "--init", "C1", "--frobnicate"],
+    }
+
+
+def test_the_process_entry_answers_as_main_does(tmp_path, monkeypatch):
+    # Each exit code, help and a usage error: the child's code and both
+    # streams are main's.
+    monkeypatch.setenv("COLUMNS", "80")
+    codes = set()
+    for name, argv in _answers(tmp_path).items():
+        expected = run_cli(argv)
+        assert _child(argv) == expected, name
+        codes.add(expected[0])
+    assert codes == {0, 1, 2, 3}
+
+
+def test_a_file_written_by_the_process_entry_is_whole(tmp_path):
+    target = tmp_path / "c1.dot"
+    _, out, _ = _child(["export-dot", E1, "--set", "C1"])
+    assert _child(["export-dot", E1, "--set", "C1", "-o", str(target)]) == (0, "", "")
+    assert target.read_text(encoding="utf-8") == out and out.startswith("digraph")
+
+
+def test_an_output_past_the_pipe_buffer_arrives_whole(tmp_path):
+    # Over 64 KiB, so the child blocks on the pipe while the reader drains
+    # it, and its last block goes out only with a flush.
+    model = tmp_path / "long.upds"
+    cells = " ".join(["a", "b"] * 1000)
+    model.write_text(
+        f"states p\nalphabet a b\nrule p a -> p\nset Long p ^ {cells}\n", encoding="utf-8"
+    )
+    argv = ["export-dot", str(model), "--set", "Long"]
+    code, out, err = _child(argv)
+    assert len(out.encode()) > 64 * 1024
+    assert (code, out, err) == run_cli(argv)
+
+
+# Sets up a process as a caller of the entry might, then runs `python -m
+# upstack` on the rest of the command line in it.
+_RUN_ENTRY = """
+import atexit, runpy, sys
+
+class Finalized:
+    def __del__(self, write=sys.stderr.write):
+        write("finalized\\n")
+
+kept = Finalized()
+atexit.register(print, "callback ran")
+sys.argv[0] = "upstack"
+runpy.run_module("upstack", run_name="__main__")
+"""
+
+
+def test_atexit_callbacks_run_and_their_output_is_flushed():
+    # The callbacks run before the flush, as the interpreter orders them at
+    # exit, so what a callback prints arrives too; the answer itself was
+    # flushed by main.
+    argv = ["member", E1, "--init", "C1", "--config", "p2: a ^ bot"]
+    code, out, _ = _child(argv, _RUN_ENTRY)
+    assert (code, out) == (0, "true\ncallback ran\n")
+
+
+def test_the_process_entry_skips_the_interpreter_teardown():
+    # A normal exit would clear the caller's module and finalize the
+    # object it holds, which writes to stderr; the entry ends the process
+    # before that.
+    argv = ["member", E1, "--init", "C1", "--config", "p2: a ^ bot"]
+    code, _, err = _child(argv, _RUN_ENTRY)
+    assert (code, err) == (0, "")
+    # Through argparse's exit, the teardown runs as ever.
+    code, _, err = _child(["member", E1, "--init", "C1", "--frobnicate"], _RUN_ENTRY)
+    assert code == 3 and err.endswith("finalized\n")
+
+
+def test_a_profile_of_the_cli_module_reports():
+    # Run as a module itself, the CLI exits normally, so cProfile prints
+    # its report after the answer.
+    proc = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "upstack.cli", "member", E1, "--init",
+         "C1", "--config", "p2: a ^ bot"],
+        env=subprocess_env(), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("true\n") and "function calls" in proc.stdout
+
+
 # -- the command-line surface ------------------------------------------------
 
 # What `upstack` prints for the help of every command and for usage errors,

@@ -14,7 +14,7 @@ import random
 import pytest
 
 import lower_reference as ref
-from conftest import random_spec
+from conftest import HIDDEN_ONE_PHASE, random_spec
 from upstack.checkers import SAFE, UNKNOWN, UNSAFE, _all_states_set, _any_word
 from upstack.configsets import ConfigAutomaton
 from upstack.core import Configuration, make_spec, run_trace
@@ -266,6 +266,31 @@ def test_held_reads_match_the_exposure_reference():
     assert counts[UNSAFE, True] >= 350 and counts[SAFE, False] >= 40
 
 
+def test_a_trace_within_k_phases_is_found_past_a_shortest_one_that_is_not():
+    # The search in the system finds the two-phase trace first; at k=1 the
+    # search in the copy that counts phases finds the one-phase trace, so
+    # the lower stack decides, where the pre* rounds decided before.
+    model = parse_model(HIDDEN_ONE_PHASE)
+    verdicts = {}
+    for k, trace in ((1, "q1 g0 -> q0 g0; q0 g0 -> q0"), (2, "q1 g0 -> q0 g0 g0; q0 g0 -> q0")):
+        verdicts[k] = verdict = check_upper_read(model, "I", "g0", k=k)
+        assert (verdict.outcome, verdict.decided_by) == (UNSAFE, "lower-stack"), k
+        assert verdict.describe().splitlines()[1:] == [
+            "witness: q1: ^ g0 g0 g0", f"trace: {trace}"
+        ], k
+    # The rounds alone replay the same trace from the same witness.
+    forbidden = _forbidden_read(model.spec, "g0")
+    alone = decide_safety(model.spec, model.config_set("I"), forbidden, 1)
+    assert (alone.outcome, alone.decided_by) == (UNSAFE, "hit")
+    assert (alone.witness, alone.trace) == (verdicts[1].witness, verdicts[1].trace)
+    # No trace has 0 phases: the note keeps the shortest one's count.
+    assert check_upper_read(model, "I", "g0", k=0).describe().splitlines() == [
+        "verdict: Unknown (k=0)",
+        "note: no phase-bounded witness at k=0; a violation exists past k=0: a trace "
+        "from q1: ^ g0 g0 g0 reaches it in 2 phases",
+    ]
+
+
 def test_checkers_agree_with_decide_safety_on_random_systems():
     rng, systems = _random_systems(47, 30, max_states=3, max_symbols=3, max_rules=7)
     for spec in systems:
@@ -321,15 +346,16 @@ def test_cli_checker_calls_are_decided_on_the_lower_stack():
             verdict = check_stack_overflow(models[name], arg, more)
         if verdict.decided_by != "lower-stack":
             left.append((name, arg, more, verdict.outcome))
-    # The canary's violation (push, pop, push, pop) needs 4 phases at k=3;
-    # the over-approximation cannot exclude it either, and the note says
-    # that a violation exists.
+    # The canary's violation (push, pop, push, pop) needs 4 phases at k=3,
+    # and the pre* rounds find no witness in 3; the over-approximation is
+    # not asked, since a shown violation meets it, and the note says that
+    # a violation exists.
     assert left == [(_RELOCATE, "Boot", "canary", UNKNOWN)]
     canary = check_upper_read(models[_RELOCATE], "Boot", "canary")
     assert canary.describe().splitlines() == [
         "verdict: Unknown (k=3)",
-        "note: the approximations bracket the forbidden set: no phase-bounded witness at "
-        "k=3, but the over-approximation meets it; a violation exists past k=3: a trace "
+        "note: no phase-bounded witness at k=3; a violation exists past k=3: a trace "
         "from boot: ^ ret bot reaches it in 4 phases",
     ]
+    assert canary.decided_by == "phase-bound"
     assert check_upper_read(models[_RELOCATE], "Boot", "canary", k=4).outcome == UNSAFE
