@@ -108,7 +108,9 @@ def main(argv=None) -> int:
             raise MalformedInputError(f"{args.model}: not UTF-8 at byte {err.start}") from None
         model = parse_model(text)
         code = command(args.command).run(args, model)
-        sys.stdout.flush()
+        # As `print` does, this flushes stdout, and does nothing where it
+        # is closed (None): the answer's code still stands.
+        print(end="", flush=True)
         return code
     except BrokenPipeError:
         # The reader left early (`| head`). Point stdout at devnull so the

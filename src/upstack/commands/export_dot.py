@@ -4,8 +4,6 @@ Graphviz DOT. Each kind loads only the modules that build it."""
 
 from __future__ import annotations
 
-import sys
-
 from . import add_model
 
 HELP = "render an artifact as Graphviz DOT"
@@ -47,5 +45,6 @@ def run(args, model) -> int:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
-        sys.stdout.write(text)
+        # Nothing is written where stdout is closed (None).
+        print(text, end="")
     return 0

@@ -43,8 +43,9 @@ than half the queries of the benchmark's membership workload end there,
 with a chain of single classes that runs dry. Every class that reaches
 the goal is then stored, and the answer is whether one of them holds a
 start (`_holds_start`): a run of the start automaton of the class's
-state over the barred U[:s], then `above` barred cells, the first of
-them not U[s] when s < |U|, then the plain lower word.
+state over the barred U[:s], made once per (state, s), then `above`
+barred cells, the first of them not U[s] when s < |U|, then the plain
+lower word.
 
 Once the backward frontier branches, the start set is walked into the
 search, and classes are stored from both ends, one layer at a time,
@@ -57,30 +58,30 @@ test stores none.
 
 The start set is validated once per set, and a set from
 `ModelFile.config_set` never: it is valid by construction. Its classes
-(`start_classes`) go into the search as they are walked (`walk`), in
-(length, label) order straight from its automaton, each word cut into
-its zones and counted against U as it grows, so no start is built as an
-object, sorted or checked again. In the upper zone, words of one length
-that reach the same class and the same automaton subset have the same
-extensions, so the walk keeps the first of them only (`walk`'s
-`merge`): an upper zone over k symbols walks O(n^2) classes per subset
-up to size n, not k^n words. `walk`, `words_up_to`, `members` and
-`enumerate_configs` are also the methods of `Nfa` and `ConfigAutomaton`
-of those names.
+(`start_classes`) come straight from its automaton in one pass per
+state, in (length, label) order, each word cut into its zones and
+counted against U as it grows, so no start is built as an object,
+sorted or checked again. In the upper zone, words of one length that
+reach the same class and the same automaton subset have the same
+extensions, so a long layer keeps the first of them only: an upper zone
+over k symbols walks O(n^2) classes per subset up to size n, not k^n
+words.
 
-Only the `member` command and the `oracle` command's start listing run
-this module, so the other commands do not compile it.
+The generic walk of a set's words and members (`Nfa.walk`,
+`Nfa.words_up_to`, `ConfigAutomaton.members` and `enumerate_configs`)
+is in `commands.oracle`, the one command that lists members, so a
+`member` call does not compile it. Only the `member` command and the
+`oracle` command run this module, so the other commands do not compile
+it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
-
 from .configsets import ConfigAutomaton, bar, is_barred
-from .core import ConfigTuple, Configuration, UpdsSpec, check_configuration
+from .core import Configuration, UpdsSpec, check_configuration
 from .errors import ResourceLimitError
 from .limits import DEFAULT_CONFIG_BUDGET, SEARCH_BUDGET
-from .nfa import EPSILON, Label, Nfa, Node, label_key
+from .nfa import EPSILON, Label, Node, label_key
 
 # A class of configurations: (state, shared, above, lower).
 Class = tuple[str, int, int, tuple[str, ...]]
@@ -88,9 +89,9 @@ Class = tuple[str, int, int, tuple[str, ...]]
 # The row of a node without edges; never written to.
 _NO_ROW: dict = {}
 
-# `walk` merges only layers longer than this. Start layers mostly hold a
-# few entries, and merging each one that grew made the membership
-# workload's queries about 4% slower than merging none.
+# `start_classes` merges only layers longer than this. Start layers
+# mostly hold a few entries, and merging each one that grew made the
+# membership workload's queries about 4% slower than merging none.
 _MERGED = 16
 
 
@@ -116,7 +117,7 @@ def search(
 ) -> tuple[bool, int]:
     """Whether some member of start_set reaches goal, and how many classes
     the search stored on both sides: the backward side from goal's class,
-    the forward side from `start_classes` in walk order (see the module
+    the forward side from `start_classes` in their order (see the module
     docstring). The backward side goes first, alone, while its frontier
     holds one class. If it runs dry there, the answer is whether a stored
     class holds a start (`_holds_start`), and the start set is never
@@ -242,159 +243,141 @@ def _holds_start(configs: ConfigAutomaton, upper: tuple[str, ...], classes) -> b
     holds a member of configs: a run of the automaton of its state over
     the barred upper[:shared], then `above` barred cells, the first of
     them not upper[shared] when shared < len(upper), then the plain lower
-    word. Subsets are epsilon-closed only when the automaton has an
-    epsilon edge, and a run stops once its subset is empty."""
+    word. The barred prefix is run once per (state, shared), and a cell
+    of it or of the lower word is stepped by one row lookup per node;
+    only a cell above the prefix scans rows. Subsets are epsilon-closed
+    only when the automaton has an epsilon edge, and a run stops once its
+    subset is empty."""
+    components = configs.components
     depth = len(upper)
+    # (state, shared) -> the automaton's rows, closure and final nodes,
+    # and the subset after the barred upper[:shared].
+    prefixes = {}
     for state, shared, above, lower in classes:
-        nfa = configs.components.get(state)
+        nfa = components.get(state)
         if nfa is None:
             continue
-        edges = nfa._edges
-        close = nfa.eps_closure if any(EPSILON in row for row in edges.values()) else set
-        nodes = close(nfa.initial)
-        # Each cell's label, None for a barred cell above the prefix: any
-        # barred label but `other`.
-        other = bar(upper[shared]) if shared < depth else None
-        for cell in [bar(x) for x in upper[:shared]] + [None] * above + list(lower):
-            stepped = set()
-            for n in nodes:
-                for label, ms in edges.get(n, _NO_ROW).items():
-                    if label == cell or cell is None and label != other and is_barred(label):
-                        stepped.update(ms)
-            if not stepped:
-                break
-            if cell is None:
+        key = state, shared
+        run = prefixes.get(key)
+        if run is None:
+            edges = nfa._edges
+            close = nfa.eps_closure if any(EPSILON in row for row in edges.values()) else set
+            nodes = close(nfa.initial)
+            if shared:
+                nodes = _read(edges, close, nodes, [bar(x) for x in upper[:shared]])
+            run = prefixes[key] = edges, close, nfa.finals.keys(), nodes
+        edges, close, finals, nodes = run
+        if above and nodes:
+            # Each cell above the prefix takes any barred label but `other`.
+            other = bar(upper[shared]) if shared < depth else None
+            for _ in range(above):
+                stepped = set()
+                for n in nodes:
+                    for label, targets in edges[n].items():
+                        if label != other and is_barred(label):
+                            stepped.update(targets)
+                nodes = close(stepped) if stepped else ()
                 other = None
-            nodes = close(stepped)
-        else:
-            if not nfa.finals.keys().isdisjoint(nodes):
-                return True
+        if lower and nodes:
+            nodes = _read(edges, close, nodes, lower)
+        if not finals.isdisjoint(nodes):
+            return True
     return False
+
+
+def _read(edges, close, nodes, word):
+    """The subset that the epsilon-closed `nodes` reach by reading word, by
+    one row lookup per node and cell; empty once a cell has no edge."""
+    for cell in word:
+        stepped = set()
+        for n in nodes:
+            targets = edges[n].get(cell)
+            if targets:
+                stepped.update(targets)
+        if not stepped:
+            return ()
+        nodes = close(stepped)
+    return nodes
 
 
 def start_classes(
     configs: ConfigAutomaton, upper: tuple[str, ...], max_len: int
-) -> Iterator[Class]:
+) -> list[Class]:
     """The classes, counted against the upper word `upper`, of the accepted
-    configurations of total stack size <= max_len, in `members` order,
-    each class at the first member in it (it may come again later)."""
+    configurations of total stack size <= max_len: state by state in
+    component order, each state's in (length, label-key) order of their
+    flattened words, each class at the first member in it (it may come
+    again later). One pass per state walks layers of (class, subset)
+    entries, one layer per length, from the initial subset: each entry
+    steps by each label of its subset's `_closed_steps`, which are built
+    once per subset, a plain label growing the lower word and a barred
+    one, while the lower word is empty, extending the shared prefix with
+    U's next symbol or adding a cell above it. A class is listed as its
+    entry is made, if the subset holds a final node. A layer of more than
+    _MERGED entries keeps, among those with an empty lower word, the
+    first of each class and subset: those extend alike, and the later
+    ones' extensions come later in each layer."""
     depth = len(upper)
-
-    def extend(c: Class, label: Label) -> Class | None:
-        state, shared, above, lower = c
-        if not is_barred(label):
-            return state, shared, above, lower + (label,)
-        if lower:
-            return None
-        if not above and shared < depth and upper[shared] == label[1]:
-            return state, shared + 1, 0, lower
-        return state, shared, above + 1, lower
-
+    classes = []
     for state, nfa in configs.components.items():
-        yield from walk(nfa, max_len, extend, (state, 0, 0, ()), merge=_upper_zone)
-
-
-def _upper_zone(c: Class) -> Class | None:
-    """A class while its lower word is empty, where words of one length
-    fall into few classes; None past it, where lower words tell them
-    apart."""
-    return None if c[3] else c
-
-
-def _extend_zones(c: ConfigTuple, label) -> ConfigTuple | None:
-    state, upper, lower = c
-    if not is_barred(label):
-        return state, upper, lower + (label,)
-    return None if lower else (state, upper + (label[1],), lower)
-
-
-def members(configs: ConfigAutomaton, max_len: int) -> Iterator[ConfigTuple]:
-    """The accepted configurations of total stack size <= max_len as
-    (state, upper, lower) tuples: state by state in component order,
-    each state's in `walk` order of their flattened words. Each word is
-    split into its zones as it is extended, and a barred label is never
-    added after a plain one."""
-    for state, nfa in configs.components.items():
-        yield from walk(nfa, max_len, _extend_zones, (state, (), ()))
-
-
-def enumerate_configs(configs: ConfigAutomaton, max_len: int) -> list[Configuration]:
-    """All accepted configurations of total stack size <= max_len, in
-    `members` order."""
-    return [Configuration(*c) for c in members(configs, max_len)]
-
-
-def walk(
-    nfa: Nfa,
-    max_len: int,
-    extend: Callable[[object, Label], object | None],
-    seed: object,
-    start: Iterable[Node] | None = None,
-    merge: Callable[[object], object | None] | None = None,
-) -> Iterator[object]:
-    """The accepted words of length <= max_len, in (length, label-key)
-    order, each built from `seed` by `extend(built, label)` one label at
-    a time; `extend` may return None to drop a word and every word it
-    prefixes. A layer holds (word, epsilon-closed subset, accepting) for
-    the words of one length. The subset walk reaches each word once, so
-    extending a layer in order by labels in key order gives the next
-    layer in order: nothing is sorted. Each subset's label steps are
-    computed once, with no closures when no edge is an epsilon edge. The
-    number of words can grow exponentially with max_len.
-
-    With merge, a layer of more than _MERGED entries keeps only the first
-    of its entries with the same subset and the same key `merge(built)`,
-    where that key is not None. Entries with equal keys and subsets must
-    extend to the same values; those of the later entries then come later
-    in each layer, so the first occurrence of every value stays where it
-    was."""
-    finals = nfa.finals.keys()
-    eps_free = not any(EPSILON in row for row in nfa._edges.values())
-    first = nfa.initial if start is None else start
-    first = frozenset(first) if eps_free else nfa.eps_closure(first)
-    layer = [(seed, first, not finals.isdisjoint(first))]
-    steps: dict[frozenset[Node], list[tuple[Label, frozenset[Node], bool]]] = {}
-    for length in range(max_len + 1):
-        for built, _, accepting in layer:
-            if accepting:
-                yield built
-        if length == max_len:
-            return
-        # The last layer keeps only accepted words: nothing extends them.
-        last = length + 1 == max_len
-        next_layer = []
-        for built, subset, _ in layer:
-            row = steps.get(subset)
-            if row is None:
-                row = steps[subset] = _closed_steps(nfa, subset, eps_free)
-            for label, stepped, accepting in row:
-                if accepting or not last:
-                    grown = extend(built, label)
-                    if grown is not None:
-                        next_layer.append((grown, stepped, accepting))
-        if merge is not None and len(next_layer) > _MERGED:
-            merged, kept = set(), []
-            for entry in next_layer:
-                key = merge(entry[0])
-                if key is not None:
-                    key = key, entry[1]
-                    if key in merged:
+        edges, finals = nfa._edges, nfa.finals.keys()
+        close = nfa.eps_closure if any(EPSILON in row for row in edges.values()) else frozenset
+        first = close(nfa.initial)
+        seed = (state, 0, 0, ())
+        if not finals.isdisjoint(first):
+            classes.append(seed)
+        layer = [(seed, first)]
+        steps = {}
+        for length in range(1, max_len + 1):
+            # The last layer keeps only accepted words: nothing extends them.
+            last = length == max_len
+            listed = len(classes)
+            grown = []
+            for (_, shared, above, lower), subset in layer:
+                row = steps.get(subset)
+                if row is None:
+                    row = steps[subset] = _closed_steps(edges, finals, close, subset)
+                for label, stepped, accepting in row:
+                    if last and not accepting:
                         continue
-                    merged.add(key)
-                kept.append(entry)
-            next_layer = kept
-        layer = next_layer
+                    # A plain label is a symbol, a barred one a tuple (`bar`).
+                    if label.__class__ is not tuple:
+                        c = (state, shared, above, lower + (label,))
+                    elif lower:
+                        continue
+                    elif not above and shared < depth and upper[shared] == label[1]:
+                        c = (state, shared + 1, 0, lower)
+                    else:
+                        c = (state, shared, above + 1, lower)
+                    grown.append((c, stepped))
+                    if accepting:
+                        classes.append(c)
+            if len(grown) > _MERGED:
+                merged, kept = set(), []
+                for entry in grown:
+                    if not entry[0][3]:
+                        if entry in merged:
+                            continue
+                        merged.add(entry)
+                    kept.append(entry)
+                grown = kept
+                del classes[listed:]
+                classes += [c for c, stepped in grown if not finals.isdisjoint(stepped)]
+            if not grown:
+                break
+            layer = grown
+    return classes
 
 
 def _closed_steps(
-    nfa: Nfa, closed: frozenset[Node], eps_free: bool
+    edges, finals, close, closed: frozenset[Node]
 ) -> list[tuple[Label, frozenset[Node], bool]]:
-    """(label, epsilon-closed targets, whether they hold a final node)
-    for each label that an edge leaving the epsilon-closed set carries,
-    in label-key order: one subset construction step, in one pass over
-    the set's rows (a single node's row is read as it is). eps_free says
-    the automaton has no epsilon edge, so no closure is computed."""
-    edges = nfa._edges
+    """(label, targets closed by `close`, whether they hold a node of
+    finals) for each label that an edge leaving the epsilon-closed set
+    carries, in label-key order: one subset construction step of the
+    automaton with rows `edges`, in one pass over the set's rows (a single
+    node's row is read as it is). `close` is the epsilon closure, or
+    `frozenset` for an automaton with no epsilon edge."""
     if len(closed) == 1:
         (node,) = closed
         out = edges.get(node, _NO_ROW)
@@ -407,25 +390,9 @@ def _closed_steps(
                     out[label] = set(targets)
                 else:
                     got.update(targets)
-    close = frozenset if eps_free else nfa.eps_closure
-    finals = nfa.finals.keys()
     steps = []
     for label in sorted(out, key=label_key) if len(out) > 1 else out:
         if label is not EPSILON:
             stepped = close(out[label])
             steps.append((label, stepped, not finals.isdisjoint(stepped)))
     return steps
-
-
-def _append(word: tuple[Label, ...], label: Label) -> tuple[Label, ...]:
-    return word + (label,)
-
-
-def words_up_to(
-    nfa: Nfa, max_len: int, start: Iterable[Node] | None = None
-) -> list[tuple[Label, ...]]:
-    """All accepted words of length <= max_len, in `walk` order: by
-    length, then by label keys. Their number can grow exponentially with
-    max_len. Start configurations are not listed with this: `members`
-    runs the same walk and cuts each word into its zones as it grows."""
-    return list(walk(nfa, max_len, _append, (), start))

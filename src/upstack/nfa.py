@@ -4,9 +4,9 @@ Nodes and edge labels are arbitrary hashables; the distinguished EPSILON
 label marks silent edges. An `Nfa` is a row per node (label -> targets),
 plus its initial and final nodes, in insertion order. This module holds
 what the set compiler (`regex.compile_config_regex`), the per-state sets
-(`configsets.ConfigAutomaton`), the membership walk and the DOT export
-of a set use: building an automaton and reading its nodes and edges,
-and the sort key for labels.
+(`configsets.ConfigAutomaton`), exact membership's start pass and the
+DOT export of a set use: building an automaton and reading its nodes
+and edges, and the sort key for labels.
 
 The automaton algebra lives in `compaction`, which only the analyses
 load: copying one automaton into another under a node renaming and a
@@ -15,8 +15,9 @@ closure and closed steps, runs, shortest words, reversal, trimming,
 epsilon elimination, `union`, `compact` to the canonical minimal DFA,
 and structural equality (`same`). Each is still a method of `Nfa` or a
 name of this module, whose home is loaded on first use (see
-`upstack._MovedMethod`). So are `walk` and `words_up_to`, in
-`membership`, `map_labels` and `from_words`, which no command runs, in
+`upstack._MovedMethod`). So are the ordered word walk `walk` and
+`words_up_to`, in `commands.oracle`, the one command that lists a set's
+members, `map_labels` and `from_words`, which no command runs, in
 `extras`, `map_nodes` and `relabel`, in `grammar`, and `intersection`,
 in `product`. `trim`, compaction and the phases of `kphase` share one
 backward search, `_coreachable`. Insertion order is preserved
@@ -48,25 +49,27 @@ Node = Hashable
 Label = Hashable
 
 
-def label_key(label: Label) -> str:
-    """A deterministic sort key for mixed-type labels."""
-    return repr(label)
+# A deterministic sort key for mixed-type labels: a builtin, so a sort
+# by it calls no Python function per label.
+label_key = repr
 
 
 @_moved_methods(
     compaction="embed saturate has_edge labels out_edges targets edge_count "
     "eps_closure step _advance run accepts reachable shortest_word is_empty "
     "copy reverse trim _free_row eps_eliminate compact same",
-    membership="walk words_up_to",
     extras="map_labels",
     grammar="map_nodes relabel",
+    **{"commands.oracle": "walk words_up_to"},
 )
 class Nfa:
     """Mutable while being built; treat as immutable once handed out."""
 
     def __init__(self, initial: Iterable[Node] = (), finals: Iterable[Node] = ()):
-        # node -> label -> dict used as an ordered set of targets
-        self._edges: dict[Node, dict[Label, dict[Node, None]]] = {}
+        # node -> label -> targets, a dict[Node, None] used as an ordered
+        # set. Not annotated: every call compiles this module, and an
+        # annotation is syntax-tree nodes too.
+        self._edges = {}
         self.initial: dict[Node, None] = {}
         self.finals: dict[Node, None] = {}
         for n in initial:

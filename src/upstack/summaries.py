@@ -65,21 +65,20 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Iterable
 
 from .checkers import UNSAFE, Verdict, _all_states_set
 from .configsets import is_barred
-from .core import Rule
 from .errors import ResourceLimitError
 from .limits import LOWER_TRACE_BUDGET
 from .model import print_config_literal
 from .nfa import EPSILON, label_key
 
 
-def count_phases(trace: Iterable[Rule]) -> int:
-    """The least k such that the trace splits into k blocks, each avoiding
-    pushes or avoiding pops. Switches join any block; a nonempty all-switch
-    trace is one block; the empty trace is zero."""
+def count_phases(trace):
+    """The least k such that the trace, an iterable of rules, splits into
+    k blocks, each avoiding pushes or avoiding pops. Switches join any
+    block; a nonempty all-switch trace is one block; the empty trace is
+    zero."""
     runs = 0
     current = None
     nonempty = False
@@ -261,7 +260,8 @@ def settle(
     rounds (`safety._decide_under`) for the start set `initial` and the
     forbidden set of the two zone ASTs `forbidden` (see
     `checkers._all_states_set`); its Unknown says so in its note where a
-    search found the violation past k phases."""
+    search found the violation past k phases, and names the witness and
+    the spent budget where a search ran out of it."""
     from .oracle import oracle_trace
 
     past = ""
@@ -283,6 +283,8 @@ def settle(
             )
     except ResourceLimitError:
         trace = None
+        past = past or f"; a violation exists from {print_config_literal(witness)}"
+        past += f"; a trace search stopped at its budget of {LOWER_TRACE_BUDGET} configurations"
     if trace is not None:
         return Verdict(UNSAFE, k, node_budget, witness, trace, decided_by="lower-stack")
     from .safety import _decide_under

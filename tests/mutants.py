@@ -148,6 +148,20 @@ MUTANTS = (
         ["tests/test_configsets.py"],
     ),
     (
+        "membership's class test keys its prefix runs by the shared length alone",
+        "membership.py",
+        "key = state, shared",
+        "key = shared",
+        ["tests/test_configsets.py"],
+    ),
+    (
+        "membership's start pass merges entries whose lower word is not empty",
+        "membership.py",
+        "if not entry[0][3]:",
+        "if True:",
+        ["tests/test_oracle.py"],
+    ),
+    (
         "membership answers a dry chain false without testing its classes",
         "membership.py",
         "return _holds_start(start_set, upper, seen), len(seen)",

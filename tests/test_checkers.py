@@ -243,7 +243,8 @@ def test_converged_rounds_without_a_hit_are_an_exact_safe(e2, c2):
 def test_replay_out_of_budget_is_unknown(monkeypatch, e1, c1):
     # Unsafe at the default budget (the README's check-read golden); with
     # room for two configurations the search from the lower-stack witness
-    # runs out, and so does the replay of the hit it falls back to.
+    # runs out, and so does the replay of the hit it falls back to. The
+    # note keeps the violation that the summaries showed.
     assert check_upper_read(e1, c1, "a").outcome == UNSAFE
     monkeypatch.setattr(summaries, "LOWER_TRACE_BUDGET", 2)
     monkeypatch.setattr(
@@ -254,7 +255,8 @@ def test_replay_out_of_budget_is_unknown(monkeypatch, e1, c1):
     assert verdict.witness == cfg("p", "", "x bot")
     assert verdict.note == (
         "under-approximation reached p: ^ x bot but the replay ran out of its "
-        "configuration search budget (explored 2 nodes)"
+        "configuration search budget (explored 2 nodes); a violation exists from "
+        "p: ^ x bot; a trace search stopped at its budget of 2 configurations"
     )
 
 
@@ -331,6 +333,19 @@ def test_lower_stack_replay_stops_at_its_budget(monkeypatch):
     assert (verdict.outcome, verdict.decided_by) == (UNSAFE, "hit")
     assert verdict.witness == cfg("s0", "", "x") and len(verdict.trace) == 25
     assert stored[0] == LOWER_TRACE_BUDGET and sum(stored[1:]) < LOWER_TRACE_BUDGET
+
+
+def test_an_unknown_past_the_trace_budget_keeps_the_violation():
+    # At k=0 no pre* round runs, so the answer is Unknown. The summaries
+    # show the read from s0: ^ x, and the search for its trace runs out
+    # of its budget on the pushes: the note still names the witness, and
+    # the budget that stopped the search.
+    verdict = check_upper_read(_switch_chain(25), "I", "x", k=0)
+    assert (verdict.outcome, verdict.decided_by) == (UNKNOWN, "phase-bound")
+    assert verdict.note == (
+        "no phase-bounded witness at k=0; a violation exists from s0: ^ x; a trace "
+        f"search stopped at its budget of {LOWER_TRACE_BUDGET} configurations"
+    )
 
 
 def test_decide_random_sweep_verdicts_are_sound():

@@ -379,6 +379,27 @@ def test_closed_stdout_is_not_an_analysis_error():
     assert (proc.returncode, proc.stderr) == (141, "")
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["member", E1, "--init", "C1", "--config", "p2: a ^ bot"], 0),
+        (["member", E1, "--init", "C1", "--config", "p2: b ^ bot"], 1),
+        (["check-read", RELOCATE, "--init", "Boot", "--symbol", "canary"], 2),
+        (["export-dot", E1, "--set", "C1"], 0),
+    ],
+)
+def test_a_closed_stdout_leaves_the_answers_exit_code(argv, code):
+    # With stdout closed (`>&-`) sys.stdout is None: the call prints
+    # nothing, as `print` does, and exits with its answer's code.
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "upstack", *argv],
+        env=subprocess_env(),
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (code, "")
+
+
 # -- the process entry ---------------------------------------------------------
 #
 # `python -m upstack` and the `upstack` script end through `cli.run`, which

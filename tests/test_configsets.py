@@ -509,6 +509,16 @@ def test_the_class_test_on_hand_built_sets():
     assert _holds_start(one, ("bot",), [("p", 0, 1, ("bot",))])
 
 
+def test_the_class_test_runs_each_states_own_prefix():
+    # Two states' classes with the same shared prefix: p holds only
+    # p: b ^ bot, whose run over the barred prefix a dies, and p2 holds
+    # p2: a ^ bot. Each state's prefix is run on its own automaton.
+    spec = make_spec(("p", "p2"), ("a", "b", "bot"), [])
+    starts = from_config_set(spec, [cfg("p", "b", "bot"), cfg("p2", "a", "bot")])
+    assert _holds_start(starts, ("a",), [("p", 1, 0, ("bot",)), ("p2", 1, 0, ("bot",))])
+    assert not _holds_start(starts, ("a",), [("p", 1, 0, ("bot",)), ("p2", 0, 1, ("bot",))])
+
+
 # -- canonical sets compare by structure -----------------------------------
 
 def _rebuilt(rng: random.Random, spec, configs) -> ConfigAutomaton:

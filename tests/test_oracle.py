@@ -21,7 +21,10 @@ from upstack.configsets import ConfigAutomaton, from_config_set
 from upstack.core import Configuration, count_phases, make_spec, run_trace, step, successors
 from upstack.errors import MalformedInputError, ResourceLimitError
 from upstack.extras import _predecessors
+from upstack.fixtures import fixture_text
+from upstack.literal import parse_config_literal
 from upstack.membership import search, start_classes
+from upstack.model import parse_model
 from upstack.nfa import from_words
 from upstack.oracle import (
     explore,
@@ -286,12 +289,44 @@ def test_membership_stores_each_configuration_up_to_the_goal_upper_word(e1, c1):
         assert info.value.explored == reduced - 1
 
 
+# What `member --budget` counts on the benchmark's e1 family, pinned: the
+# classes `search` stores for p2: a^(n+1) b^n ^ bot (reachable) and
+# p2: x a^n b^n ^ bot (not) from C1, n = 0..3, and for the first from the
+# wide set, n = 0..1.
+_PINNED_COUNTS = {
+    ("C1", 0): ((True, 4), (False, 2)),
+    ("C1", 1): ((True, 26), (False, 29)),
+    ("C1", 2): ((True, 98), (False, 89)),
+    ("C1", 3): ((True, 244), (False, 173)),
+    ("Wide", 0): ((True, 4), None),
+    ("Wide", 1): ((True, 90), None),
+}
+
+
+@pytest.mark.parametrize("set_name, n", _PINNED_COUNTS)
+def test_member_budget_counts_are_pinned_on_the_e1_family(set_name, n):
+    model = parse_model(fixture_text("e1.upds") + "set Wide p ^ (x | y | a | b)* bot\n")
+    start_set = model.config_set(set_name)
+    pumped = " ".join(["a"] * (n + 1) + ["b"] * n)
+    probes = (f"p2: {pumped} ^ bot", f"p2: x {pumped[2:]} ^ bot")
+    for text, pinned in zip(probes, _PINNED_COUNTS[set_name, n]):
+        if pinned is None:
+            continue
+        goal = parse_config_literal(model.spec, text)
+        assert search(model.spec, start_set, goal, 10**6) == pinned, text
+        answer, stored = pinned
+        assert is_reachable(model.spec, start_set, goal, budget=stored) is answer
+        with pytest.raises(ResourceLimitError):
+            is_reachable(model.spec, start_set, goal, budget=stored - 1)
+
+
 def test_an_upper_rich_start_set_walks_classes_not_words(e1):
     # p (x | y | a | b)* ^ x bot has 87,381 members no larger than the
     # probe p2: a^5 b^4 ^ bot. Counted against the probe's upper word they
     # fall into 45 classes, one per (shared, above) with shared + above
     # <= 8. The walk yields 47: two repeats come from a layer too short to
-    # merge. Counts pinned, not timings.
+    # merge, and stay, as entries past the upper zone are never merged.
+    # Counts pinned, not timings.
     upper_rich = ConfigAutomaton(
         e1.alphabet, {"p": compile_config_regex("(x | y | a | b)* ^ x bot", alphabet=e1.alphabet)}
     )

@@ -95,8 +95,11 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     )
     assert loaded["import"] == set()
     assert "membership" in loaded["member"]
+    # Exact membership takes its start classes in a pass of its own: the
+    # generic walk of a set's members, in `commands.oracle`, is not loaded.
     assert not loaded["member"] & {
-        "checkers", "compaction", "kphase", "upperapprox", "pds", "dot", "grammar", "oracle"
+        "checkers", "compaction", "kphase", "upperapprox", "pds", "dot", "grammar", "oracle",
+        "commands.oracle",
     }
     # Both checker answers are Unsafe, decided on the lower stack: the
     # summaries and a replayed trace of at most k phases. Such a call loads
@@ -199,8 +202,12 @@ _COMPILED_NODE_CEILINGS = {
     # checkers to skip the over-approximation: member 9276,
     # check-read-unsafe 10020, check-read-safe 9099, check-overflow 10071,
     # post-over 12646, export-dot-set 7623 and pre-under 13261; no ceiling
-    # changed.
-    "member": (["member", "e1.upds", "--init", "C1", "--config", "p2: a ^ bot"], 9402),
+    # changed. Counted when exact membership came to take its start classes
+    # in one pass and the generic walk moved to `commands.oracle`: member
+    # 8963, check-read-unsafe 10000, check-read-safe 9079, check-overflow
+    # 10051, post-over 12613, export-dot-set 7586 and pre-under 13228; the
+    # member ceiling is now that count plus 2%.
+    "member": (["member", "e1.upds", "--init", "C1", "--config", "p2: a ^ bot"], 9142),
     "check-read-unsafe": (
         ["check-read", "relocate.upds", "--init", "Boot", "--symbol", "secret"], 10040
     ),
