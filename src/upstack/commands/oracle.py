@@ -19,9 +19,9 @@ from ..configsets import ConfigAutomaton, is_barred
 from ..core import ConfigTuple, Configuration, UpdsSpec
 from ..limits import DEFAULT_NODE_BUDGET
 from ..literal import parse_config_literal
-from ..membership import _closed_steps
+from ..membership import closed_steps, closure
 from ..model import print_config_literal
-from ..nfa import EPSILON, Label, Nfa, Node
+from ..nfa import Label, Nfa, Node
 from ..oracle import _checked, explore
 from . import add_model, bool_exit, check_nonnegative
 
@@ -106,11 +106,11 @@ def walk(
     the words of one length. The subset walk reaches each word once, so
     extending a layer in order by labels in key order gives the next
     layer in order: nothing is sorted. Each subset's label steps are
-    computed once (`membership._closed_steps`), with no closures when no
+    computed once (`membership.closed_steps`), with no closures when no
     edge is an epsilon edge. The number of words can grow exponentially
     with max_len."""
     edges, finals = nfa._edges, nfa.finals.keys()
-    close = nfa.eps_closure if any(EPSILON in row for row in edges.values()) else frozenset
+    close = closure(nfa, frozenset)
     first = close(nfa.initial if start is None else start)
     layer = [(seed, first, not finals.isdisjoint(first))]
     steps: dict[frozenset[Node], list[tuple[Label, frozenset[Node], bool]]] = {}
@@ -126,7 +126,7 @@ def walk(
         for built, subset, _ in layer:
             row = steps.get(subset)
             if row is None:
-                row = steps[subset] = _closed_steps(edges, finals, close, subset)
+                row = steps[subset] = closed_steps(edges, finals, close, subset)
             for label, stepped, accepting in row:
                 if accepting or not last:
                     grown = extend(built, label)

@@ -61,7 +61,9 @@ The start set is validated once per set, and a set from
 (`start_classes`) come straight from its automaton in one pass per
 state, in (length, label) order, each word cut into its zones and
 counted against U as it grows, so no start is built as an object,
-sorted or checked again. In the upper zone, words of one length that
+sorted or checked again. Each layer's classes go to the search as the
+layer is built, so a search that stops at its budget, or meets a start
+early, builds no longer layer. In the upper zone, words of one length that
 reach the same class and the same automaton subset have the same
 extensions, so a long layer keeps the first of them only: an upper zone
 over k symbols walks O(n^2) classes per subset up to size n, not k^n
@@ -76,6 +78,8 @@ it.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from .configsets import ConfigAutomaton, bar, is_barred
 from .core import Configuration, UpdsSpec, check_configuration
@@ -261,7 +265,7 @@ def _holds_start(configs: ConfigAutomaton, upper: tuple[str, ...], classes) -> b
         run = prefixes.get(key)
         if run is None:
             edges = nfa._edges
-            close = nfa.eps_closure if any(EPSILON in row for row in edges.values()) else set
+            close = closure(nfa, set)
             nodes = close(nfa.initial)
             if shared:
                 nodes = _read(edges, close, nodes, [bar(x) for x in upper[:shared]])
@@ -302,41 +306,40 @@ def _read(edges, close, nodes, word):
 
 def start_classes(
     configs: ConfigAutomaton, upper: tuple[str, ...], max_len: int
-) -> list[Class]:
+) -> Iterator[Class]:
     """The classes, counted against the upper word `upper`, of the accepted
     configurations of total stack size <= max_len: state by state in
     component order, each state's in (length, label-key) order of their
     flattened words, each class at the first member in it (it may come
     again later). One pass per state walks layers of (class, subset)
     entries, one layer per length, from the initial subset: each entry
-    steps by each label of its subset's `_closed_steps`, which are built
+    steps by each label of its subset's `closed_steps`, which are built
     once per subset, a plain label growing the lower word and a barred
     one, while the lower word is empty, extending the shared prefix with
-    U's next symbol or adding a cell above it. A class is listed as its
-    entry is made, if the subset holds a final node. A layer of more than
+    U's next symbol or adding a cell above it. A layer of more than
     _MERGED entries keeps, among those with an empty lower word, the
     first of each class and subset: those extend alike, and the later
-    ones' extensions come later in each layer."""
+    ones' extensions come later in each layer. Each layer's accepted
+    classes are yielded once it is built, so a caller that stops early
+    never builds the longer layers."""
     depth = len(upper)
-    classes = []
     for state, nfa in configs.components.items():
         edges, finals = nfa._edges, nfa.finals.keys()
-        close = nfa.eps_closure if any(EPSILON in row for row in edges.values()) else frozenset
+        close = closure(nfa, frozenset)
         first = close(nfa.initial)
         seed = (state, 0, 0, ())
         if not finals.isdisjoint(first):
-            classes.append(seed)
+            yield seed
         layer = [(seed, first)]
         steps = {}
         for length in range(1, max_len + 1):
             # The last layer keeps only accepted words: nothing extends them.
             last = length == max_len
-            listed = len(classes)
-            grown = []
+            grown, accepted = [], []
             for (_, shared, above, lower), subset in layer:
                 row = steps.get(subset)
                 if row is None:
-                    row = steps[subset] = _closed_steps(edges, finals, close, subset)
+                    row = steps[subset] = closed_steps(edges, finals, close, subset)
                 for label, stepped, accepting in row:
                     if last and not accepting:
                         continue
@@ -351,7 +354,7 @@ def start_classes(
                         c = (state, shared, above + 1, lower)
                     grown.append((c, stepped))
                     if accepting:
-                        classes.append(c)
+                        accepted.append(c)
             if len(grown) > _MERGED:
                 merged, kept = set(), []
                 for entry in grown:
@@ -361,15 +364,24 @@ def start_classes(
                         merged.add(entry)
                     kept.append(entry)
                 grown = kept
-                del classes[listed:]
-                classes += [c for c, stepped in grown if not finals.isdisjoint(stepped)]
+                accepted = [c for c, stepped in grown if not finals.isdisjoint(stepped)]
+            yield from accepted
             if not grown:
                 break
             layer = grown
-    return classes
 
 
-def _closed_steps(
+def closure(nfa, plain):
+    """nfa's epsilon closure, or `plain` when no edge of nfa is an epsilon
+    edge, as in every set a model compiles. The scan is a plain loop: on
+    most start sets a generator expression costs more than the scan."""
+    for row in nfa._edges.values():
+        if EPSILON in row:
+            return nfa.eps_closure
+    return plain
+
+
+def closed_steps(
     edges, finals, close, closed: frozenset[Node]
 ) -> list[tuple[Label, frozenset[Node], bool]]:
     """(label, targets closed by `close`, whether they hold a node of

@@ -162,6 +162,13 @@ MUTANTS = (
         ["tests/test_oracle.py"],
     ),
     (
+        "membership lists every start class before the search takes one",
+        "membership.py",
+        "for start in start_classes(start_set, upper, cap):",
+        "for start in list(start_classes(start_set, upper, cap)):",
+        ["tests/test_oracle.py"],
+    ),
+    (
         "membership answers a dry chain false without testing its classes",
         "membership.py",
         "return _holds_start(start_set, upper, seen), len(seen)",

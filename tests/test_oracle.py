@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -318,6 +319,39 @@ def test_member_budget_counts_are_pinned_on_the_e1_family(set_name, n):
         assert is_reachable(model.spec, start_set, goal, budget=stored) is answer
         with pytest.raises(ResourceLimitError):
             is_reachable(model.spec, start_set, goal, budget=stored - 1)
+
+
+def test_the_budget_bounds_the_start_walk(monkeypatch):
+    # The wide set's lower zone over four symbols is never merged, so its
+    # start layers grow fourfold per size. The search takes the start
+    # classes as each layer is built, so a small budget stops the walk a
+    # few layers in, whatever the goal's size: about 40 KB traced here.
+    # A walk that built every layer up to p2: a^4 b^3 ^ bot first would
+    # trace about 9 MB, and 4^15 entries at p2: a^9 b^8 ^ bot.
+    model = parse_model(fixture_text("e1.upds") + "set Wide p ^ (x | y | a | b)* bot\n")
+    goal = parse_config_literal(model.spec, "p2: a a a a b b b ^ bot")
+    walk, taken = membership.start_classes, []
+
+    def counted(*args):
+        for c in walk(*args):
+            taken.append(c)
+            yield c
+
+    monkeypatch.setattr(membership, "start_classes", counted)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        with pytest.raises(ResourceLimitError) as info:
+            is_reachable(model.spec, model.config_set("Wide"), goal, budget=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert info.value.explored == 100
+    assert 0 < len(taken) <= 100
+    assert peak < 1_000_000
 
 
 def test_an_upper_rich_start_set_walks_classes_not_words(e1):

@@ -206,8 +206,10 @@ _COMPILED_NODE_CEILINGS = {
     # in one pass and the generic walk moved to `commands.oracle`: member
     # 8963, check-read-unsafe 10000, check-read-safe 9079, check-overflow
     # 10051, post-over 12613, export-dot-set 7586 and pre-under 13228; the
-    # member ceiling is now that count plus 2%.
-    "member": (["member", "e1.upds", "--init", "C1", "--config", "p2: a ^ bot"], 9142),
+    # member ceiling is now that count plus 2%. Counted when the start
+    # pass came to yield each layer as it is built: member 8943, the other
+    # counts unchanged; the member ceiling is now that count plus 2%.
+    "member": (["member", "e1.upds", "--init", "C1", "--config", "p2: a ^ bot"], 9122),
     "check-read-unsafe": (
         ["check-read", "relocate.upds", "--init", "Boot", "--symbol", "secret"], 10040
     ),
