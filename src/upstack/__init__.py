@@ -5,8 +5,9 @@ still-readable region above the stack top left behind by pops. The
 package offers exact forward reachability by a size-capped search
 (with the paper's grammar encoding kept for export), a phase-bounded
 regular under-approximation of backward reachability, a regular
-over-approximation of forward reachability, and checkers for two
-safety patterns built on those, plus a small CLI.
+over-approximation of forward reachability, the decision that brackets
+a safety pattern between those two, checkers for two safety patterns
+decided within k phases on the lower stack alone, and a small CLI.
 
 The public names load on first use (PEP 562): `import upstack` loads no
 analysis module, and `upstack.X` or `from upstack import X` imports only
@@ -17,16 +18,17 @@ module that the commands running it load: what no command runs is in
 `extras`, and what only some commands run is in theirs. Parsing a
 model, compiling its sets and deciding membership use only the
 automaton core (`nfa`); the automaton and set algebra that the analyses
-run is in `compaction`, and the bounded closure that only the `oracle`
-command lists is in that command's module. Start-up, `import upstack`
-and then parsing a model and compiling its sets, loads seven modules:
-this one, `errors`, `core`, `regex`, `model`, `nfa` and `configsets`.
-They keep only what start-up, a membership query or most commands run:
-a configuration literal's parser is in `literal`, which only the
-commands that take a configuration load, and the checkers' shared
-decision is in `safety`, which a checker loads only for what the
-lower-stack summaries leave open or for a trace within k phases where
-the shortest has more.
+run is in `compaction`, the bounded closure that only the `oracle`
+command lists is in that command's module, and the walk of a set's
+words and members in `words`. Start-up, `import upstack` and then
+parsing a model and compiling its sets, loads seven modules: this one,
+`errors`, `core`, `regex`, `model`, `nfa` and `configsets`. They keep
+only what start-up, a membership query or most commands run: a
+configuration literal's parser is in `literal`, which only the commands
+that take a configuration load; the checkers' decision within k phases
+is in `phasecopy`, which a checker loads only once the lower-stack
+summaries show a violation; and the decision from the two one-sided
+analyses, `decide_safety`, is in `safety`, which no command loads.
 
 Each name has one home. A moved method is still a method of its class,
 whose body loads on first use (`_MovedMethod`, several at a time through
@@ -50,21 +52,19 @@ _HOMES = {
         "dot": "export_dot",
         "errors": "MalformedInputError ParseError ResourceLimitError RuleNotEnabledError "
         "UpstackError",
-        "extras": "from_config_set make_spec oracle_pre_kphase parse_config_regex phase_pre "
-        "print_config_regex print_model run_trace saturate_upper step trace_upper_word "
-        "upper_config_set",
+        "extras": "count_phases from_config_set make_spec oracle_pre_kphase oracle_trace "
+        "parse_config_regex phase_pre print_config_regex print_model run_trace "
+        "saturate_upper step trace_upper_word upper_config_set",
         "fixtures": "fixture_names fixture_path fixture_text",
         "grammar": "RuleKind build_post_grammar single_origin",
         "kphase": "PhaseKind bounded_phase_pre_star",
         "literal": "parse_config_literal",
         "membership": "is_reachable",
         "model": "ModelFile parse_model print_config_literal",
-        "oracle": "oracle_trace",
         "overflow": "check_stack_overflow",
         "regex": "compile_config_regex",
         "residue": "check_upper_read",
         "safety": "decide_safety",
-        "summaries": "count_phases",
         "upperapprox": "TraceAutomaton UpperAutomaton overapprox_post trace_overapprox",
     }.items()
     for name in names.split()

@@ -2,12 +2,12 @@
 build.
 
 The two checkers live in modules of their own, `overflow` and
-`residue`, so that each command compiles only its own. Each first
-decides from the lower-stack summaries of `summaries`, and poses only
-what those leave open to the `pre*` rounds of `safety`, the module of
-the decision from the two one-sided analyses, which a checker imports
-only when the summaries leave its question open, so a call that they
-decide compiles neither.
+`residue`, so that each command compiles only its own. Each decides on
+the lower stack alone: Safe from the summaries of `summaries`, and,
+where those show a violation, within k phases from the summaries of the
+system's phase-counting copy (`phasecopy`). The decision from the two
+one-sided analyses, `decide_safety`, is in `safety`, which no checker
+loads.
 """
 
 from __future__ import annotations
@@ -24,13 +24,15 @@ SAFE = "Safe"
 UNSAFE = "Unsafe"
 UNKNOWN = "Unknown"
 
-# What decided a verdict: a hit of the under-approximation (Unsafe once
-# replayed; Unknown if, through a defect, no replay stays inside it),
-# pre* rounds that converged with no hit, the over-approximation, a
-# budget that stopped the replay, the lower-stack summaries of
-# `summaries` (Safe, or Unsafe with a trace of at most k phases), or the
-# phase bound: pre* rounds that ran to k with no hit, where the summaries
-# have shown a violation (Unknown).
+# What decided a verdict. For `decide_safety`: a hit of the
+# under-approximation (Unsafe once replayed; Unknown if, through a
+# defect, no replay stays inside it), pre* rounds that converged with no
+# hit, the over-approximation, or a budget that stopped the replay. For
+# the checkers: the lower-stack summaries (Safe, or Unsafe with a trace
+# of at most k phases; Unknown if, through a defect, the search finds no
+# trace of a violation that they show), a budget that stopped that
+# search, or the phase bound: the summaries show a violation, and those
+# of the phase-counting copy none within k phases (Unknown).
 DECIDED_BY = (
     "hit", "convergence", "over-approximation", "limit", "lower-stack", "phase-bound"
 )
@@ -123,8 +125,3 @@ def _all_states_set(spec: UpdsSpec, upper: tuple, lower: tuple) -> ConfigAutomat
     configs._validated = True
     return configs
 
-
-def _any_word(symbols) -> tuple:
-    """The zone AST of (s1 | s2 | ...)*, for at least one symbol."""
-    parts = tuple(("sym", s) for s in symbols)
-    return ("star", parts[0] if len(parts) == 1 else ("alt", parts))

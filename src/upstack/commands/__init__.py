@@ -22,9 +22,9 @@ COMMANDS = (
     "oracle",
 )
 
-DFA_BUDGET_HELP = (
-    "state budget for determinizing each automaton; past it the automaton "
-    "stays nondeterministic (default %(default)s)"
+TRACE_BUDGET_HELP = (
+    "how many configurations the search for a violation's trace may store; "
+    "past it the verdict is Unknown (default %(default)s)"
 )
 
 

@@ -3,8 +3,8 @@ bound?"""
 
 from __future__ import annotations
 
-from ..limits import DEFAULT_PHASES, DFA_STATE_BUDGET
-from . import DFA_BUDGET_HELP, add_model, check_nonnegative
+from ..limits import DEFAULT_NODE_BUDGET, DEFAULT_PHASES
+from . import TRACE_BUDGET_HELP, add_model, check_nonnegative
 
 HELP = "can a push overwrite memory past the stack bound?"
 
@@ -17,7 +17,7 @@ def add_arguments(parser) -> None:
     )
     parser.add_argument("-k", type=int, default=DEFAULT_PHASES, help="phase bound")
     parser.add_argument(
-        "--budget", type=int, default=DFA_STATE_BUDGET, help=DFA_BUDGET_HELP
+        "--budget", type=int, default=DEFAULT_NODE_BUDGET, help=TRACE_BUDGET_HELP
     )
 
 

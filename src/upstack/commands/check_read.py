@@ -3,8 +3,8 @@ a given symbol?"""
 
 from __future__ import annotations
 
-from ..limits import DEFAULT_PHASES, DFA_STATE_BUDGET
-from . import DFA_BUDGET_HELP, add_model, check_nonnegative
+from ..limits import DEFAULT_NODE_BUDGET, DEFAULT_PHASES
+from . import TRACE_BUDGET_HELP, add_model, check_nonnegative
 
 HELP = "can the cell just above the stack pointer hold a given symbol?"
 
@@ -15,7 +15,7 @@ def add_arguments(parser) -> None:
     parser.add_argument("--symbol", required=True, help="symbol to look for")
     parser.add_argument("-k", type=int, default=DEFAULT_PHASES, help="phase bound")
     parser.add_argument(
-        "--budget", type=int, default=DFA_STATE_BUDGET, help=DFA_BUDGET_HELP
+        "--budget", type=int, default=DEFAULT_NODE_BUDGET, help=TRACE_BUDGET_HELP
     )
 
 

@@ -4,7 +4,7 @@ set's predecessors, probed or summarized."""
 from __future__ import annotations
 
 from ..limits import DEFAULT_PHASES, DFA_STATE_BUDGET
-from . import DFA_BUDGET_HELP, add_model, check_nonnegative
+from . import add_model, check_nonnegative
 from .post_over import probe_or_summary
 
 HELP = "phase-bounded under-approximation of a target set's predecessors"
@@ -16,7 +16,11 @@ def add_arguments(parser) -> None:
     parser.add_argument("-k", type=int, default=DEFAULT_PHASES, help="phase bound")
     parser.add_argument("--config", help="probe; without it, print a summary")
     parser.add_argument(
-        "--budget", type=int, default=DFA_STATE_BUDGET, help=DFA_BUDGET_HELP
+        "--budget",
+        type=int,
+        default=DFA_STATE_BUDGET,
+        help="state budget for determinizing each automaton; past it the automaton "
+        "stays nondeterministic (default %(default)s)",
     )
 
 

@@ -15,8 +15,8 @@ run, lives with the automaton algebra in `compaction`: `accepts`,
 use, and `config_word`, `check_alphabets`, `union_sets` and
 `intersect_sets` still import from here. What only some commands run
 lives in their modules, and what none runs in `extras`: the walk of a
-set's members in `commands.oracle` (exact membership takes its start
-classes in a pass of its own), `config_from_word` in `checkers`, a
+set's members in `words` (exact membership takes its start classes in a
+pass of its own), `config_from_word` in `checkers`, a
 shortest member in `safety`, and `from_config_set` and the zone
 projections and their product in `extras`. They still import from here,
 and the methods load their bodies on first use.
@@ -97,10 +97,10 @@ class ConfigAutomaton:
     compact = _MovedMethod("compaction", "set_compact")
     same = _MovedMethod("compaction", "set_same")
 
-    # Only the oracle command walks the members, and only the checkers'
-    # shared decision looks for a shortest one.
-    members = _MovedMethod("commands.oracle")
-    enumerate_configs = _MovedMethod("commands.oracle")
+    # No command but `oracle` walks the members, and only
+    # `decide_safety` looks for a shortest one.
+    members = _MovedMethod("words")
+    enumerate_configs = _MovedMethod("words")
     shortest_config = _MovedMethod("safety")
 
 

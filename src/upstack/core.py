@@ -19,10 +19,10 @@ write back:
 No rule fires on an empty lower stack.
 
 The one-step semantics on `Configuration` objects (`successors`, `step`,
-`apply_rule`, `run_trace`), the trace fact `trace_upper_word`, and
-`make_spec`, which builds a system from plain tuples, live in `extras`,
-which no command loads, `count_phases` in `summaries`, whose checkers
-measure their traces, and `fresh_name` in `grammar`, its one user; they
+`apply_rule`, `run_trace`), the trace facts `trace_upper_word` and
+`count_phases`, and `make_spec`, which builds a system from plain
+tuples, live in `extras`, which no command loads, and `fresh_name` in
+`grammar`, its one user; they
 still import from here. The bodies of `UpdsSpec.rules_reading`, of a
 rule's `repr` and of a configuration's `str` are in `extras` too; they
 stay methods of their classes.
@@ -235,7 +235,6 @@ def check_configuration(spec: UpdsSpec, c: Configuration) -> Configuration:
 
 __getattr__ = _forward(
     __name__,
-    extras="successors apply_rule step run_trace trace_upper_word make_spec",
-    summaries="count_phases",
+    extras="successors apply_rule step run_trace trace_upper_word count_phases make_spec",
     grammar="RuleKind fresh_name",
 )

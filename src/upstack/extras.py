@@ -9,15 +9,16 @@ compatibility contract names it there (see `upstack`):
 
 - from `core`: the one-step semantics on `Configuration` objects
   (`successors`, which `oracle.explore` inlines and is checked against,
-  `apply_rule`, `step`, `run_trace`), a fact of a rule sequence
-  (`trace_upper_word`), `UpdsSpec.rules_reading`, the scan that words
+  `apply_rule`, `step`, `run_trace`), two facts of a rule sequence
+  (`trace_upper_word`, `count_phases`), `UpdsSpec.rules_reading`, the scan that words
   the error of a system failing its checks (`UpdsSpec._reject`), the
   constructor from plain tuples (`make_spec`), and the text that `repr`
   gives for a rule (`rule_repr`) and `str` for a configuration
   (`config_str`);
 - from `oracle`: the ground truths the tests compare the analyses with,
   the backward phase-bounded closure (`oracle_pre_kphase`) and the
-  lower-stack-only closure (`pds_step`, `pds_closure`, `pds_reaches`);
+  lower-stack-only closure (`pds_step`, `pds_closure`, `pds_reaches`),
+  and the trace search on `Configuration` objects (`oracle_trace`);
 - from `pds`: the backward saturation `pds_pre_star`, the one-element
   lower set `singleton_lower`, and the membership test, word listing
   and one state's slice (`LowerAutomaton.slice`) of a `LowerAutomaton`;
@@ -61,6 +62,7 @@ from .kphase import PhaseKind, _Moves, _phases
 from .limits import DEFAULT_NODE_BUDGET
 from .model import ModelFile
 from .nfa import EPSILON, Label, Nfa
+from .oracle import search_trace
 from .pds import LowerAutomaton
 from .regex import _parse_text
 from .upperapprox import TraceAutomaton, UpperAutomaton, _close_upper
@@ -201,7 +203,50 @@ def trace_upper_word(spec: UpdsSpec, trace: Sequence[Rule], c: Configuration) ->
     return upper
 
 
+def count_phases(trace: Iterable[Rule]) -> int:
+    """The least k such that the trace splits into k blocks, each avoiding
+    pushes or avoiding pops. Switches join any block; a nonempty
+    all-switch trace is one block; the empty trace is zero."""
+    runs = 0
+    current = None
+    nonempty = False
+    for rule in trace:
+        nonempty = True
+        arity = len(rule.written)
+        if arity != 1 and arity != current:
+            runs += 1
+            current = arity
+    return runs or int(nonempty)
+
+
 # -- ground truths (oracle) ---------------------------------------------------
+
+
+def oracle_trace(
+    spec: UpdsSpec,
+    start: Configuration,
+    accepts: Callable[[Configuration], bool],
+    depth: int | None,
+    size_cap: int | None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+    within: Callable[[Configuration], bool] | None = None,
+) -> tuple[Rule, ...] | None:
+    """A shortest rule sequence of length <= depth driving `start` to a
+    configuration satisfying `accepts`, never letting the total stack
+    size pass size_cap and never leaving the configurations `within`
+    holds for; None if none exists within those bounds. None leaves the
+    depth, the size or the region free (`oracle.search_trace` on
+    `Configuration` objects)."""
+    inside = None if within is None else (lambda c: within(Configuration(*c)))
+    return search_trace(
+        spec,
+        [start],
+        lambda c: accepts(Configuration(*c)),
+        size_cap,
+        depth,
+        node_budget,
+        inside,
+    )
 
 
 def _predecessors(

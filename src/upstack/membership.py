@@ -71,10 +71,9 @@ words.
 
 The generic walk of a set's words and members (`Nfa.walk`,
 `Nfa.words_up_to`, `ConfigAutomaton.members` and `enumerate_configs`)
-is in `commands.oracle`, the one command that lists members, so a
-`member` call does not compile it. Only the `member` command and the
-`oracle` command run this module, so the other commands do not compile
-it.
+is in `words`, which steps with `closed_steps` from here, so a `member`
+call does not compile it. Only the `member` command and the `oracle`
+command run this module, so the other commands do not compile it.
 """
 
 from __future__ import annotations

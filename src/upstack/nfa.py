@@ -16,8 +16,8 @@ epsilon elimination, `union`, `compact` to the canonical minimal DFA,
 and structural equality (`same`). Each is still a method of `Nfa` or a
 name of this module, whose home is loaded on first use (see
 `upstack._MovedMethod`). So are the ordered word walk `walk` and
-`words_up_to`, in `commands.oracle`, the one command that lists a set's
-members, `map_labels` and `from_words`, which no command runs, in
+`words_up_to`, in `words`, which the `member` command does not load,
+`map_labels` and `from_words`, which no command runs, in
 `extras`, `map_nodes` and `relabel`, in `grammar`, and `intersection`,
 in `product`. `trim`, compaction and the phases of `kphase` share one
 backward search, `_coreachable`. Insertion order is preserved
@@ -60,7 +60,7 @@ label_key = repr
     "copy reverse trim _free_row eps_eliminate compact same",
     extras="map_labels",
     grammar="map_nodes relabel",
-    **{"commands.oracle": "walk words_up_to"},
+    words="walk words_up_to",
 )
 class Nfa:
     """Mutable while being built; treat as immutable once handed out."""

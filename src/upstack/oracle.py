@@ -5,38 +5,44 @@ One forward breadth-first search over configurations (`explore`),
 size-capped or kept inside a region, lists the bounded forward closure
 (`oracle_post`, which only the `oracle` command runs, in its module
 `commands.oracle`) and finds shortest traces (`search_trace`), which
-replay checker witnesses inside the under-approximation that found them
-(`oracle_trace`). Exact membership runs its own search over classes of
+the checkers and `decide_safety` run in the phase-counting copy of a
+system (`phasecopy`), kept to the configurations from which a violation
+is still shown or to the under-approximation. Exact membership runs its own search over classes of
 configurations (`membership.search`), and the tests check it against
 this one. All are exhaustive within their bounds, deterministic
 (successors in rule declaration order), and refuse to run past an
 explicit node budget rather than silently truncating.
 
-`explore` stores plain (state, upper, lower) tuples and trusts its
-starts. It applies the system's move table in its own loop: the step is
+`explore` stores plain (state, upper, lower) tuples (`core.ConfigTuple`)
+and trusts its starts. It applies the system's move table in its own loop: the step is
 `successors` (in `extras`) inlined, and the tests check it against that
 function. The entry points that take `Configuration` starts check and
 convert each of them once.
 
-The backward phase-bounded closure (`oracle_pre_kphase`) and the
-lower-stack-only closure (`pds_step`, `pds_closure`, `pds_reaches`),
-which only the tests run, live in `extras` and still import from here,
-as do `is_reachable`, `oracle_post` and `step`.
+The backward phase-bounded closure (`oracle_pre_kphase`), the
+lower-stack-only closure (`pds_step`, `pds_closure`, `pds_reaches`) and
+the trace search on `Configuration` objects (`oracle_trace`), which no
+command runs, live in `extras` and still import from here, as do
+`is_reachable`, `oracle_post` and `step`.
+
+Every checker call that searches a trace compiles this module, so its
+functions carry no type annotations, which are syntax-tree nodes too;
+their docstrings say what they take.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable
 
 from . import _forward
-from .core import ConfigTuple, Configuration, Rule, UpdsSpec, check_configuration
+from .core import check_configuration
 from .errors import ResourceLimitError
 from .limits import DEFAULT_NODE_BUDGET, SEARCH_BUDGET
 
 
-def _checked(spec: UpdsSpec, configs: Iterable[Configuration]) -> list[ConfigTuple]:
-    """The configurations as search tuples, each checked against spec."""
+def _checked(spec, configs):
+    """The configurations, `Configuration` objects, as a list of search
+    tuples, each checked against spec."""
     out = []
     for c in configs:
         check_configuration(spec, c)
@@ -45,17 +51,19 @@ def _checked(spec: UpdsSpec, configs: Iterable[Configuration]) -> list[ConfigTup
 
 
 def explore(
-    spec: UpdsSpec,
-    starts: Iterable[ConfigTuple],
-    accepts: Callable[[ConfigTuple], bool],
-    size_cap: int | None,
-    depth: int | None = None,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    within: Callable[[ConfigTuple], bool] | None = None,
-    links: bool = True,
-) -> tuple[ConfigTuple | None, dict[ConfigTuple, tuple[ConfigTuple, Rule] | None]]:
-    """Breadth-first search over (state, upper, lower) tuples: starts in
-    the order given, successors in rule declaration order. The starts are
+    spec,
+    starts,
+    accepts,
+    size_cap,
+    depth=None,
+    node_budget=DEFAULT_NODE_BUDGET,
+    within=None,
+    links=True,
+):
+    """Breadth-first search over (state, upper, lower) tuples in the
+    system `spec`: the iterable `starts` in the order given, successors
+    in rule declaration order; `accepts` and `within` are predicates on
+    the tuples. The starts are
     trusted to be configurations of spec: the callers check them. Successors
     whose total stack size passes size_cap, or that `within` rejects, are
     dropped before they are stored (the starts are kept whatever they are);
@@ -70,8 +78,8 @@ def explore(
     moves = spec.moves
     if size_cap is None:
         size_cap = math.inf
-    stored: dict[ConfigTuple, tuple[ConfigTuple, Rule] | None] = {}
-    frontier: list[ConfigTuple] = []
+    stored = {}
+    frontier = []
     for start in starts:
         if start in stored:
             continue
@@ -84,7 +92,7 @@ def explore(
     layer = 0
     while frontier and (depth is None or layer < depth):
         layer += 1
-        next_frontier: list[ConfigTuple] = []
+        next_frontier = []
         for c in frontier:
             state, upper, lower = c
             size = len(upper) + len(lower)
@@ -119,52 +127,27 @@ def explore(
 
 
 def search_trace(
-    spec: UpdsSpec,
-    starts: Iterable[Configuration],
-    accepts: Callable[[ConfigTuple], bool],
-    size_cap: int | None,
-    depth: int | None = None,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    within: Callable[[ConfigTuple], bool] | None = None,
-) -> tuple[Rule, ...] | None:
-    """A shortest rule sequence driving some start to a configuration
-    whose tuple `accepts`, or None if `explore` finds none; among shortest
-    traces the first found wins."""
+    spec,
+    starts,
+    accepts,
+    size_cap,
+    depth=None,
+    node_budget=DEFAULT_NODE_BUDGET,
+    within=None,
+):
+    """A shortest rule sequence, a tuple, driving some start (an iterable
+    of `Configuration` objects) to a configuration whose tuple `accepts`,
+    or None if `explore` finds none; among shortest traces the first found
+    wins."""
     starts = _checked(spec, starts)
     hit, stored = explore(spec, starts, accepts, size_cap, depth, node_budget, within)
     if hit is None:
         return None
-    rules: list[Rule] = []
+    rules = []
     while (link := stored[hit]) is not None:
         hit, rule = link
         rules.append(rule)
     return tuple(reversed(rules))
-
-
-def oracle_trace(
-    spec: UpdsSpec,
-    start: Configuration,
-    accepts: Callable[[Configuration], bool],
-    depth: int | None,
-    size_cap: int | None,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    within: Callable[[Configuration], bool] | None = None,
-) -> tuple[Rule, ...] | None:
-    """A shortest rule sequence of length <= depth driving `start` to a
-    configuration satisfying `accepts`, never letting the total stack
-    size pass size_cap and never leaving the configurations `within`
-    holds for; None if none exists within those bounds. None leaves the
-    depth, the size or the region free."""
-    inside = None if within is None else (lambda c: within(Configuration(*c)))
-    return search_trace(
-        spec,
-        [start],
-        lambda c: accepts(Configuration(*c)),
-        size_cap,
-        depth,
-        node_budget,
-        inside,
-    )
 
 
 __getattr__ = _forward(
@@ -172,5 +155,5 @@ __getattr__ = _forward(
     membership="is_reachable",
     # Only the `oracle` command lists the bounded closure.
     **{"commands.oracle": "oracle_post"},
-    extras="step oracle_pre_kphase pds_step pds_closure pds_reaches",
+    extras="step oracle_pre_kphase oracle_trace pds_step pds_closure pds_reaches",
 )

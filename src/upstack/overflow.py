@@ -1,21 +1,22 @@
 """The stack-overflow checker: can a push overwrite memory past the
-stack's bound? It decides from the lower-stack summaries of `summaries`
-first and poses what they leave open to the shared decision in
-`safety`, which it loads only then; only `upstack check-overflow` runs
-it, and it reads its starting lower words with `parse_zone_regex`.
+stack's bound? It decides from the lower-stack summaries of `summaries`,
+and within k phases from those of the system's phase-counting copy in
+`phasecopy`, which it loads only once the first show a violation; only
+`upstack check-overflow` runs it, and it reads its starting lower words
+with `parse_zone_regex`.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .checkers import SAFE, Verdict, _all_states_set, _any_word, _spec_of, config_from_word
+from .checkers import SAFE, Verdict, _all_states_set, _spec_of, config_from_word
 from .core import UpdsSpec
 from .errors import MalformedInputError
-from .limits import DEFAULT_PHASES, DFA_STATE_BUDGET
+from .limits import DEFAULT_NODE_BUDGET, DEFAULT_PHASES
 from .model import ModelFile
 from .regex import _parse_text
-from .summaries import Summaries, settle, shortest_violation
+from .summaries import Summaries, shortest_violation
 
 # The symbols the checker injects: the sentinel on top of the upper zone,
 # and the headroom below it.
@@ -35,7 +36,7 @@ def check_stack_overflow(
     m: int,
     lower: str,
     k: int = DEFAULT_PHASES,
-    node_budget: int = DFA_STATE_BUDGET,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Verdict:
     """Can the stack grow past its bound? The system is run with a
     sentinel on top of the upper zone and m filler cells of headroom
@@ -46,11 +47,10 @@ def check_stack_overflow(
 
     While the sentinel survives, the upper zone holds m+1 cells less the
     lower stack's growth, so the answer is Safe when no run from a start
-    word grows past m: when M <= m (see `summaries`). Else a shortest
-    start member that does is replayed (`settle`). Until the sentinel is
-    overwritten a step keeps the total stack size, so that search is
-    capped at the witness's. What it leaves open goes to the `pre*`
-    rounds of `safety`."""
+    word grows past m: when M <= m (see `summaries`). Else the summaries
+    of the system's copy that counts phases decide within k phases, and a
+    search of at most node_budget configurations finds the trace
+    (`phasecopy.decide_within`)."""
     spec = _spec_of(model)
     if m < 0:
         raise MalformedInputError(f"headroom must be nonnegative, got {m}")
@@ -67,26 +67,21 @@ def check_stack_overflow(
     cells = (("sym", TOP_SENTINEL),) + (("sym", FILLER),) * m
     headroom = cells[0] if m == 0 else ("concat", cells)
     initial = _all_states_set(extended, headroom, starts)
-    summaries = Summaries(spec)
-    growth = summaries.growth
+
     # The search's distance d counts the m+1 upper cells and the start
     # cells popped: a run at head (r, a) grows past m when G(r, a) > m +
     # (d - m - 1).
-    best = shortest_violation(
-        summaries, spec.states, initial.components, lambda r, a, d: growth.get((r, a), 0) >= d
-    )
+    def violation(summaries):
+        growth = summaries.growth
+        return lambda r, a, d: growth.get((r, a), 0) >= d
+
+    summaries = Summaries(spec)
+    best = shortest_violation(summaries, spec.states, initial.components, violation(summaries))
     if best is None:
         return Verdict(SAFE, k, node_budget, decided_by="lower-stack")
+    from .phasecopy import decide_within
 
-    witness = config_from_word(*best)
-    unguarded = _any_word(s for s in extended.alphabet if s != TOP_SENTINEL)
-    return settle(
-        extended,
-        witness,
-        lambda c: TOP_SENTINEL not in c.upper,
-        k,
-        node_budget,
-        initial,
-        (unguarded, _any_word(extended.alphabet)),
-        size_cap=witness.total_size,
+    return decide_within(
+        extended, k, node_budget, config_from_word(*best), initial.components, violation,
+        lambda c: TOP_SENTINEL not in c[1],
     )

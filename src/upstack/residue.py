@@ -1,19 +1,20 @@
 """The residue-read checker: can the cell just above the stack pointer,
 where a read past the end of the stack would find it, hold a given
-symbol? It decides from the lower-stack summaries of `summaries` first
-and poses what they leave open to the shared decision in `safety`,
-which it loads only then; only `upstack check-read` runs it.
+symbol? It decides from the lower-stack summaries of `summaries`, and
+within k phases from those of the system's phase-counting copy in
+`phasecopy`, which it loads only once the first show a violation; only
+`upstack check-read` runs it.
 """
 
 from __future__ import annotations
 
-from .checkers import SAFE, Verdict, _any_word, _spec_of, config_from_word
+from .checkers import SAFE, Verdict, _spec_of, config_from_word
 from .configsets import ConfigAutomaton, bar
 from .core import UpdsSpec
 from .errors import MalformedInputError
-from .limits import DEFAULT_PHASES, DFA_STATE_BUDGET
+from .limits import DEFAULT_NODE_BUDGET, DEFAULT_PHASES
 from .model import ModelFile
-from .summaries import Summaries, settle, shortest_violation
+from .summaries import Summaries, shortest_violation
 
 
 def check_upper_read(
@@ -21,7 +22,7 @@ def check_upper_read(
     configs: str | ConfigAutomaton,
     symbol: str,
     k: int = DEFAULT_PHASES,
-    node_budget: int = DFA_STATE_BUDGET,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Verdict:
     """Can `symbol` sit in the cell just above the boundary — where a
     read past the end of the stack would pick it up — in some reachable
@@ -31,10 +32,10 @@ def check_upper_read(
     The cell just above the boundary holds `symbol` right after a pop of
     it, or once a run grows back up to a copy that its start's upper word
     holds (see `summaries`), so the answer is Safe when the summaries show
-    neither from any start member. Else a shortest start member from
-    which they show one is replayed inside the configurations from which
-    they still show one (`settle`), and what that leaves open goes to
-    the `pre*` rounds of `safety`."""
+    neither from any start member. Else the summaries of the system's
+    copy that counts phases decide within k phases, and a search of at
+    most node_budget configurations finds the trace
+    (`phasecopy.decide_within`)."""
     spec = _spec_of(model)
     if symbol not in spec.alphabet:
         raise MalformedInputError(f"undeclared symbol {symbol!r}")
@@ -45,27 +46,23 @@ def check_upper_read(
             )
         configs = model.config_set(configs)
     configs.check_against(spec, "start set")
-    summaries = Summaries(spec)
-    pops, growth = summaries.pops, summaries.growth
     barred = bar(symbol)
 
-    def violates(r, a, d) -> bool:
-        return symbol in pops.get((r, a), ()) or (d is not None and growth.get((r, a), 0) >= d)
+    def violation(summaries):
+        pops, growth = summaries.pops, summaries.growth
+        return lambda r, a, d: symbol in pops.get((r, a), ()) or (
+            d is not None and growth.get((r, a), 0) >= d
+        )
 
-    best = shortest_violation(summaries, spec.states, configs.components, violates, barred)
+    summaries = Summaries(spec)
+    best = shortest_violation(
+        summaries, spec.states, configs.components, violation(summaries), barred
+    )
     if best is None:
         return Verdict(SAFE, k, node_budget, decided_by="lower-stack")
+    from .phasecopy import decide_within
 
-    anything = _any_word(spec.alphabet)
-    return settle(
-        spec,
-        config_from_word(*best),
-        lambda c: c.upper[-1:] == (symbol,),
-        k,
-        node_budget,
-        configs,
-        (("concat", (anything, ("sym", symbol))), anything),
-        within=lambda c: summaries.shows(
-            c.state, tuple(map(bar, c.upper)) + c.lower, violates, barred
-        ),
+    return decide_within(
+        spec, k, node_budget, config_from_word(*best), configs.components, violation,
+        lambda c: c[1][-1:] == (symbol,), barred,
     )

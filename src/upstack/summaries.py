@@ -47,14 +47,10 @@ a run exposes it exactly when some reached triple has G(r, a) >= d, or
 d = 0 where n is final. `Summaries.shows` asks the same of one
 configuration.
 
-A checker decides Safe from these facts alone, and Unsafe only with a
-trace of at most k phases that `oracle_trace` found from a shortest
-start member the summaries show to violate (`settle`), or, where the
-shortest trace passes k phases, that a search of the system's copy that
-counts phases found (`safety.phase_bounded_trace`); each search stores
-at most `limits.LOWER_TRACE_BUDGET` configurations. Anything else goes
-to the `pre*` rounds of `safety`, so only a question with a shown
-violation reaches them. `count_phases` measures a trace.
+A checker decides Safe from these facts alone. Where they show a
+violation, it decides within k phases from the summaries of the
+system's copy that counts phases, an ordinary pushdown system too
+(`phasecopy`).
 
 Every checker call compiles this module, so its helpers carry no type
 annotations, which are syntax-tree nodes too; their docstrings say what
@@ -66,29 +62,8 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from .checkers import UNSAFE, Verdict, _all_states_set
 from .configsets import is_barred
-from .errors import ResourceLimitError
-from .limits import LOWER_TRACE_BUDGET
-from .model import print_config_literal
 from .nfa import EPSILON, label_key
-
-
-def count_phases(trace):
-    """The least k such that the trace, an iterable of rules, splits into
-    k blocks, each avoiding pushes or avoiding pops. Switches join any
-    block; a nonempty all-switch trace is one block; the empty trace is
-    zero."""
-    runs = 0
-    current = None
-    nonempty = False
-    for rule in trace:
-        nonempty = True
-        arity = len(rule.written)
-        if arity != 1 and arity != current:
-            runs += 1
-            current = arity
-    return runs or int(nonempty)
 
 
 class Summaries:
@@ -245,50 +220,3 @@ def shortest_violation(summaries, states, components, violates, marked=None):
                             queue.append((r2, target, d2))
     return best
 
-
-def settle(
-    spec, witness, accepts, k, node_budget, initial, forbidden, size_cap=None, within=None
-):
-    """Unsafe, decided by the lower stack, if `oracle_trace` finds a trace
-    of at most k phases in the system `spec` from the witness (a
-    `Configuration` that the summaries show to violate) to a configuration
-    that `accepts`, within `size_cap` and the configurations `within`
-    holds for. Where a shortest such trace passes k phases, a longer one
-    may not, so the search is made once more in a copy of the system that
-    counts phases (`safety.phase_bounded_trace`). Each search stores at
-    most LOWER_TRACE_BUDGET configurations. Else the verdict of the pre*
-    rounds (`safety._decide_under`) for the start set `initial` and the
-    forbidden set of the two zone ASTs `forbidden` (see
-    `checkers._all_states_set`); its Unknown says so in its note where a
-    search found the violation past k phases, and names the witness and
-    the spent budget where a search ran out of it."""
-    from .oracle import oracle_trace
-
-    past = ""
-    try:
-        trace = oracle_trace(
-            spec, witness, accepts, None, size_cap, node_budget=LOWER_TRACE_BUDGET,
-            within=within,
-        )
-        if trace and (phases := count_phases(trace)) > k:
-            from .safety import phase_bounded_trace
-
-            past = (
-                f"; a violation exists past k={k}: a trace from "
-                f"{print_config_literal(witness)} reaches it in {phases} phase"
-                + "s" * (phases > 1)
-            )
-            trace = phase_bounded_trace(
-                spec, witness, accepts, k, size_cap, within, node_budget=LOWER_TRACE_BUDGET
-            )
-    except ResourceLimitError:
-        trace = None
-        past = past or f"; a violation exists from {print_config_literal(witness)}"
-        past += f"; a trace search stopped at its budget of {LOWER_TRACE_BUDGET} configurations"
-    if trace is not None:
-        return Verdict(UNSAFE, k, node_budget, witness, trace, decided_by="lower-stack")
-    from .safety import _decide_under
-
-    return _decide_under(
-        spec, initial, _all_states_set(spec, *forbidden), k, node_budget, past
-    )

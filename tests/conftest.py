@@ -128,6 +128,22 @@ def c2_automaton(spec: UpdsSpec):
     )
 
 
+def any_word(symbols) -> tuple:
+    """The zone AST (see `upstack.regex`) of (s1 | s2 | ...)*, for at
+    least one symbol."""
+    parts = tuple(("sym", s) for s in symbols)
+    return ("star", parts[0] if len(parts) == 1 else ("alt", parts))
+
+
+def forbidden_read(spec: UpdsSpec, symbol: str):
+    """The configurations, in every state, whose upper word ends with
+    `symbol`: the forbidden set of the read checker's question."""
+    from upstack.checkers import _all_states_set
+
+    anything = any_word(spec.alphabet)
+    return _all_states_set(spec, ("concat", (anything, ("sym", symbol))), anything)
+
+
 @pytest.fixture(name="c1")
 def c1_fixture(e1):
     return c1_automaton(e1)

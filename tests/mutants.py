@@ -213,8 +213,8 @@ MUTANTS = (
     (
         "a replay not kept inside the under-approximation",
         "safety.py",
-        "forbidden.accepts, k, None, under.accepts)",
-        "forbidden.accepts, k, None, None)",
+        "lambda c: under.accepts(original(c)), DEFAULT_NODE_BUDGET,",
+        "None, DEFAULT_NODE_BUDGET,",
         ["tests/test_checkers.py"],
     ),
     (
@@ -260,35 +260,43 @@ MUTANTS = (
         ["tests/test_lower.py::test_summaries_match_the_lower_reference"],
     ),
     (
-        "a lower-stack trace answered Unsafe whatever its phases",
-        "summaries.py",
-        "if trace and (phases := count_phases(trace)) > k:",
-        "if False:",
-        ["tests/test_lower.py::test_checkers_agree_with_decide_safety_on_the_fixtures"],
+        "the phase-counting copy allowed one phase past k",
+        "phasecopy.py",
+        "for p in range(1, k + 1)",
+        "for p in range(1, k + 2)",
+        ["tests/test_lower.py"],
     ),
     (
-        "the second search from a lower-stack witness without its phase bound",
-        "summaries.py",
-        "trace = phase_bounded_trace(\n                spec, witness, accepts, k, size_cap, "
-        "within, node_budget=LOWER_TRACE_BUDGET\n",
-        "trace = oracle_trace(\n                spec, witness, accepts, None, size_cap, "
-        "LOWER_TRACE_BUDGET, within\n",
+        "a switch counted as a change of phase",
+        "phasecopy.py",
+        "to = (q2, p, last) if arity == 1 else",
+        "to = (q2, p + 1, last) if arity == 1 else",
+        ["tests/test_lower.py"],
+    ),
+    (
+        "the trace search not kept where the copy shows a violation",
+        "phasecopy.py",
+        "return accepts(c) or summaries.shows(",
+        "return True or summaries.shows(",
         [
-            "tests/test_lower.py::"
-            "test_a_trace_within_k_phases_is_found_past_a_shortest_one_that_is_not"
+            "tests/test_checkers.py::"
+            "test_the_trace_search_stays_where_the_copy_shows_a_violation"
         ],
     ),
     (
-        "the search from a lower-stack witness left without its budget",
-        "summaries.py",
-        "node_budget=LOWER_TRACE_BUDGET,",
-        "",
-        ["tests/test_checkers.py::test_lower_stack_replay_stops_at_its_budget"],
+        "the witness taken from the system's summaries, not the copy's",
+        "phasecopy.py",
+        "witness = config_from_word(best[0][0], best[1])",
+        "witness = shown",
+        [
+            "tests/test_lower.py::"
+            "test_the_witness_is_a_shortest_member_with_a_violation_within_k_phases"
+        ],
     ),
     (
         "a read Safe although a start upper word holds the symbol",
         "residue.py",
-        "symbol in pops.get((r, a), ()) or (d is not None and growth.get((r, a), 0) >= d)",
+        "symbol in pops.get((r, a), ()) or (\n            d is not None and growth.get((r, a), 0) >= d\n        )",
         "symbol in pops.get((r, a), ())",
         ["tests/test_lower.py::test_new_stack_reads_are_decided_on_the_lower_stack"],
     ),

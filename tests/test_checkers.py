@@ -1,25 +1,25 @@
 """The two safety checkers and their shared decision procedure."""
 
 import collections
-import functools
 import random
 
 import pytest
 
 from conftest import (
     BAD_LOWER_ZONES,
+    any_word,
     c1_automaton,
     cfg,
     e1_spec,
+    forbidden_read,
     random_configuration,
     random_spec,
 )
-from upstack import oracle, summaries
-from upstack.checkers import SAFE, UNKNOWN, UNSAFE, Verdict, _all_states_set, _any_word
+from upstack import oracle, phasecopy, safety
+from upstack.checkers import SAFE, UNKNOWN, UNSAFE, Verdict, _all_states_set
 from upstack.configsets import ConfigAutomaton, from_config_set
-from upstack.core import RuleKind, make_spec, run_trace
+from upstack.core import RuleKind, count_phases, make_spec, run_trace
 from upstack.errors import MalformedInputError, ParseError, ResourceLimitError
-from upstack.limits import LOWER_TRACE_BUDGET
 from upstack.fixtures import fixture_text
 from upstack.model import parse_model, print_config_literal
 from upstack.oracle import explore, oracle_post
@@ -27,7 +27,6 @@ from upstack.overflow import FILLER, TOP_SENTINEL, check_stack_overflow
 from upstack.regex import compile_config_regex
 from upstack.residue import check_upper_read
 from upstack.safety import decide_safety
-from upstack.summaries import count_phases
 
 
 def singleton(spec, *configs):
@@ -241,24 +240,18 @@ def test_converged_rounds_without_a_hit_are_an_exact_safe(e2, c2):
 
 
 def test_replay_out_of_budget_is_unknown(monkeypatch, e1, c1):
-    # Unsafe at the default budget (the README's check-read golden); with
-    # room for two configurations the search from the lower-stack witness
-    # runs out, and so does the replay of the hit it falls back to. The
-    # note keeps the violation that the summaries showed.
-    assert check_upper_read(e1, c1, "a").outcome == UNSAFE
-    monkeypatch.setattr(summaries, "LOWER_TRACE_BUDGET", 2)
-    monkeypatch.setattr(
-        oracle, "oracle_trace", functools.partial(oracle.oracle_trace, node_budget=2)
-    )
-    verdict = check_upper_read(e1, c1, "a")
+    # Unsafe at the default budget; with room for two configurations the
+    # replay of the hit runs out, and the verdict keeps the hit's witness.
+    forbidden = forbidden_read(e1, "a")
+    assert decide_safety(e1, c1, forbidden).outcome == UNSAFE
+    monkeypatch.setattr(safety, "DEFAULT_NODE_BUDGET", 2)
+    verdict = decide_safety(e1, c1, forbidden)
     assert (verdict.outcome, verdict.exit_code, verdict.decided_by) == (UNKNOWN, 2, "limit")
-    assert verdict.witness == cfg("p", "", "x bot")
+    assert verdict.witness == cfg("p", "", "x bot") and verdict.trace is None
     assert verdict.note == (
         "under-approximation reached p: ^ x bot but the replay ran out of its "
-        "configuration search budget (explored 2 nodes); a violation exists from "
-        "p: ^ x bot; a trace search stopped at its budget of 2 configurations"
+        "configuration search budget (explored 2 nodes)"
     )
-
 
 
 def test_a_hit_with_no_trace_inside_it_is_unknown(monkeypatch):
@@ -266,16 +259,36 @@ def test_a_hit_with_no_trace_inside_it_is_unknown(monkeypatch):
     # a defect of pre*; the verdict stays Unknown, so that an Unsafe
     # always carries a replayed trace.
     model = parse_model(fixture_text("relocate.upds"))
-    unsafe = check_upper_read(model, "Boot", "secret")
-    assert unsafe.outcome == UNSAFE
-    monkeypatch.setattr(oracle, "oracle_trace", lambda *args, **kwargs: None)
-    verdict = check_upper_read(model, "Boot", "secret")
+    initial, forbidden = model.config_set("Boot"), forbidden_read(model.spec, "secret")
+    unsafe = decide_safety(model.spec, initial, forbidden)
+    assert (unsafe.outcome, unsafe.decided_by) == (UNSAFE, "hit")
+    monkeypatch.setattr(phasecopy, "copy_trace", lambda *args: None)
+    verdict = decide_safety(model.spec, initial, forbidden)
     assert (verdict.outcome, verdict.exit_code, verdict.decided_by) == (UNKNOWN, 2, "hit")
     assert verdict.witness == unsafe.witness and verdict.trace is None
     assert verdict.note == (
         f"under-approximation reached {print_config_literal(unsafe.witness)} "
         "but no trace to the forbidden set stays inside it"
     )
+
+
+def test_a_shown_violation_with_no_trace_is_unknown(monkeypatch):
+    # The copy's summaries show the violation, so a search that finds no
+    # trace is a defect: the verdict stays Unknown, with the witness.
+    model = parse_model(fixture_text("relocate.upds"))
+    unsafe = check_upper_read(model, "Boot", "secret")
+    assert (unsafe.outcome, unsafe.decided_by) == (UNSAFE, "lower-stack")
+    monkeypatch.setattr(phasecopy, "search_trace", lambda *args: None)
+    verdict = check_upper_read(model, "Boot", "secret")
+    assert (verdict.outcome, verdict.exit_code, verdict.decided_by) == (
+        UNKNOWN, 2, "lower-stack"
+    )
+    assert verdict.witness == unsafe.witness and verdict.trace is None
+    assert verdict.note == (
+        f"a violation within k=3 phases exists from {print_config_literal(unsafe.witness)}, "
+        "but no trace to it was found"
+    )
+
 
 def _switch_chain(n):
     """States s0..s{n-1}: a switch chain on x, both pushes on both tops in
@@ -293,29 +306,8 @@ def _switch_chain(n):
     return parse_model("\n".join(lines) + "\n")
 
 
-def test_replay_stays_inside_the_under_approximation(monkeypatch):
-    # A search over every successor, and so the one from the lower-stack
-    # witness too, runs through its budget on the pushes long before it
-    # walks the chain; restricted to the one-phase pre*, the replay finds
-    # the chain at once.
-    monkeypatch.setattr(
-        oracle, "oracle_trace", functools.partial(oracle.oracle_trace, node_budget=1000)
-    )
-    verdict = check_upper_read(_switch_chain(10), "I", "x", k=1)
-    assert (verdict.outcome, verdict.decided_by) == (UNSAFE, "hit")
-    assert verdict.witness == cfg("s0", "", "x")
-    assert len(verdict.trace) == 10
-    assert [rule.kind for rule in verdict.trace[:9]] == [RuleKind.SWITCH] * 9
-    assert verdict.trace[-1].kind is RuleKind.POP
-
-
-def test_lower_stack_replay_stops_at_its_budget(monkeypatch):
-    # From almost every configuration around the chain a run can still
-    # pop x, so the search from the summaries' witness would store some
-    # 2^25 configurations before the chain ends. It stops at its own
-    # budget, and the fallback's replay inside the one-phase pre* walks
-    # the chain at once: the call stores few more configurations than
-    # twice that budget, where the unbounded search took seconds.
+def _stored_per_search(monkeypatch):
+    """A list that collects the configurations each search stores."""
     stored = []
     search = oracle.explore
 
@@ -329,23 +321,68 @@ def test_lower_stack_replay_stops_at_its_budget(monkeypatch):
         return hit, seen
 
     monkeypatch.setattr(oracle, "explore", counted)
-    verdict = check_upper_read(_switch_chain(25), "I", "x", k=1)
+    return stored
+
+
+def test_replay_stays_inside_the_under_approximation(monkeypatch):
+    # A search over every successor runs through a budget of 1,000 on the
+    # pushes long before it walks the chain; restricted to the one-phase
+    # pre*, the replay of `decide_safety` finds the chain at once.
+    model = _switch_chain(10)
+    monkeypatch.setattr(safety, "DEFAULT_NODE_BUDGET", 1000)
+    verdict = decide_safety(model.spec, model.config_set("I"), forbidden_read(model.spec, "x"), 1)
     assert (verdict.outcome, verdict.decided_by) == (UNSAFE, "hit")
+    assert verdict.witness == cfg("s0", "", "x")
+    assert len(verdict.trace) == 10
+    assert [rule.kind for rule in verdict.trace[:9]] == [RuleKind.SWITCH] * 9
+    assert verdict.trace[-1].kind is RuleKind.POP
+
+
+def test_the_trace_search_stays_where_the_copy_shows_a_violation(monkeypatch):
+    # At k=1 a push leaves no phase for the pop, so the copy's summaries
+    # show no violation after one: kept to the configurations from which
+    # they still show one, the checker's one search walks the chain and
+    # stores little more than it, where a search over every successor
+    # would store some 2^25 configurations first.
+    stored = _stored_per_search(monkeypatch)
+    verdict = check_upper_read(_switch_chain(25), "I", "x", k=1, node_budget=100)
+    assert (verdict.outcome, verdict.decided_by) == (UNSAFE, "lower-stack")
     assert verdict.witness == cfg("s0", "", "x") and len(verdict.trace) == 25
-    assert stored[0] == LOWER_TRACE_BUDGET and sum(stored[1:]) < LOWER_TRACE_BUDGET
+    assert [rule.kind for rule in verdict.trace[:24]] == [RuleKind.SWITCH] * 24
+    assert stored == [26]
+
+
+def test_lower_stack_replay_stops_at_its_budget(monkeypatch):
+    # At k=2 a push phase can be followed by the pop, so from almost every
+    # configuration around the chain the copy still shows a violation: the
+    # one search stops at the checker's budget, and the Unknown names the
+    # witness and the spent budget.
+    stored = _stored_per_search(monkeypatch)
+    verdict = check_upper_read(_switch_chain(25), "I", "x", k=2, node_budget=500)
+    assert (verdict.outcome, verdict.exit_code, verdict.decided_by) == (UNKNOWN, 2, "limit")
+    assert verdict.witness == cfg("s0", "", "x") and verdict.trace is None
+    assert verdict.note == (
+        "a violation within k=2 phases exists from s0: ^ x, but the trace search ran "
+        "out of its configuration search budget (explored 500 nodes)"
+    )
+    assert stored == [500]
 
 
 def test_an_unknown_past_the_trace_budget_keeps_the_violation():
-    # At k=0 no pre* round runs, so the answer is Unknown. The summaries
-    # show the read from s0: ^ x, and the search for its trace runs out
-    # of its budget on the pushes: the note still names the witness, and
-    # the budget that stopped the search.
+    # At k=0 no push or pop is left, so the copy's summaries show no
+    # violation, and no trace is searched: the note names the start member
+    # from which the system's own summaries show one. With room for two
+    # configurations, the same read at k=1 runs out of its budget, and its
+    # note keeps the violation too.
     verdict = check_upper_read(_switch_chain(25), "I", "x", k=0)
     assert (verdict.outcome, verdict.decided_by) == (UNKNOWN, "phase-bound")
+    assert verdict.witness is None
     assert verdict.note == (
-        "no phase-bounded witness at k=0; a violation exists from s0: ^ x; a trace "
-        f"search stopped at its budget of {LOWER_TRACE_BUDGET} configurations"
+        "no phase-bounded witness at k=0; a violation exists past k=0 from s0: ^ x"
     )
+    starved = check_upper_read(_switch_chain(25), "I", "x", k=1, node_budget=2)
+    assert (starved.outcome, starved.decided_by) == (UNKNOWN, "limit")
+    assert starved.note.startswith("a violation within k=1 phases exists from s0: ^ x, ")
 
 
 def test_decide_random_sweep_verdicts_are_sound():
@@ -403,15 +440,13 @@ def test_over_approximation_safes_at_one_phase_have_no_bounded_counterexample():
         guarded_start = compile_config_regex(
             f"{TOP_SENTINEL} {FILLER} ^ {lower}", guarded.alphabet
         )
-        anything = _any_word(spec.alphabet)
-        unguarded = _any_word(s for s in guarded.alphabet if s != TOP_SENTINEL)
+        unguarded = any_word(s for s in guarded.alphabet if s != TOP_SENTINEL)
         queries = (
             (check_upper_read(spec, initial, symbol, k=1), spec, initial,
-             _all_states_set(spec, ("concat", (anything, ("sym", symbol))), anything),
-             lambda c: c[1][-1:] == (symbol,)),
+             forbidden_read(spec, symbol), lambda c: c[1][-1:] == (symbol,)),
             (check_stack_overflow(spec, 1, lower, k=1), guarded,
              ConfigAutomaton(guarded.alphabet, dict.fromkeys(spec.states, guarded_start)),
-             _all_states_set(guarded, unguarded, _any_word(guarded.alphabet)),
+             _all_states_set(guarded, unguarded, any_word(guarded.alphabet)),
              lambda c: TOP_SENTINEL not in c[1]),
         )
         for verdict, system, starts, forbidden_set, forbidden in queries:
@@ -427,7 +462,8 @@ def test_over_approximation_safes_at_one_phase_have_no_bounded_counterexample():
     # and a pre* hit the 32 Unsafe; 4 are Unknown. The checkers: the
     # lower-stack summaries decide all 44 Safe and all 32 Unsafe, and the
     # same 4, whose violations the summaries show, are left to the phase
-    # bound: the pre* rounds find no witness within one phase.
+    # bound: the summaries of the copy that counts phases show none within
+    # one phase.
     assert alone[SAFE, "over-approximation"] == 37
     assert alone[UNKNOWN, "over-approximation"] == 4
     assert decided[SAFE, "lower-stack"] == 44

@@ -96,21 +96,18 @@ def test_overflow_golden_on_pumping_fixture():
 
 
 def test_a_starved_budget_leaves_every_fixture_verdict_as_it_is():
-    # Past the budget a compaction keeps its language, so pre*_k, its hit
-    # with the initial set and every Unsafe or over-approximation verdict
-    # do not depend on the budget. A fallen-back compaction is not
-    # canonical, though, so its rounds are never `same` and cannot show
-    # that pre* converged: the two fixtures that are Safe by convergence
-    # fall back on the over-approximation at --budget 1, which misses
-    # their forbidden sets too.
+    # A checker's budget bounds only the search for the trace of a
+    # violation that the summaries show: a Safe, which needs no trace, and
+    # an Unknown stay as they are at --budget 1, and an Unsafe whose trace
+    # takes a step becomes Unknown, exit 2. It never becomes Safe.
     checks = (
-        (["check-read", E1, "--init", "C1", "--symbol", "a"], "Unsafe", "Unsafe"),
-        (["check-read", E2, "--init", "C2", "--symbol", "a"], "Unsafe", "Unsafe"),
+        (["check-read", E1, "--init", "C1", "--symbol", "a"], "Unsafe", "Unknown"),
+        (["check-read", E2, "--init", "C2", "--symbol", "a"], "Unsafe", "Unknown"),
         (["check-read", E2, "--init", "C2", "--symbol", "c"], "Safe", "Safe"),
-        (["check-read", RELOCATE, "--init", "Boot", "--symbol", "secret"], "Unsafe", "Unsafe"),
+        (["check-read", RELOCATE, "--init", "Boot", "--symbol", "secret"], "Unsafe", "Unknown"),
         (["check-read", RELOCATE, "--init", "Boot", "--symbol", "ret"], "Safe", "Safe"),
         (["check-read", RELOCATE, "--init", "Boot", "--symbol", "canary"], "Unknown", "Unknown"),
-        (["check-overflow", E1, "-m", "1", "--lower", "x (y x)* bot"], "Unsafe", "Unsafe"),
+        (["check-overflow", E1, "-m", "1", "--lower", "x (y x)* bot"], "Unsafe", "Unknown"),
         (["check-overflow", RELOCATE, "-m", "1", "--lower", "ret bot"], "Safe", "Safe"),
     )
     codes = {"Safe": 0, "Unsafe": 1, "Unknown": 2}
@@ -120,6 +117,22 @@ def test_a_starved_budget_leaves_every_fixture_verdict_as_it_is():
             assert (code, out.splitlines()[0]) == (
                 codes[outcome], f"verdict: {outcome} (k=3)"
             ), (argv, extra)
+
+
+def test_a_shown_violation_without_a_trace_exits_unknown(monkeypatch):
+    # Where the summaries show a violation, a search that finds no trace
+    # is a defect of the program, not of the input: the call answers
+    # Unknown (exit 2), never an error (exit 3 or 4).
+    from upstack import phasecopy
+
+    monkeypatch.setattr(phasecopy, "search_trace", lambda *args: None)
+    for argv in (
+        ["check-read", E1, "--init", "C1", "--symbol", "a"],
+        ["check-overflow", E1, "-m", "1", "--lower", "x (y x)* bot"],
+    ):
+        code, out, err = run_cli(argv)
+        assert (code, out.splitlines()[0], err) == (2, "verdict: Unknown (k=3)", ""), argv
+        assert out.splitlines()[-1].endswith("but no trace to it was found"), argv
 
 
 def test_pre_under_probe_respects_phase_bound():

@@ -385,17 +385,15 @@ _FALLBACK_DOTS = """
 import random, sys
 
 sys.path.insert(0, sys.argv[1])
-from conftest import random_configuration, random_spec
+from conftest import forbidden_read, random_configuration, random_spec
 from upstack import export_dot, fixture_text, parse_model
-from upstack.checkers import _all_states_set, _any_word
 from upstack.configsets import from_config_set
 from upstack.kphase import bounded_phase_pre_star
 
 for name in ("e2.upds", "relocate.upds"):
     spec = parse_model(fixture_text(name)).spec
-    anything = _any_word(spec.alphabet)
     for symbol in spec.alphabet:
-        forbidden = _all_states_set(spec, ("concat", (anything, ("sym", symbol))), anything)
+        forbidden = forbidden_read(spec, symbol)
         print(export_dot(bounded_phase_pre_star(spec, forbidden, 3, node_budget=1)))
 rng = random.Random(1789)
 drawn = 0

@@ -1,10 +1,12 @@
-"""The lower-stack summaries and the checkers that decide from them first.
+"""The lower-stack summaries and the checkers that decide from them.
 
 The summaries (`summaries.Summaries`) are checked against a brute-force
 stepper of the lower stack (`lower_reference`), reads of a symbol that a
 start upper word holds against its search over full configurations, and
 each checker's verdict against what `decide_safety` alone answers for
-the same sets.
+the same sets: the checkers decide within k phases on the summaries of
+the phase-counting copy (`phasecopy`), and `decide_safety` by its pre*
+rounds, so each keeps the other under an exact test.
 """
 
 import collections
@@ -14,17 +16,18 @@ import random
 import pytest
 
 import lower_reference as ref
-from conftest import HIDDEN_ONE_PHASE, random_spec
-from upstack.checkers import SAFE, UNKNOWN, UNSAFE, _all_states_set, _any_word
+from conftest import HIDDEN_ONE_PHASE, any_word, forbidden_read, random_spec
+from upstack.checkers import SAFE, UNKNOWN, UNSAFE, _all_states_set
 from upstack.configsets import ConfigAutomaton
-from upstack.core import Configuration, make_spec, run_trace
+from upstack.core import Configuration, count_phases, make_spec, run_trace
 from upstack.fixtures import fixture_text
 from upstack.model import parse_model
 from upstack.overflow import FILLER, TOP_SENTINEL, check_stack_overflow, parse_zone_regex
+from upstack.phasecopy import phase_copy
 from upstack.regex import compile_config_regex
 from upstack.residue import check_upper_read
 from upstack.safety import decide_safety
-from upstack.summaries import Summaries, count_phases, shortest_violation
+from upstack.summaries import Summaries, shortest_violation
 
 CAP = 9
 
@@ -141,35 +144,34 @@ def test_overflow_counts_the_start_cells_popped_before_a_run_grows():
     ]
 
 
-def _forbidden_read(spec, symbol):
-    anything = _any_word(spec.alphabet)
-    return _all_states_set(spec, ("concat", (anything, ("sym", symbol))), anything)
-
-
 def _overflow_sets(spec, m, lower):
     """The overflow checker's system and its initial and forbidden sets."""
     extended = make_spec(spec.states, spec.alphabet + (TOP_SENTINEL, FILLER), spec.rules)
     cells = (("sym", TOP_SENTINEL),) + (("sym", FILLER),) * m
     headroom = cells[0] if m == 0 else ("concat", cells)
     initial = _all_states_set(extended, headroom, parse_zone_regex(lower, spec.alphabet))
-    unguarded = _any_word(s for s in extended.alphabet if s != TOP_SENTINEL)
-    forbidden = _all_states_set(extended, unguarded, _any_word(extended.alphabet))
+    unguarded = any_word(s for s in extended.alphabet if s != TOP_SENTINEL)
+    forbidden = _all_states_set(extended, unguarded, any_word(extended.alphabet))
     return extended, initial, forbidden
 
 
 def _agree(checked, alone, system, initial, forbidden, k):
-    """The checker's verdict is decide_safety's, or Safe for its Unknown;
-    an Unsafe replays from an initial member into the forbidden set within
-    k phases. Returns whether the Unknown became Safe."""
-    assert checked.outcome == alone.outcome or (alone.outcome, checked.outcome) == (
-        UNKNOWN, SAFE
-    ), (checked, alone)
+    """The checker answers Unsafe exactly when decide_safety does at the
+    same k, and then with a trace that replays from an initial member
+    into the forbidden set within k phases; its `phase-bound` Unknown
+    pairs only with decide_safety's Unknown, and its Safe with Safe or
+    Unknown. Returns whether an Unknown became Safe."""
+    pair = (checked.outcome, checked.decided_by, alone.outcome)
+    assert pair in {
+        (UNSAFE, "lower-stack", UNSAFE),
+        (UNKNOWN, "phase-bound", UNKNOWN),
+        (SAFE, "lower-stack", SAFE),
+        (SAFE, "lower-stack", UNKNOWN),
+    }, (checked, alone)
     if checked.outcome == UNSAFE:
         assert initial.accepts(checked.witness)
         assert forbidden.accepts(run_trace(system, checked.witness, checked.trace))
         assert count_phases(checked.trace) <= k, checked.describe()
-    if checked.decided_by != "lower-stack":
-        assert checked.outcome == alone.outcome and checked.witness == alone.witness
     return checked.outcome != alone.outcome
 
 
@@ -189,7 +191,7 @@ def test_checkers_agree_with_decide_safety_on_the_fixtures(name):
         for set_name in model.set_names():
             initial = model.config_set(set_name)
             for symbol in spec.alphabet:
-                forbidden = _forbidden_read(spec, symbol)
+                forbidden = forbidden_read(spec, symbol)
                 checked = check_upper_read(model, set_name, symbol, k=k)
                 alone = decide_safety(spec, initial, forbidden, k)
                 if _agree(checked, alone, spec, initial, forbidden, k):
@@ -267,9 +269,9 @@ def test_held_reads_match_the_exposure_reference():
 
 
 def test_a_trace_within_k_phases_is_found_past_a_shortest_one_that_is_not():
-    # The search in the system finds the two-phase trace first; at k=1 the
-    # search in the copy that counts phases finds the one-phase trace, so
-    # the lower stack decides, where the pre* rounds decided before.
+    # A search in the system would find the two-phase trace first; at k=1
+    # the search in the copy that counts phases finds the one-phase trace,
+    # as short, so the lower stack decides.
     model = parse_model(HIDDEN_ONE_PHASE)
     verdicts = {}
     for k, trace in ((1, "q1 g0 -> q0 g0; q0 g0 -> q0"), (2, "q1 g0 -> q0 g0 g0; q0 g0 -> q0")):
@@ -279,16 +281,70 @@ def test_a_trace_within_k_phases_is_found_past_a_shortest_one_that_is_not():
             "witness: q1: ^ g0 g0 g0", f"trace: {trace}"
         ], k
     # The rounds alone replay the same trace from the same witness.
-    forbidden = _forbidden_read(model.spec, "g0")
+    forbidden = forbidden_read(model.spec, "g0")
     alone = decide_safety(model.spec, model.config_set("I"), forbidden, 1)
     assert (alone.outcome, alone.decided_by) == (UNSAFE, "hit")
     assert (alone.witness, alone.trace) == (verdicts[1].witness, verdicts[1].trace)
-    # No trace has 0 phases: the note keeps the shortest one's count.
+    # No trace has 0 phases: the copy for k=0 shows no violation, and the
+    # note names the start member from which the system's summaries show
+    # one.
     assert check_upper_read(model, "I", "g0", k=0).describe().splitlines() == [
         "verdict: Unknown (k=0)",
-        "note: no phase-bounded witness at k=0; a violation exists past k=0: a trace "
-        "from q1: ^ g0 g0 g0 reaches it in 2 phases",
+        "note: no phase-bounded witness at k=0; a violation exists past k=0 from "
+        "q1: ^ g0 g0 g0",
     ]
+
+
+def test_the_phase_copy_runs_exactly_the_traces_within_k_phases():
+    # Along random rule sequences that chain their states, a sequence
+    # lifts to a run of the copy from (q, 0, None) exactly when it has at
+    # most k phases, or, at k=0, when it has switches only (which
+    # `count_phases` counts as one phase). The copy has the 2k+1 marks
+    # that such runs reach.
+    rng, systems = _random_systems(59, 60, max_states=3, max_symbols=3, max_rules=8)
+    lifted = collections.Counter()
+    for spec in systems:
+        for k in range(4):
+            copy, origin = phase_copy(spec, k)
+            assert len(copy.states) == len(spec.states) * (2 * k + 1)
+            step = collections.defaultdict(dict)
+            for rule, copied in origin.items():
+                step[rule.from_state][copied] = rule.to_state
+            for _ in range(10):
+                state = rng.choice(spec.states)
+                at, trace = (state, 0, None), []
+                while len(trace) < 8:
+                    rules = [r for r in spec.rules if r.from_state == state]
+                    if not rules:
+                        break
+                    trace.append(rng.choice(rules))
+                    state = trace[-1].to_state
+                    if at is not None:
+                        at = step[at].get(trace[-1])
+                    within = count_phases(trace) <= k or (
+                        k == 0 and all(len(r.written) == 1 for r in trace)
+                    )
+                    assert (at is not None) == within, (spec, k, trace)
+                    lifted[within] += 1
+    assert lifted[True] >= 1000 and lifted[False] >= 1000
+
+
+def test_the_witness_is_a_shortest_member_with_a_violation_within_k_phases():
+    # From p: ^ b a run puts a above the boundary by a push and a pop, two
+    # phases; from p: ^ c a by two pops, one phase. The system's summaries
+    # show the shorter member, the copy's at k=1 the longer one, and the
+    # trace is searched from it.
+    model = parse_model(
+        "states p\nalphabet a b c\nrule p b -> p a b\nrule p a -> p\nrule p c -> p\n"
+        "set I p ^ ( b | c a )\n"
+    )
+    for k, witness, trace in ((2, "p: ^ b", "p b -> p a b; p a -> p"),
+                              (1, "p: ^ c a", "p c -> p; p a -> p")):
+        verdict = check_upper_read(model, "I", "a", k=k)
+        assert (verdict.outcome, verdict.decided_by) == (UNSAFE, "lower-stack"), k
+        assert verdict.describe().splitlines()[1:] == [
+            f"witness: {witness}", f"trace: {trace}"
+        ], k
 
 
 def test_checkers_agree_with_decide_safety_on_random_systems():
@@ -300,7 +356,7 @@ def test_checkers_agree_with_decide_safety_on_random_systems():
             spec.alphabet, {state: compile_config_regex(f"{upper} ^ {lower}", spec.alphabet)}
         )
         symbol = rng.choice(spec.alphabet)
-        forbidden = _forbidden_read(spec, symbol)
+        forbidden = forbidden_read(spec, symbol)
         m = rng.randint(0, 2)
         system, start, guarded = _overflow_sets(spec, m, lower)
         for k in range(5):
@@ -346,16 +402,15 @@ def test_cli_checker_calls_are_decided_on_the_lower_stack():
             verdict = check_stack_overflow(models[name], arg, more)
         if verdict.decided_by != "lower-stack":
             left.append((name, arg, more, verdict.outcome))
-    # The canary's violation (push, pop, push, pop) needs 4 phases at k=3,
-    # and the pre* rounds find no witness in 3; the over-approximation is
-    # not asked, since a shown violation meets it, and the note says that
-    # a violation exists.
+    # The canary's violation (push, pop, push, pop) needs 4 phases: at k=3
+    # the summaries of the copy that counts phases show none, and the note
+    # names the start member from which the system's summaries show one.
     assert left == [(_RELOCATE, "Boot", "canary", UNKNOWN)]
     canary = check_upper_read(models[_RELOCATE], "Boot", "canary")
     assert canary.describe().splitlines() == [
         "verdict: Unknown (k=3)",
-        "note: no phase-bounded witness at k=3; a violation exists past k=3: a trace "
-        "from boot: ^ ret bot reaches it in 4 phases",
+        "note: no phase-bounded witness at k=3; a violation exists past k=3 from "
+        "boot: ^ ret bot",
     ]
     assert canary.decided_by == "phase-bound"
     assert check_upper_read(models[_RELOCATE], "Boot", "canary", k=4).outcome == UNSAFE

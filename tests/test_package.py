@@ -96,24 +96,28 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     assert loaded["import"] == set()
     assert "membership" in loaded["member"]
     # Exact membership takes its start classes in a pass of its own: the
-    # generic walk of a set's members, in `commands.oracle`, is not loaded.
+    # generic walk of a set's members, in `words`, is not loaded.
     assert not loaded["member"] & {
         "checkers", "compaction", "kphase", "upperapprox", "pds", "dot", "grammar", "oracle",
-        "commands.oracle",
+        "words",
     }
     # Both checker answers are Unsafe, decided on the lower stack: the
-    # summaries and a replayed trace of at most k phases. Such a call loads
-    # neither the pre* rounds, the set algebra, the over-approximation, the
-    # grammar nor what no command runs.
-    fallback = {"kphase", "compaction", "product", "upperapprox", "extras", "grammar"}
+    # summaries of the system and of its copy that counts phases, and a
+    # trace of at most k phases searched in the copy. Such a call loads
+    # neither `decide_safety`, the pre* rounds, the set algebra, the
+    # over-approximation, the grammar nor what no command runs.
+    never_loaded = {
+        "safety", "kphase", "compaction", "product", "upperapprox", "extras", "grammar"
+    }
     for command in ("check-read", "check-overflow"):
-        assert {"checkers", "summaries", "oracle"} <= loaded[command], command
-        assert not loaded[command] & (fallback | {"pds", "dot"}), command
-    # A Safe from the lower stack needs no replay either: no run pops ret.
+        assert {"checkers", "summaries", "phasecopy", "oracle"} <= loaded[command], command
+        assert not loaded[command] & (never_loaded | {"pds", "dot"}), command
+    # A Safe from the lower stack needs neither the copy nor a search: no
+    # run pops ret.
     safe = ["check-read", "relocate.upds", "--init", "Boot", "--symbol", "ret"]
     lower_safe = _loaded_per_step(safe)["check-read"]
     assert "summaries" in lower_safe
-    assert not lower_safe & (fallback | {"oracle"})
+    assert not lower_safe & (never_loaded | {"oracle", "phasecopy"})
     # The phases saturate nothing, so `pre*` does not load the lower-stack
     # saturation.
     assert "kphase" in loaded["pre-under"]
@@ -125,11 +129,11 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     held_unsafe = _loaded_per_step(
         ["check-read", "relocate.upds", "--init", "NewStack", "--symbol", "secret"]
     )["check-read"]
-    assert {"checkers", "summaries", "oracle"} <= held_unsafe
-    assert not held_unsafe & (fallback | {"pds"})
+    assert {"checkers", "summaries", "phasecopy", "oracle"} <= held_unsafe
+    assert not held_unsafe & (never_loaded | {"pds"})
     # In Held, secret sits under canary and no run exposes or pops it: a
-    # Safe from the summaries, at any k, with neither a replay nor the
-    # pre* rounds.
+    # Safe from the summaries, at any k, with neither the copy, a search nor
+    # the pre* rounds.
     model = tmp_path / "held.upds"
     model.write_text(
         fixture_text("relocate.upds") + "set Held pivot secret canary ^ ret bot\n",
@@ -139,23 +143,22 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     for k in ("3", "1"):
         held_safe = _loaded_per_step([*held, "-k", k])["check-read"]
         assert {"checkers", "summaries"} <= held_safe, k
-        assert not held_safe & {"kphase", "compaction", "upperapprox", "pds", "oracle"}, k
-    # The canary's violation needs more phases than k: the summaries show
-    # it, so the pre* rounds decide, and the over-approximation, which
-    # meets every violation, is not built.
+        assert not held_safe & (never_loaded | {"pds", "oracle", "phasecopy"}), k
+    # The canary's violation needs more phases than k: the system's
+    # summaries show it and the copy's show none, so the answer is Unknown
+    # with no pre* rounds.
     canary = ["check-read", "relocate.upds", "--init", "Boot", "--symbol", "canary"]
     rounds = _loaded_per_step(canary)["check-read"]
-    assert {"safety", "kphase", "compaction"} <= rounds
-    assert not rounds & {"upperapprox", "pds", "extras", "grammar"}
+    assert {"summaries", "phasecopy"} <= rounds
+    assert not rounds & (never_loaded | {"pds"})
     # Where only a longer trace keeps within k phases, the search in the
-    # copy that counts phases decides: `safety` is loaded for it, the pre*
-    # rounds and the set algebra are not.
+    # copy that counts phases finds it, as it finds every trace.
     hidden = tmp_path / "hidden.upds"
     hidden.write_text(HIDDEN_ONE_PHASE, encoding="utf-8")
     longer = ["check-read", str(hidden), "--init", "I", "--symbol", "g0", "-k", "1"]
     phased = _loaded_per_step(longer)["check-read"]
-    assert {"summaries", "oracle", "safety"} <= phased
-    assert not phased & (fallback | {"pds"})
+    assert {"summaries", "oracle", "phasecopy"} <= phased
+    assert not phased & (never_loaded | {"pds"})
     # A set's DOT needs neither a search, an over-approximation, a grammar
     # nor the automaton algebra: a compiled set is drawn as it is.
     dot = _loaded_per_step(["export-dot", "e1.upds", "--set", "C1"])["export-dot"]
@@ -209,12 +212,18 @@ _COMPILED_NODE_CEILINGS = {
     # member ceiling is now that count plus 2%. Counted when the start
     # pass came to yield each layer as it is built: member 8943, the other
     # counts unchanged; the member ceiling is now that count plus 2%.
+    # Counted when the checkers came to decide within k phases on the
+    # summaries of the phase-counting copy, with no pre* fallback, and the
+    # word walk moved to `words`: member 8931, check-read-unsafe 9878,
+    # check-read-safe 8698, check-overflow 9950, post-over 12601,
+    # export-dot-set 7578 and pre-under 13214; the check-read-safe ceiling
+    # is now that count plus 2%.
     "member": (["member", "e1.upds", "--init", "C1", "--config", "p2: a ^ bot"], 9122),
     "check-read-unsafe": (
         ["check-read", "relocate.upds", "--init", "Boot", "--symbol", "secret"], 10040
     ),
     "check-read-safe": (
-        ["check-read", "relocate.upds", "--init", "Boot", "--symbol", "ret"], 9101
+        ["check-read", "relocate.upds", "--init", "Boot", "--symbol", "ret"], 8871
     ),
     "check-overflow": (
         ["check-overflow", "e1.upds", "-m", "1", "--lower", "x (y x)* bot"], 10089
@@ -248,8 +257,8 @@ def test_each_command_compiles_at_most_its_ceiling(kind):
 
 
 # Each command in each of its modes. A checker is run where the
-# lower-stack summaries decide and, at k=0, where they leave the question
-# to the pre* rounds.
+# summaries show no violation, where the copy that counts phases shows one
+# and a trace is searched, and where it shows none (the canary, and k=0).
 _EVERY_COMMAND_PATH = (
     ["member", "e1.upds", "--init", "C1", "--config", "p2: a ^ bot"],
     ["pre-under", "e2.upds", "--target", "C2", "-k", "2", "--config", "p: b ^ c c"],
@@ -259,6 +268,7 @@ _EVERY_COMMAND_PATH = (
     ["check-read", "relocate.upds", "--init", "Boot", "--symbol", "secret"],
     ["check-read", "relocate.upds", "--init", "Boot", "--symbol", "ret"],
     ["check-read", "relocate.upds", "--init", "NewStack", "--symbol", "secret"],
+    ["check-read", "relocate.upds", "--init", "Boot", "--symbol", "canary"],
     ["check-read", "e1.upds", "--init", "C1", "--symbol", "a", "-k", "0"],
     ["check-overflow", "e1.upds", "-m", "1", "--lower", "x (y x)* bot"],
     ["check-overflow", "e1.upds", "-m", "1", "--lower", "x bot", "-k", "0"],
@@ -275,10 +285,48 @@ def test_no_command_loads_extras():
     # every command path before it loaded.
     loaded = _loaded_per_step(*_EVERY_COMMAND_PATH)
     everything = set().union(*loaded.values())
-    # The paths include the shared decision, both approximations, the
+    # The paths include the checkers' copy, both approximations, the
     # grammar and the bounded closure.
-    assert {"safety", "kphase", "upperapprox", "grammar", "dot", "oracle"} <= everything
+    assert {"phasecopy", "kphase", "upperapprox", "grammar", "dot", "oracle"} <= everything
     assert "extras" not in everything
+
+
+def test_no_checker_path_loads_the_pre_star_rounds():
+    # Every checker path, in one interpreter: none loads `decide_safety`,
+    # the pre* rounds, the set algebra or the over-approximation.
+    checks = [argv for argv in _EVERY_COMMAND_PATH if argv[0].startswith("check-")]
+    loaded = _loaded_per_step(*checks)
+    everything = set().union(*loaded.values())
+    assert {"summaries", "phasecopy", "oracle"} <= everything
+    assert not everything & {"safety", "kphase", "compaction", "upperapprox", "extras"}
+
+
+# Runs in a fresh interpreter: lists e1's start set C1 up to size 3 and
+# prints, as JSON, the members and the upstack submodules loaded.
+_MEMBERS_PATH = """
+import json, sys
+import upstack
+from upstack.fixtures import fixture_text
+
+members = list(upstack.parse_model(fixture_text("e1.upds")).config_set("C1").members(3))
+print(json.dumps([members, sorted(m for m in sys.modules if m.startswith("upstack."))]))
+"""
+
+
+def test_listing_a_sets_members_loads_no_command():
+    # The library's walk of a set's members lives in `words`, not in a
+    # command module.
+    proc = subprocess.run(
+        [sys.executable, "-c", _MEMBERS_PATH],
+        env=subprocess_env(),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    members, loaded = json.loads(proc.stdout)
+    assert members == [["p", [], ["x", "bot"]]]
+    assert "upstack.words" in loaded
+    assert not [m for m in loaded if m.startswith("upstack.commands")]
 
 
 # Runs in a fresh interpreter: what the benchmark's cli set-up times,
@@ -473,6 +521,12 @@ def test_moved_names_run_from_their_old_places(e1):
     assert configsets.config_word(start) == ("x", "bot")
     assert configsets.union is compaction.union
     configsets.check_alphabets(("a", "b"), ("b", "a"))
+    # The trace search on objects and the phase count, from `oracle` and
+    # `core`.
+    assert oracle.oracle_trace(e1, start, lambda c: c.lower == ("a", "bot"), None, None) == (
+        e1.rules[0],
+    )
+    assert core.count_phases(e1.rules[:3]) == 1
     # The bounded closure, from `oracle` and the package.
     assert oracle.oracle_post is oracle_command.oracle_post
     assert oracle.oracle_post(e1, [start], 1, 3) == {start, core.Configuration("p", (), ("a", "bot"))}
