@@ -2,12 +2,12 @@
 build.
 
 The two checkers live in modules of their own, `overflow` and
-`residue`, so that each command compiles only its own. Each decides on
-the lower stack alone: Safe from the summaries of `summaries`, and,
-where those show a violation, within k phases from the summaries of the
-system's phase-counting copy (`phasecopy`). The decision from the two
-one-sided analyses, `decide_safety`, is in `safety`, which no checker
-loads.
+`residue`, so that each command compiles only its own. Each puts its
+question to `decide_on_lower_stack`, which decides on the lower stack
+alone: Safe from the summaries of `summaries`, and, where those show a
+violation, within k phases from the summaries of the system's
+phase-counting copy (`phasecopy`). The decision from the two one-sided
+analyses, `decide_safety`, is in `safety`, which no checker loads.
 """
 
 from __future__ import annotations
@@ -125,3 +125,21 @@ def _all_states_set(spec: UpdsSpec, upper: tuple, lower: tuple) -> ConfigAutomat
     configs._validated = True
     return configs
 
+
+def decide_on_lower_stack(spec, k, node_budget, components, violation, accepts, marked=None):
+    """A checker's verdict: Safe where the lower-stack summaries of the
+    system `spec` show no violation from the start set (`components`,
+    state -> automaton), else the decision within k phases from the
+    shortest member that shows one (`phasecopy.decide_within`, which
+    says what the arguments are)."""
+    from .summaries import Summaries, shortest_violation
+
+    summaries = Summaries(spec)
+    best = shortest_violation(summaries, spec.states, components, violation(summaries), marked)
+    if best is None:
+        return Verdict(SAFE, k, node_budget, decided_by="lower-stack")
+    from .phasecopy import decide_within
+
+    return decide_within(
+        spec, k, node_budget, config_from_word(*best), components, violation, accepts, marked
+    )

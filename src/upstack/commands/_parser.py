@@ -27,8 +27,8 @@ def build_parser(names: tuple[str, ...] = COMMANDS) -> _Parser:
             "Reachability analyses for pushdown systems that keep the "
             "memory above the stack pointer: exact membership, a "
             "phase-bounded under-approximation of predecessors, a regular "
-            "over-approximation of successors, and safety checkers built "
-            "from the two."
+            "over-approximation of successors, and safety checkers that "
+            "decide on the lower stack alone."
         ),
     )
     # With every command built, argparse spells the list itself; an error

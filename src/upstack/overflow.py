@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .checkers import SAFE, Verdict, _all_states_set, _spec_of, config_from_word
+from .checkers import Verdict, _all_states_set, _spec_of, decide_on_lower_stack
 from .core import UpdsSpec
 from .errors import MalformedInputError
 from .limits import DEFAULT_NODE_BUDGET, DEFAULT_PHASES
 from .model import ModelFile
 from .regex import _parse_text
-from .summaries import Summaries, shortest_violation
 
 # The symbols the checker injects: the sentinel on top of the upper zone,
 # and the headroom below it.
@@ -75,13 +74,7 @@ def check_stack_overflow(
         growth = summaries.growth
         return lambda r, a, d: growth.get((r, a), 0) >= d
 
-    summaries = Summaries(spec)
-    best = shortest_violation(summaries, spec.states, initial.components, violation(summaries))
-    if best is None:
-        return Verdict(SAFE, k, node_budget, decided_by="lower-stack")
-    from .phasecopy import decide_within
-
-    return decide_within(
-        extended, k, node_budget, config_from_word(*best), initial.components, violation,
+    return decide_on_lower_stack(
+        extended, k, node_budget, initial.components, violation,
         lambda c: TOP_SENTINEL not in c[1],
     )

@@ -8,13 +8,12 @@ within k phases from those of the system's phase-counting copy in
 
 from __future__ import annotations
 
-from .checkers import SAFE, Verdict, _spec_of, config_from_word
+from .checkers import Verdict, _spec_of, decide_on_lower_stack
 from .configsets import ConfigAutomaton, bar
 from .core import UpdsSpec
 from .errors import MalformedInputError
 from .limits import DEFAULT_NODE_BUDGET, DEFAULT_PHASES
 from .model import ModelFile
-from .summaries import Summaries, shortest_violation
 
 
 def check_upper_read(
@@ -54,15 +53,7 @@ def check_upper_read(
             d is not None and growth.get((r, a), 0) >= d
         )
 
-    summaries = Summaries(spec)
-    best = shortest_violation(
-        summaries, spec.states, configs.components, violation(summaries), barred
-    )
-    if best is None:
-        return Verdict(SAFE, k, node_budget, decided_by="lower-stack")
-    from .phasecopy import decide_within
-
-    return decide_within(
-        spec, k, node_budget, config_from_word(*best), configs.components, violation,
+    return decide_on_lower_stack(
+        spec, k, node_budget, configs.components, violation,
         lambda c: c[1][-1:] == (symbol,), barred,
     )

@@ -32,6 +32,19 @@ and Maler, CONCUR 1997):
   component holds a push edge. P(q, a): the symbols it can pop, those of
   the heads it reaches that have a pop rule.
 
+One worklist pass builds Ret and the head graph together (after Esparza,
+Hansel, Rossmanith and Schwoon, CAV 2000), and scans no rule twice. Its
+items are runs (h, r, w): a run from head h, now in state r, that pops
+h's cell once it pops the word w. Each rule `q a -> q' w` starts the run
+((q, a), q', w). A run whose w is empty puts r into Ret(h), once, and
+that entry wakes every run waiting on h. A run with w = b w' waits on
+(r, b): it gives h the edge to (r, b) of weight |w'|, and goes on as (h,
+r', w') for each r' that Ret(r, b) already holds and each that enters it
+later. So a switch waits on (q', b) for the empty word. A push waits on
+(q', b) for c; each r that enters Ret(q', b) then starts a wait on (r,
+c) for the empty word, which takes the entries Ret(r, c) holds and those
+it gains.
+
 `shortest_violation` searches a start set breadth first over (state,
 node, d) triples: a lower symbol a read from (r, n) leads to each (r',
 n') with r' in Ret(r, a), and d counts the cells read since the word's
@@ -74,23 +87,21 @@ class Summaries:
     def __init__(self, spec):
         moves = spec.moves
         self.ret = ret = {head: {} for head in moves}
-        changed = True
-        while changed:
-            changed = False
-            for head, entries in moves.items():
-                size = len(ret[head])
-                for _, to_state, _, written in entries:
-                    ret[head].update(self.after((to_state,), written))
-                changed |= len(ret[head]) != size
-        graph = {}
-        for head, entries in moves.items():
-            graph[head] = edges = []
-            for _, to_state, arity, written in entries:
-                if arity:
-                    edges.append((arity - 1, (to_state, written[0])))
-                if arity == 2:
-                    inner = ret.get((to_state, written[0]), ())
-                    edges += [(0, (r, written[1])) for r in inner]
+        graph = {head: [] for head in moves}
+        # The runs (head, r, w) of the module docstring, and waiting[h]:
+        # (head, w') for each run that waits on h for the rest w'.
+        work = [(head, to, written) for head in moves for _, to, _, written in moves[head]]
+        waiting = {}
+        while work:
+            head, r, word = work.pop()
+            if word:
+                target = (r, word[0])
+                graph[head].append((len(word) - 1, target))
+                waiting.setdefault(target, []).append((head, word[1:]))
+                work += [(head, r2, word[1:]) for r2 in ret.get(target, ())]
+            elif r not in ret[head]:
+                ret[head][r] = None
+                work += [(waiter, r, rest) for waiter, rest in waiting.get(head, ())]
         self.growth = growth = {}
         self.pops = pops = {}
         # Sinks first, so that what a component leads to is known.
@@ -111,14 +122,6 @@ class Summaries:
                 growth[head] = grows
                 pops[head] = popped
         self.cap = 1 + max((g for g in growth.values() if g != math.inf), default=0)
-
-    def after(self, states, word):
-        """The states, in a dict, in which runs from the given states pop
-        the whole word."""
-        states = dict.fromkeys(states)
-        for cell in word:
-            states = {r2: None for r in states for r2 in self.ret.get((r, cell), ())}
-        return states
 
     def shows(self, state, word, violates, marked=None):
         """Do the summaries show a violation from the configuration of a

@@ -66,6 +66,32 @@ set I q1 ^ g0 g0 g0
 """
 
 
+# Starting lower words of the overflow checker for each shipped fixture.
+FIXTURE_LOWERS = {
+    "e1.upds": ("x (y x)* bot", "x bot", "y x bot", "a b bot", "_"),
+    "e2.upds": ("c", "c c", "a b", "_"),
+    "relocate.upds": ("ret bot", "secret ret bot", "_"),
+}
+
+
+def switch_chain(n: int):
+    """States s0..s{n-1}: a switch chain on x, both pushes on both tops in
+    every state, and one pop at the end. The only way to put x above the
+    boundary is the whole chain and then the pop; the pushes make the
+    region around the chain grow without end."""
+    from upstack.model import parse_model
+
+    lines = [f"states {' '.join(f's{i}' for i in range(n))}", "alphabet x y"]
+    for i in range(n):
+        if i + 1 < n:
+            lines.append(f"rule s{i} x -> s{i + 1} x")
+        for top in ("x", "y"):
+            for pushed in ("x", "y"):
+                lines.append(f"rule s{i} {top} -> s{i} {pushed} {top}")
+    lines += [f"rule s{n - 1} x -> s{n - 1}", "set I s0 ^ x"]
+    return parse_model("\n".join(lines) + "\n")
+
+
 def subprocess_env() -> dict[str, str]:
     """The environment with this checkout's src/ first on PYTHONPATH, so a
     child `python -m upstack` runs the code under test."""

@@ -14,6 +14,7 @@ from conftest import (
     forbidden_read,
     random_configuration,
     random_spec,
+    switch_chain,
 )
 from upstack import oracle, phasecopy, safety
 from upstack.checkers import SAFE, UNKNOWN, UNSAFE, Verdict, _all_states_set
@@ -290,22 +291,6 @@ def test_a_shown_violation_with_no_trace_is_unknown(monkeypatch):
     )
 
 
-def _switch_chain(n):
-    """States s0..s{n-1}: a switch chain on x, both pushes on both tops in
-    every state, and one pop at the end. The only way to put x above the
-    boundary is the whole chain and then the pop; the pushes make the
-    region around the chain grow without end."""
-    lines = [f"states {' '.join(f's{i}' for i in range(n))}", "alphabet x y"]
-    for i in range(n):
-        if i + 1 < n:
-            lines.append(f"rule s{i} x -> s{i + 1} x")
-        for top in ("x", "y"):
-            for pushed in ("x", "y"):
-                lines.append(f"rule s{i} {top} -> s{i} {pushed} {top}")
-    lines += [f"rule s{n - 1} x -> s{n - 1}", "set I s0 ^ x"]
-    return parse_model("\n".join(lines) + "\n")
-
-
 def _stored_per_search(monkeypatch):
     """A list that collects the configurations each search stores."""
     stored = []
@@ -328,7 +313,7 @@ def test_replay_stays_inside_the_under_approximation(monkeypatch):
     # A search over every successor runs through a budget of 1,000 on the
     # pushes long before it walks the chain; restricted to the one-phase
     # pre*, the replay of `decide_safety` finds the chain at once.
-    model = _switch_chain(10)
+    model = switch_chain(10)
     monkeypatch.setattr(safety, "DEFAULT_NODE_BUDGET", 1000)
     verdict = decide_safety(model.spec, model.config_set("I"), forbidden_read(model.spec, "x"), 1)
     assert (verdict.outcome, verdict.decided_by) == (UNSAFE, "hit")
@@ -345,7 +330,7 @@ def test_the_trace_search_stays_where_the_copy_shows_a_violation(monkeypatch):
     # stores little more than it, where a search over every successor
     # would store some 2^25 configurations first.
     stored = _stored_per_search(monkeypatch)
-    verdict = check_upper_read(_switch_chain(25), "I", "x", k=1, node_budget=100)
+    verdict = check_upper_read(switch_chain(25), "I", "x", k=1, node_budget=100)
     assert (verdict.outcome, verdict.decided_by) == (UNSAFE, "lower-stack")
     assert verdict.witness == cfg("s0", "", "x") and len(verdict.trace) == 25
     assert [rule.kind for rule in verdict.trace[:24]] == [RuleKind.SWITCH] * 24
@@ -358,7 +343,7 @@ def test_lower_stack_replay_stops_at_its_budget(monkeypatch):
     # one search stops at the checker's budget, and the Unknown names the
     # witness and the spent budget.
     stored = _stored_per_search(monkeypatch)
-    verdict = check_upper_read(_switch_chain(25), "I", "x", k=2, node_budget=500)
+    verdict = check_upper_read(switch_chain(25), "I", "x", k=2, node_budget=500)
     assert (verdict.outcome, verdict.exit_code, verdict.decided_by) == (UNKNOWN, 2, "limit")
     assert verdict.witness == cfg("s0", "", "x") and verdict.trace is None
     assert verdict.note == (
@@ -374,13 +359,13 @@ def test_an_unknown_past_the_trace_budget_keeps_the_violation():
     # from which the system's own summaries show one. With room for two
     # configurations, the same read at k=1 runs out of its budget, and its
     # note keeps the violation too.
-    verdict = check_upper_read(_switch_chain(25), "I", "x", k=0)
+    verdict = check_upper_read(switch_chain(25), "I", "x", k=0)
     assert (verdict.outcome, verdict.decided_by) == (UNKNOWN, "phase-bound")
     assert verdict.witness is None
     assert verdict.note == (
         "no phase-bounded witness at k=0; a violation exists past k=0 from s0: ^ x"
     )
-    starved = check_upper_read(_switch_chain(25), "I", "x", k=1, node_budget=2)
+    starved = check_upper_read(switch_chain(25), "I", "x", k=1, node_budget=2)
     assert (starved.outcome, starved.decided_by) == (UNKNOWN, "limit")
     assert starved.note.startswith("a violation within k=1 phases exists from s0: ^ x, ")
 

@@ -12,6 +12,10 @@ order but whose nodes and edges do not, so only the summary is pinned.
 They also pin the digests of what `export-dot --trace` and `export-dot
 --grammar` print for each set; DOT text is sorted, so those change only
 with the nodes and edges of the trace abstraction or the grammar.
+
+The checkers' answers on the fixtures are pinned too, as digests of each
+answer's exit code and `describe()` text: a changed verdict, witness,
+trace or note fails them, however the summaries are built.
 """
 
 from __future__ import annotations
@@ -20,11 +24,14 @@ import hashlib
 
 import pytest
 
+from conftest import FIXTURE_LOWERS
 from upstack import bounded_phase_pre_star, overapprox_post, parse_model
 from upstack.commands.post_over import summary
 from upstack.dot import export_dot
 from upstack.fixtures import fixture_path
 from upstack.grammar import build_post_grammar, single_origin
+from upstack.overflow import check_stack_overflow
+from upstack.residue import check_upper_read
 from upstack.upperapprox import trace_overapprox
 
 FIXTURE_SETS = (
@@ -110,6 +117,31 @@ EXPORT_GOLDEN = {
 }
 
 
+# ("read", set) or ("overflow", fixture, starting lower word) -> first 16
+# hex digits of the sha256 of every checker answer's exit code and
+# `describe()` text: for a read, at k = 0..4 and each symbol of the
+# alphabet; for an overflow, at k = 0..4 and m = 0..2. A Safe answer's
+# text names only its k, so the digest of all-Safe answers repeats.
+CHECKER_GOLDEN = {
+    ("read", "C1"): "0dd6ba7fa67b8ea9",
+    ("read", "C2"): "c37969a619ecc016",
+    ("read", "Boot"): "91b2f560735f8298",
+    ("read", "NewStack"): "a239e733038b7b64",
+    ("overflow", "e1.upds", "x (y x)* bot"): "26990780d2b02d69",
+    ("overflow", "e1.upds", "x bot"): "26990780d2b02d69",
+    ("overflow", "e1.upds", "y x bot"): "c28244aa7a6f1012",
+    ("overflow", "e1.upds", "a b bot"): "468d859c5bdc1e7d",
+    ("overflow", "e1.upds", "_"): "64ba1203ff0e59a5",
+    ("overflow", "e2.upds", "c"): "ca18cf10f473a97a",
+    ("overflow", "e2.upds", "c c"): "0159ca8ea930537e",
+    ("overflow", "e2.upds", "a b"): "64ba1203ff0e59a5",
+    ("overflow", "e2.upds", "_"): "64ba1203ff0e59a5",
+    ("overflow", "relocate.upds", "ret bot"): "17c4eb29809b87a3",
+    ("overflow", "relocate.upds", "secret ret bot"): "64ba1203ff0e59a5",
+    ("overflow", "relocate.upds", "_"): "64ba1203ff0e59a5",
+}
+
+
 def _digest(artifact) -> str:
     return hashlib.sha256(export_dot(artifact).encode()).hexdigest()[:16]
 
@@ -136,3 +168,29 @@ def test_fixture_exports_match_the_goldens(fixture, name):
     trace = trace_overapprox(model.spec, configs)
     grammar = build_post_grammar(single_origin(model.spec, configs))
     assert (_digest(trace), _digest(grammar)) == EXPORT_GOLDEN[name]
+
+
+def _answers_digest(verdicts) -> str:
+    text = "\n".join(f"{verdict.exit_code}\n{verdict.describe()}" for verdict in verdicts)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("fixture, name", FIXTURE_SETS)
+def test_fixture_read_answers_match_the_goldens(fixture, name):
+    model = parse_model(fixture_path(fixture).read_text(encoding="utf-8"))
+    verdicts = (
+        check_upper_read(model, name, symbol, k=k)
+        for k in range(5)
+        for symbol in model.spec.alphabet
+    )
+    assert _answers_digest(verdicts) == CHECKER_GOLDEN["read", name]
+
+
+@pytest.mark.parametrize(
+    "fixture, lower",
+    [(name, lower) for name in sorted(FIXTURE_LOWERS) for lower in FIXTURE_LOWERS[name]],
+)
+def test_fixture_overflow_answers_match_the_goldens(fixture, lower):
+    model = parse_model(fixture_path(fixture).read_text(encoding="utf-8"))
+    verdicts = (check_stack_overflow(model, m, lower, k=k) for k in range(5) for m in range(3))
+    assert _answers_digest(verdicts) == CHECKER_GOLDEN["overflow", fixture, lower]
