@@ -126,20 +126,19 @@ def _all_states_set(spec: UpdsSpec, upper: tuple, lower: tuple) -> ConfigAutomat
     return configs
 
 
-def decide_on_lower_stack(spec, k, node_budget, components, violation, accepts, marked=None):
-    """A checker's verdict: Safe where the lower-stack summaries of the
-    system `spec` show no violation from the start set (`components`,
-    state -> automaton), else the decision within k phases from the
-    shortest member that shows one (`phasecopy.decide_within`, which
-    says what the arguments are)."""
+def decide_on_lower_stack(spec, k, node_budget, components, accepts, symbol=None):
+    """A checker's verdict on a read of `symbol`, or on overflow where it
+    is None: Safe where the lower-stack summaries of the system `spec`
+    show no violation from the start set (`components`, state ->
+    automaton), else the decision within k phases from the shortest
+    member that shows one (`phasecopy.decide_within`, which says what the
+    arguments are)."""
     from .summaries import Summaries, shortest_violation
 
-    summaries = Summaries(spec)
-    best = shortest_violation(summaries, spec.states, components, violation(summaries), marked)
+    components = {q: components[q] for q in spec.states if q in components}
+    best = shortest_violation(Summaries(spec, symbol), components)
     if best is None:
         return Verdict(SAFE, k, node_budget, decided_by="lower-stack")
     from .phasecopy import decide_within
 
-    return decide_within(
-        spec, k, node_budget, config_from_word(*best), components, violation, accepts, marked
-    )
+    return decide_within(spec, k, node_budget, config_from_word(*best), components, accepts, symbol)

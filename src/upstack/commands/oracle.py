@@ -56,6 +56,8 @@ def run(args, model) -> int:
     )
     if args.config is not None:
         return bool_exit(parse_config_literal(model.spec, args.config) in found)
-    for c in sorted(found, key=lambda c: (c.total_size, repr(c))):
+    # The order of a configuration's own repr, which lives in `extras`: the
+    # repr of its fields orders the same way.
+    for c in sorted(found, key=lambda c: (c.total_size, repr((c.state, c.upper, c.lower)))):
         print(print_config_literal(c))
     return 0

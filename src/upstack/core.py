@@ -197,12 +197,8 @@ class Configuration(Frozen):
         _set(self, "upper", upper)
         _set(self, "lower", lower)
 
-    # The `oracle` command sorts the configurations it lists by this text.
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__qualname__}(state={self.state!r}, "
-            f"upper={self.upper!r}, lower={self.lower!r})"
-        )
+    # No command shows a configuration's repr.
+    __repr__ = _MovedMethod("extras", "config_repr")
 
     def _fields(self) -> tuple:
         return (self.state, self.upper, self.lower)

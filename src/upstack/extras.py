@@ -12,9 +12,9 @@ compatibility contract names it there (see `upstack`):
   `apply_rule`, `step`, `run_trace`), two facts of a rule sequence
   (`trace_upper_word`, `count_phases`), `UpdsSpec.rules_reading`, the scan that words
   the error of a system failing its checks (`UpdsSpec._reject`), the
-  constructor from plain tuples (`make_spec`), and the text that `repr`
-  gives for a rule (`rule_repr`) and `str` for a configuration
-  (`config_str`);
+  constructor from plain tuples (`make_spec`), and the texts that `repr`
+  gives for a rule and a configuration (`rule_repr`, `config_repr`) and
+  `str` for a configuration (`config_str`);
 - from `oracle`: the ground truths the tests compare the analyses with,
   the backward phase-bounded closure (`oracle_pre_kphase`) and the
   lower-stack-only closure (`pds_step`, `pds_closure`, `pds_reaches`),
@@ -121,6 +121,15 @@ def rule_repr(rule: Rule) -> str:
     return (
         f"{type(rule).__qualname__}(from_state={rule[0]!r}, "
         f"read_symbol={rule[1]!r}, to_state={rule[2]!r}, written={rule[3]!r})"
+    )
+
+
+def config_repr(c: Configuration) -> str:
+    """`repr` of a configuration: the constructor call with its fields
+    named."""
+    return (
+        f"{type(c).__qualname__}(state={c.state!r}, "
+        f"upper={c.upper!r}, lower={c.lower!r})"
     )
 
 

@@ -66,15 +66,6 @@ def check_stack_overflow(
     cells = (("sym", TOP_SENTINEL),) + (("sym", FILLER),) * m
     headroom = cells[0] if m == 0 else ("concat", cells)
     initial = _all_states_set(extended, headroom, starts)
-
-    # The search's distance d counts the m+1 upper cells and the start
-    # cells popped: a run at head (r, a) grows past m when G(r, a) > m +
-    # (d - m - 1).
-    def violation(summaries):
-        growth = summaries.growth
-        return lambda r, a, d: growth.get((r, a), 0) >= d
-
     return decide_on_lower_stack(
-        extended, k, node_budget, initial.components, violation,
-        lambda c: TOP_SENTINEL not in c[1],
+        extended, k, node_budget, initial.components, lambda c: TOP_SENTINEL not in c[1]
     )

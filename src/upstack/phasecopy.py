@@ -63,13 +63,12 @@ def copy_trace(copy, origin, start, accepts, within, node_budget):
     return None if trace is None else tuple(origin[rule] for rule in trace)
 
 
-def decide_within(spec, k, node_budget, shown, components, violation, accepts, marked=None):
+def decide_within(spec, k, node_budget, shown, components, accepts, symbol=None):
     """A checker's verdict once the summaries of the system `spec` have
     shown a violation from `shown`, a shortest violating start member.
-    `components` are the start set's (state -> automaton); `violation`
-    gives the `violates` of `shortest_violation` for a `Summaries`, and
-    `marked` is as there; `accepts` tells whether a configuration tuple
-    is forbidden.
+    `components` are the start set's (state -> automaton), in the order
+    that breaks ties; `accepts` tells whether a configuration tuple is
+    forbidden, and `symbol` is the one read, or None for overflow.
 
     Unknown (`phase-bound`) where the copy's summaries show no violation
     within k phases. Else Unsafe, decided by the lower stack, with a
@@ -77,10 +76,8 @@ def decide_within(spec, k, node_budget, shown, components, violation, accepts, m
     kept to the configurations from which the copy's summaries still show
     one: Unknown (`limit`) where it stores more than node_budget."""
     copy, origin = phase_copy(spec, k)
-    summaries = Summaries(copy)
-    violates = violation(summaries)
-    starts = {(q, 0, None): components[q] for q in spec.states if q in components}
-    best = shortest_violation(summaries, starts, starts, violates, marked)
+    summaries = Summaries(copy, symbol)
+    best = shortest_violation(summaries, {(q, 0, None): nfa for q, nfa in components.items()})
     if best is None:
         return Verdict(
             UNKNOWN, k, node_budget, decided_by="phase-bound",
@@ -90,7 +87,7 @@ def decide_within(spec, k, node_budget, shown, components, violation, accepts, m
     witness = config_from_word(best[0][0], best[1])
 
     def within(c):
-        return accepts(c) or summaries.shows(c[0], tuple(map(bar, c[1])) + c[2], violates, marked)
+        return accepts(c) or summaries.shows(c[0], tuple(map(bar, c[1])) + c[2])
 
     found = f"a violation within k={k} phases exists from {print_config_literal(witness)}, but "
     try:

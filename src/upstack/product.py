@@ -1,7 +1,7 @@
 """The synchronous product of two automata: the intersection of their
-languages. Of the commands only the checkers intersect sets, so this is
-loaded on first use by `compaction.intersect_sets`; `intersection` still
-imports from `nfa`.
+languages. No command intersects sets, only the library's
+`safety.decide_safety` does, so this is loaded on first use by
+`compaction.intersect_sets`; `intersection` still imports from `nfa`.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ within k phases from those of the system's phase-counting copy in
 from __future__ import annotations
 
 from .checkers import Verdict, _spec_of, decide_on_lower_stack
-from .configsets import ConfigAutomaton, bar
+from .configsets import ConfigAutomaton
 from .core import UpdsSpec
 from .errors import MalformedInputError
 from .limits import DEFAULT_NODE_BUDGET, DEFAULT_PHASES
@@ -45,15 +45,6 @@ def check_upper_read(
             )
         configs = model.config_set(configs)
     configs.check_against(spec, "start set")
-    barred = bar(symbol)
-
-    def violation(summaries):
-        pops, growth = summaries.pops, summaries.growth
-        return lambda r, a, d: symbol in pops.get((r, a), ()) or (
-            d is not None and growth.get((r, a), 0) >= d
-        )
-
     return decide_on_lower_stack(
-        spec, k, node_budget, configs.components, violation,
-        lambda c: c[1][-1:] == (symbol,), barred,
+        spec, k, node_budget, configs.components, lambda c: c[1][-1:] == (symbol,), symbol
     )

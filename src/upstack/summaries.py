@@ -29,8 +29,10 @@ and Maler, CONCUR 1997):
   from (q, a) before that cell is popped, each at its height above it.
 * G(q, a): the most such a run grows, a longest path of the head graph,
   over its strongly connected components; infinite when a reachable
-  component holds a push edge. P(q, a): the symbols it can pop, those of
-  the heads it reaches that have a pop rule.
+  component holds a push edge.
+* P: the heads from which a run pops the one symbol s asked, those that
+  reach a head (r, s) with a pop rule; empty for overflow, which asks
+  for no symbol.
 
 One worklist pass builds Ret and the head graph together (after Esparza,
 Hansel, Rossmanith and Schwoon, CAV 2000), and scans no rule twice. Its
@@ -47,18 +49,20 @@ it gains.
 
 `shortest_violation` searches a start set breadth first over (state,
 node, d) triples: a lower symbol a read from (r, n) leads to each (r',
-n') with r' in Ret(r, a), and d counts the cells read since the word's
-start, or since its last marked upper cell. Let p count the start cells
-popped. The most a run from the start set grows is M, the maximum over
-reached triples of G(r, a) - p for each symbol a read from n, and of -p
-where n is final: take a run's highest point and the last time before it
-at its lowest height, when its head still holds a start cell a. So a run
-grows past m exactly when some reached triple has G(r, a) - p > m, and
-it pops s exactly when some reached triple has s in P(r, a). Counted
-from the last held copy of s, d is the cells after that copy plus p, so
-a run exposes it exactly when some reached triple has G(r, a) >= d, or
-d = 0 where n is final. `Summaries.shows` asks the same of one
-configuration.
+n') with r' in Ret(r, a), and d counts the cells read since the last
+barred s, or, for overflow, since the word's start. Let p count the
+start cells popped. The most a run from the start set grows is M, the
+maximum over reached triples of G(r, a) - p for each symbol a read from
+n, and of -p where n is final: take a run's highest point and the last
+time before it at its lowest height, when its head still holds a start
+cell a. For overflow d is m+1 + p, so a run grows past m exactly when
+some reached triple has G(r, a) >= d. A read run pops s exactly when
+some reached triple has (r, a) in P; counted from the last held copy of
+s, d is the cells after that copy plus p, so a run exposes it exactly
+when some reached triple has G(r, a) >= d, or d = 0 where n is final.
+So one rule serves both questions: a triple violates when (r, a) is in
+P or G(r, a) >= d, d being None before a first held s. `Summaries.shows`
+asks the same of one configuration.
 
 A checker decides Safe from these facts alone. Where they show a
 violation, it decides within k phases from the summaries of the
@@ -75,16 +79,19 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from .configsets import is_barred
+from .configsets import bar, is_barred
 from .nfa import EPSILON, label_key
 
 
 class Summaries:
-    """Ret, G and P (see the module docstring) of each head with a rule,
-    in dicts keyed by head; a head without a rule pops nothing and grows
-    by 0. `cap` is one more than the largest finite G."""
+    """Ret and G (see the module docstring) of each head with a rule, in
+    dicts keyed by head, and P, the set of heads from which a run pops
+    `symbol`: the question of a read of `symbol`, or, where it is None,
+    of overflow, whose P is empty. A head without a rule pops nothing and
+    grows by 0. `cap` is one more than the largest finite G."""
 
-    def __init__(self, spec):
+    def __init__(self, spec, symbol=None):
+        self.symbol = symbol
         moves = spec.moves
         self.ret = ret = {head: {} for head in moves}
         graph = {head: [] for head in moves}
@@ -103,45 +110,43 @@ class Summaries:
                 ret[head][r] = None
                 work += [(waiter, r, rest) for waiter, rest in waiting.get(head, ())]
         self.growth = growth = {}
-        self.pops = pops = {}
+        # The heads with a pop of `symbol`, and then each that reaches one.
+        self.pops = pops = {(q, a) for q, a, _, w in spec.rules if a == symbol and not w}
         # Sinks first, so that what a component leads to is known.
         for members in _components(graph):
-            grows = 0
-            popped = {
-                head[1] for head in members
-                if any(arity == 0 for _, _, arity, _ in moves.get(head, ()))
-            }
+            grows, popped = 0, not pops.isdisjoint(members)
             for head in members:
                 for weight, target in graph.get(head, ()):
                     if target in members:
                         grows = math.inf if weight else grows
                     else:
                         grows = max(grows, weight + growth[target])
-                        popped |= pops[target]
+                        popped |= target in pops
             for head in members:
                 growth[head] = grows
-                pops[head] = popped
+            if popped:
+                pops |= members
         self.cap = 1 + max((g for g in growth.values() if g != math.inf), default=0)
 
-    def shows(self, state, word, violates, marked=None):
+    def shows(self, state, word):
         """Do the summaries show a violation from the configuration of a
-        state and a flattened word? `violates` and `marked` are as in
-        `shortest_violation`."""
-        pairs = {(state, None if marked else 0)}
+        state and a flattened word?"""
+        pairs = {(state, None if self.symbol else 0)}
         for label in word:
-            pairs = {step for r, d in pairs for step in _steps(self, r, d, label, violates, marked)}
-        return (None, None) in pairs or any(violates(r, None, d) for r, d in pairs)
+            pairs = {step for r, d in pairs for step in _steps(self, r, d, label)}
+        return any(r is None or d == 0 for r, d in pairs)
 
 
 def _components(graph):
     """The strongly connected components of a graph (node -> [(weight,
     node)]), by Tarjan's algorithm without recursion, each after every
     component it has an edge to."""
-    index, low, stack, done, components = {}, {}, [], set(), []
+    index, low, at, stack, done, components = {}, {}, {}, [], set(), []
     for root in graph:
         if root in index:
             continue
         index[root] = low[root] = len(index)
+        at[root] = len(stack)
         stack.append(root)
         work = [(root, iter(graph[root]))]
         while work:
@@ -149,6 +154,7 @@ def _components(graph):
             for _, target in edges:
                 if target not in index:
                     index[target] = low[target] = len(index)
+                    at[target] = len(stack)
                     stack.append(target)
                     work.append((target, iter(graph.get(target, ()))))
                     break
@@ -159,62 +165,60 @@ def _components(graph):
                 if work:
                     low[work[-1][0]] = min(low[work[-1][0]], low[head])
                 if low[head] == index[head]:
-                    members = set(stack[stack.index(head):])
-                    del stack[-len(members):]
+                    members = set(stack[at[head]:])
+                    del stack[at[head]:]
                     done |= members
                     components.append(members)
     return components
 
 
-def _steps(summaries, r, d, label, violates, marked):
+def _steps(summaries, r, d, label):
     """The (state, d) pairs of a search at (r, d) once it reads `label`
     (see `shortest_violation`); (None, None) once a violation is shown."""
     if r is None or label is EPSILON:
         return [(r, d)]
-    d2 = 0 if label == marked else (None if d is None else min(d + 1, summaries.cap))
+    d2 = None if d is None else min(d + 1, summaries.cap)
     if is_barred(label):
-        return [(r, d2)]
-    steps = [(r2, d2) for r2 in summaries.ret.get((r, label), ())]
-    if violates(r, label, d):
+        return [(r, 0 if label == bar(summaries.symbol) else d2)]
+    head = (r, label)
+    steps = [(r2, d2) for r2 in summaries.ret.get(head, ())]
+    if head in summaries.pops or d is not None and summaries.growth.get(head, 0) >= d:
         steps.append((None, None))
     return steps
 
 
-def shortest_violation(summaries, states, components, violates, marked=None):
+def shortest_violation(summaries, components):
     """The state and flattened word of a shortest start member from which
-    the summaries show a violation, the first such state in the order
-    given winning a tie; None if no member violates. `violates(r, a, d)`
-    tells whether a run at head (r, a) violates before it pops that cell,
-    and `violates(r, None, d)` whether one that popped the whole word
-    does. d counts the cells read since the last barred `marked` one,
-    start cells popped included; it is None before a first marked cell,
-    and counts from the word's start when `marked` is None.
+    the summaries show a violation, the first such state in the order of
+    `components` (state -> automaton) winning a tie; None if no member
+    violates. A run at head (r, a) violates before it pops that cell when
+    (r, a) is in P or G(r, a) >= d, and one that popped the whole word
+    when d = 0. d counts the cells read since the last barred `symbol`,
+    start cells popped included; it is None before a first such cell, and
+    counts from the word's start, m+1 upper cells included, for overflow.
 
     Each component is searched breadth first over (state, node, d)
     triples, along edges sorted by `label_key`, with d capped at one past
     the largest finite G, past which no G reaches it. A barred or epsilon
     edge keeps the state; a lower symbol a read from (r, n) pops that cell
-    into each state of Ret(r, a), and where violates(r, a, d) the search
+    into each state of Ret(r, a), and where (r, a) violates the search
     goes on to complete the word, in a triple whose state and d are None.
     Each triple keeps the word it was first reached by."""
     best = None
-    for state in states:
-        nfa = components.get(state)
-        if nfa is None:
-            continue
+    for state, nfa in components.items():
         rows, finals = nfa._edges, nfa.finals
-        words = {(state, node, None if marked else 0): () for node in nfa.initial}
+        words = {(state, node, None if summaries.symbol else 0): () for node in nfa.initial}
         queue = deque(words)
         while queue:
             triple = queue.popleft()
             r, node, d = triple
             word = words[triple]
-            if node in finals and (r is None or violates(r, None, d)):
+            if node in finals and (r is None or d == 0):
                 if best is None or len(word) < len(best[1]):
                     best = (state, word)
                 break
             for label, targets in sorted(rows[node].items(), key=lambda item: label_key(item[0])):
-                steps = _steps(summaries, r, d, label, violates, marked)
+                steps = _steps(summaries, r, d, label)
                 longer = word if label is EPSILON else word + (label,)
                 for target in targets:
                     for r2, d2 in steps:
@@ -222,4 +226,3 @@ def shortest_violation(summaries, states, components, violates, marked=None):
                             words[r2, target, d2] = longer
                             queue.append((r2, target, d2))
     return best
-

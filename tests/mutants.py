@@ -250,9 +250,9 @@ MUTANTS = (
     ),
     (
         "overflow growth measured as if no start cell was popped",
-        "overflow.py",
-        "lambda r, a, d: growth.get((r, a), 0) >= d",
-        "lambda r, a, d: growth.get((r, a), 0) > m",
+        "summaries.py",
+        "steps = [(r2, d2) for r2 in",
+        "steps = [(r2, d) for r2 in",
         ["tests/test_lower.py::test_overflow_counts_the_start_cells_popped_before_a_run_grows"],
     ),
     (
@@ -261,6 +261,13 @@ MUTANTS = (
         "spec.alphabet + (TOP_SENTINEL, FILLER)",
         "spec.alphabet + (TOP_SENTINEL,)",
         ["tests/test_checkers.py::test_overflow_two_pushes_through_one_cell_of_headroom"],
+    ),
+    (
+        "P without the heads that only reach a pop of the symbol",
+        "summaries.py",
+        "popped |= target in pops",
+        "pass",
+        ["tests/test_lower.py::test_summaries_match_the_lower_reference"],
     ),
     (
         "a reachable push cycle taken as finite growth",
@@ -305,22 +312,22 @@ MUTANTS = (
     ),
     (
         "a read Safe although a start upper word holds the symbol",
-        "residue.py",
-        "symbol in pops.get((r, a), ()) or (\n            d is not None and growth.get((r, a), 0) >= d\n        )",
-        "symbol in pops.get((r, a), ())",
+        "summaries.py",
+        "if head in summaries.pops or d is not None and summaries.growth.get(head, 0) >= d:",
+        "if head in summaries.pops:",
         ["tests/test_lower.py::test_new_stack_reads_are_decided_on_the_lower_stack"],
     ),
     (
         "a held copy's distance counted from the first copy, not the last",
         "summaries.py",
-        "d2 = 0 if label == marked else",
-        "d2 = 0 if label == marked and d is None else",
+        "0 if label == bar(summaries.symbol) else d2",
+        "0 if label == bar(summaries.symbol) and d is None else d2",
         ["tests/test_lower.py::test_held_reads_match_the_exposure_reference"],
     ),
     (
         "the search never asks at a word's end, missing a U ^ member",
         "summaries.py",
-        "if node in finals and (r is None or violates(r, None, d)):",
+        "if node in finals and (r is None or d == 0):",
         "if node in finals and r is None:",
         ["tests/test_lower.py::test_held_reads_match_the_exposure_reference"],
     ),

@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import io
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -28,7 +29,9 @@ from upstack import cli
 from upstack.cli import main
 from upstack.commands import COMMANDS, command
 from upstack.commands._parser import build_parser
+from upstack.commands.oracle import oracle_post
 from upstack.fixtures import fixture_path
+from upstack.model import parse_model, print_config_literal
 from upstack.regex import MAX_NESTING
 
 E1 = str(fixture_path("e1.upds"))
@@ -159,6 +162,35 @@ def test_oracle_lists_findings_sorted():
     code, out, _ = run_cli(["oracle", E2, "--init", "C2", "--depth", "0", "--cap", "5"])
     assert code == 0
     assert out.splitlines() == ["p: ^ c", "p: a b ^ c", "p: a b a b ^ c"]
+
+
+def test_oracle_lists_in_the_order_of_the_configurations_repr(tmp_path):
+    # The listing sorts by size and then by the repr of the fields, which
+    # orders as a configuration's own repr does, quotes and backslashes in
+    # the names included.
+    rng = random.Random(61)
+    states, symbols = ["p", "p'", "q\\", '"r', "'"], ["a", "a'", "b\\", '"c', '"', "\\"]
+    path = tmp_path / "names.upds"
+    listed = 0
+    for _ in range(30):
+        lines = [f"states {' '.join(states)}", f"alphabet {' '.join(symbols)}"]
+        rules = {
+            (rng.choice(states), rng.choice(symbols), rng.choice(states),
+             " ".join(rng.choice(symbols) for _ in range(rng.randint(0, 2))))
+            for _ in range(8)
+        }
+        lines += [f"rule {q} {a} -> {q2} {written}".rstrip() for q, a, q2, written in rules]
+        for state in rng.sample(states, 2):
+            lower = " ".join(rng.choice(symbols) for _ in range(rng.randint(1, 2)))
+            lines.append(f"set S {state} ( {' | '.join(rng.sample(symbols, 2))} ) * ^ {lower}")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        model = parse_model(path.read_text(encoding="utf-8"))
+        found = oracle_post(model.spec, model.config_set("S").enumerate_configs(5), 4, 5)
+        by_repr = sorted(found, key=lambda c: (c.total_size, repr(c)))
+        code, out, _ = run_cli(["oracle", str(path), "--init", "S", "--depth", "4", "--cap", "5"])
+        assert (code, out.splitlines()) == (0, [print_config_literal(c) for c in by_repr])
+        listed += len(found)
+    assert listed >= 1500
 
 
 def test_oracle_probe_matches_hand_steps():

@@ -293,7 +293,8 @@ def test_records_compare_and_hash_by_fields(e1):
 
 
 def test_record_reprs_are_pinned():
-    # The oracle command sorts its output by these texts.
+    # The oracle command sorts its output in the order of a configuration's
+    # repr (`test_cli.py`).
     assert repr(cfg("p2", "a b", "bot")) == (
         "Configuration(state='p2', upper=('a', 'b'), lower=('bot',))"
     )
@@ -310,7 +311,7 @@ def test_record_reprs_are_pinned():
 
 
 # Runs in a fresh interpreter, which has not loaded `extras`: a rule's
-# repr and a configuration's str, twice each. The first call loads the
+# repr and a configuration's repr and str, twice each. The first call loads the
 # method's body from `extras` and puts it on the class; the second finds
 # it there.
 _TEXTS = """
@@ -321,6 +322,7 @@ rule, c = Rule("p", "a", "p", ("a", "b")), Configuration("p2", ("a", "b"), ("bot
 print("upstack.extras" in sys.modules)
 for _ in range(2):
     print(repr(rule))
+    print(repr(c))
     print(c)
 print("upstack.extras" in sys.modules)
 """
@@ -336,6 +338,7 @@ def test_moved_record_texts_load_on_first_use():
     )
     texts = [
         "Rule(from_state='p', read_symbol='a', to_state='p', written=('a', 'b'))",
+        "Configuration(state='p2', upper=('a', 'b'), lower=('bot',))",
         "<p2: a b ^ bot>",
     ]
     assert proc.stdout.splitlines() == ["False", *texts, *texts, "True"]
